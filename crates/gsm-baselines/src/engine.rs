@@ -1,8 +1,6 @@
 //! The INV / INV+ / INC / INC+ answering engines (Sections 5.1 and 5.2).
 
-use gsm_core::engine::{
-    ContinuousEngine, DetachedAnswer, EngineStats, MatchReport, QueryId, StagedBatch,
-};
+use gsm_core::engine::{ContinuousEngine, EngineStats, MatchReport, QueryId};
 use gsm_core::error::{Error, Result};
 use gsm_core::interner::Sym;
 use gsm_core::memory::HeapSize;
@@ -12,12 +10,12 @@ use gsm_core::query::paths::covering_paths;
 use gsm_core::query::pattern::QueryPattern;
 use std::sync::Arc;
 
-use gsm_core::relation::cache::{BuildCache, FrozenJoinCache, JoinCache};
+use gsm_core::relation::cache::JoinCache;
 use gsm_core::relation::eval::{join_paths, PathBinding};
 use gsm_core::relation::fasthash::FxHashMap;
 use gsm_core::relation::Relation;
 use gsm_core::shard::ShardedEngine;
-use gsm_core::views::{self, EdgeViewStore, FrozenViews, ViewSource};
+use gsm_core::views::{self, EdgeViewStore};
 
 use crate::index::{InvertedIndexes, PathRecord, QueryRecord};
 
@@ -104,9 +102,9 @@ impl BaselineEngine {
     }
 
     /// Resolves the queries affected by a routed batch via edgeInd and takes
-    /// shared handles to their records — the per-batch working set both the
-    /// eager and the staged answer passes iterate. Records are immutable
-    /// after registration, so the handles are `Arc` bumps, not deep copies.
+    /// shared handles to their records — the per-batch working set the
+    /// answer pass iterates. Records are immutable after registration, so
+    /// the handles are `Arc` bumps, not deep copies.
     fn affected_records(
         &self,
         edge_deltas: &FxHashMap<GenericEdge, Relation>,
@@ -118,119 +116,16 @@ impl BaselineEngine {
             .map(|qid| (qid, self.indexes.record_shared(qid)))
             .collect()
     }
-
-    /// Brings the engine's join cache up to date for every build the answer
-    /// pass over `affected` will probe — `[0]` builds of each path's
-    /// non-first edges and `[1]` builds of each path's non-last edges — and
-    /// publishes the result as an immutable [`FrozenJoinCache`]. Runs at
-    /// stage time, after routing, so every published build indexes exactly
-    /// the post-batch watermark the frozen views are cut at.
-    fn publish_builds(&mut self, affected: &[(QueryId, Arc<QueryRecord>)]) -> FrozenJoinCache {
-        for (_, record) in affected {
-            for path in &record.paths {
-                let n = path.edges.len();
-                if n < 2 {
-                    continue;
-                }
-                for (i, edge) in path.edges.iter().enumerate() {
-                    if let Some(view) = self.views.get(edge) {
-                        if i > 0 {
-                            self.cache.get_or_build(view, &[0]);
-                        }
-                        if i < n - 1 {
-                            self.cache.get_or_build(view, &[1]);
-                        }
-                    }
-                }
-            }
-        }
-        self.cache.freeze()
-    }
-
-    /// Freezes every edge view the answer pass over `affected` will read —
-    /// the union of the affected queries' edges — at the current watermarks.
-    fn freeze_needed(&self, affected: &[(QueryId, Arc<QueryRecord>)]) -> FrozenViews {
-        let mut needed: Vec<GenericEdge> = Vec::new();
-        for (_, record) in affected {
-            for &edge in &record.edges {
-                if !needed.contains(&edge) {
-                    needed.push(edge);
-                }
-            }
-        }
-        self.views.freeze_edges(&needed)
-    }
-
-    /// Stages an all-retraction run: collect the removed rows read-only
-    /// ([`EdgeViewStore::remove_deltas`]), freeze the **pre-removal** views
-    /// of the affected queries (generation-pinned snapshots that survive the
-    /// compaction below), commit the removal at stage time, and hand the
-    /// expensive disappearing-embedding join to the deferred token. The
-    /// commit cannot wait for answer time: a later staged re-insert of a
-    /// just-retracted edge must route against the post-removal views or it
-    /// would be dedup-dropped (see the staging contract on
-    /// [`ContinuousEngine::stage_batch`]).
-    fn stage_retractions(&mut self, updates: &[Update]) -> StagedBatch {
-        self.stats.updates_processed += updates.len() as u64;
-
-        let removed = self.views.remove_deltas(updates);
-        if removed.is_empty() {
-            return StagedBatch::immediate(MatchReport::empty());
-        }
-
-        let affected = self.affected_records(&removed);
-        let cache = if self.caching {
-            self.publish_builds(&affected)
-        } else {
-            FrozenJoinCache::default()
-        };
-        let frozen = self.freeze_needed(&affected);
-        self.views.retract_deltas(&removed);
-
-        StagedBatch::deferred(StagedBaseline {
-            edge_deltas: removed,
-            affected,
-            frozen,
-            retract: true,
-            cache,
-        })
-    }
 }
 
-/// The deferred-answer token of the INV/INC baselines: the routed batch's
-/// per-edge delta relations, the affected queries' records, and the
-/// affected views **frozen at the post-batch watermarks**
-/// ([`EdgeViewStore::freeze_at`]). The token owns everything the join-and-
-/// explore pass reads, so the deferred answer is identical whether it runs
-/// immediately, after later batches were staged, or on another thread.
-struct StagedBaseline {
-    edge_deltas: FxHashMap<GenericEdge, Relation>,
-    affected: Vec<(QueryId, Arc<QueryRecord>)>,
-    frozen: FrozenViews,
-    /// True for an all-retraction run: `edge_deltas` holds the removed
-    /// rows, `frozen` the **pre-removal** snapshots (generation-pinned, so
-    /// the commit that already ran at stage time cannot invalidate them),
-    /// and the answer counts disappearing embeddings.
-    retract: bool,
-    /// The `+` variants' stage-time build publication (empty for the
-    /// cacheless variants): the answer pass probes these instead of
-    /// rebuilding hash tables per batch. Because the frozen views share
-    /// their source relations' identities and the builds index exactly the
-    /// post-batch watermarks, every published build is valid for the
-    /// frozen snapshots.
-    cache: FrozenJoinCache,
-}
-
-/// The baselines' answer pass (steps 2–3 plus the final join of
-/// `apply_batch_core`), shared verbatim by the eager path (live views plus
-/// the engine's live join cache) and the staged/detached paths (frozen
-/// views plus the stage-time frozen build publication — snapshot relations
-/// share their sources' identities, so published builds are recognised).
+/// The baselines' answer pass (steps 2–3 plus the final join), shared by the
+/// insertion path (post-batch views, seeded with the routed deltas) and the
+/// retraction path (pre-removal views, seeded with the removed rows).
 /// Returns the per-query embedding counts.
 fn answer_affected(
     mode: BaselineMode,
-    views: &impl ViewSource,
-    mut cache: BuildCache<'_>,
+    views: &EdgeViewStore,
+    mut cache: Option<&mut JoinCache>,
     row_buf: &mut Vec<Sym>,
     edge_deltas: &FxHashMap<GenericEdge, Relation>,
     affected: &[(QueryId, Arc<QueryRecord>)],
@@ -239,7 +134,7 @@ fn answer_affected(
 
     'queries: for (qid, record) in affected {
         for edge in &record.edges {
-            match views.view(edge) {
+            match views.get(edge) {
                 Some(view) if !view.is_empty() => {}
                 _ => continue 'queries,
             }
@@ -267,7 +162,8 @@ fn answer_affected(
                 BaselineMode::Inc => !path_affected[i],
             };
             if need_full {
-                let rel = views::full_path_relation(views, &path.edges, cache.reborrow(), row_buf);
+                let rel =
+                    views::full_path_relation(views, &path.edges, cache.as_deref_mut(), row_buf);
                 if rel.is_empty() {
                     all_present = false;
                     break;
@@ -286,7 +182,7 @@ fn answer_affected(
                     views,
                     &path.edges,
                     edge_deltas,
-                    cache.reborrow(),
+                    cache.as_deref_mut(),
                     row_buf,
                 );
                 if !d.is_empty() {
@@ -308,8 +204,12 @@ fn answer_affected(
                     .enumerate()
                     .any(|(i, d)| i != j && d.is_some());
                 if needed && full_relations[j].is_none() {
-                    let rel =
-                        views::full_path_relation(views, &path.edges, cache.reborrow(), row_buf);
+                    let rel = views::full_path_relation(
+                        views,
+                        &path.edges,
+                        cache.as_deref_mut(),
+                        row_buf,
+                    );
                     if !rel.is_empty() {
                         full_relations[j] = Some(rel);
                     }
@@ -441,106 +341,6 @@ impl ContinuousEngine for BaselineEngine {
         report
     }
 
-    /// Routing with the join-and-explore pass deferred: the batch is routed
-    /// into the views now, and the token captures the per-edge deltas, the
-    /// affected query records (`Arc`-shared), the affected views **frozen
-    /// at the post-batch watermarks** ([`EdgeViewStore::freeze_at`]) and —
-    /// for the `+` variants — the stage-time join-build publication — so
-    /// the answer may run after later batches were routed, or on another
-    /// thread, and still reads exactly the state this batch saw. See the
-    /// staging contract on [`ContinuousEngine::stage_batch`].
-    fn stage_batch(&mut self, updates: &[Update]) -> StagedBatch {
-        let retractions = updates.iter().filter(|u| u.is_retraction()).count();
-        if retractions == updates.len() && !updates.is_empty() {
-            return self.stage_retractions(updates);
-        }
-        if retractions > 0 {
-            // Mixed-sign batches have no deferred shape — callers wanting
-            // deferral split into sign-pure runs first, as the pipelined
-            // executor does (see the staging contract).
-            return StagedBatch::immediate(self.apply_batch(updates));
-        }
-        self.stats.updates_processed += updates.len() as u64;
-        let edge_deltas = self.views.apply_batch(updates);
-        if edge_deltas.is_empty() {
-            return StagedBatch::immediate(MatchReport::empty());
-        }
-        let affected = self.affected_records(&edge_deltas);
-        let cache = if self.caching {
-            self.publish_builds(&affected)
-        } else {
-            FrozenJoinCache::default()
-        };
-        let frozen = self.freeze_needed(&affected);
-        StagedBatch::deferred(StagedBaseline {
-            edge_deltas,
-            affected,
-            frozen,
-            retract: false,
-            cache,
-        })
-    }
-
-    fn answer_staged(&mut self, staged: StagedBatch) -> MatchReport {
-        match staged.into_deferred::<StagedBaseline>() {
-            Ok(token) => {
-                let counts = answer_affected(
-                    self.mode,
-                    &token.frozen,
-                    BuildCache::Frozen(&token.cache),
-                    &mut self.row_buf,
-                    &token.edge_deltas,
-                    &token.affected,
-                );
-                let report = if token.retract {
-                    MatchReport::from_retraction_counts(counts)
-                } else {
-                    MatchReport::from_counts(counts)
-                };
-                self.stats.notifications += report.len() as u64;
-                self.stats.embeddings += report.total_embeddings();
-                self.stats.retracted += report.total_retracted();
-                report
-            }
-            Err(report) => report,
-        }
-    }
-
-    /// The cross-thread form of the deferred join-and-explore pass: the
-    /// staged token already owns everything (deltas, records, frozen
-    /// views), so detaching is just moving it into the task — for
-    /// retraction tokens too, whose snapshots were frozen pre-removal at
-    /// stage time. See the detachment contract on
-    /// [`ContinuousEngine::detach_staged`].
-    fn detach_staged(&mut self, staged: StagedBatch) -> DetachedAnswer {
-        let mode = self.mode;
-        match staged.into_deferred::<StagedBaseline>() {
-            Ok(token) => DetachedAnswer::task(move || {
-                let mut row_buf = Vec::new();
-                let counts = answer_affected(
-                    mode,
-                    &token.frozen,
-                    BuildCache::Frozen(&token.cache),
-                    &mut row_buf,
-                    &token.edge_deltas,
-                    &token.affected,
-                );
-                if token.retract {
-                    MatchReport::from_retraction_counts(counts)
-                } else {
-                    MatchReport::from_counts(counts)
-                }
-            }),
-            Err(report) => DetachedAnswer::ready(report),
-        }
-    }
-
-    fn absorb_answered(&mut self, report: &MatchReport) {
-        self.stats.notifications += report.len() as u64;
-        self.stats.embeddings += report.total_embeddings();
-        self.stats.retracted += report.total_retracted();
-    }
-
     fn num_queries(&self) -> usize {
         self.indexes.num_live()
     }
@@ -579,7 +379,7 @@ impl BaselineEngine {
         let counts = answer_affected(
             self.mode,
             &self.views,
-            BuildCache::from(self.caching.then_some(&mut self.cache)),
+            self.caching.then_some(&mut self.cache),
             &mut self.row_buf,
             &edge_deltas,
             &affected,
@@ -591,17 +391,37 @@ impl BaselineEngine {
         report
     }
 
-    /// The retraction mirror of [`apply_batch_core`](Self::apply_batch_core),
-    /// expressed as stage-then-answer: [`Self::stage_retractions`] collects
-    /// the removed rows, freezes the pre-removal snapshots, and commits;
-    /// the immediate answer then runs the very same join-and-explore pass —
-    /// seeded with the removed-row deltas against the pre-removal snapshots,
-    /// which by the deletion-delta property of
+    /// The retraction mirror of [`apply_batch_core`](Self::apply_batch_core):
+    /// collect the removed rows read-only
+    /// ([`EdgeViewStore::remove_deltas`]), run the very same
+    /// join-and-explore pass seeded with them against the still
+    /// **pre-removal** views — which by the deletion-delta property of
     /// [`views::delta_path_relation`] yields exactly
-    /// `full_before − full_after` per covering path.
+    /// `full_before − full_after` per covering path — and only then commit
+    /// the removal ([`EdgeViewStore::retract_deltas`]).
     fn retract_batch_core(&mut self, updates: &[Update]) -> MatchReport {
-        let staged = self.stage_retractions(updates);
-        self.answer_staged(staged)
+        self.stats.updates_processed += updates.len() as u64;
+
+        let removed = self.views.remove_deltas(updates);
+        if removed.is_empty() {
+            return MatchReport::empty();
+        }
+
+        let affected = self.affected_records(&removed);
+        let counts = answer_affected(
+            self.mode,
+            &self.views,
+            self.caching.then_some(&mut self.cache),
+            &mut self.row_buf,
+            &removed,
+            &affected,
+        );
+        self.views.retract_deltas(&removed);
+
+        let report = MatchReport::from_retraction_counts(counts);
+        self.stats.notifications += report.len() as u64;
+        self.stats.retracted += report.total_retracted();
+        report
     }
 }
 
@@ -868,53 +688,6 @@ mod tests {
     }
 
     #[test]
-    fn staged_retraction_runs_defer_and_survive_later_stages() {
-        for mut engine in engines() {
-            let mut f = Fixture::new();
-            let q = f.q("?a -x-> ?b; ?b -y-> ?c");
-            engine.register_query(&q).unwrap();
-            let ux = f.u("x", "a", "b");
-            let uy = f.u("y", "b", "c");
-            assert_eq!(engine.apply_batch(&[ux, uy]).total_embeddings(), 1);
-
-            // The retraction run stages: the commit lands immediately, the
-            // disappearing-embedding join is deferred in the token.
-            let t1 = engine.stage_batch(&[uy.inverted()]);
-            assert!(!t1.is_immediate(), "{}", engine.name());
-
-            // Re-inserting the just-retracted edge BEFORE answering t1 must
-            // route against the post-removal views — proof the commit did
-            // not wait for answer time.
-            let t2 = engine.stage_batch(&[uy]);
-
-            let r1 = engine.answer_staged(t1);
-            assert_eq!(r1.total_retracted(), 1, "{}", engine.name());
-            assert_eq!(r1.total_embeddings(), 0, "{}", engine.name());
-            // The re-insert is truly new again, not dedup-dropped.
-            let r2 = engine.answer_staged(t2);
-            assert_eq!(r2.total_embeddings(), 1, "{}", engine.name());
-            assert_eq!(engine.stats().retracted, 1, "{}", engine.name());
-        }
-    }
-
-    #[test]
-    fn staging_a_mixed_sign_batch_falls_back_to_immediate() {
-        for mut engine in engines() {
-            let mut f = Fixture::new();
-            let q = f.q("?a -x-> ?b");
-            engine.register_query(&q).unwrap();
-            let u1 = f.u("x", "a", "b");
-            let u2 = f.u("x", "c", "d");
-            engine.apply_update(u1);
-            let token = engine.stage_batch(&[u2, u1.inverted()]);
-            assert!(token.is_immediate(), "{}", engine.name());
-            let report = engine.answer_staged(token);
-            assert_eq!(report.total_embeddings(), 1, "{}", engine.name());
-            assert_eq!(report.total_retracted(), 1, "{}", engine.name());
-        }
-    }
-
-    #[test]
     fn caching_variants_report_cache_hits() {
         let mut f = Fixture::new();
         let q = f.q("?a -x-> ?b; ?b -y-> ?c");
@@ -975,72 +748,6 @@ mod tests {
                     assert_eq!(got, expected, "{} chunk {chunk} diverged", bat.name());
                 }
             }
-        }
-    }
-
-    #[test]
-    fn staged_answers_survive_later_stages_and_detachment() {
-        // The staging + detachment contracts for the baselines' new real
-        // phase split: stage a whole window, then answer FIFO — half the
-        // windows through answer_staged, half through detached tasks run on
-        // worker threads — always matching an eager reference.
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        for (mode, caching) in [
-            (BaselineMode::Inv, false),
-            (BaselineMode::Inv, true),
-            (BaselineMode::Inc, false),
-            (BaselineMode::Inc, true),
-        ] {
-            let mut rng = StdRng::seed_from_u64(57);
-            let mut f = Fixture::new();
-            let queries = vec![
-                f.q("?a -e0-> ?b; ?b -e1-> ?c"),
-                f.q("?h -e0-> ?x; ?h -e2-> ?y"),
-                f.q("?a -e1-> ?b; ?b -e2-> ?c; ?c -e0-> ?a"),
-                f.q("?a -e2-> ?a"),
-            ];
-            let mut reference = BaselineEngine::with_mode(mode, caching);
-            let mut staged_engine = BaselineEngine::with_mode(mode, caching);
-            for q in &queries {
-                reference.register_query(q).unwrap();
-                staged_engine.register_query(q).unwrap();
-            }
-            let stream: Vec<Update> = (0..240)
-                .map(|_| {
-                    let label = format!("e{}", rng.gen_range(0..3));
-                    let src = format!("v{}", rng.gen_range(0..7));
-                    let tgt = format!("v{}", rng.gen_range(0..7));
-                    f.u(&label, &src, &tgt)
-                })
-                .collect();
-            let batches: Vec<&[Update]> = stream.chunks(6).collect();
-            for (w, group) in batches.chunks(3).enumerate() {
-                // Stage the whole window before answering any of it.
-                let tokens: Vec<_> = group.iter().map(|b| staged_engine.stage_batch(b)).collect();
-                if w % 2 == 0 {
-                    for (batch, token) in group.iter().zip(tokens) {
-                        let expected = reference.apply_batch(batch);
-                        let got = staged_engine.answer_staged(token);
-                        assert_eq!(got, expected, "{} staged diverged", staged_engine.name());
-                    }
-                } else {
-                    let handles: Vec<_> = tokens
-                        .into_iter()
-                        .map(|t| {
-                            let task = staged_engine.detach_staged(t);
-                            std::thread::spawn(move || task.run())
-                        })
-                        .collect();
-                    for (batch, handle) in group.iter().zip(handles) {
-                        let expected = reference.apply_batch(batch);
-                        let got = handle.join().expect("detached task");
-                        assert_eq!(got, expected, "{} detached diverged", staged_engine.name());
-                        staged_engine.absorb_answered(&got);
-                    }
-                }
-            }
-            assert_eq!(reference.stats(), staged_engine.stats());
         }
     }
 

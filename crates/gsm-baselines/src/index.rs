@@ -49,9 +49,9 @@ pub struct InvertedIndexes {
     /// targetInd: target vertex position → generic edges with that target.
     pub target_index: HashMap<GenTerm, Vec<GenericEdge>>,
     /// queryInd: query id → its covering paths. Records are `Arc`-shared so
-    /// a staged batch's working set references them instead of deep-copying
-    /// every path of every affected query (the records are immutable after
-    /// registration, and registration barriers the pipeline first).
+    /// a batch's working set references them instead of deep-copying every
+    /// path of every affected query (the records are immutable after
+    /// registration).
     /// Unregistration tombstones a slot with an empty record — ids are
     /// never reused, so outstanding shared records stay valid.
     pub query_index: Vec<Arc<QueryRecord>>,
@@ -169,7 +169,7 @@ impl InvertedIndexes {
     }
 
     /// A shared handle to the record of a query — an `Arc` bump, not a deep
-    /// copy. This is what staged batches capture.
+    /// copy. This is what a batch's answer pass iterates.
     pub fn record_shared(&self, qid: QueryId) -> Arc<QueryRecord> {
         Arc::clone(&self.query_index[qid.index()])
     }

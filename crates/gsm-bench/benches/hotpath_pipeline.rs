@@ -6,9 +6,8 @@
 //! measured suffix on a freshly built engine warmed with the 3600-update
 //! prefix (`iter_batched`, setup untimed) — but the suffix is *streamed*
 //! update by update through `PipelinedEngine::push` with a real-clock flush
-//! deadline, so the timed region covers the batcher, the staged window
-//! (answer of batch *N* after the routing/propagation of batch *N + 1*) and
-//! the final drain. A flush size of 64 makes the run directly comparable
+//! deadline, so the timed region covers the batcher, the stage → answer
+//! split of every flushed run and the final drain. A flush size of 64 makes the run directly comparable
 //! with the `hotpath_batch` batch-64 numbers in BENCH_PR2.json: the
 //! acceptance bar is that the pipeline sustains at least that throughput
 //! while bounding how long any update can sit buffered (the 5 ms deadline).
@@ -27,18 +26,16 @@
 //! comparable to BENCH_PR5.json's single-worker `-threaded` series).
 //!
 //! The `hotpath_pipeline_deletions` group streams a deletion-heavy SNB
-//! variant (35% retractions of live edges) through the same front end, with
-//! every `-staged` series paired against an `-eager` series that flips
-//! [`PipelineConfig::with_eager_retractions`] — the PR 7 barrier path that
-//! drained the staged window and answered every retraction flush inline.
-//! The pairing is the un-barrier acceptance measurement: staged retraction
-//! tokens must hold (threaded) throughput above the eager baseline on the
-//! identical stream. Results land in BENCH_PR8.json.
+//! variant (35% retractions of live edges) through the same front end,
+//! inline and threaded. The `-staged` series names match BENCH_PR8.json,
+//! which paired them against the since-deleted eager-barrier path.
 
 mod common;
 
+use criterion::measurement::WallTime;
 use criterion::{
-    black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput,
+    black_box, criterion_group, criterion_main, BatchSize, BenchmarkGroup, BenchmarkId, Criterion,
+    Throughput,
 };
 use gsm_bench::harness::EngineKind;
 use gsm_core::engine::ContinuousEngine;
@@ -69,6 +66,43 @@ fn warmed_engine(kind: EngineKind, workload: &Workload) -> Box<dyn ContinuousEng
     engine
 }
 
+/// One series point: the measured suffix of `workload` streamed through a
+/// freshly warmed pipelined `kind` — inline when `answer_workers` is 0,
+/// otherwise threaded with that many answer workers.
+fn bench_series(
+    group: &mut BenchmarkGroup<'_, WallTime>,
+    series: String,
+    kind: EngineKind,
+    workload: &Workload,
+    flush_size: usize,
+    answer_workers: usize,
+) {
+    group.bench_with_input(
+        BenchmarkId::new(series, flush_size),
+        &flush_size,
+        |b, &flush_size| {
+            b.iter_batched(
+                || {
+                    let mut config = PipelineConfig::new(flush_size, FLUSH_DEADLINE);
+                    if answer_workers > 0 {
+                        config = config.threaded().with_answer_workers(answer_workers);
+                    }
+                    PipelinedEngine::new(warmed_engine(kind, workload), config)
+                },
+                |mut pipe| {
+                    let suffix = &workload.stream.as_slice()[WARM_UPDATES..];
+                    for &u in suffix {
+                        black_box(pipe.push(u));
+                    }
+                    black_box(pipe.drain());
+                    pipe
+                },
+                BatchSize::LargeInput,
+            );
+        },
+    );
+}
+
 fn bench(c: &mut Criterion) {
     let total = WARM_UPDATES + MEASURED_UPDATES;
     let workload = Workload::generate(WorkloadConfig::new(Dataset::Snb, total, 60));
@@ -88,29 +122,13 @@ fn bench(c: &mut Criterion) {
                 } else {
                     kind.name().to_string()
                 };
-                group.bench_with_input(
-                    BenchmarkId::new(series, flush_size),
-                    &flush_size,
-                    |b, &flush_size| {
-                        b.iter_batched(
-                            || {
-                                let mut config = PipelineConfig::new(flush_size, FLUSH_DEADLINE);
-                                if answer_workers > 0 {
-                                    config = config.threaded().with_answer_workers(answer_workers);
-                                }
-                                PipelinedEngine::new(warmed_engine(kind, &workload), config)
-                            },
-                            |mut pipe| {
-                                let suffix = &workload.stream.as_slice()[WARM_UPDATES..];
-                                for &u in suffix {
-                                    black_box(pipe.push(u));
-                                }
-                                black_box(pipe.drain());
-                                pipe
-                            },
-                            BatchSize::LargeInput,
-                        );
-                    },
+                bench_series(
+                    &mut group,
+                    series,
+                    kind,
+                    &workload,
+                    flush_size,
+                    answer_workers,
                 );
             }
         }
@@ -118,9 +136,9 @@ fn bench(c: &mut Criterion) {
     group.finish();
 }
 
-/// Deletion-heavy sweep: staged retraction tokens vs the eager barrier on
-/// the identical mixed stream, inline and threaded. Flush 64 keeps the
-/// series comparable with the insert-only sweep's middle point.
+/// Deletion-heavy sweep: staged retraction tokens on a mixed stream, inline
+/// and threaded. Flush 64 keeps the series comparable with the insert-only
+/// sweep's middle point.
 fn bench_deletions(c: &mut Criterion) {
     let total = WARM_UPDATES + MEASURED_UPDATES;
     let workload =
@@ -136,41 +154,19 @@ fn bench_deletions(c: &mut Criterion) {
     for kind in [EngineKind::Tric, EngineKind::TricPlus] {
         // 0 = inline (no answer pool); N >= 1 = threaded with N answer workers.
         for answer_workers in [0usize, 2, 4] {
-            for eager in [false, true] {
-                let mode = if eager { "eager" } else { "staged" };
-                let series = if answer_workers > 0 {
-                    format!("{}-del-{mode}-w{answer_workers}", kind.name())
-                } else {
-                    format!("{}-del-{mode}", kind.name())
-                };
-                group.bench_with_input(
-                    BenchmarkId::new(series, FLUSH_SIZE),
-                    &FLUSH_SIZE,
-                    |b, &flush_size| {
-                        b.iter_batched(
-                            || {
-                                let mut config = PipelineConfig::new(flush_size, FLUSH_DEADLINE);
-                                if answer_workers > 0 {
-                                    config = config.threaded().with_answer_workers(answer_workers);
-                                }
-                                if eager {
-                                    config = config.with_eager_retractions();
-                                }
-                                PipelinedEngine::new(warmed_engine(kind, &workload), config)
-                            },
-                            |mut pipe| {
-                                let suffix = &workload.stream.as_slice()[WARM_UPDATES..];
-                                for &u in suffix {
-                                    black_box(pipe.push(u));
-                                }
-                                black_box(pipe.drain());
-                                pipe
-                            },
-                            BatchSize::LargeInput,
-                        );
-                    },
-                );
-            }
+            let series = if answer_workers > 0 {
+                format!("{}-del-staged-w{answer_workers}", kind.name())
+            } else {
+                format!("{}-del-staged", kind.name())
+            };
+            bench_series(
+                &mut group,
+                series,
+                kind,
+                &workload,
+                FLUSH_SIZE,
+                answer_workers,
+            );
         }
     }
     group.finish();

@@ -15,7 +15,8 @@
 //!   generic edge (default 1 = unsharded).
 //! * `--pipeline` — drive the stream through the pipelined streaming
 //!   executor: `--batch` becomes the latency-budgeted batcher's flush size
-//!   and each batch's answer phase overlaps the next batch's routing.
+//!   and each flushed batch goes through the engine's stage/answer split
+//!   (overlapped across threads with `--threads 2`).
 //! * `--flush-ms` — the pipelined batcher's flush deadline in milliseconds
 //!   (default 5; implies `--pipeline`).
 //! * `--threads` — threads for the pipelined executor (default 1; `>= 2`

@@ -134,8 +134,7 @@ pub struct RunLimits {
     /// When set, the stream is driven through the pipelined streaming
     /// executor ([`gsm_core::pipeline::PipelinedEngine`]) instead of plain
     /// `apply_batch` chunking: `batch_size` becomes the batcher's flush
-    /// size and this duration its flush deadline, and the answer phase of
-    /// each batch overlaps the staging of the next. `None` (the default)
+    /// size and this duration its flush deadline. `None` (the default)
     /// reproduces the historical chunked replay exactly.
     pub pipeline: Option<Duration>,
     /// Number of threads the pipelined executor may use: `>= 2` runs the
@@ -412,11 +411,11 @@ pub fn run_engine(kind: EngineKind, workload: &Workload, limits: RunLimits) -> R
 
 /// The pipelined variant of [`run_engine`]: the stream is pushed update by
 /// update into a [`PipelinedEngine`] whose batcher flushes at
-/// `limits.batch_size` updates or after `flush`, whichever comes first, and
-/// whose staged window overlaps each batch's answer phase with the next
+/// `limits.batch_size` updates or after `flush`, whichever comes first; with
+/// `limits.threads >= 2` each batch's answer phase overlaps the next
 /// batch's routing/propagation. Latencies are recorded per `push` call (the
 /// streaming caller's view: most pushes just buffer, the flushing push pays
-/// the stage + deferred answer), and the final drain is timed too.
+/// the stage and, inline, the answer), and the final drain is timed too.
 fn run_engine_pipelined(
     kind: EngineKind,
     workload: &Workload,

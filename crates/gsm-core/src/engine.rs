@@ -490,7 +490,6 @@ pub trait ContinuousEngine {
     ///   [`unregister_query`](Self::unregister_query) must not be called
     ///   while staged tokens are outstanding (either may restructure the
     ///   very tries and views the deferred answer joins against); the
-    ///   pipelined executor drains its window before registering, and the
     ///   pipelined/sharded wrappers **enforce** the contract by returning
     ///   [`crate::error::Error::RegistrationWhileStaged`] when it is
     ///   violated. Lifecycle calls arriving mid-stream go through the
@@ -505,20 +504,19 @@ pub trait ContinuousEngine {
     ///   snapshots** ([`crate::relation::Relation::snapshot_owned`] shares
     ///   frozen chunks by `Arc`, so they outlive any later compaction),
     ///   and then performs the destructive commit (`retract_rows` /
-    ///   `retract_deltas`, generation bump, cache invalidation) before
-    ///   returning. Only the expensive disappearing-embedding join is
-    ///   deferred. The commit *cannot* wait for answer time: a later staged
-    ///   insert of a just-retracted edge must route against post-removal
-    ///   views, or it would be dedup-dropped and the stream would diverge
-    ///   from sequential execution.
+    ///   `retract_deltas`, generation bump) before returning. Only the
+    ///   expensive disappearing-embedding join is deferred. The commit
+    ///   *cannot* wait for answer time: a later staged insert of a
+    ///   just-retracted edge must route against post-removal views, or it
+    ///   would be dedup-dropped and the stream would diverge from
+    ///   sequential execution.
     /// * Because the commit compacts live relations, staging a retraction
     ///   run requires **every earlier token to have been answered or
     ///   detached already** — detached tasks are safe (their inputs are
-    ///   frozen behind `Arc` pins), but an unanswered inline token may hold
+    ///   frozen behind `Arc` pins), but an unanswered token may hold
     ///   watermarks into the live relations being compacted. The pipelined
-    ///   executor guarantees this by detaching every token at stage time in
-    ///   threaded mode and answering its inline window before staging a
-    ///   retraction run (see [`crate::pipeline`]).
+    ///   executor answers or detaches every token in the call that staged
+    ///   it (see [`crate::pipeline`]).
     /// * `stage_batch` of a **mixed-sign** batch falls back to an immediate
     ///   token (`apply_batch` at stage time). Callers wanting deferral split
     ///   first with [`crate::model::update::sign_runs`], as the pipelined
@@ -528,8 +526,9 @@ pub trait ContinuousEngine {
     ///
     /// The default implementation runs the whole `apply_batch` eagerly and
     /// stores the report in an immediate token, which trivially satisfies
-    /// the contract; engines with a genuine phase split (TRIC/TRIC+, the
-    /// sharded wrapper) override both methods.
+    /// the contract — the INV/INC and graph-database baselines ride it;
+    /// engines with a genuine phase split (TRIC/TRIC+, the sharded wrapper)
+    /// override both methods.
     fn stage_batch(&mut self, updates: &[Update]) -> StagedBatch {
         StagedBatch::immediate(self.apply_batch(updates))
     }
@@ -554,13 +553,11 @@ pub trait ContinuousEngine {
     ///   answer pass as owned or `Send + Sync` shared data — batch deltas,
     ///   [`crate::relation::Relation::snapshot_owned`] view snapshots frozen
     ///   at the staged watermarks, `Arc`-shared read-mostly metadata (query
-    ///   records, routing maps, published
-    ///   [`crate::relation::cache::FrozenJoinCache`] builds) — and the task
-    ///   must not rely on `&self`. Read-mostly state should be published
-    ///   copy-on-write rather than deep-copied per batch: the engine thread
-    ///   mutates via `Arc::make_mut` (safe because registration barriers
-    ///   the pipeline first, and cache mutation drops the publication
-    ///   handle), so detaching is an `Arc` bump.
+    ///   records, routing maps) — and the task must not rely on `&self`.
+    ///   Read-mostly state should be published copy-on-write rather than
+    ///   deep-copied per batch: the engine thread mutates via
+    ///   `Arc::make_mut` (safe because registration barriers the pipeline
+    ///   first), so detaching is an `Arc` bump.
     /// * Running the tasks of several staged batches **concurrently or in
     ///   any order** must produce the same per-batch reports as FIFO
     ///   `answer_staged` calls: each task joins against its own frozen
@@ -579,8 +576,8 @@ pub trait ContinuousEngine {
     ///
     /// The default implementation answers **inline** (on this thread, right
     /// now) and returns a ready answer — correct for every engine, with no
-    /// cross-thread overlap; engines with a real phase split (TRIC/TRIC+,
-    /// INV/INC and the sharded wrapper) override it together with
+    /// cross-thread overlap; engines with a real phase split (TRIC/TRIC+
+    /// and the sharded wrapper) override it together with
     /// `absorb_answered`.
     fn detach_staged(&mut self, staged: StagedBatch) -> DetachedAnswer {
         DetachedAnswer::ready(self.answer_staged(staged))
@@ -608,31 +605,6 @@ pub trait ContinuousEngine {
 
     /// Cumulative counters.
     fn stats(&self) -> EngineStats;
-
-    /// Applies every update of a stream one at a time, discarding the
-    /// individual reports, and returns the total number of notifications.
-    /// Convenience for warm-up phases and tests.
-    fn apply_stream(&mut self, updates: &[Update]) -> u64 {
-        self.apply_stream_batched(updates, 1)
-    }
-
-    /// Applies a stream in batches of `batch_size` updates (the final batch
-    /// may be shorter; `batch_size == 0` means one batch spanning the whole
-    /// stream), discarding the individual reports, and returns the total
-    /// number of notifications at batch granularity (see
-    /// [`apply_batch`](Self::apply_batch) for the semantics).
-    fn apply_stream_batched(&mut self, updates: &[Update], batch_size: usize) -> u64 {
-        let chunk = if batch_size == 0 {
-            updates.len().max(1)
-        } else {
-            batch_size
-        };
-        let mut notifications = 0;
-        for batch in updates.chunks(chunk) {
-            notifications += self.apply_batch(batch).len() as u64;
-        }
-        notifications
-    }
 }
 
 /// Forwarding implementation so boxed engines (including trait objects such
@@ -681,12 +653,6 @@ impl<T: ContinuousEngine + ?Sized> ContinuousEngine for Box<T> {
     }
     fn stats(&self) -> EngineStats {
         (**self).stats()
-    }
-    fn apply_stream(&mut self, updates: &[Update]) -> u64 {
-        (**self).apply_stream(updates)
-    }
-    fn apply_stream_batched(&mut self, updates: &[Update], batch_size: usize) -> u64 {
-        (**self).apply_stream_batched(updates, batch_size)
     }
 }
 
@@ -786,29 +752,6 @@ mod tests {
         };
         assert!(empty.apply_batch(&[]).is_empty());
         assert_eq!(empty.stats().updates_processed, 0);
-    }
-
-    #[test]
-    fn apply_stream_batched_covers_every_chunking() {
-        let updates = toy_updates();
-        for batch_size in [0usize, 1, 3, 7, 100] {
-            let mut engine = ToyEngine {
-                stats: EngineStats::default(),
-            };
-            engine.apply_stream_batched(&updates, batch_size);
-            assert_eq!(
-                engine.stats().updates_processed,
-                10,
-                "batch_size {batch_size} dropped updates"
-            );
-            assert_eq!(engine.stats().embeddings, 7);
-        }
-        // The plain stream entry point is the batch_size == 1 case.
-        let mut engine = ToyEngine {
-            stats: EngineStats::default(),
-        };
-        let notifications = engine.apply_stream(&updates);
-        assert_eq!(notifications, 7);
     }
 
     #[test]

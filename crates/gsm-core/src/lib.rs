@@ -72,9 +72,9 @@ pub use query::paths::{covering_paths, CoveringPath};
 pub use query::pattern::{QVertexId, QueryPattern};
 pub use relation::cache::JoinCache;
 pub use relation::eval::{join_paths, PathBinding};
-pub use relation::{Relation, RelationSnapshot};
+pub use relation::Relation;
 pub use shard::{shard_of, ShardedEngine};
-pub use views::{EdgeViewStore, FrozenViews, ViewSource, ViewsVersion};
+pub use views::EdgeViewStore;
 
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {

@@ -1,42 +1,38 @@
 //! The pipelined streaming executor: a latency-budgeted batcher in front of
-//! any [`ContinuousEngine`], overlapping the answer phase of one batch with
-//! the routing/propagation of the next.
+//! any [`ContinuousEngine`], optionally overlapping the answer phase of one
+//! batch with the routing/propagation of the next on worker threads.
 //!
-//! # Why this exists
+//! # One execution path
 //!
-//! The three phases of the paper's answering algorithm — routing updates to
-//! materialized views, delta propagation down the trie forest, and the final
-//! covering-path join — run strictly serialized in `apply_batch`. But the
-//! views are insert-only, so a version watermark ([`Relation::version`])
-//! frozen when batch *N* finishes propagation identifies exactly the state
-//! its join pass must read **forever**: batch *N + 1* can be routed and
-//! propagated (appending past the watermarks) before batch *N* is answered,
-//! and the deferred answer still produces byte-identical reports. The
-//! [`ContinuousEngine::stage_batch`] / [`ContinuousEngine::answer_staged`]
-//! split encapsulates this per engine; [`PipelinedEngine`] turns it into a
-//! streaming executor:
+//! Every flushed batch is split into same-sign [`sign_runs`] and each run
+//! goes through the engine's staging split
+//! ([`ContinuousEngine::stage_batch`] → answer):
 //!
 //! ```text
-//!   push(u) ─▶ DeadlineBatcher ──flush (size │ deadline)──▶ stage_batch(N+1)
-//!                                                               │
-//!                staged window (depth ≥ 1)  ◀──────────────────┘
-//!                     │ window full
-//!                     ▼
-//!              answer_staged(N)  ─▶ CompletedBatch reports, arrival order
+//!   push(u) ─▶ DeadlineBatcher ──flush (size │ deadline)──▶ sign_runs
+//!                                                             │ per run
+//!                                                             ▼
+//!                                                        stage_batch
+//!                                               inline │        │ threaded
+//!                                                      ▼        ▼
+//!                                          answer_staged      detach_staged ─▶ answer workers
+//!                                                      │        │
+//!                                                      ▼        ▼
+//!                                  CompletedBatch reports, arrival order
 //! ```
 //!
-//! With the default window depth of 1, batch *N + 1* is always staged
-//! *before* batch *N* is answered — the phase overlap the ROADMAP's
-//! delta-view-versioning item asks for. Reports complete in arrival order,
-//! so concatenating (or merging) them reproduces sequential execution
-//! exactly; the differential suites in `tests/engine_equivalence.rs` and
+//! **Inline** (the default) is the zero-in-flight case: a run is staged and
+//! answered in the same call, so the `push` that fills a batch returns that
+//! batch's [`CompletedBatch`]. Reports complete in arrival order, so
+//! concatenating (or merging) them reproduces sequential execution exactly;
+//! the differential suites in `tests/engine_equivalence.rs` and
 //! `tests/concurrent_pipeline.rs` pin this for every engine, workload,
 //! flush size and deadline.
 //!
-//! # True cross-thread pipelining
+//! # Cross-thread pipelining
 //!
-//! With [`PipelineConfig::answer_thread`] the staged window stops being an
-//! interleaving on one thread and becomes a real pipeline across threads:
+//! With [`PipelineConfig::answer_thread`] the answer phase moves to worker
+//! threads:
 //!
 //! ```text
 //!   caller thread:   stage(N) ─ stage(N+1) ─ stage(N+2) ─ …
@@ -48,7 +44,7 @@
 //!   reorder buffer:  CompletedBatch(N), (N+1), (N+2)          (FIFO)
 //! ```
 //!
-//! Each flushed batch is staged on the calling thread, then **detached**
+//! Each run is staged on the calling thread, then **detached**
 //! ([`ContinuousEngine::detach_staged`]): the engine freezes everything its
 //! covering-path join pass reads — batch deltas plus
 //! [`Relation::snapshot_owned`] view snapshots at the staged watermarks —
@@ -61,35 +57,29 @@
 //! every result is tagged with its submission sequence number and a
 //! [`ReorderBuffer`] releases reports strictly in arrival order, so the
 //! FIFO [`CompletedBatch`] contract holds for any worker count. When more
-//! than `max(depth, answer_workers)` batches are in flight the caller
-//! blocks on the oldest answer, which bounds the window exactly like the
-//! inline mode while still letting every worker stay busy.
+//! than `answer_workers` runs are in flight the caller blocks on the oldest
+//! answer, which bounds the window while still letting every worker stay
+//! busy.
 //!
-//! **Retractions pipeline too.** Every flushed batch is split into
-//! same-sign [`sign_runs`] and each run staged separately: insert runs
-//! defer their join pass against frozen watermarks as before, and
-//! retraction runs commit their removal at stage time while freezing
-//! generation-pinned pre-removal snapshots ([`Relation::snapshot_owned`])
-//! into the token, so their (expensive) disappearing-embedding join also
-//! runs on the answer workers. Deletion-heavy and sliding-window streams
-//! therefore keep the window full instead of degenerating to sequential
-//! execution behind a barrier (see the staging contract on
-//! [`ContinuousEngine::stage_batch`]).
+//! **Retractions pipeline too.** Insert runs defer their join pass against
+//! frozen watermarks, and retraction runs commit their removal at stage
+//! time while freezing generation-pinned pre-removal snapshots
+//! ([`Relation::snapshot_owned`]) into the token, so their (expensive)
+//! disappearing-embedding join also runs on the answer workers (see the
+//! staging contract on [`ContinuousEngine::stage_batch`]).
 //!
 //! # The latency budget
 //!
 //! [`DeadlineBatcher`] flushes a batch when it reaches `max_batch` updates
-//! **or** when the oldest buffered update has waited `max_delay` — the
-//! ROADMAP's "adaptive batching" item: throughput keeps rising with batch
-//! size, so a streaming caller batches as much as its latency budget allows
-//! and no more. The executor is deterministic: deadlines are only observed
-//! at [`PipelinedEngine::push_at`] / [`PipelinedEngine::poll_at`] calls
-//! (there is no timer thread), and every entry point takes an explicit
-//! `Instant` so tests can drive a synthetic clock — in threaded mode only
-//! *where* the answer pass runs changes, never which batches exist or what
-//! they report.
+//! **or** when the oldest buffered update has waited `max_delay`: throughput
+//! keeps rising with batch size, so a streaming caller batches as much as
+//! its latency budget allows and no more. The executor is deterministic:
+//! deadlines are only observed at [`PipelinedEngine::push_at`] /
+//! [`PipelinedEngine::poll_at`] calls (there is no timer thread), and every
+//! entry point takes an explicit `Instant` so tests can drive a synthetic
+//! clock — in threaded mode only *where* the answer pass runs changes, never
+//! which batches exist or what they report.
 //!
-//! [`Relation::version`]: crate::relation::Relation::version
 //! [`Relation::snapshot_owned`]: crate::relation::Relation::snapshot_owned
 //! [`WorkerPool`]: crate::pool::WorkerPool
 
@@ -97,9 +87,7 @@ use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
 
-use crate::engine::{
-    ContinuousEngine, DetachedAnswer, EngineStats, MatchReport, QueryId, StagedBatch,
-};
+use crate::engine::{ContinuousEngine, DetachedAnswer, EngineStats, MatchReport, QueryId};
 use crate::error::{Error, Result};
 use crate::model::update::{sign_runs, Update};
 use crate::pool::WorkerPool;
@@ -107,34 +95,30 @@ use crate::query::pattern::QueryPattern;
 use crate::relation::fasthash::FxHashMap;
 
 /// Configuration of the pipelined executor: the batcher's flush policy plus
-/// the staged-window depth and the answer-stage placement.
+/// the answer-stage placement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Flush when the buffer reaches this many updates (clamped to ≥ 1).
     pub max_batch: usize,
     /// Flush when the oldest buffered update has waited this long.
     pub max_delay: Duration,
-    /// Staged batches allowed in flight before the oldest is answered.
-    /// Depth 1 (the default) answers batch *N* only once batch *N + 1* has
-    /// been staged; depth 0 degenerates to stage-then-answer immediately.
-    pub depth: usize,
-    /// Run the answer phase on dedicated worker threads (**true
-    /// cross-thread pipelining**): each flushed batch is staged on the
-    /// calling thread, detached ([`ContinuousEngine::detach_staged`]) and
-    /// handed to the answer stage, so the covering-path join of batch *N*
-    /// runs concurrently with the routing/propagation of batch *N + 1*.
-    /// The in-flight window is bounded by `max(depth, answer_workers)`
-    /// (the caller blocks on the oldest answer when the window is full —
-    /// bounded-channel backpressure). False (the default) answers inline on
-    /// the calling thread, exactly as before.
+    /// Run the answer phase on dedicated worker threads (**cross-thread
+    /// pipelining**): each flushed run is staged on the calling thread,
+    /// detached ([`ContinuousEngine::detach_staged`]) and handed to the
+    /// answer stage, so the covering-path join of batch *N* runs
+    /// concurrently with the routing/propagation of batch *N + 1*. At most
+    /// `answer_workers` runs are in flight (the caller blocks on the oldest
+    /// answer when the window is full — bounded-channel backpressure).
+    /// False (the default) answers inline on the calling thread, in the
+    /// same call that staged the run.
     pub answer_thread: bool,
-    /// Number of answer workers in threaded mode (clamped to ≥ 1; ignored
-    /// inline). With several workers, detached answer tasks execute
-    /// concurrently and complete out of order; a sequence-numbered
-    /// [`ReorderBuffer`] restores arrival order before any
-    /// [`CompletedBatch`] is released, so reports are byte-identical to the
-    /// single-worker (and sequential) execution. Defaults to
-    /// `GSM_ANSWER_THREADS` (see
+    /// Number of answer workers — and the in-flight window — in threaded
+    /// mode (clamped to ≥ 1; ignored inline). With several workers,
+    /// detached answer tasks execute concurrently and complete out of
+    /// order; a sequence-numbered [`ReorderBuffer`] restores arrival order
+    /// before any [`CompletedBatch`] is released, so reports are
+    /// byte-identical to the single-worker (and sequential) execution.
+    /// Defaults to `GSM_ANSWER_THREADS` (see
     /// [`default_answer_workers`](PipelineConfig::default_answer_workers)).
     pub answer_workers: usize,
     /// Sliding-window TTL: when set, an edge inserted at time *t* is
@@ -146,12 +130,6 @@ pub struct PipelineConfig {
     /// age out. `None` (the default) keeps the unbounded, insert-only
     /// stream semantics.
     pub window: Option<Duration>,
-    /// Apply retraction runs eagerly behind a full pipeline barrier (the
-    /// pre-staging behaviour) instead of staging them like insert runs.
-    /// Kept only for A/B comparison in the benches; the staged path is
-    /// report-identical and keeps the window full on deletion-heavy
-    /// streams. Defaults to false.
-    pub eager_retractions: bool,
 }
 
 impl Default for PipelineConfig {
@@ -159,30 +137,21 @@ impl Default for PipelineConfig {
         PipelineConfig {
             max_batch: 64,
             max_delay: Duration::from_millis(5),
-            depth: 1,
             answer_thread: false,
             answer_workers: Self::default_answer_workers(),
             window: None,
-            eager_retractions: false,
         }
     }
 }
 
 impl PipelineConfig {
-    /// A config with the given flush size and deadline and the default
-    /// window depth.
+    /// A config with the given flush size and deadline, answering inline.
     pub fn new(max_batch: usize, max_delay: Duration) -> Self {
         PipelineConfig {
             max_batch,
             max_delay,
             ..Default::default()
         }
-    }
-
-    /// Sets the staged-window depth.
-    pub fn with_depth(mut self, depth: usize) -> Self {
-        self.depth = depth;
-        self
     }
 
     /// Moves the answer phase onto dedicated worker threads (see
@@ -204,13 +173,6 @@ impl PipelineConfig {
     /// insertion.
     pub fn windowed(mut self, window: Duration) -> Self {
         self.window = Some(window);
-        self
-    }
-
-    /// Reverts retraction runs to the eager barrier path (see
-    /// [`PipelineConfig::eager_retractions`]). Bench-only escape hatch.
-    pub fn with_eager_retractions(mut self) -> Self {
-        self.eager_retractions = true;
         self
     }
 
@@ -552,15 +514,15 @@ enum LifecycleOp {
 }
 
 /// The pipelined streaming executor: a [`DeadlineBatcher`] feeding an
-/// engine's [`stage_batch`](ContinuousEngine::stage_batch) /
-/// [`answer_staged`](ContinuousEngine::answer_staged) split through a small
-/// staged window, so the covering-path join of batch *N* runs after the
-/// routing/propagation of batch *N + 1* (see the [module docs](self)).
+/// engine's [`stage_batch`](ContinuousEngine::stage_batch) split, answered
+/// inline or — detached — on the answer workers (see the
+/// [module docs](self)).
 ///
 /// The wrapper is itself a [`ContinuousEngine`]: the trait entry points
-/// drain the window first (a pipeline barrier) and then behave exactly like
-/// the inner engine, so the executor can be dropped into any harness.
-/// Reports produced while draining are retained and returned by the next
+/// barrier first (flush the batcher, collect every in-flight answer) and
+/// then behave exactly like the inner engine, so the executor can be
+/// dropped into any harness. Reports produced by the barrier are retained
+/// and returned by the next
 /// [`take_completed`](PipelinedEngine::take_completed) /
 /// [`push`](PipelinedEngine::push) / [`drain`](PipelinedEngine::drain) call
 /// — nothing is ever silently discarded.
@@ -583,20 +545,15 @@ enum LifecycleOp {
 pub struct PipelinedEngine<E> {
     engine: E,
     batcher: DeadlineBatcher,
-    depth: usize,
     /// Queued lifecycle operations, applied in queue order at the next
     /// epoch boundary.
     pending_ops: Vec<LifecycleOp>,
+    /// Number of [`LifecycleOp::Register`] entries in `pending_ops`: the
+    /// offset of the next promised id past the inner engine's next slot.
+    queued_registrations: u32,
     /// Number of epoch boundaries passed (monotone; one per barrier).
     epoch: u64,
-    /// Bench-only escape hatch: apply retraction runs eagerly behind a
-    /// barrier instead of staging them ([`PipelineConfig::eager_retractions`]).
-    eager_retractions: bool,
-    /// In-flight staged batches, oldest first: `(updates, token)`. Used in
-    /// inline mode only; the threaded answer stage tracks its window in
-    /// [`AnswerStage::pending`].
-    staged: VecDeque<(usize, StagedBatch)>,
-    /// The dedicated answer thread (`Some` iff
+    /// The answer workers and their in-flight window (`Some` iff
     /// [`PipelineConfig::answer_thread`]).
     answer: Option<AnswerStage>,
     /// Answered batches not yet handed to the caller, arrival order.
@@ -611,9 +568,9 @@ pub struct PipelinedEngine<E> {
 /// in any order; every result returns over `results` tagged with its
 /// submission sequence number and parks in the [`ReorderBuffer`] until it
 /// is the oldest outstanding one. The caller thread submits
-/// `(detach → execute)` per flushed batch; blocking on the oldest report
-/// when the window exceeds `max(depth, workers)` is what bounds the
-/// in-flight tokens.
+/// `(detach → execute)` per staged run; blocking on the oldest report when
+/// more than `workers` runs are pending is what bounds the in-flight
+/// tokens.
 #[derive(Debug)]
 struct AnswerStage {
     results_tx: Sender<(u64, std::thread::Result<MatchReport>)>,
@@ -725,11 +682,9 @@ impl<E: ContinuousEngine> PipelinedEngine<E> {
         PipelinedEngine {
             engine,
             batcher,
-            depth: config.depth,
             pending_ops: Vec::new(),
+            queued_registrations: 0,
             epoch: 0,
-            eager_retractions: config.eager_retractions,
-            staged: VecDeque::new(),
             answer: config
                 .answer_thread
                 .then(|| AnswerStage::new(config.answer_workers)),
@@ -742,20 +697,22 @@ impl<E: ContinuousEngine> PipelinedEngine<E> {
         &self.engine
     }
 
-    /// Unwraps the engine. Outstanding staged batches are answered first so
-    /// no staged state is abandoned; any resulting reports are dropped with
-    /// the wrapper, so call [`drain`](Self::drain) first if they matter.
+    /// Unwraps the engine. Buffered updates and in-flight answers are
+    /// completed first so no staged state is abandoned; any resulting
+    /// reports are dropped with the wrapper, so call [`drain`](Self::drain)
+    /// first if they matter.
     pub fn into_inner(mut self) -> E {
         self.barrier();
         self.engine
     }
 
-    /// Number of staged batches whose answer has not been collected yet.
+    /// Number of staged runs whose answer has not been collected yet
+    /// (always 0 inline: a run is answered in the call that staged it).
     pub fn in_flight(&self) -> usize {
-        self.staged.len() + self.answer.as_ref().map_or(0, |a| a.pending.len())
+        self.answer.as_ref().map_or(0, |a| a.pending.len())
     }
 
-    /// True if the answer phase runs on the dedicated answer thread.
+    /// True if the answer phase runs on the answer workers.
     pub fn is_threaded(&self) -> bool {
         self.answer.is_some()
     }
@@ -803,7 +760,8 @@ impl<E: ContinuousEngine> PipelinedEngine<E> {
     /// pushed before the boundary are answered under the old epoch's query
     /// set.
     pub fn queue_register(&mut self, query: &QueryPattern) -> QueryId {
-        let promised = QueryId(self.predicted_next_id());
+        let promised = QueryId(self.engine.next_query_id().0 + self.queued_registrations);
+        self.queued_registrations += 1;
         self.pending_ops
             .push(LifecycleOp::Register(query.clone(), promised));
         promised
@@ -834,18 +792,6 @@ impl<E: ContinuousEngine> PipelinedEngine<E> {
         Ok(())
     }
 
-    /// The id the next queued registration will be promised: the inner
-    /// engine's next slot, advanced past every queued-but-unapplied
-    /// registration.
-    fn predicted_next_id(&self) -> u32 {
-        let queued = self
-            .pending_ops
-            .iter()
-            .filter(|op| matches!(op, LifecycleOp::Register(..)))
-            .count();
-        self.engine.next_query_id().0 + queued as u32
-    }
-
     /// Applies every queued lifecycle operation, in queue order. Called at
     /// the epoch boundary, after the window has drained — the engine holds
     /// no staged state, so the inner calls cannot fail with
@@ -853,6 +799,7 @@ impl<E: ContinuousEngine> PipelinedEngine<E> {
     /// time, so any remaining failure (e.g. a persistence-layer storage
     /// error) panics like the infallible trait surface does.
     fn apply_pending_ops(&mut self) {
+        self.queued_registrations = 0;
         for op in std::mem::take(&mut self.pending_ops) {
             match op {
                 LifecycleOp::Register(pattern, promised) => {
@@ -872,8 +819,9 @@ impl<E: ContinuousEngine> PipelinedEngine<E> {
     }
 
     /// Streams one update at the current wall-clock time. Returns the
-    /// batches that completed as a result (often none — they complete when
-    /// the window overflows).
+    /// batches that completed as a result (often none — inline, a batch
+    /// completes in the push that flushes it; threaded, when its answer
+    /// has been collected).
     pub fn push(&mut self, update: Update) -> Vec<CompletedBatch> {
         self.push_at(update, Instant::now())
     }
@@ -899,7 +847,7 @@ impl<E: ContinuousEngine> PipelinedEngine<E> {
         self.take_completed()
     }
 
-    /// Flushes the buffer and answers every staged batch: the pipeline
+    /// Flushes the buffer and collects every in-flight answer: the pipeline
     /// barrier. Returns all completed batches, in arrival order.
     pub fn drain(&mut self) -> Vec<CompletedBatch> {
         self.barrier();
@@ -958,165 +906,93 @@ impl<E: ContinuousEngine> PipelinedEngine<E> {
         }
     }
 
-    /// Stages one flushed batch into the window, split into same-sign
-    /// [`sign_runs`] so every run reaches [`stage_batch`]
-    /// (ContinuousEngine::stage_batch) sign-pure — the shape the staging
-    /// contract defers: insert runs freeze post-propagation watermarks,
-    /// retraction runs commit their removal at stage time and freeze
-    /// generation-pinned pre-removal snapshots. Each run is sequenced
-    /// separately, so the [`ReorderBuffer`] FIFO contract is untouched and
-    /// a mixed flush simply completes as several [`CompletedBatch`]es.
-    ///
-    /// With [`PipelineConfig::eager_retractions`] (bench-only A/B), a batch
-    /// containing retractions reverts to the old barrier: drain the window,
-    /// apply eagerly, complete immediately.
+    /// Stages one flushed batch, split into same-sign [`sign_runs`] so every
+    /// run reaches [`stage_batch`](ContinuousEngine::stage_batch) sign-pure
+    /// — the shape the staging contract defers: insert runs freeze
+    /// post-propagation watermarks, retraction runs commit their removal at
+    /// stage time and freeze generation-pinned pre-removal snapshots. Each
+    /// run is sequenced separately, so the [`ReorderBuffer`] FIFO contract
+    /// is untouched and a mixed flush simply completes as several
+    /// [`CompletedBatch`]es.
     fn stage(&mut self, batch: Vec<Update>) {
-        if self.eager_retractions && batch.iter().any(Update::is_retraction) {
-            self.drain_window();
-            let updates = batch.len();
-            let report = self.engine.apply_batch(&batch);
-            self.completed.push(CompletedBatch { updates, report });
-            return;
-        }
         for run in sign_runs(&batch) {
             self.stage_run(run);
         }
     }
 
-    /// Stages one sign-pure run: inline mode keeps the token for a later
-    /// `answer_staged` on this thread; threaded mode detaches it
-    /// immediately and ships the self-contained answer task to the answer
-    /// stage, which starts the covering-path join while this thread returns
-    /// to stage the next run.
-    ///
-    /// Staging a **retraction** run commits the removal (compacting
-    /// relation storage and bumping generations) at stage time, so the
-    /// staging contract requires every earlier token to have been answered
-    /// or detached first. Threaded mode satisfies this by construction —
-    /// every token is detached (its answer inputs frozen behind `Arc`
-    /// pins) the moment it is staged. Inline tokens may instead hold
-    /// watermarks into live relations, so the inline window is answered
-    /// first; that costs nothing, as inline answering runs on this thread
-    /// anyway.
+    /// Stages one sign-pure run and answers it: inline, right here;
+    /// threaded, by detaching the token and shipping the self-contained
+    /// answer task to the answer stage, which starts the covering-path join
+    /// while this thread returns to stage the next run. Either way every
+    /// token has been answered or detached before the next one is staged,
+    /// which is what lets a retraction run compact live relations at stage
+    /// time (see the staging contract).
     fn stage_run(&mut self, run: &[Update]) {
         let updates = run.len();
-        if self.answer.is_none() {
-            if run.first().is_some_and(Update::is_retraction) {
-                while !self.staged.is_empty() {
-                    self.answer_oldest();
-                }
-            }
-            let token = self.engine.stage_batch(run);
-            self.staged.push_back((updates, token));
-            return;
-        }
         let token = self.engine.stage_batch(run);
-        let task = self.engine.detach_staged(token);
-        if let Some(stage) = self.answer.as_mut() {
-            stage.submit(updates, task);
+        match self.answer.as_mut() {
+            Some(stage) => stage.submit(updates, self.engine.detach_staged(token)),
+            None => {
+                let report = self.engine.answer_staged(token);
+                self.completed.push(CompletedBatch { updates, report });
+            }
         }
     }
 
-    /// Answers/collects staged batches (oldest first) until the window is
-    /// back under its bound. In threaded mode, already-finished reports are
-    /// drained without blocking first, and the bound is
-    /// `max(depth, answer_workers)` — a window at least as deep as the
-    /// worker count, so every worker can hold a task; only an over-full
-    /// window blocks on the oldest outstanding answer (the pipeline's
-    /// backpressure). Inline mode bounds by `depth` exactly as before.
+    /// Collects answer-worker reports (oldest first) until the in-flight
+    /// window is back under its bound of `answer_workers` — every worker
+    /// can hold a task. Already-finished reports are drained without
+    /// blocking first; only an over-full window blocks on the oldest
+    /// outstanding answer (the pipeline's backpressure). A no-op inline.
     fn advance(&mut self) {
-        if let Some(stage) = self.answer.as_ref() {
-            let window = self.depth.max(stage.workers());
-            self.collect_ready();
-            while self.answer.as_ref().expect("threaded mode").pending.len() > window {
-                self.complete_one_blocking();
-            }
-        } else {
-            while self.staged.len() > self.depth {
-                self.answer_oldest();
-            }
+        while let Some(result) = self.answer.as_mut().and_then(AnswerStage::try_collect) {
+            self.complete(result);
+        }
+        while self
+            .answer
+            .as_ref()
+            .is_some_and(|stage| stage.pending.len() > stage.workers())
+        {
+            self.complete_one_blocking();
         }
     }
 
-    /// Answers the oldest staged batch into `completed` (inline mode).
-    fn answer_oldest(&mut self) {
-        if let Some((updates, token)) = self.staged.pop_front() {
-            let report = self.engine.answer_staged(token);
-            self.completed.push(CompletedBatch { updates, report });
-        }
-    }
-
-    /// Drains every answer-thread report that is already available, in
-    /// FIFO order, without blocking.
-    fn collect_ready(&mut self) {
-        loop {
-            let Some(stage) = self.answer.as_mut() else {
-                return;
-            };
-            if stage.pending.is_empty() {
-                return;
-            }
-            let Some(result) = stage.try_collect() else {
-                return;
-            };
-            let updates = stage.pending.pop_front().expect("pending answer");
-            let report = match result {
-                Ok(report) => report,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            self.engine.absorb_answered(&report);
-            self.completed.push(CompletedBatch { updates, report });
-        }
-    }
-
-    /// Blocks for the oldest outstanding answer-thread report and completes
-    /// it. A panic caught inside the answer task resumes here, on the
-    /// caller thread.
+    /// Blocks for the oldest outstanding answer-worker report and completes
+    /// it.
     fn complete_one_blocking(&mut self) {
-        let (updates, report) = {
-            let stage = self.answer.as_mut().expect("threaded mode");
-            if stage.pending.is_empty() {
-                return;
-            }
+        if let Some(stage) = self.answer.as_mut() {
             let result = stage.collect_blocking();
-            let updates = stage.pending.pop_front().expect("pending answer");
-            let report = match result {
-                Ok(report) => report,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            (updates, report)
+            self.complete(result);
+        }
+    }
+
+    /// Completes the oldest pending submission with its collected `result`.
+    /// A panic caught inside the answer task resumes here, on the caller
+    /// thread.
+    fn complete(&mut self, result: std::thread::Result<MatchReport>) {
+        let stage = self.answer.as_mut().expect("threaded mode");
+        let updates = stage.pending.pop_front().expect("pending answer");
+        let report = match result {
+            Ok(report) => report,
+            Err(payload) => std::panic::resume_unwind(payload),
         };
         self.engine.absorb_answered(&report);
         self.completed.push(CompletedBatch { updates, report });
     }
 
-    /// Flushes the batcher and empties the staged window (both modes), then
-    /// closes the epoch: queued lifecycle operations apply here — after
-    /// every pre-boundary update has been answered, before anything
+    /// Flushes the batcher and collects every in-flight answer, then closes
+    /// the epoch: queued lifecycle operations apply here — after every
+    /// pre-boundary update has been answered, before anything
     /// post-boundary runs — and the epoch counter advances.
     fn barrier(&mut self) {
         if let Some(batch) = self.batcher.flush() {
             self.stage(batch);
         }
-        self.drain_window();
-        self.apply_pending_ops();
-        self.epoch += 1;
-    }
-
-    /// Empties the staged window without touching the batcher: blocks for
-    /// every pending answer-thread report, then answers every inline
-    /// staged token, oldest first.
-    fn drain_window(&mut self) {
-        while self
-            .answer
-            .as_ref()
-            .is_some_and(|stage| !stage.pending.is_empty())
-        {
+        while self.in_flight() > 0 {
             self.complete_one_blocking();
         }
-        while !self.staged.is_empty() {
-            self.answer_oldest();
-        }
+        self.apply_pending_ops();
+        self.epoch += 1;
     }
 }
 
@@ -1200,6 +1076,7 @@ impl<E: ContinuousEngine> ContinuousEngine for PipelinedEngine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::StagedBatch;
     use crate::interner::Sym;
 
     fn u(label: u32, src: u32, tgt: u32) -> Update {
@@ -1304,6 +1181,13 @@ mod tests {
         dead: std::collections::HashSet<u32>,
         /// Event log: (phase, batch sequence number).
         log: Vec<(&'static str, u64)>,
+        /// When set, the first detached answer waits on this gate before it
+        /// completes, holding the threaded window open (completion is FIFO,
+        /// so everything staged behind it stays in flight too). If the gate
+        /// has not opened after 2 s the report carries the sentinel count
+        /// 999, so an executor that wrongly waits on the held answer fails
+        /// the test instead of hanging it.
+        gate: Option<Receiver<()>>,
     }
 
     struct ToyToken {
@@ -1364,6 +1248,18 @@ mod tests {
             self.stats.embeddings += report.total_embeddings();
             report
         }
+        fn detach_staged(&mut self, staged: StagedBatch) -> DetachedAnswer {
+            let report = self.answer_staged(staged);
+            match self.gate.take() {
+                None => DetachedAnswer::ready(report),
+                Some(gate) => {
+                    DetachedAnswer::task(move || match gate.recv_timeout(Duration::from_secs(2)) {
+                        Ok(()) => report,
+                        Err(_) => MatchReport::from_counts(vec![(QueryId(0), 999)]),
+                    })
+                }
+            }
+        }
         fn num_queries(&self) -> usize {
             self.queries as usize - self.dead.len()
         }
@@ -1376,37 +1272,29 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_overlaps_stage_of_next_with_answer_of_previous() {
+    fn inline_push_that_fills_a_batch_returns_its_report() {
         let config = PipelineConfig::new(2, Duration::from_secs(60));
-        assert_eq!(config.depth, 1);
         let mut pipe = PipelinedEngine::new(SplitToy::default(), config);
         let now = t0();
         let mut completed = Vec::new();
         for i in 0..8u32 {
-            completed.extend(pipe.push_at(u(i % 3, i, i + 1), now));
+            let done = pipe.push_at(u(i % 3, i, i + 1), now);
+            // Every second push fills the batch and gets its report back
+            // from the same call: nothing is held for a later push.
+            assert_eq!(done.len(), (i % 2) as usize, "push #{i}");
+            assert_eq!(pipe.in_flight(), 0);
+            completed.extend(done);
         }
-        completed.extend(pipe.drain());
+        assert!(pipe.drain().is_empty(), "nothing was left in flight");
 
-        // 8 updates in batches of 2 → 4 batches, all completed in order.
+        // 8 updates in batches of 2 → 4 batches, each staged and answered
+        // before the next is staged.
         assert_eq!(completed.len(), 4);
         assert!(completed.iter().all(|b| b.updates == 2));
-
-        // The log proves the overlap: every batch N is staged before batch
-        // N-1 is answered (depth-1 window).
-        let log = &pipe.engine().log;
-        assert_eq!(
-            log,
-            &vec![
-                ("stage", 0),
-                ("stage", 1),
-                ("answer", 0),
-                ("stage", 2),
-                ("answer", 1),
-                ("stage", 3),
-                ("answer", 2),
-                ("answer", 3),
-            ]
-        );
+        let expected_log: Vec<(&str, u64)> = (0..4)
+            .flat_map(|seq| [("stage", seq), ("answer", seq)])
+            .collect();
+        assert_eq!(pipe.engine().log, expected_log);
 
         // Labels cycle 0,1,2 → even labels 0 and 2 hit on updates
         // 0,2,3,5,6 → 5 embeddings overall.
@@ -1418,8 +1306,8 @@ mod tests {
 
     #[test]
     fn pipelined_stream_report_equals_sequential() {
-        // Any flush size / depth must reproduce the sequential merged
-        // report (batch semantics are chunk-invariant under merge).
+        // Any flush size must reproduce the sequential merged report (batch
+        // semantics are chunk-invariant under merge).
         let stream: Vec<Update> = (0..50u32).map(|i| u(i % 4, i % 7, (i + 1) % 7)).collect();
         let mut reference = SplitToy::default();
         let mut counts = Vec::new();
@@ -1430,23 +1318,20 @@ mod tests {
         let expected = MatchReport::from_counts(counts);
 
         for max_batch in [1usize, 3, 7, 64] {
-            for depth in [0usize, 1, 3] {
-                let config =
-                    PipelineConfig::new(max_batch, Duration::from_secs(60)).with_depth(depth);
-                let mut pipe = PipelinedEngine::new(SplitToy::default(), config);
-                let got = pipe.run_stream(&stream);
-                assert_eq!(got, expected, "max_batch {max_batch} depth {depth}");
-                assert_eq!(pipe.in_flight(), 0);
-                assert_eq!(pipe.buffered(), 0);
-                assert_eq!(pipe.stats().updates_processed, 50);
-                assert_eq!(pipe.stats().embeddings, expected.total_embeddings());
-            }
+            let config = PipelineConfig::new(max_batch, Duration::from_secs(60));
+            let mut pipe = PipelinedEngine::new(SplitToy::default(), config);
+            let got = pipe.run_stream(&stream);
+            assert_eq!(got, expected, "max_batch {max_batch}");
+            assert_eq!(pipe.in_flight(), 0);
+            assert_eq!(pipe.buffered(), 0);
+            assert_eq!(pipe.stats().updates_processed, 50);
+            assert_eq!(pipe.stats().embeddings, expected.total_embeddings());
         }
     }
 
     #[test]
     fn deadline_flush_completes_underfull_batches() {
-        let config = PipelineConfig::new(1000, 5 * MS).with_depth(0);
+        let config = PipelineConfig::new(1000, 5 * MS);
         let mut pipe = PipelinedEngine::new(SplitToy::default(), config);
         let now = t0();
         assert!(pipe.push_at(u(0, 1, 2), now).is_empty());
@@ -1463,9 +1348,9 @@ mod tests {
     fn threaded_stream_report_equals_sequential() {
         // The threaded answer stage must reproduce the inline pipeline (and
         // therefore sequential execution) bit for bit, across flush sizes
-        // and window depths. SplitToy uses the default detach (inline
-        // answer at detach time), so this exercises the executor's window
-        // bookkeeping, channel plumbing and FIFO collection.
+        // and window sizes. SplitToy answers inline at detach time, so this
+        // exercises the executor's window bookkeeping, channel plumbing and
+        // FIFO collection.
         let stream: Vec<Update> = (0..50u32).map(|i| u(i % 4, i % 7, (i + 1) % 7)).collect();
         let mut reference = SplitToy::default();
         let mut counts = Vec::new();
@@ -1476,14 +1361,14 @@ mod tests {
         let expected = MatchReport::from_counts(counts);
 
         for max_batch in [1usize, 7, 64] {
-            for depth in [0usize, 1, 3] {
+            for workers in [1usize, 3] {
                 let config = PipelineConfig::new(max_batch, Duration::from_secs(60))
-                    .with_depth(depth)
-                    .threaded();
+                    .threaded()
+                    .with_answer_workers(workers);
                 let mut pipe = PipelinedEngine::new(SplitToy::default(), config);
                 assert!(pipe.is_threaded());
                 let got = pipe.run_stream(&stream);
-                assert_eq!(got, expected, "max_batch {max_batch} depth {depth}");
+                assert_eq!(got, expected, "max_batch {max_batch} workers {workers}");
                 assert_eq!(pipe.in_flight(), 0);
                 assert_eq!(pipe.stats().updates_processed, 50);
                 assert_eq!(pipe.stats().embeddings, expected.total_embeddings());
@@ -1565,8 +1450,8 @@ mod tests {
     #[test]
     fn threaded_answers_complete_in_arrival_order_despite_slow_answer() {
         let config = PipelineConfig::new(2, Duration::from_secs(60))
-            .with_depth(3)
-            .threaded();
+            .threaded()
+            .with_answer_workers(1);
         let mut pipe = PipelinedEngine::new(SlowDetachToy::default(), config);
         let now = t0();
         let mut completed = Vec::new();
@@ -1591,89 +1476,36 @@ mod tests {
         assert_eq!(pipe.stats().notifications, 6);
     }
 
-    /// An engine whose *first* detached answer blocks on a gate the test
-    /// controls: if staging a later batch waited for in-flight answers (a
-    /// barrier), the gated worker could only proceed via its 2-second
-    /// timeout, which the report makes visible.
-    #[derive(Default)]
-    struct GatedDetachToy {
-        stats: EngineStats,
-        seq: u64,
-        gate: Option<Receiver<()>>,
-    }
-
-    impl ContinuousEngine for GatedDetachToy {
-        fn name(&self) -> &'static str {
-            "GATED-DETACH-TOY"
-        }
-        fn register_query(&mut self, _q: &QueryPattern) -> Result<QueryId> {
-            Ok(QueryId(0))
-        }
-        fn apply_update(&mut self, update: Update) -> MatchReport {
-            self.apply_batch(&[update])
-        }
-        fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
-            let staged = self.stage_batch(updates);
-            self.answer_staged(staged)
-        }
-        fn stage_batch(&mut self, updates: &[Update]) -> StagedBatch {
-            self.stats.updates_processed += updates.len() as u64;
-            let seq = self.seq;
-            self.seq += 1;
-            StagedBatch::deferred((seq, updates.len() as u64))
-        }
-        fn answer_staged(&mut self, staged: StagedBatch) -> MatchReport {
-            let (seq, n) = staged.into_deferred::<(u64, u64)>().expect("own token");
-            MatchReport::from_counts(vec![(QueryId(seq as u32), n)])
-        }
-        fn detach_staged(&mut self, staged: StagedBatch) -> DetachedAnswer {
-            let (seq, n) = staged.into_deferred::<(u64, u64)>().expect("own token");
-            let gate = if seq == 0 { self.gate.take() } else { None };
-            DetachedAnswer::task(move || {
-                let n = match gate {
-                    Some(gate) => match gate.recv_timeout(Duration::from_secs(2)) {
-                        Ok(()) => n,
-                        Err(_) => 999, // barrier: the gate never opened in time.
-                    },
-                    None => n,
-                };
-                MatchReport::from_counts(vec![(QueryId(seq as u32), n)])
-            })
-        }
-        fn num_queries(&self) -> usize {
-            1
-        }
-        fn heap_bytes(&self) -> usize {
-            0
-        }
-        fn stats(&self) -> EngineStats {
-            self.stats
-        }
+    /// A [`SplitToy`] whose first detached answer waits for the returned
+    /// sender.
+    fn gated_toy() -> (SplitToy, Sender<()>) {
+        let (tx, rx) = channel();
+        let toy = SplitToy {
+            gate: Some(rx),
+            ..SplitToy::default()
+        };
+        (toy, tx)
     }
 
     #[test]
     fn threaded_retraction_runs_stage_while_earlier_answers_are_in_flight() {
         // Batch 0 (an insert) is detached and its answer blocks on the
         // gate. The retraction flush must stage + detach *without* waiting
-        // for it — the un-barriered path. Only after the retraction run is
-        // submitted does the test open the gate; under the old barrier the
-        // second push would block until the worker's 2s timeout fired, and
-        // the sentinel count 999 would surface in the first report.
-        let (tx, rx) = channel();
+        // for it. Only after the retraction run is submitted does the test
+        // open the gate; an executor that barriered there would block the
+        // second push until the gate's 2 s timeout fired, and the sentinel
+        // count 999 would surface in the first report.
+        let (toy, gate) = gated_toy();
         let config = PipelineConfig::new(1, Duration::from_secs(60))
-            .with_depth(4)
-            .threaded();
-        let toy = GatedDetachToy {
-            gate: Some(rx),
-            ..GatedDetachToy::default()
-        };
+            .threaded()
+            .with_answer_workers(2);
         let mut pipe = PipelinedEngine::new(toy, config);
         let now = t0();
         assert!(pipe.push_at(u(0, 1, 2), now).is_empty());
         assert_eq!(pipe.in_flight(), 1);
         assert!(pipe.push_at(u(0, 1, 2).inverted(), now).is_empty());
         assert_eq!(pipe.in_flight(), 2, "retraction staged alongside");
-        tx.send(()).expect("worker is waiting on the gate");
+        gate.send(()).expect("worker is waiting on the gate");
         let done = pipe.drain();
         assert_eq!(done.len(), 2);
         assert_eq!(
@@ -1681,7 +1513,10 @@ mod tests {
             1,
             "gate opened before the worker timed out — no barrier"
         );
-        assert_eq!(done[1].report.satisfied_queries(), vec![QueryId(1)]);
+        assert_eq!(
+            pipe.engine().log,
+            vec![("stage", 0), ("answer", 0), ("stage", 1), ("answer", 1)]
+        );
     }
 
     /// An engine whose detached answers always panic — the failure mode a
@@ -1809,16 +1644,38 @@ mod tests {
         assert!(pipe.is_registered(id0));
         assert!(!pipe.is_registered(id1));
         assert_eq!(pipe.next_query_id(), QueryId(2), "dead ids never reused");
+
+        // A long queue still promises dense ids, past the tombstone and
+        // across interleaved unregistrations of earlier promises.
+        let promised: Vec<QueryId> = (0..3000u32)
+            .map(|i| {
+                let id = pipe.queue_register(&q);
+                assert_eq!(id, QueryId(2 + i), "registration #{i}");
+                if i % 3 == 2 {
+                    pipe.queue_unregister(QueryId(id.0 - 1)).unwrap();
+                }
+                id
+            })
+            .collect();
+        pipe.drain();
+        assert_eq!(pipe.next_query_id(), QueryId(3002));
+        assert_eq!(pipe.num_queries(), 1 + 2000);
+        assert!(pipe.is_registered(promised[0]));
+        assert!(!pipe.is_registered(promised[1]));
+        // The running count starts over with the new epoch.
+        assert_eq!(pipe.queue_register(&q), QueryId(3002));
     }
 
     #[test]
     fn queue_waits_out_the_window_where_the_direct_call_fails() {
-        // Depth-1 inline window: after two full batches one token is in
-        // flight, so the direct trait calls fail typed while the queued
-        // lifecycle accepts the same operations and applies them at the
-        // next drain.
-        let config = PipelineConfig::new(2, Duration::from_secs(60));
-        let mut pipe = PipelinedEngine::new(SplitToy::default(), config);
+        // Two batches are in flight behind a held answer, so the direct
+        // trait calls fail typed while the queued lifecycle accepts the
+        // same operations and applies them at the next drain.
+        let (toy, gate) = gated_toy();
+        let config = PipelineConfig::new(2, Duration::from_secs(60))
+            .threaded()
+            .with_answer_workers(2);
+        let mut pipe = PipelinedEngine::new(toy, config);
         let mut symbols = crate::interner::SymbolTable::new();
         let q = QueryPattern::parse("?a -x-> ?b", &mut symbols).unwrap();
         let id = pipe.register_query(&q).unwrap();
@@ -1827,7 +1684,7 @@ mod tests {
         for i in 0..4u32 {
             pipe.push_at(u(0, i, i + 1), now);
         }
-        assert!(pipe.in_flight() > 0);
+        assert_eq!(pipe.in_flight(), 2);
         assert!(matches!(
             pipe.unregister_query(id),
             Err(Error::RegistrationWhileStaged(_))
@@ -1840,6 +1697,7 @@ mod tests {
         pipe.queue_unregister(id).unwrap();
         let id2 = pipe.queue_register(&q);
         assert!(pipe.is_registered(id), "still live until the boundary");
+        gate.send(()).expect("worker is waiting on the gate");
         pipe.drain();
         assert!(!pipe.is_registered(id));
         assert!(pipe.is_registered(id2));
@@ -1876,7 +1734,6 @@ mod tests {
         // With 4 answer workers the slow batch 0 finishes long after
         // batches 1..4 — the reorder buffer must still deliver FIFO.
         let config = PipelineConfig::new(2, Duration::from_secs(60))
-            .with_depth(3)
             .threaded()
             .with_answer_workers(4);
         let mut pipe = PipelinedEngine::new(SlowDetachToy::default(), config);
@@ -2057,67 +1914,10 @@ mod tests {
     }
 
     #[test]
-    fn inline_retraction_runs_answer_the_window_first_then_stage() {
-        // Inline mode, deep window, flush size 1: two staged insert batches
-        // sit in the window when the retraction arrives. Inline tokens may
-        // hold watermarks into live relations, so the window is answered
-        // (FIFO) before the retraction run stages — but the retraction run
-        // itself *stages* like any other batch, it is not applied eagerly.
-        let config = PipelineConfig::new(1, Duration::from_secs(60)).with_depth(3);
-        let mut pipe = PipelinedEngine::new(SplitToy::default(), config);
-        let now = t0();
-        assert!(pipe.push_at(u(0, 1, 2), now).is_empty());
-        assert!(pipe.push_at(u(2, 2, 3), now).is_empty());
-        assert_eq!(pipe.in_flight(), 2);
-        let done = pipe.push_at(u(0, 1, 2).inverted(), now);
-        assert_eq!(done.len(), 2, "window answered before the retraction");
-        assert_eq!(pipe.in_flight(), 1, "the staged retraction run");
-        assert_eq!(
-            pipe.engine().log,
-            vec![
-                ("stage", 0),
-                ("stage", 1),
-                ("answer", 0),
-                ("answer", 1),
-                ("stage", 2),
-            ]
-        );
-        assert_eq!(pipe.drain().len(), 1, "the retraction run completes");
-        assert_eq!(pipe.engine().log.last(), Some(&("answer", 2)));
-    }
-
-    #[test]
-    fn eager_retraction_config_reverts_to_the_barrier_path() {
-        // The bench-only A/B flag restores the old behaviour: the window
-        // drains and the whole mixed batch applies eagerly, unsplit.
-        let config = PipelineConfig::new(1, Duration::from_secs(60))
-            .with_depth(3)
-            .with_eager_retractions();
-        let mut pipe = PipelinedEngine::new(SplitToy::default(), config);
-        let now = t0();
-        assert!(pipe.push_at(u(0, 1, 2), now).is_empty());
-        assert!(pipe.push_at(u(2, 2, 3), now).is_empty());
-        let done = pipe.push_at(u(0, 1, 2).inverted(), now);
-        assert_eq!(done.len(), 3, "window drained + eager retraction batch");
-        assert_eq!(pipe.in_flight(), 0);
-        assert_eq!(
-            pipe.engine().log,
-            vec![
-                ("stage", 0),
-                ("stage", 1),
-                ("answer", 0),
-                ("answer", 1),
-                ("stage", 2),
-                ("answer", 2),
-            ]
-        );
-    }
-
-    #[test]
     fn mixed_sign_flushes_stage_one_run_per_sign() {
         // One flush of [+, +, −, +] must stage as three separately-sequenced
         // runs whose completions tile the flush in stream order.
-        let config = PipelineConfig::new(4, Duration::from_secs(60)).with_depth(0);
+        let config = PipelineConfig::new(4, Duration::from_secs(60));
         let mut pipe = PipelinedEngine::new(SplitToy::default(), config);
         let now = t0();
         assert!(pipe.push_at(u(0, 1, 2), now).is_empty());
@@ -2133,10 +1933,10 @@ mod tests {
             pipe.engine().log,
             vec![
                 ("stage", 0),
-                ("answer", 0), // inline window answered before the '−' run
+                ("answer", 0),
                 ("stage", 1),
-                ("stage", 2),
                 ("answer", 1),
+                ("stage", 2),
                 ("answer", 2),
             ]
         );
@@ -2149,20 +1949,17 @@ mod tests {
         let now = t0();
         assert!(pipe.push_at(u(0, 1, 2), now).is_empty());
         assert_eq!(pipe.live_edges(), 1);
-        assert!(pipe.poll_at(now + 2 * MS).is_empty(), "staged, depth 1");
-        // At t+8ms the edge expires; the synthesized retraction flushes at
-        // t+10ms. Staging it answers the in-window insert batch first
-        // (inline mode), then the retraction run waits in the window.
+        let done = pipe.poll_at(now + 2 * MS);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].updates, 1, "the insert batch");
+        // At t+8ms the edge expires; the synthesized retraction is buffered
+        // and flushes at t+10ms.
         assert!(pipe.poll_at(now + 8 * MS).is_empty());
         assert_eq!(pipe.live_edges(), 0);
         let done = pipe.poll_at(now + 10 * MS);
         assert_eq!(done.len(), 1);
-        assert_eq!(done[0].updates, 1, "the insert batch");
-        assert_eq!(pipe.in_flight(), 1, "the staged expiry retraction");
-        let done = pipe.drain();
-        assert_eq!(done.len(), 1);
         assert_eq!(done[0].updates, 1, "the synthesized expiry retraction");
-        assert_eq!(pipe.in_flight(), 0);
+        assert!(pipe.drain().is_empty());
     }
 
     #[test]
@@ -2190,8 +1987,11 @@ mod tests {
 
     #[test]
     fn registration_with_staged_batches_in_flight_is_rejected() {
-        let config = PipelineConfig::new(1, Duration::from_secs(60)).with_depth(3);
-        let mut pipe = PipelinedEngine::new(SplitToy::default(), config);
+        let (toy, gate) = gated_toy();
+        let config = PipelineConfig::new(1, Duration::from_secs(60))
+            .threaded()
+            .with_answer_workers(2);
+        let mut pipe = PipelinedEngine::new(toy, config);
         let now = t0();
         assert!(pipe.push_at(u(0, 1, 2), now).is_empty());
         assert!(pipe.push_at(u(2, 2, 3), now).is_empty());
@@ -2202,7 +2002,8 @@ mod tests {
             Err(Error::RegistrationWhileStaged(n)) => assert_eq!(n, 2),
             other => panic!("expected RegistrationWhileStaged, got {other:?}"),
         }
-        // Draining consumes the tokens; registration is legal again.
+        // Draining collects the answers; registration is legal again.
+        gate.send(()).expect("worker is waiting on the gate");
         assert_eq!(pipe.drain().len(), 2);
         pipe.register_query(&q).unwrap();
     }
@@ -2252,9 +2053,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "slow join pass exploded")]
     fn dropping_mid_stream_reraises_outstanding_worker_panics() {
-        let config = PipelineConfig::new(1, Duration::from_secs(60))
-            .with_depth(4)
-            .threaded();
+        let config = PipelineConfig::new(1, Duration::from_secs(60)).threaded();
         let mut pipe = PipelinedEngine::new(SleepyPanicToy::default(), config);
         // Stage + detach one batch; the worker is still asleep when the
         // executor drops, so the panic must surface via drain-on-drop

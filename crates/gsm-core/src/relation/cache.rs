@@ -5,21 +5,8 @@
 //! around and incrementally maintained instead of being rebuilt from scratch
 //! on every update (Section 4.2, "Caching"). The cache is keyed by the
 //! relation's stable identity plus the key columns of the build.
-//!
-//! # Sharing builds with detached answer tasks
-//!
-//! The threaded pipeline answers batches on worker threads while the engine
-//! thread stages the next batch. To let those workers reuse cached builds
-//! without a global lock, the cache stores every build behind an [`Arc`] and
-//! supports copy-on-write publication: [`JoinCache::freeze`] snapshots the
-//! current map into an immutable, cheaply-cloneable [`FrozenJoinCache`] that
-//! detached tasks read concurrently. Live mutation after a freeze uses
-//! [`Arc::make_mut`], so a build is deep-copied only when an outstanding
-//! frozen publication still references it — otherwise updates stay in-place
-//! and O(Δ), exactly as before.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use super::join::JoinBuild;
 use super::Relation;
@@ -32,12 +19,7 @@ type CacheKey = (u64, Vec<usize>);
 /// underlying (insert-only) relations grow.
 #[derive(Debug, Default)]
 pub struct JoinCache {
-    builds: HashMap<CacheKey, Arc<JoinBuild>>,
-    /// The most recent [`freeze`](Self::freeze) publication, reused while
-    /// the cache stays unmodified. Dropped before any mutation so the
-    /// cache itself never forces an [`Arc::make_mut`] deep copy — only an
-    /// outstanding detached task holding the frozen map does.
-    published: Option<Arc<HashMap<CacheKey, Arc<JoinBuild>>>>,
+    builds: HashMap<CacheKey, JoinBuild>,
     hits: u64,
     misses: u64,
 }
@@ -51,31 +33,19 @@ impl JoinCache {
     /// Returns an up-to-date build over `rel` keyed by `key_cols`, reusing
     /// and incrementally updating a cached build when one exists.
     pub fn get_or_build(&mut self, rel: &Relation, key_cols: &[usize]) -> &JoinBuild {
-        self.published = None;
         let key: CacheKey = (rel.id(), key_cols.to_vec());
         match self.builds.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
+            std::collections::hash_map::Entry::Occupied(e) => {
                 self.hits += 1;
-                Arc::make_mut(e.get_mut()).update(rel);
-                e.into_mut()
+                let build = e.into_mut();
+                build.update(rel);
+                build
             }
             std::collections::hash_map::Entry::Vacant(e) => {
                 self.misses += 1;
-                e.insert(Arc::new(JoinBuild::build(rel, key_cols)))
+                e.insert(JoinBuild::build(rel, key_cols))
             }
         }
-    }
-
-    /// Publishes the current state of the cache as an immutable snapshot
-    /// that detached answer tasks can read concurrently (lock-free; the
-    /// map and every build inside it are behind `Arc`s). Repeated freezes
-    /// with no intervening mutation reuse the same publication.
-    pub fn freeze(&mut self) -> FrozenJoinCache {
-        let builds = self
-            .published
-            .get_or_insert_with(|| Arc::new(self.builds.clone()))
-            .clone();
-        FrozenJoinCache { builds }
     }
 
     /// Number of cached builds.
@@ -102,18 +72,13 @@ impl JoinCache {
     /// when a materialized view is destroyed (trie-node pruning on query
     /// unregistration). Relation ids are never reused, so a lingering entry
     /// could never be wrongly served; eviction reclaims the build's memory,
-    /// it is not needed for correctness. Outstanding frozen publications
-    /// keep their copy alive until dropped.
+    /// it is not needed for correctness.
     pub fn evict_relation(&mut self, rel_id: u64) {
-        if self.builds.keys().any(|(id, _)| *id == rel_id) {
-            self.published = None;
-            self.builds.retain(|(id, _), _| *id != rel_id);
-        }
+        self.builds.retain(|(id, _), _| *id != rel_id);
     }
 
     /// Drops every cached build (used by tests and memory experiments).
     pub fn clear(&mut self) {
-        self.published = None;
         self.builds.clear();
     }
 }
@@ -124,80 +89,7 @@ impl HeapSize for JoinCache {
             .iter()
             .map(|((_, cols), build)| cols.heap_size() + build.heap_size() + 16)
             .sum::<usize>()
-            + self.builds.capacity() * std::mem::size_of::<(CacheKey, Arc<JoinBuild>)>()
-    }
-}
-
-/// An immutable, concurrently-readable snapshot of a [`JoinCache`],
-/// published at stage time and probed by detached answer tasks. Cloning is
-/// a single `Arc` bump.
-#[derive(Debug, Clone, Default)]
-pub struct FrozenJoinCache {
-    builds: Arc<HashMap<CacheKey, Arc<JoinBuild>>>,
-}
-
-impl FrozenJoinCache {
-    /// Looks up a published build for `rel` keyed by `key_cols`.
-    ///
-    /// A build is returned only when it was indexed in the **same
-    /// compaction generation** as `rel` and indexes **at least**
-    /// `rel.len()` rows: probing an over-indexed build against a shorter
-    /// snapshot is safe (probe hits are bounds-checked against the
-    /// probe-side relation), but an under-indexed build — or one whose row
-    /// indices predate a retraction compaction — would silently miss rows,
-    /// so it is treated as absent and the caller falls back to building.
-    pub fn get(&self, rel: &Relation, key_cols: &[usize]) -> Option<&JoinBuild> {
-        let key: CacheKey = (rel.id(), key_cols.to_vec());
-        self.builds
-            .get(&key)
-            .filter(|b| b.generation() == rel.generation() && b.rows_indexed() >= rel.len())
-            .map(Arc::as_ref)
-    }
-
-    /// Number of published builds.
-    pub fn len(&self) -> usize {
-        self.builds.len()
-    }
-
-    /// True when nothing was published.
-    pub fn is_empty(&self) -> bool {
-        self.builds.is_empty()
-    }
-}
-
-/// The cache handle threaded through the view-materialization helpers:
-/// either a live mutable cache (engine thread, inline answering), a frozen
-/// publication (detached answer tasks), or nothing (cacheless engines).
-#[derive(Debug, Default)]
-pub enum BuildCache<'a> {
-    /// No caching: every build is constructed from scratch and discarded.
-    #[default]
-    None,
-    /// A live cache, incrementally maintained in place.
-    Live(&'a mut JoinCache),
-    /// An immutable stage-time publication; usable builds are borrowed,
-    /// anything missing or stale is built from scratch and discarded.
-    Frozen(&'a FrozenJoinCache),
-}
-
-impl BuildCache<'_> {
-    /// Reborrows the handle for a nested call without consuming it (the
-    /// `Option<&mut _>::as_deref_mut` idiom, generalized to three states).
-    pub fn reborrow(&mut self) -> BuildCache<'_> {
-        match self {
-            BuildCache::None => BuildCache::None,
-            BuildCache::Live(cache) => BuildCache::Live(cache),
-            BuildCache::Frozen(frozen) => BuildCache::Frozen(frozen),
-        }
-    }
-}
-
-impl<'a> From<Option<&'a mut JoinCache>> for BuildCache<'a> {
-    fn from(cache: Option<&'a mut JoinCache>) -> Self {
-        match cache {
-            Some(cache) => BuildCache::Live(cache),
-            None => BuildCache::None,
-        }
+            + self.builds.capacity() * std::mem::size_of::<(CacheKey, JoinBuild)>()
     }
 }
 
@@ -298,91 +190,5 @@ mod tests {
         assert!(!cache.is_empty());
         cache.clear();
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn frozen_cache_serves_published_builds() {
-        let mut cache = JoinCache::new();
-        let mut r = Relation::new(2);
-        r.push(&[s(1), s(10)]);
-        r.push(&[s(1), s(11)]);
-        cache.get_or_build(&r, &[0]);
-        let frozen = cache.freeze();
-        assert_eq!(frozen.len(), 1);
-        let build = frozen.get(&r, &[0]).expect("published build");
-        assert_eq!(build.probe(&r, &[s(1)]).len(), 2);
-        // A key that was never cached is absent.
-        assert!(frozen.get(&r, &[1]).is_none());
-    }
-
-    #[test]
-    fn frozen_cache_rejects_stale_builds() {
-        let mut cache = JoinCache::new();
-        let mut r = Relation::new(1);
-        r.push(&[s(1)]);
-        cache.get_or_build(&r, &[0]);
-        let frozen = cache.freeze();
-        // The relation grew past the publication: the under-indexed build
-        // would miss the new row, so the lookup must fail closed.
-        r.push(&[s(2)]);
-        assert!(frozen.get(&r, &[0]).is_none());
-        // An over-indexed build against a shorter snapshot is safe and
-        // therefore served.
-        let snap = r.snapshot_owned(1);
-        cache.get_or_build(&r, &[0]);
-        let frozen = cache.freeze();
-        assert!(frozen.get(&snap, &[0]).is_some());
-    }
-
-    #[test]
-    fn frozen_cache_rejects_builds_from_an_older_generation() {
-        let mut cache = JoinCache::new();
-        let mut r = Relation::new(1);
-        r.push(&[s(1)]);
-        r.push(&[s(2)]);
-        r.push(&[s(3)]);
-        cache.get_or_build(&r, &[0]);
-        let frozen = cache.freeze();
-        // Compaction shrinks the relation; the stale build indexes *more*
-        // rows than rel.len(), so the length guard alone would wrongly
-        // serve it — the generation guard must fail it closed.
-        let gone = Relation::singleton(&[s(2)]);
-        r.retract_rows(&gone);
-        assert!(frozen.get(&r, &[0]).is_none(), "stale generation served");
-        // The live cache transparently rebuilds on the same key.
-        let build = cache.get_or_build(&r, &[0]);
-        assert_eq!(build.generation(), r.generation());
-        assert_eq!(build.probe(&r, &[s(3)]).len(), 1);
-        assert_eq!(build.probe(&r, &[s(2)]).len(), 0);
-    }
-
-    #[test]
-    fn live_mutation_after_freeze_copies_on_write() {
-        let mut cache = JoinCache::new();
-        let mut r = Relation::new(1);
-        r.push(&[s(1)]);
-        cache.get_or_build(&r, &[0]);
-        let frozen = cache.freeze();
-        // Mutating the live cache while a publication is outstanding must
-        // not disturb the frozen view.
-        r.push(&[s(2)]);
-        let live = cache.get_or_build(&r, &[0]);
-        assert_eq!(live.rows_indexed(), 2);
-        let published = frozen.builds.get(&(r.id(), vec![0])).expect("kept");
-        assert_eq!(published.rows_indexed(), 1);
-    }
-
-    #[test]
-    fn repeated_freeze_reuses_publication() {
-        let mut cache = JoinCache::new();
-        let mut r = Relation::new(1);
-        r.push(&[s(1)]);
-        cache.get_or_build(&r, &[0]);
-        let a = cache.freeze();
-        let b = cache.freeze();
-        assert!(Arc::ptr_eq(&a.builds, &b.builds));
-        cache.get_or_build(&r, &[0]);
-        let c = cache.freeze();
-        assert!(!Arc::ptr_eq(&a.builds, &c.builds));
     }
 }

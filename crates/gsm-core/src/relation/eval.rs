@@ -23,7 +23,7 @@ use crate::query::pattern::QVertexId;
 /// the rows below the watermark participate in joins, which is how the
 /// deferred answering phase of the pipelined executor joins a batch's
 /// deltas against frozen snapshots of the other covering paths' insert-only
-/// views (see [`Relation::snapshot_at`]).
+/// views (see [`Relation::version`]).
 #[derive(Debug, Clone, Copy)]
 pub struct PathBinding<'a> {
     /// The path's materialized view (or delta).

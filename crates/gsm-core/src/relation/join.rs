@@ -36,7 +36,7 @@ impl JoinBuild {
 
     /// Builds a hash table over the first `len` rows of `rel` keyed by
     /// `key_cols` — the build side of a join against a version snapshot of
-    /// an insert-only relation (see [`Relation::snapshot_at`]): probes can
+    /// an insert-only relation (see [`Relation::version`]): probes can
     /// only ever hit rows below the watermark.
     pub fn build_prefix(rel: &Relation, key_cols: &[usize], len: usize) -> Self {
         let mut b = JoinBuild {
@@ -215,7 +215,7 @@ pub fn hash_join(
 /// pipelined executor's deferred answering phase, which joins a batch's
 /// deltas against the *snapshots* of the other covering paths' insert-only
 /// views while newer batches append behind the watermarks (see
-/// [`Relation::snapshot_at`]).
+/// [`Relation::version`]).
 pub fn hash_join_prefix(
     left: &Relation,
     left_len: usize,

@@ -176,12 +176,14 @@ impl Relation {
     /// **append-only** — rows are appended, never removed or reordered — so
     /// a version is simply a row-count watermark and uniquely identifies a
     /// prefix of the table for as long as the generation lasts. Capturing
-    /// `version()` is O(1); a later [`snapshot_at`] of that watermark
+    /// `version()` is O(1); a later
+    /// [`snapshot_owned`](Relation::snapshot_owned) of that watermark
     /// exposes exactly the rows that existed at capture time, no matter how
-    /// many rows a writer has appended since, and [`delta_since`] yields
-    /// exactly the rows appended after it. This is what lets the pipelined
-    /// executor answer batch *N* against frozen views while batch *N + 1*
-    /// is already being routed and propagated.
+    /// many rows a writer has appended since, and
+    /// [`iter_from`](Relation::iter_from) yields exactly the rows appended
+    /// after it. This is what lets the pipelined executor answer batch *N*
+    /// against frozen views while batch *N + 1* is already being routed and
+    /// propagated.
     ///
     /// [`retract_rows`](Relation::retract_rows) compacts the table and
     /// opens a new generation, invalidating old watermarks; consumers that
@@ -191,9 +193,6 @@ impl Relation {
     /// they share the *old* generation's chunks by `Arc`, which stay alive
     /// until the last snapshot drops — reclamation is exactly the release
     /// of those reference counts.
-    ///
-    /// [`snapshot_at`]: Relation::snapshot_at
-    /// [`delta_since`]: Relation::delta_since
     pub fn version(&self) -> usize {
         self.len()
     }
@@ -216,27 +215,10 @@ impl Relation {
         self.frozen.len()
     }
 
-    /// A read-only view of the first `version` rows — the state of the
-    /// relation when [`version`](Relation::version) returned that watermark.
-    /// Versions larger than the current length are clamped (the snapshot can
-    /// never show rows that do not exist yet).
-    pub fn snapshot_at(&self, version: usize) -> RelationSnapshot<'_> {
-        RelationSnapshot {
-            rel: self,
-            len: version.min(self.len()),
-        }
-    }
-
-    /// Iterates over the rows appended strictly after the `version`
-    /// watermark — the delta between that snapshot and the current state.
-    pub fn delta_since(&self, version: usize) -> impl Iterator<Item = &[Sym]> {
-        self.iter_from(version)
-    }
-
     /// An owned, `Send + Sync` read view of the first `version` rows,
     /// packaged as an index-free [`Relation`] so every join kernel of the
     /// workspace accepts it unchanged. Versions past the current length are
-    /// clamped, like [`snapshot_at`](Relation::snapshot_at).
+    /// clamped (the snapshot can never show rows that do not exist yet).
     ///
     /// Frozen chunks wholly below the watermark are **shared** (`Arc`
     /// clones, no row is copied); only the partial chunk the watermark cuts
@@ -249,12 +231,7 @@ impl Relation {
     /// keeps appending.
     ///
     /// Like [`Clone`], the snapshot **shares the source's identity**: it is
-    /// the same logical relation at an earlier watermark, so build caches
-    /// keyed by [`id`](Relation::id) recognise it. This is sound because a
-    /// build indexing *more* rows than a snapshot holds is still correct to
-    /// probe — probe hits are bounds-checked against the probe-side length —
-    /// and [`FrozenJoinCache::get`](crate::relation::cache::FrozenJoinCache::get)
-    /// rejects the unsafe under-indexed direction.
+    /// the same logical relation at an earlier watermark.
     pub fn snapshot_owned(&self, version: usize) -> Relation {
         let len = version.min(self.len());
         let full = len / CHUNK_ROWS;
@@ -622,66 +599,6 @@ impl HeapSize for Relation {
     }
 }
 
-/// A read-only view of an insert-only [`Relation`] frozen at a version
-/// watermark (see [`Relation::snapshot_at`]).
-///
-/// The snapshot borrows the relation and exposes exactly the rows that
-/// existed when the watermark was captured: `len()`, `row(i)` and `iter()`
-/// are all bounded by the watermark, so a reader holding a snapshot at
-/// version `v` can never observe rows appended after `v` — the
-/// snapshot-isolation guarantee the pipelined executor's deferred answering
-/// phase relies on.
-#[derive(Debug, Clone, Copy)]
-pub struct RelationSnapshot<'a> {
-    rel: &'a Relation,
-    len: usize,
-}
-
-impl<'a> RelationSnapshot<'a> {
-    /// Number of columns.
-    pub fn arity(&self) -> usize {
-        self.rel.arity()
-    }
-
-    /// Number of rows visible in this snapshot (the watermark).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the snapshot contains no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The version this snapshot is frozen at (same as [`len`](Self::len)).
-    pub fn version(&self) -> usize {
-        self.len
-    }
-
-    /// Returns row `i`; panics if `i` is at or past the watermark.
-    pub fn row(&self, i: usize) -> &'a [Sym] {
-        assert!(i < self.len, "row {i} is past the snapshot watermark");
-        self.rel.row(i)
-    }
-
-    /// Iterates over the snapshot's rows.
-    pub fn iter(&self) -> impl Iterator<Item = &'a [Sym]> {
-        self.rel.iter().take(self.len)
-    }
-
-    /// True if an identical row is visible in this snapshot. Always a scan
-    /// bounded by the watermark (the relation's dedup index cannot be used:
-    /// it also covers rows appended after the snapshot).
-    pub fn contains(&self, row: &[Sym]) -> bool {
-        self.iter().any(|r| r == row)
-    }
-
-    /// Collects the visible rows into owned vectors — convenient in tests.
-    pub fn to_vec(&self) -> Vec<Vec<Sym>> {
-        self.iter().map(|r| r.to_vec()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -722,7 +639,7 @@ mod tests {
         // relied on only through explicit cloning in tests.
         assert_eq!(a.id(), b.id());
         // Version snapshots are clones at an earlier watermark and share
-        // the id too, so published build caches recognise them.
+        // the id too.
         assert_eq!(a.id(), a.snapshot_owned(0).id());
     }
 
@@ -853,55 +770,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_at_version_never_observes_later_appends() {
-        // The snapshot-isolation contract of the versioning scheme: a reader
-        // at version v sees exactly the first v rows, however many rows a
-        // writer appends after the watermark was captured.
-        let mut r = Relation::new(2);
-        r.push(&[s(1), s(2)]);
-        r.push(&[s(3), s(4)]);
-        let v = r.version();
-        assert_eq!(v, 2);
-
-        // Writer appends behind the watermark.
-        r.push(&[s(5), s(6)]);
-        r.push(&[s(7), s(8)]);
-
-        let snap = r.snapshot_at(v);
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap.version(), v);
-        assert_eq!(snap.to_vec(), vec![vec![s(1), s(2)], vec![s(3), s(4)]]);
-        assert!(snap.contains(&[s(1), s(2)]));
-        assert!(
-            !snap.contains(&[s(5), s(6)]),
-            "row appended after v is visible at v"
-        );
-        assert_eq!(snap.iter().count(), 2);
-        assert_eq!(snap.row(1), &[s(3), s(4)]);
-
-        // The delta is exactly the suffix past the watermark.
-        let delta: Vec<Vec<Sym>> = r.delta_since(v).map(|row| row.to_vec()).collect();
-        assert_eq!(delta, vec![vec![s(5), s(6)], vec![s(7), s(8)]]);
-
-        // Snapshot of the current version sees everything; over-long
-        // watermarks clamp.
-        assert_eq!(r.snapshot_at(r.version()).len(), 4);
-        assert_eq!(r.snapshot_at(100).len(), 4);
-        assert!(r.snapshot_at(0).is_empty());
-        assert_eq!(r.snapshot_at(0).arity(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "past the snapshot watermark")]
-    fn snapshot_row_past_watermark_panics() {
-        let mut r = Relation::new(1);
-        r.push(&[s(1)]);
-        r.push(&[s(2)]);
-        let snap = r.snapshot_at(1);
-        let _ = snap.row(1);
-    }
-
-    #[test]
     fn large_relation_remains_duplicate_free() {
         let mut r = Relation::new(2);
         for i in 0..5_000u32 {
@@ -1002,7 +870,7 @@ mod tests {
             let after: Vec<u32> = snap.iter().map(|row| row[0].0).collect();
             assert_eq!(after, before, "snapshot at {v} moved under the writer");
         }
-        // Clamping matches snapshot_at.
+        // Over-long watermarks clamp.
         assert_eq!(r.snapshot_owned(usize::MAX).len(), r.len());
     }
 

@@ -152,7 +152,7 @@ impl HeapSize for SpanningState {
 /// staged token, the spanning path deltas this batch produced here, and the
 /// post-batch version watermark of every path state's full relation (the
 /// frozen prefix the deferred join pass reads — see
-/// [`crate::relation::Relation::snapshot_at`]).
+/// [`crate::relation::Relation::version`]).
 #[derive(Debug, Default)]
 struct StagedShard {
     inner: Option<StagedBatch>,
@@ -257,7 +257,7 @@ impl<E: ContinuousEngine> Shard<E> {
             full_path_relation(
                 &self.spanning.views,
                 edges,
-                crate::relation::cache::BuildCache::None,
+                None,
                 &mut self.spanning.row_buf,
             )
         };
@@ -319,7 +319,7 @@ impl<E: ContinuousEngine> Shard<E> {
                 &self.spanning.views,
                 &self.spanning.paths[pid].edges,
                 &edge_deltas,
-                crate::relation::cache::BuildCache::None,
+                None,
                 &mut self.spanning.row_buf,
             );
             if delta.is_empty() {
@@ -886,7 +886,7 @@ impl<E: ContinuousEngine + Send + 'static> ShardedEngine<E> {
                     &shard.spanning.views,
                     &shard.spanning.paths[pid].edges,
                     &removed,
-                    crate::relation::cache::BuildCache::None,
+                    None,
                     &mut shard.spanning.row_buf,
                 );
                 if !d.is_empty() {
@@ -1397,21 +1397,9 @@ mod tests {
         for batch in batches {
             let before = full.to_sorted_vec();
             let deltas = views.apply_batch(&batch);
-            let delta = delta_path_relation(
-                &views,
-                &edges,
-                &deltas,
-                crate::relation::cache::BuildCache::None,
-                &mut buf,
-            );
+            let delta = delta_path_relation(&views, &edges, &deltas, None, &mut buf);
             full.extend_from(&delta);
-            let after_expected = full_path_relation(
-                &views,
-                &edges,
-                crate::relation::cache::BuildCache::None,
-                &mut buf,
-            )
-            .to_sorted_vec();
+            let after_expected = full_path_relation(&views, &edges, None, &mut buf).to_sorted_vec();
             assert_eq!(full.to_sorted_vec(), after_expected);
             for row in delta.iter() {
                 assert!(!before.contains(&row.to_vec()), "delta row not new");

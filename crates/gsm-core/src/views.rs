@@ -13,7 +13,7 @@ use crate::interner::Sym;
 use crate::memory::HeapSize;
 use crate::model::generic::GenericEdge;
 use crate::model::update::Update;
-use crate::relation::cache::BuildCache;
+use crate::relation::cache::JoinCache;
 use crate::relation::fasthash::FxHashMap;
 use crate::relation::join::JoinBuild;
 use crate::relation::Relation;
@@ -174,216 +174,6 @@ impl EdgeViewStore {
     pub fn iter(&self) -> impl Iterator<Item = (&GenericEdge, &Relation)> {
         self.views.iter()
     }
-
-    /// Captures the current version of every registered view — an O(#views)
-    /// map of row-count watermarks.
-    ///
-    /// # Versioning contract
-    ///
-    /// Views are append-only between retraction batches (see
-    /// [`Relation::version`]), so the captured watermarks identify a
-    /// consistent frozen prefix of the whole store until the next
-    /// [`retract_deltas`](EdgeViewStore::retract_deltas) commit:
-    /// [`snapshot_at`] exposes exactly the
-    /// rows each view held at capture time, and [`delta_since`] exactly the
-    /// rows routed in afterwards — regardless of how many updates a writer
-    /// has applied in between. Single-writer discipline is assumed: capture
-    /// the version *between* `apply_update`/`apply_batch` calls, never
-    /// concurrently with one.
-    ///
-    /// [`snapshot_at`]: EdgeViewStore::snapshot_at
-    /// [`delta_since`]: EdgeViewStore::delta_since
-    pub fn version(&self) -> ViewsVersion {
-        ViewsVersion {
-            versions: self
-                .views
-                .iter()
-                .map(|(e, rel)| (*e, rel.version()))
-                .collect(),
-        }
-    }
-
-    /// A read view of the store frozen at `version`: every view is bounded
-    /// by its captured watermark, and views registered after the capture are
-    /// invisible.
-    pub fn snapshot_at<'a>(&'a self, version: &'a ViewsVersion) -> ViewsSnapshot<'a> {
-        ViewsSnapshot {
-            store: self,
-            version,
-        }
-    }
-
-    /// Iterates over the views that gained rows since `version` was
-    /// captured, yielding one [`ViewDelta`] per grown view (views registered
-    /// after the capture report all their rows as delta).
-    pub fn delta_since<'a>(
-        &'a self,
-        version: &'a ViewsVersion,
-    ) -> impl Iterator<Item = ViewDelta<'a>> {
-        self.views.iter().filter_map(move |(edge, view)| {
-            let from = version.versions.get(edge).copied().unwrap_or(0);
-            (view.len() > from).then_some(ViewDelta { edge, view, from })
-        })
-    }
-
-    /// An **owned**, `Send + Sync` read view of the store frozen at
-    /// `version`: every view registered at capture time becomes an
-    /// index-free snapshot relation ([`Relation::snapshot_owned`]) cut at
-    /// its captured watermark, sharing the underlying frozen storage chunks
-    /// instead of copying rows. Views registered after the capture are
-    /// invisible, exactly like [`snapshot_at`](EdgeViewStore::snapshot_at).
-    ///
-    /// `edges` restricts the freeze to the views a deferred answer pass will
-    /// actually read (`None` freezes every view registered at capture
-    /// time) — the staged engines pass the affected queries' edges so a
-    /// batch's token does not pay for untouched views.
-    ///
-    /// This is the handoff point of the cross-thread pipeline: the stage
-    /// phase freezes the store into its token, and the answer phase joins
-    /// against the frozen views on another thread while this store keeps
-    /// absorbing later batches.
-    pub fn freeze_at(&self, version: &ViewsVersion, edges: Option<&[GenericEdge]>) -> FrozenViews {
-        let mut frozen = FrozenViews {
-            views: FxHashMap::default(),
-        };
-        let mut add = |edge: &GenericEdge| {
-            if let (Some(&watermark), Some(view)) =
-                (version.versions.get(edge), self.views.get(edge))
-            {
-                frozen
-                    .views
-                    .entry(*edge)
-                    .or_insert_with(|| view.snapshot_owned(watermark));
-            }
-        };
-        match edges {
-            Some(edges) => edges.iter().for_each(&mut add),
-            None => self.views.keys().for_each(add),
-        }
-        frozen
-    }
-
-    /// [`freeze_at`](EdgeViewStore::freeze_at) specialised to "now": freezes
-    /// exactly the given edges' views at their **current** versions, without
-    /// materialising a store-wide [`ViewsVersion`] first. This is the staged
-    /// engines' per-batch hot path — the post-routing state of the affected
-    /// views *is* the watermark the deferred answer must read, and a batch
-    /// typically touches a handful of views out of the whole store.
-    pub fn freeze_edges(&self, edges: &[GenericEdge]) -> FrozenViews {
-        let mut frozen = FrozenViews {
-            views: FxHashMap::default(),
-        };
-        for edge in edges {
-            if let Some(view) = self.views.get(edge) {
-                frozen
-                    .views
-                    .entry(*edge)
-                    .or_insert_with(|| view.snapshot_owned(view.version()));
-            }
-        }
-        frozen
-    }
-}
-
-/// A read abstraction over a set of per-edge materialized views: the live
-/// [`EdgeViewStore`] or an owned [`FrozenViews`] snapshot. The shared path
-/// join kernels ([`full_path_relation`], [`delta_path_relation`]) are
-/// generic over this, so an engine's deferred answer pass runs the exact
-/// same code against frozen views on another thread that its eager pass
-/// runs against the live store.
-pub trait ViewSource {
-    /// The view of `edge`, if visible in this source.
-    fn view(&self, edge: &GenericEdge) -> Option<&Relation>;
-}
-
-impl ViewSource for EdgeViewStore {
-    fn view(&self, edge: &GenericEdge) -> Option<&Relation> {
-        self.get(edge)
-    }
-}
-
-/// An owned, `Send + Sync` snapshot of an [`EdgeViewStore`] frozen at a
-/// [`ViewsVersion`] — see [`EdgeViewStore::freeze_at`]. Each contained view
-/// is an index-free snapshot relation sharing the store's frozen storage
-/// chunks.
-#[derive(Debug, Default)]
-pub struct FrozenViews {
-    views: FxHashMap<GenericEdge, Relation>,
-}
-
-impl FrozenViews {
-    /// The frozen view of `edge`, if it was registered (and requested) at
-    /// capture time.
-    pub fn get(&self, edge: &GenericEdge) -> Option<&Relation> {
-        self.views.get(edge)
-    }
-
-    /// Number of frozen views.
-    pub fn len(&self) -> usize {
-        self.views.len()
-    }
-
-    /// True if no view was frozen.
-    pub fn is_empty(&self) -> bool {
-        self.views.is_empty()
-    }
-}
-
-impl ViewSource for FrozenViews {
-    fn view(&self, edge: &GenericEdge) -> Option<&Relation> {
-        self.views.get(edge)
-    }
-}
-
-/// A row-count watermark for every view of an [`EdgeViewStore`] at one
-/// instant — see [`EdgeViewStore::version`].
-#[derive(Debug, Clone, Default)]
-pub struct ViewsVersion {
-    versions: FxHashMap<GenericEdge, usize>,
-}
-
-impl ViewsVersion {
-    /// The captured watermark of `edge`'s view (0 if the view did not exist
-    /// at capture time).
-    pub fn of(&self, edge: &GenericEdge) -> usize {
-        self.versions.get(edge).copied().unwrap_or(0)
-    }
-}
-
-/// A read view of an [`EdgeViewStore`] frozen at a [`ViewsVersion`] — see
-/// [`EdgeViewStore::snapshot_at`].
-#[derive(Debug, Clone, Copy)]
-pub struct ViewsSnapshot<'a> {
-    store: &'a EdgeViewStore,
-    version: &'a ViewsVersion,
-}
-
-impl<'a> ViewsSnapshot<'a> {
-    /// The frozen prefix of `edge`'s view, if the view existed at capture
-    /// time (views registered after the capture are invisible).
-    pub fn get(&self, edge: &GenericEdge) -> Option<crate::relation::RelationSnapshot<'a>> {
-        let watermark = *self.version.versions.get(edge)?;
-        Some(self.store.get(edge)?.snapshot_at(watermark))
-    }
-}
-
-/// The rows one view gained since a [`ViewsVersion`] capture — see
-/// [`EdgeViewStore::delta_since`].
-#[derive(Debug, Clone, Copy)]
-pub struct ViewDelta<'a> {
-    /// The generic edge whose view grew.
-    pub edge: &'a GenericEdge,
-    /// The grown view.
-    pub view: &'a Relation,
-    /// Watermark the delta starts at: `view` rows `from..` are the delta.
-    pub from: usize,
-}
-
-impl<'a> ViewDelta<'a> {
-    /// Iterates over the delta rows.
-    pub fn rows(&self) -> impl Iterator<Item = &'a [Sym]> {
-        self.view.delta_since(self.from)
-    }
 }
 
 impl HeapSize for EdgeViewStore {
@@ -395,13 +185,12 @@ impl HeapSize for EdgeViewStore {
 /// Extends every row of `rel` (last column = frontier vertex) to the right
 /// with the matching tuples of `view` (joined on the view's source column).
 /// `cache` selects between the persistent join-structure cache of the `+`
-/// engine variants (live or a frozen stage-time publication) and a
-/// throw-away build; `buf` is caller-provided row scratch so repeated
-/// extensions share one allocation.
+/// engine variants and a throw-away build; `buf` is caller-provided row
+/// scratch so repeated extensions share one allocation.
 fn extend_path_right(
     rel: &Relation,
     view: &Relation,
-    cache: BuildCache<'_>,
+    cache: Option<&mut JoinCache>,
     buf: &mut Vec<Sym>,
 ) -> Relation {
     let out_arity = rel.arity() + 1;
@@ -416,15 +205,8 @@ fn extend_path_right(
     buf.resize(out_arity, Sym(0));
     let build_storage;
     let build = match cache {
-        BuildCache::Live(cache) => cache.get_or_build(view, &[0]),
-        BuildCache::Frozen(frozen) => match frozen.get(view, &[0]) {
-            Some(build) => build,
-            None => {
-                build_storage = JoinBuild::build(view, &[0]);
-                &build_storage
-            }
-        },
-        BuildCache::None => {
+        Some(cache) => cache.get_or_build(view, &[0]),
+        None => {
             build_storage = JoinBuild::build(view, &[0]);
             &build_storage
         }
@@ -444,7 +226,7 @@ fn extend_path_right(
 fn extend_path_left(
     rel: &Relation,
     view: &Relation,
-    cache: BuildCache<'_>,
+    cache: Option<&mut JoinCache>,
     buf: &mut Vec<Sym>,
 ) -> Relation {
     let out_arity = rel.arity() + 1;
@@ -456,15 +238,8 @@ fn extend_path_left(
     buf.resize(out_arity, Sym(0));
     let build_storage;
     let build = match cache {
-        BuildCache::Live(cache) => cache.get_or_build(view, &[1]),
-        BuildCache::Frozen(frozen) => match frozen.get(view, &[1]) {
-            Some(build) => build,
-            None => {
-                build_storage = JoinBuild::build(view, &[1]);
-                &build_storage
-            }
-        },
-        BuildCache::None => {
+        Some(cache) => cache.get_or_build(view, &[1]),
+        None => {
             build_storage = JoinBuild::build(view, &[1]);
             &build_storage
         }
@@ -483,17 +258,15 @@ fn extend_path_left(
 /// joined left-to-right from the per-edge views of `views`. Returns an empty
 /// relation of arity `edges.len() + 1` as soon as any view is missing or any
 /// intermediate result is empty. Shared by the INV/INC baselines and the
-/// spanning-path machinery of [`crate::shard::ShardedEngine`]; generic over
-/// [`ViewSource`] so deferred answer passes can run it against
-/// [`FrozenViews`] on another thread.
+/// spanning-path machinery of [`crate::shard::ShardedEngine`].
 pub fn full_path_relation(
-    views: &impl ViewSource,
+    views: &EdgeViewStore,
     edges: &[GenericEdge],
-    mut cache: BuildCache<'_>,
+    mut cache: Option<&mut JoinCache>,
     buf: &mut Vec<Sym>,
 ) -> Relation {
     let empty = || Relation::new(edges.len() + 1);
-    let Some(first) = views.view(&edges[0]) else {
+    let Some(first) = views.get(&edges[0]) else {
         return empty();
     };
     if first.is_empty() {
@@ -501,10 +274,10 @@ pub fn full_path_relation(
     }
     let mut rel = first.clone();
     for e in &edges[1..] {
-        let Some(view) = views.view(e) else {
+        let Some(view) = views.get(e) else {
             return empty();
         };
-        rel = extend_path_right(&rel, view, cache.reborrow(), buf);
+        rel = extend_path_right(&rel, view, cache.as_deref_mut(), buf);
         if rel.is_empty() {
             return empty();
         }
@@ -527,10 +300,10 @@ pub fn full_path_relation(
 /// symmetric). Engines exploit this by answering retraction batches before
 /// committing them with [`EdgeViewStore::retract_deltas`].
 pub fn delta_path_relation(
-    views: &impl ViewSource,
+    views: &EdgeViewStore,
     edges: &[GenericEdge],
     edge_deltas: &FxHashMap<GenericEdge, Relation>,
-    mut cache: BuildCache<'_>,
+    mut cache: Option<&mut JoinCache>,
     buf: &mut Vec<Sym>,
 ) -> Relation {
     let len = edges.len();
@@ -542,8 +315,8 @@ pub fn delta_path_relation(
         let mut rel = seed.clone();
         let mut ok = true;
         for e in &edges[pos + 1..] {
-            match views.view(e) {
-                Some(view) => rel = extend_path_right(&rel, view, cache.reborrow(), buf),
+            match views.get(e) {
+                Some(view) => rel = extend_path_right(&rel, view, cache.as_deref_mut(), buf),
                 None => {
                     ok = false;
                     break;
@@ -558,8 +331,8 @@ pub fn delta_path_relation(
             continue;
         }
         for e in edges[..pos].iter().rev() {
-            match views.view(e) {
-                Some(view) => rel = extend_path_left(&rel, view, cache.reborrow(), buf),
+            match views.get(e) {
+                Some(view) => rel = extend_path_left(&rel, view, cache.as_deref_mut(), buf),
                 None => {
                     ok = false;
                     break;
@@ -684,90 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn store_snapshot_isolation_freezes_every_view() {
-        let mut store = EdgeViewStore::new();
-        let var_var = ge(0, Term::Var(0), Term::Var(1));
-        let other = ge(1, Term::Var(0), Term::Var(1));
-        store.register(var_var);
-        store.register(other);
-        store.apply_update(&Update::new(Sym(0), Sym(1), Sym(2)));
-
-        let v = store.version();
-        assert_eq!(v.of(&var_var), 1);
-        assert_eq!(v.of(&other), 0);
-
-        // Writer keeps routing behind the watermark — including into a view
-        // registered only after the capture.
-        let late = ge(2, Term::Var(0), Term::Var(1));
-        store.register(late);
-        store.apply_batch(&[
-            Update::new(Sym(0), Sym(3), Sym(4)),
-            Update::new(Sym(1), Sym(5), Sym(6)),
-            Update::new(Sym(2), Sym(7), Sym(8)),
-        ]);
-
-        let snap = store.snapshot_at(&v);
-        let frozen = snap.get(&var_var).expect("registered at capture");
-        assert_eq!(frozen.len(), 1, "reader at v sees only pre-v rows");
-        assert_eq!(frozen.row(0), &[Sym(1), Sym(2)]);
-        assert!(snap.get(&other).expect("registered, empty").is_empty());
-        assert!(
-            snap.get(&late).is_none(),
-            "view registered after the capture is invisible"
-        );
-
-        // The delta is exactly what was routed after the capture.
-        let mut deltas: Vec<(GenericEdge, Vec<Vec<Sym>>)> = store
-            .delta_since(&v)
-            .map(|d| (*d.edge, d.rows().map(|r| r.to_vec()).collect()))
-            .collect();
-        deltas.sort_by_key(|(e, _)| e.label);
-        assert_eq!(deltas.len(), 3);
-        assert_eq!(deltas[0].1, vec![vec![Sym(3), Sym(4)]]);
-        assert_eq!(deltas[1].1, vec![vec![Sym(5), Sym(6)]]);
-        assert_eq!(deltas[2].1, vec![vec![Sym(7), Sym(8)]]);
-    }
-
-    #[test]
-    fn frozen_views_are_owned_stable_snapshots() {
-        let mut store = EdgeViewStore::new();
-        let var_var = ge(0, Term::Var(0), Term::Var(1));
-        let other = ge(1, Term::Var(0), Term::Var(1));
-        store.register(var_var);
-        store.register(other);
-        store.apply_update(&Update::new(Sym(0), Sym(1), Sym(2)));
-
-        // freeze_at an older watermark vs freeze_edges "now".
-        let v = store.version();
-        store.apply_update(&Update::new(Sym(0), Sym(3), Sym(4)));
-        let at_v = store.freeze_at(&v, Some(&[var_var]));
-        let now = store.freeze_edges(&[var_var]);
-        assert_eq!(at_v.len(), 1);
-        assert!(at_v.get(&other).is_none(), "not requested");
-        assert_eq!(at_v.get(&var_var).unwrap().len(), 1, "frozen at v");
-        assert_eq!(now.get(&var_var).unwrap().len(), 2, "frozen at now");
-        // ViewSource resolution matches direct access.
-        assert_eq!(now.view(&var_var).unwrap().len(), 2);
-
-        // The writer keeps routing; both snapshots are unmoved, and they
-        // can cross threads (Send) while it happens.
-        store.apply_update(&Update::new(Sym(0), Sym(5), Sym(6)));
-        let handle = std::thread::spawn(move || (at_v, now));
-        store.apply_update(&Update::new(Sym(0), Sym(7), Sym(8)));
-        let (at_v, now) = handle.join().expect("snapshots are Send");
-        assert_eq!(at_v.get(&var_var).unwrap().len(), 1);
-        assert_eq!(now.get(&var_var).unwrap().len(), 2);
-        assert_eq!(store.get(&var_var).unwrap().len(), 4);
-
-        // Unregistered edges are simply absent; freezing none is empty.
-        assert!(store
-            .freeze_edges(&[ge(9, Term::Var(0), Term::Var(1))])
-            .is_empty());
-        let all = store.freeze_at(&store.version(), None);
-        assert_eq!(all.len(), 2);
-    }
-
-    #[test]
     fn remove_deltas_collects_present_rows_then_commits() {
         let mut store = EdgeViewStore::new();
         let var_var = ge(0, Term::Var(0), Term::Var(1));
@@ -824,17 +513,14 @@ mod tests {
         ]);
         let edges = [a, b];
         let mut buf = Vec::new();
-        let full_before =
-            full_path_relation(&store, &edges, BuildCache::None, &mut buf).to_sorted_vec();
+        let full_before = full_path_relation(&store, &edges, None, &mut buf).to_sorted_vec();
 
         let batch = vec![Update::retraction(Sym(1), Sym(2), Sym(3))];
         let removed = store.remove_deltas(&batch);
-        let deletion_delta =
-            delta_path_relation(&store, &edges, &removed, BuildCache::None, &mut buf);
+        let deletion_delta = delta_path_relation(&store, &edges, &removed, None, &mut buf);
 
         store.retract_deltas(&removed);
-        let full_after =
-            full_path_relation(&store, &edges, BuildCache::None, &mut buf).to_sorted_vec();
+        let full_after = full_path_relation(&store, &edges, None, &mut buf).to_sorted_vec();
 
         let mut expected: Vec<Vec<Sym>> = full_before
             .iter()

@@ -154,7 +154,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The chunked-storage snapshot contract under a concurrent writer:
-    /// whatever interleaving of appends, snapshots and `delta_since` reads
+    /// whatever interleaving of appends, snapshots and `iter_from` reads
     /// happens, a snapshot taken at watermark `v` is bitwise stable while
     /// the writer — moved to a second thread — keeps appending (including
     /// across chunk-freeze boundaries), and prefix + delta always
@@ -197,8 +197,8 @@ proptest! {
         // The snapshot is exactly the first v rows of the final relation…
         let prefix: Vec<Vec<Sym>> = rel.iter().take(v).map(|r| r.to_vec()).collect();
         prop_assert_eq!(&after, &prefix);
-        // …and delta_since(v) is exactly the rest.
-        let delta: Vec<Vec<Sym>> = rel.delta_since(v).map(|r| r.to_vec()).collect();
+        // …and iter_from(v) is exactly the rest.
+        let delta: Vec<Vec<Sym>> = rel.iter_from(v).map(|r| r.to_vec()).collect();
         prop_assert_eq!(delta.len(), rel.len() - v);
         let mut reassembled = after.clone();
         reassembled.extend(delta);

@@ -4,6 +4,7 @@
 //! splitter on mixed insert+retraction flushes.
 
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Receiver};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -14,7 +15,7 @@ use gsm_core::engine::{
 use gsm_core::error::Result;
 use gsm_core::interner::Sym;
 use gsm_core::model::update::{sign_runs, Update};
-use gsm_core::pipeline::{CompletedBatch, PipelineConfig, PipelinedEngine, ReorderBuffer};
+use gsm_core::pipeline::{PipelineConfig, PipelinedEngine, ReorderBuffer};
 use gsm_core::query::pattern::QueryPattern;
 
 fn u(label: u32, src: u32, tgt: u32) -> Update {
@@ -171,6 +172,10 @@ struct ZSetToy {
     stats: EngineStats,
     delays_us: Vec<u64>,
     seq: u64,
+    /// When set, the first detached answer waits for a message on this gate
+    /// before completing (completion is FIFO, so everything staged behind
+    /// it stays in flight too).
+    gate: Option<Receiver<()>>,
 }
 
 struct ZSetToken {
@@ -186,6 +191,7 @@ impl ZSetToy {
             stats: EngineStats::default(),
             delays_us,
             seq: 0,
+            gate: None,
         }
     }
 
@@ -279,7 +285,11 @@ impl ContinuousEngine for ZSetToy {
         match staged.into_deferred::<ZSetToken>() {
             Ok(t) => {
                 let delay = self.delays_us[t.seq as usize % self.delays_us.len()];
+                let gate = self.gate.take();
                 DetachedAnswer::task(move || {
+                    if let Some(gate) = gate {
+                        gate.recv().expect("the test opens the gate");
+                    }
                     if delay > 0 {
                         std::thread::sleep(Duration::from_micros(delay));
                     }
@@ -310,19 +320,17 @@ proptest! {
     // keep the case count moderate.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// For any window depth, worker count, flush size and per-batch answer
-    /// delays, the threaded pipeline completes batches strictly in arrival
-    /// order and reproduces the stream's update count exactly.
+    /// For any worker count (the in-flight window), flush size and per-batch
+    /// answer delays, the threaded pipeline completes batches strictly in
+    /// arrival order and reproduces the stream's update count exactly.
     #[test]
     fn threaded_pipeline_completes_in_arrival_order(
-        depth in 0usize..4,
         workers in 1usize..5,
         max_batch in 1usize..5,
         num_updates in 1usize..25,
         delays_us in proptest::collection::vec(0u64..400, 1..8),
     ) {
         let config = PipelineConfig::new(max_batch, Duration::from_secs(60))
-            .with_depth(depth)
             .threaded()
             .with_answer_workers(workers);
         let mut pipe = PipelinedEngine::new(DelayedDetachToy::new(delays_us, None), config);
@@ -395,14 +403,11 @@ proptest! {
     /// separately-staged sign-pure runs: completed batches arrive in FIFO
     /// stage order, tile the stream at sign-run granularity, and report
     /// exactly what a sequential stage-and-answer of the same runs reports.
-    /// The eager-barrier configuration over the same stream reproduces the
-    /// same embedding/retraction totals.
     #[test]
     fn mixed_sign_flushes_split_into_fifo_sign_runs(
         ops in proptest::collection::vec((any::<bool>(), 0u32..5), 1..40),
         max_batch in 1usize..6,
         workers in 1usize..5,
-        depth in 0usize..4,
         delays_us in proptest::collection::vec(0u64..300, 1..6),
     ) {
         // A tiny edge universe, so retractions genuinely hit live edges.
@@ -433,10 +438,9 @@ proptest! {
             .collect();
 
         let config = PipelineConfig::new(max_batch, Duration::from_secs(60))
-            .with_depth(depth)
             .threaded()
             .with_answer_workers(workers);
-        let mut pipe = PipelinedEngine::new(ZSetToy::new(delays_us.clone()), config);
+        let mut pipe = PipelinedEngine::new(ZSetToy::new(delays_us), config);
         let now = Instant::now();
         let mut completed = Vec::new();
         for &update in &stream {
@@ -455,30 +459,6 @@ proptest! {
             );
         }
         prop_assert_eq!(pipe.stats().updates_processed, stream.len() as u64);
-
-        // Eager-barrier A/B over the same stream and flush boundaries:
-        // different batch granularity (a flush with a retraction drains the
-        // window and applies whole), identical totals.
-        let eager_config = PipelineConfig::new(max_batch, Duration::from_secs(60))
-            .with_depth(depth)
-            .threaded()
-            .with_answer_workers(workers)
-            .with_eager_retractions();
-        let mut eager = PipelinedEngine::new(ZSetToy::new(delays_us), eager_config);
-        let mut eager_completed = Vec::new();
-        for &update in &stream {
-            eager_completed.extend(eager.push_at(update, now));
-        }
-        eager_completed.extend(eager.drain());
-        let totals = |batches: &[CompletedBatch]| {
-            batches.iter().fold((0u64, 0u64), |(n, g), b| {
-                (
-                    n + b.report.total_embeddings(),
-                    g + b.report.total_retracted(),
-                )
-            })
-        };
-        prop_assert_eq!(totals(&completed), totals(&eager_completed));
     }
 }
 
@@ -498,11 +478,17 @@ proptest! {
 /// accounting pinned here.
 #[test]
 fn checkpoint_barrier_contract_in_flight_accounting() {
-    // Depth 3 and a frozen clock: pushes buffer until max_batch is hit,
-    // then stage without answering (inline mode answers lazily as the
-    // window overflows), so in_flight is directly observable.
-    let config = PipelineConfig::new(2, Duration::from_secs(60)).with_depth(3);
-    let mut pipe = PipelinedEngine::new(ZSetToy::new(vec![0]), config);
+    // Three answer workers, a frozen clock and a gate holding the first
+    // answer: pushes buffer until max_batch is hit, then stage and detach,
+    // and nothing completes until the gate opens (completion is FIFO), so
+    // in_flight is directly observable.
+    let (gate, rx) = channel();
+    let mut toy = ZSetToy::new(vec![0]);
+    toy.gate = Some(rx);
+    let config = PipelineConfig::new(2, Duration::from_secs(60))
+        .threaded()
+        .with_answer_workers(3);
+    let mut pipe = PipelinedEngine::new(toy, config);
     let now = Instant::now();
 
     assert_eq!(pipe.in_flight(), 0);
@@ -510,17 +496,19 @@ fn checkpoint_barrier_contract_in_flight_accounting() {
     assert_eq!(pipe.in_flight(), 0, "buffered updates are not staged");
     assert_eq!(pipe.buffered(), 1);
 
-    // Second push flushes a full batch: staged, answer deferred.
+    // Second push flushes a full batch: staged, answer in flight.
     pipe.push_at(u(0, 2, 3), now);
     assert_eq!(pipe.in_flight(), 1, "a flushed batch stages one token");
     assert_eq!(pipe.buffered(), 0);
 
     pipe.push_at(u(0, 3, 4), now);
     pipe.push_at(u(0, 4, 5), now);
-    assert_eq!(pipe.in_flight(), 2, "depth 3 window holds both tokens");
+    assert_eq!(pipe.in_flight(), 2, "the window holds both tokens");
 
     // The barrier: after drain, nothing is staged or buffered, and the
     // wrapped engine is quiescent — the state a checkpoint may capture.
+    gate.send(())
+        .expect("the first answer is waiting on the gate");
     let completed = pipe.drain();
     assert_eq!(pipe.in_flight(), 0, "drain leaves no tokens outstanding");
     assert_eq!(pipe.buffered(), 0);

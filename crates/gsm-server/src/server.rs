@@ -11,8 +11,9 @@
 //!   admitted socket a reader job and a writer job on the shared pool
 //!   (sized `2 × max_conns + 2`, so every live connection always has
 //!   both of its jobs running);
-//! - **reader jobs** block on `read_line`, decode one request per line
-//!   and forward it to the engine thread over an mpsc channel;
+//! - **reader jobs** block on the socket, decode one request per line
+//!   (at most `MAX_LINE_BYTES` long) and forward it to the engine thread
+//!   over an mpsc channel;
 //! - **writer jobs** drain a *bounded* per-connection outbound queue to
 //!   the socket — the engine thread enqueues with `try_send`, and a full
 //!   queue marks the consumer as too slow (see below);
@@ -42,7 +43,7 @@
 //! that activated it.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
@@ -57,6 +58,12 @@ use gsm_core::{
 
 use crate::json::{num, Json};
 use crate::protocol::{notify, reply_err, reply_ok, EdgeOp, Request};
+
+/// Longest request line the server accepts, newline excluded. A client that
+/// sends more without a newline gets one `error` frame and is disconnected,
+/// so a newline-free stream cannot grow the reader's buffer without bound.
+/// (A 64-edge push is a few KiB; the benches' largest frames are ~50 KiB.)
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -250,24 +257,36 @@ fn accept_loop(
 }
 
 /// Reads `\n`-framed requests until EOF/error, forwarding each to the
-/// engine thread. Always announces the disconnect on the way out.
+/// engine thread. A line longer than [`MAX_LINE_BYTES`] is answered with
+/// one `error` frame and ends the connection. Always announces the
+/// disconnect on the way out.
 fn reader_job(stream: TcpStream, conn: u64, cmd_tx: &Sender<Command>) {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        // One byte past the cap tells an over-long line from one that ends
+        // exactly at it.
+        let mut bounded = reader.by_ref().take(MAX_LINE_BYTES as u64 + 1);
+        match bounded.read_until(b'\n', &mut line) {
             Ok(0) | Err(_) => break,
-            Ok(_) => {
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    continue;
-                }
-                let req = Request::decode(trimmed);
-                if cmd_tx.send(Command::Request { conn, req }).is_err() {
-                    break;
-                }
+            Ok(_) => {}
+        }
+        let over_long = line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n');
+        let req = if over_long {
+            Err(format!("request line exceeds {MAX_LINE_BYTES} bytes"))
+        } else {
+            let Ok(text) = std::str::from_utf8(&line) else {
+                break;
+            };
+            let trimmed = text.trim();
+            if trimmed.is_empty() {
+                continue;
             }
+            Request::decode(trimmed)
+        };
+        if cmd_tx.send(Command::Request { conn, req }).is_err() || over_long {
+            break;
         }
     }
     let _ = cmd_tx.send(Command::Disconnect { conn });

@@ -208,3 +208,71 @@ fn sharded_engine_behind_the_server_matches_too() {
     client.flush().unwrap();
     assert_eq!(client.notification_totals().get(&id), Some(&(1, 0)));
 }
+
+#[test]
+fn a_push_that_fills_the_batch_is_notified_before_its_reply() {
+    // Deadline and idle tick far away: only the push itself can complete
+    // the batch, and its notification must precede the push reply.
+    let config = ServerConfig {
+        pipeline: PipelineConfig::new(2, Duration::from_secs(60)),
+        idle_poll: Duration::from_secs(60),
+        ..quick_config()
+    };
+    let server = start(config);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let (id, _) = client.register("?u -likes-> ?p").unwrap();
+    client.flush().unwrap();
+
+    client
+        .push(&[(false, "likes", "u1", "p1"), (false, "likes", "u2", "p1")])
+        .unwrap();
+    // No flush, no later push: whatever was buffered while waiting for the
+    // push reply is all there is.
+    let got: Vec<_> = client
+        .take_notifications()
+        .iter()
+        .map(|n| (n.id, n.new, n.retracted))
+        .collect();
+    assert_eq!(got, vec![(id, 2, 0)]);
+}
+
+#[test]
+fn an_over_long_request_line_gets_one_error_frame_and_a_disconnect() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let server = start(quick_config());
+    let mut hostile = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    // A server that never answers fails the test instead of hanging it.
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    hostile
+        .set_write_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut frames = BufReader::new(hostile.try_clone().unwrap());
+    let mut hello = String::new();
+    frames.read_line(&mut hello).unwrap();
+    assert!(hello.contains("hello"), "got {hello}");
+
+    // Twice the cap (1 MiB) without a newline. The server stops reading at
+    // the cap and closes, so the tail of the write may fail.
+    let _ = hostile.write_all(&vec![b'a'; 2 << 20]);
+
+    let mut frame = String::new();
+    frames.read_line(&mut frame).unwrap();
+    assert!(
+        frame.contains(r#""reply":"error""#) && frame.contains("exceeds"),
+        "got {frame}"
+    );
+    frame.clear();
+    assert!(
+        matches!(frames.read_line(&mut frame), Ok(0) | Err(_)),
+        "connection must be closed, got {frame}"
+    );
+
+    // Everyone else is still served.
+    Client::connect(server.local_addr())
+        .unwrap()
+        .ping()
+        .unwrap();
+}

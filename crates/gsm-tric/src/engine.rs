@@ -12,7 +12,7 @@ use gsm_core::model::generic::GenericEdge;
 use gsm_core::model::update::{sign_runs, Update};
 use gsm_core::query::paths::covering_paths;
 use gsm_core::query::pattern::{QVertexId, QueryPattern};
-use gsm_core::relation::cache::{BuildCache, JoinCache};
+use gsm_core::relation::cache::JoinCache;
 use gsm_core::relation::eval::{join_paths, PathBinding};
 use gsm_core::relation::fasthash::{FxHashMap, FxHashSet};
 use gsm_core::relation::join::JoinBuild;
@@ -955,7 +955,7 @@ impl TricEngine {
                 &self.views,
                 &prefix,
                 &removed,
-                BuildCache::from(caching.then_some(&mut self.cache)),
+                caching.then_some(&mut self.cache),
                 &mut self.scratch.row_buf,
             );
             if !d.is_empty() {

@@ -308,10 +308,10 @@ impl<E: ContinuousEngine> ContinuousEngine for SlowFirstAnswer<E> {
 #[test]
 fn completed_batches_stay_fifo_under_a_slow_answer_stage() {
     // Batch #0's answer sleeps 40 ms while batches #1.. are staged (and
-    // their answers queued) behind it; a deep window keeps them all in
-    // flight. With one worker the queue drains FIFO by construction; with
-    // two or four workers the later batches genuinely *finish* 40 ms before
-    // batch #0 and park in the reorder buffer. Either way completion must
+    // their answers queued) behind it, as far as the window of
+    // `answer_workers` allows. With one worker the queue drains FIFO by
+    // construction; with two or four workers the later batches genuinely
+    // *finish* 40 ms before batch #0 and park in the reorder buffer. Either way completion must
     // be arrival-ordered and the reports must tile the stream exactly like
     // an untimed run.
     let mut symbols = SymbolTable::new();
@@ -334,7 +334,6 @@ fn completed_batches_stay_fifo_under_a_slow_answer_stage() {
 
     for workers in [1usize, 2, 4] {
         let config = PipelineConfig::new(3, Duration::from_secs(60))
-            .with_depth(8)
             .threaded()
             .with_answer_workers(workers);
         let mut pipe = PipelinedEngine::new(
@@ -500,10 +499,8 @@ fn worker_pool_soak_randomized_streams_stay_equivalent() {
         let flush = rng.gen_range(1..64);
         let delay_ticks = rng.gen_range(1..8u64);
         let tick_ms = rng.gen_range(0..3u64);
-        let depth = rng.gen_range(0..4);
         let workers = rng.gen_range(1..5);
         let config = PipelineConfig::new(flush, Duration::from_millis(delay_ticks))
-            .with_depth(depth)
             .threaded()
             .with_answer_workers(workers);
         let engine = YieldInjector::new(
@@ -537,8 +534,8 @@ fn worker_pool_soak_randomized_streams_stay_equivalent() {
             );
             assert_eq!(
                 batch.report, expected,
-                "soak iteration {iteration} (flush {flush}, delay {delay_ticks}, depth {depth}, \
-                 {shards} shards, {workers} answer workers) diverged at updates {offset}.."
+                "soak iteration {iteration} (flush {flush}, delay {delay_ticks}, {shards} shards, \
+                 {workers} answer workers) diverged at updates {offset}.."
             );
             offset += batch.updates;
         }

@@ -190,7 +190,6 @@ mod worker {
             }
         } else {
             let cfg = PipelineConfig::new(BATCH, Duration::from_secs(60))
-                .with_depth(2)
                 .threaded()
                 .with_answer_workers(answer_workers);
             let mut pipe = PipelinedEngine::new(engine, cfg);

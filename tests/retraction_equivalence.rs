@@ -12,8 +12,7 @@
 //! streams across genuinely partitioned deployments, and the pipelined
 //! matrix covers **staged** retraction runs — commit at stage time, answer
 //! deferred over generation-pinned pre-removal snapshots — across shard and
-//! answer-worker counts, with an eager-barrier A/B leg riding the
-//! [`PipelineConfig::with_eager_retractions`] flag.
+//! answer-worker counts.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -442,8 +441,7 @@ fn windowed_pipeline_over_sharded_engine_matches_live_edge_replay() {
 /// The tentpole acceptance matrix: deletion-heavy and windowed mixed
 /// streams pushed through the pipeline with flush size > 1 — so mixed
 /// flushes genuinely split into separately-staged sign runs — across
-/// sharded × inline/threaded × answer-worker configurations, plus an
-/// eager-barrier A/B leg ([`PipelineConfig::with_eager_retractions`]).
+/// sharded × inline/threaded × answer-worker configurations.
 /// Completed batches must tile the stream exactly and the net per-query
 /// totals must equal the from-scratch oracle over the surviving edges.
 #[test]
@@ -464,49 +462,42 @@ fn staged_retractions_match_oracle_across_worker_matrix() {
         let oracle = oracle_net(&workload.queries, workload.stream.as_slice());
         for shards in [1usize, 3] {
             for workers in [0usize, 1, 2, 4] {
-                for eager in [false, true] {
-                    let mut config = PipelineConfig::new(8, Duration::from_secs(3600));
-                    if workers > 0 {
-                        config = config.threaded().with_answer_workers(workers);
-                    }
-                    if eager {
-                        config = config.with_eager_retractions();
-                    }
-                    let inner: Box<dyn ContinuousEngine> =
-                        Box::new(ShardedEngine::new(shards, || {
-                            Box::new(graph_stream_matching::tric::TricEngine::tric_plus())
-                        }));
-                    let mut pipe = PipelinedEngine::new(inner, config);
-                    for q in &workload.queries {
-                        pipe.register_query(q).expect("register");
-                    }
-                    let t0 = Instant::now();
-                    let mut net = HashMap::new();
-                    let mut applied = 0usize;
-                    for u in workload.stream.iter() {
-                        for batch in pipe.push_at(*u, t0) {
-                            applied += batch.updates;
-                            accumulate_net(&mut net, &batch.report);
-                        }
-                    }
-                    for batch in pipe.drain() {
+                let mut config = PipelineConfig::new(8, Duration::from_secs(3600));
+                if workers > 0 {
+                    config = config.threaded().with_answer_workers(workers);
+                }
+                let inner: Box<dyn ContinuousEngine> = Box::new(ShardedEngine::new(shards, || {
+                    Box::new(graph_stream_matching::tric::TricEngine::tric_plus())
+                }));
+                let mut pipe = PipelinedEngine::new(inner, config);
+                for q in &workload.queries {
+                    pipe.register_query(q).expect("register");
+                }
+                let t0 = Instant::now();
+                let mut net = HashMap::new();
+                let mut applied = 0usize;
+                for u in workload.stream.iter() {
+                    for batch in pipe.push_at(*u, t0) {
                         applied += batch.updates;
                         accumulate_net(&mut net, &batch.report);
                     }
-                    assert_eq!(
-                        applied,
-                        workload.stream.len(),
-                        "completed batches do not tile {} ({shards} shards, \
-                         {workers} workers, eager {eager})",
-                        workload.name
-                    );
-                    assert_eq!(
-                        net, oracle,
-                        "{} diverged from oracle ({shards} shards, {workers} \
-                         workers, eager {eager})",
-                        workload.name
-                    );
                 }
+                for batch in pipe.drain() {
+                    applied += batch.updates;
+                    accumulate_net(&mut net, &batch.report);
+                }
+                assert_eq!(
+                    applied,
+                    workload.stream.len(),
+                    "completed batches do not tile {} ({shards} shards, \
+                     {workers} workers)",
+                    workload.name
+                );
+                assert_eq!(
+                    net, oracle,
+                    "{} diverged from oracle ({shards} shards, {workers} workers)",
+                    workload.name
+                );
             }
         }
     }
