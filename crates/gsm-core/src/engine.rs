@@ -182,17 +182,19 @@ impl MatchReport {
 }
 
 /// The token handed from [`ContinuousEngine::stage_batch`] to
-/// [`ContinuousEngine::answer_staged`]: a batch whose routing/propagation
+/// [`ContinuousEngine::answer_staged`] (or
+/// [`ContinuousEngine::detach_staged`]): a batch whose routing/propagation
 /// phase has run but whose final covering-path join (answering) phase may
 /// still be pending.
 ///
 /// Engines that do not split their phases produce **immediate** tokens (the
 /// report was already computed at stage time); engines that do split —
 /// TRIC/TRIC+ and the sharded wrapper — produce **deferred** tokens carrying
-/// the engine-specific data the answer phase needs (per-path delta relations
-/// plus the version watermarks of the views to join against). The token is
-/// deliberately type-erased (`Box<dyn Any>`) so the trait stays
-/// object-safe; an engine only ever downcasts tokens it produced itself.
+/// the engine-specific data the answer phase needs (the per-path delta
+/// relations of the batch, plus pre-removal view snapshots when the batch
+/// retracts). The token is deliberately type-erased (`Box<dyn Any>`) so the
+/// trait stays object-safe; an engine only ever downcasts tokens it
+/// produced itself.
 #[derive(Debug)]
 pub struct StagedBatch(StagedRepr);
 
@@ -265,11 +267,11 @@ impl StagedBatch {
 /// Detached answers come in two flavours. A *ready* answer carries a report
 /// that was already computed (eager engines, empty batches); a *task* answer
 /// carries a `Send` closure that owns everything the covering-path join pass
-/// needs — batch deltas plus frozen snapshots of the views at the staged
-/// watermarks ([`crate::relation::Relation::snapshot_owned`]) — so running
-/// it never touches the engine. This is what lets the pipelined executor's
-/// dedicated answer thread work on batch *N* while the engine, on the caller
-/// thread, is already staging batch *N + 1*.
+/// needs — batch deltas plus owned snapshots of the views it reads
+/// ([`crate::relation::Relation::snapshot_owned`]) — so running it never
+/// touches the engine. This is what lets the pipelined executor's answer
+/// workers join batch *N* while the engine, on the caller thread, is
+/// already staging batch *N + 1*.
 pub struct DetachedAnswer(DetachedRepr);
 
 enum DetachedRepr {
@@ -467,62 +469,59 @@ pub trait ContinuousEngine {
         report
     }
 
-    /// Phase 1 of split batch answering: routing, delta propagation and view
-    /// appends for `updates`, with the final covering-path join (the answer
-    /// phase) deferred into the returned token.
+    /// Phase 1 of split batch answering: routing, delta propagation and the
+    /// view commit for `updates`, with the final covering-path join (the
+    /// answer phase) deferred into the returned token.
     ///
     /// # Staging contract
     ///
-    /// Together with [`answer_staged`](Self::answer_staged) this is the
-    /// substrate of the pipelined executor ([`crate::pipeline`]):
+    /// Together with [`answer_staged`](Self::answer_staged) and
+    /// [`detach_staged`](Self::detach_staged) this is the substrate of the
+    /// pipelined executor ([`crate::pipeline`]):
     ///
-    /// * `stage_batch(N)` followed eventually by `answer_staged(N)` must
-    ///   report exactly what `apply_batch(N)` would have.
-    /// * **Later stages may run first**: `stage_batch(N + 1)` (and further
-    ///   stages) may execute *before* `answer_staged(N)`. Engines guarantee
-    ///   this by answering against version watermarks captured at stage
-    ///   time — the insert-only views ([`crate::relation::Relation`]
-    ///   versioning) make rows appended by later stages invisible to an
-    ///   earlier batch's answer pass.
-    /// * Tokens must be answered in stage (FIFO) order, each exactly once,
-    ///   and by the engine that staged them.
+    /// * `stage_batch(N)` followed by `answer_staged(N)` must report exactly
+    ///   what `apply_batch(N)` would have.
+    /// * **A token is answered or detached before the next `stage_batch`.**
+    ///   The inline answer therefore reads the engine's live views as they
+    ///   stand; only a *detached* answer outlives later stages, and it owns
+    ///   its inputs (see the detachment contract). Tokens are consumed in
+    ///   stage (FIFO) order, each exactly once, by the engine that staged
+    ///   them.
     /// * [`register_query`](Self::register_query) and
     ///   [`unregister_query`](Self::unregister_query) must not be called
-    ///   while staged tokens are outstanding (either may restructure the
-    ///   very tries and views the deferred answer joins against); the
+    ///   while a staged token is outstanding (either may restructure the
+    ///   very tries and views the answer joins against); the
     ///   pipelined/sharded wrappers **enforce** the contract by returning
     ///   [`crate::error::Error::RegistrationWhileStaged`] when it is
     ///   violated. Lifecycle calls arriving mid-stream go through the
     ///   pipelined executor's **epoch queue** instead
     ///   ([`crate::pipeline::PipelinedEngine::queue_register`]), which
     ///   applies them at the next drain boundary.
-    /// * **Retraction runs stage too — commit at stage time, answer
-    ///   deferred.** `stage_batch` of an all-retraction batch collects the
-    ///   removed delta relations read-only
-    ///   ([`crate::views::EdgeViewStore::remove_deltas`]), freezes the
-    ///   pre-removal answer inputs into the token as **generation-pinned
-    ///   snapshots** ([`crate::relation::Relation::snapshot_owned`] shares
-    ///   frozen chunks by `Arc`, so they outlive any later compaction),
-    ///   and then performs the destructive commit (`retract_rows` /
-    ///   `retract_deltas`, generation bump) before returning. Only the
-    ///   expensive disappearing-embedding join is deferred. The commit
-    ///   *cannot* wait for answer time: a later staged insert of a
+    /// * **Both signs commit at stage time; only the join is deferred.** An
+    ///   insertion run appends its rows to the views. An all-retraction run
+    ///   collects the removed delta relations read-only
+    ///   ([`crate::views::EdgeViewStore::remove_deltas`]), pins the
+    ///   pre-removal views its join will read into the token as
+    ///   **generation-pinned snapshots**
+    ///   ([`crate::relation::Relation::snapshot_owned`] shares frozen
+    ///   chunks by `Arc`, so they outlive any compaction), and then
+    ///   performs the destructive commit (`retract_rows` /
+    ///   `retract_deltas`, generation bump) before returning. The commit
+    ///   *cannot* wait for answer time: the next staged insert of a
     ///   just-retracted edge must route against post-removal views, or it
     ///   would be dedup-dropped and the stream would diverge from
     ///   sequential execution.
-    /// * Because the commit compacts live relations, staging a retraction
-    ///   run requires **every earlier token to have been answered or
-    ///   detached already** — detached tasks are safe (their inputs are
-    ///   frozen behind `Arc` pins), but an unanswered token may hold
-    ///   watermarks into the live relations being compacted. The pipelined
-    ///   executor answers or detaches every token in the call that staged
-    ///   it (see [`crate::pipeline`]).
     /// * `stage_batch` of a **mixed-sign** batch falls back to an immediate
-    ///   token (`apply_batch` at stage time). Callers wanting deferral split
-    ///   first with [`crate::model::update::sign_runs`], as the pipelined
-    ///   executor does.
+    ///   token (the batch is answered at stage time). Callers wanting
+    ///   deferral split first with [`crate::model::update::sign_runs`], as
+    ///   the pipelined executor does.
     /// * Stats granularity: `updates_processed` advances at stage time,
-    ///   `notifications`/`embeddings` at answer time.
+    ///   `notifications`/`embeddings`/`retracted` **exactly once per
+    ///   token**: a splitting engine counts when the token is consumed — in
+    ///   `answer_staged`, or in [`absorb_answered`](Self::absorb_answered)
+    ///   after a detachment, its immediate (mixed-sign) tokens included —
+    ///   while the eager default counted inside `apply_batch` and pairs
+    ///   with a no-op `absorb_answered`.
     ///
     /// The default implementation runs the whole `apply_batch` eagerly and
     /// stores the report in an immediate token, which trivially satisfies
@@ -546,33 +545,35 @@ pub trait ContinuousEngine {
     ///
     /// # Detachment contract (`Send`/`Sync` requirements)
     ///
-    /// * `detach_staged` itself runs on the engine's thread (it may read the
-    ///   live views to freeze snapshots into the task); only the returned
-    ///   [`DetachedAnswer`] crosses threads, and it is `Send` by
-    ///   construction. An overriding engine must capture every input of its
-    ///   answer pass as owned or `Send + Sync` shared data — batch deltas,
-    ///   [`crate::relation::Relation::snapshot_owned`] view snapshots frozen
-    ///   at the staged watermarks, `Arc`-shared read-mostly metadata (query
-    ///   records, routing maps) — and the task must not rely on `&self`.
-    ///   Read-mostly state should be published copy-on-write rather than
-    ///   deep-copied per batch: the engine thread mutates via
-    ///   `Arc::make_mut` (safe because registration barriers the pipeline
-    ///   first), so detaching is an `Arc` bump.
-    /// * Running the tasks of several staged batches **concurrently or in
-    ///   any order** must produce the same per-batch reports as FIFO
-    ///   `answer_staged` calls: each task joins against its own frozen
-    ///   watermarks, so later stages are invisible to it (same insert-only
-    ///   versioning argument as the staging contract). Retraction tokens
-    ///   carry fully frozen pre-removal snapshots, so their tasks are
-    ///   likewise immune to the generation bumps their own (or any later)
-    ///   commit performed.
+    /// * `detach_staged` itself runs on the engine's thread, before the next
+    ///   `stage_batch` (it reads the live views to snapshot them into the
+    ///   task); only the returned [`DetachedAnswer`] crosses threads, and it
+    ///   is `Send` by construction. An overriding engine must capture every
+    ///   input of its answer pass as owned or `Send + Sync` shared data —
+    ///   batch deltas, [`crate::relation::Relation::snapshot_owned`]
+    ///   snapshots of the views at their current length, `Arc`-shared
+    ///   read-mostly metadata (query records, routing maps) — and the task
+    ///   must not rely on `&self`. Read-mostly state should be published
+    ///   copy-on-write rather than deep-copied per batch: the engine thread
+    ///   mutates via `Arc::make_mut` (safe because registration barriers
+    ///   the pipeline first), so detaching is an `Arc` bump.
+    /// * Running the tasks of several detached batches **concurrently or in
+    ///   any order**, while the engine stages later batches, must produce
+    ///   the same per-batch reports as FIFO `answer_staged` calls: each
+    ///   task joins against the snapshots it owns, whose chunks are
+    ///   immutable behind `Arc`s — later appends land in chunks the
+    ///   snapshot never references, later compactions write new chunks.
+    ///   Retraction tokens carry their pre-removal snapshots from stage
+    ///   time, so their tasks are likewise immune to the generation bumps
+    ///   their own (or any later) commit performed.
     /// * Tokens must still each be detached (in stage order, by the engine
     ///   that staged them) exactly once, and every task's report must be
     ///   folded back with [`absorb_answered`](Self::absorb_answered) exactly
     ///   once, from the engine's thread.
     /// * Stats granularity: `updates_processed` advanced at stage time;
-    ///   `notifications`/`embeddings` advance in `absorb_answered` for
-    ///   detached answers (the task itself cannot touch the engine).
+    ///   `notifications`/`embeddings`/`retracted` advance in
+    ///   `absorb_answered` for detached answers (the task itself cannot
+    ///   touch the engine), exactly once per token.
     ///
     /// The default implementation answers **inline** (on this thread, right
     /// now) and returns a ready answer — correct for every engine, with no

@@ -21,8 +21,8 @@
 //! * [`shard`] — [`ShardedEngine`], the root-generic-edge partitioning of
 //!   any engine across worker shards with a deterministic report merge.
 //! * [`pipeline`] — [`PipelinedEngine`], the latency-budgeted batcher and
-//!   pipelined streaming executor built on delta-view versioning, with an
-//!   optional cross-thread answer stage.
+//!   pipelined streaming executor built on two-phase (stage → answer)
+//!   engines, with an optional cross-thread answer stage.
 //! * [`pool`] — [`WorkerPool`], the persistent worker threads behind the
 //!   sharded absorb phase and the pipelined answer stage.
 //! * [`stats`] / [`memory`] — latency statistics and heap accounting used by

@@ -45,10 +45,10 @@
 //! ```
 //!
 //! Each run is staged on the calling thread, then **detached**
-//! ([`ContinuousEngine::detach_staged`]): the engine freezes everything its
-//! covering-path join pass reads — batch deltas plus
-//! [`Relation::snapshot_owned`] view snapshots at the staged watermarks —
-//! into a self-contained `Send` task, which the answer stage (a
+//! ([`ContinuousEngine::detach_staged`]) before the next run is staged:
+//! the engine moves everything its covering-path join pass reads — batch
+//! deltas plus [`Relation::snapshot_owned`] snapshots of the views as they
+//! stand — into a self-contained `Send` task, which the answer stage (a
 //! [`WorkerPool`] of [`PipelineConfig::answer_workers`] threads) executes
 //! while the calling thread routes and propagates the next batch. The
 //! chunked append-only relation storage is what makes the snapshots cheap:
@@ -61,12 +61,12 @@
 //! answer, which bounds the window while still letting every worker stay
 //! busy.
 //!
-//! **Retractions pipeline too.** Insert runs defer their join pass against
-//! frozen watermarks, and retraction runs commit their removal at stage
-//! time while freezing generation-pinned pre-removal snapshots
-//! ([`Relation::snapshot_owned`]) into the token, so their (expensive)
-//! disappearing-embedding join also runs on the answer workers (see the
-//! staging contract on [`ContinuousEngine::stage_batch`]).
+//! **Retractions pipeline too.** Both signs commit at stage time and defer
+//! only the join: an insert run's token is pinned when it is detached, a
+//! retraction run pins generation-pinned pre-removal snapshots
+//! ([`Relation::snapshot_owned`]) into its token before compacting, so its
+//! (expensive) disappearing-embedding join also runs on the answer workers
+//! (see the staging contract on [`ContinuousEngine::stage_batch`]).
 //!
 //! # The latency budget
 //!
@@ -908,12 +908,10 @@ impl<E: ContinuousEngine> PipelinedEngine<E> {
 
     /// Stages one flushed batch, split into same-sign [`sign_runs`] so every
     /// run reaches [`stage_batch`](ContinuousEngine::stage_batch) sign-pure
-    /// — the shape the staging contract defers: insert runs freeze
-    /// post-propagation watermarks, retraction runs commit their removal at
-    /// stage time and freeze generation-pinned pre-removal snapshots. Each
-    /// run is sequenced separately, so the [`ReorderBuffer`] FIFO contract
-    /// is untouched and a mixed flush simply completes as several
-    /// [`CompletedBatch`]es.
+    /// — the shape the staging contract defers (a mixed batch would be
+    /// answered at stage time). Each run is sequenced separately, so the
+    /// [`ReorderBuffer`] FIFO contract is untouched and a mixed flush
+    /// simply completes as several [`CompletedBatch`]es.
     fn stage(&mut self, batch: Vec<Update>) {
         for run in sign_runs(&batch) {
             self.stage_run(run);
@@ -925,8 +923,8 @@ impl<E: ContinuousEngine> PipelinedEngine<E> {
     /// answer task to the answer stage, which starts the covering-path join
     /// while this thread returns to stage the next run. Either way every
     /// token has been answered or detached before the next one is staged,
-    /// which is what lets a retraction run compact live relations at stage
-    /// time (see the staging contract).
+    /// as the staging contract requires: the inline answer reads live
+    /// views, and a later run may append to or compact them freely.
     fn stage_run(&mut self, run: &[Update]) {
         let updates = run.len();
         let token = self.engine.stage_batch(run);

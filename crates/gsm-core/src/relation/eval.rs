@@ -10,20 +10,16 @@
 use std::borrow::Cow;
 
 use super::fasthash::FxHashMap;
-use super::join::hash_join_prefix;
+use super::join::hash_join;
 use super::Relation;
+use crate::engine::QueryId;
 use crate::query::pattern::QVertexId;
 
 /// A per-path relation together with the query vertex each column binds.
 ///
 /// The relation and vertex sequence are borrowed: bindings are built per
 /// affected path on every update, so they must not copy the path's vertex
-/// sequence (or worse, its relation) just to describe it. A binding may
-/// additionally be **version-bounded** ([`PathBinding::at_version`]): only
-/// the rows below the watermark participate in joins, which is how the
-/// deferred answering phase of the pipelined executor joins a batch's
-/// deltas against frozen snapshots of the other covering paths' insert-only
-/// views (see [`Relation::version`]).
+/// sequence (or worse, its relation) just to describe it.
 #[derive(Debug, Clone, Copy)]
 pub struct PathBinding<'a> {
     /// The path's materialized view (or delta).
@@ -31,32 +27,18 @@ pub struct PathBinding<'a> {
     /// For each column of `rel`, the query vertex it binds. Columns may
     /// repeat a vertex (e.g. a path that traverses a cycle).
     pub vertices: &'a [QVertexId],
-    /// Number of leading rows of `rel` visible to the join (always
-    /// `<= rel.len()`); `rel.len()` for an unbounded binding.
-    pub limit: usize,
 }
 
 impl<'a> PathBinding<'a> {
-    /// Creates an unbounded binding; the number of vertices must match the
-    /// arity.
+    /// Creates a binding; the number of vertices must match the arity.
     pub fn new(rel: &'a Relation, vertices: &'a [QVertexId]) -> Self {
-        Self::at_version(rel, vertices, rel.len())
-    }
-
-    /// Creates a binding frozen at a version watermark: only the first
-    /// `version` rows of `rel` participate (clamped to the current length).
-    pub fn at_version(rel: &'a Relation, vertices: &'a [QVertexId], version: usize) -> Self {
         assert_eq!(rel.arity(), vertices.len());
-        PathBinding {
-            rel,
-            vertices,
-            limit: version.min(rel.len()),
-        }
+        PathBinding { rel, vertices }
     }
 
-    /// True if no rows are visible to the join.
+    /// True if the bound relation has no rows.
     pub fn is_empty(&self) -> bool {
-        self.limit == 0
+        self.rel.is_empty()
     }
 }
 
@@ -84,22 +66,17 @@ impl VertexRelation {
 
 /// A normalised binding: the relation is borrowed straight from the input
 /// when no repeated-vertex work was needed (the common case), and owned only
-/// when a selection/projection actually had to materialise rows. `limit`
-/// carries the binding's version bound through the join pipeline (it equals
-/// the relation's length for owned intermediates, which are built already
-/// bounded).
+/// when a selection/projection actually had to materialise rows.
 #[derive(Debug, Clone)]
 struct Normalised<'a> {
     rel: Cow<'a, Relation>,
     vertices: Vec<QVertexId>,
-    limit: usize,
 }
 
 /// Normalises a single path binding: enforce repeated vertices (selection)
 /// and project to one column per distinct vertex (first occurrence order).
 /// Bindings without repeated vertices — the overwhelming majority — are
-/// passed through without copying a single row; the version bound of the
-/// binding is respected in either case.
+/// passed through without copying a single row.
 fn normalise<'a>(binding: &PathBinding<'a>) -> Normalised<'a> {
     // Find repeated vertices and the first-occurrence projection in one scan.
     let mut groups: FxHashMap<QVertexId, Vec<usize>> = FxHashMap::default();
@@ -111,15 +88,10 @@ fn normalise<'a>(binding: &PathBinding<'a>) -> Normalised<'a> {
         return Normalised {
             rel: Cow::Borrowed(binding.rel),
             vertices: binding.vertices.to_vec(),
-            limit: binding.limit,
         };
     }
     let filter_groups: Vec<Vec<usize>> = groups.values().filter(|g| g.len() > 1).cloned().collect();
-    // Bounded selection: only the rows below the binding's watermark are
-    // considered (the materialised result is then unbounded by construction).
-    let filtered = binding
-        .rel
-        .filter_equal_groups_prefix(&filter_groups, binding.limit);
+    let filtered = binding.rel.filter_equal_groups(&filter_groups);
     // Project to the first occurrence of each vertex.
     let mut seen = Vec::new();
     let mut cols = Vec::new();
@@ -129,12 +101,9 @@ fn normalise<'a>(binding: &PathBinding<'a>) -> Normalised<'a> {
             cols.push(col);
         }
     }
-    let projected = filtered.project(&cols);
-    let limit = projected.len();
     Normalised {
-        rel: Cow::Owned(projected),
+        rel: Cow::Owned(filtered.project(&cols)),
         vertices: seen,
-        limit,
     }
 }
 
@@ -150,11 +119,11 @@ pub fn join_paths(bindings: &[PathBinding<'_>]) -> Option<VertexRelation> {
         return None;
     }
     let mut normalised: Vec<Normalised<'_>> = bindings.iter().map(normalise).collect();
-    if normalised.iter().any(|n| n.limit == 0) {
+    if normalised.iter().any(|n| n.rel.is_empty()) {
         return None;
     }
     // Start from the smallest relation.
-    normalised.sort_by_key(|n| n.limit);
+    normalised.sort_by_key(|n| n.rel.len());
     let mut acc = normalised.remove(0);
 
     while !normalised.is_empty() {
@@ -169,7 +138,7 @@ pub fn join_paths(bindings: &[PathBinding<'_>]) -> Option<VertexRelation> {
                     .iter()
                     .filter(|v| acc.vertices.contains(v))
                     .count();
-                (shared, usize::MAX - n.limit)
+                (shared, usize::MAX - n.rel.len())
             })
             .expect("non-empty");
         let next = normalised.remove(idx);
@@ -189,57 +158,90 @@ pub fn join_paths(bindings: &[PathBinding<'_>]) -> Option<VertexRelation> {
             .map(|v| next.vertices.iter().position(|x| x == v).unwrap())
             .collect();
 
-        let joined = if shared.is_empty() {
-            // Cross product: join on zero columns. Implemented by a nested
-            // loop through the hash join with an empty key (all rows share
-            // the empty key).
-            hash_join_prefix(&acc.rel, acc.limit, &next.rel, next.limit, &[], &[])
-        } else {
-            hash_join_prefix(
-                &acc.rel,
-                acc.limit,
-                &next.rel,
-                next.limit,
-                &left_keys,
-                &right_keys,
-            )
-        };
+        // No shared vertex means a cross product: the hash join on zero
+        // columns (all rows share the empty key).
+        let joined = hash_join(&acc.rel, &next.rel, &left_keys, &right_keys);
         if joined.is_empty() {
             return None;
         }
-        let mut vertices = acc.vertices.clone();
+        // The join output is the left columns then the right columns minus
+        // the key columns; normalise() already removed duplicate vertices
+        // within a binding, so columns line up with `vertices`.
+        let mut vertices = acc.vertices;
         vertices.extend(
             next.vertices
                 .iter()
                 .copied()
                 .filter(|v| !shared.contains(v)),
         );
-        // The join output: left columns then right columns minus key cols —
-        // but right may still contain a *duplicate* vertex under a different
-        // column if the vertex appeared twice; normalise() already removed
-        // duplicates, so columns line up with `vertices`.
-        let limit = joined.len();
         acc = Normalised {
             rel: Cow::Owned(joined),
             vertices,
-            limit,
         };
     }
-    // Single-binding passthrough: a version-bounded borrowed binding must
-    // not leak rows past its watermark when materialised.
-    let rel = if acc.limit < acc.rel.len() {
-        let mut cut = Relation::new(acc.rel.arity());
-        for row in acc.rel.iter().take(acc.limit) {
-            cut.push(row);
-        }
-        cut
-    } else {
-        acc.rel.into_owned()
-    };
     Some(VertexRelation {
-        rel,
+        rel: acc.rel.into_owned(),
         vertices: acc.vertices,
     })
+}
+
+/// The covering-path delta join (Fig. 8, lines 8–13, restricted to the
+/// embeddings an update batch changes) — the one copy every staged engine
+/// answers with. Per affected query, each covering path that has a delta
+/// (`delta_of`) is bound with the other paths' full relations (`full_of`)
+/// and joined ([`join_paths`]); the canonicalized results union across
+/// paths, so an embedding reached through several paths' deltas counts
+/// once. `None` or an empty relation from `full_of` means the path holds no
+/// tuples and the query cannot match. Returns the non-zero
+/// `(query, distinct embeddings)` counts.
+///
+/// The sign lives with the caller: inserted rows joined against the
+/// post-insert views count new embeddings, removed rows joined against the
+/// pre-removal views count disappearing ones. `P` is whatever the engine
+/// keeps per covering path (a trie end node, a shard's path state);
+/// `vertices_of` names the query vertex each of its view's columns binds.
+pub fn join_covering_paths<'a, P: 'a>(
+    queries: impl Iterator<Item = (QueryId, &'a [P])>,
+    vertices_of: impl Fn(&'a P) -> &'a [QVertexId],
+    delta_of: impl Fn(&'a P) -> Option<&'a Relation>,
+    full_of: impl Fn(&'a P) -> Option<&'a Relation>,
+) -> Vec<(QueryId, u64)> {
+    let mut counts: Vec<(QueryId, u64)> = Vec::new();
+    let mut bindings: Vec<PathBinding<'a>> = Vec::new();
+    for (query, paths) in queries {
+        // Distinct changed embeddings, accumulated across affected paths.
+        let mut embeddings: Option<Relation> = None;
+        for (i, path) in paths.iter().enumerate() {
+            let Some(delta) = delta_of(path) else {
+                continue; // this covering path did not change
+            };
+            bindings.clear();
+            bindings.push(PathBinding::new(delta, vertices_of(path)));
+            bindings.extend(paths.iter().enumerate().filter(|(j, _)| *j != i).map_while(
+                |(_, other)| {
+                    full_of(other)
+                        .filter(|full| !full.is_empty())
+                        .map(|full| PathBinding::new(full, vertices_of(other)))
+                },
+            ));
+            if bindings.len() < paths.len() {
+                continue; // some other path has no tuples yet
+            }
+            if let Some(result) = join_paths(&bindings) {
+                let canon = result.canonicalize().rel;
+                match &mut embeddings {
+                    None => embeddings = Some(canon),
+                    Some(acc) => {
+                        acc.extend_from(&canon);
+                    }
+                }
+            }
+        }
+        if let Some(emb) = embeddings.filter(|e| !e.is_empty()) {
+            counts.push((query, emb.len() as u64));
+        }
+    }
+    counts
 }
 
 #[cfg(test)]
@@ -344,48 +346,30 @@ mod tests {
     }
 
     #[test]
-    fn version_bounded_bindings_ignore_rows_past_the_watermark() {
-        // Path A over [0,1] with 2 rows; path B over [1,2] grows from 1 to 3
-        // rows. A binding frozen at version 1 of B must join as if B still
-        // had one row, whatever was appended after the watermark.
-        let a = rel(2, &[&[1, 2], &[3, 9]]);
-        let mut b = rel(2, &[&[2, 10]]);
-        let v = b.version();
-        b.push(&[s(2), s(11)]); // appended after the watermark
-        b.push(&[s(9), s(12)]);
-
-        let bounded = join_paths(&[
-            PathBinding::new(&a, &[0, 1]),
-            PathBinding::at_version(&b, &[1, 2], v),
-        ])
-        .unwrap();
-        assert_eq!(bounded.rel.len(), 1, "only the pre-watermark row joins");
-        assert_eq!(bounded.canonicalize().rel.row(0), &[s(1), s(2), s(10)]);
-
-        // Unbounded sees all three rows of B: (1,2,10), (1,2,11), (3,9,12).
-        let full =
-            join_paths(&[PathBinding::new(&a, &[0, 1]), PathBinding::new(&b, &[1, 2])]).unwrap();
-        assert_eq!(full.rel.len(), 3);
-
-        // A zero-version binding short-circuits like an empty relation.
-        assert!(join_paths(&[
-            PathBinding::new(&a, &[0, 1]),
-            PathBinding::at_version(&b, &[1, 2], 0),
-        ])
-        .is_none());
-
-        // Single bounded binding: the passthrough must truncate.
-        let single = join_paths(&[PathBinding::at_version(&b, &[1, 2], v)]).unwrap();
-        assert_eq!(single.rel.len(), 1);
-        assert_eq!(single.rel.row(0), &[s(2), s(10)]);
-
-        // Bounded binding with a repeated vertex: selection is bounded too.
-        let mut loops = rel(2, &[&[4, 4]]);
-        let lv = loops.version();
-        loops.push(&[s(5), s(5)]);
-        let looped = join_paths(&[PathBinding::at_version(&loops, &[7, 7], lv)]).unwrap();
-        assert_eq!(looped.rel.len(), 1);
-        assert_eq!(looped.rel.row(0), &[s(4)]);
+    fn covering_path_join_unions_path_deltas_and_skips_empty_paths() {
+        // Star query over vertices [0,1] and [0,2]; both paths gained the
+        // row that completes embedding (5,10,20), which must count once.
+        let (pa, pb) = (rel(2, &[&[5, 10]]), rel(2, &[&[5, 20], &[6, 21]]));
+        let (da, db) = (rel(2, &[&[5, 10]]), rel(2, &[&[5, 20]]));
+        // (vertices, delta, full) per covering path.
+        type Path<'r> = (Vec<QVertexId>, Option<&'r Relation>, &'r Relation);
+        let count = |paths: &[Path<'_>]| {
+            join_covering_paths(
+                std::iter::once((QueryId(3), paths)),
+                |p| p.0.as_slice(),
+                |p| p.1,
+                |p| Some(p.2),
+            )
+        };
+        let both = [(vec![0, 1], Some(&da), &pa), (vec![0, 2], Some(&db), &pb)];
+        assert_eq!(count(&both), vec![(QueryId(3), 1)]);
+        // Only path B changed: its delta joins A's full relation.
+        let one = [(vec![0, 1], None, &pa), (vec![0, 2], Some(&db), &pb)];
+        assert_eq!(count(&one), vec![(QueryId(3), 1)]);
+        // An empty other path means the query cannot match.
+        let empty = Relation::new(2);
+        let none = [(vec![0, 1], None, &empty), (vec![0, 2], Some(&db), &pb)];
+        assert!(count(&none).is_empty());
     }
 
     #[test]

@@ -31,21 +31,13 @@ pub struct JoinBuild {
 impl JoinBuild {
     /// Builds a hash table over `rel` keyed by `key_cols`.
     pub fn build(rel: &Relation, key_cols: &[usize]) -> Self {
-        Self::build_prefix(rel, key_cols, rel.len())
-    }
-
-    /// Builds a hash table over the first `len` rows of `rel` keyed by
-    /// `key_cols` — the build side of a join against a version snapshot of
-    /// an insert-only relation (see [`Relation::version`]): probes can
-    /// only ever hit rows below the watermark.
-    pub fn build_prefix(rel: &Relation, key_cols: &[usize], len: usize) -> Self {
         let mut b = JoinBuild {
             key_cols: key_cols.to_vec(),
             buckets: FxHashMap::default(),
             rows_indexed: 0,
             generation: rel.generation(),
         };
-        b.update_to(rel, len);
+        b.update(rel);
         b
     }
 
@@ -67,35 +59,24 @@ impl JoinBuild {
     /// Indexes any rows appended to `rel` since the last build/update.
     /// This is the incremental maintenance used by the `+` engines.
     /// Allocation-free except when a collision chain spills: keys are hashed
-    /// in place via [`hash_projected`], never materialised.
-    pub fn update(&mut self, rel: &Relation) {
-        self.update_to(rel, rel.len());
-    }
-
-    /// Indexes rows up to (exclusive) row `len` — [`update`](Self::update)
-    /// bounded by a version watermark. A no-op when `len` rows are already
-    /// indexed; `len` is clamped to the relation's current length. When the
+    /// in place via [`hash_projected`], never materialised. When the
     /// relation was compacted since the last (re)index (its generation
     /// changed), every recorded row index is invalid and the build starts
     /// over from scratch.
-    pub fn update_to(&mut self, rel: &Relation, len: usize) {
+    pub fn update(&mut self, rel: &Relation) {
         if self.generation != rel.generation() {
             self.buckets.clear();
             self.rows_indexed = 0;
             self.generation = rel.generation();
         }
-        let len = len.min(rel.len());
-        if self.rows_indexed >= len {
-            return;
-        }
-        for i in self.rows_indexed..len {
+        for i in self.rows_indexed..rel.len() {
             let h = hash_projected(rel.row(i), &self.key_cols);
             self.buckets
                 .entry(h)
                 .or_default()
                 .push(super::checked_row_index(i));
         }
-        self.rows_indexed = len;
+        self.rows_indexed = self.rows_indexed.max(rel.len());
     }
 
     /// Returns the indices of rows of `rel` whose key equals `key`
@@ -208,33 +189,12 @@ pub fn hash_join(
     hash_join_with_build(left, right, left_keys, right_keys, &build)
 }
 
-/// [`hash_join`] bounded by version watermarks: only the first `left_len`
-/// rows of `left` and the first `right_len` rows of `right` participate
-/// (the build is constructed over exactly the right prefix, so probes can
-/// never hit a post-watermark row). This is the join kernel of the
-/// pipelined executor's deferred answering phase, which joins a batch's
-/// deltas against the *snapshots* of the other covering paths' insert-only
-/// views while newer batches append behind the watermarks (see
-/// [`Relation::version`]).
-pub fn hash_join_prefix(
-    left: &Relation,
-    left_len: usize,
-    right: &Relation,
-    right_len: usize,
-    left_keys: &[usize],
-    right_keys: &[usize],
-) -> Relation {
-    let build = JoinBuild::build_prefix(right, right_keys, right_len);
-    probe_join(left, left_len, right, left_keys, right_keys, &build)
-}
-
 /// The shared probe-side kernel of every hash join: probes `build` (over
-/// some prefix of `right`) with the first `left_len` rows of `left` and
-/// assembles output rows. Callers choose the build (fresh, cached, or
-/// prefix-bounded); this is the single copy of the hot loop.
+/// `right`) with the rows of `left` and assembles output rows. Callers
+/// choose the build (fresh or cached); this is the single copy of the hot
+/// loop.
 fn probe_join(
     left: &Relation,
-    left_len: usize,
     right: &Relation,
     left_keys: &[usize],
     right_keys: &[usize],
@@ -244,8 +204,7 @@ fn probe_join(
     debug_assert_eq!(build.key_cols(), right_keys);
     let out_arity = join_output_arity(left, right, right_keys);
     let mut out = Relation::new(out_arity);
-    let left_len = left_len.min(left.len());
-    if left_len == 0 || build.rows_indexed() == 0 {
+    if left.is_empty() || build.rows_indexed() == 0 {
         return out;
     }
     let extra_cols: Vec<usize> = (0..right.arity())
@@ -253,7 +212,7 @@ fn probe_join(
         .collect();
     let mut key = Vec::with_capacity(left_keys.len());
     let mut row_buf = vec![Sym(0); out_arity];
-    for lrow in left.iter().take(left_len) {
+    for lrow in left.iter() {
         key_of(lrow, left_keys, &mut key);
         for ridx in build.probe_iter(right, &key) {
             let rrow = right.row(ridx);
@@ -276,7 +235,7 @@ pub fn hash_join_with_build(
     right_keys: &[usize],
     build: &JoinBuild,
 ) -> Relation {
-    probe_join(left, left.len(), right, left_keys, right_keys, build)
+    probe_join(left, right, left_keys, right_keys, build)
 }
 
 /// Reference nested-loop join used to validate [`hash_join`] in property
@@ -436,89 +395,21 @@ mod tests {
     }
 
     #[test]
-    fn prefix_build_and_join_ignore_rows_past_the_watermark() {
-        let left = rel(2, &[&[1, 2], &[3, 2], &[5, 6]]);
-        let right = rel(2, &[&[2, 10], &[6, 60], &[2, 11]]);
-
-        // Build over the 2-row prefix: the later (2, 11) row is invisible.
-        let build = JoinBuild::build_prefix(&right, &[0], 2);
-        assert_eq!(build.rows_indexed(), 2);
-        assert_eq!(build.probe(&right, &[s(2)]).len(), 1);
-
-        // update_to is monotone and clamps.
-        let mut b2 = JoinBuild::build_prefix(&right, &[0], 1);
-        b2.update_to(&right, 1); // no-op
-        assert_eq!(b2.rows_indexed(), 1);
-        b2.update_to(&right, 100); // clamped to len
-        assert_eq!(b2.rows_indexed(), 3);
-
-        // Bounded join == fresh join over physically truncated inputs.
-        let joined = hash_join_prefix(&left, 2, &right, 2, &[1], &[0]);
-        let left_cut = rel(2, &[&[1, 2], &[3, 2]]);
-        let right_cut = rel(2, &[&[2, 10], &[6, 60]]);
-        let expected = hash_join(&left_cut, &right_cut, &[1], &[0]);
-        assert_eq!(joined.to_sorted_vec(), expected.to_sorted_vec());
-
-        // Full-length bounds reproduce the unbounded join.
-        let full = hash_join_prefix(&left, usize::MAX, &right, usize::MAX, &[1], &[0]);
-        assert_eq!(
-            full.to_sorted_vec(),
-            hash_join(&left, &right, &[1], &[0]).to_sorted_vec()
-        );
-
-        // Zero-length sides are empty.
-        assert!(hash_join_prefix(&left, 0, &right, 3, &[1], &[0]).is_empty());
-        assert!(hash_join_prefix(&left, 3, &right, 0, &[1], &[0]).is_empty());
-    }
-
-    #[test]
-    fn prefix_kernels_are_exact_at_chunk_boundaries() {
+    fn incremental_update_crosses_the_frozen_chunk_edge() {
         use crate::relation::CHUNK_ROWS;
-        // Cross the frozen-chunk edge with every version-bounded kernel:
-        // builds, probes and prefix joins must behave identically whether
-        // the watermark falls one row before, exactly at, or one row past a
-        // chunk boundary — and whether the probed rows live in a frozen
-        // chunk or in the tail.
+        // Key 7 sits on the last row of the frozen chunk and the first two
+        // rows of the tail: index the frozen part first, then extend.
         let mut right = Relation::new(2);
-        for i in 0..(CHUNK_ROWS + 2) as u32 {
-            // Key 7 appears at rows CHUNK_ROWS-1 (last row of the frozen
-            // chunk), CHUNK_ROWS and CHUNK_ROWS+1 (first rows of the tail).
-            let key = if i >= (CHUNK_ROWS - 1) as u32 {
-                7
-            } else {
-                i % 5
-            };
-            right.push(&[s(key), s(1000 + i)]);
+        for i in 0..(CHUNK_ROWS - 1) as u32 {
+            right.push(&[s(i % 5), s(1000 + i)]);
         }
-
-        for len in [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, CHUNK_ROWS + 2] {
-            let build = JoinBuild::build_prefix(&right, &[0], len);
-            assert_eq!(build.rows_indexed(), len);
-            let hits = build.probe_iter(&right, &[s(7)]).count();
-            // Rows with key 7 visible below the watermark.
-            let expected = len - (CHUNK_ROWS - 1);
-            assert_eq!(hits, expected, "len {len}");
-
-            // The bounded join equals a join over physically truncated copies.
-            let left = rel(1, &[&[7], &[3]]);
-            let joined = hash_join_prefix(&left, left.len(), &right, len, &[0], &[0]);
-            let mut cut = Relation::new(2);
-            for row in right.iter().take(len) {
-                cut.push(row);
-            }
-            let expected_join = hash_join(&left, &cut, &[0], &[0]);
-            assert_eq!(
-                joined.to_sorted_vec(),
-                expected_join.to_sorted_vec(),
-                "len {len}"
-            );
-        }
-
-        // Incremental update_to across the boundary: index the frozen chunk
-        // first, then extend into the tail.
-        let mut build = JoinBuild::build_prefix(&right, &[0], CHUNK_ROWS - 1);
+        let mut build = JoinBuild::build(&right, &[0]);
         assert_eq!(build.probe(&right, &[s(7)]).len(), 0);
-        build.update_to(&right, CHUNK_ROWS + 2);
+        for i in 0..3 {
+            right.push(&[s(7), s(5000 + i)]);
+        }
+        build.update(&right);
+        assert_eq!(build.rows_indexed(), CHUNK_ROWS + 2);
         assert_eq!(build.probe(&right, &[s(7)]).len(), 3);
     }
 

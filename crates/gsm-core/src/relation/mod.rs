@@ -58,11 +58,10 @@ pub(crate) fn checked_row_index(len: usize) -> u32 {
 /// Rows live in fixed-size segments of [`CHUNK_ROWS`] rows: a list of
 /// **frozen** chunks (full, immutable forever, shared by `Arc`) followed by
 /// one growing **tail** chunk. Together with the insert-only discipline this
-/// is what makes the versioning contract ([`Relation::version`]) *shareable
-/// across threads*: any prefix below a watermark is physically immutable, so
-/// [`snapshot_owned`](Relation::snapshot_owned) can hand out a `Send + Sync`
-/// read view that shares the frozen chunks lock-free while the writer keeps
-/// appending to the tail.
+/// is what makes a relation *shareable across threads*: every full chunk is
+/// physically immutable, so [`snapshot_owned`](Relation::snapshot_owned)
+/// can hand out a `Send + Sync` read view that shares the frozen chunks
+/// lock-free while the writer keeps appending to the tail.
 #[derive(Debug, Clone)]
 pub struct Relation {
     id: u64,
@@ -168,31 +167,24 @@ impl Relation {
         self.frozen.is_empty() && self.tail.is_empty()
     }
 
-    /// Monotonically increasing version: the current number of rows.
-    ///
-    /// # Versioning contract
+    /// The current number of rows, read as a version of the table.
     ///
     /// Within one [`generation`](Relation::generation) relations are
     /// **append-only** — rows are appended, never removed or reordered — so
-    /// a version is simply a row-count watermark and uniquely identifies a
-    /// prefix of the table for as long as the generation lasts. Capturing
-    /// `version()` is O(1); a later
-    /// [`snapshot_owned`](Relation::snapshot_owned) of that watermark
-    /// exposes exactly the rows that existed at capture time, no matter how
-    /// many rows a writer has appended since, and
+    /// the row count identifies a prefix of the table for as long as the
+    /// generation lasts: [`snapshot_owned`](Relation::snapshot_owned) at a
+    /// version exposes exactly the rows that existed when it was read, and
     /// [`iter_from`](Relation::iter_from) yields exactly the rows appended
-    /// after it. This is what lets the pipelined executor answer batch *N*
-    /// against frozen views while batch *N + 1* is already being routed and
-    /// propagated.
+    /// after it. The engines only ever snapshot at the **current** version
+    /// (a staged token is answered or detached before the next batch is
+    /// staged); the `(generation, version)` pair is what the persistence
+    /// layer records per checkpointed relation.
     ///
     /// [`retract_rows`](Relation::retract_rows) compacts the table and
-    /// opens a new generation, invalidating old watermarks; consumers that
-    /// hold a watermark across a possible retraction must also capture the
-    /// generation and re-derive their state when it changed. Owned
-    /// snapshots ([`snapshot_owned`](Relation::snapshot_owned)) are immune:
-    /// they share the *old* generation's chunks by `Arc`, which stay alive
-    /// until the last snapshot drops — reclamation is exactly the release
-    /// of those reference counts.
+    /// opens a new generation. Owned snapshots are immune: they share the
+    /// *old* generation's chunks by `Arc`, which stay alive until the last
+    /// snapshot drops — reclamation is exactly the release of those
+    /// reference counts.
     pub fn version(&self) -> usize {
         self.len()
     }
@@ -537,16 +529,8 @@ impl Relation {
     /// Keeps only the rows where, within each group of columns, all values
     /// are equal. Used to enforce repeated query vertices inside a path.
     pub fn filter_equal_groups(&self, groups: &[Vec<usize>]) -> Relation {
-        self.filter_equal_groups_prefix(groups, self.len())
-    }
-
-    /// [`filter_equal_groups`](Relation::filter_equal_groups) bounded by a
-    /// version watermark: only the first `limit` rows are considered. This
-    /// is the selection kernel behind version-bounded path bindings
-    /// ([`crate::relation::eval::PathBinding::at_version`]).
-    pub fn filter_equal_groups_prefix(&self, groups: &[Vec<usize>], limit: usize) -> Relation {
         let mut out = Relation::new(self.arity);
-        'rows: for row in self.iter().take(limit) {
+        'rows: for row in self.iter() {
             for group in groups {
                 if group.len() > 1 {
                     let first = row[group[0]];
@@ -870,7 +854,7 @@ mod tests {
             let after: Vec<u32> = snap.iter().map(|row| row[0].0).collect();
             assert_eq!(after, before, "snapshot at {v} moved under the writer");
         }
-        // Over-long watermarks clamp.
+        // An over-long version clamps.
         assert_eq!(r.snapshot_owned(usize::MAX).len(), r.len());
     }
 

@@ -14,8 +14,10 @@
 //! final report. The staged answer pass can additionally be **detached**
 //! ([`ContinuousEngine::detach_staged`]): inner answers and the cross-shard
 //! spanning join then run as one self-contained task on the pipelined
-//! executor's answer thread, against full relations frozen at the staged
-//! watermarks.
+//! executor's answer workers, against owned snapshots of the spanning
+//! paths' full relations. Insertion and retraction runs take the same
+//! route → absorb → token → merge shape; only the sign of the deltas and
+//! the moment the fulls are pinned differ (the `StagedSharded` token).
 //!
 //! Two kinds of queries arise:
 //!
@@ -82,7 +84,7 @@ use crate::model::update::{sign_runs, Update};
 use crate::pool::WorkerPool;
 use crate::query::paths::covering_paths;
 use crate::query::pattern::{QVertexId, QueryPattern};
-use crate::relation::eval::{join_paths, PathBinding};
+use crate::relation::eval::join_covering_paths;
 use crate::relation::fasthash::{FxBuildHasher, FxHashMap};
 use crate::relation::Relation;
 use crate::views::{delta_path_relation, full_path_relation, EdgeViewStore};
@@ -104,7 +106,7 @@ pub fn shard_of(root: &GenericEdge, num_shards: usize) -> usize {
 /// path's root generic edge and shared by every spanning query with the
 /// same generic-edge sequence; the per-batch delta travels in the staged
 /// token ([`StagedSharded`]) rather than living here, so later batches can
-/// be staged while earlier deltas await their join pass.
+/// be staged while a detached join pass still reads earlier deltas.
 #[derive(Debug)]
 struct PathState {
     /// Generic edges along the path. Emptied when the last referencing
@@ -148,46 +150,34 @@ impl HeapSize for SpanningState {
     }
 }
 
-/// One shard's contribution to a staged batch: the inner engine's own
-/// staged token, the spanning path deltas this batch produced here, and the
-/// post-batch version watermark of every path state's full relation (the
-/// frozen prefix the deferred join pass reads — see
-/// [`crate::relation::Relation::version`]).
-#[derive(Debug, Default)]
-struct StagedShard {
-    inner: Option<StagedBatch>,
-    /// `(path-state index, delta relation)` for every path that gained rows.
-    spanning_deltas: Vec<(usize, Relation)>,
-    /// Per path-state index: version of [`Shard::spanning_full`] at stage
-    /// end (covers this batch's appends, not later batches').
-    watermarks: Vec<usize>,
-}
-
-/// The insert half of the sharded wrapper's deferred-answer token: one
-/// [`StagedShard`] per shard, in shard order.
-#[derive(Debug, Default)]
-struct StagedSharded {
-    shards: Vec<StagedShard>,
-}
-
-/// The retraction half: each receiving shard's inner staged token (the
-/// inner commits already ran at stage time, per the staging contract) plus
-/// the spanning join inputs — removed path deltas and the other paths'
-/// **pre-removal** fulls, generation-pinned by [`Relation::snapshot_owned`]
-/// so the commit that already compacted the live spanning state cannot
-/// move them.
-struct StagedShardedRetract {
-    /// `(shard index, inner staged token)` for every shard the run routed to.
-    inners: Vec<(usize, StagedBatch)>,
-    spanning: Option<DetachedSpanning>,
+/// The spanning half of a staged run: the spanning queries with at least
+/// one staged path delta, those deltas — rows the paths gained (insertion)
+/// or lost (retraction) — and the full relations of the queries' paths the
+/// token owns, as [`Relation::snapshot_owned`] pins. A retraction run pins
+/// every full **pre-removal** at stage time, before its commit compacts
+/// the live state; an insertion run pins nothing until it is detached, and
+/// the inline join reads the live fulls instead.
+struct SpanningJoin {
+    queries: Vec<(QueryId, Arc<Vec<SpanningPathInfo>>)>,
+    /// (shard, path-state index) → staged delta.
+    deltas: FxHashMap<(usize, usize), Relation>,
+    /// (shard, path-state index) → pinned full relation.
+    fulls: FxHashMap<(usize, usize), Relation>,
 }
 
 /// Downcast target of every deferred token the sharded wrapper issues
-/// (`num_shards > 1`); single-shard deployments delegate and re-issue the
-/// inner engine's own tokens instead.
-enum ShardedToken {
-    Insert(StagedSharded),
-    Retract(StagedShardedRetract),
+/// (`num_shards > 1`; single-shard deployments delegate and re-issue the
+/// inner engine's own tokens instead): one same-sign run's inner staged
+/// tokens plus its spanning join inputs. The inner engines' and the
+/// spanning state's commits already ran at stage time, per the staging
+/// contract.
+#[derive(Default)]
+struct StagedSharded {
+    /// The run's sign: true when the deltas hold removed rows.
+    retract: bool,
+    /// `(shard index, inner staged token)` for every shard the run routed to.
+    inners: Vec<(usize, StagedBatch)>,
+    spanning: Option<SpanningJoin>,
 }
 
 /// One shard: an inner engine for shard-local queries plus the spanning
@@ -206,6 +196,10 @@ struct Shard<E> {
     staged_inner: Option<StagedBatch>,
     /// Spanning path deltas of the current batch (set by [`Shard::absorb`]).
     staged_deltas: Vec<(usize, Relation)>,
+    /// Spanning edge-view rows a retraction run removes here: collected
+    /// read-only by [`Shard::absorb`], committed by the wrapper once the
+    /// pre-removal fulls are pinned.
+    staged_removed: FxHashMap<GenericEdge, Relation>,
     /// Total updates routed to this shard (observability).
     routed: u64,
 }
@@ -219,6 +213,7 @@ impl<E: ContinuousEngine> Shard<E> {
             slice: Vec::new(),
             staged_inner: None,
             staged_deltas: Vec::new(),
+            staged_removed: FxHashMap::default(),
             routed: 0,
         }
     }
@@ -274,8 +269,8 @@ impl<E: ContinuousEngine> Shard<E> {
     /// Drops one covering-path reference to path state `pid`. The last
     /// reference clears the state — edges emptied, so every per-batch sweep
     /// skips the slot, and the materialized relation dropped — and unlinks
-    /// it from `by_key`; the pid slot itself is never reused, so staged
-    /// watermark vectors and path descriptors held elsewhere stay aligned.
+    /// it from `by_key`; the pid slot itself is never reused, so path
+    /// descriptors held elsewhere stay aligned.
     fn release_spanning_path(&mut self, pid: usize) {
         let ps = &mut self.spanning.paths[pid];
         debug_assert!(ps.refs > 0, "releasing an already dead path state");
@@ -288,36 +283,39 @@ impl<E: ContinuousEngine> Shard<E> {
         self.spanning.by_key.remove(&edges);
     }
 
-    /// Absorbs this shard's slice of the current batch: the inner engine
-    /// **stages** its local queries (routing + propagation, answer deferred
-    /// into `staged_inner`), and every spanning path state owned here
-    /// computes (and appends) its batch delta into `staged_deltas`. Runs on
-    /// a worker thread when several shards are active.
-    fn absorb(&mut self) {
+    /// Absorbs this shard's slice of the current same-sign run: the inner
+    /// engine **stages** its local queries (routing + propagation + commit,
+    /// answer deferred into `staged_inner`), and every spanning path state
+    /// owned here computes its delta into `staged_deltas` —
+    /// [`delta_path_relation`] seeded with the run's per-edge deltas, which
+    /// is `full_after − full_before` over the post-insert views and
+    /// `full_before − full_after` over the pre-removal ones. An insertion
+    /// appends the deltas right away; a retraction only reads, leaving the
+    /// removed view rows in `staged_removed` for the wrapper to commit.
+    /// Runs on a worker thread when several shards are active.
+    fn absorb(&mut self, retract: bool) {
         self.staged_deltas.clear();
-        self.staged_inner = if self.slice.is_empty() {
-            None
+        self.staged_inner = None;
+        if self.slice.is_empty() {
+            return;
+        }
+        self.staged_inner = Some(self.engine.stage_batch(&self.slice));
+        if self.spanning.paths.is_empty() {
+            return;
+        }
+        let edge_deltas = if retract {
+            self.spanning.views.remove_deltas(&self.slice)
         } else {
-            Some(self.engine.stage_batch(&self.slice))
+            self.spanning.views.apply_batch(&self.slice)
         };
-        if self.slice.is_empty() || self.spanning.paths.is_empty() {
-            return;
-        }
-        let edge_deltas = self.spanning.views.apply_batch(&self.slice);
-        if edge_deltas.is_empty() {
-            return;
-        }
         for pid in 0..self.spanning.paths.len() {
-            let touches = self.spanning.paths[pid]
-                .edges
-                .iter()
-                .any(|e| edge_deltas.contains_key(e));
-            if !touches {
+            let edges = &self.spanning.paths[pid].edges;
+            if !edges.iter().any(|e| edge_deltas.contains_key(e)) {
                 continue;
             }
             let delta = delta_path_relation(
                 &self.spanning.views,
-                &self.spanning.paths[pid].edges,
+                edges,
                 &edge_deltas,
                 None,
                 &mut self.spanning.row_buf,
@@ -329,10 +327,13 @@ impl<E: ContinuousEngine> Shard<E> {
             // Single-edge path relations are the edge views themselves
             // (already advanced by the routing pass above); only genuinely
             // joined paths materialize their full relation.
-            if ps.edges.len() > 1 {
+            if !retract && ps.edges.len() > 1 {
                 ps.full.extend_from(&delta);
             }
             self.staged_deltas.push((pid, delta));
+        }
+        if retract {
+            self.staged_removed = edge_deltas;
         }
     }
 }
@@ -364,102 +365,49 @@ enum QueryHome {
     Dead,
 }
 
-/// The spanning covering-path join pass, shared by the engine-resident
-/// answer path ([`ShardedEngine::answer_spanning`]) and the detached
-/// cross-thread path ([`DetachedSpanning::answer`]): for every spanning
-/// query with at least one staged path delta, join each affected path's
-/// delta against the other paths' full relations frozen at the staged
-/// watermarks. `delta_of` resolves a path's staged delta, `full_of` its
-/// full relation plus watermark (`None`, or a zero watermark, means the
-/// path had no tuples at stage time — the query cannot match).
-fn join_spanning_queries<'a, Q, D, F>(queries: Q, delta_of: D, full_of: F) -> MatchReport
-where
-    Q: Iterator<Item = (QueryId, &'a [SpanningPathInfo])>,
-    D: Fn(usize, usize) -> Option<&'a Relation>,
-    F: Fn(usize, usize) -> Option<(&'a Relation, usize)>,
-{
+/// The one merge behind [`ContinuousEngine::answer_staged`] and
+/// [`ContinuousEngine::detach_staged`] on the sharded wrapper: folds the
+/// shards' inner reports into wrapper ids (reading the run's sign), runs the
+/// spanning covering-path join — each affected path's delta against the
+/// other paths' full relations, exactly the final answering step the
+/// engines run locally (Fig. 8, lines 8–13), lifted across shards — and
+/// builds the run's report. Every query is reported by at most one shard
+/// or by the spanning join, so one sort-and-fold merges them all. Fulls
+/// the token owns are read from it; `live_full` resolves the rest (the
+/// shards' live relations inline, nothing in a detached task).
+fn merge_run<'a>(
+    retract: bool,
+    inners: &'a [(MatchReport, Arc<Vec<QueryId>>)],
+    spanning: Option<&'a SpanningJoin>,
+    live_full: impl Fn(usize, usize) -> Option<&'a Relation>,
+) -> MatchReport {
     let mut counts: Vec<(QueryId, u64)> = Vec::new();
-    let mut bindings: Vec<PathBinding<'a>> = Vec::new();
-    for (query, paths) in queries {
-        let mut embeddings: Option<Relation> = None;
-        for (i, (shard_i, pid_i, verts_i)) in paths.iter().enumerate() {
-            let Some(delta) = delta_of(*shard_i, *pid_i) else {
-                continue;
+    for (report, local_to_global) in inners {
+        counts.extend(report.matches.iter().map(|m| {
+            let count = if retract {
+                m.retracted_embeddings
+            } else {
+                m.new_embeddings
             };
-            bindings.clear();
-            bindings.push(PathBinding::new(delta, verts_i));
-            let mut all_present = true;
-            for (j, (shard_j, pid_j, verts_j)) in paths.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                match full_of(*shard_j, *pid_j) {
-                    Some((full, watermark)) if watermark > 0 => {
-                        bindings.push(PathBinding::at_version(full, verts_j, watermark));
-                    }
-                    _ => {
-                        all_present = false;
-                        break;
-                    }
-                }
-            }
-            if !all_present {
-                continue;
-            }
-            if let Some(result) = join_paths(&bindings) {
-                let canon = result.canonicalize();
-                match &mut embeddings {
-                    None => embeddings = Some(canon.rel),
-                    Some(acc) => {
-                        acc.extend_from(&canon.rel);
-                    }
-                }
-            }
-        }
-        if let Some(emb) = embeddings {
-            if !emb.is_empty() {
-                counts.push((query, emb.len() as u64));
-            }
-        }
+            (local_to_global[m.query.index()], count)
+        }));
     }
-    MatchReport::from_counts(counts)
-}
-
-/// The spanning half of a detached sharded answer: affected spanning-query
-/// descriptors, the staged path deltas, and the other paths' full relations
-/// frozen at the staged watermarks ([`Relation::snapshot_owned`]) — all
-/// owned, so the covering-path join pass can run on any thread while the
-/// shards absorb later batches.
-struct DetachedSpanning {
-    queries: Vec<(QueryId, Arc<Vec<SpanningPathInfo>>)>,
-    /// (shard, path-state index) → staged delta.
-    deltas: FxHashMap<(usize, usize), Relation>,
-    /// (shard, path-state index) → full relation frozen at the staged
-    /// watermark (absent when the watermark was zero).
-    fulls: FxHashMap<(usize, usize), Relation>,
-}
-
-impl DetachedSpanning {
-    fn answer(&self) -> MatchReport {
-        join_spanning_queries(
-            self.queries.iter().map(|(q, p)| (*q, p.as_slice())),
-            |shard, pid| self.deltas.get(&(shard, pid)),
-            |shard, pid| self.fulls.get(&(shard, pid)).map(|full| (full, full.len())),
-        )
+    if let Some(join) = spanning {
+        counts.extend(join_covering_paths(
+            join.queries.iter().map(|(q, paths)| (*q, paths.as_slice())),
+            |(_, _, vertices)| vertices.as_slice(),
+            |(shard, pid, _)| join.deltas.get(&(*shard, *pid)),
+            |(shard, pid, _)| {
+                join.fulls
+                    .get(&(*shard, *pid))
+                    .or_else(|| live_full(*shard, *pid))
+            },
+        ));
     }
-
-    /// The retraction reading of the same covering-path join: the deltas
-    /// hold removed path rows and the fulls are frozen pre-removal, so
-    /// every joined row is an embedding that **disappears** with the run.
-    fn answer_retract(&self) -> MatchReport {
-        let joined = self.answer();
-        MatchReport::from_retraction_counts(
-            joined
-                .matches
-                .iter()
-                .map(|m| (m.query, m.new_embeddings))
-                .collect(),
-        )
+    if retract {
+        MatchReport::from_retraction_counts(counts)
+    } else {
+        MatchReport::from_counts(counts)
     }
 }
 
@@ -592,24 +540,39 @@ impl<E: ContinuousEngine + Send + 'static> ShardedEngine<E> {
         }
     }
 
-    /// The staging core for `num_shards > 1`: route the batch into
-    /// per-shard slices and absorb the slices (in parallel when at least two
-    /// shards are active and the batch is a real batch). Inner engines stage
-    /// their local queries, spanning path deltas are computed and appended,
-    /// and everything the deferred merge + covering-path join pass needs —
-    /// inner tokens, spanning deltas, per-path version watermarks — is
-    /// collected into the returned token.
-    fn stage_batch_routed(&mut self, updates: &[Update]) -> StagedSharded {
-        self.stats.updates_processed += updates.len() as u64;
-        if updates.is_empty() {
+    /// The staging core for `num_shards > 1`, one same-sign run at a time:
+    ///
+    /// 1. The wrapper-level history store absorbs the run (mid-stream
+    ///    spanning registration must never backfill removed rows).
+    /// 2. The run is routed into per-shard slices and the slices are
+    ///    absorbed ([`Shard::absorb`]), in parallel when at least two
+    ///    shards are active and the run is a real batch: inner engines
+    ///    stage (and commit) their local queries, spanning path deltas are
+    ///    computed.
+    /// 3. The token collects the inner tokens and the spanning join inputs
+    ///    of the spanning queries with a staged path delta.
+    /// 4. A retraction run then pins those queries' fulls pre-removal
+    ///    ([`Relation::snapshot_owned`] — generation-pinned, so the
+    ///    compaction cannot move them under a deferred join) and commits
+    ///    the spanning views and materialized fulls
+    ///    ([`Relation::retract_rows`]). Insertions were appended in step 2.
+    fn stage_run(&mut self, run: &[Update]) -> StagedSharded {
+        let Some(first) = run.first() else {
             return StagedSharded::default();
+        };
+        let retract = first.is_retraction();
+        self.stats.updates_processed += run.len() as u64;
+
+        // Only mid-stream registration reads the history store, so the
+        // per-edge insertion deltas are dropped.
+        if retract {
+            let removed = self.history.remove_deltas(run);
+            self.history.retract_deltas(&removed);
+        } else {
+            self.history.apply_batch(run);
         }
 
-        // Mirror the batch into the wrapper-level history store (dropping
-        // the per-edge deltas — only mid-stream registration reads it).
-        self.history.apply_batch(updates);
-
-        self.route_into_slices(updates);
+        self.route_into_slices(run);
 
         // Absorb. Worker threads only pay off when several shards have real
         // work; single-update calls and single-active-shard batches take the
@@ -620,20 +583,14 @@ impl<E: ContinuousEngine + Send + 'static> ShardedEngine<E> {
         // scoped borrows. The pool is spawned once, on the first batch that
         // needs it, and reused for the engine's whole life.
         let active = self.shards.iter().filter(|s| !s.slice.is_empty()).count();
-        if active >= 2 && updates.len() > 1 {
+        if active >= 2 && run.len() > 1 {
             let threads = self.shards.len().min(WorkerPool::default_threads());
             let pool = self.pool.get_or_insert_with(|| WorkerPool::new(threads));
-            let shards = std::mem::take(&mut self.shards);
-            let jobs: Vec<_> = shards
+            let jobs: Vec<_> = std::mem::take(&mut self.shards)
                 .into_iter()
                 .map(|mut shard| {
                     move || {
-                        if shard.slice.is_empty() {
-                            shard.staged_inner = None;
-                            shard.staged_deltas.clear();
-                        } else {
-                            shard.absorb();
-                        }
+                        shard.absorb(retract);
                         shard
                     }
                 })
@@ -641,400 +598,101 @@ impl<E: ContinuousEngine + Send + 'static> ShardedEngine<E> {
             self.shards = pool.scatter(jobs);
         } else {
             for shard in self.shards.iter_mut() {
-                if shard.slice.is_empty() {
-                    shard.staged_inner = None;
-                    shard.staged_deltas.clear();
-                } else {
-                    shard.absorb();
-                }
+                shard.absorb(retract);
             }
         }
 
-        // Collect the token: inner staged tokens and spanning deltas move
-        // out of the shards, and every path state's full relation is
-        // watermarked — including on shards this batch never touched, whose
-        // fulls the join pass may still read (they must be frozen against
-        // appends by later staged batches). When *no* spanning path gained
-        // rows anywhere — the common case for sparse per-update staging —
-        // the join pass never reads a watermark, so none are captured.
-        let any_spanning_delta = self.shards.iter().any(|s| !s.staged_deltas.is_empty());
-        StagedSharded {
-            shards: self
-                .shards
-                .iter_mut()
-                .map(|shard| StagedShard {
-                    inner: shard.staged_inner.take(),
-                    spanning_deltas: std::mem::take(&mut shard.staged_deltas),
-                    watermarks: if any_spanning_delta {
-                        (0..shard.spanning.paths.len())
-                            .map(|pid| shard.spanning_full(pid).version())
-                            .collect()
-                    } else {
-                        Vec::new()
-                    },
-                })
-                .collect(),
+        // Collect the token. When *no* spanning path changed anywhere — the
+        // common case for sparse per-update staging — no spanning query can
+        // report and the spanning half stays empty.
+        let mut inners: Vec<(usize, StagedBatch)> = Vec::new();
+        let mut deltas: FxHashMap<(usize, usize), Relation> = FxHashMap::default();
+        for (s, shard) in self.shards.iter_mut().enumerate() {
+            inners.extend(shard.staged_inner.take().map(|token| (s, token)));
+            deltas.extend(shard.staged_deltas.drain(..).map(|(pid, d)| ((s, pid), d)));
         }
-    }
-
-    /// The deferred merge + answer pass for `num_shards > 1`: every shard's
-    /// inner engine answers its staged token (translating local ids to
-    /// wrapper ids; each query is reported by at most one shard, so one
-    /// sort-and-fold over the concatenated pairs merges all shards at once),
-    /// then the spanning covering-path join pass joins the staged deltas
-    /// against the other paths' watermarked fulls, and the two reports
-    /// combine via the associative, order-insensitive report merge.
-    fn answer_batch_routed(&mut self, mut token: StagedSharded) -> MatchReport {
-        let mut counts: Vec<(QueryId, u64)> = Vec::new();
-        for (s, staged) in token.shards.iter_mut().enumerate() {
-            let Some(inner) = staged.inner.take() else {
-                continue;
-            };
-            let report = self.shards[s].engine.answer_staged(inner);
-            counts.extend(report.matches.iter().map(|m| {
-                (
-                    self.shards[s].local_to_global[m.query.index()],
-                    m.new_embeddings,
-                )
-            }));
-        }
-        let merged = MatchReport::from_counts(counts).merge(&self.answer_spanning(&token));
-        self.stats.notifications += merged.len() as u64;
-        self.stats.embeddings += merged.total_embeddings();
-        merged
-    }
-
-    /// The post-merge covering-path join pass: for every spanning query with
-    /// at least one non-empty staged path delta, join each affected path's
-    /// delta against the other paths' full relations **frozen at the staged
-    /// watermarks** — exactly the final answering step the engines run
-    /// locally (Fig. 8, lines 8–13 of the paper), lifted across shards.
-    /// Rows appended to the fulls by later staged batches sit past the
-    /// watermarks and are invisible.
-    fn answer_spanning(&self, token: &StagedSharded) -> MatchReport {
-        // The staged delta lists say exactly whether any path state gained
-        // rows in the staged batch; without one, no spanning query can
-        // report, so skip the per-query delta scan entirely.
-        if self.spanning_queries.is_empty()
-            || token.shards.iter().all(|s| s.spanning_deltas.is_empty())
-        {
-            return MatchReport::empty();
-        }
-        // (path-state id → staged delta) per shard, for O(1) lookups below.
-        let delta_index: Vec<FxHashMap<usize, &Relation>> = token
-            .shards
-            .iter()
-            .map(|s| {
-                s.spanning_deltas
-                    .iter()
-                    .map(|(pid, delta)| (*pid, delta))
-                    .collect()
-            })
-            .collect();
-        join_spanning_queries(
-            self.spanning_queries
-                .iter()
-                .map(|sq| (sq.query, sq.paths.as_slice())),
-            |shard, pid| delta_index[shard].get(&pid).copied(),
-            |shard, pid| {
-                let watermark = token.shards[shard]
-                    .watermarks
-                    .get(pid)
-                    .copied()
-                    .unwrap_or(0);
-                Some((self.shards[shard].spanning_full(pid), watermark))
-            },
-        )
-    }
-
-    /// The cross-thread form of [`answer_batch_routed`]
-    /// (`ShardedEngine::answer_batch_routed`): every shard's inner engine
-    /// detaches its own staged token (freezing whatever its answer pass
-    /// reads), the spanning machinery freezes the staged deltas plus the
-    /// other paths' fulls at the staged watermarks, and the combined task —
-    /// inner answers, id translation, one merged fold, spanning join —
-    /// owns all of it and runs on any thread.
-    fn detach_batch_routed(&mut self, mut token: StagedSharded) -> DetachedAnswer {
-        let mut inners: Vec<(DetachedAnswer, Arc<Vec<QueryId>>)> = Vec::new();
-        for (s, staged) in token.shards.iter_mut().enumerate() {
-            if let Some(inner) = staged.inner.take() {
-                inners.push((
-                    self.shards[s].engine.detach_staged(inner),
-                    Arc::clone(&self.shards[s].local_to_global),
-                ));
-            }
-        }
-
-        let any_delta = token.shards.iter().any(|s| !s.spanning_deltas.is_empty());
-        let spanning = if any_delta && !self.spanning_queries.is_empty() {
-            // Only queries with at least one staged path delta can report;
-            // capture exactly those (and the fulls their joins will read).
-            let queries: Vec<(QueryId, Arc<Vec<SpanningPathInfo>>)> = self
-                .spanning_queries
-                .iter()
-                .filter(|sq| {
-                    sq.paths.iter().any(|(s, pid, _)| {
-                        token.shards[*s]
-                            .spanning_deltas
-                            .iter()
-                            .any(|(p, _)| p == pid)
-                    })
-                })
-                .map(|sq| (sq.query, Arc::clone(&sq.paths)))
-                .collect();
-            let mut fulls: FxHashMap<(usize, usize), Relation> = FxHashMap::default();
-            for (_, paths) in &queries {
-                for (s, pid, _) in paths.iter() {
-                    let watermark = token.shards[*s].watermarks.get(*pid).copied().unwrap_or(0);
-                    if watermark > 0 {
-                        fulls.entry((*s, *pid)).or_insert_with(|| {
-                            self.shards[*s]
-                                .spanning_full(*pid)
-                                .snapshot_owned(watermark)
-                        });
-                    }
-                }
-            }
-            let deltas: FxHashMap<(usize, usize), Relation> = token
-                .shards
-                .into_iter()
-                .enumerate()
-                .flat_map(|(s, staged)| {
-                    staged
-                        .spanning_deltas
-                        .into_iter()
-                        .map(move |(pid, delta)| ((s, pid), delta))
-                })
-                .collect();
-            Some(DetachedSpanning {
-                queries,
-                deltas,
-                fulls,
-            })
-        } else {
-            None
-        };
-
-        DetachedAnswer::task(move || {
-            let mut counts: Vec<(QueryId, u64)> = Vec::new();
-            for (inner, local_to_global) in inners {
-                let report = inner.run();
-                counts.extend(
-                    report
-                        .matches
-                        .iter()
-                        .map(|m| (local_to_global[m.query.index()], m.new_embeddings)),
-                );
-            }
-            let spanning_report = spanning
-                .as_ref()
-                .map(DetachedSpanning::answer)
-                .unwrap_or_default();
-            MatchReport::from_counts(counts).merge(&spanning_report)
-        })
-    }
-
-    /// Stages one all-retraction run for `num_shards > 1` — the deletion
-    /// mirror of [`stage_batch_routed`](Self::stage_batch_routed):
-    ///
-    /// 1. The wrapper-level history store retracts the named edges at stage
-    ///    time (mid-stream spanning registration must never backfill
-    ///    removed rows).
-    /// 2. Spanning path states collect their deletion deltas read-only
-    ///    ([`EdgeViewStore::remove_deltas`] seeding [`delta_path_relation`]
-    ///    against the pre-removal views), and the other paths' fulls are
-    ///    frozen **pre-removal** via [`Relation::snapshot_owned`] —
-    ///    generation-pinned, so step 3's compaction cannot move them under
-    ///    the deferred join.
-    /// 3. The spanning views and materialized fulls commit
-    ///    ([`Relation::retract_rows`]), exactly as the eager path did.
-    /// 4. Each receiving shard's inner engine **stages** its slice: inner
-    ///    commits land now (per the staging contract), the disappearing-
-    ///    embedding joins defer into the inner tokens.
-    ///
-    /// Routing runs sequentially — the commits are cheap compactions; all
-    /// the join work rides in the returned token and overlaps later stages.
-    fn stage_retract_run(&mut self, updates: &[Update]) -> StagedShardedRetract {
-        self.stats.updates_processed += updates.len() as u64;
-
-        let removed_hist = self.history.remove_deltas(updates);
-        self.history.retract_deltas(&removed_hist);
-
-        self.route_into_slices(updates);
-
-        // Spanning: collect every shard's removed view rows and the removed
-        // rows of each affected path state — all against pre-removal state.
-        let mut removed_by_shard: Vec<FxHashMap<GenericEdge, Relation>> =
-            Vec::with_capacity(self.shards.len());
-        let mut removed_paths: FxHashMap<(usize, usize), Relation> = FxHashMap::default();
-        for s in 0..self.shards.len() {
-            let shard = &mut self.shards[s];
-            if shard.slice.is_empty() || shard.spanning.paths.is_empty() {
-                removed_by_shard.push(FxHashMap::default());
-                continue;
-            }
-            let removed = shard.spanning.views.remove_deltas(&shard.slice);
-            for pid in 0..shard.spanning.paths.len() {
-                let touches = shard.spanning.paths[pid]
-                    .edges
-                    .iter()
-                    .any(|e| removed.contains_key(e));
-                if !touches {
-                    continue;
-                }
-                let d = delta_path_relation(
-                    &shard.spanning.views,
-                    &shard.spanning.paths[pid].edges,
-                    &removed,
-                    None,
-                    &mut shard.spanning.row_buf,
-                );
-                if !d.is_empty() {
-                    removed_paths.insert((s, pid), d);
-                }
-            }
-            removed_by_shard.push(removed);
-        }
-
-        // Freeze the spanning join's inputs BEFORE committing: the affected
-        // queries and the other paths' fulls pinned at the pre-removal
-        // generation (queries without a removed path delta cannot report
-        // and are skipped).
-        let spanning = if removed_paths.is_empty() {
-            None
-        } else {
-            let queries: Vec<(QueryId, Arc<Vec<SpanningPathInfo>>)> = self
+        let mut spanning = (!deltas.is_empty()).then(|| SpanningJoin {
+            queries: self
                 .spanning_queries
                 .iter()
                 .filter(|sq| {
                     sq.paths
                         .iter()
-                        .any(|(s, pid, _)| removed_paths.contains_key(&(*s, *pid)))
+                        .any(|(s, pid, _)| deltas.contains_key(&(*s, *pid)))
                 })
                 .map(|sq| (sq.query, Arc::clone(&sq.paths)))
-                .collect();
-            let mut fulls: FxHashMap<(usize, usize), Relation> = FxHashMap::default();
-            for (_, paths) in &queries {
-                for (s, pid, _) in paths.iter() {
-                    let full = self.shards[*s].spanning_full(*pid);
-                    let watermark = full.version();
-                    if watermark > 0 {
-                        fulls
-                            .entry((*s, *pid))
-                            .or_insert_with(|| full.snapshot_owned(watermark));
+                .collect(),
+            deltas,
+            fulls: FxHashMap::default(),
+        });
+
+        if retract {
+            if let Some(join) = &mut spanning {
+                self.pin_fulls(join);
+                for ((s, pid), d) in &join.deltas {
+                    let ps = &mut self.shards[*s].spanning.paths[*pid];
+                    if ps.edges.len() > 1 {
+                        ps.full.retract_rows(d);
                     }
                 }
             }
-            Some((queries, fulls))
-        };
-
-        // Commit: spanning views compact (covers single-edge path fulls,
-        // which are the views themselves), then the materialized multi-edge
-        // fulls drop their removed rows.
-        for (s, removed) in removed_by_shard.iter().enumerate() {
-            if !removed.is_empty() {
-                self.shards[s].spanning.views.retract_deltas(removed);
-            }
-        }
-        for ((s, pid), d) in &removed_paths {
-            let ps = &mut self.shards[*s].spanning.paths[*pid];
-            if ps.edges.len() > 1 {
-                ps.full.retract_rows(d);
+            // Covers the single-edge path fulls, which are the views.
+            for shard in &mut self.shards {
+                let removed = std::mem::take(&mut shard.staged_removed);
+                shard.spanning.views.retract_deltas(&removed);
             }
         }
 
-        // Inner engines stage their slices: their commits land here, their
-        // disappearing-embedding joins defer into the collected tokens.
-        let mut inners: Vec<(usize, StagedBatch)> = Vec::new();
-        for s in 0..self.shards.len() {
-            if self.shards[s].slice.is_empty() {
-                continue;
-            }
-            let shard = &mut self.shards[s];
-            let slice = std::mem::take(&mut shard.slice);
-            let token = shard.engine.stage_batch(&slice);
-            shard.slice = slice;
-            inners.push((s, token));
-        }
-
-        StagedShardedRetract {
+        StagedSharded {
+            retract,
             inners,
-            spanning: spanning.map(|(queries, fulls)| DetachedSpanning {
-                queries,
-                deltas: removed_paths,
-                fulls,
-            }),
+            spanning,
         }
     }
 
-    /// The deferred answer pass of a staged retraction run: each receiving
-    /// shard's inner engine answers its token (reports carry retracted
-    /// embeddings; ids translate per shard), the spanning covering-path
-    /// join runs over the frozen pre-removal snapshots, and the merged
-    /// report feeds the wrapper's retraction counters.
-    fn answer_retract_token(&mut self, token: StagedShardedRetract) -> MatchReport {
-        let mut counts: Vec<(QueryId, u64)> = Vec::new();
-        for (s, inner) in token.inners {
-            let report = self.shards[s].engine.answer_staged(inner);
-            counts.extend(report.matches.iter().map(|m| {
-                (
-                    self.shards[s].local_to_global[m.query.index()],
-                    m.retracted_embeddings,
-                )
-            }));
+    /// Pins every full relation `join`'s queries read and the token does
+    /// not own yet, at its current length.
+    fn pin_fulls(&self, join: &mut SpanningJoin) {
+        for (_, paths) in &join.queries {
+            for (s, pid, _) in paths.iter() {
+                join.fulls.entry((*s, *pid)).or_insert_with(|| {
+                    let full = self.shards[*s].spanning_full(*pid);
+                    full.snapshot_owned(full.len())
+                });
+            }
         }
-        let spanning_report = token
-            .spanning
-            .as_ref()
-            .map(DetachedSpanning::answer_retract)
-            .unwrap_or_default();
-        let merged = MatchReport::from_retraction_counts(counts).merge(&spanning_report);
-        self.stats.notifications += merged.len() as u64;
-        self.stats.retracted += merged.total_retracted();
-        merged
     }
 
-    /// The cross-thread form of [`answer_retract_token`]
-    /// (`ShardedEngine::answer_retract_token`): inner tokens detach through
-    /// their shard's inner engine (retraction tokens are fully frozen
-    /// already), the spanning half moves into the task as-is.
-    fn detach_retract_token(&mut self, token: StagedShardedRetract) -> DetachedAnswer {
-        let inners: Vec<(DetachedAnswer, Arc<Vec<QueryId>>)> = token
+    /// Answers a staged run in place — inner engines answer their tokens,
+    /// [`merge_run`] folds them with the spanning join over the live fulls
+    /// — leaving the wrapper's counters to whoever consumes the report.
+    fn answer_token(&mut self, token: StagedSharded) -> MatchReport {
+        let inners: Vec<(MatchReport, Arc<Vec<QueryId>>)> = token
             .inners
             .into_iter()
             .map(|(s, inner)| {
+                let shard = &mut self.shards[s];
                 (
-                    self.shards[s].engine.detach_staged(inner),
-                    Arc::clone(&self.shards[s].local_to_global),
+                    shard.engine.answer_staged(inner),
+                    Arc::clone(&shard.local_to_global),
                 )
             })
             .collect();
-        let spanning = token.spanning;
-        DetachedAnswer::task(move || {
-            let mut counts: Vec<(QueryId, u64)> = Vec::new();
-            for (inner, local_to_global) in inners {
-                let report = inner.run();
-                counts.extend(
-                    report
-                        .matches
-                        .iter()
-                        .map(|m| (local_to_global[m.query.index()], m.retracted_embeddings)),
-                );
-            }
-            let spanning_report = spanning
-                .as_ref()
-                .map(DetachedSpanning::answer_retract)
-                .unwrap_or_default();
-            MatchReport::from_retraction_counts(counts).merge(&spanning_report)
+        merge_run(token.retract, &inners, token.spanning.as_ref(), |s, pid| {
+            Some(self.shards[s].spanning_full(pid))
         })
     }
 
-    /// Applies one all-retraction run eagerly for `num_shards > 1`,
-    /// expressed as stage-then-answer over the very same token the deferred
-    /// path issues — equivalence between the two is by construction.
-    fn retract_run(&mut self, updates: &[Update]) -> MatchReport {
-        let token = self.stage_retract_run(updates);
-        self.answer_retract_token(token)
+    /// Stages and answers every same-sign run of `updates` in place,
+    /// uncounted (see [`answer_token`](Self::answer_token)).
+    fn answer_runs(&mut self, updates: &[Update]) -> MatchReport {
+        sign_runs(updates)
+            .map(|run| {
+                let token = self.stage_run(run);
+                self.answer_token(token)
+            })
+            .reduce(|merged, report| merged.merge(&report))
+            .unwrap_or_default()
     }
 }
 
@@ -1193,55 +851,33 @@ impl<E: ContinuousEngine + Send + 'static> ContinuousEngine for ShardedEngine<E>
         if self.shards.len() == 1 {
             return self.shards[0].engine.apply_update(update);
         }
-        if update.is_retraction() {
-            return self.retract_run(&[update]);
-        }
-        let token = self.stage_batch_routed(&[update]);
-        self.answer_batch_routed(token)
+        self.apply_batch(&[update])
     }
 
     fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
         if self.shards.len() == 1 {
             return self.shards[0].engine.apply_batch(updates);
         }
-        // Split into maximal same-sign runs: insert runs take the staged
-        // routing path, retraction runs apply eagerly (they compact shared
-        // state, so nothing may be deferred across them).
-        let mut report = MatchReport::empty();
-        for run in sign_runs(updates) {
-            let r = if run[0].is_retraction() {
-                self.retract_run(run)
-            } else {
-                let token = self.stage_batch_routed(run);
-                self.answer_batch_routed(token)
-            };
-            report = report.merge(&r);
-        }
+        let report = self.answer_runs(updates);
+        self.absorb_answered(&report);
         report
     }
 
-    /// Routing + per-shard absorption with the merge and spanning join pass
-    /// deferred: inner engines stage their slices (in parallel when several
-    /// shards are active) and the token freezes every path state's version
-    /// watermark. See the staging contract on
-    /// [`ContinuousEngine::stage_batch`]. All-retraction runs stage too
-    /// (`stage_retract_run`): the commits —
-    /// spanning compaction, inner-engine removal — land before this returns,
-    /// while the disappearing-embedding joins ride the token over
-    /// generation-pinned pre-removal snapshots. Only mixed-sign batches
-    /// fall back to an immediate token; callers split with
-    /// [`sign_runs`] first.
+    /// Routing + per-shard absorption + commit of a same-sign run
+    /// (`stage_run`) with the merge and spanning join pass deferred into
+    /// the token. Mixed-sign batches are answered here, run by run, and
+    /// travel as an immediate token whose report is counted when it is
+    /// consumed; callers wanting deferral split with [`sign_runs`] first.
+    /// See the staging contract on [`ContinuousEngine::stage_batch`].
     fn stage_batch(&mut self, updates: &[Update]) -> StagedBatch {
         let staged = if self.shards.len() == 1 {
             self.shards[0].engine.stage_batch(updates)
         } else {
             let retractions = updates.iter().filter(|u| u.is_retraction()).count();
-            if retractions == updates.len() && !updates.is_empty() {
-                StagedBatch::deferred(ShardedToken::Retract(self.stage_retract_run(updates)))
-            } else if retractions > 0 {
-                StagedBatch::immediate(self.apply_batch(updates))
+            if retractions == 0 || retractions == updates.len() {
+                StagedBatch::deferred(self.stage_run(updates))
             } else {
-                StagedBatch::deferred(ShardedToken::Insert(self.stage_batch_routed(updates)))
+                StagedBatch::immediate(self.answer_runs(updates))
             }
         };
         self.outstanding += 1;
@@ -1253,39 +889,63 @@ impl<E: ContinuousEngine + Send + 'static> ContinuousEngine for ShardedEngine<E>
         if self.shards.len() == 1 {
             return self.shards[0].engine.answer_staged(staged);
         }
-        match staged.into_deferred::<ShardedToken>() {
-            Ok(ShardedToken::Insert(token)) => self.answer_batch_routed(token),
-            Ok(ShardedToken::Retract(token)) => self.answer_retract_token(token),
+        let report = match staged.into_deferred::<StagedSharded>() {
+            Ok(token) => self.answer_token(token),
             Err(report) => report,
-        }
+        };
+        self.absorb_answered(&report);
+        report
     }
 
     /// Detaches the deferred merge + spanning join pass into a
     /// self-contained task (see the detachment contract on
     /// [`ContinuousEngine::detach_staged`]): inner tokens detach through
-    /// their shard's inner engine, and the spanning join captures the staged
-    /// deltas plus [`Relation::snapshot_owned`] copies of the fulls at the
-    /// staged watermarks (retraction tokens froze theirs at stage time
-    /// already and just move into the task).
+    /// their shard's inner engine, the spanning join pins the fulls it does
+    /// not own yet ([`Relation::snapshot_owned`] at their current length —
+    /// a retraction run pinned its own at stage time), and the task runs
+    /// the same `merge_run` as the inline answer.
     fn detach_staged(&mut self, staged: StagedBatch) -> DetachedAnswer {
         self.outstanding = self.outstanding.saturating_sub(1);
         if self.shards.len() == 1 {
             return self.shards[0].engine.detach_staged(staged);
         }
-        match staged.into_deferred::<ShardedToken>() {
-            Ok(ShardedToken::Insert(token)) => self.detach_batch_routed(token),
-            Ok(ShardedToken::Retract(token)) => self.detach_retract_token(token),
-            Err(report) => DetachedAnswer::ready(report),
+        let StagedSharded {
+            retract,
+            inners,
+            mut spanning,
+        } = match staged.into_deferred::<StagedSharded>() {
+            Ok(token) => token,
+            Err(report) => return DetachedAnswer::ready(report),
+        };
+        let inners: Vec<(DetachedAnswer, Arc<Vec<QueryId>>)> = inners
+            .into_iter()
+            .map(|(s, inner)| {
+                let shard = &mut self.shards[s];
+                (
+                    shard.engine.detach_staged(inner),
+                    Arc::clone(&shard.local_to_global),
+                )
+            })
+            .collect();
+        if let Some(join) = &mut spanning {
+            self.pin_fulls(join);
         }
+        DetachedAnswer::task(move || {
+            let inners: Vec<(MatchReport, Arc<Vec<QueryId>>)> = inners
+                .into_iter()
+                .map(|(inner, local_to_global)| (inner.run(), local_to_global))
+                .collect();
+            merge_run(retract, &inners, spanning.as_ref(), |_, _| None)
+        })
     }
 
     fn absorb_answered(&mut self, report: &MatchReport) {
         if self.shards.len() == 1 {
             return self.shards[0].engine.absorb_answered(report);
         }
-        // Inner engines answered inside the detached task and could not
-        // count; in sharded deployments the wrapper's counters are the
-        // authoritative ones (see `stats`).
+        // Inner engines count their own (shard-local) reports; in sharded
+        // deployments the wrapper's counters are the authoritative ones
+        // (see `stats`).
         self.stats.notifications += report.len() as u64;
         self.stats.embeddings += report.total_embeddings();
         self.stats.retracted += report.total_retracted();

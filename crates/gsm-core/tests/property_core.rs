@@ -205,35 +205,4 @@ proptest! {
         let all: Vec<Vec<Sym>> = rel.iter().map(|r| r.to_vec()).collect();
         prop_assert_eq!(reassembled, all);
     }
-
-    /// Version-bounded joins around chunk edges: for relations whose length
-    /// and watermark both straddle a chunk boundary, `hash_join_prefix`
-    /// equals a join over physically truncated copies.
-    #[test]
-    fn prefix_joins_match_truncated_joins_across_chunk_edges(
-        extra in 0usize..4,
-        cut_back in 0usize..40,
-        keys in proptest::collection::vec(0u32..9, 1..6),
-    ) {
-        use gsm_core::relation::CHUNK_ROWS;
-        let n = CHUNK_ROWS - 2 + extra; // lengths straddling the edge
-        let mut right = Relation::new(2);
-        for i in 0..n as u32 {
-            right.push(&[Sym(i % 9), Sym(i)]);
-        }
-        let cut = n.saturating_sub(cut_back);
-        let mut left = Relation::new(1);
-        for &k in &keys {
-            left.push(&[Sym(k)]);
-        }
-
-        let bounded = gsm_core::relation::join::hash_join_prefix(
-            &left, left.len(), &right, cut, &[0], &[0]);
-        let mut truncated = Relation::new(2);
-        for row in right.iter().take(cut) {
-            truncated.push(row);
-        }
-        let expected = hash_join(&left, &truncated, &[0], &[0]);
-        prop_assert_eq!(bounded.to_sorted_vec(), expected.to_sorted_vec());
-    }
 }

@@ -448,8 +448,10 @@ mod tests {
         // stage_batch returns, so a staged re-insert routes post-removal.
         let t1 = engine.stage_batch(&[uy.inverted()]);
         assert!(t1.is_immediate());
+        let d1 = engine.detach_staged(t1);
         let t2 = engine.stage_batch(&[uy]);
-        let r1 = engine.answer_staged(t1);
+        let r1 = d1.run();
+        engine.absorb_answered(&r1);
         assert_eq!(r1.total_retracted(), 1);
         let r2 = engine.answer_staged(t2);
         assert_eq!(r2.total_embeddings(), 1);

@@ -19,7 +19,7 @@
 //! edges per label as chunked [`Relation`]s). [`PersistentEngine::
 //! checkpoint`] snapshots all of it to a sequence-stamped file and lets
 //! recovery skip the WAL prefix; it **refuses** to run while staged batches
-//! are outstanding (the staged-watermark state of the inner engine is not
+//! are outstanding (a staged token's deltas inside the inner engine are not
 //! serializable), returning a typed
 //! [`Error::Persistence`](gsm_core::error::Error::Persistence) — callers
 //! drain the pipeline first, as `gsm-core`'s `property_pipeline` suite pins
@@ -456,8 +456,8 @@ impl<E: ContinuousEngine> PersistentEngine<E> {
     /// # Barrier
     ///
     /// Refuses with a typed persistence error while staged batches are
-    /// outstanding: their deferred answers still reference watermark state
-    /// inside the inner engine that no checkpoint captures. Drain the
+    /// outstanding: their deferred answers still hold token state inside
+    /// the inner engine that no checkpoint captures. Drain the
     /// pipeline (`in_flight() == 0`) first.
     pub fn checkpoint(&mut self) -> Result<u64> {
         if self.staged_outstanding > 0 {

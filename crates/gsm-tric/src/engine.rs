@@ -13,12 +13,12 @@ use gsm_core::model::update::{sign_runs, Update};
 use gsm_core::query::paths::covering_paths;
 use gsm_core::query::pattern::{QVertexId, QueryPattern};
 use gsm_core::relation::cache::JoinCache;
-use gsm_core::relation::eval::{join_paths, PathBinding};
+use gsm_core::relation::eval::join_covering_paths;
 use gsm_core::relation::fasthash::{FxHashMap, FxHashSet};
 use gsm_core::relation::join::JoinBuild;
 use gsm_core::relation::Relation;
 use gsm_core::shard::ShardedEngine;
-use gsm_core::views::{self, EdgeViewStore};
+use gsm_core::views::EdgeViewStore;
 
 use crate::trie::{NodeId, TrieForest};
 
@@ -59,55 +59,30 @@ impl HeapSize for QueryInfo {
     }
 }
 
-/// The deferred-answer token of the TRIC engines: everything the final
-/// covering-path join pass (step 4) needs, captured at stage time so the
-/// answer may run after later batches have already been routed and
-/// propagated.
+/// The deferred-answer token of the TRIC engines, for a run of either sign:
+/// everything the covering-path join pass (step 4) needs, captured by
+/// [`TricEngine::stage_run`].
 ///
-/// `truly_new` owns the per-end-node delta relations of the staged batch;
-/// `watermarks` freezes the version ([`Relation::version`]) of every
-/// affected query's end-node views *after* this batch's appends, so the
-/// answer pass joins against exactly the state the views had when the batch
-/// was absorbed — rows appended by later staged batches sit past the
-/// watermarks and are invisible (see the staging contract on
+/// `deltas` owns the rows each affected node's view gained (insertion) or
+/// lost (retraction). A retraction commits at stage time, so its token also
+/// owns the **pre-removal** end-node views of every affected query as
+/// generation-pinned [`Relation::snapshot_owned`] snapshots — they share
+/// frozen chunks by `Arc`, so neither that commit's compaction nor any
+/// later one can move them. An insertion token pins nothing at stage time:
+/// it is answered against the live views, or pinned at their current length
+/// when it is detached (see the staging contract on
 /// [`ContinuousEngine::stage_batch`]).
 #[derive(Debug, Default)]
 struct StagedTric {
-    /// Per-node truly-new rows of the staged batch (step 3 output).
-    truly_new: FxHashMap<NodeId, Relation>,
+    /// The run's sign: true when `deltas` hold removed rows.
+    retract: bool,
+    /// Per-node rows the run added to / removed from the node's view.
+    deltas: FxHashMap<NodeId, Relation>,
     /// Queries with at least one affected covering path, sorted.
     affected_queries: Vec<QueryId>,
-    /// Post-batch version watermark of every end-node view of every path of
-    /// every affected query.
-    watermarks: FxHashMap<NodeId, usize>,
-}
-
-/// The deferred-answer token of an all-retraction run: the per-node removed
-/// rows (steps 1–3 of [`TricEngine::retract_batch`]) plus the **pre-removal**
-/// end-node views of every affected query, frozen as generation-pinned
-/// [`Relation::snapshot_owned`] snapshots *before* the destructive commit.
-/// The snapshots share frozen chunks by `Arc`, so the commit's compaction
-/// (and any later one) cannot invalidate them — the disappearing-embedding
-/// join can therefore run deferred, on any thread, while the engine stages
-/// later batches against the already-committed post-removal state.
-#[derive(Debug, Default)]
-struct StagedRetractTric {
-    /// Rows each affected node's materialized view lost (step 3 output).
-    node_removed: FxHashMap<NodeId, Relation>,
-    /// Queries with at least one covering path that lost rows, sorted.
-    affected_queries: Vec<QueryId>,
-    /// Pre-removal snapshot of every end-node view of every path of every
-    /// affected query, at full length.
-    frozen: FxHashMap<NodeId, Relation>,
-}
-
-/// What [`TricEngine::stage_batch`] defers: an insert run's watermark token
-/// or a retraction run's frozen-snapshot token (mixed-sign batches fall back
-/// to an immediate token — see the staging contract).
-#[derive(Debug)]
-enum TricToken {
-    Insert(StagedTric),
-    Retract(StagedRetractTric),
+    /// End-node views owned by the token; the join pass prefers them over
+    /// the live views.
+    pinned: FxHashMap<NodeId, Relation>,
 }
 
 /// Update-scoped scratch buffers, reused across `apply_update` calls so the
@@ -213,29 +188,6 @@ impl TricEngine {
         self.cache.hits()
     }
 
-    /// Probes `rel` (keyed on `key_cols`) for rows whose key equals `key`,
-    /// invoking `f` with each matching row index — zero allocations per
-    /// probe. Uses the persistent cache when caching is enabled and a
-    /// throw-away build otherwise (the paper's TRIC rebuilds the hash
-    /// structures of every join on every update; TRIC+ reuses them).
-    fn probe_rows(
-        caching: bool,
-        cache: &mut JoinCache,
-        rel: &Relation,
-        key_cols: &[usize],
-        key: &[Sym],
-        f: impl FnMut(usize),
-    ) {
-        if rel.is_empty() {
-            return;
-        }
-        if caching {
-            cache.get_or_build(rel, key_cols).probe_each(rel, key, f);
-        } else {
-            JoinBuild::build(rel, key_cols).probe_each(rel, key, f);
-        }
-    }
-
     /// Extends every row of `delta` (a prefix-path delta whose last column is
     /// the frontier vertex) with the matching tuples of `edge_view`,
     /// producing the delta of the child node. `row_buf` is caller-provided
@@ -288,11 +240,7 @@ impl TricEngine {
         match parent {
             None => {
                 // Root node: the view is exactly the edge view.
-                let rows: Vec<Vec<Sym>> = edge_view.iter().map(|r| r.to_vec()).collect();
-                let view = &mut self.forest.node_mut(node).mat_view;
-                for r in rows {
-                    view.push(&r);
-                }
+                self.forest.node_mut(node).mat_view.extend_from(edge_view);
             }
             Some(p) => {
                 let parent_view = &self.forest.node(p).mat_view;
@@ -380,119 +328,61 @@ impl ContinuousEngine for TricEngine {
     }
 
     fn apply_update(&mut self, update: Update) -> MatchReport {
-        if update.is_retraction() {
-            return self.retract_batch(&[update]);
-        }
-        let staged = self.stage_update(update);
-        self.answer_tric(staged)
+        self.apply_batch(&[update])
     }
 
-    /// Batched answering (the scaling step of the ROADMAP): routing, join
-    /// builds and covering-path joins are amortized across the whole batch
-    /// instead of being paid once per update.
-    ///
-    /// The pipeline mirrors [`apply_update`](ContinuousEngine::apply_update)
-    /// step for step, but every per-update quantity is replaced by its merged
-    /// batch counterpart: the per-edge **batch delta relations** collected by
-    /// one routing pass ([`EdgeViewStore::apply_batch`]), per-node seeds
-    /// joining each parent's pre-batch view against the merged edge delta
-    /// (one hash-join build per affected node per batch), one delta
-    /// propagation pass down the affected sub-tries, and one covering-path
-    /// join per affected query against the merged truly-new rows.
+    /// Batched answering (the scaling step of the ROADMAP): every same-sign
+    /// run of the batch takes one `TricEngine::stage_run` pass — routing,
+    /// join builds and propagation are paid once per run, not once per
+    /// update — and is answered in place.
     fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
-        let mut report = MatchReport::empty();
-        for run in sign_runs(updates) {
-            let run_report = if run[0].is_retraction() {
-                self.retract_batch(run)
-            } else {
-                let staged = self.stage_updates(run);
-                self.answer_tric(staged)
-            };
-            report = report.merge(&run_report);
-        }
+        let report = self.answer_runs(updates);
+        self.absorb_answered(&report);
         report
     }
 
-    /// Routing + propagation of a batch with the covering-path join pass
-    /// deferred: for an insert run, steps 0–3 run now and step 4 runs in
-    /// [`answer_staged`](ContinuousEngine::answer_staged) against the
-    /// version watermarks captured in the token. An all-retraction run
-    /// stages too (`TricEngine::stage_retractions`): the removal commits
-    /// now and the disappearing-embedding join defers against the token's
-    /// generation-pinned pre-removal snapshots. Mixed-sign batches have no
-    /// deferred shape and fall back to an immediate token — callers wanting
+    /// Routing + propagation + commit of a same-sign run
+    /// (`TricEngine::stage_run`) with the covering-path join pass
+    /// deferred into the token. Mixed-sign batches have no deferred shape:
+    /// they are answered here, run by run, and travel as an immediate token
+    /// whose report is counted when it is consumed — callers wanting
     /// deferral split with `sign_runs` first, as the pipelined executor
-    /// does. See the staging contract on
-    /// [`ContinuousEngine::stage_batch`].
+    /// does. See the staging contract on [`ContinuousEngine::stage_batch`].
     fn stage_batch(&mut self, updates: &[Update]) -> StagedBatch {
         let retractions = updates.iter().filter(|u| u.is_retraction()).count();
-        if retractions == updates.len() && !updates.is_empty() {
-            return StagedBatch::deferred(TricToken::Retract(self.stage_retractions(updates)));
+        if retractions == 0 || retractions == updates.len() {
+            StagedBatch::deferred(self.stage_run(updates))
+        } else {
+            StagedBatch::immediate(self.answer_runs(updates))
         }
-        if retractions > 0 {
-            return StagedBatch::immediate(self.apply_batch(updates));
-        }
-        StagedBatch::deferred(TricToken::Insert(self.stage_updates(updates)))
     }
 
     fn answer_staged(&mut self, staged: StagedBatch) -> MatchReport {
-        match staged.into_deferred::<TricToken>() {
-            Ok(TricToken::Insert(token)) => self.answer_tric(token),
-            Ok(TricToken::Retract(token)) => self.answer_retract(token),
+        let report = match staged.into_deferred::<StagedTric>() {
+            Ok(token) => answer_tric(&token, &self.queries, Some(&self.forest)),
             Err(report) => report,
-        }
+        };
+        self.absorb_answered(&report);
+        report
     }
 
-    /// The cross-thread form of the deferred covering-path join pass (see
-    /// the detachment contract on [`ContinuousEngine::detach_staged`]). For
-    /// an insert token, the per-node truly-new deltas travel as-is, each
-    /// affected end-node view is frozen at its staged watermark via the
-    /// chunk-sharing [`Relation::snapshot_owned`], and the query metadata
-    /// travels as one `Arc` bump of the engine's shared table — nothing is
-    /// deep-copied — so the returned task owns everything step 4 reads and
-    /// can run while this engine stages later batches. A retraction token
-    /// already froze its pre-removal snapshots at stage time, so detaching
-    /// it is just the `Arc` bump.
+    /// The cross-thread form of the covering-path join pass (see the
+    /// detachment contract on [`ContinuousEngine::detach_staged`]): every
+    /// end-node view the join will read and the token does not own yet is
+    /// pinned at its current length via the chunk-sharing
+    /// [`Relation::snapshot_owned`], and the query metadata travels as one
+    /// `Arc` bump of the engine's shared table — nothing is deep-copied —
+    /// so the returned task owns everything step 4 reads and can run while
+    /// this engine stages later batches. A retraction token pinned its
+    /// pre-removal views at stage time, so detaching it is just the bump.
     fn detach_staged(&mut self, staged: StagedBatch) -> DetachedAnswer {
-        let token = match staged.into_deferred::<TricToken>() {
+        let mut token = match staged.into_deferred::<StagedTric>() {
             Ok(token) => token,
             Err(report) => return DetachedAnswer::ready(report),
         };
-        match token {
-            TricToken::Insert(token) => {
-                let mut frozen: FxHashMap<NodeId, Relation> = FxHashMap::default();
-                for &qid in &token.affected_queries {
-                    for path in &self.queries[qid.index()].paths {
-                        frozen.entry(path.end_node).or_insert_with(|| {
-                            let view = &self.forest.node(path.end_node).mat_view;
-                            let watermark = token
-                                .watermarks
-                                .get(&path.end_node)
-                                .copied()
-                                .unwrap_or_else(|| view.version());
-                            view.snapshot_owned(watermark)
-                        });
-                    }
-                }
-                let queries = std::sync::Arc::clone(&self.queries);
-                let affected_queries = token.affected_queries;
-                let truly_new = token.truly_new;
-                DetachedAnswer::task(move || {
-                    answer_tric_detached(&affected_queries, &queries, &truly_new, &frozen)
-                })
-            }
-            TricToken::Retract(token) => {
-                let queries = std::sync::Arc::clone(&self.queries);
-                DetachedAnswer::task(move || {
-                    answer_retract_detached(
-                        &token.affected_queries,
-                        &queries,
-                        &token.node_removed,
-                        &token.frozen,
-                    )
-                })
-            }
-        }
+        self.pin_views(&mut token);
+        let queries = std::sync::Arc::clone(&self.queries);
+        DetachedAnswer::task(move || answer_tric(&token, &queries, None))
     }
 
     fn absorb_answered(&mut self, report: &MatchReport) {
@@ -518,105 +408,65 @@ impl ContinuousEngine for TricEngine {
 }
 
 impl TricEngine {
-    /// The staging phase for a single update: steps 0–3 of the answering
-    /// algorithm (routing, seeding, propagation, view appends), with the
-    /// covering-path join pass captured in the returned token.
-    fn stage_update(&mut self, update: Update) -> StagedTric {
-        self.stats.updates_processed += 1;
-
-        // Step 0: route the update to the per-edge materialized views.
-        let affected_edges = self.views.apply_update(&update);
-        if affected_edges.is_empty() {
-            return StagedTric::default();
-        }
-
-        // Step 1: locate the affected trie nodes (paper: edgeInd lookup plus
-        // trie traversal). The node list, the processed set and the row
-        // buffer are update-scoped scratch reused across calls.
-        self.scratch.reset();
-        for ge in &affected_edges {
-            self.scratch
-                .affected_nodes
-                .extend_from_slice(self.forest.nodes_for_edge(ge));
-        }
-        self.scratch.affected_nodes.sort_unstable();
-        self.scratch.affected_nodes.dedup();
-        if self.scratch.affected_nodes.is_empty() {
-            return StagedTric::default();
-        }
-
-        let caching = self.config.caching;
-
-        // Step 2a: seed a delta at every affected node from its parent's
-        // (pre-update) materialized view joined with the single new tuple.
-        let mut deltas: FxHashMap<NodeId, Relation> = FxHashMap::default();
-        let mut by_depth: BTreeMap<usize, Vec<NodeId>> = BTreeMap::new();
-        for i in 0..self.scratch.affected_nodes.len() {
-            let n = self.scratch.affected_nodes[i];
-            let node = self.forest.node(n);
-            let seed = match node.parent {
-                None => Relation::singleton(&[update.src, update.tgt]),
-                Some(p) => {
-                    let parent_view = &self.forest.node(p).mat_view;
-                    let last = parent_view.arity() - 1;
-                    // Distinct parent rows extended by one update tuple are
-                    // distinct; skip the dedup index.
-                    let mut seed = Relation::new_distinct(parent_view.arity() + 1);
-                    let row_buf = &mut self.scratch.row_buf;
-                    row_buf.clear();
-                    row_buf.resize(parent_view.arity() + 1, Sym(0));
-                    Self::probe_rows(
-                        caching,
-                        &mut self.cache,
-                        parent_view,
-                        &[last],
-                        &[update.src],
-                        |idx| {
-                            let prow = parent_view.row(idx);
-                            row_buf[..prow.len()].copy_from_slice(prow);
-                            row_buf[prow.len()] = update.tgt;
-                            seed.append_distinct(row_buf);
-                        },
-                    );
-                    seed
-                }
-            };
-            if !seed.is_empty() {
-                by_depth
-                    .entry(self.forest.node(n).depth)
-                    .or_default()
-                    .push(n);
-                // Affected nodes are deduped, so each node is seeded exactly
-                // once; merging only happens during propagation.
-                deltas.insert(n, seed);
-            }
-        }
-
-        self.propagate_and_stage(deltas, by_depth)
+    /// Stages and answers every same-sign run of `updates` in place,
+    /// leaving the `notifications`/`embeddings`/`retracted` counters to
+    /// whoever consumes the merged report.
+    fn answer_runs(&mut self, updates: &[Update]) -> MatchReport {
+        sign_runs(updates)
+            .map(|run| {
+                let token = self.stage_run(run);
+                answer_tric(&token, &self.queries, Some(&self.forest))
+            })
+            .reduce(|merged, report| merged.merge(&report))
+            .unwrap_or_default()
     }
 
-    /// The staging phase for a whole batch: steps 0–3 with every per-update
-    /// quantity replaced by its merged batch counterpart (see
-    /// [`ContinuousEngine::apply_batch`] on this type). Tiny batches take
-    /// the single-update path — the batched machinery only pays off once
-    /// builds are shared.
-    fn stage_updates(&mut self, updates: &[Update]) -> StagedTric {
-        match updates {
-            [] => return StagedTric::default(),
-            [u] => return self.stage_update(*u),
-            _ => {}
-        }
-        self.stats.updates_processed += updates.len() as u64;
+    /// Steps 0–3 of the answering algorithm (Fig. 8–10) for one same-sign
+    /// run — a deletion is the insertion pass with the sign flipped:
+    ///
+    /// 0. **Route** the run to the per-edge views, collecting the delta
+    ///    relation Δe of every affected generic edge. Insertions append now
+    ///    ([`EdgeViewStore::apply_batch`]); retractions only read
+    ///    ([`EdgeViewStore::remove_deltas`]) and commit in step 3.
+    /// 1. Locate the affected trie nodes (`edgeInd`).
+    /// 2. **Seed** each from its parent's *pre-commit* view ⋈ Δe and
+    ///    **propagate** Δp ⋈ child edge view down the sub-tries, pruning
+    ///    branches whose delta is empty (Fig. 10). That is the standard
+    ///    incremental-join derivative in both directions:
+    ///    `new(p)⋈new(e) − old(p)⋈old(e) = old(p)⋈Δe ∪ Δp⋈new(e)` and
+    ///    `old(p)⋈old(e) − new(p)⋈new(e) = old(p)⋈Δe ∪ Δp⋈old(e)`. An
+    ///    insertion's propagation reads the already-appended edge views, a
+    ///    retraction's the not-yet-compacted ones — in both cases simply
+    ///    the current ones.
+    /// 3. **Commit** the node deltas: insertions append the truly new rows
+    ///    to the node views; retractions first pin the pre-removal end-node
+    ///    views of every affected query into the token, then compact node
+    ///    and edge views ([`Relation::retract_rows`],
+    ///    [`EdgeViewStore::retract_deltas`] — stale cached join builds are
+    ///    rejected by their generation stamp). The commit cannot wait for
+    ///    answer time: the next staged run must route against the
+    ///    post-removal state, exactly as sequential execution would.
+    ///
+    /// Step 4, the covering-path join, rides in the returned token
+    /// ([`answer_tric`]). A single update is a run of length one.
+    fn stage_run(&mut self, run: &[Update]) -> StagedTric {
+        let Some(first) = run.first() else {
+            return StagedTric::default();
+        };
+        let retract = first.is_retraction();
+        self.stats.updates_processed += run.len() as u64;
 
-        // Step 0: route the whole batch to the per-edge materialized views,
-        // collecting the merged delta relation of every affected edge.
-        let edge_deltas = self.views.apply_batch(updates);
+        let edge_deltas = if retract {
+            self.views.remove_deltas(run)
+        } else {
+            self.views.apply_batch(run)
+        };
         if edge_deltas.is_empty() {
             return StagedTric::default();
         }
 
-        // Step 1: locate the affected trie nodes once per batch, so the
-        // edgeInd lookups are shared by every update with the same root.
+        // Step 1. The node list, the processed set and the row buffer are
+        // run-scoped scratch reused across calls.
         self.scratch.reset();
         for ge in edge_deltas.keys() {
             self.scratch
@@ -625,32 +475,19 @@ impl TricEngine {
         }
         self.scratch.affected_nodes.sort_unstable();
         self.scratch.affected_nodes.dedup();
-        if self.scratch.affected_nodes.is_empty() {
-            return StagedTric::default();
-        }
 
         let caching = self.config.caching;
 
-        // Step 2a: seed a delta at every affected node from its parent's
-        // pre-batch materialized view joined with the merged batch delta of
-        // the node's edge. Seeds against the *old* parent views plus
-        // propagation against the *new* edge views cover exactly the new
-        // path rows: new(p)⋈new(e) − old(p)⋈old(e) =
-        // old(p)⋈Δe ∪ Δp⋈new(e), and the second term is what the
-        // propagation step below produces.
+        // Step 2a: seed a delta at every affected node (one hash-join build
+        // per node per run).
         let mut deltas: FxHashMap<NodeId, Relation> = FxHashMap::default();
         let mut by_depth: BTreeMap<usize, Vec<NodeId>> = BTreeMap::new();
         for i in 0..self.scratch.affected_nodes.len() {
             let n = self.scratch.affected_nodes[i];
-            let (parent, edge) = {
-                let node = self.forest.node(n);
-                (node.parent, node.edge)
-            };
-            let Some(delta_e) = edge_deltas.get(&edge) else {
-                continue;
-            };
-            let seed = match parent {
-                // Root node: the seed is exactly the edge's batch delta.
+            let node = self.forest.node(n);
+            let delta_e = &edge_deltas[&node.edge];
+            let seed = match node.parent {
+                // Root node: the seed is exactly the edge's delta.
                 None => delta_e.clone(),
                 Some(p) => {
                     let parent_view = &self.forest.node(p).mat_view;
@@ -682,57 +519,28 @@ impl TricEngine {
                 }
             };
             if !seed.is_empty() {
-                by_depth
-                    .entry(self.forest.node(n).depth)
-                    .or_default()
-                    .push(n);
+                by_depth.entry(node.depth).or_default().push(n);
                 // Affected nodes are deduped, so each node is seeded exactly
                 // once; merging only happens during propagation.
                 deltas.insert(n, seed);
             }
         }
 
-        self.propagate_and_stage(deltas, by_depth)
-    }
-
-    /// Steps 2b–3 of the answering algorithm, shared by the single-update and
-    /// batched front-ends: propagate the seeded deltas down the affected
-    /// sub-tries, append the truly new rows to the node views, and capture
-    /// everything the deferred covering-path join pass needs — the truly-new
-    /// relations, the affected queries, and the post-append version
-    /// watermarks of their end-node views. The seeds must have been computed
-    /// against **pre-append** node views; this method performs all view
-    /// appends itself.
-    fn propagate_and_stage(
-        &mut self,
-        mut deltas: FxHashMap<NodeId, Relation>,
-        mut by_depth: BTreeMap<usize, Vec<NodeId>>,
-    ) -> StagedTric {
-        let caching = self.config.caching;
-
-        // Step 2b: propagate deltas down the affected sub-tries in depth
-        // order, pruning branches whose delta is empty (Fig. 10). Each
-        // node's delta is taken out of the map while its children are
-        // extended (and put back afterwards for step 3), so nothing is
-        // cloned; the processed set is a hash set, not a linear scan.
-        while let Some((&depth, _)) = by_depth.iter().next() {
-            let level = by_depth.remove(&depth).unwrap_or_default();
+        // Step 2b: propagate in depth order. Each node's delta is taken out
+        // of the map while its children are extended (and put back
+        // afterwards for step 3), so nothing is cloned.
+        while let Some((_, level)) = by_depth.pop_first() {
             for n in level {
                 if !self.scratch.processed.insert(n) {
                     continue;
                 }
-                let delta = match deltas.remove(&n) {
-                    Some(d) if !d.is_empty() => d,
-                    Some(d) => {
-                        deltas.insert(n, d);
-                        continue;
-                    }
-                    None => continue,
+                let Some(delta) = deltas.remove(&n) else {
+                    continue;
                 };
                 for ci in 0..self.forest.node(n).children.len() {
                     let c = self.forest.node(n).children[ci];
-                    let child_edge = self.forest.node(c).edge;
-                    let Some(edge_view) = self.views.get(&child_edge) else {
+                    let child = self.forest.node(c);
+                    let Some(edge_view) = self.views.get(&child.edge) else {
                         continue;
                     };
                     let child_delta = Self::extend_delta(
@@ -745,13 +553,19 @@ impl TricEngine {
                     if child_delta.is_empty() {
                         continue; // prune this sub-trie
                     }
-                    by_depth
-                        .entry(self.forest.node(c).depth)
-                        .or_default()
-                        .push(c);
+                    by_depth.entry(child.depth).or_default().push(c);
                     match deltas.entry(c) {
                         std::collections::hash_map::Entry::Occupied(mut e) => {
-                            e.get_mut().extend_from(&child_delta);
+                            let seed = e.get_mut();
+                            if retract {
+                                // Both terms read pre-removal state, so they
+                                // share Δp⋈Δe: union through a dedup index
+                                // (an insertion's terms are disjoint).
+                                let mut indexed = Relation::new(seed.arity());
+                                indexed.extend_from(seed);
+                                *seed = indexed;
+                            }
+                            seed.extend_from(&child_delta);
                         }
                         std::collections::hash_map::Entry::Vacant(e) => {
                             e.insert(child_delta);
@@ -762,17 +576,59 @@ impl TricEngine {
             }
         }
 
-        // Step 3: append the deltas to the per-node materialized views.
-        // (Done after propagation so seeds are computed against pre-update
-        // views — the standard incremental-join derivative.) Because node
-        // views maintain the invariant `matV[n] = prefix-path join`, a delta
-        // row derived from at least one new edge row is almost never already
-        // present, so the common case moves the whole delta out as the
-        // truly-new set without re-hashing a single row; only when a
-        // duplicate does appear is a filtered copy built.
-        let mut truly_new: FxHashMap<NodeId, Relation> = FxHashMap::default();
-        for (n, delta) in deltas.drain() {
-            let view = &mut self.forest.node_mut(n).mat_view;
+        if !retract {
+            self.append_deltas(&mut deltas);
+        }
+
+        // A query is affected iff some covering path's end node changed.
+        let mut affected_queries: Vec<QueryId> = deltas
+            .keys()
+            .flat_map(|n| &self.forest.node(*n).registrations)
+            .map(|reg| reg.query)
+            .collect();
+        affected_queries.sort_unstable();
+        affected_queries.dedup();
+
+        let mut token = StagedTric {
+            retract,
+            deltas,
+            affected_queries,
+            pinned: FxHashMap::default(),
+        };
+        if retract {
+            self.pin_views(&mut token);
+            for (n, d) in &token.deltas {
+                self.forest.node_mut(*n).mat_view.retract_rows(d);
+            }
+            self.views.retract_deltas(&edge_deltas);
+        }
+        token
+    }
+
+    /// Pins every end-node view `token`'s join pass reads and the token does
+    /// not own yet, at its current length.
+    fn pin_views(&self, token: &mut StagedTric) {
+        for &qid in &token.affected_queries {
+            for path in &self.queries[qid.index()].paths {
+                token.pinned.entry(path.end_node).or_insert_with(|| {
+                    let view = &self.forest.node(path.end_node).mat_view;
+                    view.snapshot_owned(view.len())
+                });
+            }
+        }
+    }
+
+    /// Step 3 of an insertion run: append the deltas to the per-node
+    /// materialized views, shrinking each to its truly new rows. (Done after
+    /// propagation so seeds are computed against pre-update views.) Because
+    /// node views maintain the invariant `matV[n] = prefix-path join`, a
+    /// delta row derived from at least one new edge row is almost never
+    /// already present, so the common case keeps the whole delta without
+    /// re-hashing a single row; only when a duplicate does appear is a
+    /// filtered copy built.
+    fn append_deltas(&mut self, deltas: &mut FxHashMap<NodeId, Relation>) {
+        deltas.retain(|n, delta| {
+            let view = &mut self.forest.node_mut(*n).mat_view;
             // Lazily switch to a duplicate mask on the first rejected row.
             let mut dup_mask: Option<Vec<bool>> = None;
             for (i, row) in delta.iter().enumerate() {
@@ -785,357 +641,50 @@ impl TricEngine {
                     mask[i] = !fresh;
                 }
             }
-            match dup_mask {
-                None => {
-                    if !delta.is_empty() {
-                        truly_new.insert(n, delta);
-                    }
+            if let Some(mask) = dup_mask {
+                let mut new_rows = Relation::new(delta.arity());
+                for (row, _) in delta.iter().zip(&mask).filter(|(_, dup)| !**dup) {
+                    new_rows.push(row);
                 }
-                Some(mask) => {
-                    let mut new_rows = Relation::new(delta.arity());
-                    for (i, row) in delta.iter().enumerate() {
-                        if !mask[i] {
-                            new_rows.push(row);
-                        }
-                    }
-                    if !new_rows.is_empty() {
-                        truly_new.insert(n, new_rows);
-                    }
-                }
+                *delta = new_rows;
             }
-        }
-
-        // Capture the deferred answer pass: the affected queries and the
-        // post-append version watermark of every end-node view any of them
-        // will join against. Freezing the watermarks here is what allows
-        // later batches to be staged (appending past the watermarks) before
-        // this batch is answered.
-        let mut affected_queries: Vec<QueryId> = Vec::new();
-        for n in truly_new.keys() {
-            for reg in &self.forest.node(*n).registrations {
-                affected_queries.push(reg.query);
-            }
-        }
-        affected_queries.sort_unstable();
-        affected_queries.dedup();
-
-        let mut watermarks: FxHashMap<NodeId, usize> = FxHashMap::default();
-        for &qid in &affected_queries {
-            for path in &self.queries[qid.index()].paths {
-                watermarks.insert(
-                    path.end_node,
-                    self.forest.node(path.end_node).mat_view.version(),
-                );
-            }
-        }
-
-        StagedTric {
-            truly_new,
-            affected_queries,
-            watermarks,
-        }
-    }
-
-    /// Step 4 — the deferred covering-path join pass: per affected query,
-    /// join the truly-new delta of each affected covering path with the
-    /// other paths' views **frozen at the staged watermarks** (Fig. 8,
-    /// lines 8–13, restricted to new embeddings). Rows appended to the views
-    /// by batches staged after this one sit past the watermarks and are
-    /// invisible, so the report is identical whether the answer runs
-    /// immediately or after any number of later stages. Bindings borrow the
-    /// deltas/views and each path's vertex sequence — nothing is copied to
-    /// describe a join.
-    fn answer_tric(&mut self, staged: StagedTric) -> MatchReport {
-        let StagedTric {
-            truly_new,
-            affected_queries,
-            watermarks,
-        } = staged;
-
-        let counts = join_covering_paths(
-            affected_queries
-                .iter()
-                .map(|qid| (*qid, self.queries[qid.index()].paths.as_slice())),
-            |end_node| truly_new.get(&end_node),
-            |end_node| {
-                let view = &self.forest.node(end_node).mat_view;
-                let watermark = watermarks
-                    .get(&end_node)
-                    .copied()
-                    .unwrap_or_else(|| view.version());
-                Some((view, watermark))
-            },
-        );
-
-        let report = MatchReport::from_counts(counts);
-        self.stats.notifications += report.len() as u64;
-        self.stats.embeddings += report.total_embeddings();
-        report
-    }
-
-    /// The retraction mirror of the staged answering pipeline: one
-    /// [`TricEngine::stage_retractions`] staging pass followed immediately
-    /// by the deferred join — so the eager path and the pipelined path are
-    /// the same code and equivalent by construction.
-    fn retract_batch(&mut self, updates: &[Update]) -> MatchReport {
-        let token = self.stage_retractions(updates);
-        self.answer_retract(token)
-    }
-
-    /// The staging half of a retraction run:
-    ///
-    /// 1. Collect the removed rows per generic edge **without** touching the
-    ///    views ([`EdgeViewStore::remove_deltas`]).
-    /// 2. Locate the affected trie nodes — every node whose own edge lost
-    ///    rows plus all of its descendants, since a descendant's prefix join
-    ///    runs through the removed rows.
-    /// 3. Per affected node, derive the rows its materialized view loses as
-    ///    the deletion delta of the node's root→node prefix path against the
-    ///    still-pre-removal views: by the deletion-delta property of
-    ///    [`views::delta_path_relation`] this is exactly
-    ///    `matV_before − matV_after`.
-    /// 4. **Freeze** the pre-removal end-node views of every affected query
-    ///    into generation-pinned [`Relation::snapshot_owned`] snapshots —
-    ///    the chunk-sharing `Arc` pins keep them valid across any
-    ///    compaction.
-    /// 5. **Commit**, still at stage time: [`Relation::retract_rows`] on
-    ///    each affected node view and [`EdgeViewStore::retract_deltas`] on
-    ///    the edge views, compacting each touched relation into its next
-    ///    generation (stale cached join builds are rejected by their
-    ///    generation stamp). Later staged batches route against the
-    ///    post-removal state, exactly as sequential execution would.
-    ///
-    /// The expensive part — joining the removed rows against the frozen
-    /// snapshots to count disappearing embeddings — is deferred into the
-    /// returned token ([`TricEngine::answer_retract`]). Requires every
-    /// earlier staged token to have been answered or detached (see the
-    /// staging contract on [`ContinuousEngine::stage_batch`]).
-    fn stage_retractions(&mut self, updates: &[Update]) -> StagedRetractTric {
-        self.stats.updates_processed += updates.len() as u64;
-
-        let removed = self.views.remove_deltas(updates);
-        if removed.is_empty() {
-            return StagedRetractTric::default();
-        }
-
-        // Step 2: the affected sub-forest, depth-first from the edge's nodes.
-        let mut stack: Vec<NodeId> = Vec::new();
-        let mut seen: FxHashSet<NodeId> = FxHashSet::default();
-        for ge in removed.keys() {
-            for &n in self.forest.nodes_for_edge(ge) {
-                if seen.insert(n) {
-                    stack.push(n);
-                }
-            }
-        }
-        let mut affected_nodes: Vec<NodeId> = Vec::new();
-        while let Some(n) = stack.pop() {
-            affected_nodes.push(n);
-            for &c in &self.forest.node(n).children {
-                if seen.insert(c) {
-                    stack.push(c);
-                }
-            }
-        }
-
-        // Step 3: per-node removed rows from the pre-removal edge views.
-        let caching = self.config.caching;
-        let mut node_removed: FxHashMap<NodeId, Relation> = FxHashMap::default();
-        let mut prefix: Vec<GenericEdge> = Vec::new();
-        for &n in &affected_nodes {
-            prefix.clear();
-            let mut cur = Some(n);
-            while let Some(m) = cur {
-                let node = self.forest.node(m);
-                prefix.push(node.edge);
-                cur = node.parent;
-            }
-            prefix.reverse();
-            let d = views::delta_path_relation(
-                &self.views,
-                &prefix,
-                &removed,
-                caching.then_some(&mut self.cache),
-                &mut self.scratch.row_buf,
-            );
-            if !d.is_empty() {
-                node_removed.insert(n, d);
-            }
-        }
-
-        // A query loses embeddings iff some covering path's end node lost
-        // view rows (an embedding disappears exactly when at least one of
-        // its per-path tuples does, and the cross-path union dedups).
-        let mut affected_queries: Vec<QueryId> = Vec::new();
-        for n in node_removed.keys() {
-            for reg in &self.forest.node(*n).registrations {
-                affected_queries.push(reg.query);
-            }
-        }
-        affected_queries.sort_unstable();
-        affected_queries.dedup();
-
-        // Step 4: freeze the pre-removal answer inputs. Every end-node view
-        // an affected query's join pass will read is snapshot at its full
-        // pre-removal length; the snapshots share frozen chunks by `Arc`.
-        let mut frozen: FxHashMap<NodeId, Relation> = FxHashMap::default();
-        for &qid in &affected_queries {
-            for path in &self.queries[qid.index()].paths {
-                frozen.entry(path.end_node).or_insert_with(|| {
-                    let view = &self.forest.node(path.end_node).mat_view;
-                    view.snapshot_owned(view.version())
-                });
-            }
-        }
-
-        // Step 5: commit the removal everywhere, at stage time.
-        for (n, d) in &node_removed {
-            self.forest.node_mut(*n).mat_view.retract_rows(d);
-        }
-        self.views.retract_deltas(&removed);
-
-        StagedRetractTric {
-            node_removed,
-            affected_queries,
-            frozen,
-        }
-    }
-
-    /// The deferred half of a retraction run: join each affected query's
-    /// removed rows against the token's frozen pre-removal snapshots —
-    /// the very same [`join_covering_paths`] pass as insertion, counting
-    /// disappearing embeddings instead of new ones.
-    fn answer_retract(&mut self, token: StagedRetractTric) -> MatchReport {
-        let report = answer_retract_detached(
-            &token.affected_queries,
-            &self.queries,
-            &token.node_removed,
-            &token.frozen,
-        );
-        self.stats.notifications += report.len() as u64;
-        self.stats.retracted += report.total_retracted();
-        report
+            !delta.is_empty()
+        });
     }
 }
 
-/// One covering path of a query as [`join_covering_paths`] sees it: the
-/// trie node its materialized view lives at, and the query vertex each
-/// view column binds.
-trait CoveringPathRef {
-    fn end_node(&self) -> NodeId;
-    fn vertices(&self) -> &[QVertexId];
-}
-
-impl CoveringPathRef for PathInfo {
-    fn end_node(&self) -> NodeId {
-        self.end_node
-    }
-    fn vertices(&self) -> &[QVertexId] {
-        &self.vertices
-    }
-}
-
-/// Step 4's join loop (Fig. 8, lines 8–13, restricted to new embeddings),
-/// shared by the engine-resident pass — live views bounded by the staged
-/// watermarks — and the detached cross-thread pass — pre-cut
-/// [`Relation::snapshot_owned`] views, whose limit is simply their length.
-/// Per affected query, each path's truly-new delta (resolved by `delta_of`)
-/// joins the other paths' views (resolved with their visible-row limit by
-/// `other_of`; `None` or a zero limit means the path has no tuples and the
-/// query cannot match), and the distinct embeddings union across paths.
-fn join_covering_paths<'a, P, Q, D, F>(queries: Q, delta_of: D, other_of: F) -> Vec<(QueryId, u64)>
-where
-    P: CoveringPathRef + 'a,
-    Q: Iterator<Item = (QueryId, &'a [P])>,
-    D: Fn(NodeId) -> Option<&'a Relation>,
-    F: Fn(NodeId) -> Option<(&'a Relation, usize)>,
-{
-    let mut counts: Vec<(QueryId, u64)> = Vec::new();
-    let mut bindings: Vec<PathBinding<'a>> = Vec::new();
-    for (qid, paths) in queries {
-        // Accumulate distinct new embeddings across affected paths.
-        let mut embeddings: Option<Relation> = None;
-        for (i, path) in paths.iter().enumerate() {
-            let Some(delta) = delta_of(path.end_node()) else {
-                continue; // this covering path gained nothing new
-            };
-            bindings.clear();
-            bindings.push(PathBinding::new(delta, path.vertices()));
-            let mut all_present = true;
-            for (j, other) in paths.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                match other_of(other.end_node()) {
-                    Some((view, limit)) if limit > 0 => {
-                        bindings.push(PathBinding::at_version(view, other.vertices(), limit));
-                    }
-                    _ => {
-                        all_present = false;
-                        break;
-                    }
-                }
-            }
-            if !all_present {
-                continue;
-            }
-            if let Some(result) = join_paths(&bindings) {
-                let canon = result.canonicalize();
-                match &mut embeddings {
-                    None => embeddings = Some(canon.rel),
-                    Some(acc) => {
-                        acc.extend_from(&canon.rel);
-                    }
-                }
-            }
-        }
-        if let Some(emb) = embeddings {
-            if !emb.is_empty() {
-                counts.push((qid, emb.len() as u64));
-            }
-        }
-    }
-    counts
-}
-
-/// Step 4 over detached state ([`join_covering_paths`] with owned inputs):
-/// the staged truly-new deltas, the `Arc`-shared query table (indexed by
-/// the affected query ids), and the end-node views frozen at the staged
-/// watermarks — an empty frozen view is the `watermark == 0` case (the
-/// query cannot match yet).
-fn answer_tric_detached(
-    affected_queries: &[QueryId],
-    queries: &[QueryInfo],
-    truly_new: &FxHashMap<NodeId, Relation>,
-    frozen: &FxHashMap<NodeId, Relation>,
+/// Step 4 — the covering-path join pass of a staged run, for either sign
+/// and on either side of a detachment: per affected query, join the delta
+/// of each affected covering path with the other paths' views
+/// ([`join_covering_paths`]). Views the token owns are read from it; the
+/// rest come from `live`, the engine's forest (`None` in a detached task,
+/// which pinned them all). Inserted rows against post-insert views count
+/// new embeddings, removed rows against pre-removal views disappearing
+/// ones.
+fn answer_tric<'a>(
+    token: &'a StagedTric,
+    queries: &'a [QueryInfo],
+    live: Option<&'a TrieForest>,
 ) -> MatchReport {
-    MatchReport::from_counts(join_covering_paths(
-        affected_queries
+    let counts = join_covering_paths(
+        token
+            .affected_queries
             .iter()
             .map(|qid| (*qid, queries[qid.index()].paths.as_slice())),
-        |end_node| truly_new.get(&end_node),
-        |end_node| frozen.get(&end_node).map(|view| (view, view.len())),
-    ))
-}
-
-/// The retraction mirror of [`answer_tric_detached`]: the same covering-path
-/// join over owned state, but the deltas are the removed rows, the snapshots
-/// are pre-removal, and the counts report disappearing embeddings. Safe on
-/// any thread at any later time — the generation-pinned snapshots outlive
-/// the commit that already ran at stage time.
-fn answer_retract_detached(
-    affected_queries: &[QueryId],
-    queries: &[QueryInfo],
-    node_removed: &FxHashMap<NodeId, Relation>,
-    frozen: &FxHashMap<NodeId, Relation>,
-) -> MatchReport {
-    MatchReport::from_retraction_counts(join_covering_paths(
-        affected_queries
-            .iter()
-            .map(|qid| (*qid, queries[qid.index()].paths.as_slice())),
-        |end_node| node_removed.get(&end_node),
-        |end_node| frozen.get(&end_node).map(|view| (view, view.len())),
-    ))
+        |path| path.vertices.as_slice(),
+        |path| token.deltas.get(&path.end_node),
+        |path| {
+            token
+                .pinned
+                .get(&path.end_node)
+                .or_else(|| live.map(|forest| &forest.node(path.end_node).mat_view))
+        },
+    );
+    if token.retract {
+        MatchReport::from_retraction_counts(counts)
+    } else {
+        MatchReport::from_counts(counts)
+    }
 }
 
 #[cfg(test)]
@@ -1473,21 +1022,24 @@ mod tests {
             let uy = f.u("y", "b", "c");
             assert_eq!(engine.apply_batch(&[ux, uy]).total_embeddings(), 1);
             // The retraction run stages a deferred token; its commit has
-            // already run.
+            // already run. Detaching it hands over the pre-removal views it
+            // pinned at stage time.
             let t1 = engine.stage_batch(&[uy.inverted()]);
             assert!(
                 !t1.is_immediate(),
                 "{}: retraction runs must defer",
                 engine.name()
             );
+            let d1 = engine.detach_staged(t1);
             // A later insert run stages (re-creating the embedding) before
-            // the retraction is answered. Because the retraction committed
-            // at stage time, the re-insert routes against post-removal
-            // views and is truly new; because the retraction froze
-            // generation-pinned pre-removal snapshots, its deferred answer
-            // is unaffected by this later append.
+            // the detached retraction is answered. Because the retraction
+            // committed at stage time, the re-insert routes against
+            // post-removal views and is truly new; because the task owns
+            // generation-pinned pre-removal snapshots, its answer is
+            // unaffected by this later append.
             let t2 = engine.stage_batch(&[uy]);
-            let r1 = engine.answer_staged(t1);
+            let r1 = d1.run();
+            engine.absorb_answered(&r1);
             assert_eq!(r1.total_retracted(), 1, "{}", engine.name());
             assert_eq!(r1.total_embeddings(), 0, "{}", engine.name());
             let r2 = engine.answer_staged(t2);
@@ -1503,7 +1055,12 @@ mod tests {
 
     #[test]
     fn staging_a_mixed_sign_batch_falls_back_to_immediate() {
-        for mut engine in engines() {
+        let all: Vec<Box<dyn ContinuousEngine>> = vec![
+            Box::new(TricEngine::tric()),
+            Box::new(TricEngine::tric_plus()),
+            Box::new(TricEngine::tric_sharded(2)),
+        ];
+        for mut engine in all {
             let mut f = Fixture::new();
             let q = f.q("?a -x-> ?b");
             engine.register_query(&q).unwrap();
@@ -1513,6 +1070,126 @@ mod tests {
             let report = engine.answer_staged(token);
             assert_eq!(report.total_embeddings(), 1, "{}", engine.name());
             assert_eq!(report.total_retracted(), 1, "{}", engine.name());
+            assert_eq!(engine.stats().embeddings, 1, "{}", engine.name());
+
+            // The detached route counts the token exactly once as well:
+            // the report is only absorbed, never counted at stage time.
+            let v = f.u("x", "c", "d");
+            let token = engine.stage_batch(&[v, v.inverted()]);
+            let report = engine.detach_staged(token).run();
+            engine.absorb_answered(&report);
+            assert_eq!(report.total_embeddings(), 1, "{}", engine.name());
+            let stats = engine.stats();
+            assert_eq!((stats.embeddings, stats.retracted), (2, 2));
+            assert_eq!(stats.notifications, 2, "{}", engine.name());
+        }
+    }
+
+    /// A 3-edge chain `x→y→z` with a sibling branch `x→w` sharing the root:
+    /// `(a,b,c,d)` embeds the chain, `(a2,b2,e)` the branch.
+    fn chain_with_sibling(f: &mut Fixture) -> (Vec<QueryPattern>, [Update; 5]) {
+        let queries = vec![
+            f.q("?a -x-> ?b; ?b -y-> ?c; ?c -z-> ?d"),
+            f.q("?a -x-> ?b; ?b -w-> ?e"),
+        ];
+        let edges = [
+            f.u("x", "a", "b"),
+            f.u("y", "b", "c"),
+            f.u("z", "c", "d"),
+            f.u("x", "a2", "b2"),
+            f.u("w", "b2", "e"),
+        ];
+        (queries, edges)
+    }
+
+    #[test]
+    fn retraction_run_counts_the_overlap_once_and_prunes_empty_branches() {
+        for caching in [false, true] {
+            let mut f = Fixture::new();
+            let (queries, [x, y, z, x2, w]) = chain_with_sibling(&mut f);
+            let replay = |edges: &[Update]| {
+                let mut engine = TricEngine::with_config(TricConfig { caching });
+                for q in &queries {
+                    engine.register_query(q).unwrap();
+                }
+                assert_eq!(engine.num_trie_nodes(), 4, "x, x→y, x→y→z, x→w");
+                engine.apply_batch(edges);
+                engine
+            };
+            let mut engine = replay(&[x, y, z, x2, w]);
+            let views = |e: &TricEngine| -> Vec<Vec<Vec<Sym>>> {
+                let nodes = e.forest().node_ids();
+                nodes
+                    .map(|n| e.forest().node(n).mat_view.to_sorted_vec())
+                    .collect()
+            };
+            let branch = engine
+                .forest()
+                .nodes_for_edge(&GenericEdge::from_pattern(&queries[1].edges()[1]))[0];
+            let branch_generation = engine.forest().node(branch).mat_view.generation();
+
+            // One run removes the root tuple and the child tuple of path row
+            // (a,b,c): node x→y loses it through old(x)⋈Δy and through
+            // Δx⋈old(y) at once, and passes it on to x→y→z. The x delta
+            // (a,b) extends to nothing under x→w, so that branch is pruned.
+            let report = engine.apply_batch(&[x.inverted(), y.inverted()]);
+            assert_eq!(
+                report,
+                MatchReport::from_retraction_counts(vec![(QueryId(0), 1)]),
+                "caching {caching}"
+            );
+            assert_eq!(engine.stats().retracted, 1, "caching {caching}");
+            assert_eq!(views(&engine), views(&replay(&[z, x2, w])));
+            assert_eq!(
+                engine.forest().node(branch).mat_view.generation(),
+                branch_generation,
+                "the untouched sibling view must not be compacted"
+            );
+        }
+    }
+
+    #[test]
+    fn one_run_singleton_runs_and_single_updates_agree_for_both_signs() {
+        type Feed = fn(&mut TricEngine, &[Update]) -> MatchReport;
+        let feeds: [Feed; 3] = [
+            |e, run| e.apply_batch(run),
+            |e, run| {
+                run.iter().fold(MatchReport::empty(), |acc, u| {
+                    let token = e.stage_batch(&[*u]);
+                    acc.merge(&e.answer_staged(token))
+                })
+            },
+            |e, run| {
+                run.iter().fold(MatchReport::empty(), |acc, u| {
+                    acc.merge(&e.apply_update(*u))
+                })
+            },
+        ];
+        for caching in [false, true] {
+            let mut f = Fixture::new();
+            let (queries, edges) = chain_with_sibling(&mut f);
+            let removals = edges.map(|u| u.inverted());
+            let outcomes: Vec<_> = feeds
+                .iter()
+                .map(|feed| {
+                    let mut engine = TricEngine::with_config(TricConfig { caching });
+                    for q in &queries {
+                        engine.register_query(q).unwrap();
+                    }
+                    let gained = feed(&mut engine, &edges);
+                    let lost = feed(&mut engine, &removals);
+                    (gained, lost, engine.stats())
+                })
+                .collect();
+            let (gained, lost, stats) = &outcomes[0];
+            assert_eq!(gained.total_embeddings(), 2, "caching {caching}");
+            assert_eq!(lost.total_retracted(), 2, "caching {caching}");
+            assert_eq!((stats.embeddings, stats.retracted), (2, 2));
+            for (other_gained, other_lost, other_stats) in &outcomes[1..] {
+                assert_eq!((other_gained, other_lost), (gained, lost));
+                assert_eq!(other_stats.retracted, stats.retracted);
+                assert_eq!(other_stats.embeddings, stats.embeddings);
+            }
         }
     }
 
@@ -1694,12 +1371,13 @@ mod tests {
     }
 
     #[test]
-    fn deferred_answers_survive_later_stages() {
-        // The staging contract: answer(N) may run after stage(N+1), …,
-        // stage(N+k), and must still report exactly what apply_batch would
-        // have — the version watermarks in the token freeze the views. Replay
-        // a random stream in chunks, staging the whole window before
-        // answering any of it, against a sequential reference.
+    fn detached_answers_survive_later_stages() {
+        // The staging contract: a token is answered or detached before the
+        // next batch is staged, and a detached answer must still report
+        // exactly what apply_batch would have however many later batches
+        // were staged before it ran. Replay a random stream in chunks,
+        // staging and detaching a whole window before running any of it,
+        // against a sequential reference.
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         for caching in [false, true] {
@@ -1730,13 +1408,19 @@ mod tests {
                 let chunk = 4usize;
                 let batches: Vec<&[Update]> = stream.chunks(chunk).collect();
                 for group in batches.chunks(window) {
-                    // Stage the whole window first…
-                    let tokens: Vec<_> =
-                        group.iter().map(|b| staged_engine.stage_batch(b)).collect();
-                    // …then answer FIFO, each against its frozen watermarks.
-                    for (batch, token) in group.iter().zip(tokens) {
+                    // Stage and detach the whole window first…
+                    let tasks: Vec<_> = group
+                        .iter()
+                        .map(|b| {
+                            let token = staged_engine.stage_batch(b);
+                            staged_engine.detach_staged(token)
+                        })
+                        .collect();
+                    // …then run FIFO, each against the views it pinned.
+                    for (batch, task) in group.iter().zip(tasks) {
                         let expected = reference.apply_batch(batch);
-                        let got = staged_engine.answer_staged(token);
+                        let got = task.run();
+                        staged_engine.absorb_answered(&got);
                         assert_eq!(
                             got, expected,
                             "caching {caching} window {window} diverged on {batch:?}"
