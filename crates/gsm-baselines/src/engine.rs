@@ -15,9 +15,10 @@ use gsm_core::relation::eval::{join_paths, PathBinding};
 use gsm_core::relation::fasthash::FxHashMap;
 use gsm_core::relation::Relation;
 use gsm_core::shard::ShardedEngine;
-use gsm_core::views::{self, EdgeViewStore};
+use gsm_core::views::EdgeViewStore;
 
 use crate::index::{InvertedIndexes, PathRecord, QueryRecord};
+use crate::paths;
 
 /// Which baseline algorithm the engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,10 +80,10 @@ impl BaselineEngine {
     }
 
     /// Wraps the selected baseline in a [`ShardedEngine`] with `num_shards`
-    /// worker shards, partitioned by root generic edge exactly like the
-    /// sharded TRIC variants — the INV/INC parity point for the shard-count
-    /// differential tests. With `num_shards <= 1` this is an unsharded
-    /// engine behind a zero-overhead delegation.
+    /// worker shards, partitioned by each query's first root generic edge
+    /// exactly like the sharded TRIC variants — the INV/INC parity point for
+    /// the shard-count differential tests. With `num_shards <= 1` this is
+    /// an unsharded engine behind a zero-overhead delegation.
     pub fn sharded(
         mode: BaselineMode,
         caching: bool,
@@ -163,7 +164,7 @@ fn answer_affected(
             };
             if need_full {
                 let rel =
-                    views::full_path_relation(views, &path.edges, cache.as_deref_mut(), row_buf);
+                    paths::full_path_relation(views, &path.edges, cache.as_deref_mut(), row_buf);
                 if rel.is_empty() {
                     all_present = false;
                     break;
@@ -178,7 +179,7 @@ fn answer_affected(
         let mut deltas: Vec<Option<Relation>> = vec![None; record.paths.len()];
         for (i, path) in record.paths.iter().enumerate() {
             if path_affected[i] {
-                let d = views::delta_path_relation(
+                let d = paths::delta_path_relation(
                     views,
                     &path.edges,
                     edge_deltas,
@@ -204,7 +205,7 @@ fn answer_affected(
                     .enumerate()
                     .any(|(i, d)| i != j && d.is_some());
                 if needed && full_relations[j].is_none() {
-                    let rel = views::full_path_relation(
+                    let rel = paths::full_path_relation(
                         views,
                         &path.edges,
                         cache.as_deref_mut(),
@@ -396,7 +397,7 @@ impl BaselineEngine {
     /// ([`EdgeViewStore::remove_deltas`]), run the very same
     /// join-and-explore pass seeded with them against the still
     /// **pre-removal** views — which by the deletion-delta property of
-    /// [`views::delta_path_relation`] yields exactly
+    /// [`paths::delta_path_relation`] yields exactly
     /// `full_before − full_after` per covering path — and only then commit
     /// the removal ([`EdgeViewStore::retract_deltas`]).
     fn retract_batch_core(&mut self, updates: &[Update]) -> MatchReport {

@@ -29,6 +29,7 @@
 
 pub mod engine;
 pub mod index;
+mod paths;
 
 pub use engine::{BaselineEngine, BaselineMode};
 

@@ -342,27 +342,26 @@ pub struct EngineStats {
 /// Any engine can be partitioned across workers with
 /// [`crate::shard::ShardedEngine`]. The contract is:
 ///
-/// * **Ownership is by root generic edge.** Every covering path of every
+/// * **Ownership is by a query's first root.** Every covering path of a
 ///   query roots at some generic edge; [`crate::shard::shard_of`]
-///   deterministically assigns each root edge — and the trie nodes / path
-///   states and edge views reachable from it — to exactly one shard.
-///   Queries whose covering-path roots all map to one shard live entirely
-///   on that shard's inner engine; queries whose roots span shards are
-///   answered by a post-merge covering-path join pass over shard-local
-///   path deltas.
+///   deterministically assigns the root of the query's *first* covering
+///   path to exactly one shard, and the whole query — trie nodes, edge
+///   views, covering-path joins — lives on that shard's inner engine,
+///   which receives every update matching one of the query's generic
+///   edges. The wrapper routes, translates query ids and merges reports;
+///   it joins nothing itself.
 /// * **Reports merge associatively.** Per-shard reports combine with
 ///   [`MatchReport::merge`]: per-query counts add, and the merge is
 ///   associative, commutative and order-insensitive, so the final report
 ///   is independent of shard scheduling.
-/// * **Observational equivalence.** For a query database registered
-///   before streaming — and for mid-stream registrations whose edges
-///   carry no prior history — the sharded engine's reports are identical
-///   to the unsharded engine's at every shard count, in both per-update
-///   and batched replay (pinned by the shard-count differential matrix in
-///   the test suites). A query registered mid-stream over edges whose
-///   history lives on *other* shards catches up with less history than an
-///   unsharded engine would see; see the "Late registration" note in
-///   [`crate::shard`].
+/// * **Observational equivalence.** The sharded engine's reports are
+///   identical to the unsharded engine's at every shard count, in both
+///   per-update and batched replay (pinned by the shard-count differential
+///   matrix in the test suites). That includes queries registered
+///   mid-stream: edges new to the query's home shard replay the history
+///   the unsharded engine's shared views would hold, whichever shard it
+///   streamed to (the "Late registration" note in [`crate::shard`] names
+///   the one same-label corner the replay cannot reach).
 pub trait ContinuousEngine {
     /// Short, stable engine name (`"TRIC"`, `"INV+"`, …) used in reports.
     fn name(&self) -> &'static str;

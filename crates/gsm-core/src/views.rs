@@ -13,9 +13,7 @@ use crate::interner::Sym;
 use crate::memory::HeapSize;
 use crate::model::generic::GenericEdge;
 use crate::model::update::Update;
-use crate::relation::cache::JoinCache;
 use crate::relation::fasthash::FxHashMap;
-use crate::relation::join::JoinBuild;
 use crate::relation::Relation;
 
 /// Per-generic-edge materialized views.
@@ -34,25 +32,6 @@ impl EdgeViewStore {
     /// columns: the concrete source and target vertices of matching updates.
     pub fn register(&mut self, edge: GenericEdge) {
         self.views.entry(edge).or_insert_with(|| Relation::new(2));
-    }
-
-    /// Registers a view for `edge` and replays `source`'s rows into it —
-    /// the catch-up path for views created mid-stream (e.g. a shard whose
-    /// spanning view must see history that was routed before the owning
-    /// query registered). Rows already present are absorbed by the dedup
-    /// push, so backfilling is idempotent and safe to interleave with a
-    /// view that independently received some of the same history. Returns
-    /// the number of rows actually added.
-    pub fn backfill_from(&mut self, edge: GenericEdge, source: &Relation) -> usize {
-        self.register(edge);
-        let view = self.views.get_mut(&edge).expect("just registered");
-        let mut added = 0;
-        for row in source.iter() {
-            if view.push(row) {
-                added += 1;
-            }
-        }
-        added
     }
 
     /// True if a view is registered for `edge`.
@@ -180,175 +159,6 @@ impl HeapSize for EdgeViewStore {
     fn heap_size(&self) -> usize {
         self.views.heap_size()
     }
-}
-
-/// Extends every row of `rel` (last column = frontier vertex) to the right
-/// with the matching tuples of `view` (joined on the view's source column).
-/// `cache` selects between the persistent join-structure cache of the `+`
-/// engine variants and a throw-away build; `buf` is caller-provided row
-/// scratch so repeated extensions share one allocation.
-fn extend_path_right(
-    rel: &Relation,
-    view: &Relation,
-    cache: Option<&mut JoinCache>,
-    buf: &mut Vec<Sym>,
-) -> Relation {
-    let out_arity = rel.arity() + 1;
-    // Distinct inputs × distinct view rows keyed on the shared frontier
-    // vertex yield distinct outputs; skip the dedup index.
-    let mut out = Relation::new_distinct(out_arity);
-    if rel.is_empty() || view.is_empty() {
-        return out;
-    }
-    let last = rel.arity() - 1;
-    buf.clear();
-    buf.resize(out_arity, Sym(0));
-    let build_storage;
-    let build = match cache {
-        Some(cache) => cache.get_or_build(view, &[0]),
-        None => {
-            build_storage = JoinBuild::build(view, &[0]);
-            &build_storage
-        }
-    };
-    for row in rel.iter() {
-        build.probe_each(view, &[row[last]], |idx| {
-            buf[..row.len()].copy_from_slice(row);
-            buf[out_arity - 1] = view.row(idx)[1];
-            out.append_distinct(buf);
-        });
-    }
-    out
-}
-
-/// Extends every row of `rel` (first column = frontier vertex) to the left
-/// with the matching tuples of `view` (joined on the view's target column).
-fn extend_path_left(
-    rel: &Relation,
-    view: &Relation,
-    cache: Option<&mut JoinCache>,
-    buf: &mut Vec<Sym>,
-) -> Relation {
-    let out_arity = rel.arity() + 1;
-    let mut out = Relation::new_distinct(out_arity);
-    if rel.is_empty() || view.is_empty() {
-        return out;
-    }
-    buf.clear();
-    buf.resize(out_arity, Sym(0));
-    let build_storage;
-    let build = match cache {
-        Some(cache) => cache.get_or_build(view, &[1]),
-        None => {
-            build_storage = JoinBuild::build(view, &[1]);
-            &build_storage
-        }
-    };
-    for row in rel.iter() {
-        build.probe_each(view, &[row[0]], |idx| {
-            buf[0] = view.row(idx)[0];
-            buf[1..].copy_from_slice(row);
-            out.append_distinct(buf);
-        });
-    }
-    out
-}
-
-/// The **full** relation of a covering path (one column per path position),
-/// joined left-to-right from the per-edge views of `views`. Returns an empty
-/// relation of arity `edges.len() + 1` as soon as any view is missing or any
-/// intermediate result is empty. Shared by the INV/INC baselines and the
-/// spanning-path machinery of [`crate::shard::ShardedEngine`].
-pub fn full_path_relation(
-    views: &EdgeViewStore,
-    edges: &[GenericEdge],
-    mut cache: Option<&mut JoinCache>,
-    buf: &mut Vec<Sym>,
-) -> Relation {
-    let empty = || Relation::new(edges.len() + 1);
-    let Some(first) = views.get(&edges[0]) else {
-        return empty();
-    };
-    if first.is_empty() {
-        return empty();
-    }
-    let mut rel = first.clone();
-    for e in &edges[1..] {
-        let Some(view) = views.get(e) else {
-            return empty();
-        };
-        rel = extend_path_right(&rel, view, cache.as_deref_mut(), buf);
-        if rel.is_empty() {
-            return empty();
-        }
-    }
-    rel
-}
-
-/// The **delta** relation of a covering path for one batch: every path tuple
-/// that uses at least one tuple of the batch's per-edge delta relations at a
-/// position whose generic edge gained it. Seeds each matched position with
-/// the merged edge delta and extends right then left over the post-batch
-/// views — the standard incremental-join derivative, so the result is
-/// exactly `full_after − full_before`. For a single-update batch the seeds
-/// are one-row relations and this is the paper's per-update seeding.
-///
-/// The same kernel computes **deletion** deltas: called with the removed
-/// rows as `edge_deltas` while `views` still holds the *pre-removal* state,
-/// it yields exactly `full_before − full_after` — every path tuple that
-/// used at least one removed row (set semantics make the two derivatives
-/// symmetric). Engines exploit this by answering retraction batches before
-/// committing them with [`EdgeViewStore::retract_deltas`].
-pub fn delta_path_relation(
-    views: &EdgeViewStore,
-    edges: &[GenericEdge],
-    edge_deltas: &FxHashMap<GenericEdge, Relation>,
-    mut cache: Option<&mut JoinCache>,
-    buf: &mut Vec<Sym>,
-) -> Relation {
-    let len = edges.len();
-    let mut delta = Relation::new(len + 1);
-    for pos in 0..len {
-        let Some(seed) = edge_deltas.get(&edges[pos]) else {
-            continue;
-        };
-        let mut rel = seed.clone();
-        let mut ok = true;
-        for e in &edges[pos + 1..] {
-            match views.get(e) {
-                Some(view) => rel = extend_path_right(&rel, view, cache.as_deref_mut(), buf),
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-            if rel.is_empty() {
-                ok = false;
-                break;
-            }
-        }
-        if !ok {
-            continue;
-        }
-        for e in edges[..pos].iter().rev() {
-            match views.get(e) {
-                Some(view) => rel = extend_path_left(&rel, view, cache.as_deref_mut(), buf),
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-            if rel.is_empty() {
-                ok = false;
-                break;
-            }
-        }
-        if ok && !rel.is_empty() {
-            debug_assert_eq!(rel.arity(), len + 1);
-            delta.extend_from(&rel);
-        }
-    }
-    delta
 }
 
 #[cfg(test)]
@@ -493,43 +303,6 @@ mod tests {
                 .len(),
             1
         );
-    }
-
-    #[test]
-    fn deletion_delta_is_full_before_minus_full_after() {
-        // The kernel-reuse property the deletion paths rely on: seeding
-        // delta_path_relation with the removed rows over the PRE-removal
-        // views yields exactly full_before − full_after.
-        let mut store = EdgeViewStore::new();
-        let a = ge(0, Term::Var(0), Term::Var(1));
-        let b = ge(1, Term::Var(1), Term::Var(2));
-        store.register(a);
-        store.register(b);
-        store.apply_batch(&[
-            Update::new(Sym(0), Sym(1), Sym(2)),
-            Update::new(Sym(0), Sym(5), Sym(2)),
-            Update::new(Sym(1), Sym(2), Sym(3)),
-            Update::new(Sym(1), Sym(2), Sym(4)),
-        ]);
-        let edges = [a, b];
-        let mut buf = Vec::new();
-        let full_before = full_path_relation(&store, &edges, None, &mut buf).to_sorted_vec();
-
-        let batch = vec![Update::retraction(Sym(1), Sym(2), Sym(3))];
-        let removed = store.remove_deltas(&batch);
-        let deletion_delta = delta_path_relation(&store, &edges, &removed, None, &mut buf);
-
-        store.retract_deltas(&removed);
-        let full_after = full_path_relation(&store, &edges, None, &mut buf).to_sorted_vec();
-
-        let mut expected: Vec<Vec<Sym>> = full_before
-            .iter()
-            .filter(|row| !full_after.contains(row))
-            .cloned()
-            .collect();
-        expected.sort();
-        assert_eq!(deletion_delta.to_sorted_vec(), expected);
-        assert_eq!(deletion_delta.len(), 2, "both 3-paths through (2,3) gone");
     }
 
     #[test]

@@ -150,13 +150,11 @@ impl TricEngine {
 
     /// Creates a TRIC engine partitioned across `num_shards` worker shards.
     ///
-    /// The trie forest and edge-view store are split by root generic edge:
-    /// each shard's inner engine holds exactly the tries whose root edges
-    /// [`gsm_core::shard::shard_of`] assigns to it (plus the edge views
-    /// those tries reach), and queries whose covering paths root on
-    /// different shards are answered by the wrapper's post-merge
-    /// covering-path join pass. With `num_shards <= 1` this is an unsharded
-    /// [`TricEngine::tric`] behind a zero-overhead delegation.
+    /// The query database is split by the root generic edge of each query's
+    /// first covering path: the shard [`gsm_core::shard::shard_of`] assigns
+    /// to it holds the whole query — every trie its covering paths extend
+    /// and the edge views they reach. With `num_shards <= 1` this is an
+    /// unsharded [`TricEngine::tric`] behind a zero-overhead delegation.
     pub fn tric_sharded(num_shards: usize) -> ShardedEngine<TricEngine> {
         ShardedEngine::new(num_shards, TricEngine::tric)
     }
@@ -1605,8 +1603,9 @@ mod tests {
                 assert_eq!(a, b, "query ids must line up");
             }
             // Multi-update batches mixing signs, so the sharded wrapper's
-            // sign-run split, eager retraction path and spanning pre-removal
-            // join all get exercised against the unsharded engine.
+            // sign-run split and the multi-root queries' retraction joins
+            // on their home shards get exercised against the unsharded
+            // engine.
             let mut live: Vec<Update> = Vec::new();
             let mut batch: Vec<Update> = Vec::new();
             for step in 0..250 {

@@ -217,7 +217,7 @@ fn threaded_pipeline_equals_sequential_on_sliding_window_workload() {
 #[test]
 fn threaded_pipeline_over_sharded_engine_equals_sequential_on_deletions() {
     // Staged sharded retractions composed with the threaded answer stage:
-    // routed inner tokens and the frozen spanning join cross threads.
+    // the routed inner tokens' detached answers cross threads.
     let workload = Workload::generate(
         WorkloadConfig::new(Dataset::Snb, 280, 15)
             .with_selectivity(0.4)
@@ -231,9 +231,9 @@ fn threaded_pipeline_over_sharded_engine_equals_sequential_on_deletions() {
 #[test]
 fn threaded_pipeline_over_sharded_engine_equals_sequential() {
     // The full composition: DeadlineBatcher → stage on the caller thread →
-    // routed absorb on the persistent per-shard worker pool → detached
-    // merge + spanning join on the answer thread. Three thread domains, one
-    // report stream.
+    // routed staging on the persistent per-shard worker pool → detached
+    // inner answers + report merge on the answer thread. Three thread
+    // domains, one report stream.
     let workload =
         Workload::generate(WorkloadConfig::new(Dataset::Snb, 280, 15).with_selectivity(0.4));
     for shards in shard_counts() {

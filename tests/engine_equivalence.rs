@@ -500,9 +500,9 @@ fn pipelined_equals_sequential_with_high_overlap_and_long_queries() {
 #[test]
 fn pipelined_sharded_equals_sequential_on_snb_workload() {
     // Pipeline × sharding composition: the pipelined executor in front of
-    // the sharded wrapper, so the deferred spanning join pass runs after
-    // later batches were absorbed on worker shards. `GSM_SHARDS=<n>` (the
-    // CI shard job) pins the shard count like the other sharded suites.
+    // the sharded wrapper, so the shards' deferred answers and their merge
+    // run after later batches were staged on worker shards. `GSM_SHARDS=<n>`
+    // (the CI shard job) pins the shard count like the other sharded suites.
     let workload =
         Workload::generate(WorkloadConfig::new(Dataset::Snb, 300, 16).with_selectivity(0.4));
     for shards in shard_counts() {

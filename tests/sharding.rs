@@ -1,17 +1,19 @@
 //! Targeted tests for the nasty sharding cases: queries whose covering
-//! paths span shards, batches that route entirely to one shard, and
-//! self-loop root edges shared by queries on different shards.
+//! paths root on different shards, batches that route entirely to one
+//! shard, self-loop root edges shared by queries on different shards, and
+//! mid-stream registration over history that streamed to another shard.
 //!
 //! The generic guarantee (sharded ≡ unsharded on every workload) is pinned
 //! by the differential matrix in `engine_equivalence.rs`; the tests here
 //! construct the specific topologies by probing [`shard_of`] so the
 //! interesting placement is *guaranteed*, not left to workload chance, and
 //! they additionally assert the wrapper-internal facts (spanning
-//! classification, routing counts, forest partitioning) that the black-box
+//! classification, query placement, routing counts) that the black-box
 //! matrix cannot see.
 
 use graph_stream_matching::core::model::generic::{GenTerm, GenericEdge};
 use graph_stream_matching::core::prelude::*;
+use graph_stream_matching::persist::{MemFactory, PersistConfig, PersistentEngine, QueryTotals};
 use graph_stream_matching::tric::TricEngine;
 use graph_stream_matching::{all_engines, all_engines_sharded};
 
@@ -78,8 +80,8 @@ fn assert_all_engines_agree_sharded(
 }
 
 /// A star query whose two covering paths root at generic edges owned by
-/// *different* shards: the paths become shard-local path states and every
-/// match must come out of the post-merge covering-path join pass.
+/// *different* shards: the whole query lives on its first root's shard,
+/// which receives both labels' updates and joins the paths itself.
 #[test]
 fn covering_paths_spanning_two_shards() {
     let num_shards = 2;
@@ -88,12 +90,19 @@ fn covering_paths_spanning_two_shards() {
     let lb = label_on_shard(&mut symbols, "b", 1, num_shards, false);
     let q = QueryPattern::parse(&format!("?c -{la}-> ?x; ?c -{lb}-> ?y"), &mut symbols).unwrap();
 
-    // The wrapper must classify the query as spanning.
+    // The wrapper must classify the query as spanning…
     let mut probe = TricEngine::tric_plus_sharded(num_shards);
     probe.register_query(&q).unwrap();
     assert_eq!(probe.num_spanning_queries(), 1);
-    // …and neither inner engine holds a trie for it.
-    assert!(probe.shard_engines().all(|e| e.num_trie_nodes() == 0));
+    // …and exactly one inner engine holds it, both tries included.
+    let held: Vec<(usize, usize)> = probe
+        .shard_engines()
+        .map(|e| (e.num_queries(), e.num_tries()))
+        .collect();
+    assert!(
+        held == [(1, 2), (0, 0)] || held == [(0, 0), (1, 2)],
+        "query split across shards: {held:?}"
+    );
 
     let mut stream = Vec::new();
     // Build up multiple embeddings around two hubs, with duplicates and
@@ -115,7 +124,7 @@ fn covering_paths_spanning_two_shards() {
 
     assert_all_engines_agree_sharded(std::slice::from_ref(&q), &stream, num_shards);
 
-    // Sanity on the join pass itself: the final sharded replay above must
+    // Sanity on the scenario itself: the sharded replay above must
     // actually have produced matches (the test would otherwise pass
     // vacuously on an all-empty stream).
     let mut plain = TricEngine::tric();
@@ -174,8 +183,8 @@ fn batch_routed_entirely_to_one_shard() {
 /// A variable self-loop generic edge that is simultaneously the root of a
 /// shard-local query and a covering-path root of a *spanning* query whose
 /// other path roots on a different shard. Self-loop updates must reach both
-/// query kinds; non-loop updates with the same label must reach neither
-/// self-loop view.
+/// queries wherever they live; non-loop updates with the same label must
+/// reach neither self-loop view.
 #[test]
 fn self_loop_root_shared_by_queries_on_different_shards() {
     let num_shards = 2;
@@ -195,6 +204,14 @@ fn self_loop_root_shared_by_queries_on_different_shards() {
         1,
         "q2 must span, q1 must stay local"
     );
+    // Each query lives on exactly one inner engine.
+    assert_eq!(
+        probe
+            .shard_engines()
+            .map(|e| e.num_queries())
+            .sum::<usize>(),
+        2
+    );
 
     let stream = vec![
         update(&mut symbols, &ll, "n1", "n2"), // not a loop: no match
@@ -210,22 +227,17 @@ fn self_loop_root_shared_by_queries_on_different_shards() {
     assert_all_engines_agree_sharded(&[q1, q2], &stream, num_shards);
 }
 
-/// Pins the **cross-shard backfill** contract of mid-stream registration
-/// (the "Late registration" note in `gsm_core::shard`): a *spanning* query
-/// registered after updates have streamed in catches up with the full
-/// cross-query history via the wrapper-level history store, exactly like an
-/// unsharded engine's shared view store would.
+/// Pins the late-registration contract of `gsm_core::shard` for a
+/// *spanning* query: registered after updates have streamed in, it catches
+/// up with the full cross-query history, exactly like an unsharded engine's
+/// shared view store would.
 ///
-/// Topology: `q1` (shard-local, label `la` on shard 0) streams history
-/// first; `q2` (spanning: `la` on shard 0 + `lb` on shard 1) registers
-/// mid-stream. The unsharded engine shares one view store, so `q2`'s paths
-/// catch up with `q1`'s `la` history and a single `lb` edge completes two
-/// embeddings. With backfill, the sharded engine's spanning `la` path state
-/// is seeded from the wrapper history at registration, so the same `lb`
-/// edge completes the **same** two embeddings — the reports must be equal,
-/// not merely the post-registration tail. (Earlier revisions pinned the
-/// opposite: spanning path states started empty and the sharded report was
-/// asserted empty here.)
+/// Topology: `q1` (label `la` on shard 0) streams history first; `q2`
+/// (roots `la` on shard 0 + `lb` on shard 1) registers mid-stream. The
+/// unsharded engine shares one view store, so `q2`'s paths catch up with
+/// `q1`'s `la` history and a single `lb` edge completes two embeddings. The
+/// sharded engine must report the **same** two embeddings — the reports
+/// must be equal, not merely the post-registration tail.
 #[test]
 fn mid_stream_spanning_registration_catches_up_with_cross_shard_history() {
     let num_shards = 2;
@@ -241,8 +253,7 @@ fn mid_stream_spanning_registration_catches_up_with_cross_shard_history() {
         plain.register_query(&q1).unwrap();
         sharded.register_query(&q1).unwrap();
 
-        // Pre-registration history on la: routed to shard 0 for q1's inner
-        // engine, but never into any spanning path state.
+        // Pre-registration history on la, routed to shard 0 for q1.
         for x in ["x1", "x2"] {
             let u = update(&mut symbols, &la, "hub", x);
             assert_eq!(plain.apply_update(u), sharded.apply_update(u));
@@ -254,9 +265,8 @@ fn mid_stream_spanning_registration_catches_up_with_cross_shard_history() {
 
         // The lb edge that completes q2 against the pre-registration la
         // history: the unsharded engine catches up through the shared edge
-        // view; the sharded engine's spanning la path state was backfilled
-        // from the wrapper history store at registration. Both must report
-        // the same two embeddings.
+        // view, the sharded engine through q2's home shard. Both must
+        // report the same two embeddings.
         let completing = update(&mut symbols, &lb, "hub", "y1");
         let plain_report = plain.apply_update(completing);
         let sharded_report = sharded.apply_update(completing);
@@ -267,13 +277,11 @@ fn mid_stream_spanning_registration_catches_up_with_cross_shard_history() {
         );
         assert_eq!(
             sharded_report, plain_report,
-            "sharded q2 must catch up with cross-query history via the \
-             wrapper-level backfill (Late registration contract in \
-             gsm_core::shard)"
+            "sharded q2 must catch up with cross-query history (Late \
+             registration contract in gsm_core::shard)"
         );
 
-        // Embeddings built from post-registration edges keep agreeing:
-        // fresh la edges land in the spanning path state too.
+        // Embeddings built from post-registration edges keep agreeing.
         let u = update(&mut symbols, &la, "hub2", "x9");
         assert_eq!(plain.apply_update(u), sharded.apply_update(u));
         let u = update(&mut symbols, &lb, "hub2", "y9");
@@ -284,9 +292,134 @@ fn mid_stream_spanning_registration_catches_up_with_cross_shard_history() {
     }
 }
 
+/// A **shard-local** query registered mid-stream over history that streamed
+/// to *another* shard: `q1` (`la`, shard 0) runs first, then the
+/// single-path `q2` registers with its root `lb` — and so its home — on
+/// shard 1, which has never seen an `la` edge. The home shard replays the
+/// wrapper's `la` history at registration, so the completing `lb` edge and
+/// a later retraction of a pre-registration `la` edge report exactly what
+/// the unsharded engine reports.
+/// GraphDB is excluded, as in `spanning_query_registered_mid_stream`.
+#[test]
+fn shard_local_mid_stream_registration_replays_cross_shard_history() {
+    for num_shards in [2usize, 4, 8] {
+        let mut symbols = SymbolTable::new();
+        let la = label_on_shard(&mut symbols, "a", 0, num_shards, false);
+        let lb = label_on_shard(&mut symbols, "b", 1, num_shards, false);
+        let q1 = QueryPattern::parse(&format!("?a -{la}-> ?x"), &mut symbols).unwrap();
+        let q2 =
+            QueryPattern::parse(&format!("?c -{lb}-> ?x; ?x -{la}-> ?y"), &mut symbols).unwrap();
+
+        let mut probe = TricEngine::tric_sharded(num_shards);
+        probe.register_query(&q1).unwrap();
+        probe.register_query(&q2).unwrap();
+        assert_eq!(probe.num_spanning_queries(), 0, "q2 must be shard-local");
+        let placed: Vec<usize> = probe.shard_engines().map(|e| e.num_queries()).collect();
+        assert_eq!(placed[..2], [1, 1], "q1 on shard 0, q2 on shard 1");
+
+        let mut plain: Vec<Box<dyn ContinuousEngine>> = all_engines();
+        let mut sharded: Vec<Box<dyn ContinuousEngine>> = all_engines_sharded(num_shards);
+        plain.retain(|e| e.name() != "GraphDB");
+        sharded.retain(|e| e.name() != "GraphDB");
+        assert_eq!(plain.len(), 6, "TRIC, TRIC+, INV, INV+, INC, INC+");
+
+        for (p, s) in plain.iter_mut().zip(sharded.iter_mut()) {
+            let ctx = format!("{} × {num_shards} shards", p.name());
+            p.register_query(&q1).unwrap();
+            s.register_query(&q1).unwrap();
+            let history = [
+                update(&mut symbols, &la, "hub", "y1"),
+                update(&mut symbols, &la, "hub", "y2"),
+                update(&mut symbols, &la, "other", "y3"),
+            ];
+            for u in history {
+                assert_eq!(s.apply_update(u), p.apply_update(u), "{ctx}: history");
+            }
+
+            p.register_query(&q2).unwrap();
+            s.register_query(&q2).unwrap();
+
+            let completing = update(&mut symbols, &lb, "c1", "hub");
+            let expected = p.apply_update(completing);
+            assert_eq!(expected.total_embeddings(), 2, "{ctx}: unsharded catch-up");
+            assert_eq!(
+                s.apply_update(completing),
+                expected,
+                "{ctx}: completing edge"
+            );
+
+            let retraction = history[0].inverted();
+            let expected = p.apply_update(retraction);
+            assert_eq!(
+                expected.total_retracted(),
+                2,
+                "{ctx}: q1 and q2 lose one each"
+            );
+            assert_eq!(s.apply_update(retraction), expected, "{ctx}: retraction");
+        }
+    }
+}
+
+/// A recovered sharded engine must not diverge from its own uninterrupted
+/// run: recovery re-registers every query *before* it re-feeds the
+/// surviving edges, so a query registered mid-stream sees all of them —
+/// which is only what the live run showed it if late registration on the
+/// sharded engine is exact (same topology as
+/// `shard_local_mid_stream_registration_replays_cross_shard_history`).
+#[test]
+fn recovered_sharded_engine_matches_its_uninterrupted_run() {
+    let num_shards = 2;
+    let mut symbols = SymbolTable::new();
+    let la = label_on_shard(&mut symbols, "a", 0, num_shards, false);
+    let lb = label_on_shard(&mut symbols, "b", 1, num_shards, false);
+    let q1 = QueryPattern::parse(&format!("?a -{la}-> ?x"), &mut symbols).unwrap();
+    let q2 = QueryPattern::parse(&format!("?c -{lb}-> ?x; ?x -{la}-> ?y"), &mut symbols).unwrap();
+    let history = [
+        update(&mut symbols, &la, "hub", "y1"),
+        update(&mut symbols, &la, "hub", "y2"),
+    ];
+    let after_checkpoint = [
+        update(&mut symbols, &lb, "c1", "hub"),
+        update(&mut symbols, &la, "hub", "y3"),
+    ];
+    let next = [
+        update(&mut symbols, &lb, "c2", "hub"),
+        history[0].inverted(),
+    ];
+
+    let run = |crash: bool| -> (Vec<QueryTotals>, MatchReport) {
+        let disk = MemFactory::new();
+        let open = || {
+            PersistentEngine::open(Box::new(disk.handle()), PersistConfig::default(), || {
+                TricEngine::tric_sharded(num_shards)
+            })
+            .expect("open")
+            .0
+        };
+        let mut engine = open();
+        engine.note_symbols(&symbols).unwrap();
+        engine.try_register_query(&q1).unwrap();
+        engine.try_apply_batch(&history).unwrap();
+        engine.try_register_query(&q2).unwrap();
+        engine.checkpoint().unwrap();
+        engine.try_apply_batch(&after_checkpoint).unwrap();
+        if crash {
+            drop(engine);
+            engine = open();
+        }
+        let report = engine.try_apply_batch(&next).unwrap();
+        (engine.totals().to_vec(), report)
+    };
+
+    let (totals, report) = run(false);
+    // q2 caught up with q1's two pre-registration la edges on both lb edges.
+    assert_eq!(totals[1].embeddings, 6, "uninterrupted q2 totals");
+    assert_eq!(run(true), (totals, report));
+}
+
 /// A spanning query registered mid-stream, over labels the stream has not
-/// used yet (fresh edges carry no history, so no backfill is even needed —
-/// see the catch-up note in `gsm_core::shard`). Registration must grow the
+/// used yet (fresh edges carry no history, so nothing is replayed — see the
+/// catch-up note in `gsm_core::shard`). Registration must grow the
 /// routing sets and query-id mapping without disturbing the already-running
 /// query.
 /// GraphDB is excluded: it replays history from its store and has its own
