@@ -417,7 +417,8 @@ impl BaselineEngine {
             &removed,
             &affected,
         );
-        self.views.retract_deltas(&removed);
+        self.views
+            .retract_deltas(&removed, self.caching.then_some(&mut self.cache));
 
         let report = MatchReport::from_retraction_counts(counts);
         self.stats.notifications += report.len() as u64;

@@ -252,7 +252,7 @@ mod tests {
         let removed = store.remove_deltas(&batch);
         let deletion_delta = delta_path_relation(&store, &edges, &removed, None, &mut buf);
 
-        store.retract_deltas(&removed);
+        store.retract_deltas(&removed, None);
         let full_after = full_path_relation(&store, &edges, None, &mut buf).to_sorted_vec();
 
         let mut expected: Vec<Vec<Sym>> = full_before

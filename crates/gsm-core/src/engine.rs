@@ -503,9 +503,13 @@ pub trait ContinuousEngine {
     ///   pre-removal views its join will read into the token as
     ///   **generation-pinned snapshots**
     ///   ([`crate::relation::Relation::snapshot_owned`] shares frozen
-    ///   chunks by `Arc`, so they outlive any compaction), and then
-    ///   performs the destructive commit (`retract_rows` /
-    ///   `retract_deltas`, generation bump) before returning. The commit
+    ///   chunks by `Arc`, and a retraction un-shares a chunk before it
+    ///   writes to it, so they outlive any later change of the view), and
+    ///   then performs the destructive commit before returning: the removed
+    ///   rows are swap-removed from the views (`retract_rows` /
+    ///   `retract_deltas`, O(|Δ|) per view, one generation bump each, after
+    ///   which a view's row order is no longer insertion order — reports
+    ///   are counts, so nothing observable depends on it). The commit
     ///   *cannot* wait for answer time: the next staged insert of a
     ///   just-retracted edge must route against post-removal views, or it
     ///   would be dedup-dropped and the stream would diverge from
@@ -561,7 +565,8 @@ pub trait ContinuousEngine {
     ///   the same per-batch reports as FIFO `answer_staged` calls: each
     ///   task joins against the snapshots it owns, whose chunks are
     ///   immutable behind `Arc`s — later appends land in chunks the
-    ///   snapshot never references, later compactions write new chunks.
+    ///   snapshot never references, and a later retraction that must write
+    ///   into a chunk the snapshot shares writes into its own copy.
     ///   Retraction tokens carry their pre-removal snapshots from stage
     ///   time, so their tasks are likewise immune to the generation bumps
     ///   their own (or any later) commit performed.

@@ -64,7 +64,7 @@
 //! **Retractions pipeline too.** Both signs commit at stage time and defer
 //! only the join: an insert run's token is pinned when it is detached, a
 //! retraction run pins generation-pinned pre-removal snapshots
-//! ([`Relation::snapshot_owned`]) into its token before compacting, so its
+//! ([`Relation::snapshot_owned`]) into its token before removing rows, so its
 //! (expensive) disappearing-embedding join also runs on the answer workers
 //! (see the staging contract on [`ContinuousEngine::stage_batch`]).
 //!
@@ -924,7 +924,7 @@ impl<E: ContinuousEngine> PipelinedEngine<E> {
     /// while this thread returns to stage the next run. Either way every
     /// token has been answered or detached before the next one is staged,
     /// as the staging contract requires: the inline answer reads live
-    /// views, and a later run may append to or compact them freely.
+    /// views, and a later run may append to or retract from them freely.
     fn stage_run(&mut self, run: &[Update]) {
         let updates = run.len();
         let token = self.engine.stage_batch(run);

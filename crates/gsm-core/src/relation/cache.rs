@@ -5,23 +5,29 @@
 //! around and incrementally maintained instead of being rebuilt from scratch
 //! on every update (Section 4.2, "Caching"). The cache is keyed by the
 //! relation's stable identity plus the key columns of the build.
+//! "Incrementally" covers both signs: a deletion goes *through* the cache
+//! ([`JoinCache::retract_rows`]), so TRIC+ is still TRIC+ after it.
 
-use std::collections::HashMap;
-
-use super::join::JoinBuild;
+use super::fasthash::FxHashMap;
+use super::join::{retract_through, JoinBuild};
 use super::Relation;
 use crate::memory::HeapSize;
 
-/// Key of a cached build: (relation id, key columns).
-type CacheKey = (u64, Vec<usize>);
-
-/// A cache of build-side hash tables, incrementally maintained as the
-/// underlying (insert-only) relations grow.
+/// A cache of build-side hash tables, maintained incrementally as the
+/// underlying relations grow ([`get_or_build`](JoinCache::get_or_build)
+/// indexes the rows appended since the last use) and shrink
+/// ([`retract_rows`](JoinCache::retract_rows) removes rows through the
+/// builds).
 #[derive(Debug, Default)]
 pub struct JoinCache {
-    builds: HashMap<CacheKey, JoinBuild>,
+    /// Relation id → the builds over that relation, one per distinct key
+    /// column set (a handful at most, so a build is found by comparing key
+    /// columns). Grouping by relation is what lets a retraction reach
+    /// exactly the builds it invalidates.
+    builds: FxHashMap<u64, Vec<JoinBuild>>,
     hits: u64,
     misses: u64,
+    rebuilds: u64,
 }
 
 impl JoinCache {
@@ -33,24 +39,44 @@ impl JoinCache {
     /// Returns an up-to-date build over `rel` keyed by `key_cols`, reusing
     /// and incrementally updating a cached build when one exists.
     pub fn get_or_build(&mut self, rel: &Relation, key_cols: &[usize]) -> &JoinBuild {
-        let key: CacheKey = (rel.id(), key_cols.to_vec());
-        match self.builds.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
+        let builds = self.builds.entry(rel.id()).or_default();
+        match builds.iter().position(|b| b.key_cols() == key_cols) {
+            Some(i) => {
                 self.hits += 1;
-                let build = e.into_mut();
-                build.update(rel);
-                build
+                self.rebuilds += u64::from(builds[i].update(rel));
+                &builds[i]
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
+            None => {
                 self.misses += 1;
-                e.insert(JoinBuild::build(rel, key_cols))
+                builds.push(JoinBuild::build(rel, key_cols));
+                builds.last().expect("just pushed")
             }
         }
     }
 
+    /// [`Relation::retract_rows`] **through** the cache: removes every row
+    /// of `removed` from `rel` and replays each swap-remove on the builds
+    /// cached over `rel`, so they stay valid across the generation bump
+    /// instead of starting over on their next use — O(|`removed`| × builds
+    /// over `rel`), independent of the relation's size. Returns the number
+    /// of rows removed. Retracting from a cached relation behind the
+    /// cache's back stays correct, just slower: the builds that missed the
+    /// moves detect the new generation and rebuild.
+    pub fn retract_rows(&mut self, rel: &mut Relation, removed: &Relation) -> usize {
+        assert_eq!(rel.arity(), removed.arity(), "retract_rows arity mismatch");
+        let builds = self
+            .builds
+            .get_mut(&rel.id())
+            .map(Vec::as_mut_slice)
+            .unwrap_or_default();
+        let (dropped, rebuilt) = retract_through(rel, removed.iter(), builds);
+        self.rebuilds += rebuilt;
+        dropped
+    }
+
     /// Number of cached builds.
     pub fn len(&self) -> usize {
-        self.builds.len()
+        self.builds.values().map(Vec::len).sum()
     }
 
     /// True if nothing has been cached yet.
@@ -68,13 +94,21 @@ impl JoinCache {
         self.misses
     }
 
+    /// Number of times a cached build had to start over from scratch
+    /// because rows were retracted from its relation without going through
+    /// [`retract_rows`](JoinCache::retract_rows). Zero on a stream whose
+    /// deletions all take that route: there, TRIC+ keeps its builds.
+    pub fn rebuilds(&self) -> u64 {
+        self.rebuilds
+    }
+
     /// Drops every build cached over the relation with id `rel_id` — called
     /// when a materialized view is destroyed (trie-node pruning on query
     /// unregistration). Relation ids are never reused, so a lingering entry
     /// could never be wrongly served; eviction reclaims the build's memory,
     /// it is not needed for correctness.
     pub fn evict_relation(&mut self, rel_id: u64) {
-        self.builds.retain(|(id, _), _| *id != rel_id);
+        self.builds.remove(&rel_id);
     }
 
     /// Drops every cached build (used by tests and memory experiments).
@@ -85,11 +119,7 @@ impl JoinCache {
 
 impl HeapSize for JoinCache {
     fn heap_size(&self) -> usize {
-        self.builds
-            .iter()
-            .map(|((_, cols), build)| cols.heap_size() + build.heap_size() + 16)
-            .sum::<usize>()
-            + self.builds.capacity() * std::mem::size_of::<(CacheKey, JoinBuild)>()
+        self.builds.heap_size()
     }
 }
 
@@ -180,6 +210,36 @@ mod tests {
         assert_eq!(cache.get_or_build(&b, &[0]).probe(&b, &[s(3)]).len(), 1);
         cache.evict_relation(a.id());
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn retracting_through_the_cache_keeps_builds_and_counts_bypasses() {
+        let mut cache = JoinCache::new();
+        let mut r = Relation::new(2);
+        for i in 0..10u32 {
+            r.push(&[s(i % 3), s(i)]);
+        }
+        cache.get_or_build(&r, &[0]);
+        cache.get_or_build(&r, &[1]);
+        let mut gone = Relation::new(2);
+        gone.push(&[s(0), s(0)]);
+        gone.push(&[s(1), s(4)]);
+        gone.push(&[s(9), s(9)]); // absent
+        assert_eq!(cache.retract_rows(&mut r, &gone), 2);
+        r.push(&[s(0), s(30)]);
+        let build = cache.get_or_build(&r, &[0]);
+        assert_eq!(build.probe(&r, &[s(0)]).len(), 4, "3, 6, 9 and 30");
+        assert_eq!(cache.get_or_build(&r, &[1]).probe(&r, &[s(4)]).len(), 0);
+        assert_eq!(cache.rebuilds(), 0, "both builds followed the moves");
+
+        // Behind the cache's back: still correct, but the build starts over.
+        assert!(r.retract_row(&[s(0), s(3)]));
+        assert_eq!(cache.get_or_build(&r, &[0]).probe(&r, &[s(0)]).len(), 3);
+        assert_eq!(cache.rebuilds(), 1);
+        // A relation the cache has never seen is retracted all the same.
+        let mut other = Relation::singleton(&[s(1), s(4)]);
+        assert_eq!(cache.retract_rows(&mut other, &gone), 1);
+        assert!(other.is_empty());
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //!   [`INLINE_BUCKET`] entries inline and only spills to the heap beyond
 //!   that, so the common short chain costs no allocation at all.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 
@@ -179,11 +180,39 @@ impl Bucket {
         }
     }
 
+    /// Removes the entry at chain position `pos` by moving the chain's last
+    /// entry into its place (chain order carries no meaning) and returns
+    /// the removed row index. A spilled chain stays spilled. Panics if
+    /// `pos` is out of range.
+    #[inline]
+    pub fn swap_remove(&mut self, pos: usize) -> u32 {
+        match self {
+            Bucket::Inline { len, rows } => {
+                let live = &mut rows[..*len as usize];
+                let removed = live[pos];
+                live[pos] = live[live.len() - 1];
+                *len -= 1;
+                removed
+            }
+            Bucket::Spilled(v) => v.swap_remove(pos),
+        }
+    }
+
     /// The chain as a contiguous borrowed slice.
     #[inline]
     pub fn as_slice(&self) -> &[u32] {
         match self {
             Bucket::Inline { len, rows } => &rows[..*len as usize],
+            Bucket::Spilled(v) => v,
+        }
+    }
+
+    /// The chain as a mutable slice: entries may be rewritten in place (a
+    /// row that moved keeps its chain slot), never added or removed.
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [u32] {
+        match self {
+            Bucket::Inline { len, rows } => &mut rows[..*len as usize],
             Bucket::Spilled(v) => v,
         }
     }
@@ -198,6 +227,42 @@ impl Bucket {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// Removes from the chain at `map[h]` the first row index `is_target`
+/// accepts and returns it, dropping the bucket when that empties it — a map
+/// that rows leave as well as enter must not keep one dead bucket per key
+/// it has ever seen. `None` (and no change) when there is no such entry.
+pub(crate) fn unlink_row(
+    map: &mut FxHashMap<u64, Bucket>,
+    h: u64,
+    is_target: impl FnMut(&u32) -> bool,
+) -> Option<u32> {
+    let Entry::Occupied(mut bucket) = map.entry(h) else {
+        return None;
+    };
+    let pos = bucket.get().as_slice().iter().position(is_target)?;
+    let removed = bucket.get_mut().swap_remove(pos);
+    if bucket.get().is_empty() {
+        bucket.remove();
+    }
+    Some(removed)
+}
+
+/// Rewrites the entry `old` of the chain at `map[h]` to `new`: the row it
+/// names moved. Returns false (and changes nothing) when the chain holds no
+/// such entry.
+pub(crate) fn relink_row(map: &mut FxHashMap<u64, Bucket>, h: u64, old: u32, new: u32) -> bool {
+    let slot = map
+        .get_mut(&h)
+        .and_then(|bucket| bucket.as_mut_slice().iter_mut().find(|i| **i == old));
+    match slot {
+        Some(slot) => {
+            *slot = new;
+            true
+        }
+        None => false,
     }
 }
 
@@ -267,6 +332,38 @@ mod tests {
         assert!(matches!(b, Bucket::Spilled(_)), "spills beyond capacity");
         assert_eq!(b.as_slice(), &[0, 1, 2, 99]);
         assert_eq!(b.len(), 4);
+    }
+
+    #[test]
+    fn unlink_drops_emptied_buckets_and_relink_rewrites_in_place() {
+        let mut map: FxHashMap<u64, Bucket> = FxHashMap::default();
+        for i in 0..5 {
+            map.entry(7).or_default().push(i); // spills at the fourth
+        }
+        map.entry(9).or_default().push(40);
+
+        assert_eq!(unlink_row(&mut map, 7, |&i| i == 1), Some(1));
+        assert_eq!(
+            map[&7].as_slice(),
+            &[0, 4, 2, 3],
+            "last entry fills the gap"
+        );
+        assert_eq!(unlink_row(&mut map, 7, |&i| i == 1), None, "already gone");
+        assert_eq!(unlink_row(&mut map, 8, |_| true), None, "no such bucket");
+
+        assert!(relink_row(&mut map, 7, 4, 1));
+        assert_eq!(map[&7].as_slice(), &[0, 1, 2, 3]);
+        assert!(!relink_row(&mut map, 7, 4, 1), "old entry no longer there");
+        assert!(!relink_row(&mut map, 8, 0, 1));
+
+        // An inline chain shrinks the same way, and the bucket that empties
+        // leaves the map.
+        assert_eq!(unlink_row(&mut map, 9, |_| true), Some(40));
+        assert!(!map.contains_key(&9));
+        for _ in 0..4 {
+            unlink_row(&mut map, 7, |_| true);
+        }
+        assert!(map.is_empty());
     }
 
     #[test]

@@ -4,9 +4,13 @@
 //! (Section 4.2, "Caching"): the smaller side is hashed on the join key and
 //! the larger side probes it. The build structure ([`JoinBuild`]) is exposed
 //! so that the `+` engine variants can cache it across updates and maintain
-//! it incrementally as relations grow.
+//! it incrementally as relations grow **and shrink**: appended rows are
+//! indexed by [`JoinBuild::update`], retracted rows leave through
+//! [`JoinBuild::retract_row`] / [`super::cache::JoinCache::retract_rows`].
 
-use super::fasthash::{hash_projected, hash_syms, Bucket, FxHashMap};
+use std::borrow::BorrowMut;
+
+use super::fasthash::{hash_projected, hash_syms, relink_row, unlink_row, Bucket, FxHashMap};
 use super::Relation;
 use crate::interner::Sym;
 use crate::memory::HeapSize;
@@ -21,10 +25,11 @@ pub struct JoinBuild {
     buckets: FxHashMap<u64, Bucket>,
     /// Number of rows of the underlying relation already indexed.
     rows_indexed: usize,
-    /// Compaction generation of the relation when it was (re)indexed. A
-    /// retraction compacts the relation in place and bumps its generation,
-    /// invalidating every row index recorded here; incremental updates
-    /// detect the mismatch and rebuild from scratch.
+    /// Generation of the relation the recorded row indices are valid for. A
+    /// retraction moves rows and bumps the relation's generation; a build
+    /// that was retracted *through* follows the moves and is restamped, one
+    /// that missed them sees the mismatch on its next
+    /// [`update`](JoinBuild::update) and starts over.
     generation: u64,
 }
 
@@ -59,12 +64,13 @@ impl JoinBuild {
     /// Indexes any rows appended to `rel` since the last build/update.
     /// This is the incremental maintenance used by the `+` engines.
     /// Allocation-free except when a collision chain spills: keys are hashed
-    /// in place via [`hash_projected`], never materialised. When the
-    /// relation was compacted since the last (re)index (its generation
-    /// changed), every recorded row index is invalid and the build starts
-    /// over from scratch.
-    pub fn update(&mut self, rel: &Relation) {
-        if self.generation != rel.generation() {
+    /// in place via [`hash_projected`], never materialised. When rows were
+    /// retracted from the relation behind this build's back (its generation
+    /// differs), the recorded row indices may name moved rows, so the build
+    /// starts over from scratch — and returns `true` to say so.
+    pub fn update(&mut self, rel: &Relation) -> bool {
+        let rebuilt = self.generation != rel.generation();
+        if rebuilt {
             self.buckets.clear();
             self.rows_indexed = 0;
             self.generation = rel.generation();
@@ -77,6 +83,40 @@ impl JoinBuild {
                 .push(super::checked_row_index(i));
         }
         self.rows_indexed = self.rows_indexed.max(rel.len());
+        rebuilt
+    }
+
+    /// Removes `row` from `rel` ([`Relation::retract_row`]) **through**
+    /// `builds` — each one a build over `rel` — so none of them has to
+    /// start over: they are first brought up to date, then follow the
+    /// swap-remove (the removed row's entry goes, the moved row's entry is
+    /// renumbered) and are restamped with the relation's new generation.
+    /// Returns whether the row was present. A build over `rel` that is left
+    /// out stays correct — it rebuilds on its next
+    /// [`update`](JoinBuild::update).
+    pub fn retract_row(rel: &mut Relation, row: &[Sym], builds: &mut [&mut JoinBuild]) -> bool {
+        retract_through(rel, std::iter::once(row), builds).0 == 1
+    }
+
+    /// Replays on this (up-to-date) build one swap-remove `rel` has just
+    /// performed: `removed` left slot `hole`, and the row formerly at index
+    /// `rel.len()` now sits there (unless it *was* the removed one).
+    fn follow_swap_remove(&mut self, rel: &Relation, hole: usize, removed: &[Sym]) {
+        let (hole_idx, last_idx) = (
+            super::checked_row_index(hole),
+            super::checked_row_index(rel.len()),
+        );
+        let unlinked = unlink_row(
+            &mut self.buckets,
+            hash_projected(removed, &self.key_cols),
+            |&i| i == hole_idx,
+        );
+        debug_assert!(unlinked.is_some(), "an up-to-date build indexes every row");
+        if hole_idx != last_idx {
+            let h = hash_projected(rel.row(hole), &self.key_cols);
+            let relinked = relink_row(&mut self.buckets, h, last_idx, hole_idx);
+            debug_assert!(relinked, "an up-to-date build indexes every row");
+        }
     }
 
     /// Returns the indices of rows of `rel` whose key equals `key`
@@ -163,6 +203,37 @@ impl HeapSize for JoinBuild {
     fn heap_size(&self) -> usize {
         self.key_cols.heap_size() + self.buckets.heap_size()
     }
+}
+
+/// Retracts `rows` from `rel` through `builds` (all of them builds over
+/// `rel`), the shared core of [`JoinBuild::retract_row`] and
+/// [`super::cache::JoinCache::retract_rows`]. Returns how many rows were
+/// removed and how many builds were behind on generation and had to start
+/// over before they could follow.
+pub(super) fn retract_through<'r, B: BorrowMut<JoinBuild>>(
+    rel: &mut Relation,
+    rows: impl IntoIterator<Item = &'r [Sym]>,
+    builds: &mut [B],
+) -> (usize, u64) {
+    // Row indices are about to shift, so appends the builds have not seen
+    // yet must be indexed now, under the numbering they were made in.
+    let mut rebuilt = 0;
+    for build in builds.iter_mut() {
+        rebuilt += u64::from(build.borrow_mut().update(rel));
+    }
+    let dropped = rel.retract_each(rows, |rel, hole, row| {
+        for build in builds.iter_mut() {
+            build.borrow_mut().follow_swap_remove(rel, hole, row);
+        }
+    });
+    for build in builds.iter_mut() {
+        let build = build.borrow_mut();
+        build.generation = rel.generation();
+        // Set, not `max`: the relation shrank, and the next appended rows
+        // reuse the indices just vacated.
+        build.rows_indexed = rel.len();
+    }
+    (dropped, rebuilt)
 }
 
 /// Extracts the join key of a row.
@@ -417,15 +488,55 @@ mod tests {
     fn update_rebuilds_after_compaction() {
         let mut r = rel(2, &[&[1, 10], &[2, 20], &[3, 30]]);
         let mut build = JoinBuild::build(&r, &[0]);
-        // Retract the middle row: every later row index shifts, so the old
-        // build would probe row 1 expecting key 2 and find key 3.
+        // Retract the middle row behind the build's back: the last row
+        // moves into its slot, so the old build would probe row 1 expecting
+        // key 2 and find key 3.
         let gone = rel(2, &[&[2, 20]]);
         r.retract_rows(&gone);
         build.update(&r);
         assert_eq!(build.generation(), r.generation());
         assert_eq!(build.probe(&r, &[s(2)]).len(), 0);
-        assert_eq!(build.probe(&r, &[s(3)]).len(), 1, "shifted row found");
+        assert_eq!(build.probe(&r, &[s(3)]).len(), 1, "moved row found");
         assert_eq!(build.rows_indexed(), 2);
+    }
+
+    #[test]
+    fn retract_row_keeps_every_listed_build_valid() {
+        // The hand-maintained form (one relation, two builds): the removed
+        // row leaves through both, neither starts over, and the next
+        // append reuses the vacated index in both.
+        let mut r = rel(2, &[&[1, 10], &[2, 20], &[1, 30], &[3, 10]]);
+        let mut by_first = JoinBuild::build(&r, &[0]);
+        let mut by_second = JoinBuild::build(&r, &[1]);
+        r.push(&[s(2), s(40)]); // neither build has seen this row yet
+        assert!(JoinBuild::retract_row(
+            &mut r,
+            &[s(2), s(20)],
+            &mut [&mut by_first, &mut by_second]
+        ));
+        assert!(!JoinBuild::retract_row(
+            &mut r,
+            &[s(2), s(20)],
+            &mut [&mut by_first, &mut by_second]
+        ));
+        assert_eq!(r.row(1), &[s(2), s(40)], "the last row filled the hole");
+        for build in [&by_first, &by_second] {
+            assert_eq!(build.generation(), r.generation());
+            assert_eq!(build.rows_indexed(), 4);
+        }
+        assert_eq!(by_first.probe(&r, &[s(2)]), vec![1]);
+        assert_eq!(by_second.probe(&r, &[s(20)]), Vec::<usize>::new());
+        assert_eq!(by_second.probe(&r, &[s(40)]), vec![1]);
+        r.push(&[s(2), s(50)]);
+        assert!(!by_first.update(&r), "restamped, so no rebuild");
+        let mut hits = by_first.probe(&r, &[s(2)]);
+        hits.sort_unstable();
+        assert_eq!(hits, vec![1, 4]);
+        // A build that was left out still answers correctly: it rebuilds.
+        let mut left_out = JoinBuild::build(&r, &[0]);
+        assert!(JoinBuild::retract_row(&mut r, &[s(1), s(10)], &mut []));
+        assert!(left_out.update(&r), "missed the move, starts over");
+        assert_eq!(left_out.probe(&r, &[s(1)]).len(), 1);
     }
 
     #[test]

@@ -3,11 +3,16 @@
 //! Every materialized view of the paper — the per-edge views `matV[e]`, the
 //! per-trie-node views `matV[n]`, and the per-path views of the baselines —
 //! is a [`Relation`]: a duplicate-free table of vertex symbols with a fixed
-//! arity. Within one **generation** relations only ever grow, which the
-//! join-build cache of the `+` engine variants exploits; retractions
-//! ([`Relation::retract_rows`]) compact the storage eagerly and open a new
-//! generation, so every cached artefact can detect staleness by comparing
-//! generation counters.
+//! arity, stored densely. Within one **generation** relations only ever
+//! grow, which the join-build cache of the `+` engine variants exploits. A
+//! retraction ([`Relation::retract_rows`], [`Relation::retract_row`]) is a
+//! **swap-remove** through the dedup index — the last row fills the hole, so
+//! it costs what an insertion costs, whatever the size of the table — and
+//! opens a new generation: a generation bump means "row positions may have
+//! changed", and after the first one row order is no longer insertion
+//! order. Cached artefacts either follow the moves
+//! ([`cache::JoinCache::retract_rows`]) or detect that they missed them by
+//! comparing generation counters.
 
 pub mod cache;
 pub mod eval;
@@ -20,15 +25,20 @@ use std::sync::Arc;
 use crate::interner::Sym;
 use crate::memory::HeapSize;
 
-use fasthash::{hash_syms, Bucket, FxHashMap};
+use fasthash::{hash_syms, relink_row, unlink_row, Bucket, FxHashMap};
 
 static NEXT_RELATION_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Rows per storage chunk (a power of two, so row addressing is a shift and
 /// a mask). A chunk that fills up is **frozen** — wrapped in an `Arc` and
-/// never touched again — which is what makes [`Relation::snapshot_owned`]
-/// cheap: a snapshot shares the frozen chunks by reference count and copies
-/// at most one partial chunk.
+/// from then on written only by a retraction that moves a row into it, in
+/// place if no snapshot shares the chunk and into a private copy otherwise
+/// — which is what makes [`Relation::snapshot_owned`] cheap: a snapshot
+/// shares the frozen chunks by reference count and copies at most one
+/// partial chunk. It is also the unit of the only copies a retraction can
+/// cause: un-sharing one chunk, and re-opening the last frozen chunk when
+/// the table shrinks across a chunk boundary — both at most `CHUNK_ROWS`
+/// rows, neither grows with the table.
 pub const CHUNK_ROWS: usize = 1024;
 
 /// Converts a row count into a `u32` dedup-index slot, panicking with a
@@ -42,6 +52,21 @@ pub(crate) fn checked_row_index(len: usize) -> u32 {
     })
 }
 
+/// Row `i` of a table stored as `frozen` chunks plus `tail` — [`Relation::row`]
+/// over the borrowed storage fields, for code that holds the dedup index
+/// mutably at the same time.
+#[inline]
+fn stored_row<'a>(frozen: &'a [Arc<[Sym]>], tail: &'a [Sym], arity: usize, i: usize) -> &'a [Sym] {
+    let chunk = i / CHUNK_ROWS;
+    if chunk < frozen.len() {
+        let start = (i % CHUNK_ROWS) * arity;
+        &frozen[chunk][start..start + arity]
+    } else {
+        let start = (i - frozen.len() * CHUNK_ROWS) * arity;
+        &tail[start..start + arity]
+    }
+}
+
 /// A duplicate-free table of `Sym` tuples with fixed arity.
 ///
 /// Relations come in two flavours. The default ([`Relation::new`]) maintains
@@ -53,23 +78,26 @@ pub(crate) fn checked_row_index(len: usize) -> u32 {
 /// are built once, read many times and discarded, so the per-row index
 /// insert (a random-access hash-map touch) is pure overhead on the hot path.
 ///
-/// # Chunked append-only storage
+/// # Chunked dense storage
 ///
 /// Rows live in fixed-size segments of [`CHUNK_ROWS`] rows: a list of
-/// **frozen** chunks (full, immutable forever, shared by `Arc`) followed by
-/// one growing **tail** chunk. Together with the insert-only discipline this
-/// is what makes a relation *shareable across threads*: every full chunk is
-/// physically immutable, so [`snapshot_owned`](Relation::snapshot_owned)
-/// can hand out a `Send + Sync` read view that shares the frozen chunks
-/// lock-free while the writer keeps appending to the tail.
+/// **frozen** chunks (full, shared by `Arc`) followed by one **tail** chunk
+/// that grows on insertion and shrinks on retraction; there are no holes.
+/// This is what makes a relation *shareable across threads*: a frozen chunk
+/// is never written while anyone else holds it (a retraction that has to
+/// write into a shared one copies it first), so
+/// [`snapshot_owned`](Relation::snapshot_owned) can hand out a
+/// `Send + Sync` read view that shares the frozen chunks lock-free while
+/// the writer keeps appending to — and retracting from — the live table.
 #[derive(Debug, Clone)]
 pub struct Relation {
     id: u64,
     arity: usize,
-    /// Full, immutable storage chunks of exactly `CHUNK_ROWS * arity` syms
-    /// each. Shared (never copied) by clones and owned snapshots.
+    /// Full storage chunks of exactly `CHUNK_ROWS * arity` syms each.
+    /// Shared (never copied) by clones and owned snapshots; written only
+    /// through `Arc::make_mut`.
     frozen: Vec<Arc<[Sym]>>,
-    /// The growing tail chunk: row-major, `< CHUNK_ROWS` rows.
+    /// The tail chunk: row-major, `< CHUNK_ROWS` rows.
     tail: Vec<Sym>,
     /// Row-hash → indices of rows with that hash (collision chains verified
     /// on insert), used to keep the table duplicate-free. Keyed by the fast
@@ -78,10 +106,11 @@ pub struct Relation {
     index: FxHashMap<u64, Bucket>,
     /// False for distinct-by-construction relations (no dedup index).
     indexed: bool,
-    /// Compaction generation. Bumped by [`Relation::retract_rows`]; within
-    /// one generation the table is append-only and the row-count versioning
-    /// contract holds. Carried by clones and owned snapshots so stale join
-    /// builds and frozen caches can be detected and rebuilt.
+    /// Retraction generation. Bumped by every [`Relation::retract_rows`] /
+    /// [`Relation::retract_row`] call that removed something; within one
+    /// generation the table is append-only and the row-count versioning
+    /// contract holds. Carried by clones and owned snapshots so join builds
+    /// that missed a retraction can be detected and rebuilt.
     generation: u64,
 }
 
@@ -121,7 +150,7 @@ impl Relation {
     }
 
     /// Creates an empty indexed relation that starts in the given
-    /// compaction `generation` instead of generation 0 — the constructor of
+    /// `generation` instead of generation 0 — the constructor of
     /// the persistence layer's recovery path, which rebuilds a checkpointed
     /// relation row by row and must restore its generation watermark so
     /// that `(generation, version)` pairs recorded in the checkpoint
@@ -180,29 +209,36 @@ impl Relation {
     /// staged); the `(generation, version)` pair is what the persistence
     /// layer records per checkpointed relation.
     ///
-    /// [`retract_rows`](Relation::retract_rows) compacts the table and
-    /// opens a new generation. Owned snapshots are immune: they share the
-    /// *old* generation's chunks by `Arc`, which stay alive until the last
-    /// snapshot drops — reclamation is exactly the release of those
-    /// reference counts.
+    /// [`retract_rows`](Relation::retract_rows) moves rows (the last row
+    /// fills each hole), shrinks the table and opens a new generation: a
+    /// version read in an earlier generation no longer names a prefix, and
+    /// row order stops being insertion order. Owned snapshots are immune:
+    /// they share the chunks they were taken from by `Arc`, a retraction
+    /// copies such a chunk before writing to it, and the old chunk stays
+    /// alive until the last snapshot drops — reclamation is exactly the
+    /// release of those reference counts.
     pub fn version(&self) -> usize {
         self.len()
     }
 
-    /// The compaction generation this relation is in. `0` until the first
-    /// [`retract_rows`](Relation::retract_rows); bumped by each compaction.
-    /// A (generation, version) pair uniquely identifies a physical row
-    /// prefix, which is what the join-build caches key their staleness
-    /// checks on.
+    /// The generation this relation is in. `0` until the first retraction;
+    /// bumped once by every [`retract_rows`](Relation::retract_rows) /
+    /// [`retract_row`](Relation::retract_row) call that removed something.
+    /// A new generation means "row positions may have changed" — nothing
+    /// more: storage is as dense after it as before. A (generation,
+    /// version) pair uniquely identifies a physical row prefix, which is
+    /// what join builds key their staleness checks on and what a checkpoint
+    /// records per relation.
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
     /// Number of full, frozen storage chunks currently referenced by this
-    /// relation. Compaction drops retracted rows, so under a sliding-window
-    /// stream this stays proportional to the *live* row count rather than
-    /// growing with the total insert count — the boundedness the
-    /// reclamation tests assert.
+    /// relation — always `len() / CHUNK_ROWS`, because storage is dense: a
+    /// retraction shrinks the table by exactly the rows it removes, so
+    /// under a sliding-window stream this stays proportional to the *live*
+    /// row count rather than growing with the total insert count — the
+    /// boundedness the reclamation tests assert.
     pub fn frozen_chunks(&self) -> usize {
         self.frozen.len()
     }
@@ -385,79 +421,123 @@ impl Relation {
         }
     }
 
-    /// Removes every row of `removed` that is present in `self`, compacting
-    /// the storage in place, and returns how many rows were dropped.
+    /// Removes every row of `removed` that is present in `self` and returns
+    /// how many rows were dropped — O(|`removed`|) on an indexed relation,
+    /// whatever the size of `self`.
     ///
-    /// The surviving rows keep their relative order. Frozen chunks entirely
-    /// before the first removed row are reused untouched (`Arc` clones);
-    /// everything from the first removal onward is rewritten into fresh
-    /// chunks and the dedup index (if any) is rebuilt. The relation keeps
-    /// its [`id`](Relation::id) but opens a new
-    /// [`generation`](Relation::generation), so stale join builds and
-    /// frozen caches keyed on the id detect the rewrite and rebuild.
+    /// Each removal is a **swap-remove**: the row is located through the
+    /// dedup index (by a scan on a distinct-by-construction relation, which
+    /// has none), the physically last row moves into its slot, the two
+    /// index buckets involved are fixed up (one that empties is dropped)
+    /// and the table shrinks by one. Storage stays dense — no tombstones,
+    /// no compaction pass — but the survivors do **not** keep their
+    /// relative order: after a retraction row order is no longer insertion
+    /// order. The relation keeps its [`id`](Relation::id) and opens one new
+    /// [`generation`](Relation::generation) per call that removed
+    /// something, so join builds and checkpoints keyed on the id see that
+    /// row positions may have changed ([`cache::JoinCache::retract_rows`]
+    /// retracts *through* the cached builds and keeps them valid instead).
     ///
-    /// Old-generation chunks are **not** freed here if an outstanding
-    /// [`snapshot_owned`](Relation::snapshot_owned) still shares them; they
-    /// are reclaimed when the last such snapshot drops — the `Arc`
-    /// reference counts are the epoch scheme.
+    /// A frozen chunk that receives a moved row is written in place when
+    /// this relation is its only holder and copied first (that one chunk,
+    /// at most [`CHUNK_ROWS`] rows) when an outstanding
+    /// [`snapshot_owned`](Relation::snapshot_owned) still shares it, so
+    /// snapshots stay bitwise stable; the chunks they pin are reclaimed
+    /// when the last of them drops — the `Arc` reference counts are the
+    /// epoch scheme.
     pub fn retract_rows(&mut self, removed: &Relation) -> usize {
         assert_eq!(
             self.arity, removed.arity,
             "retract_rows arity mismatch: {} vs {}",
             self.arity, removed.arity
         );
-        if removed.is_empty() || self.is_empty() {
-            return 0;
-        }
-        // Probe index over the rows to remove: row hash → indices into
-        // `removed`, chains verified by full row comparison.
-        let mut probe: FxHashMap<u64, Bucket> = FxHashMap::default();
-        for (i, row) in removed.iter().enumerate() {
-            probe
-                .entry(hash_syms(row))
-                .or_default()
-                .push(checked_row_index(i));
-        }
-        let is_removed = |row: &[Sym]| -> bool {
-            probe
-                .get(&hash_syms(row))
-                .map(|b| b.as_slice().iter().any(|&i| removed.row(i as usize) == row))
-                .unwrap_or(false)
-        };
-        // Locate the first removed row; chunks wholly before it survive.
-        let Some(first) = self.iter().position(is_removed) else {
-            return 0;
-        };
-        let keep_chunks = (first / CHUNK_ROWS).min(self.frozen.len());
-        let mut new_frozen: Vec<Arc<[Sym]>> = self.frozen[..keep_chunks].to_vec();
-        let mut new_tail: Vec<Sym> = Vec::with_capacity(CHUNK_ROWS * self.arity);
+        self.retract_each(removed.iter(), |_, _, _| {})
+    }
+
+    /// The single-row form of [`retract_rows`](Relation::retract_rows):
+    /// removes `row` if present (one new generation) and says whether it
+    /// was — one index lookup, no throw-away relation.
+    pub fn retract_row(&mut self, row: &[Sym]) -> bool {
+        self.retract_each(std::iter::once(row), |_, _, _| {}) == 1
+    }
+
+    /// The one retraction loop behind every public form: swap-removes each
+    /// of `rows` that is present, hands every removal to
+    /// `moved(self, hole, row)` right after it happened — `row` left slot
+    /// `hole`, and unless `hole == self.len()` the row that used to sit at
+    /// index `self.len()` now lives there — and opens a new generation if
+    /// anything was removed. The observer is how cached join builds follow
+    /// the moves ([`join::JoinBuild`]).
+    fn retract_each<'r>(
+        &mut self,
+        rows: impl IntoIterator<Item = &'r [Sym]>,
+        mut moved: impl FnMut(&Relation, usize, &[Sym]),
+    ) -> usize {
         let mut dropped = 0;
-        for row in self.iter_from(keep_chunks * CHUNK_ROWS) {
-            if is_removed(row) {
+        for row in rows {
+            if let Some(hole) = self.swap_remove_row(row) {
                 dropped += 1;
-                continue;
-            }
-            new_tail.extend_from_slice(row);
-            if new_tail.len() == CHUNK_ROWS * self.arity {
-                let full =
-                    std::mem::replace(&mut new_tail, Vec::with_capacity(CHUNK_ROWS * self.arity));
-                new_frozen.push(full.into());
+                moved(self, hole, row);
             }
         }
-        self.frozen = new_frozen;
-        self.tail = new_tail;
-        self.generation += 1;
-        if self.indexed {
-            let mut index: FxHashMap<u64, Bucket> = FxHashMap::default();
-            for (i, row) in self.iter().enumerate() {
-                index
-                    .entry(hash_syms(row))
-                    .or_default()
-                    .push(checked_row_index(i));
-            }
-            self.index = index;
+        if dropped > 0 {
+            self.generation += 1;
         }
         dropped
+    }
+
+    /// Swap-removes `row`, returning the slot it occupied (`None`, and no
+    /// change, if it is absent). Does not touch the generation.
+    fn swap_remove_row(&mut self, row: &[Sym]) -> Option<usize> {
+        let arity = self.arity;
+        assert_eq!(
+            row.len(),
+            arity,
+            "row arity {} does not match relation arity {arity}",
+            row.len()
+        );
+        let hole = if self.indexed {
+            let (frozen, tail) = (&self.frozen, &self.tail);
+            unlink_row(&mut self.index, hash_syms(row), |&i| {
+                stored_row(frozen, tail, arity, i as usize) == row
+            })? as usize
+        } else {
+            self.iter().position(|r| r == row)?
+        };
+        // The last row always leaves from the tail: on a chunk boundary the
+        // last frozen chunk is thawed first (copied — a snapshot may still
+        // share it), the mirror image of `append_row`'s freeze.
+        if self.tail.is_empty() {
+            let chunk = self
+                .frozen
+                .pop()
+                .expect("a row was found, so a chunk exists");
+            self.tail.extend_from_slice(&chunk);
+        }
+        let last = self.len() - 1;
+        let last_at = self.tail.len() - arity;
+        if hole != last {
+            if self.indexed {
+                let relinked = relink_row(
+                    &mut self.index,
+                    hash_syms(&self.tail[last_at..]),
+                    checked_row_index(last),
+                    checked_row_index(hole),
+                );
+                debug_assert!(relinked, "every stored row is indexed");
+            }
+            let chunk = hole / CHUNK_ROWS;
+            if chunk < self.frozen.len() {
+                let at = (hole % CHUNK_ROWS) * arity;
+                Arc::make_mut(&mut self.frozen[chunk])[at..at + arity]
+                    .copy_from_slice(&self.tail[last_at..]);
+            } else {
+                let at = (hole - self.frozen.len() * CHUNK_ROWS) * arity;
+                self.tail.copy_within(last_at.., at);
+            }
+        }
+        self.tail.truncate(last_at);
+        Some(hole)
     }
 
     /// [`push`](Self::push) with an externally supplied row hash — the
@@ -886,8 +966,9 @@ mod tests {
         assert_eq!(r.generation(), 0);
         assert_eq!(r.retract_rows(&gone), 1);
         assert_eq!(r.generation(), 1);
-        assert_eq!(r.to_vec(), vec![vec![s(1), s(2)], vec![s(5), s(6)]]);
-        // Survivors keep order; the dedup index is rebuilt correctly.
+        assert_eq!(r.len(), 2, "storage stays dense");
+        assert_eq!(r.to_sorted_vec(), vec![vec![s(1), s(2)], vec![s(5), s(6)]]);
+        // The dedup index followed the move.
         assert!(!r.push(&[s(1), s(2)]));
         assert!(!r.push(&[s(5), s(6)]));
         assert!(r.push(&[s(3), s(4)]), "retracted row may be re-inserted");
@@ -899,21 +980,82 @@ mod tests {
     }
 
     #[test]
+    fn retract_row_is_the_single_row_form() {
+        let mut r = counted(5);
+        assert!(r.retract_row(&[s(1)]));
+        assert_eq!(r.generation(), 1);
+        assert!(!r.retract_row(&[s(1)]), "already gone");
+        assert!(!r.retract_row(&[s(77)]), "never there");
+        assert_eq!(r.generation(), 1, "a miss opens no generation");
+        assert_eq!(r.row(1), &[s(4)], "the last row filled the hole");
+        assert!(
+            r.retract_row(&[s(3)]),
+            "removing the last row moves nothing"
+        );
+        assert_eq!(r.to_sorted_vec(), vec![vec![s(0)], vec![s(2)], vec![s(4)]]);
+        for v in [0, 2, 4] {
+            assert!(r.contains(&[s(v)]));
+        }
+        assert!(!r.contains(&[s(1)]) && !r.contains(&[s(3)]));
+        // Down to empty and back up.
+        for v in [0, 2, 4] {
+            assert!(r.retract_row(&[s(v)]));
+        }
+        assert!(r.is_empty());
+        assert!(r.push(&[s(1)]));
+        assert_eq!(r.to_vec(), vec![vec![s(1)]]);
+    }
+
+    #[test]
     fn retract_rows_shares_untouched_prefix_chunks() {
-        let mut r = counted(3 * CHUNK_ROWS + 5);
+        // A swap-remove writes one row: into the chunk that holds the hole.
+        // Every other chunk stays the very same allocation; the written one
+        // is mutated in place while this relation is its only holder and
+        // copied first when a live snapshot still shares it.
+        let n = 3 * CHUNK_ROWS + 5;
+        let mut r = counted(n);
         let before: Vec<Arc<[Sym]>> = r.frozen.clone();
-        // Remove a row in the third chunk: the first two survive untouched.
-        let gone = Relation::singleton(&[s((2 * CHUNK_ROWS + 1) as u32)]);
-        assert_eq!(r.retract_rows(&gone), 1);
-        assert!(Arc::ptr_eq(&r.frozen[0], &before[0]), "chunk 0 shared");
-        assert!(Arc::ptr_eq(&r.frozen[1], &before[1]), "chunk 1 shared");
-        assert!(!Arc::ptr_eq(&r.frozen[2], &before[2]), "chunk 2 rewritten");
-        assert_eq!(r.len(), 3 * CHUNK_ROWS + 4);
-        let all: Vec<u32> = r.iter().map(|row| row[0].0).collect();
-        let expect: Vec<u32> = (0..(3 * CHUNK_ROWS + 5) as u32)
-            .filter(|&i| i != (2 * CHUNK_ROWS + 1) as u32)
+        let hole = 2 * CHUNK_ROWS + 1;
+        assert_eq!(r.retract_rows(&Relation::singleton(&[s(hole as u32)])), 1);
+        assert!(Arc::ptr_eq(&r.frozen[0], &before[0]), "chunk 0 untouched");
+        assert!(Arc::ptr_eq(&r.frozen[1], &before[1]), "chunk 1 untouched");
+        assert!(
+            !Arc::ptr_eq(&r.frozen[2], &before[2]),
+            "chunk 2 is shared with `before`, so the write went to a copy"
+        );
+        assert_eq!(
+            before[2][1],
+            s(hole as u32),
+            "the sharer still reads the old row"
+        );
+        assert_eq!(r.row(hole), &[s(n as u32 - 1)], "the last row moved in");
+        assert_eq!(r.len(), n - 1);
+        let expect: Vec<Vec<Sym>> = (0..n as u32)
+            .filter(|&i| i != hole as u32)
+            .map(|i| vec![s(i)])
             .collect();
-        assert_eq!(all, expect);
+        assert_eq!(r.to_sorted_vec(), expect);
+
+        // The same through a real snapshot: it keeps reading its own bits.
+        drop(before);
+        let snap = r.snapshot_owned(r.version());
+        let shared = Arc::clone(&r.frozen[0]);
+        assert!(r.retract_row(&[s(7)]));
+        assert!(!Arc::ptr_eq(&r.frozen[0], &shared), "shared chunk copied");
+        assert_eq!(snap.row(7), &[s(7)]);
+        assert_eq!(snap.len(), n - 1);
+        assert!(!r.contains(&[s(7)]));
+        drop((snap, shared));
+
+        // Nobody else holds chunk 1 now: the write lands in place.
+        let addr = r.frozen[1].as_ptr();
+        assert!(r.retract_row(&[s(CHUNK_ROWS as u32 + 9)]));
+        assert_eq!(
+            r.frozen[1].as_ptr(),
+            addr,
+            "unshared chunk mutated in place"
+        );
+        assert_ne!(r.row(CHUNK_ROWS + 9), &[s(CHUNK_ROWS as u32 + 9)]);
     }
 
     #[test]
@@ -944,7 +1086,7 @@ mod tests {
         gone.push(&[s(0)]);
         gone.push(&[s(4)]);
         assert_eq!(r.retract_rows(&gone), 2);
-        assert_eq!(r.to_vec(), vec![vec![s(1)], vec![s(2)], vec![s(3)]]);
+        assert_eq!(r.to_sorted_vec(), vec![vec![s(1)], vec![s(2)], vec![s(3)]]);
         assert!(!r.is_indexed());
     }
 
@@ -975,6 +1117,60 @@ mod tests {
             r.frozen_chunks()
         );
         assert!(r.len() <= window + 1024);
+    }
+
+    #[test]
+    fn window_hovering_on_a_chunk_boundary_stays_correct() {
+        // Slide one row at a time with the live count hovering on
+        // CHUNK_ROWS - 1 / CHUNK_ROWS / CHUNK_ROWS + 1: every push that
+        // fills the tail freezes it and every retraction on the boundary
+        // thaws it again.
+        for window in [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1] {
+            let mut r = counted(window);
+            for i in window..window + 10_000 {
+                assert!(r.push(&[s(i as u32)]));
+                assert_eq!(r.frozen_chunks(), (window + 1) / CHUNK_ROWS);
+                assert!(r.retract_row(&[s((i - window) as u32)]));
+                assert_eq!(r.len(), window);
+                assert_eq!(r.frozen_chunks(), window / CHUNK_ROWS, "window {window}");
+                assert!(r.contains(&[s(i as u32)]));
+                assert!(r.contains(&[s((i - window + 1) as u32)]), "oldest survivor");
+                assert!(!r.contains(&[s((i - window) as u32)]));
+            }
+            let expect: Vec<Vec<Sym>> = (10_000..window + 10_000)
+                .map(|i| vec![s(i as u32)])
+                .collect();
+            assert_eq!(r.to_sorted_vec(), expect, "window {window}");
+            assert_eq!(r.generation(), 10_000);
+        }
+    }
+
+    #[test]
+    fn sliding_window_keeps_the_dedup_index_bounded() {
+        // Emptied buckets leave the index, so its size — and with it the
+        // relation's heap — follows the window, not the insert total (40
+        // windows here). The map keeps the capacity of its fullest moment,
+        // at most a doubling while deleted slots are recycled.
+        let window = CHUNK_ROWS / 2;
+        let row_bytes = 2 * std::mem::size_of::<Sym>();
+        let slot_bytes = std::mem::size_of::<(u64, Bucket)>() + 1;
+        let mut r = Relation::new(2);
+        for i in 0..20 * CHUNK_ROWS as u32 {
+            r.push(&[s(i), s(i + 1)]);
+            if i as usize >= window {
+                let old = i - window as u32;
+                assert!(r.retract_row(&[s(old), s(old + 1)]));
+            }
+            assert!(r.index.len() <= r.len(), "a bucket per live row at most");
+            assert!(
+                r.heap_size() <= 4 * window * (row_bytes + slot_bytes),
+                "heap {} after {i} inserts is not a small multiple of the window",
+                r.heap_size()
+            );
+        }
+        assert_eq!(r.len(), window);
+        assert_eq!(r.index.len(), window, "distinct hashes: one bucket per row");
+        assert_eq!(r.frozen_chunks(), 0);
     }
 
     #[test]

@@ -325,7 +325,7 @@ impl<E: ContinuousEngine + Send + 'static> ShardedEngine<E> {
         // per-edge insertion deltas are dropped.
         if retract {
             let removed = self.history.remove_deltas(run);
-            self.history.retract_deltas(&removed);
+            self.history.retract_deltas(&removed, None);
         } else {
             self.history.apply_batch(run);
         }

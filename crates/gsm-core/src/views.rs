@@ -13,6 +13,7 @@ use crate::interner::Sym;
 use crate::memory::HeapSize;
 use crate::model::generic::GenericEdge;
 use crate::model::update::Update;
+use crate::relation::cache::JoinCache;
 use crate::relation::fasthash::FxHashMap;
 use crate::relation::Relation;
 
@@ -137,14 +138,23 @@ impl EdgeViewStore {
         deltas
     }
 
-    /// Commits a retraction batch: removes every delta row from its view,
-    /// compacting the storage (see [`Relation::retract_rows`]). Pass the
-    /// map produced by [`remove_deltas`](EdgeViewStore::remove_deltas)
-    /// after all pre-removal answering is done.
-    pub fn retract_deltas(&mut self, deltas: &FxHashMap<GenericEdge, Relation>) {
+    /// Commits a retraction batch: removes every delta row from its view
+    /// (see [`Relation::retract_rows`]). Pass the map produced by
+    /// [`remove_deltas`](EdgeViewStore::remove_deltas) after all
+    /// pre-removal answering is done. An engine that caches join builds
+    /// over these views passes its `cache`, so the rows leave *through* it
+    /// ([`JoinCache::retract_rows`]) and the builds survive the deletion.
+    pub fn retract_deltas(
+        &mut self,
+        deltas: &FxHashMap<GenericEdge, Relation>,
+        mut cache: Option<&mut JoinCache>,
+    ) {
         for (edge, removed) in deltas {
             if let Some(view) = self.views.get_mut(edge) {
-                view.retract_rows(removed);
+                match cache.as_deref_mut() {
+                    Some(cache) => cache.retract_rows(view, removed),
+                    None => view.retract_rows(removed),
+                };
             }
         }
     }
@@ -291,7 +301,7 @@ mod tests {
         // Pre-removal state untouched until commit.
         assert_eq!(store.get(&var_var).unwrap().len(), 2);
 
-        store.retract_deltas(&deltas);
+        store.retract_deltas(&deltas, None);
         assert_eq!(
             store.get(&var_var).unwrap().to_sorted_vec(),
             vec![vec![Sym(3), Sym(4)]]

@@ -206,3 +206,218 @@ proptest! {
         prop_assert_eq!(reassembled, all);
     }
 }
+
+/// Row `i` of the retraction properties' universe: distinct in the first
+/// column, so any arity 1–4 prefix of it is a distinct row.
+fn universe_row(i: u32, arity: usize) -> Vec<Sym> {
+    [i, i.wrapping_mul(7) % 13, i % 5, i / 3][..arity]
+        .iter()
+        .copied()
+        .map(Sym)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Swap-remove retraction against a `BTreeSet` model: whatever
+    /// interleaving of `push`, `retract_row`, `retract_rows` and
+    /// `snapshot_owned` runs over a relation of three-plus chunks (starting
+    /// within a few rows of a chunk edge, so retractions thaw and pushes
+    /// re-freeze), `len`, `contains`, the sorted contents and the
+    /// generation agree with the model after every step, and every snapshot
+    /// taken earlier still reads exactly what it read when it was taken.
+    #[test]
+    fn retraction_matches_a_set_model_and_never_moves_a_snapshot(
+        arity in 1usize..=4,
+        past_edge in 0usize..4,
+        ops in proptest::collection::vec((0u8..8, any::<u32>(), 1usize..9), 1..60),
+    ) {
+        use gsm_core::relation::CHUNK_ROWS;
+        use std::collections::BTreeSet;
+
+        let base = 3 * CHUNK_ROWS + past_edge;
+        let mut rel = Relation::new(arity);
+        let mut model: BTreeSet<Vec<Sym>> = BTreeSet::new();
+        for i in 0..base as u32 {
+            rel.push(&universe_row(i, arity));
+            model.insert(universe_row(i, arity));
+        }
+        let mut next_fresh = base as u32;
+        let mut snapshots: Vec<(Relation, Vec<Vec<Sym>>)> = Vec::new();
+        // A row of the model (`pick` walks it) or, one time in four, one
+        // that was never inserted.
+        let victim = |model: &BTreeSet<Vec<Sym>>, pick: u32| -> Vec<Sym> {
+            if pick.is_multiple_of(4) || model.is_empty() {
+                universe_row(3_000_000 + pick % 50, arity)
+            } else {
+                model.iter().nth(pick as usize % model.len()).expect("in range").clone()
+            }
+        };
+
+        for (kind, pick, count) in ops {
+            let generation = rel.generation();
+            let removed = match kind {
+                0 | 1 => {
+                    // Fresh rows, plus a duplicate of a live one.
+                    for _ in 0..count {
+                        let row = universe_row(next_fresh, arity);
+                        next_fresh += 1;
+                        prop_assert!(rel.push(&row));
+                        model.insert(row);
+                    }
+                    let dup = victim(&model, pick | 1);
+                    prop_assert_eq!(rel.push(&dup), model.insert(dup));
+                    0
+                }
+                2 | 3 => {
+                    let row = victim(&model, pick);
+                    let present = model.remove(&row);
+                    prop_assert_eq!(rel.retract_row(&row), present);
+                    prop_assert!(!rel.contains(&row));
+                    usize::from(present)
+                }
+                4..=6 => {
+                    // A batch: rows from anywhere in the table (so holes
+                    // land in frozen chunks and in the tail), the physical
+                    // tail end, and absent rows.
+                    let mut gone = Relation::new(arity);
+                    let mut expected = 0;
+                    for k in 0..count as u32 {
+                        let row = if k % 3 == 2 && !rel.is_empty() {
+                            rel.row(rel.len() - 1 - (k as usize % rel.len().min(3)))
+                                .to_vec()
+                        } else {
+                            victim(&model, pick.wrapping_add(k.wrapping_mul(2_654_435_761)))
+                        };
+                        expected += usize::from(model.remove(&row));
+                        gone.push(&row);
+                    }
+                    prop_assert_eq!(rel.retract_rows(&gone), expected);
+                    expected
+                }
+                _ => {
+                    let version = rel.version() - pick as usize % (rel.version().min(5) + 1);
+                    let snap = rel.snapshot_owned(version);
+                    let contents = snap.to_vec();
+                    prop_assert_eq!(contents.len(), version);
+                    snapshots.push((snap, contents));
+                    0
+                }
+            };
+
+            prop_assert_eq!(rel.generation(), generation + u64::from(removed > 0));
+            prop_assert_eq!(rel.len(), model.len());
+            prop_assert_eq!(rel.frozen_chunks(), model.len() / CHUNK_ROWS);
+            let expected: Vec<Vec<Sym>> = model.iter().cloned().collect();
+            prop_assert_eq!(rel.to_sorted_vec(), expected);
+            for (snap, contents) in &snapshots {
+                prop_assert_eq!(&snap.to_vec(), contents, "a snapshot moved");
+            }
+        }
+        // The dedup index followed every move: each survivor is found and
+        // still rejected as a duplicate, nothing else is.
+        for row in &model {
+            prop_assert!(rel.contains(row));
+            prop_assert!(!rel.push(row));
+        }
+        prop_assert_eq!(rel.len(), model.len());
+    }
+
+    /// Builds that a `JoinCache` retracts *through* answer every probe
+    /// exactly like a build made from scratch over the final relation —
+    /// whether they were current when the retraction arrived, behind on
+    /// appends, or behind on generation (rows retracted behind the cache's
+    /// back), with one or two builds over the relation, across a chunk
+    /// edge, and with every row forced into a single bucket chain.
+    #[test]
+    fn cache_retracted_builds_equal_fresh_builds(
+        near_edge in any::<bool>(),
+        one_chain in any::<bool>(),
+        ops in proptest::collection::vec((0u8..8, any::<u32>(), 1usize..7), 1..50),
+    ) {
+        use gsm_core::relation::join::JoinBuild;
+        use gsm_core::relation::CHUNK_ROWS;
+
+        let keys: u32 = if one_chain { 1 } else { 9 };
+        let row_of = |i: u32| [Sym(i % keys), Sym(i), Sym(i % 4)];
+        let mut rel = Relation::new(3);
+        let mut next = 0u32;
+        let mut live: Vec<u32> = Vec::new();
+        let prefill = if near_edge { CHUNK_ROWS - 3 } else { 5 };
+        for _ in 0..prefill {
+            rel.push(&row_of(next));
+            live.push(next);
+            next += 1;
+        }
+        let mut cache = JoinCache::new();
+        cache.get_or_build(&rel, &[0]);
+        let mut bypassed = false;
+
+        for (kind, pick, count) in ops {
+            let take = |live: &mut Vec<u32>, k: usize| -> Relation {
+                let mut gone = Relation::new(3);
+                for j in 0..k {
+                    if live.is_empty() {
+                        break;
+                    }
+                    let at = (pick as usize).wrapping_add(j * 7919) % live.len();
+                    gone.push(&row_of(live.swap_remove(at)));
+                }
+                gone.push(&row_of(4_000_000 + pick % 10)); // absent
+                gone
+            };
+            match kind {
+                0 | 1 => {
+                    // Appends the builds do not see yet.
+                    for _ in 0..count {
+                        rel.push(&row_of(next));
+                        live.push(next);
+                        next += 1;
+                    }
+                }
+                2 => {
+                    cache.get_or_build(&rel, &[0]);
+                }
+                3 => {
+                    // A second build over the same relation.
+                    cache.get_or_build(&rel, &[2, 0]);
+                }
+                4 => {
+                    // Behind the cache's back: its builds go stale.
+                    let gone = take(&mut live, count);
+                    bypassed |= rel.retract_rows(&gone) > 0;
+                }
+                _ => {
+                    let gone = take(&mut live, count);
+                    let expected = gone.len() - 1;
+                    prop_assert_eq!(cache.retract_rows(&mut rel, &gone), expected);
+                    prop_assert_eq!(rel.len(), live.len());
+                }
+            }
+        }
+
+        for cols in [vec![0], vec![2, 0]] {
+            let fresh = JoinBuild::build(&rel, &cols);
+            let cached = cache.get_or_build(&rel, &cols);
+            prop_assert_eq!(cached.rows_indexed(), rel.len());
+            prop_assert_eq!(cached.generation(), rel.generation());
+            for k in 0..keys + 1 {
+                for m in 0..4 {
+                    let key: Vec<Sym> = match cols.len() {
+                        1 => vec![Sym(k)],
+                        _ => vec![Sym(m), Sym(k)],
+                    };
+                    let mut a = cached.probe(&rel, &key);
+                    let mut b = fresh.probe(&rel, &key);
+                    a.sort_unstable();
+                    b.sort_unstable();
+                    prop_assert_eq!(a, b, "key {:?} over {:?}", key, cols);
+                }
+            }
+        }
+        if !bypassed {
+            prop_assert_eq!(cache.rebuilds(), 0, "no build may start over");
+        }
+    }
+}

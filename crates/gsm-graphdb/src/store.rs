@@ -35,7 +35,8 @@ use gsm_core::relation::Relation;
 
 /// One label's edges on the relational probe substrate: a `(src, tgt)`
 /// relation plus hash builds over both columns, maintained incrementally on
-/// every insert (the builds never rebuild — the relation is insert-only).
+/// every insert and every removal (the builds never start over: a removed
+/// edge leaves the relation through them).
 #[derive(Debug)]
 pub struct LabelProbeIndex {
     /// The label's edges as `(src, tgt)` rows. Distinct by construction:
@@ -66,11 +67,11 @@ impl LabelProbeIndex {
     }
 
     fn remove(&mut self, src: Sym, tgt: Sym) {
-        self.edges.retract_rows(&Relation::singleton(&[src, tgt]));
-        // The compaction bumped the relation's generation, so both builds
-        // rebuild from scratch over the surviving rows.
-        self.by_src.update(&self.edges);
-        self.by_tgt.update(&self.edges);
+        JoinBuild::retract_row(
+            &mut self.edges,
+            &[src, tgt],
+            &mut [&mut self.by_src, &mut self.by_tgt],
+        );
     }
 }
 
@@ -326,8 +327,7 @@ mod tests {
         assert_eq!(store.num_edges(), 2);
         assert!(!store.has_edge(Sym(0), Sym(1), Sym(2)));
 
-        // The probe index lost the row and its builds were rebuilt over the
-        // compacted relation.
+        // The probe index lost the row and both builds followed the removal.
         let probe = store.label_probe(Sym(0)).expect("label 0 indexed");
         assert_eq!(probe.edges.len(), 1);
         let key = [Sym(1)];

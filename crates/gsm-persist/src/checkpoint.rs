@@ -7,7 +7,7 @@
 //! registration order, the per-query notification totals accumulated so
 //! far, the engine's cumulative [`EngineStats`], and the **survivor edge
 //! store** — one chunked [`Relation`] per edge label holding exactly the
-//! edges alive at the checkpoint, with its compaction generation. The
+//! edges alive at the checkpoint, with its retraction generation. The
 //! frozen chunks of those relations spill to disk in their in-memory form
 //! (see [`crate::codec::put_relation`]), so the `(generation, version)`
 //! watermark pair survives the round trip.

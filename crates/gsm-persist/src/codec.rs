@@ -330,7 +330,7 @@ pub fn put_relation(out: &mut Vec<u8>, rel: &Relation) {
 }
 
 /// Decodes a relation, rebuilding the dedup index row by row and restoring
-/// the persisted compaction generation ([`Relation::restore`]).
+/// the persisted generation ([`Relation::restore`]).
 pub fn get_relation(c: &mut Cursor<'_>) -> CodecResult<Relation> {
     let start = c.pos();
     let arity = c.u32()? as usize;

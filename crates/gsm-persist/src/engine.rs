@@ -368,9 +368,7 @@ impl<E: ContinuousEngine> PersistentEngine<E> {
                 .or_insert_with(|| Relation::new(2));
             let row = [u.src, u.tgt];
             if u.retract {
-                if rel.contains(&row) {
-                    rel.retract_rows(&Relation::singleton(&row));
-                }
+                rel.retract_row(&row);
             } else {
                 rel.push(&row);
             }

@@ -16,7 +16,7 @@
 //!   gap-cutting for one-log-per-shard layouts.
 //! * [`checkpoint`] + [`engine`] — sequence-stamped logical snapshots
 //!   (interner, queries, per-query totals, survivor edge relations with
-//!   their compaction generations) and [`PersistentEngine`], the
+//!   their generations) and [`PersistentEngine`], the
 //!   [`gsm_core::engine::ContinuousEngine`] wrapper that logs every batch
 //!   ahead of application, spills checkpoints, and recovers any engine to
 //!   report-equivalence with an uninterrupted run.

@@ -67,8 +67,9 @@ impl HeapSize for QueryInfo {
 /// lost (retraction). A retraction commits at stage time, so its token also
 /// owns the **pre-removal** end-node views of every affected query as
 /// generation-pinned [`Relation::snapshot_owned`] snapshots — they share
-/// frozen chunks by `Arc`, so neither that commit's compaction nor any
-/// later one can move them. An insertion token pins nothing at stage time:
+/// frozen chunks by `Arc`, and a retraction copies a shared chunk before
+/// writing to it, so neither that commit nor any later one can change
+/// them. An insertion token pins nothing at stage time:
 /// it is answered against the live views, or pinned at their current length
 /// when it is detached (see the staging contract on
 /// [`ContinuousEngine::stage_batch`]).
@@ -184,6 +185,12 @@ impl TricEngine {
     /// Join-cache hit counter (always zero for plain TRIC).
     pub fn cache_hits(&self) -> u64 {
         self.cache.hits()
+    }
+
+    /// How often a cached join build had to start over from scratch
+    /// ([`JoinCache::rebuilds`]) — zero for TRIC+ too, deletions included.
+    pub fn cache_rebuilds(&self) -> u64 {
+        self.cache.rebuilds()
     }
 
     /// Extends every row of `delta` (a prefix-path delta whose last column is
@@ -434,16 +441,19 @@ impl TricEngine {
     ///    `new(p)⋈new(e) − old(p)⋈old(e) = old(p)⋈Δe ∪ Δp⋈new(e)` and
     ///    `old(p)⋈old(e) − new(p)⋈new(e) = old(p)⋈Δe ∪ Δp⋈old(e)`. An
     ///    insertion's propagation reads the already-appended edge views, a
-    ///    retraction's the not-yet-compacted ones — in both cases simply
-    ///    the current ones.
+    ///    retraction's the not-yet-shrunk ones — in both cases simply the
+    ///    current ones.
     /// 3. **Commit** the node deltas: insertions append the truly new rows
     ///    to the node views; retractions first pin the pre-removal end-node
-    ///    views of every affected query into the token, then compact node
-    ///    and edge views ([`Relation::retract_rows`],
-    ///    [`EdgeViewStore::retract_deltas`] — stale cached join builds are
-    ///    rejected by their generation stamp). The commit cannot wait for
-    ///    answer time: the next staged run must route against the
-    ///    post-removal state, exactly as sequential execution would.
+    ///    views of every affected query into the token, then swap-remove
+    ///    the delta rows from node and edge views, O(|Δ|) per view
+    ///    ([`Relation::retract_rows`], [`EdgeViewStore::retract_deltas`]).
+    ///    TRIC+ retracts *through* its cache
+    ///    ([`JoinCache::retract_rows`]), so the cached join builds follow
+    ///    the moved rows and no build starts over after a deletion. The
+    ///    commit cannot wait for answer time: the next staged run must
+    ///    route against the post-removal state, exactly as sequential
+    ///    execution would.
     ///
     /// Step 4, the covering-path join, rides in the returned token
     /// ([`answer_tric`]). A single update is a run of length one.
@@ -595,10 +605,15 @@ impl TricEngine {
         };
         if retract {
             self.pin_views(&mut token);
+            let mut cache = caching.then_some(&mut self.cache);
             for (n, d) in &token.deltas {
-                self.forest.node_mut(*n).mat_view.retract_rows(d);
+                let view = &mut self.forest.node_mut(*n).mat_view;
+                match cache.as_deref_mut() {
+                    Some(cache) => cache.retract_rows(view, d),
+                    None => view.retract_rows(d),
+                };
             }
-            self.views.retract_deltas(&edge_deltas);
+            self.views.retract_deltas(&edge_deltas, cache);
         }
         token
     }
@@ -1228,6 +1243,63 @@ mod tests {
             let b = plus.apply_update(u);
             assert_eq!(a, b, "TRIC and TRIC+ diverged at #{step} on {u:?}");
         }
+        assert_eq!(tric.stats(), plus.stats());
+    }
+
+    #[test]
+    fn tric_plus_keeps_its_builds_across_a_sliding_window() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::VecDeque;
+        const WINDOW: usize = 200;
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut f = Fixture::new();
+        let q = f.q("?a -e0-> ?b; ?b -e1-> ?c; ?c -e2-> ?d");
+        let mut tric = TricEngine::tric();
+        let mut plus = TricEngine::tric_plus();
+        tric.register_query(&q).unwrap();
+        plus.register_query(&q).unwrap();
+
+        // One slide: a fresh edge enters, and once the window is full the
+        // oldest leaves — every update its own sign run, as on a served
+        // sliding-window stream.
+        let mut window: VecDeque<Update> = VecDeque::new();
+        let mut slide = |tric: &mut TricEngine, plus: &mut TricEngine| {
+            let fresh = loop {
+                let label = format!("e{}", rng.gen_range(0..3));
+                let src = format!("v{}", rng.gen_range(0..30));
+                let tgt = format!("v{}", rng.gen_range(0..30));
+                let u = f.u(&label, &src, &tgt);
+                if !window.contains(&u) {
+                    break u;
+                }
+            };
+            window.push_back(fresh);
+            let expired = (window.len() > WINDOW).then(|| window.pop_front().expect("full"));
+            for u in std::iter::once(fresh).chain(expired.map(|u| u.inverted())) {
+                assert_eq!(tric.apply_update(u), plus.apply_update(u), "on {u:?}");
+            }
+        };
+        for _ in 0..2 * WINDOW {
+            slide(&mut tric, &mut plus);
+        }
+        let (warm_hits, warm_retracted) = (plus.cache_hits(), plus.stats().retracted);
+        for _ in 0..2_000 {
+            slide(&mut tric, &mut plus);
+        }
+        assert_eq!(
+            plus.cache_rebuilds(),
+            0,
+            "a deletion made a cached join build start over"
+        );
+        assert!(
+            plus.cache_hits() > warm_hits + 2_000,
+            "the builds were used"
+        );
+        assert!(
+            plus.stats().retracted > warm_retracted,
+            "the slides retracted embeddings, so node views shrank too"
+        );
         assert_eq!(tric.stats(), plus.stats());
     }
 
