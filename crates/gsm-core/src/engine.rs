@@ -188,8 +188,9 @@ impl MatchReport {
 /// still be pending.
 ///
 /// Engines that do not split their phases produce **immediate** tokens (the
-/// report was already computed at stage time); engines that do split —
-/// TRIC/TRIC+ and the sharded wrapper — produce **deferred** tokens carrying
+/// report was already computed at stage time) — the baselines, and TRIC+,
+/// which answers where its join-build cache lives; engines that do split —
+/// plain TRIC and the sharded wrapper — produce **deferred** tokens carrying
 /// the engine-specific data the answer phase needs (the per-path delta
 /// relations of the batch, plus pre-removal view snapshots when the batch
 /// retracts). The token is deliberately type-erased (`Box<dyn Any>`) so the
@@ -496,11 +497,12 @@ pub trait ContinuousEngine {
     ///   pipelined executor's **epoch queue** instead
     ///   ([`crate::pipeline::PipelinedEngine::queue_register`]), which
     ///   applies them at the next drain boundary.
-    /// * **Both signs commit at stage time; only the join is deferred.** An
-    ///   insertion run appends its rows to the views. An all-retraction run
-    ///   collects the removed delta relations read-only
-    ///   ([`crate::views::EdgeViewStore::remove_deltas`]), pins the
-    ///   pre-removal views its join will read into the token as
+    /// * **Both signs commit at stage time; at most the join is deferred.**
+    ///   An insertion run appends its rows to the views. An all-retraction
+    ///   run collects the removed delta relations read-only
+    ///   ([`crate::views::EdgeViewStore::remove_deltas`]), joins them right
+    ///   away (an engine answering at stage time, e.g. TRIC+) or pins the
+    ///   pre-removal views its deferred join will read into the token as
     ///   **generation-pinned snapshots**
     ///   ([`crate::relation::Relation::snapshot_owned`] shares frozen
     ///   chunks by `Arc`, and a retraction un-shares a chunk before it

@@ -7,6 +7,15 @@
 //! relation's stable identity plus the key columns of the build.
 //! "Incrementally" covers both signs: a deletion goes *through* the cache
 //! ([`JoinCache::retract_rows`]), so TRIC+ is still TRIC+ after it.
+//!
+//! TRIC+'s builds serve both halves of answering: propagation probes builds
+//! over parent and edge views, and the covering-path join
+//! ([`super::eval::join_covering_paths`]) probes builds over the end-node
+//! views of the other covering paths. Since the cache keys by (view, key
+//! columns), queries that share an end node and a join vertex share one
+//! build, within a batch and across batches. Only long-lived views are
+//! cached; deltas and filtered/projected copies get fresh builds, since
+//! their ids are never reused.
 
 use super::fasthash::FxHashMap;
 use super::join::{retract_through, JoinBuild};

@@ -9,8 +9,9 @@
 
 use std::borrow::Cow;
 
+use super::cache::JoinCache;
 use super::fasthash::FxHashMap;
-use super::join::hash_join;
+use super::join::{hash_join_with_build, probe_count, JoinBuild};
 use super::Relation;
 use crate::engine::QueryId;
 use crate::query::pattern::QVertexId;
@@ -71,13 +72,19 @@ impl VertexRelation {
 struct Normalised<'a> {
     rel: Cow<'a, Relation>,
     vertices: Vec<QVertexId>,
+    /// True when a build over `rel` may be cached: a long-lived full view
+    /// passed through unchanged. Deltas, filtered/projected copies and
+    /// intermediate results are transient, and their never-reused ids would
+    /// only leak cache entries.
+    cacheable: bool,
 }
 
 /// Normalises a single path binding: enforce repeated vertices (selection)
 /// and project to one column per distinct vertex (first occurrence order).
 /// Bindings without repeated vertices — the overwhelming majority — are
-/// passed through without copying a single row.
-fn normalise<'a>(binding: &PathBinding<'a>) -> Normalised<'a> {
+/// passed through without copying a single row, and stay cacheable when the
+/// binding is `long_lived`.
+fn normalise<'a>(binding: &PathBinding<'a>, long_lived: bool) -> Normalised<'a> {
     // Find repeated vertices and the first-occurrence projection in one scan.
     let mut groups: FxHashMap<QVertexId, Vec<usize>> = FxHashMap::default();
     for (col, &v) in binding.vertices.iter().enumerate() {
@@ -88,6 +95,7 @@ fn normalise<'a>(binding: &PathBinding<'a>) -> Normalised<'a> {
         return Normalised {
             rel: Cow::Borrowed(binding.rel),
             vertices: binding.vertices.to_vec(),
+            cacheable: long_lived,
         };
     }
     let filter_groups: Vec<Vec<usize>> = groups.values().filter(|g| g.len() > 1).cloned().collect();
@@ -104,7 +112,15 @@ fn normalise<'a>(binding: &PathBinding<'a>) -> Normalised<'a> {
     Normalised {
         rel: Cow::Owned(filtered.project(&cols)),
         vertices: seen,
+        cacheable: false,
     }
+}
+
+/// What [`join_bindings`] returns: the joined embeddings, or only how many
+/// there are.
+enum Joined {
+    Rows(VertexRelation),
+    Count(usize),
 }
 
 /// Joins all path bindings of a query into a single relation over query
@@ -115,10 +131,37 @@ fn normalise<'a>(binding: &PathBinding<'a>) -> Normalised<'a> {
 /// with the accumulated result (falling back to a cross product only for
 /// degenerate inputs, which validated query patterns never produce).
 pub fn join_paths(bindings: &[PathBinding<'_>]) -> Option<VertexRelation> {
+    match join_bindings(bindings, None, false)? {
+        Joined::Rows(result) => Some(result),
+        Joined::Count(_) => unreachable!("join_bindings counts only when asked to"),
+    }
+}
+
+/// [`join_paths`], probing cached builds where it may, or — with
+/// `count_only` — only the size of its result, without building the last
+/// step's output: a join of sets is a set, so the last step's probe hits
+/// are the distinct embeddings.
+///
+/// With a `cache`, every binding but the first must be a long-lived
+/// relation — a materialized view whose [`Relation::id`] names it for as
+/// long as the cache lives, maintained through the cache — and a step that
+/// builds over one of them passed through unchanged probes its cached build
+/// ([`JoinCache::get_or_build`]) instead of hashing the whole view again.
+/// The first binding (the delta) and bindings filtered/projected for a
+/// repeated vertex are transient and always get a fresh build.
+fn join_bindings(
+    bindings: &[PathBinding<'_>],
+    mut cache: Option<&mut JoinCache>,
+    count_only: bool,
+) -> Option<Joined> {
     if bindings.is_empty() {
         return None;
     }
-    let mut normalised: Vec<Normalised<'_>> = bindings.iter().map(normalise).collect();
+    let mut normalised: Vec<Normalised<'_>> = bindings
+        .iter()
+        .enumerate()
+        .map(|(i, binding)| normalise(binding, i > 0))
+        .collect();
     if normalised.iter().any(|n| n.rel.is_empty()) {
         return None;
     }
@@ -160,7 +203,19 @@ pub fn join_paths(bindings: &[PathBinding<'_>]) -> Option<VertexRelation> {
 
         // No shared vertex means a cross product: the hash join on zero
         // columns (all rows share the empty key).
-        let joined = hash_join(&acc.rel, &next.rel, &left_keys, &right_keys);
+        let fresh;
+        let build = match cache.as_deref_mut() {
+            Some(cache) if next.cacheable => cache.get_or_build(&next.rel, &right_keys),
+            _ => {
+                fresh = JoinBuild::build(&next.rel, &right_keys);
+                &fresh
+            }
+        };
+        if count_only && normalised.is_empty() {
+            let hits = probe_count(&acc.rel, &next.rel, &left_keys, &right_keys, build);
+            return (hits > 0).then_some(Joined::Count(hits));
+        }
+        let joined = hash_join_with_build(&acc.rel, &next.rel, &left_keys, &right_keys, build);
         if joined.is_empty() {
             return None;
         }
@@ -177,11 +232,16 @@ pub fn join_paths(bindings: &[PathBinding<'_>]) -> Option<VertexRelation> {
         acc = Normalised {
             rel: Cow::Owned(joined),
             vertices,
+            cacheable: false,
         };
     }
-    Some(VertexRelation {
-        rel: acc.rel.into_owned(),
-        vertices: acc.vertices,
+    Some(if count_only {
+        Joined::Count(acc.rel.len())
+    } else {
+        Joined::Rows(VertexRelation {
+            rel: acc.rel.into_owned(),
+            vertices: acc.vertices,
+        })
     })
 }
 
@@ -189,11 +249,22 @@ pub fn join_paths(bindings: &[PathBinding<'_>]) -> Option<VertexRelation> {
 /// embeddings an update batch changes) — the one copy every staged engine
 /// answers with. Per affected query, each covering path that has a delta
 /// (`delta_of`) is bound with the other paths' full relations (`full_of`)
-/// and joined ([`join_paths`]); the canonicalized results union across
-/// paths, so an embedding reached through several paths' deltas counts
-/// once. `None` or an empty relation from `full_of` means the path holds no
-/// tuples and the query cannot match. Returns the non-zero
-/// `(query, distinct embeddings)` counts.
+/// and joined ([`join_paths`]). `None` or an empty relation from `full_of`
+/// means the path holds no tuples and the query cannot match. Returns the
+/// non-zero `(query, distinct embeddings)` counts.
+///
+/// Reports are counts, so only what must be deduplicated is materialised:
+/// a query with exactly one changed path counts the probe hits of its last
+/// join step (a join of sets is a set) and builds no output relation; with
+/// two or more, the canonicalized results union across paths, so an
+/// embedding reached through several paths' deltas counts once.
+///
+/// With a `cache` (TRIC+), the full relations must be the engine's live
+/// views, maintained through that cache: each join step over one of them
+/// probes a cached, incrementally maintained build, so queries sharing an
+/// end node and a join vertex share one build within a batch and across
+/// batches. Plain TRIC, whose detached answers read pinned snapshots, and
+/// the baselines pass `None`.
 ///
 /// The sign lives with the caller: inserted rows joined against the
 /// post-insert views count new embeddings, removed rows joined against the
@@ -205,10 +276,13 @@ pub fn join_covering_paths<'a, P: 'a>(
     vertices_of: impl Fn(&'a P) -> &'a [QVertexId],
     delta_of: impl Fn(&'a P) -> Option<&'a Relation>,
     full_of: impl Fn(&'a P) -> Option<&'a Relation>,
+    mut cache: Option<&mut JoinCache>,
 ) -> Vec<(QueryId, u64)> {
     let mut counts: Vec<(QueryId, u64)> = Vec::new();
     let mut bindings: Vec<PathBinding<'a>> = Vec::new();
     for (query, paths) in queries {
+        let count_only = paths.iter().filter(|p| delta_of(p).is_some()).count() == 1;
+        let mut count = 0;
         // Distinct changed embeddings, accumulated across affected paths.
         let mut embeddings: Option<Relation> = None;
         for (i, path) in paths.iter().enumerate() {
@@ -227,18 +301,25 @@ pub fn join_covering_paths<'a, P: 'a>(
             if bindings.len() < paths.len() {
                 continue; // some other path has no tuples yet
             }
-            if let Some(result) = join_paths(&bindings) {
-                let canon = result.canonicalize().rel;
-                match &mut embeddings {
-                    None => embeddings = Some(canon),
-                    Some(acc) => {
-                        acc.extend_from(&canon);
+            match join_bindings(&bindings, cache.as_deref_mut(), count_only) {
+                Some(Joined::Count(hits)) => count = hits,
+                Some(Joined::Rows(result)) => {
+                    let canon = result.canonicalize().rel;
+                    match &mut embeddings {
+                        None => embeddings = Some(canon),
+                        Some(acc) => {
+                            acc.extend_from(&canon);
+                        }
                     }
                 }
+                None => {}
             }
         }
-        if let Some(emb) = embeddings.filter(|e| !e.is_empty()) {
-            counts.push((query, emb.len() as u64));
+        if let Some(emb) = embeddings {
+            count = emb.len();
+        }
+        if count > 0 {
+            counts.push((query, count as u64));
         }
     }
     counts
@@ -359,6 +440,7 @@ mod tests {
                 |p| p.0.as_slice(),
                 |p| p.1,
                 |p| Some(p.2),
+                None,
             )
         };
         let both = [(vec![0, 1], Some(&da), &pa), (vec![0, 2], Some(&db), &pb)];

@@ -249,7 +249,9 @@ pub fn join_output_arity(left: &Relation, right: &Relation, right_keys: &[usize]
 }
 
 /// Joins `left` and `right` on `left_keys[i] == right_keys[i]` using a
-/// freshly built hash table over `right`.
+/// freshly built hash table over `right`. The result is a
+/// [`Relation::new_distinct`] table: extend it with
+/// [`Relation::append_distinct`], not `push`.
 pub fn hash_join(
     left: &Relation,
     right: &Relation,
@@ -260,10 +262,39 @@ pub fn hash_join(
     hash_join_with_build(left, right, left_keys, right_keys, &build)
 }
 
-/// The shared probe-side kernel of every hash join: probes `build` (over
-/// `right`) with the rows of `left` and assembles output rows. Callers
-/// choose the build (fresh or cached); this is the single copy of the hot
-/// loop.
+/// The probe loop of every hash join — the single copy of the hot loop:
+/// probes `build` (over `right`, keyed by `right_keys`) with the rows of
+/// `left` and hands each matching `(left row, right row)` pair to `emit`.
+/// Callers choose the build (fresh or cached) and what a match produces.
+#[inline]
+fn probe_pairs(
+    left: &Relation,
+    right: &Relation,
+    left_keys: &[usize],
+    right_keys: &[usize],
+    build: &JoinBuild,
+    mut emit: impl FnMut(&[Sym], &[Sym]),
+) {
+    assert_eq!(left_keys.len(), right_keys.len());
+    debug_assert_eq!(build.key_cols(), right_keys);
+    if build.rows_indexed() == 0 {
+        return;
+    }
+    let mut key = Vec::with_capacity(left_keys.len());
+    for lrow in left.iter() {
+        key_of(lrow, left_keys, &mut key);
+        for ridx in build.probe_iter(right, &key) {
+            emit(lrow, right.row(ridx));
+        }
+    }
+}
+
+/// Probes `build` with `left` and assembles the output rows.
+///
+/// A join of two sets is a set — an output row determines its left row
+/// (the prefix) and its right row (key columns equal to the left's, the
+/// rest appended) — so the output is a [`Relation::new_distinct`] table and
+/// skips the dedup hashing per row.
 fn probe_join(
     left: &Relation,
     right: &Relation,
@@ -271,30 +302,35 @@ fn probe_join(
     right_keys: &[usize],
     build: &JoinBuild,
 ) -> Relation {
-    assert_eq!(left_keys.len(), right_keys.len());
-    debug_assert_eq!(build.key_cols(), right_keys);
     let out_arity = join_output_arity(left, right, right_keys);
-    let mut out = Relation::new(out_arity);
-    if left.is_empty() || build.rows_indexed() == 0 {
-        return out;
-    }
+    let mut out = Relation::new_distinct(out_arity);
     let extra_cols: Vec<usize> = (0..right.arity())
         .filter(|c| !right_keys.contains(c))
         .collect();
-    let mut key = Vec::with_capacity(left_keys.len());
     let mut row_buf = vec![Sym(0); out_arity];
-    for lrow in left.iter() {
-        key_of(lrow, left_keys, &mut key);
-        for ridx in build.probe_iter(right, &key) {
-            let rrow = right.row(ridx);
-            row_buf[..lrow.len()].copy_from_slice(lrow);
-            for (slot, &c) in row_buf[lrow.len()..].iter_mut().zip(&extra_cols) {
-                *slot = rrow[c];
-            }
-            out.push(&row_buf);
+    probe_pairs(left, right, left_keys, right_keys, build, |lrow, rrow| {
+        row_buf[..lrow.len()].copy_from_slice(lrow);
+        for (slot, &c) in row_buf[lrow.len()..].iter_mut().zip(&extra_cols) {
+            *slot = rrow[c];
         }
-    }
+        out.append_distinct(&row_buf);
+    });
     out
+}
+
+/// The number of rows [`hash_join_with_build`] would return, without
+/// building them: the join is a set (see `probe_join`), so its size is its
+/// number of probe hits.
+pub(crate) fn probe_count(
+    left: &Relation,
+    right: &Relation,
+    left_keys: &[usize],
+    right_keys: &[usize],
+    build: &JoinBuild,
+) -> usize {
+    let mut hits = 0;
+    probe_pairs(left, right, left_keys, right_keys, build, |_, _| hits += 1);
+    hits
 }
 
 /// Joins `left` and `right` re-using an existing (possibly cached) build over

@@ -3,11 +3,13 @@
 
 use proptest::prelude::*;
 
+use gsm_core::engine::QueryId;
 use gsm_core::interner::Sym;
 use gsm_core::model::term::{PatternEdge, Term};
 use gsm_core::query::paths::{covering_paths, is_valid_cover};
 use gsm_core::query::pattern::QueryPattern;
 use gsm_core::relation::cache::JoinCache;
+use gsm_core::relation::eval::{join_covering_paths, join_paths, PathBinding};
 use gsm_core::relation::join::{hash_join, hash_join_with_build, nested_loop_join};
 use gsm_core::relation::Relation;
 
@@ -86,7 +88,9 @@ proptest! {
         }
     }
 
-    /// Hash join ≡ nested-loop join on arbitrary inputs and key columns.
+    /// Hash join ≡ nested-loop join on arbitrary inputs and key columns, as
+    /// sets: the hash join writes its output without a dedup index, which is
+    /// only sound because a join of two sets has no duplicate rows.
     #[test]
     fn hash_join_equals_nested_loop(
         left in relation_strategy(3, 40),
@@ -96,6 +100,9 @@ proptest! {
     ) {
         let a = hash_join(&left, &right, &[lk], &[rk]);
         let b = nested_loop_join(&left, &right, &[lk], &[rk]);
+        let distinct: std::collections::BTreeSet<Vec<Sym>> =
+            a.iter().map(|r| r.to_vec()).collect();
+        prop_assert_eq!(distinct.len(), a.len(), "a join of sets is a set");
         prop_assert_eq!(a.to_sorted_vec(), b.to_sorted_vec());
     }
 
@@ -419,5 +426,166 @@ proptest! {
         if !bypassed {
             prop_assert_eq!(cache.rebuilds(), 0, "no build may start over");
         }
+    }
+}
+
+/// The counts [`join_covering_paths`] must produce, the long way: per query,
+/// every changed path's [`join_paths`] result, canonicalized and unioned.
+fn union_reference(
+    queries: &[Vec<usize>],
+    vertices: &[Vec<usize>],
+    delta_of: impl Fn(usize) -> Option<Relation>,
+    full_of: impl Fn(usize) -> Relation,
+) -> Vec<(QueryId, u64)> {
+    let mut counts = Vec::new();
+    for (q, paths) in queries.iter().enumerate() {
+        let mut union: Option<Relation> = None;
+        for &p in paths {
+            let Some(delta) = delta_of(p) else { continue };
+            let others: Vec<(Relation, usize)> = paths
+                .iter()
+                .filter(|&&o| o != p)
+                .map(|&o| (full_of(o), o))
+                .collect();
+            if others.iter().any(|(full, _)| full.is_empty()) {
+                continue;
+            }
+            let mut bindings = vec![PathBinding::new(&delta, &vertices[p])];
+            bindings.extend(
+                others
+                    .iter()
+                    .map(|(full, o)| PathBinding::new(full, &vertices[*o])),
+            );
+            if let Some(result) = join_paths(&bindings) {
+                let canon = result.canonicalize().rel;
+                match &mut union {
+                    None => union = Some(canon),
+                    Some(acc) => {
+                        acc.extend_from(&canon);
+                    }
+                }
+            }
+        }
+        if let Some(n) = union.map(|u| u.len()).filter(|&n| n > 0) {
+            counts.push((QueryId(q as u32), n as u64));
+        }
+    }
+    counts
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The covering-path join answers the same with and without a build
+    /// cache, and as the `join_paths` + `canonicalize` union, over views
+    /// that grow by `push` and shrink through `JoinCache::retract_rows`
+    /// between calls. Three views of arity 2–4 back four covering paths —
+    /// path 3 binds view 0 a second time under its own vertices — and the
+    /// vertex sequences repeat vertices at random, so some bindings are
+    /// filtered and projected (and must never be cached). Query 1 is query
+    /// 0's paths in reverse, so the two share views and key columns; query
+    /// 2 is drawn on its own. A run that changes one of a query's paths is
+    /// counted from its last probe, one that changes several is unioned.
+    #[test]
+    fn covering_path_join_with_a_cache_equals_the_union_without(
+        arities in proptest::collection::vec(2usize..=4, 3),
+        seqs in proptest::collection::vec(proptest::collection::vec(0usize..4, 4), 4),
+        first in proptest::collection::vec(0usize..4, 1..=3),
+        other in proptest::collection::vec(0usize..4, 1..=3),
+        initial in proptest::collection::vec((0usize..3, proptest::collection::vec(0u32..4, 4)), 0..40),
+        steps in proptest::collection::vec(
+            (any::<bool>(), proptest::collection::vec((0usize..3, any::<u32>(), proptest::collection::vec(0u32..4, 4)), 1..6)),
+            1..10,
+        ),
+    ) {
+        let view_of = |p: usize| if p == 3 { 0 } else { p };
+        let vertices: Vec<Vec<usize>> = seqs
+            .iter()
+            .enumerate()
+            .map(|(p, seq)| seq[..arities[view_of(p)]].to_vec())
+            .collect();
+        let distinct = |paths: &[usize]| {
+            let mut seen = Vec::new();
+            for &p in paths {
+                if !seen.contains(&p) {
+                    seen.push(p);
+                }
+            }
+            seen
+        };
+        let query0 = distinct(&first);
+        let query1: Vec<usize> = query0.iter().rev().copied().collect();
+        let queries = vec![query0, query1, distinct(&other)];
+
+        let row_of = |view: usize, values: &[u32]| -> Vec<Sym> {
+            values[..arities[view]].iter().copied().map(Sym).collect()
+        };
+        let mut views: Vec<Relation> = arities.iter().map(|&a| Relation::new(a)).collect();
+        for (v, values) in &initial {
+            views[*v].push(&row_of(*v, values));
+        }
+        let mut cache = JoinCache::new();
+
+        for (retract, changes) in steps {
+            let mut deltas: Vec<Option<Relation>> = vec![None; views.len()];
+            for (v, pick, values) in changes {
+                let row = if retract {
+                    if views[v].is_empty() {
+                        continue;
+                    }
+                    views[v].row(pick as usize % views[v].len()).to_vec()
+                } else {
+                    let row = row_of(v, &values);
+                    if !views[v].push(&row) {
+                        continue;
+                    }
+                    row
+                };
+                deltas[v]
+                    .get_or_insert_with(|| Relation::new(arities[v]))
+                    .push(&row);
+            }
+
+            // Inserted rows are in their views already; removed ones are
+            // still there, and leave after the join.
+            let counts = |cache: Option<&mut JoinCache>| {
+                join_covering_paths(
+                    queries
+                        .iter()
+                        .enumerate()
+                        .map(|(q, paths)| (QueryId(q as u32), paths.as_slice())),
+                    |&p| vertices[p].as_slice(),
+                    |&p| deltas[view_of(p)].as_ref(),
+                    |&p| Some(&views[view_of(p)]),
+                    cache,
+                )
+            };
+            let cached = counts(Some(&mut cache));
+            let fresh = counts(None);
+            let reference = union_reference(
+                &queries,
+                &vertices,
+                |p| deltas[view_of(p)].clone(),
+                |p| views[view_of(p)].clone(),
+            );
+            prop_assert_eq!(&cached, &fresh, "retract {}", retract);
+            prop_assert_eq!(&fresh, &reference, "retract {}", retract);
+
+            if retract {
+                for (view, delta) in views.iter_mut().zip(&deltas) {
+                    if let Some(delta) = delta {
+                        prop_assert_eq!(cache.retract_rows(view, delta), delta.len());
+                    }
+                }
+            }
+        }
+
+        prop_assert_eq!(cache.rebuilds(), 0, "every shrink went through the cache");
+        // Only the views' builds were cached: no delta, projection or
+        // intermediate result left an entry behind.
+        for view in &views {
+            cache.evict_relation(view.id());
+        }
+        prop_assert!(cache.is_empty(), "a transient relation was cached");
     }
 }

@@ -27,7 +27,11 @@ use crate::trie::{NodeId, TrieForest};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TricConfig {
     /// Keep and incrementally maintain hash-join build structures across
-    /// updates (the TRIC+ extension of Section 4.2, "Caching").
+    /// updates (the TRIC+ extension of Section 4.2, "Caching"): the builds
+    /// propagation probes *and* the builds over end-node views the
+    /// covering-path join probes while answering. Because those live with
+    /// the engine, TRIC+ answers every run inside `stage_batch` against its
+    /// live views; plain TRIC defers the join into its token.
     pub caching: bool,
 }
 
@@ -59,21 +63,23 @@ impl HeapSize for QueryInfo {
     }
 }
 
-/// The deferred-answer token of the TRIC engines, for a run of either sign:
-/// everything the covering-path join pass (step 4) needs, captured by
-/// [`TricEngine::stage_run`].
+/// The step-4 input of a run of either sign: everything the covering-path
+/// join pass needs, captured by [`TricEngine::stage_run`]. TRIC+ answers it
+/// inside `stage_run` and drops it; only plain TRIC hands it out as its
+/// deferred token.
 ///
 /// `deltas` owns the rows each affected node's view gained (insertion) or
-/// lost (retraction). A retraction commits at stage time, so its token also
-/// owns the **pre-removal** end-node views of every affected query as
-/// generation-pinned [`Relation::snapshot_owned`] snapshots — they share
-/// frozen chunks by `Arc`, and a retraction copies a shared chunk before
-/// writing to it, so neither that commit nor any later one can change
-/// them. An insertion token pins nothing at stage time:
-/// it is answered against the live views, or pinned at their current length
-/// when it is detached (see the staging contract on
-/// [`ContinuousEngine::stage_batch`]).
-#[derive(Debug, Default)]
+/// lost (retraction). A plain-TRIC retraction commits at stage time, so its
+/// token also owns the **pre-removal** end-node views of every affected
+/// query as generation-pinned [`Relation::snapshot_owned`] snapshots — they
+/// share frozen chunks by `Arc`, and a retraction copies a shared chunk
+/// before writing to it, so neither that commit nor any later one can
+/// change them. An insertion token pins nothing at stage time: it is
+/// answered against the live views, or pinned at their current length when
+/// it is detached (see the staging contract on
+/// [`ContinuousEngine::stage_batch`]). TRIC+ pins nothing at all: it
+/// answered before the commit.
+#[derive(Debug)]
 struct StagedTric {
     /// The run's sign: true when `deltas` hold removed rows.
     retract: bool,
@@ -185,6 +191,13 @@ impl TricEngine {
     /// Join-cache hit counter (always zero for plain TRIC).
     pub fn cache_hits(&self) -> u64 {
         self.cache.hits()
+    }
+
+    /// Join-cache miss counter: how many builds TRIC+ has made (always zero
+    /// for plain TRIC). Flat once every (view, key columns) pair the stream
+    /// reaches has been built.
+    pub fn cache_misses(&self) -> u64 {
+        self.cache.misses()
     }
 
     /// How often a cached join build had to start over from scratch
@@ -347,26 +360,25 @@ impl ContinuousEngine for TricEngine {
     }
 
     /// Routing + propagation + commit of a same-sign run
-    /// (`TricEngine::stage_run`) with the covering-path join pass
-    /// deferred into the token. Mixed-sign batches have no deferred shape:
-    /// they are answered here, run by run, and travel as an immediate token
-    /// whose report is counted when it is consumed — callers wanting
-    /// deferral split with `sign_runs` first, as the pipelined executor
-    /// does. See the staging contract on [`ContinuousEngine::stage_batch`].
+    /// (`TricEngine::stage_run`). Plain TRIC defers the covering-path join
+    /// pass into the token; TRIC+ answers it here, against its live views
+    /// and cached builds, and returns an immediate token. Mixed-sign batches
+    /// have no deferred shape: they are answered here, run by run, and
+    /// travel as an immediate token — callers wanting deferral split with
+    /// `sign_runs` first, as the pipelined executor does. Either way the
+    /// report is counted when the token is consumed. See the staging
+    /// contract on [`ContinuousEngine::stage_batch`].
     fn stage_batch(&mut self, updates: &[Update]) -> StagedBatch {
         let retractions = updates.iter().filter(|u| u.is_retraction()).count();
         if retractions == 0 || retractions == updates.len() {
-            StagedBatch::deferred(self.stage_run(updates))
+            self.stage_run(updates)
         } else {
             StagedBatch::immediate(self.answer_runs(updates))
         }
     }
 
     fn answer_staged(&mut self, staged: StagedBatch) -> MatchReport {
-        let report = match staged.into_deferred::<StagedTric>() {
-            Ok(token) => answer_tric(&token, &self.queries, Some(&self.forest)),
-            Err(report) => report,
-        };
+        let report = self.answer_token(staged);
         self.absorb_answered(&report);
         report
     }
@@ -380,6 +392,8 @@ impl ContinuousEngine for TricEngine {
     /// so the returned task owns everything step 4 reads and can run while
     /// this engine stages later batches. A retraction token pinned its
     /// pre-removal views at stage time, so detaching it is just the bump.
+    /// Only plain TRIC gets here with a deferred token: TRIC+ answered at
+    /// stage time, and its immediate token detaches as a ready answer.
     fn detach_staged(&mut self, staged: StagedBatch) -> DetachedAnswer {
         let mut token = match staged.into_deferred::<StagedTric>() {
             Ok(token) => token,
@@ -387,7 +401,7 @@ impl ContinuousEngine for TricEngine {
         };
         self.pin_views(&mut token);
         let queries = std::sync::Arc::clone(&self.queries);
-        DetachedAnswer::task(move || answer_tric(&token, &queries, None))
+        DetachedAnswer::task(move || answer_tric(&token, &queries, None, None))
     }
 
     fn absorb_answered(&mut self, report: &MatchReport) {
@@ -419,11 +433,20 @@ impl TricEngine {
     fn answer_runs(&mut self, updates: &[Update]) -> MatchReport {
         sign_runs(updates)
             .map(|run| {
-                let token = self.stage_run(run);
-                answer_tric(&token, &self.queries, Some(&self.forest))
+                let staged = self.stage_run(run);
+                self.answer_token(staged)
             })
             .reduce(|merged, report| merged.merge(&report))
             .unwrap_or_default()
+    }
+
+    /// Step 4 of a staged run, uncounted: plain TRIC's deferred token is
+    /// joined against the live views; TRIC+'s token already holds the report.
+    fn answer_token(&self, staged: StagedBatch) -> MatchReport {
+        match staged.into_deferred::<StagedTric>() {
+            Ok(token) => answer_tric(&token, &self.queries, Some(&self.forest), None),
+            Err(report) => report,
+        }
     }
 
     /// Steps 0–3 of the answering algorithm (Fig. 8–10) for one same-sign
@@ -444,22 +467,26 @@ impl TricEngine {
     ///    retraction's the not-yet-shrunk ones — in both cases simply the
     ///    current ones.
     /// 3. **Commit** the node deltas: insertions append the truly new rows
-    ///    to the node views; retractions first pin the pre-removal end-node
-    ///    views of every affected query into the token, then swap-remove
-    ///    the delta rows from node and edge views, O(|Δ|) per view
-    ///    ([`Relation::retract_rows`], [`EdgeViewStore::retract_deltas`]).
-    ///    TRIC+ retracts *through* its cache
-    ///    ([`JoinCache::retract_rows`]), so the cached join builds follow
-    ///    the moved rows and no build starts over after a deletion. The
-    ///    commit cannot wait for answer time: the next staged run must
+    ///    to the node views; retractions swap-remove the delta rows from
+    ///    node and edge views, O(|Δ|) per view ([`Relation::retract_rows`],
+    ///    [`EdgeViewStore::retract_deltas`]). TRIC+ retracts *through* its
+    ///    cache ([`JoinCache::retract_rows`]), so the cached join builds
+    ///    follow the moved rows and no build starts over after a deletion.
+    ///    The commit cannot wait for answer time: the next staged run must
     ///    route against the post-removal state, exactly as sequential
     ///    execution would.
+    /// 4. **Answer** with the covering-path join ([`answer_tric`]). TRIC+
+    ///    joins right here, where its cache lives — an insertion after its
+    ///    commit, a retraction before it, against the live pre-removal views
+    ///    — probing cached builds of the end-node views, and returns an
+    ///    immediate token. Plain TRIC defers the join into a [`StagedTric`]
+    ///    token; before a retraction commits it pins the pre-removal
+    ///    end-node views of every affected query into that token.
     ///
-    /// Step 4, the covering-path join, rides in the returned token
-    /// ([`answer_tric`]). A single update is a run of length one.
-    fn stage_run(&mut self, run: &[Update]) -> StagedTric {
+    /// A single update is a run of length one.
+    fn stage_run(&mut self, run: &[Update]) -> StagedBatch {
         let Some(first) = run.first() else {
-            return StagedTric::default();
+            return StagedBatch::immediate(MatchReport::empty());
         };
         let retract = first.is_retraction();
         self.stats.updates_processed += run.len() as u64;
@@ -470,7 +497,7 @@ impl TricEngine {
             self.views.apply_batch(run)
         };
         if edge_deltas.is_empty() {
-            return StagedTric::default();
+            return StagedBatch::immediate(MatchReport::empty());
         }
 
         // Step 1. The node list, the processed set and the row buffer are
@@ -603,8 +630,20 @@ impl TricEngine {
             affected_queries,
             pinned: FxHashMap::default(),
         };
+        // Step 4 for TRIC+, against the live views (a retraction's are still
+        // pre-removal here) and the builds its cache maintains over them.
+        let answered = caching.then(|| {
+            answer_tric(
+                &token,
+                &self.queries,
+                Some(&self.forest),
+                Some(&mut self.cache),
+            )
+        });
         if retract {
-            self.pin_views(&mut token);
+            if answered.is_none() {
+                self.pin_views(&mut token);
+            }
             let mut cache = caching.then_some(&mut self.cache);
             for (n, d) in &token.deltas {
                 let view = &mut self.forest.node_mut(*n).mat_view;
@@ -615,7 +654,10 @@ impl TricEngine {
             }
             self.views.retract_deltas(&edge_deltas, cache);
         }
-        token
+        match answered {
+            Some(report) => StagedBatch::immediate(report),
+            None => StagedBatch::deferred(token),
+        }
     }
 
     /// Pins every end-node view `token`'s join pass reads and the token does
@@ -671,14 +713,20 @@ impl TricEngine {
 /// of each affected covering path with the other paths' views
 /// ([`join_covering_paths`]). Views the token owns are read from it; the
 /// rest come from `live`, the engine's forest (`None` in a detached task,
-/// which pinned them all). Inserted rows against post-insert views count
+/// which pinned them all). TRIC+ passes its `cache`, which requires that
+/// every view is read live. Inserted rows against post-insert views count
 /// new embeddings, removed rows against pre-removal views disappearing
 /// ones.
 fn answer_tric<'a>(
     token: &'a StagedTric,
     queries: &'a [QueryInfo],
     live: Option<&'a TrieForest>,
+    cache: Option<&mut JoinCache>,
 ) -> MatchReport {
+    debug_assert!(
+        cache.is_none() || token.pinned.is_empty(),
+        "cached builds index live views, not pinned snapshots"
+    );
     let counts = join_covering_paths(
         token
             .affected_queries
@@ -692,6 +740,7 @@ fn answer_tric<'a>(
                 .get(&path.end_node)
                 .or_else(|| live.map(|forest| &forest.node(path.end_node).mat_view))
         },
+        cache,
     );
     if token.retract {
         MatchReport::from_retraction_counts(counts)
@@ -1027,6 +1076,7 @@ mod tests {
 
     #[test]
     fn staged_retraction_runs_defer_and_survive_later_stages() {
+        let mut outcomes = Vec::new();
         for mut engine in engines() {
             let mut f = Fixture::new();
             let q = f.q("?a -x-> ?b; ?b -y-> ?c");
@@ -1034,13 +1084,15 @@ mod tests {
             let ux = f.u("x", "a", "b");
             let uy = f.u("y", "b", "c");
             assert_eq!(engine.apply_batch(&[ux, uy]).total_embeddings(), 1);
-            // The retraction run stages a deferred token; its commit has
-            // already run. Detaching it hands over the pre-removal views it
-            // pinned at stage time.
+            // Plain TRIC stages a deferred token for the retraction run; its
+            // commit has already run, and detaching it hands over the
+            // pre-removal views it pinned at stage time. TRIC+ answered
+            // before the commit, so its token is immediate.
             let t1 = engine.stage_batch(&[uy.inverted()]);
-            assert!(
-                !t1.is_immediate(),
-                "{}: retraction runs must defer",
+            assert_eq!(
+                t1.is_immediate(),
+                engine.config.caching,
+                "{}: only plain TRIC defers",
                 engine.name()
             );
             let d1 = engine.detach_staged(t1);
@@ -1063,7 +1115,9 @@ mod tests {
                 engine.name()
             );
             assert_eq!(engine.stats().retracted, 1, "{}", engine.name());
+            outcomes.push((r1, r2, engine.stats()));
         }
+        assert_eq!(outcomes[0], outcomes[1], "TRIC and TRIC+ reports and stats");
     }
 
     #[test]
@@ -1301,6 +1355,86 @@ mod tests {
             "the slides retracted embeddings, so node views shrank too"
         );
         assert_eq!(tric.stats(), plus.stats());
+    }
+
+    #[test]
+    fn tric_plus_answers_from_cached_builds() {
+        use gsm_core::relation::CHUNK_ROWS;
+        use std::collections::VecDeque;
+        // A 2-path and a 3-path star share the end nodes of `a` and `b`, so
+        // they share those views' builds on the hub column. Every view holds
+        // more than 2 × CHUNK_ROWS rows: answering from a fresh build would
+        // hash all of them per run, from a cached one none.
+        const HUBS: usize = 1024;
+        let rows = 2 * CHUNK_ROWS + 100;
+        let labels = ["a", "b", "c"];
+        let mut f = Fixture::new();
+        let queries = [
+            f.q("?h -a-> ?x; ?h -b-> ?y"),
+            f.q("?h -a-> ?x; ?h -b-> ?y; ?h -c-> ?z"),
+        ];
+        let mut tric = TricEngine::tric();
+        let mut plus = TricEngine::tric_plus();
+        for q in &queries {
+            tric.register_query(q).unwrap();
+            plus.register_query(q).unwrap();
+        }
+        let mut next = 0;
+        let mut fresh = |f: &mut Fixture, label: &str| {
+            next += 1;
+            f.u(
+                label,
+                &format!("h{}", next % HUBS),
+                &format!("{label}{next}"),
+            )
+        };
+        let mut live: VecDeque<Update> = VecDeque::new();
+        let run = |tric: &mut TricEngine, plus: &mut TricEngine, batch: &[Update]| {
+            let report = tric.apply_batch(batch);
+            assert_eq!(plus.apply_batch(batch), report, "on {batch:?}");
+        };
+
+        // Fill each view with one run, then touch every (view, hub column)
+        // build once.
+        for label in labels {
+            let batch: Vec<Update> = (0..rows).map(|_| fresh(&mut f, label)).collect();
+            run(&mut tric, &mut plus, &batch);
+            live.extend(batch);
+        }
+        for label in labels {
+            let u = fresh(&mut f, label);
+            run(&mut tric, &mut plus, &[u]);
+            live.push_back(u);
+        }
+        let (misses, hits) = (plus.cache_misses(), plus.cache_hits());
+        let embeddings = plus.stats().embeddings;
+
+        for i in 0..500 {
+            let u = fresh(&mut f, labels[i % 3]);
+            run(&mut tric, &mut plus, &[u]);
+            live.push_back(u);
+        }
+        for i in 0..500 {
+            let u = fresh(&mut f, labels[i % 3]);
+            run(&mut tric, &mut plus, &[u]);
+            live.push_back(u);
+            let expired = live.pop_front().expect("the window is full");
+            run(&mut tric, &mut plus, &[expired.inverted()]);
+        }
+
+        assert_eq!(plus.cache_misses(), misses, "a warm answer built afresh");
+        assert_eq!(plus.cache_rebuilds(), 0, "a cached build started over");
+        assert!(
+            plus.cache_hits() >= hits + 1_500,
+            "the answers probed the cache"
+        );
+        assert!(plus.stats().embeddings > embeddings, "the runs answered");
+        assert!(
+            plus.stats().retracted > 0,
+            "the slides retracted embeddings"
+        );
+        assert_eq!(tric.stats(), plus.stats());
+        assert_eq!(tric.cache_misses(), 0, "plain TRIC caches nothing");
     }
 
     #[test]
