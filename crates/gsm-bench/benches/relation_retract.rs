@@ -5,24 +5,22 @@
 //! Every series is a steady sliding window at the relation level — the
 //! timed unit is one **slide**: retract the oldest live row, push one fresh
 //! row — over 500 / 2 000 / 10⁴ / 10⁵ live rows and arity 2–4, which is what
-//! every node and edge view of the engines does on a windowed stream. The
-//! `hover` series pins the window to exactly [`CHUNK_ROWS`], so every push
-//! freezes the tail chunk and every retraction has to open it again: the
-//! worst case of a dense chunked layout.
+//! every node and edge view of the engines does on a windowed stream.
 //!
 //! The file uses only `Relation::{new, push, retract_rows}`, so it compiles
 //! and runs unchanged on any checkout: to compare two storage variants,
 //! build this bench on each (`cargo bench -p gsm-bench --bench
 //! relation_retract --no-run`) and alternate the two executables. A slide
 //! whose cost does not depend on the live row count is the reading to look
-//! for; CHANGES.md (PR 20) records the chunk-rewrite and swap-remove sides.
+//! for; CHANGES.md records the chunk-rewrite and swap-remove variants and
+//! the flat row store that replaced the chunks.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gsm_core::interner::Sym;
-use gsm_core::relation::{Relation, CHUNK_ROWS};
+use gsm_core::relation::Relation;
 use std::time::Duration;
 
-/// Live row counts of the `slide` series.
+/// Live row counts of the series.
 const LIVE_ROWS: [usize; 4] = [500, 2_000, 10_000, 100_000];
 
 /// Row `i` of the stream: distinct in the first column, so every arity
@@ -77,22 +75,15 @@ fn bench(c: &mut Criterion) {
     group.throughput(Throughput::Elements(1));
 
     for arity in 2..=4usize {
-        let series = LIVE_ROWS
-            .iter()
-            .map(|&live| ("slide", live))
-            .chain([("hover", CHUNK_ROWS)]);
-        for (name, live) in series {
+        for live in LIVE_ROWS {
             let mut window = Window::filled(live, arity);
-            group.bench_function(
-                BenchmarkId::new(format!("{name}/arity{arity}"), live),
-                |b| {
-                    b.iter(|| {
-                        let dropped = window.slide();
-                        assert_eq!(dropped, 1, "the oldest row was live");
-                        black_box(dropped)
-                    });
-                },
-            );
+            group.bench_function(BenchmarkId::new(format!("slide/arity{arity}"), live), |b| {
+                b.iter(|| {
+                    let dropped = window.slide();
+                    assert_eq!(dropped, 1, "the oldest row was live");
+                    black_box(dropped)
+                });
+            });
             assert_eq!(window.rel.len(), live, "the window stayed full");
         }
     }

@@ -188,13 +188,12 @@ impl MatchReport {
 /// still be pending.
 ///
 /// Engines that do not split their phases produce **immediate** tokens (the
-/// report was already computed at stage time) — the baselines, and TRIC+,
-/// which answers where its join-build cache lives; engines that do split —
-/// plain TRIC and the sharded wrapper — produce **deferred** tokens carrying
-/// the engine-specific data the answer phase needs (the per-path delta
-/// relations of the batch, plus pre-removal view snapshots when the batch
-/// retracts). The token is deliberately type-erased (`Box<dyn Any>`) so the
-/// trait stays object-safe; an engine only ever downcasts tokens it
+/// report was already computed at stage time) — TRIC/TRIC+, which answer
+/// every run right after propagating it, and the baselines. The one in-tree
+/// engine that splits — the sharded wrapper — produces **deferred** tokens
+/// carrying what its answer phase needs (its inner engines' tokens, merged
+/// at answer time). The token is deliberately type-erased (`Box<dyn Any>`)
+/// so the trait stays object-safe; an engine only ever downcasts tokens it
 /// produced itself.
 #[derive(Debug)]
 pub struct StagedBatch(StagedRepr);
@@ -267,12 +266,12 @@ impl StagedBatch {
 ///
 /// Detached answers come in two flavours. A *ready* answer carries a report
 /// that was already computed (eager engines, empty batches); a *task* answer
-/// carries a `Send` closure that owns everything the covering-path join pass
-/// needs — batch deltas plus owned snapshots of the views it reads
-/// ([`crate::relation::Relation::snapshot_owned`]) — so running it never
-/// touches the engine. This is what lets the pipelined executor's answer
-/// workers join batch *N* while the engine, on the caller thread, is
-/// already staging batch *N + 1*.
+/// carries a `Send` closure that owns everything its answer pass needs — for
+/// the sharded wrapper, the inner engines' detached answers and the
+/// `Arc`-shared id maps the merge reads — so running it never touches the
+/// engine. This is what lets the pipelined executor's answer workers finish
+/// batch *N* while the engine, on the caller thread, is already staging
+/// batch *N + 1*.
 pub struct DetachedAnswer(DetachedRepr);
 
 enum DetachedRepr {
@@ -497,25 +496,21 @@ pub trait ContinuousEngine {
     ///   pipelined executor's **epoch queue** instead
     ///   ([`crate::pipeline::PipelinedEngine::queue_register`]), which
     ///   applies them at the next drain boundary.
-    /// * **Both signs commit at stage time; at most the join is deferred.**
-    ///   An insertion run appends its rows to the views. An all-retraction
-    ///   run collects the removed delta relations read-only
-    ///   ([`crate::views::EdgeViewStore::remove_deltas`]), joins them right
-    ///   away (an engine answering at stage time, e.g. TRIC+) or pins the
-    ///   pre-removal views its deferred join will read into the token as
-    ///   **generation-pinned snapshots**
-    ///   ([`crate::relation::Relation::snapshot_owned`] shares frozen
-    ///   chunks by `Arc`, and a retraction un-shares a chunk before it
-    ///   writes to it, so they outlive any later change of the view), and
-    ///   then performs the destructive commit before returning: the removed
-    ///   rows are swap-removed from the views (`retract_rows` /
-    ///   `retract_deltas`, O(|Δ|) per view, one generation bump each, after
-    ///   which a view's row order is no longer insertion order — reports
-    ///   are counts, so nothing observable depends on it). The commit
-    ///   *cannot* wait for answer time: the next staged insert of a
-    ///   just-retracted edge must route against post-removal views, or it
-    ///   would be dedup-dropped and the stream would diverge from
-    ///   sequential execution.
+    /// * **Both signs commit at stage time.** An insertion run appends its
+    ///   rows to the views. An all-retraction run collects the removed delta
+    ///   relations read-only
+    ///   ([`crate::views::EdgeViewStore::remove_deltas`]), joins them
+    ///   against the pre-removal views, and then performs the destructive
+    ///   commit before returning: the removed rows are swap-removed from the
+    ///   views (`retract_rows` / `retract_deltas`, O(|Δ|) per view, one
+    ///   generation bump each, after which a view's row order is no longer
+    ///   insertion order — reports are counts, so nothing observable depends
+    ///   on it). The commit *cannot* wait for answer time: the next staged
+    ///   insert of a just-retracted edge must route against post-removal
+    ///   views, or it would be dedup-dropped and the stream would diverge
+    ///   from sequential execution. Every in-tree engine that joins
+    ///   therefore answers at stage time; the one that defers, the sharded
+    ///   wrapper, defers only the merge of its inner engines' reports.
     /// * `stage_batch` of a **mixed-sign** batch falls back to an immediate
     ///   token (the batch is answered at stage time). Callers wanting
     ///   deferral split first with [`crate::model::update::sign_runs`], as
@@ -530,9 +525,9 @@ pub trait ContinuousEngine {
     ///
     /// The default implementation runs the whole `apply_batch` eagerly and
     /// stores the report in an immediate token, which trivially satisfies
-    /// the contract — the INV/INC and graph-database baselines ride it;
-    /// engines with a genuine phase split (TRIC/TRIC+, the sharded wrapper)
-    /// override both methods.
+    /// the contract — TRIC/TRIC+, the INV/INC and graph-database baselines
+    /// ride it; the one engine with a genuine phase split, the sharded
+    /// wrapper, overrides both methods.
     fn stage_batch(&mut self, updates: &[Update]) -> StagedBatch {
         StagedBatch::immediate(self.apply_batch(updates))
     }
@@ -551,27 +546,21 @@ pub trait ContinuousEngine {
     /// # Detachment contract (`Send`/`Sync` requirements)
     ///
     /// * `detach_staged` itself runs on the engine's thread, before the next
-    ///   `stage_batch` (it reads the live views to snapshot them into the
-    ///   task); only the returned [`DetachedAnswer`] crosses threads, and it
-    ///   is `Send` by construction. An overriding engine must capture every
-    ///   input of its answer pass as owned or `Send + Sync` shared data —
-    ///   batch deltas, [`crate::relation::Relation::snapshot_owned`]
-    ///   snapshots of the views at their current length, `Arc`-shared
-    ///   read-mostly metadata (query records, routing maps) — and the task
-    ///   must not rely on `&self`. Read-mostly state should be published
-    ///   copy-on-write rather than deep-copied per batch: the engine thread
-    ///   mutates via `Arc::make_mut` (safe because registration barriers
-    ///   the pipeline first), so detaching is an `Arc` bump.
+    ///   `stage_batch`; only the returned [`DetachedAnswer`] crosses
+    ///   threads, and it is `Send` by construction. An overriding engine
+    ///   must capture every input of its answer pass as owned or
+    ///   `Send + Sync` shared data — inner reports or detached answers,
+    ///   `Arc`-shared read-mostly metadata (id maps, routing maps) — and the
+    ///   task must not rely on `&self` or read any live view. Read-mostly
+    ///   state should be published copy-on-write rather than deep-copied per
+    ///   batch: the engine thread mutates via `Arc::make_mut` (safe because
+    ///   registration barriers the pipeline first), so detaching is an `Arc`
+    ///   bump.
     /// * Running the tasks of several detached batches **concurrently or in
     ///   any order**, while the engine stages later batches, must produce
-    ///   the same per-batch reports as FIFO `answer_staged` calls: each
-    ///   task joins against the snapshots it owns, whose chunks are
-    ///   immutable behind `Arc`s — later appends land in chunks the
-    ///   snapshot never references, and a later retraction that must write
-    ///   into a chunk the snapshot shares writes into its own copy.
-    ///   Retraction tokens carry their pre-removal snapshots from stage
-    ///   time, so their tasks are likewise immune to the generation bumps
-    ///   their own (or any later) commit performed.
+    ///   the same per-batch reports as FIFO `answer_staged` calls. Because
+    ///   every join ran at stage time, against the views as they stood
+    ///   then, no later append or retraction can reach a task.
     /// * Tokens must still each be detached (in stage order, by the engine
     ///   that staged them) exactly once, and every task's report must be
     ///   folded back with [`absorb_answered`](Self::absorb_answered) exactly
@@ -583,9 +572,8 @@ pub trait ContinuousEngine {
     ///
     /// The default implementation answers **inline** (on this thread, right
     /// now) and returns a ready answer — correct for every engine, with no
-    /// cross-thread overlap; engines with a real phase split (TRIC/TRIC+
-    /// and the sharded wrapper) override it together with
-    /// `absorb_answered`.
+    /// cross-thread overlap; the sharded wrapper, the one engine with a
+    /// real phase split, overrides it together with `absorb_answered`.
     fn detach_staged(&mut self, staged: StagedBatch) -> DetachedAnswer {
         DetachedAnswer::ready(self.answer_staged(staged))
     }

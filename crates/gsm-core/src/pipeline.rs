@@ -46,14 +46,14 @@
 //!
 //! Each run is staged on the calling thread, then **detached**
 //! ([`ContinuousEngine::detach_staged`]) before the next run is staged:
-//! the engine moves everything its covering-path join pass reads — batch
-//! deltas plus [`Relation::snapshot_owned`] snapshots of the views as they
-//! stand — into a self-contained `Send` task, which the answer stage (a
-//! [`WorkerPool`] of [`PipelineConfig::answer_workers`] threads) executes
-//! while the calling thread routes and propagates the next batch. The
-//! chunked append-only relation storage is what makes the snapshots cheap:
-//! frozen chunks are shared by `Arc`, never copied. With more than one
-//! worker, answer tasks run concurrently and may *finish* in any order;
+//! the engine moves whatever is left of its answer pass into a
+//! self-contained `Send` task, which the answer stage (a [`WorkerPool`] of
+//! [`PipelineConfig::answer_workers`] threads) executes while the calling
+//! thread routes and propagates the next batch. Of the in-tree engines only
+//! the sharded wrapper leaves work in the task — the merge of its inner
+//! engines' reports; TRIC/TRIC+ and the baselines answer at stage time and
+//! detach a ready report, which the workers only forward. With more than
+//! one worker, answer tasks run concurrently and may *finish* in any order;
 //! every result is tagged with its submission sequence number and a
 //! [`ReorderBuffer`] releases reports strictly in arrival order, so the
 //! FIFO [`CompletedBatch`] contract holds for any worker count. When more
@@ -61,12 +61,10 @@
 //! answer, which bounds the window while still letting every worker stay
 //! busy.
 //!
-//! **Retractions pipeline too.** Both signs commit at stage time and defer
-//! only the join: an insert run's token is pinned when it is detached, a
-//! retraction run pins generation-pinned pre-removal snapshots
-//! ([`Relation::snapshot_owned`]) into its token before removing rows, so its
-//! (expensive) disappearing-embedding join also runs on the answer workers
-//! (see the staging contract on [`ContinuousEngine::stage_batch`]).
+//! **Retractions pipeline too.** Both signs commit at stage time, a
+//! retraction after joining against the pre-removal views, so a retraction
+//! run's token travels the same way as an insertion run's (see the staging
+//! contract on [`ContinuousEngine::stage_batch`]).
 //!
 //! # The latency budget
 //!
@@ -80,7 +78,6 @@
 //! clock — in threaded mode only *where* the answer pass runs changes, never
 //! which batches exist or what they report.
 //!
-//! [`Relation::snapshot_owned`]: crate::relation::Relation::snapshot_owned
 //! [`WorkerPool`]: crate::pool::WorkerPool
 
 use std::collections::VecDeque;
@@ -105,8 +102,10 @@ pub struct PipelineConfig {
     /// Run the answer phase on dedicated worker threads (**cross-thread
     /// pipelining**): each flushed run is staged on the calling thread,
     /// detached ([`ContinuousEngine::detach_staged`]) and handed to the
-    /// answer stage, so the covering-path join of batch *N* runs
-    /// concurrently with the routing/propagation of batch *N + 1*. At most
+    /// answer stage, so whatever answer work the engine left in the task
+    /// for batch *N* runs concurrently with the staging of batch *N + 1*
+    /// (of the in-tree engines, only the sharded wrapper leaves any: the
+    /// merge of its shards' reports). At most
     /// `answer_workers` runs are in flight (the caller blocks on the oldest
     /// answer when the window is full — bounded-channel backpressure).
     /// False (the default) answers inline on the calling thread, in the
@@ -920,11 +919,10 @@ impl<E: ContinuousEngine> PipelinedEngine<E> {
 
     /// Stages one sign-pure run and answers it: inline, right here;
     /// threaded, by detaching the token and shipping the self-contained
-    /// answer task to the answer stage, which starts the covering-path join
-    /// while this thread returns to stage the next run. Either way every
-    /// token has been answered or detached before the next one is staged,
-    /// as the staging contract requires: the inline answer reads live
-    /// views, and a later run may append to or retract from them freely.
+    /// answer task to the answer stage, which runs it while this thread
+    /// returns to stage the next run. Either way every token has been
+    /// answered or detached before the next one is staged, as the staging
+    /// contract requires.
     fn stage_run(&mut self, run: &[Update]) {
         let updates = run.len();
         let token = self.engine.stage_batch(run);

@@ -263,8 +263,8 @@ fn join_bindings(
 /// views, maintained through that cache: each join step over one of them
 /// probes a cached, incrementally maintained build, so queries sharing an
 /// end node and a join vertex share one build within a batch and across
-/// batches. Plain TRIC, whose detached answers read pinned snapshots, and
-/// the baselines pass `None`.
+/// batches. Plain TRIC and the baselines pass `None` and build what they
+/// probe afresh.
 ///
 /// The sign lives with the caller: inserted rows joined against the
 /// post-insert views count new embeddings, removed rows joined against the

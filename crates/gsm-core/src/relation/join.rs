@@ -502,12 +502,13 @@ mod tests {
     }
 
     #[test]
-    fn incremental_update_crosses_the_frozen_chunk_edge() {
-        use crate::relation::CHUNK_ROWS;
-        // Key 7 sits on the last row of the frozen chunk and the first two
-        // rows of the tail: index the frozen part first, then extend.
+    fn incremental_update_indexes_the_rows_appended_past_a_large_prefix() {
+        // Index a 1023-row prefix, then append three rows with a fresh key
+        // (the table's storage grows past its capacity on the way): the
+        // update indexes exactly the suffix.
+        const PREFIX: u32 = 1023;
         let mut right = Relation::new(2);
-        for i in 0..(CHUNK_ROWS - 1) as u32 {
+        for i in 0..PREFIX {
             right.push(&[s(i % 5), s(1000 + i)]);
         }
         let mut build = JoinBuild::build(&right, &[0]);
@@ -516,7 +517,7 @@ mod tests {
             right.push(&[s(7), s(5000 + i)]);
         }
         build.update(&right);
-        assert_eq!(build.rows_indexed(), CHUNK_ROWS + 2);
+        assert_eq!(build.rows_indexed(), PREFIX as usize + 3);
         assert_eq!(build.probe(&right, &[s(7)]).len(), 3);
     }
 

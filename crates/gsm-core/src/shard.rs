@@ -132,9 +132,9 @@ impl<E: ContinuousEngine> Shard<E> {
     }
 
     /// Stages this shard's slice of the current same-sign run on the inner
-    /// engine (routing + propagation + commit, answer deferred into the
-    /// returned token); `None` when nothing was routed here. Runs on a
-    /// worker thread when several shards are active.
+    /// engine (every in-tree inner engine answers it there too); `None` when
+    /// nothing was routed here. Runs on a worker thread when several shards
+    /// are active.
     fn stage_slice(&mut self) -> Option<StagedBatch> {
         (!self.slice.is_empty()).then(|| self.engine.stage_batch(&self.slice))
     }

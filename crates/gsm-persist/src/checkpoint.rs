@@ -6,11 +6,10 @@
 //! registration order re-interning the same ids), the registered queries in
 //! registration order, the per-query notification totals accumulated so
 //! far, the engine's cumulative [`EngineStats`], and the **survivor edge
-//! store** — one chunked [`Relation`] per edge label holding exactly the
-//! edges alive at the checkpoint, with its retraction generation. The
-//! frozen chunks of those relations spill to disk in their in-memory form
-//! (see [`crate::codec::put_relation`]), so the `(generation, version)`
-//! watermark pair survives the round trip.
+//! store** — one [`Relation`] per edge label holding exactly the edges
+//! alive at the checkpoint, with its retraction generation. Each relation
+//! spills to disk as its row-major rows (see [`crate::codec::put_relation`]),
+//! so the `(generation, version)` watermark pair survives the round trip.
 //!
 //! Why survivor edges suffice: the retraction differential suites pin that
 //! every engine's future reports are a function of (registered queries,

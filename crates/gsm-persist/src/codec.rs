@@ -3,11 +3,11 @@
 //! Everything durable — WAL payloads and checkpoint bodies — is encoded
 //! through this module: little-endian fixed-width integers, length-prefixed
 //! UTF-8 strings, and the domain values built from them (signed
-//! [`Update`]s, [`QueryPattern`]s, [`SymbolTable`]s and chunked
-//! [`Relation`]s). Decoding is fully defensive: every read is
-//! bounds-checked and returns a positional [`CodecError`] instead of
-//! panicking, so a torn or bit-flipped record surfaces as a typed
-//! corruption at a byte offset, never as an out-of-bounds slice.
+//! [`Update`]s, [`QueryPattern`]s, [`SymbolTable`]s and [`Relation`]s).
+//! Decoding is fully defensive: every read is bounds-checked and returns a
+//! positional [`CodecError`] instead of panicking, so a torn or bit-flipped
+//! record surfaces as a typed corruption at a byte offset, never as an
+//! out-of-bounds slice.
 //!
 //! The encoding is deliberately simple rather than clever: the round-trip
 //! property suite (`tests/property_persist.rs`) pins bit-exactness, and the
@@ -309,28 +309,26 @@ pub fn get_symbols(c: &mut Cursor<'_>) -> CodecResult<SymbolTable> {
     Ok(table)
 }
 
-/// Encodes a relation chunk by chunk: header (`arity`, `generation`, row
-/// count), then each storage chunk ([`Relation::storage_chunks`]) as a row
-/// count plus its raw `Sym` words. Frozen chunks therefore spill to disk as
-/// the same immutable [`gsm_core::relation::CHUNK_ROWS`]-row units they are
-/// in memory, and the `(generation, version)` watermark pair rides in the
-/// header.
+/// Encodes a relation: header (`arity`, `generation`, row count, chunk
+/// count), then its rows as chunk records — a row count plus the rows' raw
+/// `Sym` words. The whole relation is written as **one** chunk record; the
+/// `(generation, version)` watermark pair rides in the header.
 pub fn put_relation(out: &mut Vec<u8>, rel: &Relation) {
     put_u32(out, rel.arity() as u32);
     put_u64(out, rel.generation());
     put_u64(out, rel.len() as u64);
-    let chunks: Vec<&[Sym]> = rel.storage_chunks().collect();
-    put_u32(out, chunks.len() as u32);
-    for chunk in chunks {
-        put_u32(out, (chunk.len() / rel.arity()) as u32);
-        for s in chunk {
-            put_u32(out, s.0);
-        }
+    put_u32(out, 1);
+    let rows = u32::try_from(rel.len()).expect("a relation's dedup index caps it at u32 rows");
+    put_u32(out, rows);
+    for s in rel.iter().flatten() {
+        put_u32(out, s.0);
     }
 }
 
 /// Decodes a relation, rebuilding the dedup index row by row and restoring
-/// the persisted generation ([`Relation::restore`]).
+/// the persisted generation ([`Relation::restore`]). Any number of chunk
+/// records is accepted: checkpoints written by earlier versions split a
+/// relation into records of at most 1024 rows each.
 pub fn get_relation(c: &mut Cursor<'_>) -> CodecResult<Relation> {
     let start = c.pos();
     let arity = c.u32()? as usize;
@@ -470,10 +468,9 @@ mod tests {
     }
 
     #[test]
-    fn relation_round_trips_across_chunk_boundaries() {
-        use gsm_core::relation::CHUNK_ROWS;
+    fn relation_round_trips_after_a_retraction() {
         let mut rel = Relation::new(2);
-        for i in 0..(CHUNK_ROWS + 17) as u32 {
+        for i in 0..1041 {
             rel.push(&[Sym(i), Sym(i + 1)]);
         }
         let removed = Relation::singleton(&[Sym(3), Sym(4)]);
@@ -490,5 +487,97 @@ mod tests {
         // The dedup index is live again after decoding.
         assert!(decoded.contains(&[Sym(0), Sym(1)]));
         assert!(!decoded.contains(&[Sym(3), Sym(4)]));
+    }
+
+    #[test]
+    fn relation_split_into_several_chunk_records_decodes() {
+        // The layout older checkpoints use: one record per 1024-row chunk
+        // plus the tail. Here three records of 2, 0 and 1 rows.
+        let mut out = Vec::new();
+        put_u32(&mut out, 2); // arity
+        put_u64(&mut out, 5); // generation
+        put_u64(&mut out, 3); // rows
+        put_u32(&mut out, 3); // chunk records
+        let chunks: [&[[u32; 2]]; 3] = [&[[1, 2], [3, 4]], &[], &[[5, 6]]];
+        for chunk in chunks {
+            put_u32(&mut out, chunk.len() as u32);
+            for s in chunk.iter().flatten() {
+                put_u32(&mut out, *s);
+            }
+        }
+        let mut c = Cursor::new(&out);
+        let decoded = get_relation(&mut c).unwrap();
+        assert!(c.is_exhausted());
+        assert_eq!(decoded.generation(), 5);
+        let rows =
+            |v: &[[u32; 2]]| -> Vec<Vec<Sym>> { v.iter().map(|r| r.map(Sym).to_vec()).collect() };
+        assert_eq!(decoded.to_vec(), rows(&[[1, 2], [3, 4], [5, 6]]));
+        assert!(
+            decoded.contains(&[Sym(3), Sym(4)]),
+            "the dedup index is live"
+        );
+
+        // The current encoder writes the same relation as one record.
+        let mut one = Vec::new();
+        put_relation(&mut one, &decoded);
+        assert_eq!(one.len(), out.len() - 2 * 4, "two fewer record headers");
+        assert_eq!(
+            get_relation(&mut Cursor::new(&one)).unwrap().to_vec(),
+            decoded.to_vec()
+        );
+    }
+
+    /// A single-column relation in the multi-record layout: the header
+    /// claims `rows`, and each record holds the given values.
+    fn single_column_records(rows: u64, records: &[&[u32]]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_u32(&mut out, 1); // arity
+        put_u64(&mut out, 0); // generation
+        put_u64(&mut out, rows);
+        put_u32(&mut out, records.len() as u32);
+        for record in records {
+            put_u32(&mut out, record.len() as u32);
+            for &v in record.iter() {
+                put_u32(&mut out, v);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn empty_relation_round_trips_as_one_empty_record() {
+        let mut rel = Relation::new(3);
+        rel.push(&[Sym(1), Sym(2), Sym(3)]);
+        assert!(rel.retract_row(&[Sym(1), Sym(2), Sym(3)]));
+        let mut out = Vec::new();
+        put_relation(&mut out, &rel);
+        assert_eq!(
+            out.len(),
+            4 + 8 + 8 + 4 + 4,
+            "header and one zero-row record"
+        );
+        let mut c = Cursor::new(&out);
+        let decoded = get_relation(&mut c).unwrap();
+        assert!(c.is_exhausted());
+        assert!(decoded.is_empty());
+        assert_eq!((decoded.arity(), decoded.generation()), (3, 1));
+    }
+
+    #[test]
+    fn chunk_records_must_add_up_to_the_header_row_count() {
+        let out = single_column_records(3, &[&[7], &[8]]);
+        let err = get_relation(&mut Cursor::new(&out)).unwrap_err();
+        assert_eq!(err.offset, 0);
+        assert!(err.detail.contains("row count mismatch"), "{}", err.detail);
+    }
+
+    #[test]
+    fn a_row_repeated_across_chunk_records_is_rejected() {
+        let out = single_column_records(2, &[&[5], &[5]]);
+        let err = get_relation(&mut Cursor::new(&out)).unwrap_err();
+        // The header is 24 bytes and the first record 8: the error points
+        // at the second record.
+        assert_eq!(err.offset, 32);
+        assert!(err.detail.contains("duplicate row"), "{}", err.detail);
     }
 }

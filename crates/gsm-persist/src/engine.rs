@@ -16,7 +16,7 @@
 //! Alongside the inner engine the wrapper maintains the durable shadow
 //! state the checkpoint captures: the interner table, registered queries,
 //! per-query totals, cumulative stats, and the survivor edge store (live
-//! edges per label as chunked [`Relation`]s). [`PersistentEngine::
+//! edges per label as [`Relation`]s). [`PersistentEngine::
 //! checkpoint`] snapshots all of it to a sequence-stamped file and lets
 //! recovery skip the WAL prefix; it **refuses** to run while staged batches
 //! are outstanding (a staged token's deltas inside the inner engine are not
@@ -143,8 +143,8 @@ fn clone_symbols(table: &SymbolTable) -> SymbolTable {
     out
 }
 
-/// A [`ContinuousEngine`] wrapper adding write-ahead logging, chunk-spill
-/// checkpoints and crash recovery. See the module docs for the full
+/// A [`ContinuousEngine`] wrapper adding write-ahead logging, checkpoints
+/// and crash recovery. See the module docs for the full
 /// durability and error contract.
 pub struct PersistentEngine<E> {
     inner: E,

@@ -9,7 +9,7 @@
 //!   ([`FaultStorage`], [`FaultPlan`]) for the differential crash suites.
 //!   [`codec`] holds the shared byte vocabulary (bounds-checked cursor,
 //!   CRC-32, and the encodings of updates, patterns, symbol tables and
-//!   chunked relations).
+//!   relations).
 //! * [`wal`] — the write-ahead update log: checksummed, length-prefixed
 //!   records, group-commit fsync, prefix-tolerant reading that stops
 //!   cleanly at torn or corrupt tails, and multi-stripe merge with

@@ -15,7 +15,7 @@
 //! * [`datagen`] — SNB-like, NYC-taxi-like and BioGRID-like workload
 //!   generators plus the query-set generator.
 //! * [`persist`] — durable log-structured persistence: write-ahead update
-//!   log, chunk-spill checkpoints, crash recovery for any engine.
+//!   log, checkpoints, crash recovery for any engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,14 +6,17 @@
 //! including composed with the sharded wrapper and its persistent worker
 //! pool.
 //!
-//! This is the proof obligation of the cross-thread refactor: chunked
-//! relation snapshots, detached answer tasks, the worker pool and the
-//! sequence-numbered reorder buffer may change *where*, *when* and *in what
-//! order* the answer passes run, but never what they report. Deletion-heavy
-//! and sliding-window workloads ride the same harness: retraction runs
-//! stage like insert runs (commit at stage time, answer deferred over
-//! generation-pinned snapshots), so mixed streams exercise the sign-run
-//! splitter and the staged retraction tokens across every worker count. The
+//! This is the proof obligation of the cross-thread executor: detached
+//! answer tasks, the worker pool and the sequence-numbered reorder buffer
+//! may change *where*, *when* and *in what order* the answer passes run,
+//! but never what they report. Of the in-tree engines only the sharded
+//! wrapper leaves work in its detached tasks (the merge of its shards'
+//! reports); TRIC/TRIC+ and the baselines answer at stage time and detach a
+//! ready report. Deletion-heavy and sliding-window workloads ride the same
+//! harness: retraction runs stage like insert runs (joined against the
+//! pre-removal views, then committed, at stage time), so mixed streams
+//! exercise the sign-run splitter and the staged retraction tokens across
+//! every worker count. The
 //! suite also pins the executor's FIFO completion order under a
 //! deliberately slow answer stage (where multiple workers genuinely finish
 //! out of order), and (behind `slow-tests`) soaks the worker pool with a
@@ -191,8 +194,7 @@ fn threaded_pipeline_equals_sequential_with_high_overlap_and_long_queries() {
 #[test]
 fn threaded_pipeline_equals_sequential_on_deletion_heavy_workload() {
     // Deletion-heavy streams: every flush straddling a sign boundary splits
-    // into separately-staged runs, and the retraction runs defer their
-    // disappearing-embedding joins over generation-pinned snapshots.
+    // into separately-staged runs, each answered and committed in turn.
     let workload = Workload::generate(
         WorkloadConfig::new(Dataset::Snb, 350, 16)
             .with_selectivity(0.4)

@@ -10,9 +10,9 @@
 //! through the windowed [`PipelinedEngine`] front end with a synthetic
 //! clock. The wrappers ride along: the sharded matrix replays the mixed
 //! streams across genuinely partitioned deployments, and the pipelined
-//! matrix covers **staged** retraction runs — commit at stage time, answer
-//! deferred over generation-pinned pre-removal snapshots — across shard and
-//! answer-worker counts.
+//! matrix covers **staged** retraction runs — answered against the
+//! pre-removal views and committed at stage time, with only the sharded
+//! wrapper's merge deferred — across shard and answer-worker counts.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
