@@ -321,14 +321,6 @@ impl ContinuousEngine for BaselineEngine {
         self.indexes.is_live(query)
     }
 
-    fn apply_update(&mut self, update: Update) -> MatchReport {
-        if update.is_retraction() {
-            self.retract_batch_core(&[update])
-        } else {
-            self.apply_batch_core(&[update])
-        }
-    }
-
     fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
         let mut report = MatchReport::empty();
         for run in gsm_core::model::update::sign_runs(updates) {

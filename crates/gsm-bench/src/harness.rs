@@ -137,11 +137,11 @@ pub struct RunLimits {
     /// size and this duration its flush deadline. `None` (the default)
     /// reproduces the historical chunked replay exactly.
     pub pipeline: Option<Duration>,
-    /// Number of threads the pipelined executor may use: `>= 2` runs the
-    /// answer phase on the dedicated answer thread
-    /// ([`gsm_core::pipeline::PipelineConfig::answer_thread`]) so the
-    /// covering-path join of batch *N* overlaps the staging of batch
-    /// *N + 1* across cores. `1` (the default) answers inline on the
+    /// Number of threads the pipelined executor may use: `>= 2` hands
+    /// each batch's report back through the answer workers
+    /// ([`gsm_core::pipeline::PipelineConfig::answer_thread`]); every
+    /// engine answers a batch where it stages it, so only the hand-back
+    /// moves. `1` (the default) completes each batch inline on the
     /// calling thread. Ignored without `pipeline`.
     pub threads: usize,
     /// Number of answer workers of the threaded pipelined executor
@@ -412,10 +412,10 @@ pub fn run_engine(kind: EngineKind, workload: &Workload, limits: RunLimits) -> R
 /// The pipelined variant of [`run_engine`]: the stream is pushed update by
 /// update into a [`PipelinedEngine`] whose batcher flushes at
 /// `limits.batch_size` updates or after `flush`, whichever comes first; with
-/// `limits.threads >= 2` each batch's answer phase overlaps the next
-/// batch's routing/propagation. Latencies are recorded per `push` call (the
-/// streaming caller's view: most pushes just buffer, the flushing push pays
-/// the stage and, inline, the answer), and the final drain is timed too.
+/// `limits.threads >= 2` reports come back through the answer workers.
+/// Latencies are recorded per `push` call (the streaming caller's view:
+/// most pushes just buffer, the flushing push pays the stage, which
+/// answers), and the final drain is timed too.
 fn run_engine_pipelined(
     kind: EngineKind,
     workload: &Workload,

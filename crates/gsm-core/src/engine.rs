@@ -183,95 +183,31 @@ impl MatchReport {
 
 /// The token handed from [`ContinuousEngine::stage_batch`] to
 /// [`ContinuousEngine::answer_staged`] (or
-/// [`ContinuousEngine::detach_staged`]): a batch whose routing/propagation
-/// phase has run but whose final covering-path join (answering) phase may
-/// still be pending.
-///
-/// Engines that do not split their phases produce **immediate** tokens (the
-/// report was already computed at stage time) — TRIC/TRIC+, which answer
-/// every run right after propagating it, and the baselines. The one in-tree
-/// engine that splits — the sharded wrapper — produces **deferred** tokens
-/// carrying what its answer phase needs (its inner engines' tokens, merged
-/// at answer time). The token is deliberately type-erased (`Box<dyn Any>`)
-/// so the trait stays object-safe; an engine only ever downcasts tokens it
-/// produced itself.
+/// [`ContinuousEngine::detach_staged`]): the staged batch's finished
+/// report. Every engine answers a batch where it stages it, so the token
+/// cannot hold anything else.
 #[derive(Debug)]
-pub struct StagedBatch(StagedRepr);
-
-enum StagedRepr {
-    /// Answering already happened at stage time; the report is final.
-    Immediate(MatchReport),
-    /// Engine-specific deferred-answer state.
-    Deferred(Box<dyn std::any::Any + Send>),
-}
-
-impl std::fmt::Debug for StagedRepr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StagedRepr::Immediate(r) => f.debug_tuple("Immediate").field(r).finish(),
-            StagedRepr::Deferred(_) => f.debug_tuple("Deferred").finish(),
-        }
-    }
-}
+pub struct StagedBatch(MatchReport);
 
 impl StagedBatch {
-    /// Wraps a report computed eagerly at stage time (the default
-    /// implementation's token).
+    /// Wraps the report computed at stage time.
     pub fn immediate(report: MatchReport) -> Self {
-        StagedBatch(StagedRepr::Immediate(report))
+        StagedBatch(report)
     }
 
-    /// Wraps engine-specific deferred-answer state. An engine returning
-    /// deferred tokens from [`ContinuousEngine::stage_batch`] **must**
-    /// override [`ContinuousEngine::answer_staged`] to consume them.
-    pub fn deferred<T: std::any::Any + Send>(token: T) -> Self {
-        StagedBatch(StagedRepr::Deferred(Box::new(token)))
-    }
-
-    /// True if the report was already computed at stage time.
-    pub fn is_immediate(&self) -> bool {
-        matches!(self.0, StagedRepr::Immediate(_))
-    }
-
-    /// Consumes an immediate token. Panics on a deferred token: the engine
-    /// that produced it failed to override `answer_staged`.
+    /// The batch's report.
     pub fn into_immediate(self) -> MatchReport {
-        match self.0 {
-            StagedRepr::Immediate(report) => report,
-            StagedRepr::Deferred(_) => panic!(
-                "deferred StagedBatch reached the default answer_staged; \
-                 an engine overriding stage_batch must override answer_staged"
-            ),
-        }
-    }
-
-    /// Consumes a deferred token of concrete type `T`, or returns the
-    /// immediate report (`Err`) so overriding engines can pass through
-    /// tokens produced by the default stage path. Panics if the deferred
-    /// token has a different concrete type — tokens must be answered by the
-    /// engine that staged them.
-    pub fn into_deferred<T: std::any::Any>(self) -> std::result::Result<T, MatchReport> {
-        match self.0 {
-            StagedRepr::Immediate(report) => Err(report),
-            StagedRepr::Deferred(any) => Ok(*any
-                .downcast::<T>()
-                .expect("StagedBatch answered by an engine that did not stage it")),
-        }
+        self.0
     }
 }
 
-/// A staged batch's answer pass, detached from its engine: a self-contained
-/// task that can run on **any thread** — see
-/// [`ContinuousEngine::detach_staged`].
+/// A staged batch's report, detached from its engine so that it can be
+/// handed back on **any thread** — see [`ContinuousEngine::detach_staged`].
 ///
-/// Detached answers come in two flavours. A *ready* answer carries a report
-/// that was already computed (eager engines, empty batches); a *task* answer
-/// carries a `Send` closure that owns everything its answer pass needs — for
-/// the sharded wrapper, the inner engines' detached answers and the
-/// `Arc`-shared id maps the merge reads — so running it never touches the
-/// engine. This is what lets the pipelined executor's answer workers finish
-/// batch *N* while the engine, on the caller thread, is already staging
-/// batch *N + 1*.
+/// A *ready* answer carries the report; a *task* answer carries a `Send`
+/// closure returning it. The engines all detach ready answers: the closure
+/// form exists for wrappers that trace, delay or fail the hand-back, and a
+/// task only ever forwards a report its engine already computed.
 pub struct DetachedAnswer(DetachedRepr);
 
 enum DetachedRepr {
@@ -294,9 +230,8 @@ impl DetachedAnswer {
         DetachedAnswer(DetachedRepr::Ready(report))
     }
 
-    /// Wraps a self-contained answer task. The closure must own (or share
-    /// via `Arc`) every piece of state it reads; it runs at most once, on an
-    /// arbitrary thread.
+    /// Wraps a self-contained answer task. The closure owns what it reads;
+    /// it runs at most once, on an arbitrary thread.
     pub fn task(f: impl FnOnce() -> MatchReport + Send + 'static) -> Self {
         DetachedAnswer(DetachedRepr::Task(Box::new(f)))
     }
@@ -306,8 +241,8 @@ impl DetachedAnswer {
         matches!(self.0, DetachedRepr::Ready(_))
     }
 
-    /// Runs the answer pass (a no-op for ready answers) and returns the
-    /// batch's report.
+    /// Runs the task (a no-op for ready answers) and returns the batch's
+    /// report.
     pub fn run(self) -> MatchReport {
         match self.0 {
             DetachedRepr::Ready(report) => report,
@@ -385,12 +320,12 @@ pub trait ContinuousEngine {
     /// [`num_queries`](Self::num_queries) counts **live** queries only and
     /// no longer tracks the id space once a query has been unregistered.
     ///
-    /// Like [`register_query`](Self::register_query), this must not be
-    /// called while staged tokens are outstanding (see the staging contract
-    /// on [`stage_batch`](Self::stage_batch)); the pipelined executor drains
-    /// its window first, and its epoch queue
-    /// ([`crate::pipeline::PipelinedEngine::queue_unregister`]) defers the
-    /// call to the next drain boundary automatically.
+    /// Like [`register_query`](Self::register_query), this may be called
+    /// between a [`stage_batch`](Self::stage_batch) and its answer: the
+    /// token is the report, so nothing in flight can observe the change. A
+    /// live stream that wants the change at a defined cut uses the
+    /// pipelined executor's epoch queue
+    /// ([`crate::pipeline::PipelinedEngine::queue_unregister`]).
     ///
     /// The default returns
     /// [`Error::UnsupportedUnregister`](crate::error::Error): toy and
@@ -427,7 +362,12 @@ pub trait ContinuousEngine {
     /// queries whose previously reported embeddings disappeared
     /// (`retracted_embeddings`). Retracting an absent edge is a no-op;
     /// every engine must accept both signs here.
-    fn apply_update(&mut self, update: Update) -> MatchReport;
+    ///
+    /// The default is the one-update batch; an engine with a dedicated
+    /// per-update algorithm (the graph-database baseline) overrides it.
+    fn apply_update(&mut self, update: Update) -> MatchReport {
+        self.apply_batch(std::slice::from_ref(&update))
+    }
 
     /// Applies a batch of signed edge updates and reports the queries whose
     /// embedding sets changed anywhere in the batch.
@@ -452,142 +392,56 @@ pub trait ContinuousEngine {
     /// execution), while `notifications` counts one event per *reported
     /// query per `apply_*` call* at the granularity the engine actually
     /// processed — a batched engine notifies a query once per batch, so its
-    /// `notifications` may be lower than under sequential execution (the
-    /// fold-based default keeps per-update granularity). Differential
-    /// harnesses should therefore compare reports, `updates_processed` and
-    /// `embeddings`, never `notifications`.
-    ///
-    /// The default implementation folds [`apply_update`](Self::apply_update);
-    /// engines with a cheaper amortized path (TRIC/TRIC+, INV/INC) override
-    /// it.
-    fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
-        let mut report = MatchReport::empty();
-        for &u in updates {
-            report = report.merge(&self.apply_update(u));
-        }
-        report
-    }
+    /// `notifications` may be lower than under sequential execution.
+    /// Differential harnesses should therefore compare reports,
+    /// `updates_processed` and `embeddings`, never `notifications`.
+    fn apply_batch(&mut self, updates: &[Update]) -> MatchReport;
 
-    /// Phase 1 of split batch answering: routing, delta propagation and the
-    /// view commit for `updates`, with the final covering-path join (the
-    /// answer phase) deferred into the returned token.
+    /// Stages `updates` for the pipelined executor ([`crate::pipeline`]):
+    /// applies them and returns the token [`answer_staged`](Self::answer_staged)
+    /// or [`detach_staged`](Self::detach_staged) hands back.
     ///
     /// # Staging contract
     ///
-    /// Together with [`answer_staged`](Self::answer_staged) and
-    /// [`detach_staged`](Self::detach_staged) this is the substrate of the
-    /// pipelined executor ([`crate::pipeline`]):
+    /// **The token is the report.** Every engine answers a batch where it
+    /// stages it: routing, propagation, the covering-path join and the view
+    /// commit all run before `stage_batch` returns, counters included, so
+    /// `stage_batch(N)` then `answer_staged(N)` reports and counts exactly
+    /// what `apply_batch(N)` does, and no engine state outlives the call.
+    /// Registration, unregistration and checkpoints may therefore run
+    /// between a stage and its answer without touching the token.
     ///
-    /// * `stage_batch(N)` followed by `answer_staged(N)` must report exactly
-    ///   what `apply_batch(N)` would have.
-    /// * **A token is answered or detached before the next `stage_batch`.**
-    ///   The inline answer therefore reads the engine's live views as they
-    ///   stand; only a *detached* answer outlives later stages, and it owns
-    ///   its inputs (see the detachment contract). Tokens are consumed in
-    ///   stage (FIFO) order, each exactly once, by the engine that staged
-    ///   them.
-    /// * [`register_query`](Self::register_query) and
-    ///   [`unregister_query`](Self::unregister_query) must not be called
-    ///   while a staged token is outstanding (either may restructure the
-    ///   very tries and views the answer joins against); the
-    ///   pipelined/sharded wrappers **enforce** the contract by returning
-    ///   [`crate::error::Error::RegistrationWhileStaged`] when it is
-    ///   violated. Lifecycle calls arriving mid-stream go through the
-    ///   pipelined executor's **epoch queue** instead
-    ///   ([`crate::pipeline::PipelinedEngine::queue_register`]), which
-    ///   applies them at the next drain boundary.
-    /// * **Both signs commit at stage time.** An insertion run appends its
-    ///   rows to the views. An all-retraction run collects the removed delta
-    ///   relations read-only
-    ///   ([`crate::views::EdgeViewStore::remove_deltas`]), joins them
-    ///   against the pre-removal views, and then performs the destructive
-    ///   commit before returning: the removed rows are swap-removed from the
-    ///   views (`retract_rows` / `retract_deltas`, O(|Δ|) per view, one
-    ///   generation bump each, after which a view's row order is no longer
-    ///   insertion order — reports are counts, so nothing observable depends
-    ///   on it). The commit *cannot* wait for answer time: the next staged
-    ///   insert of a just-retracted edge must route against post-removal
-    ///   views, or it would be dedup-dropped and the stream would diverge
-    ///   from sequential execution. Every in-tree engine that joins
-    ///   therefore answers at stage time; the one that defers, the sharded
-    ///   wrapper, defers only the merge of its inner engines' reports.
-    /// * `stage_batch` of a **mixed-sign** batch falls back to an immediate
-    ///   token (the batch is answered at stage time). Callers wanting
-    ///   deferral split first with [`crate::model::update::sign_runs`], as
-    ///   the pipelined executor does.
-    /// * Stats granularity: `updates_processed` advances at stage time,
-    ///   `notifications`/`embeddings`/`retracted` **exactly once per
-    ///   token**: a splitting engine counts when the token is consumed — in
-    ///   `answer_staged`, or in [`absorb_answered`](Self::absorb_answered)
-    ///   after a detachment, its immediate (mixed-sign) tokens included —
-    ///   while the eager default counted inside `apply_batch` and pairs
-    ///   with a no-op `absorb_answered`.
-    ///
-    /// The default implementation runs the whole `apply_batch` eagerly and
-    /// stores the report in an immediate token, which trivially satisfies
-    /// the contract — TRIC/TRIC+, the INV/INC and graph-database baselines
-    /// ride it; the one engine with a genuine phase split, the sharded
-    /// wrapper, overrides both methods.
+    /// A retraction run needs this most: it joins its removed rows against
+    /// the pre-removal views, then swap-removes them before returning, so
+    /// that the next staged insert of the same edge routes against the
+    /// post-removal views instead of being dedup-dropped.
     fn stage_batch(&mut self, updates: &[Update]) -> StagedBatch {
         StagedBatch::immediate(self.apply_batch(updates))
     }
 
-    /// Phase 2 of split batch answering: consumes a token produced by
-    /// [`stage_batch`](Self::stage_batch) and returns the batch's report.
-    /// See the staging contract on `stage_batch`.
+    /// Returns a staged batch's report, on the engine's thread. See the
+    /// staging contract on [`stage_batch`](Self::stage_batch).
     fn answer_staged(&mut self, staged: StagedBatch) -> MatchReport {
         staged.into_immediate()
     }
 
-    /// Converts a staged token into a **self-contained** answer task that
-    /// may run on another thread — the cross-thread form of
-    /// [`answer_staged`](Self::answer_staged).
+    /// Moves a staged batch's report into a [`DetachedAnswer`] the
+    /// pipelined executor's answer workers hand back in stage order — the
+    /// cross-thread form of [`answer_staged`](Self::answer_staged).
     ///
-    /// # Detachment contract (`Send`/`Sync` requirements)
+    /// # Detachment contract
     ///
-    /// * `detach_staged` itself runs on the engine's thread, before the next
-    ///   `stage_batch`; only the returned [`DetachedAnswer`] crosses
-    ///   threads, and it is `Send` by construction. An overriding engine
-    ///   must capture every input of its answer pass as owned or
-    ///   `Send + Sync` shared data — inner reports or detached answers,
-    ///   `Arc`-shared read-mostly metadata (id maps, routing maps) — and the
-    ///   task must not rely on `&self` or read any live view. Read-mostly
-    ///   state should be published copy-on-write rather than deep-copied per
-    ///   batch: the engine thread mutates via `Arc::make_mut` (safe because
-    ///   registration barriers the pipeline first), so detaching is an `Arc`
-    ///   bump.
-    /// * Running the tasks of several detached batches **concurrently or in
-    ///   any order**, while the engine stages later batches, must produce
-    ///   the same per-batch reports as FIFO `answer_staged` calls. Because
-    ///   every join ran at stage time, against the views as they stood
-    ///   then, no later append or retraction can reach a task.
-    /// * Tokens must still each be detached (in stage order, by the engine
-    ///   that staged them) exactly once, and every task's report must be
-    ///   folded back with [`absorb_answered`](Self::absorb_answered) exactly
-    ///   once, from the engine's thread.
-    /// * Stats granularity: `updates_processed` advanced at stage time;
-    ///   `notifications`/`embeddings`/`retracted` advance in
-    ///   `absorb_answered` for detached answers (the task itself cannot
-    ///   touch the engine), exactly once per token.
-    ///
-    /// The default implementation answers **inline** (on this thread, right
-    /// now) and returns a ready answer — correct for every engine, with no
-    /// cross-thread overlap; the sharded wrapper, the one engine with a
-    /// real phase split, overrides it together with `absorb_answered`.
+    /// A detached task only forwards the report the stage computed: it owns
+    /// nothing else and reads no engine state, so tasks may run on any
+    /// thread, concurrently and in any order, while the engine stages later
+    /// batches. Each task's report is passed back once, in stage order, to
+    /// [`absorb_answered`](Self::absorb_answered).
     fn detach_staged(&mut self, staged: StagedBatch) -> DetachedAnswer {
         DetachedAnswer::ready(self.answer_staged(staged))
     }
 
-    /// Folds the report of a detached answer task back into the engine's
-    /// cumulative counters. Must be called exactly once per
-    /// [`detach_staged`](Self::detach_staged) token, in stage (FIFO) order,
-    /// from the engine's thread.
-    ///
-    /// The default is a no-op, pairing with the default `detach_staged`
-    /// (which answered inline through `answer_staged` and therefore already
-    /// counted); engines overriding `detach_staged` with genuinely deferred
-    /// tasks override this to advance
-    /// `notifications`/`embeddings`/`retracted`.
+    /// Receives a detached task's report back on the engine's thread. The
+    /// default is a no-op: the report was counted when it was staged.
     fn absorb_answered(&mut self, report: &MatchReport) {
         let _ = report;
     }
@@ -685,7 +539,7 @@ mod tests {
 
     /// A deterministic toy engine: query 0 is "satisfied" by every update
     /// whose label has an even raw symbol, with one embedding per update.
-    /// Exists purely to exercise the trait's default batch plumbing.
+    /// Exists purely to exercise the trait's default plumbing.
     struct ToyEngine {
         stats: EngineStats,
     }
@@ -700,13 +554,13 @@ mod tests {
         ) -> crate::error::Result<QueryId> {
             Ok(QueryId(0))
         }
-        fn apply_update(&mut self, update: crate::model::update::Update) -> MatchReport {
-            self.stats.updates_processed += 1;
-            let report = if update.label.0.is_multiple_of(2) {
-                MatchReport::from_counts(vec![(QueryId(0), 1)])
-            } else {
-                MatchReport::empty()
-            };
+        fn apply_batch(&mut self, updates: &[crate::model::update::Update]) -> MatchReport {
+            self.stats.updates_processed += updates.len() as u64;
+            let hits = updates
+                .iter()
+                .filter(|u| u.label.0.is_multiple_of(2))
+                .count() as u64;
+            let report = MatchReport::from_counts(vec![(QueryId(0), hits)]);
             self.stats.notifications += report.len() as u64;
             self.stats.embeddings += report.total_embeddings();
             report
@@ -730,23 +584,25 @@ mod tests {
     }
 
     #[test]
-    fn default_apply_batch_merges_sequential_reports() {
+    fn default_apply_update_is_a_one_update_batch() {
         let updates = toy_updates();
+        let mut single = ToyEngine {
+            stats: EngineStats::default(),
+        };
+        let merged = updates.iter().fold(MatchReport::empty(), |acc, &u| {
+            acc.merge(&single.apply_update(u))
+        });
+        // Labels cycle 0,1,2: the even labels 0 and 2 hit on 7 of 10 updates.
+        assert_eq!(merged.len(), 1);
+        assert_eq!(merged.matches[0].query, QueryId(0));
+        assert_eq!(merged.matches[0].new_embeddings, 7);
+        assert_eq!(single.stats().updates_processed, 10);
+
         let mut batched = ToyEngine {
             stats: EngineStats::default(),
         };
-        let report = batched.apply_batch(&updates);
-        // Labels cycle 0,1,2: the even labels 0 and 2 hit on 7 of 10 updates.
-        assert_eq!(report.len(), 1);
-        assert_eq!(report.matches[0].query, QueryId(0));
-        assert_eq!(report.matches[0].new_embeddings, 7);
-        assert_eq!(batched.stats().updates_processed, 10);
-
-        let mut empty = ToyEngine {
-            stats: EngineStats::default(),
-        };
-        assert!(empty.apply_batch(&[]).is_empty());
-        assert_eq!(empty.stats().updates_processed, 0);
+        assert_eq!(merged, batched.apply_batch(&updates));
+        assert_eq!(single.stats().embeddings, batched.stats().embeddings);
     }
 
     #[test]
@@ -756,7 +612,6 @@ mod tests {
             stats: EngineStats::default(),
         };
         let staged = split.stage_batch(&updates);
-        assert!(staged.is_immediate());
         let report = split.answer_staged(staged);
 
         let mut whole = ToyEngine {
@@ -768,25 +623,22 @@ mod tests {
 
     #[test]
     fn staged_batch_token_roundtrips() {
+        // The token is the report: wrapping and unwrapping, or detaching
+        // through the default path, hands back the same report.
         let report = MatchReport::from_counts(vec![(QueryId(1), 2)]);
         assert_eq!(
             StagedBatch::immediate(report.clone()).into_immediate(),
             report
         );
-        // An overriding engine passes immediate tokens through as Err.
-        assert_eq!(
-            StagedBatch::immediate(report.clone()).into_deferred::<u32>(),
-            Err(report)
-        );
-        let token = StagedBatch::deferred(41u32);
-        assert!(!token.is_immediate());
-        assert_eq!(token.into_deferred::<u32>(), Ok(41));
-    }
-
-    #[test]
-    #[should_panic(expected = "must override answer_staged")]
-    fn deferred_token_in_default_answer_panics() {
-        StagedBatch::deferred(()).into_immediate();
+        let empty = StagedBatch::immediate(MatchReport::empty()).into_immediate();
+        assert!(empty.is_empty());
+        let mut toy = ToyEngine {
+            stats: EngineStats::default(),
+        };
+        let detached = toy.detach_staged(StagedBatch::immediate(report.clone()));
+        assert!(detached.is_ready());
+        assert_eq!(detached.run(), report);
+        assert_eq!(toy.stats(), EngineStats::default(), "no engine work");
     }
 
     #[test]
@@ -798,8 +650,8 @@ mod tests {
         let staged = split.stage_batch(&updates);
         let detached = split.detach_staged(staged);
         assert!(detached.is_ready(), "default detach answers eagerly");
-        // Stats were already counted by the inline answer; the report can
-        // run on another thread and absorb must not double count.
+        // Stats were already counted at stage time; the report can be
+        // handed back on another thread and absorb must not double count.
         let stats_before = split.stats();
         let report = std::thread::spawn(move || detached.run())
             .join()

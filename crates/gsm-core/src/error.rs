@@ -20,13 +20,6 @@ pub enum Error {
     DuplicateQuery(u32),
     /// The engine configuration is invalid (e.g. a zero-sized budget).
     InvalidConfig(String),
-    /// `register_query` was called while staged batch tokens were still
-    /// outstanding; the payload is the number of outstanding tokens.
-    /// Registration may restructure the tries and views a deferred answer
-    /// pass joins against, so the staged window must be drained first (see
-    /// the staging contract on
-    /// [`crate::engine::ContinuousEngine::stage_batch`]).
-    RegistrationWhileStaged(usize),
     /// The engine does not implement
     /// [`crate::engine::ContinuousEngine::unregister_query`]; the payload is
     /// the engine's name. Every production engine in this workspace supports
@@ -61,11 +54,6 @@ impl fmt::Display for Error {
             Error::UnknownQuery(id) => write!(f, "unknown query identifier {id}"),
             Error::DuplicateQuery(id) => write!(f, "query identifier {id} already registered"),
             Error::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
-            Error::RegistrationWhileStaged(n) => write!(
-                f,
-                "register_query with {n} staged batch token(s) outstanding; \
-                 drain the staged window first"
-            ),
             Error::UnsupportedUnregister(engine) => {
                 write!(f, "engine {engine} does not support unregister_query")
             }

@@ -1,12 +1,12 @@
 //! The pipelined streaming executor: a latency-budgeted batcher in front of
-//! any [`ContinuousEngine`], optionally overlapping the answer phase of one
-//! batch with the routing/propagation of the next on worker threads.
+//! any [`ContinuousEngine`], optionally handing each batch's report back
+//! through worker threads.
 //!
 //! # One execution path
 //!
 //! Every flushed batch is split into same-sign [`sign_runs`] and each run
-//! goes through the engine's staging split
-//! ([`ContinuousEngine::stage_batch`] → answer):
+//! is staged ([`ContinuousEngine::stage_batch`], which answers it) and its
+//! report handed back:
 //!
 //! ```text
 //!   push(u) ─▶ DeadlineBatcher ──flush (size │ deadline)──▶ sign_runs
@@ -29,42 +29,33 @@
 //! `tests/concurrent_pipeline.rs` pin this for every engine, workload,
 //! flush size and deadline.
 //!
-//! # Cross-thread pipelining
+//! # Cross-thread hand-back
 //!
-//! With [`PipelineConfig::answer_thread`] the answer phase moves to worker
+//! With [`PipelineConfig::answer_thread`] the reports travel through worker
 //! threads:
 //!
 //! ```text
 //!   caller thread:   stage(N) ─ stage(N+1) ─ stage(N+2) ─ …
 //!                        │detach      │detach      │detach
 //!                        ▼            ▼            ▼
-//!   answer workers:  answer(N)    answer(N+1)  answer(N+2)   (any order,
+//!   answer workers:  report(N)    report(N+1)  report(N+2)   (any order,
 //!                        │            │            │          any worker)
 //!                        ▼            ▼            ▼
 //!   reorder buffer:  CompletedBatch(N), (N+1), (N+2)          (FIFO)
 //! ```
 //!
 //! Each run is staged on the calling thread, then **detached**
-//! ([`ContinuousEngine::detach_staged`]) before the next run is staged:
-//! the engine moves whatever is left of its answer pass into a
-//! self-contained `Send` task, which the answer stage (a [`WorkerPool`] of
-//! [`PipelineConfig::answer_workers`] threads) executes while the calling
-//! thread routes and propagates the next batch. Of the in-tree engines only
-//! the sharded wrapper leaves work in the task — the merge of its inner
-//! engines' reports; TRIC/TRIC+ and the baselines answer at stage time and
-//! detach a ready report, which the workers only forward. With more than
-//! one worker, answer tasks run concurrently and may *finish* in any order;
-//! every result is tagged with its submission sequence number and a
-//! [`ReorderBuffer`] releases reports strictly in arrival order, so the
-//! FIFO [`CompletedBatch`] contract holds for any worker count. When more
-//! than `answer_workers` runs are in flight the caller blocks on the oldest
-//! answer, which bounds the window while still letting every worker stay
-//! busy.
-//!
-//! **Retractions pipeline too.** Both signs commit at stage time, a
-//! retraction after joining against the pre-removal views, so a retraction
-//! run's token travels the same way as an insertion run's (see the staging
-//! contract on [`ContinuousEngine::stage_batch`]).
+//! ([`ContinuousEngine::detach_staged`]) before the next run is staged, and
+//! the answer stage (a [`WorkerPool`] of [`PipelineConfig::answer_workers`]
+//! threads) runs the detached task. Every engine answers a run where it
+//! stages it, so the task only forwards a finished report (see the staging
+//! contract on [`ContinuousEngine::stage_batch`]); wrappers may wrap it to
+//! trace, delay or fail the hand-back. With more than one worker, tasks run
+//! concurrently and may *finish* in any order; every result is tagged with
+//! its submission sequence number and a [`ReorderBuffer`] releases reports
+//! strictly in arrival order, so the FIFO [`CompletedBatch`] contract holds
+//! for any worker count. When more than `answer_workers` runs are in flight
+//! the caller blocks on the oldest one, which bounds the window.
 //!
 //! # The latency budget
 //!
@@ -75,8 +66,8 @@
 //! deadlines are only observed at [`PipelinedEngine::push_at`] /
 //! [`PipelinedEngine::poll_at`] calls (there is no timer thread), and every
 //! entry point takes an explicit `Instant` so tests can drive a synthetic
-//! clock — in threaded mode only *where* the answer pass runs changes, never
-//! which batches exist or what they report.
+//! clock — in threaded mode only *where* a report is handed back changes,
+//! never which batches exist or what they report.
 //!
 //! [`WorkerPool`]: crate::pool::WorkerPool
 
@@ -99,21 +90,18 @@ pub struct PipelineConfig {
     pub max_batch: usize,
     /// Flush when the oldest buffered update has waited this long.
     pub max_delay: Duration,
-    /// Run the answer phase on dedicated worker threads (**cross-thread
-    /// pipelining**): each flushed run is staged on the calling thread,
-    /// detached ([`ContinuousEngine::detach_staged`]) and handed to the
-    /// answer stage, so whatever answer work the engine left in the task
-    /// for batch *N* runs concurrently with the staging of batch *N + 1*
-    /// (of the in-tree engines, only the sharded wrapper leaves any: the
-    /// merge of its shards' reports). At most
+    /// Hand reports back through dedicated worker threads: each flushed run
+    /// is staged on the calling thread, detached
+    /// ([`ContinuousEngine::detach_staged`]) and handed to the answer
+    /// stage, whose task forwards the run's finished report. At most
     /// `answer_workers` runs are in flight (the caller blocks on the oldest
-    /// answer when the window is full — bounded-channel backpressure).
-    /// False (the default) answers inline on the calling thread, in the
-    /// same call that staged the run.
+    /// when the window is full — bounded-channel backpressure). False (the
+    /// default) completes each run on the calling thread, in the same call
+    /// that staged it.
     pub answer_thread: bool,
     /// Number of answer workers — and the in-flight window — in threaded
     /// mode (clamped to ≥ 1; ignored inline). With several workers,
-    /// detached answer tasks execute concurrently and complete out of
+    /// detached tasks execute concurrently and complete out of
     /// order; a sequence-numbered [`ReorderBuffer`] restores arrival order
     /// before any [`CompletedBatch`] is released, so reports are
     /// byte-identical to the single-worker (and sequential) execution.
@@ -153,7 +141,7 @@ impl PipelineConfig {
         }
     }
 
-    /// Moves the answer phase onto dedicated worker threads (see
+    /// Hands reports back through dedicated worker threads (see
     /// [`PipelineConfig::answer_thread`]).
     pub fn threaded(mut self) -> Self {
         self.answer_thread = true;
@@ -513,8 +501,8 @@ enum LifecycleOp {
 }
 
 /// The pipelined streaming executor: a [`DeadlineBatcher`] feeding an
-/// engine's [`stage_batch`](ContinuousEngine::stage_batch) split, answered
-/// inline or — detached — on the answer workers (see the
+/// engine's [`stage_batch`](ContinuousEngine::stage_batch), whose reports
+/// come back inline or — detached — through the answer workers (see the
 /// [module docs](self)).
 ///
 /// The wrapper is itself a [`ContinuousEngine`]: the trait entry points
@@ -532,14 +520,12 @@ enum LifecycleOp {
 /// executor also offers a **queued** lifecycle:
 /// [`queue_register`](PipelinedEngine::queue_register) /
 /// [`queue_unregister`](PipelinedEngine::queue_unregister) validate and
-/// enqueue the operation immediately (no [`Error::RegistrationWhileStaged`], no barrier) and
-/// apply it at the next **epoch boundary** — the point where the pipeline
-/// drains anyway ([`drain`](PipelinedEngine::drain) or any trait entry
-/// point's barrier). Every boundary increments
-/// [`epoch`](PipelinedEngine::epoch); a query queued in epoch *e* observes
-/// exactly
-/// the updates streamed after the boundary that opened epoch *e + 1* —
-/// never a partial batch.
+/// enqueue the operation immediately (no barrier) and apply it at the next
+/// **epoch boundary** — the point where the pipeline drains anyway
+/// ([`drain`](PipelinedEngine::drain) or any trait entry point's barrier).
+/// Every boundary increments [`epoch`](PipelinedEngine::epoch); a query
+/// queued in epoch *e* observes exactly the updates streamed after the
+/// boundary that opened epoch *e + 1* — never a partial batch.
 #[derive(Debug)]
 pub struct PipelinedEngine<E> {
     engine: E,
@@ -711,7 +697,7 @@ impl<E: ContinuousEngine> PipelinedEngine<E> {
         self.answer.as_ref().map_or(0, |a| a.pending.len())
     }
 
-    /// True if the answer phase runs on the answer workers.
+    /// True if reports are handed back through the answer workers.
     pub fn is_threaded(&self) -> bool {
         self.answer.is_some()
     }
@@ -750,12 +736,12 @@ impl<E: ContinuousEngine> PipelinedEngine<E> {
 
     /// Queues a query registration for the next epoch boundary and returns
     /// the id the query **will** get when it applies. Unlike the trait's
-    /// [`register_query`](ContinuousEngine::register_query) this never
-    /// fails with [`Error::RegistrationWhileStaged`]: the operation simply
-    /// waits out the in-flight window. The id is authoritative — queued
-    /// registrations apply in queue order before any other registration
-    /// path can run (every such path barriers first, which applies the
-    /// queue) — but the query matches nothing until the boundary: updates
+    /// [`register_query`](ContinuousEngine::register_query) this does not
+    /// barrier: the operation waits for the next boundary. The id is
+    /// authoritative — queued registrations apply in queue order before
+    /// any other registration path can run (every such path barriers
+    /// first, which applies the queue) — but the query matches nothing
+    /// until the boundary: updates
     /// pushed before the boundary are answered under the old epoch's query
     /// set.
     pub fn queue_register(&mut self, query: &QueryPattern) -> QueryId {
@@ -770,7 +756,7 @@ impl<E: ContinuousEngine> PipelinedEngine<E> {
     /// validated now — it must name a query that is currently registered
     /// (or queued to register) and not already queued to unregister —
     /// and the query keeps reporting until the boundary applies the
-    /// operation. Never fails with [`Error::RegistrationWhileStaged`].
+    /// operation.
     pub fn queue_unregister(&mut self, query: QueryId) -> Result<()> {
         let mut live_at_boundary = self.engine.is_registered(query);
         for op in &self.pending_ops {
@@ -792,11 +778,9 @@ impl<E: ContinuousEngine> PipelinedEngine<E> {
     }
 
     /// Applies every queued lifecycle operation, in queue order. Called at
-    /// the epoch boundary, after the window has drained — the engine holds
-    /// no staged state, so the inner calls cannot fail with
-    /// [`Error::RegistrationWhileStaged`]; ids were validated at queue
-    /// time, so any remaining failure (e.g. a persistence-layer storage
-    /// error) panics like the infallible trait surface does.
+    /// the epoch boundary, after the window has drained; ids were validated
+    /// at queue time, so any remaining failure (e.g. a persistence-layer
+    /// storage error) panics like the infallible trait surface does.
     fn apply_pending_ops(&mut self) {
         self.queued_registrations = 0;
         for op in std::mem::take(&mut self.pending_ops) {
@@ -906,23 +890,19 @@ impl<E: ContinuousEngine> PipelinedEngine<E> {
     }
 
     /// Stages one flushed batch, split into same-sign [`sign_runs`] so every
-    /// run reaches [`stage_batch`](ContinuousEngine::stage_batch) sign-pure
-    /// — the shape the staging contract defers (a mixed batch would be
-    /// answered at stage time). Each run is sequenced separately, so the
-    /// [`ReorderBuffer`] FIFO contract is untouched and a mixed flush
-    /// simply completes as several [`CompletedBatch`]es.
+    /// run reaches [`stage_batch`](ContinuousEngine::stage_batch) sign-pure.
+    /// Each run is sequenced separately, so the [`ReorderBuffer`] FIFO
+    /// contract is untouched and a mixed flush simply completes as several
+    /// [`CompletedBatch`]es.
     fn stage(&mut self, batch: Vec<Update>) {
         for run in sign_runs(&batch) {
             self.stage_run(run);
         }
     }
 
-    /// Stages one sign-pure run and answers it: inline, right here;
-    /// threaded, by detaching the token and shipping the self-contained
-    /// answer task to the answer stage, which runs it while this thread
-    /// returns to stage the next run. Either way every token has been
-    /// answered or detached before the next one is staged, as the staging
-    /// contract requires.
+    /// Stages one sign-pure run and hands its report back: inline, right
+    /// here; threaded, by detaching the token and shipping the task to the
+    /// answer stage while this thread returns to stage the next run.
     fn stage_run(&mut self, run: &[Update]) {
         let updates = run.len();
         let token = self.engine.stage_batch(run);
@@ -997,34 +977,20 @@ impl<E: ContinuousEngine> ContinuousEngine for PipelinedEngine<E> {
         self.engine.name()
     }
 
-    /// Registers on the inner engine. Registration must not interleave with
-    /// staged batches (see the staging contract on
-    /// [`ContinuousEngine::stage_batch`]): with staged tokens outstanding
-    /// ([`in_flight`](PipelinedEngine::in_flight) > 0) this returns
-    /// [`Error::RegistrationWhileStaged`] — call
-    /// [`drain`](PipelinedEngine::drain) first. Updates that are merely
-    /// *buffered* (not yet staged) are flushed and answered before
-    /// registering, so their reports are retained, not lost.
+    /// Barrier, then the inner engine's `register_query`: buffered and
+    /// in-flight batches complete under the old query set and their reports
+    /// are retained, not lost; the next batch sees the new query. For a
+    /// live stream that should not barrier, use
+    /// [`queue_register`](PipelinedEngine::queue_register).
     fn register_query(&mut self, query: &QueryPattern) -> Result<QueryId> {
-        let outstanding = self.in_flight();
-        if outstanding > 0 {
-            return Err(Error::RegistrationWhileStaged(outstanding));
-        }
         self.barrier();
         self.engine.register_query(query)
     }
 
-    /// Unregisters on the inner engine behind the same barrier discipline
-    /// as [`register_query`](PipelinedEngine::register_query): fails with
-    /// [`Error::RegistrationWhileStaged`] while staged tokens are
-    /// outstanding. For a live stream, prefer
-    /// [`queue_unregister`](PipelinedEngine::queue_unregister), which waits
-    /// out the window instead of failing.
+    /// Barrier, then the inner engine's `unregister_query`, like
+    /// [`register_query`](PipelinedEngine::register_query); the queued
+    /// form is [`queue_unregister`](PipelinedEngine::queue_unregister).
     fn unregister_query(&mut self, query: QueryId) -> Result<()> {
-        let outstanding = self.in_flight();
-        if outstanding > 0 {
-            return Err(Error::RegistrationWhileStaged(outstanding));
-        }
         self.barrier();
         self.engine.unregister_query(query)
     }
@@ -1035,13 +1001,6 @@ impl<E: ContinuousEngine> ContinuousEngine for PipelinedEngine<E> {
 
     fn is_registered(&self, query: QueryId) -> bool {
         self.engine.is_registered(query)
-    }
-
-    /// Barrier, then the inner engine's `apply_update`: the report covers
-    /// exactly this update, like any engine's.
-    fn apply_update(&mut self, update: Update) -> MatchReport {
-        self.barrier();
-        self.engine.apply_update(update)
     }
 
     /// Barrier, then the inner engine's `apply_batch`: the report covers
@@ -1059,10 +1018,8 @@ impl<E: ContinuousEngine> ContinuousEngine for PipelinedEngine<E> {
         self.engine.heap_bytes()
     }
 
-    /// The inner engine's counters. While batches are in flight,
-    /// `updates_processed` (stage-time) runs ahead of
-    /// `notifications`/`embeddings` (answer-time); after a
-    /// [`drain`](PipelinedEngine::drain) the counters are exactly those of
+    /// The inner engine's counters, which advance when a run is staged:
+    /// after a [`drain`](PipelinedEngine::drain) they are exactly those of
     /// sequential batched execution.
     fn stats(&self) -> EngineStats {
         self.engine.stats()
@@ -1161,17 +1118,17 @@ mod tests {
         assert_eq!(b.live_edges(), 1);
     }
 
-    /// A deterministic split engine that records the interleaving of its
-    /// stage and answer phases: every update with an even label satisfies
-    /// query 0. Stage stamps the token with a sequence number; answer
-    /// verifies FIFO consumption.
+    /// A deterministic engine that records the interleaving of its stage
+    /// and answer calls: every update with an even label satisfies query 0
+    /// and every later live query. Stage computes the report and numbers
+    /// the run; answer numbers the hand-back, so the log shows FIFO order.
     #[derive(Default)]
     struct SplitToy {
         stats: EngineStats,
         staged_seq: u64,
         answered_seq: u64,
-        /// Registration slots ever issued (the reports still always name
-        /// query 0, whose existence the tests assume).
+        /// Registration slots ever issued (the reports always name query 0,
+        /// whose existence the tests assume).
         queries: u32,
         /// Tombstoned slots.
         dead: std::collections::HashSet<u32>,
@@ -1184,11 +1141,6 @@ mod tests {
         /// 999, so an executor that wrongly waits on the held answer fails
         /// the test instead of hanging it.
         gate: Option<Receiver<()>>,
-    }
-
-    struct ToyToken {
-        seq: u64,
-        hits: u64,
     }
 
     impl ContinuousEngine for SplitToy {
@@ -1212,37 +1164,29 @@ mod tests {
         fn is_registered(&self, query: QueryId) -> bool {
             query.0 < self.queries && !self.dead.contains(&query.0)
         }
-        fn apply_update(&mut self, update: Update) -> MatchReport {
-            self.apply_batch(&[update])
-        }
         fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
             let staged = self.stage_batch(updates);
             self.answer_staged(staged)
         }
         fn stage_batch(&mut self, updates: &[Update]) -> StagedBatch {
             self.stats.updates_processed += updates.len() as u64;
-            let seq = self.staged_seq;
+            self.log.push(("stage", self.staged_seq));
             self.staged_seq += 1;
-            self.log.push(("stage", seq));
             let hits = updates
                 .iter()
                 .filter(|u| u.label.0.is_multiple_of(2))
                 .count() as u64;
-            StagedBatch::deferred(ToyToken { seq, hits })
-        }
-        fn answer_staged(&mut self, staged: StagedBatch) -> MatchReport {
-            let token = staged.into_deferred::<ToyToken>().expect("own token");
-            assert_eq!(token.seq, self.answered_seq, "answers must be FIFO");
-            self.answered_seq += 1;
-            self.log.push(("answer", token.seq));
-            let report = if token.hits > 0 {
-                MatchReport::from_counts(vec![(QueryId(0), token.hits)])
-            } else {
-                MatchReport::empty()
-            };
+            let later = (1..self.queries).filter(|q| !self.dead.contains(q));
+            let counts = std::iter::once(0).chain(later).map(|q| (QueryId(q), hits));
+            let report = MatchReport::from_counts(counts.collect());
             self.stats.notifications += report.len() as u64;
             self.stats.embeddings += report.total_embeddings();
-            report
+            StagedBatch::immediate(report)
+        }
+        fn answer_staged(&mut self, staged: StagedBatch) -> MatchReport {
+            self.log.push(("answer", self.answered_seq));
+            self.answered_seq += 1;
+            staged.into_immediate()
         }
         fn detach_staged(&mut self, staged: StagedBatch) -> DetachedAnswer {
             let report = self.answer_staged(staged);
@@ -1344,7 +1288,7 @@ mod tests {
     fn threaded_stream_report_equals_sequential() {
         // The threaded answer stage must reproduce the inline pipeline (and
         // therefore sequential execution) bit for bit, across flush sizes
-        // and window sizes. SplitToy answers inline at detach time, so this
+        // and window sizes. SplitToy detaches ready reports, so this
         // exercises the executor's window bookkeeping, channel plumbing and
         // FIFO collection.
         let stream: Vec<Update> = (0..50u32).map(|i| u(i % 4, i % 7, (i + 1) % 7)).collect();
@@ -1372,19 +1316,14 @@ mod tests {
         }
     }
 
-    /// An engine whose detached answers genuinely run on the answer thread
-    /// (and record which thread that was), with a deliberately slow first
-    /// batch so FIFO completion is exercised under maximal reordering
-    /// temptation.
+    /// An engine whose detached tasks genuinely run on the answer workers,
+    /// with a deliberately slow first batch so FIFO completion is exercised
+    /// under maximal reordering temptation. Each batch's report names its
+    /// own sequence number.
     #[derive(Default)]
     struct SlowDetachToy {
         stats: EngineStats,
-        seq: u64,
-    }
-
-    struct SlowToken {
-        seq: u64,
-        updates: u64,
+        seq: u32,
     }
 
     impl ContinuousEngine for SlowDetachToy {
@@ -1394,43 +1333,24 @@ mod tests {
         fn register_query(&mut self, _q: &QueryPattern) -> Result<QueryId> {
             Ok(QueryId(0))
         }
-        fn apply_update(&mut self, update: Update) -> MatchReport {
-            self.apply_batch(&[update])
-        }
         fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
-            let staged = self.stage_batch(updates);
-            self.answer_staged(staged)
-        }
-        fn stage_batch(&mut self, updates: &[Update]) -> StagedBatch {
             self.stats.updates_processed += updates.len() as u64;
-            let seq = self.seq;
+            let report = MatchReport::from_counts(vec![(QueryId(self.seq), updates.len() as u64)]);
             self.seq += 1;
-            StagedBatch::deferred(SlowToken {
-                seq,
-                updates: updates.len() as u64,
-            })
-        }
-        fn answer_staged(&mut self, staged: StagedBatch) -> MatchReport {
-            let token = staged.into_deferred::<SlowToken>().expect("own token");
-            let report = MatchReport::from_counts(vec![(QueryId(token.seq as u32), token.updates)]);
             self.stats.notifications += report.len() as u64;
             self.stats.embeddings += report.total_embeddings();
             report
         }
         fn detach_staged(&mut self, staged: StagedBatch) -> DetachedAnswer {
-            let token = staged.into_deferred::<SlowToken>().expect("own token");
+            let report = staged.into_immediate();
             DetachedAnswer::task(move || {
                 // The first batch is the slowest: any out-of-order
                 // completion would surface as reordered reports.
-                if token.seq == 0 {
+                if report.satisfied_queries() == [QueryId(0)] {
                     std::thread::sleep(Duration::from_millis(25));
                 }
-                MatchReport::from_counts(vec![(QueryId(token.seq as u32), token.updates)])
+                report
             })
-        }
-        fn absorb_answered(&mut self, report: &MatchReport) {
-            self.stats.notifications += report.len() as u64;
-            self.stats.embeddings += report.total_embeddings();
         }
         fn num_queries(&self) -> usize {
             1
@@ -1515,8 +1435,8 @@ mod tests {
         );
     }
 
-    /// An engine whose detached answers always panic — the failure mode a
-    /// buggy covering-path join would exhibit on the answer thread.
+    /// An engine whose detached tasks always panic — the failure mode a
+    /// buggy hand-back would exhibit on the answer thread.
     #[derive(Default)]
     struct PanickingDetachToy {
         stats: EngineStats,
@@ -1529,15 +1449,8 @@ mod tests {
         fn register_query(&mut self, _q: &QueryPattern) -> Result<QueryId> {
             Ok(QueryId(0))
         }
-        fn apply_update(&mut self, update: Update) -> MatchReport {
-            self.apply_batch(&[update])
-        }
-        fn stage_batch(&mut self, updates: &[Update]) -> StagedBatch {
+        fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
             self.stats.updates_processed += updates.len() as u64;
-            StagedBatch::deferred(())
-        }
-        fn answer_staged(&mut self, staged: StagedBatch) -> MatchReport {
-            let _ = staged.into_deferred::<()>();
             MatchReport::empty()
         }
         fn detach_staged(&mut self, _staged: StagedBatch) -> DetachedAnswer {
@@ -1586,7 +1499,7 @@ mod tests {
         assert_eq!(earlier.len(), 1);
         assert_eq!(earlier[0].updates, 1);
 
-        // register_query also barriers (no staged state may be outstanding).
+        // register_query also barriers, retaining the flushed batch's report.
         assert!(pipe.push_at(u(0, 9, 9), now).is_empty());
         let mut symbols = crate::interner::SymbolTable::new();
         let q = QueryPattern::parse("?a -x-> ?b", &mut symbols).unwrap();
@@ -1663,10 +1576,11 @@ mod tests {
     }
 
     #[test]
-    fn queue_waits_out_the_window_where_the_direct_call_fails() {
-        // Two batches are in flight behind a held answer, so the direct
-        // trait calls fail typed while the queued lifecycle accepts the
-        // same operations and applies them at the next drain.
+    fn lifecycle_calls_mid_window_succeed_and_keep_in_flight_reports() {
+        // Two batches are in flight behind a held answer. The direct
+        // registration barriers and succeeds: the held batches complete with
+        // the reports they were staged with, and the next batch reports the
+        // new query. A direct unregistration barriers the same way.
         let (toy, gate) = gated_toy();
         let config = PipelineConfig::new(2, Duration::from_secs(60))
             .threaded()
@@ -1674,29 +1588,32 @@ mod tests {
         let mut pipe = PipelinedEngine::new(toy, config);
         let mut symbols = crate::interner::SymbolTable::new();
         let q = QueryPattern::parse("?a -x-> ?b", &mut symbols).unwrap();
-        let id = pipe.register_query(&q).unwrap();
+        let id0 = pipe.register_query(&q).unwrap();
 
         let now = t0();
         for i in 0..4u32 {
-            pipe.push_at(u(0, i, i + 1), now);
+            assert!(pipe.push_at(u(0, i, i + 1), now).is_empty());
         }
         assert_eq!(pipe.in_flight(), 2);
-        assert!(matches!(
-            pipe.unregister_query(id),
-            Err(Error::RegistrationWhileStaged(_))
-        ));
-        assert!(matches!(
-            pipe.register_query(&q),
-            Err(Error::RegistrationWhileStaged(_))
-        ));
-
-        pipe.queue_unregister(id).unwrap();
-        let id2 = pipe.queue_register(&q);
-        assert!(pipe.is_registered(id), "still live until the boundary");
+        // Opened before the call, so the barrier collects the held answer.
         gate.send(()).expect("worker is waiting on the gate");
-        pipe.drain();
-        assert!(!pipe.is_registered(id));
-        assert!(pipe.is_registered(id2));
+        let id1 = pipe.register_query(&q).unwrap();
+        assert_eq!(pipe.in_flight(), 0);
+        let held = pipe.take_completed();
+        assert_eq!(held.len(), 2);
+        for batch in &held {
+            assert_eq!(batch.report, MatchReport::from_counts(vec![(id0, 2)]));
+        }
+        let mut next = pipe.push_at(u(0, 7, 8), now);
+        next.extend(pipe.push_at(u(0, 8, 9), now));
+        pipe.unregister_query(id1).unwrap();
+        next.extend(pipe.take_completed());
+        assert_eq!(next.len(), 1);
+        assert_eq!(
+            next[0].report,
+            MatchReport::from_counts(vec![(id0, 2), (id1, 2)])
+        );
+        assert!(!pipe.is_registered(id1));
         assert_eq!(pipe.num_queries(), 1);
     }
 
@@ -1981,29 +1898,6 @@ mod tests {
         assert_eq!(pipe.live_edges(), 3);
     }
 
-    #[test]
-    fn registration_with_staged_batches_in_flight_is_rejected() {
-        let (toy, gate) = gated_toy();
-        let config = PipelineConfig::new(1, Duration::from_secs(60))
-            .threaded()
-            .with_answer_workers(2);
-        let mut pipe = PipelinedEngine::new(toy, config);
-        let now = t0();
-        assert!(pipe.push_at(u(0, 1, 2), now).is_empty());
-        assert!(pipe.push_at(u(2, 2, 3), now).is_empty());
-        assert_eq!(pipe.in_flight(), 2);
-        let mut symbols = crate::interner::SymbolTable::new();
-        let q = QueryPattern::parse("?a -x-> ?b", &mut symbols).unwrap();
-        match pipe.register_query(&q) {
-            Err(Error::RegistrationWhileStaged(n)) => assert_eq!(n, 2),
-            other => panic!("expected RegistrationWhileStaged, got {other:?}"),
-        }
-        // Draining collects the answers; registration is legal again.
-        gate.send(()).expect("worker is waiting on the gate");
-        assert_eq!(pipe.drain().len(), 2);
-        pipe.register_query(&q).unwrap();
-    }
-
     /// Like [`PanickingDetachToy`], but the detached task sleeps first so
     /// the panic is still in flight when the executor is dropped.
     #[derive(Default)]
@@ -2018,15 +1912,8 @@ mod tests {
         fn register_query(&mut self, _q: &QueryPattern) -> Result<QueryId> {
             Ok(QueryId(0))
         }
-        fn apply_update(&mut self, update: Update) -> MatchReport {
-            self.apply_batch(&[update])
-        }
-        fn stage_batch(&mut self, updates: &[Update]) -> StagedBatch {
+        fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
             self.stats.updates_processed += updates.len() as u64;
-            StagedBatch::deferred(())
-        }
-        fn answer_staged(&mut self, staged: StagedBatch) -> MatchReport {
-            let _ = staged.into_deferred::<()>();
             MatchReport::empty()
         }
         fn detach_staged(&mut self, _staged: StagedBatch) -> DetachedAnswer {

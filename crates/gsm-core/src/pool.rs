@@ -12,7 +12,7 @@
 //!   borrowing is needed.
 //! * [`PipelinedEngine`](crate::pipeline::PipelinedEngine) runs its answer
 //!   stage on a pool of `answer_workers` threads, feeding it the engine's
-//!   detached answer tasks ([`crate::engine::DetachedAnswer`]); completed
+//!   detached reports ([`crate::engine::DetachedAnswer`]); completed
 //!   reports are re-sequenced by the pipeline's reorder buffer
 //!   ([`crate::pipeline::ReorderBuffer`]), so the pool itself needs no
 //!   ordering guarantee beyond FIFO dequeue.

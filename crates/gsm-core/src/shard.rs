@@ -17,12 +17,11 @@
 //! batch) when `N > 1` and at least two shards have work. A query is
 //! reported by exactly one shard, so folding the per-shard reports into
 //! wrapper ids is a deterministic, order-insensitive merge (see
-//! [`MatchReport::merge`]). The staged answer pass can additionally be
-//! **detached** ([`ContinuousEngine::detach_staged`]): the inner engines'
-//! detached answers and the id translation then run as one self-contained
-//! task on the pipelined executor's answer workers. Insertion and
-//! retraction runs take the same route → stage → token → merge shape; the
-//! sign only selects which count of the inner reports is folded.
+//! [`MatchReport::merge`]), done inside the same `apply_batch` call. The
+//! wrapper therefore stages like every other engine, through the trait's
+//! default. Insertion and retraction runs take the same route → apply →
+//! merge shape; the sign only selects which count of the inner reports is
+//! folded.
 //!
 //! An update whose generic-edge shapes are used by queries homed on several
 //! shards is delivered to each of them (and stored by each), so shards
@@ -67,11 +66,8 @@
 //! ends up holding a row the unsharded view does not.
 
 use std::hash::BuildHasher;
-use std::sync::Arc;
 
-use crate::engine::{
-    ContinuousEngine, DetachedAnswer, EngineStats, MatchReport, QueryId, StagedBatch,
-};
+use crate::engine::{ContinuousEngine, EngineStats, MatchReport, QueryId};
 use crate::error::{Error, Result};
 use crate::memory::HeapSize;
 use crate::model::generic::GenericEdge;
@@ -94,27 +90,11 @@ pub fn shard_of(root: &GenericEdge, num_shards: usize) -> usize {
     (FxBuildHasher.hash_one(root) % num_shards as u64) as usize
 }
 
-/// Downcast target of every deferred token the sharded wrapper issues
-/// (`num_shards > 1`; single-shard deployments delegate and re-issue the
-/// inner engine's own tokens instead): one same-sign run's inner staged
-/// tokens. The inner engines' commits already ran at stage time, per the
-/// staging contract.
-#[derive(Default)]
-struct StagedSharded {
-    /// The run's sign: true when the inner reports count retracted rows.
-    retract: bool,
-    /// `(shard index, inner staged token)` for every shard the run routed to.
-    inners: Vec<(usize, StagedBatch)>,
-}
-
 /// One shard: the inner engine holding every query homed here.
 struct Shard<E> {
     engine: E,
     /// Inner query index → wrapper-level query id.
-    /// `Arc`-shared with detached answer tasks (registration barriers the
-    /// pipeline first, so the engine thread mutates via [`Arc::make_mut`]
-    /// and detachment is an `Arc` bump instead of a per-batch deep copy).
-    local_to_global: Arc<Vec<QueryId>>,
+    local_to_global: Vec<QueryId>,
     /// Slice of the current run routed to this shard (reused buffer).
     slice: Vec<Update>,
     /// Total updates routed to this shard (observability).
@@ -125,18 +105,21 @@ impl<E: ContinuousEngine> Shard<E> {
     fn new(engine: E) -> Self {
         Shard {
             engine,
-            local_to_global: Arc::new(Vec::new()),
+            local_to_global: Vec::new(),
             slice: Vec::new(),
             routed: 0,
         }
     }
 
-    /// Stages this shard's slice of the current same-sign run on the inner
-    /// engine (every in-tree inner engine answers it there too); `None` when
-    /// nothing was routed here. Runs on a worker thread when several shards
-    /// are active.
-    fn stage_slice(&mut self) -> Option<StagedBatch> {
-        (!self.slice.is_empty()).then(|| self.engine.stage_batch(&self.slice))
+    /// Applies this shard's slice of the current same-sign run on the inner
+    /// engine; empty when nothing was routed here. Runs on a worker thread
+    /// when several shards are active.
+    fn apply_slice(&mut self) -> MatchReport {
+        if self.slice.is_empty() {
+            MatchReport::empty()
+        } else {
+            self.engine.apply_batch(&self.slice)
+        }
     }
 }
 
@@ -152,20 +135,19 @@ struct QueryHome {
     spanning: bool,
 }
 
-/// The one merge behind [`ContinuousEngine::answer_staged`] and
-/// [`ContinuousEngine::detach_staged`] on the sharded wrapper: folds the
-/// shards' inner reports into wrapper ids, reading the run's sign. Every
-/// query is reported by at most one shard, so the fold only sorts.
-fn merge_run(retract: bool, inners: &[(MatchReport, Arc<Vec<QueryId>>)]) -> MatchReport {
+/// Folds one run's per-shard inner reports (in shard order) into wrapper
+/// ids, reading the run's sign. Every query is reported by at most one
+/// shard, so the fold only sorts.
+fn merge_run<E>(retract: bool, shards: &[Shard<E>], reports: &[MatchReport]) -> MatchReport {
     let mut counts: Vec<(QueryId, u64)> = Vec::new();
-    for (report, local_to_global) in inners {
+    for (shard, report) in shards.iter().zip(reports) {
         counts.extend(report.matches.iter().map(|m| {
             let count = if retract {
                 m.retracted_embeddings
             } else {
                 m.new_embeddings
             };
-            (local_to_global[m.query.index()], count)
+            (shard.local_to_global[m.query.index()], count)
         }));
     }
     if retract {
@@ -184,9 +166,9 @@ fn merge_run(retract: bool, inners: &[(MatchReport, Arc<Vec<QueryId>>)]) -> Matc
 /// by the shard-count differential matrix in the workspace test suites.
 pub struct ShardedEngine<E> {
     shards: Vec<Shard<E>>,
-    /// Persistent stage workers (lazily spawned on the first genuinely
+    /// Persistent shard workers (lazily spawned on the first genuinely
     /// parallel batch; never spawned for `shards == 1`). Long-lived and
-    /// channel-fed — shards *move* through stage jobs and back.
+    /// channel-fed — shards *move* through jobs and back.
     pool: Option<WorkerPool>,
     /// Reverse routing index: generic edge → shards observing it (sorted,
     /// deduplicated). Routing an update is then O(shapes) lookups,
@@ -208,11 +190,6 @@ pub struct ShardedEngine<E> {
     /// length is the next registration's id). Unregistration empties the
     /// slot, never reclaims it. Empty when `shards == 1`.
     query_homes: Vec<Option<QueryHome>>,
-    /// Staged batch tokens issued by [`ContinuousEngine::stage_batch`] and
-    /// not yet consumed by `answer_staged`/`detach_staged`. Registration is
-    /// rejected while any are outstanding (it would restructure the tries,
-    /// views and id maps a deferred answer pass reads).
-    outstanding: usize,
     name: &'static str,
     stats: EngineStats,
 }
@@ -234,7 +211,6 @@ impl<E: ContinuousEngine + Send + 'static> ShardedEngine<E> {
             num_queries: 0,
             num_spanning: 0,
             query_homes: Vec::new(),
-            outstanding: 0,
             name,
             stats: EngineStats::default(),
         }
@@ -307,18 +283,16 @@ impl<E: ContinuousEngine + Send + 'static> ShardedEngine<E> {
         }
     }
 
-    /// The staging core for `num_shards > 1`, one same-sign run at a time:
-    /// the wrapper-level history store absorbs the run (mid-stream
-    /// registration must never replay removed rows), the run is routed into
-    /// per-shard slices, and every shard with a non-empty slice stages it on
-    /// its inner engine ([`Shard::stage_slice`]) — in parallel when at least
-    /// two shards are active and the run is a real batch. The token collects
-    /// the inner tokens.
-    fn stage_run(&mut self, run: &[Update]) -> StagedSharded {
-        let Some(first) = run.first() else {
-            return StagedSharded::default();
-        };
-        let retract = first.is_retraction();
+    /// The core for `num_shards > 1`, one same-sign run at a time: the
+    /// wrapper-level history store absorbs the run (mid-stream registration
+    /// must never replay removed rows), the run is routed into per-shard
+    /// slices, every shard with a non-empty slice applies it on its inner
+    /// engine ([`Shard::apply_slice`]) — in parallel when at least two
+    /// shards are active and the run is a real batch — and [`merge_run`]
+    /// folds the inner reports. `run` is one non-empty [`sign_runs`] run;
+    /// the wrapper's counters are left to the caller.
+    fn apply_run(&mut self, run: &[Update]) -> MatchReport {
+        let retract = run[0].is_retraction();
         self.stats.updates_processed += run.len() as u64;
 
         // Only mid-stream registration reads the history store, so the
@@ -336,68 +310,30 @@ impl<E: ContinuousEngine + Send + 'static> ShardedEngine<E> {
         // single-update calls and single-active-shard batches take the
         // in-place sequential path. The parallel path scatters the shards
         // over the persistent worker pool — each shard (engine and routed
-        // slice) *moves* into its stage job and comes back with its token,
-        // so the long-lived workers need no scoped borrows. The pool is
-        // spawned once, on the first batch that needs it, and reused for the
+        // slice) *moves* into its job and comes back with its report, so the
+        // long-lived workers need no scoped borrows. The pool is spawned
+        // once, on the first batch that needs it, and reused for the
         // engine's whole life.
         let active = self.shards.iter().filter(|s| !s.slice.is_empty()).count();
-        let tokens: Vec<Option<StagedBatch>> = if active >= 2 && run.len() > 1 {
+        let reports: Vec<MatchReport> = if active >= 2 && run.len() > 1 {
             let threads = self.shards.len().min(WorkerPool::default_threads());
             let pool = self.pool.get_or_insert_with(|| WorkerPool::new(threads));
             let jobs: Vec<_> = std::mem::take(&mut self.shards)
                 .into_iter()
                 .map(|mut shard| {
                     move || {
-                        let token = shard.stage_slice();
-                        (shard, token)
+                        let report = shard.apply_slice();
+                        (shard, report)
                     }
                 })
                 .collect();
-            let (shards, tokens) = pool.scatter(jobs).into_iter().unzip();
+            let (shards, reports) = pool.scatter(jobs).into_iter().unzip();
             self.shards = shards;
-            tokens
+            reports
         } else {
-            self.shards.iter_mut().map(Shard::stage_slice).collect()
+            self.shards.iter_mut().map(Shard::apply_slice).collect()
         };
-
-        StagedSharded {
-            retract,
-            inners: tokens
-                .into_iter()
-                .enumerate()
-                .filter_map(|(s, token)| Some((s, token?)))
-                .collect(),
-        }
-    }
-
-    /// Answers a staged run in place — inner engines answer their tokens,
-    /// [`merge_run`] folds them — leaving the wrapper's counters to whoever
-    /// consumes the report.
-    fn answer_token(&mut self, token: StagedSharded) -> MatchReport {
-        let inners: Vec<(MatchReport, Arc<Vec<QueryId>>)> = token
-            .inners
-            .into_iter()
-            .map(|(s, inner)| {
-                let shard = &mut self.shards[s];
-                (
-                    shard.engine.answer_staged(inner),
-                    Arc::clone(&shard.local_to_global),
-                )
-            })
-            .collect();
-        merge_run(token.retract, &inners)
-    }
-
-    /// Stages and answers every same-sign run of `updates` in place,
-    /// uncounted (see [`answer_token`](Self::answer_token)).
-    fn answer_runs(&mut self, updates: &[Update]) -> MatchReport {
-        sign_runs(updates)
-            .map(|run| {
-                let token = self.stage_run(run);
-                self.answer_token(token)
-            })
-            .reduce(|merged, report| merged.merge(&report))
-            .unwrap_or_default()
+        merge_run(retract, &self.shards, &reports)
     }
 }
 
@@ -407,9 +343,6 @@ impl<E: ContinuousEngine + Send + 'static> ContinuousEngine for ShardedEngine<E>
     }
 
     fn register_query(&mut self, query: &QueryPattern) -> Result<QueryId> {
-        if self.outstanding > 0 {
-            return Err(Error::RegistrationWhileStaged(self.outstanding));
-        }
         let n = self.shards.len();
         if n == 1 {
             // Degenerate single-shard deployment: plain delegation, local
@@ -433,9 +366,7 @@ impl<E: ContinuousEngine + Send + 'static> ContinuousEngine for ShardedEngine<E>
         let shard = &mut self.shards[home];
         let local = shard.engine.register_query(query)?;
         debug_assert_eq!(local.index(), shard.local_to_global.len());
-        // Registration barriers the pipeline first, so no detached task
-        // holds the map and `make_mut` mutates in place.
-        Arc::make_mut(&mut shard.local_to_global).push(gqid);
+        shard.local_to_global.push(gqid);
 
         // Late registration: edges new to the home shard replay their live
         // history into it (see the module docs). Nothing has streamed yet
@@ -466,13 +397,8 @@ impl<E: ContinuousEngine + Send + 'static> ContinuousEngine for ShardedEngine<E>
     /// map aligned). Routing-index and history entries stay — an update
     /// routed to a shard with no interested query is absorbed without
     /// output, and a later registration over the same edges reuses the
-    /// retained history. Rejected while staged tokens are outstanding,
-    /// exactly like registration (the pipelined executor's epoch queue
-    /// drains first).
+    /// retained history.
     fn unregister_query(&mut self, query: QueryId) -> Result<()> {
-        if self.outstanding > 0 {
-            return Err(Error::RegistrationWhileStaged(self.outstanding));
-        }
         if self.shards.len() == 1 {
             let r = self.shards[0].engine.unregister_query(query);
             if r.is_ok() {
@@ -506,99 +432,24 @@ impl<E: ContinuousEngine + Send + 'static> ContinuousEngine for ShardedEngine<E>
         matches!(self.query_homes.get(query.index()), Some(Some(_)))
     }
 
-    fn apply_update(&mut self, update: Update) -> MatchReport {
-        if self.shards.len() == 1 {
-            return self.shards[0].engine.apply_update(update);
-        }
-        self.apply_batch(&[update])
-    }
-
+    /// Routes, applies and merges every same-sign run (see the module
+    /// docs) and counts the merged report. Staging rides the trait's
+    /// default.
     fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
         if self.shards.len() == 1 {
             return self.shards[0].engine.apply_batch(updates);
         }
-        let report = self.answer_runs(updates);
-        self.absorb_answered(&report);
-        report
-    }
-
-    /// Routing + per-shard staging of a same-sign run (`stage_run`) with
-    /// the inner answers and their merge deferred into the token.
-    /// Mixed-sign batches are answered here, run by run, and travel as an
-    /// immediate token whose report is counted when it is consumed; callers
-    /// wanting deferral split with [`sign_runs`] first. See the staging
-    /// contract on [`ContinuousEngine::stage_batch`].
-    fn stage_batch(&mut self, updates: &[Update]) -> StagedBatch {
-        let staged = if self.shards.len() == 1 {
-            self.shards[0].engine.stage_batch(updates)
-        } else {
-            let retractions = updates.iter().filter(|u| u.is_retraction()).count();
-            if retractions == 0 || retractions == updates.len() {
-                StagedBatch::deferred(self.stage_run(updates))
-            } else {
-                StagedBatch::immediate(self.answer_runs(updates))
-            }
-        };
-        self.outstanding += 1;
-        staged
-    }
-
-    fn answer_staged(&mut self, staged: StagedBatch) -> MatchReport {
-        self.outstanding = self.outstanding.saturating_sub(1);
-        if self.shards.len() == 1 {
-            return self.shards[0].engine.answer_staged(staged);
-        }
-        let report = match staged.into_deferred::<StagedSharded>() {
-            Ok(token) => self.answer_token(token),
-            Err(report) => report,
-        };
-        self.absorb_answered(&report);
-        report
-    }
-
-    /// Detaches the deferred answers and their merge into a self-contained
-    /// task (see the detachment contract on
-    /// [`ContinuousEngine::detach_staged`]): inner tokens detach through
-    /// their shard's inner engine, and the task runs them and the same
-    /// `merge_run` as the inline answer.
-    fn detach_staged(&mut self, staged: StagedBatch) -> DetachedAnswer {
-        self.outstanding = self.outstanding.saturating_sub(1);
-        if self.shards.len() == 1 {
-            return self.shards[0].engine.detach_staged(staged);
-        }
-        let StagedSharded { retract, inners } = match staged.into_deferred::<StagedSharded>() {
-            Ok(token) => token,
-            Err(report) => return DetachedAnswer::ready(report),
-        };
-        let inners: Vec<(DetachedAnswer, Arc<Vec<QueryId>>)> = inners
-            .into_iter()
-            .map(|(s, inner)| {
-                let shard = &mut self.shards[s];
-                (
-                    shard.engine.detach_staged(inner),
-                    Arc::clone(&shard.local_to_global),
-                )
-            })
-            .collect();
-        DetachedAnswer::task(move || {
-            let inners: Vec<(MatchReport, Arc<Vec<QueryId>>)> = inners
-                .into_iter()
-                .map(|(inner, local_to_global)| (inner.run(), local_to_global))
-                .collect();
-            merge_run(retract, &inners)
-        })
-    }
-
-    fn absorb_answered(&mut self, report: &MatchReport) {
-        if self.shards.len() == 1 {
-            return self.shards[0].engine.absorb_answered(report);
-        }
+        let report = sign_runs(updates)
+            .map(|run| self.apply_run(run))
+            .reduce(|merged, report| merged.merge(&report))
+            .unwrap_or_default();
         // Inner engines count their own reports (late-registration replays
         // included); in sharded deployments the wrapper's counters are the
         // authoritative ones (see `stats`).
         self.stats.notifications += report.len() as u64;
         self.stats.embeddings += report.total_embeddings();
         self.stats.retracted += report.total_retracted();
+        report
     }
 
     fn num_queries(&self) -> usize {

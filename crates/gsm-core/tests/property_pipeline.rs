@@ -35,11 +35,11 @@ fn permutation(max_len: usize) -> impl Strategy<Value = Vec<u64>> {
     })
 }
 
-/// A split engine whose detached answer tasks genuinely run on the answer
-/// workers, each sleeping a per-batch delay picked by the strategy — so any
-/// completion interleaving the scheduler allows is actually exercised. Every
-/// batch's report names its own stage sequence number, making completion
-/// order directly observable in the [`gsm_core::pipeline::CompletedBatch`]
+/// An engine whose detached tasks genuinely run on the answer workers, each
+/// sleeping a per-batch delay picked by the strategy — so any completion
+/// interleaving the scheduler allows is actually exercised. Every batch's
+/// report names its own stage sequence number, making completion order
+/// directly observable in the [`gsm_core::pipeline::CompletedBatch`]
 /// stream.
 struct DelayedDetachToy {
     stats: EngineStats,
@@ -48,11 +48,6 @@ struct DelayedDetachToy {
     delays_us: Vec<u64>,
     /// Batch sequence number whose answer task panics, if any.
     panic_at: Option<u64>,
-}
-
-struct DelayedToken {
-    seq: u64,
-    updates: u64,
 }
 
 impl DelayedDetachToy {
@@ -73,46 +68,30 @@ impl ContinuousEngine for DelayedDetachToy {
     fn register_query(&mut self, _q: &QueryPattern) -> Result<QueryId> {
         Ok(QueryId(0))
     }
-    fn apply_update(&mut self, update: Update) -> MatchReport {
-        self.apply_batch(&[update])
-    }
     fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
-        let staged = self.stage_batch(updates);
-        self.answer_staged(staged)
-    }
-    fn stage_batch(&mut self, updates: &[Update]) -> StagedBatch {
         self.stats.updates_processed += updates.len() as u64;
-        let seq = self.seq;
+        let report =
+            MatchReport::from_counts(vec![(QueryId(self.seq as u32), updates.len() as u64)]);
         self.seq += 1;
-        StagedBatch::deferred(DelayedToken {
-            seq,
-            updates: updates.len() as u64,
-        })
-    }
-    fn answer_staged(&mut self, staged: StagedBatch) -> MatchReport {
-        let token = staged.into_deferred::<DelayedToken>().expect("own token");
-        let report = MatchReport::from_counts(vec![(QueryId(token.seq as u32), token.updates)]);
         self.stats.notifications += report.len() as u64;
         self.stats.embeddings += report.total_embeddings();
         report
     }
     fn detach_staged(&mut self, staged: StagedBatch) -> DetachedAnswer {
-        let token = staged.into_deferred::<DelayedToken>().expect("own token");
-        let delay = self.delays_us[token.seq as usize % self.delays_us.len()];
-        let panics = self.panic_at == Some(token.seq);
+        let report = staged.into_immediate();
+        // Batches are numbered from 0; `self.seq` is already the next one.
+        let seq = self.seq - 1;
+        let delay = self.delays_us[seq as usize % self.delays_us.len()];
+        let panics = self.panic_at == Some(seq);
         DetachedAnswer::task(move || {
             if delay > 0 {
                 std::thread::sleep(Duration::from_micros(delay));
             }
             if panics {
-                panic!("injected answer panic #{}", token.seq);
+                panic!("injected answer panic #{seq}");
             }
-            MatchReport::from_counts(vec![(QueryId(token.seq as u32), token.updates)])
+            report
         })
-    }
-    fn absorb_answered(&mut self, report: &MatchReport) {
-        self.stats.notifications += report.len() as u64;
-        self.stats.embeddings += report.total_embeddings();
     }
     fn num_queries(&self) -> usize {
         1
@@ -159,14 +138,14 @@ proptest! {
     }
 }
 
-/// A toy z-set engine with the commit-at-stage-time staging shape the real
-/// engines use: state is a multiset of edges; a sign-pure run commits its
-/// transitions at stage time and defers the report — 0→1 transitions are
-/// new embeddings, 1→0 retracted — into a token whose detached task sleeps
-/// a strategy-picked delay and stamps the report with the run's stage
-/// sequence number, making FIFO completion directly observable. The toy
-/// *panics* if `stage_batch` ever receives a mixed-sign batch, pinning the
-/// executor's obligation to split flushes with [`sign_runs`] first.
+/// A toy z-set engine with the staging shape the real engines use: state
+/// is a multiset of edges; a sign-pure run commits its transitions and
+/// computes its report at stage time — 0→1 transitions are new embeddings,
+/// 1→0 retracted — stamped with the run's stage sequence number, making
+/// FIFO completion directly observable; the detached task sleeps a
+/// strategy-picked delay before handing it back. The toy *panics* if
+/// `stage_batch` ever receives a mixed-sign batch, pinning the executor's
+/// obligation to split flushes with [`sign_runs`] first.
 struct ZSetToy {
     state: HashMap<(Sym, Sym, Sym), i64>,
     stats: EngineStats,
@@ -176,12 +155,6 @@ struct ZSetToy {
     /// before completing (completion is FIFO, so everything staged behind
     /// it stays in flight too).
     gate: Option<Receiver<()>>,
-}
-
-struct ZSetToken {
-    seq: u64,
-    new: u64,
-    gone: u64,
 }
 
 impl ZSetToy {
@@ -239,9 +212,6 @@ impl ContinuousEngine for ZSetToy {
     fn register_query(&mut self, _q: &QueryPattern) -> Result<QueryId> {
         Ok(QueryId(0))
     }
-    fn apply_update(&mut self, update: Update) -> MatchReport {
-        self.apply_batch(&[update])
-    }
     /// The eager path: splits into sign runs itself and merges the run
     /// reports (under query id 0 — an eager flush has no stage sequence).
     fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
@@ -265,44 +235,27 @@ impl ContinuousEngine for ZSetToy {
         );
         self.stats.updates_processed += updates.len() as u64;
         let (new, gone) = self.commit_run(updates);
-        let seq = self.seq;
+        let report = Self::run_report(QueryId(self.seq as u32), new, gone);
         self.seq += 1;
-        StagedBatch::deferred(ZSetToken { seq, new, gone })
-    }
-    fn answer_staged(&mut self, staged: StagedBatch) -> MatchReport {
-        match staged.into_deferred::<ZSetToken>() {
-            Ok(t) => {
-                let report = Self::run_report(QueryId(t.seq as u32), t.new, t.gone);
-                self.stats.notifications += report.len() as u64;
-                self.stats.embeddings += report.total_embeddings();
-                self.stats.retracted += report.total_retracted();
-                report
-            }
-            Err(report) => report,
-        }
-    }
-    fn detach_staged(&mut self, staged: StagedBatch) -> DetachedAnswer {
-        match staged.into_deferred::<ZSetToken>() {
-            Ok(t) => {
-                let delay = self.delays_us[t.seq as usize % self.delays_us.len()];
-                let gate = self.gate.take();
-                DetachedAnswer::task(move || {
-                    if let Some(gate) = gate {
-                        gate.recv().expect("the test opens the gate");
-                    }
-                    if delay > 0 {
-                        std::thread::sleep(Duration::from_micros(delay));
-                    }
-                    ZSetToy::run_report(QueryId(t.seq as u32), t.new, t.gone)
-                })
-            }
-            Err(report) => DetachedAnswer::ready(report),
-        }
-    }
-    fn absorb_answered(&mut self, report: &MatchReport) {
         self.stats.notifications += report.len() as u64;
         self.stats.embeddings += report.total_embeddings();
         self.stats.retracted += report.total_retracted();
+        StagedBatch::immediate(report)
+    }
+    fn detach_staged(&mut self, staged: StagedBatch) -> DetachedAnswer {
+        let report = staged.into_immediate();
+        // Runs are numbered from 0; `self.seq` is already the next one.
+        let delay = self.delays_us[(self.seq - 1) as usize % self.delays_us.len()];
+        let gate = self.gate.take();
+        DetachedAnswer::task(move || {
+            if let Some(gate) = gate {
+                gate.recv().expect("the test opens the gate");
+            }
+            if delay > 0 {
+                std::thread::sleep(Duration::from_micros(delay));
+            }
+            report
+        })
     }
     fn num_queries(&self) -> usize {
         1
@@ -462,22 +415,14 @@ proptest! {
     }
 }
 
-/// Pins the **checkpoint-while-staged contract** the persistence layer
-/// builds on: a durable checkpoint must capture a state no in-flight token
-/// can still mutate, and the chosen contract is **barrier** — the
-/// checkpointing caller drains the pipeline first, and
-/// [`PipelinedEngine::in_flight`] is the observable it keys on.
-/// Specifically: staging increments `in_flight`, collecting a completed
-/// batch decrements it, updates merely *buffered* by the batcher are not
-/// in flight (they are not yet staged, hence not yet WAL-logged — a crash
-/// loses them and the stream driver re-feeds), and `drain()` always leaves
-/// `in_flight() == 0` with the engine reachable through `engine()`. The
-/// persistence crate's `PersistentEngine::checkpoint` refuses to run while
-/// its wrapped engine has staged tokens outstanding (typed
-/// `Error::Persistence`), which is sound precisely because of the
-/// accounting pinned here.
+/// Pins [`PipelinedEngine::in_flight`]: staging increments it, collecting a
+/// completed batch decrements it, updates merely *buffered* by the batcher
+/// are not in flight (they are not yet staged, hence not yet WAL-logged
+/// behind a persistent engine — a crash loses them and the stream driver
+/// re-feeds), and `drain()` always leaves `in_flight() == 0` with the
+/// engine reachable through `engine()`.
 #[test]
-fn checkpoint_barrier_contract_in_flight_accounting() {
+fn in_flight_counts_staged_runs_until_collected() {
     // Three answer workers, a frozen clock and a gate holding the first
     // answer: pushes buffer until max_batch is hit, then stage and detach,
     // and nothing completes until the gate opens (completion is FIFO), so
@@ -505,8 +450,7 @@ fn checkpoint_barrier_contract_in_flight_accounting() {
     pipe.push_at(u(0, 4, 5), now);
     assert_eq!(pipe.in_flight(), 2, "the window holds both tokens");
 
-    // The barrier: after drain, nothing is staged or buffered, and the
-    // wrapped engine is quiescent — the state a checkpoint may capture.
+    // The barrier: after drain, nothing is staged or buffered.
     gate.send(())
         .expect("the first answer is waiting on the gate");
     let completed = pipe.drain();

@@ -95,13 +95,10 @@ impl Default for GraphDbEngine {
     }
 }
 
-/// GraphDB keeps the trait-default staging (`stage_batch` = immediate
-/// `apply_batch`): the store has no generational snapshots to pin, so
-/// deferring the answer would require copying the whole pre-removal
-/// neighbourhood. Immediate tokens satisfy the staged-retraction contract
-/// trivially — the answer runs at stage time, before any later stage can
-/// move the store — which the pipelined executor handles uniformly (an
-/// immediate token is already answered when it reaches the worker pool).
+/// GraphDB rides the trait-default staging (`stage_batch` = `apply_batch`),
+/// like every engine: a retraction run is answered against the pre-removal
+/// store and committed before `stage_batch` returns. It keeps its own
+/// `apply_update`, the per-update algorithm of Section 5.3.
 impl ContinuousEngine for GraphDbEngine {
     fn name(&self) -> &'static str {
         "GraphDB"
@@ -221,8 +218,8 @@ impl ContinuousEngine for GraphDbEngine {
     /// batch edge — so the per-query count equals the distinct new
     /// embeddings of the whole batch, exactly the merged sequential total
     /// (each embedding is reported sequentially once, at the update that
-    /// completes it). This replaces the fold-based trait default: the store
-    /// writes batch into fewer transactions and each (query, anchor-edge)
+    /// completes it). Unlike folding `apply_update` over the batch, the
+    /// store writes batch into fewer transactions and each (query, anchor-edge)
     /// plan is built at most once per batch.
     ///
     /// With a finite `max_embeddings_per_query` the cap applies per batch
@@ -443,11 +440,10 @@ mod tests {
         let uy = f.u("y", "b", "c");
         assert_eq!(engine.apply_batch(&[ux, uy]).total_embeddings(), 1);
 
-        // The default token is immediate: the retraction is answered against
-        // the pre-removal store at stage time and the commit lands before
-        // stage_batch returns, so a staged re-insert routes post-removal.
+        // The retraction is answered against the pre-removal store at stage
+        // time and the commit lands before stage_batch returns, so a staged
+        // re-insert routes post-removal.
         let t1 = engine.stage_batch(&[uy.inverted()]);
-        assert!(t1.is_immediate());
         let d1 = engine.detach_staged(t1);
         let t2 = engine.stage_batch(&[uy]);
         let r1 = d1.run();

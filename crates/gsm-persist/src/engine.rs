@@ -3,10 +3,10 @@
 //!
 //! Every externally visible operation is written ahead to the WAL before
 //! the in-memory engine sees it: symbol interning ([`PersistentEngine::
-//! note_symbols`]), query registration, and signed update batches (both the
-//! eager [`PersistentEngine::try_apply_batch`] path and the pipelined
-//! [`ContinuousEngine::stage_batch`] path — staging logs at stage time, so
-//! a batch inside the pipeline window is already durable). Durability is
+//! note_symbols`]), query registration, and signed update batches
+//! ([`PersistentEngine::try_apply_batch`], which the pipelined
+//! [`ContinuousEngine::stage_batch`] path goes through too, so a batch
+//! inside the pipeline window is already durable). Durability is
 //! group-commit: the WAL fsyncs every [`PersistConfig::group_commit`]
 //! records, so with `group_commit > 1` the tail of *acked but unsynced*
 //! batches may be lost by a crash — recovery reports the durable resume
@@ -18,12 +18,9 @@
 //! per-query totals, cumulative stats, and the survivor edge store (live
 //! edges per label as [`Relation`]s). [`PersistentEngine::
 //! checkpoint`] snapshots all of it to a sequence-stamped file and lets
-//! recovery skip the WAL prefix; it **refuses** to run while staged batches
-//! are outstanding (a staged token's deltas inside the inner engine are not
-//! serializable), returning a typed
-//! [`Error::Persistence`](gsm_core::error::Error::Persistence) — callers
-//! drain the pipeline first, as `gsm-core`'s `property_pipeline` suite pins
-//! via the `in_flight` accounting.
+//! recovery skip the WAL prefix. A staged batch is already its report, so
+//! a checkpoint may run at any point between calls, automatically
+//! ([`PersistConfig::checkpoint_every`]) or by hand.
 //!
 //! Recovery ([`PersistentEngine::open`]) = highest valid checkpoint + WAL
 //! suffix replay. With `wal_stripes > 1` record `seq` lives on stripe
@@ -46,17 +43,16 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use gsm_core::engine::{
-    ContinuousEngine, DetachedAnswer, EngineStats, MatchReport, QueryId, StagedBatch,
-};
+use gsm_core::engine::{ContinuousEngine, EngineStats, MatchReport, QueryId};
 use gsm_core::error::Result;
 use gsm_core::interner::{Sym, SymbolTable};
+use gsm_core::memory::HeapSize;
 use gsm_core::model::update::Update;
 use gsm_core::query::pattern::QueryPattern;
 use gsm_core::relation::Relation;
 
 use crate::checkpoint::{self, CheckpointData, QueryTotals};
-use crate::storage::{persistence_error, StorageFactory};
+use crate::storage::StorageFactory;
 use crate::wal::{self, Wal, WalOp};
 
 /// Tuning knobs for the persistence layer.
@@ -66,8 +62,8 @@ pub struct PersistConfig {
     /// the unsynced tail for throughput).
     pub group_commit: usize,
     /// Automatically checkpoint every this many applied batches
-    /// (`0` = manual checkpoints only). Auto-checkpoints are skipped while
-    /// staged batches are outstanding and retried at the next opportunity.
+    /// (`0` = manual checkpoints only). Batches staged by a pipelined
+    /// executor count too: it stages one batch per sign run.
     pub checkpoint_every: u64,
     /// Number of WAL stripes; record `seq` lands on stripe `seq % stripes`.
     /// Pair this with the sharded/pipelined wrappers to keep one log per
@@ -162,7 +158,6 @@ pub struct PersistentEngine<E> {
     totals: Vec<QueryTotals>,
     shadow: BTreeMap<Sym, Relation>,
     stats: EngineStats,
-    staged_outstanding: usize,
     batches_since_checkpoint: u64,
     last_checkpoint_seq: Option<u64>,
 }
@@ -294,7 +289,6 @@ impl<E: ContinuousEngine> PersistentEngine<E> {
             totals,
             shadow,
             stats,
-            staged_outstanding: 0,
             batches_since_checkpoint: 0,
             last_checkpoint_seq: report.checkpoint_seq,
         };
@@ -413,7 +407,8 @@ impl<E: ContinuousEngine> PersistentEngine<E> {
     }
 
     /// Fallible batch application: the batch is WAL-logged (and group-commit
-    /// synced) **before** the inner engine applies it.
+    /// synced) **before** the inner engine applies it, and an
+    /// auto-checkpoint follows when one is due.
     pub fn try_apply_batch(&mut self, updates: &[Update]) -> Result<MatchReport> {
         self.wal_append(WalOp::Batch {
             updates: updates.to_vec(),
@@ -427,20 +422,6 @@ impl<E: ContinuousEngine> PersistentEngine<E> {
         Ok(report)
     }
 
-    /// Fallible staging: WAL-logs the batch at **stage** time, so batches
-    /// inside the pipeline window are durable before their answer runs.
-    pub fn try_stage_batch(&mut self, updates: &[Update]) -> Result<StagedBatch> {
-        self.wal_append(WalOp::Batch {
-            updates: updates.to_vec(),
-        })?;
-        let staged = self.inner.stage_batch(updates);
-        self.stats.updates_processed += updates.len() as u64;
-        self.apply_shadow(updates);
-        self.staged_outstanding += 1;
-        self.batches_since_checkpoint += 1;
-        Ok(staged)
-    }
-
     /// Forces all group-commit debt to durable media. Call at stream end
     /// (or any ack boundary stronger than the group-commit interval).
     pub fn try_sync(&mut self) -> Result<()> {
@@ -450,24 +431,7 @@ impl<E: ContinuousEngine> PersistentEngine<E> {
     /// Writes a checkpoint covering everything applied so far and returns
     /// the sequence it covers through. Keeps the current and previous
     /// checkpoint files, removing older ones.
-    ///
-    /// # Barrier
-    ///
-    /// Refuses with a typed persistence error while staged batches are
-    /// outstanding: their deferred answers still hold token state inside
-    /// the inner engine that no checkpoint captures. Drain the
-    /// pipeline (`in_flight() == 0`) first.
     pub fn checkpoint(&mut self) -> Result<u64> {
-        if self.staged_outstanding > 0 {
-            return Err(persistence_error(
-                &self.factory.location(),
-                0,
-                format!(
-                    "checkpoint refused: {} staged batch(es) outstanding; drain the pipeline first",
-                    self.staged_outstanding
-                ),
-            ));
-        }
         self.sync_wals()?;
         let covered_seq = self.next_seq;
         let data = CheckpointData {
@@ -512,7 +476,6 @@ impl<E: ContinuousEngine> PersistentEngine<E> {
     fn maybe_auto_checkpoint(&mut self) -> Result<()> {
         if self.config.checkpoint_every > 0
             && self.batches_since_checkpoint >= self.config.checkpoint_every
-            && self.staged_outstanding == 0
         {
             self.checkpoint()?;
         }
@@ -532,11 +495,6 @@ impl<E: ContinuousEngine> PersistentEngine<E> {
     /// Sequence number of the next WAL record.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Staged batches whose answers are still outstanding.
-    pub fn staged_outstanding(&self) -> usize {
-        self.staged_outstanding
     }
 
     /// Sequence the newest checkpoint covers through, if any.
@@ -560,13 +518,14 @@ impl<E: ContinuousEngine> PersistentEngine<E> {
     }
 }
 
-/// The infallible engine surface. Storage failures in `apply_update` /
-/// `apply_batch` / `stage_batch` **panic** (the typed error is in the
-/// message); use the `try_*` methods where failures must be handled.
-/// `register_query` is fallible by signature and passes persistence errors
-/// through. `stats` reports the **durable** counters (what recovery would
-/// reproduce), which equal the uninterrupted engine's counters except for
-/// `notifications` granularity (counted per batch report here).
+/// The infallible engine surface. Storage failures in `apply_batch` — and
+/// so in `apply_update` and `stage_batch`, which go through it — **panic**
+/// (the typed error is in the message); use the `try_*` methods where
+/// failures must be handled. `register_query` is fallible by signature and
+/// passes persistence errors through. `stats` reports the **durable**
+/// counters (what recovery would reproduce), which equal the uninterrupted
+/// engine's counters except for `notifications` granularity (counted per
+/// batch report here).
 impl<E: ContinuousEngine> ContinuousEngine for PersistentEngine<E> {
     fn name(&self) -> &'static str {
         self.inner.name()
@@ -588,45 +547,24 @@ impl<E: ContinuousEngine> ContinuousEngine for PersistentEngine<E> {
         query.index() < self.queries.len() && !self.dead.contains(&query.0)
     }
 
-    fn apply_update(&mut self, update: Update) -> MatchReport {
-        self.try_apply_batch(std::slice::from_ref(&update))
-            .expect("persistent WAL append failed; discard and recover the engine")
-    }
-
     fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
         self.try_apply_batch(updates)
             .expect("persistent WAL append failed; discard and recover the engine")
-    }
-
-    fn stage_batch(&mut self, updates: &[Update]) -> StagedBatch {
-        self.try_stage_batch(updates)
-            .expect("persistent WAL append failed; discard and recover the engine")
-    }
-
-    fn answer_staged(&mut self, staged: StagedBatch) -> MatchReport {
-        let report = self.inner.answer_staged(staged);
-        self.staged_outstanding = self.staged_outstanding.saturating_sub(1);
-        self.absorb_report(&report);
-        report
-    }
-
-    fn detach_staged(&mut self, staged: StagedBatch) -> DetachedAnswer {
-        // The token stays outstanding until its report is absorbed.
-        self.inner.detach_staged(staged)
-    }
-
-    fn absorb_answered(&mut self, report: &MatchReport) {
-        self.inner.absorb_answered(report);
-        self.staged_outstanding = self.staged_outstanding.saturating_sub(1);
-        self.absorb_report(report);
     }
 
     fn num_queries(&self) -> usize {
         self.queries.len() - self.dead.len()
     }
 
+    /// The inner engine plus the durable shadow state the wrapper keeps
+    /// beside it: the live-edge store, the query slots, the per-query
+    /// totals and the interner table.
     fn heap_bytes(&self) -> usize {
         self.inner.heap_bytes()
+            + self.shadow.heap_size()
+            + self.queries.heap_size()
+            + self.totals.capacity() * std::mem::size_of::<QueryTotals>()
+            + self.symbols.heap_size()
     }
 
     fn stats(&self) -> EngineStats {
@@ -661,6 +599,28 @@ mod tests {
                 .map(QueryId)
                 .collect()
         }
+
+        fn apply_one(&mut self, update: Update) -> MatchReport {
+            let key = (update.label.0, update.src.0, update.tgt.0);
+            let label_count = |edges: &HashSet<(u32, u32, u32)>| {
+                edges.iter().filter(|e| e.0 == update.label.0).count() as u64
+            };
+            if update.retract {
+                if self.edges.remove(&key) {
+                    let n = label_count(&self.edges) + 1;
+                    MatchReport::from_retraction_counts(
+                        self.live_queries().into_iter().map(|q| (q, n)).collect(),
+                    )
+                } else {
+                    MatchReport::empty()
+                }
+            } else if self.edges.insert(key) {
+                let n = label_count(&self.edges);
+                MatchReport::from_counts(self.live_queries().into_iter().map(|q| (q, n)).collect())
+            } else {
+                MatchReport::empty()
+            }
+        }
     }
 
     impl ContinuousEngine for CountEngine {
@@ -684,27 +644,11 @@ mod tests {
         fn is_registered(&self, query: QueryId) -> bool {
             query.0 < self.queries && !self.dead.contains(&query.0)
         }
-        fn apply_update(&mut self, update: Update) -> MatchReport {
-            self.stats.updates_processed += 1;
-            let key = (update.label.0, update.src.0, update.tgt.0);
-            let label_count = |edges: &HashSet<(u32, u32, u32)>| {
-                edges.iter().filter(|e| e.0 == update.label.0).count() as u64
-            };
-            let report = if update.retract {
-                if self.edges.remove(&key) {
-                    let n = label_count(&self.edges) + 1;
-                    MatchReport::from_retraction_counts(
-                        self.live_queries().into_iter().map(|q| (q, n)).collect(),
-                    )
-                } else {
-                    MatchReport::empty()
-                }
-            } else if self.edges.insert(key) {
-                let n = label_count(&self.edges);
-                MatchReport::from_counts(self.live_queries().into_iter().map(|q| (q, n)).collect())
-            } else {
-                MatchReport::empty()
-            };
+        fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
+            self.stats.updates_processed += updates.len() as u64;
+            let report = updates.iter().fold(MatchReport::empty(), |acc, &u| {
+                acc.merge(&self.apply_one(u))
+            });
             self.stats.notifications += report.len() as u64;
             self.stats.embeddings += report.total_embeddings();
             self.stats.retracted += report.total_retracted();
@@ -949,6 +893,43 @@ mod tests {
     }
 
     #[test]
+    fn staging_fires_the_auto_checkpoint() {
+        // The staging entry points a `PipelinedEngine` drives count towards
+        // `checkpoint_every` exactly like `try_apply_batch`.
+        let mut symbols = SymbolTable::new();
+        let queries = two_queries(&mut symbols);
+        let stream = mixed_stream(&mut symbols);
+        let disk = MemFactory::new();
+        let totals_at_crash;
+        {
+            let (mut engine, _) =
+                open_mem(&disk, PersistConfig::default().with_checkpoint_every(2));
+            engine.note_symbols(&symbols).unwrap();
+            for q in &queries {
+                engine.try_register_query(q).unwrap();
+            }
+            let mut batches = stream.chunks(4);
+            let staged = engine.stage_batch(batches.next().unwrap());
+            engine.answer_staged(staged);
+            assert_eq!(engine.last_checkpoint_seq(), None);
+            let staged = engine.stage_batch(batches.next().unwrap());
+            let report = engine.detach_staged(staged).run();
+            engine.absorb_answered(&report);
+            assert!(engine.last_checkpoint_seq().is_some());
+            for batch in batches {
+                let staged = engine.stage_batch(batch);
+                engine.answer_staged(staged);
+            }
+            totals_at_crash = engine.totals().to_vec();
+        }
+        let (recovered, report) = open_mem(&disk, PersistConfig::default());
+        assert!(report.checkpoint_seq.is_some());
+        assert_eq!(report.replayed_updates, 0, "the last checkpoint covers all");
+        assert_eq!(report.resume_updates, stream.len() as u64);
+        assert_eq!(recovered.totals(), &totals_at_crash[..]);
+    }
+
+    #[test]
     fn torn_wal_tail_is_truncated_and_stream_resumes() {
         let mut symbols = SymbolTable::new();
         let stream = mixed_stream(&mut symbols);
@@ -1050,7 +1031,6 @@ mod tests {
         );
         let batch = [Update::new(knows, Sym(1), Sym(2))];
         assert_persistence(engine.try_apply_batch(&batch).unwrap_err(), "injected");
-        assert_persistence(engine.try_stage_batch(&batch).unwrap_err(), "injected");
 
         // Failing fsync: group-commit boundary surfaces it.
         let mut disk = MemFactory::new();
@@ -1078,30 +1058,22 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_barrier_refuses_while_staged_then_succeeds_after_drain() {
+    fn heap_bytes_counts_the_shadow_state() {
         let mut symbols = SymbolTable::new();
-        let knows = symbols.intern("knows");
-        let disk = MemFactory::new();
-        let (mut engine, _) = open_mem(&disk, PersistConfig::default());
+        let queries = two_queries(&mut symbols);
+        let stream = mixed_stream(&mut symbols);
+        let (mut engine, _) = open_mem(&MemFactory::new(), PersistConfig::default());
         engine.note_symbols(&symbols).unwrap();
-        let staged = engine
-            .try_stage_batch(&[Update::new(knows, Sym(1), Sym(2))])
-            .unwrap();
-        assert_eq!(engine.staged_outstanding(), 1);
-        match engine.checkpoint().unwrap_err() {
-            gsm_core::error::Error::Persistence { detail, .. } => {
-                assert!(detail.contains("staged"), "{detail}");
-                assert!(detail.contains("drain"), "{detail}");
-            }
-            other => panic!("expected Error::Persistence, got {other:?}"),
+        for q in &queries {
+            engine.try_register_query(q).unwrap();
         }
-        // Draining via the detach/absorb path also releases the barrier.
-        let answer = engine.detach_staged(staged);
-        assert_eq!(engine.staged_outstanding(), 1, "outstanding until absorbed");
-        let report = answer.run();
-        engine.absorb_answered(&report);
-        assert_eq!(engine.staged_outstanding(), 0);
-        engine.checkpoint().unwrap();
+        // CountEngine reports no heap of its own, so all of this is the
+        // wrapper's: it grows with the live edges it shadows.
+        let before = engine.heap_bytes();
+        engine.try_apply_batch(&stream[..12]).unwrap();
+        assert!(engine.heap_bytes() > before, "{before} did not grow");
+        assert!(engine.shadow.heap_size() > 0);
+        assert!(engine.heap_bytes() >= engine.shadow.heap_size());
     }
 
     #[test]
@@ -1112,13 +1084,14 @@ mod tests {
         {
             let (mut engine, _) = open_mem(&disk, PersistConfig::default());
             engine.note_symbols(&symbols).unwrap();
-            let _staged = engine
-                .try_stage_batch(&[Update::new(knows, Sym(1), Sym(2))])
-                .unwrap();
-            // Crash with the token still outstanding: the batch is already
-            // in the WAL, so recovery replays it.
+            let _staged = engine.stage_batch(&[Update::new(knows, Sym(1), Sym(2))]);
+            // The token is already its report, so a checkpoint may capture
+            // the batch before it is answered.
+            engine.checkpoint().unwrap();
+            // Crash with the token still unanswered: recovery restores it.
         }
         let (recovered, report) = open_mem(&disk, PersistConfig::default());
+        assert!(report.checkpoint_seq.is_some());
         assert_eq!(report.resume_updates, 1);
         assert_eq!(recovered.stats().updates_processed, 1);
     }

@@ -309,15 +309,11 @@ impl ContinuousEngine for TricEngine {
         query.index() < self.queries.len() && !self.queries[query.index()].paths.is_empty()
     }
 
-    fn apply_update(&mut self, update: Update) -> MatchReport {
-        self.apply_batch(&[update])
-    }
-
     /// Batched answering (the scaling step of the ROADMAP): every same-sign
     /// run of the batch takes one `TricEngine::stage_run` pass — routing,
     /// join builds, propagation and the answer are paid once per run, not
     /// once per update. Staging rides the trait's default: the batch is
-    /// answered here and travels as an immediate token.
+    /// answered here and its report is the token.
     fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
         let report = sign_runs(updates)
             .map(|run| self.stage_run(run))
@@ -963,6 +959,7 @@ mod tests {
             Box::new(TricEngine::tric()),
             Box::new(TricEngine::tric_plus()),
             Box::new(TricEngine::tric_sharded(1)),
+            Box::new(TricEngine::tric_sharded(2)),
         ];
         let mut outcomes = Vec::new();
         for mut engine in all {
@@ -972,11 +969,10 @@ mod tests {
             let ux = f.u("x", "a", "b");
             let uy = f.u("y", "b", "c");
             assert_eq!(engine.apply_batch(&[ux, uy]).total_embeddings(), 1);
-            // Every configuration answers a run where it stages it, so the
-            // retraction's token is immediate: answered against the
-            // pre-removal views, then committed.
+            // Every configuration answers a run where it stages it: the
+            // retraction is answered against the pre-removal views, then
+            // committed, and detaches as a ready report.
             let t1 = engine.stage_batch(&[uy.inverted()]);
-            assert!(t1.is_immediate(), "{}: retraction deferred", engine.name());
             let d1 = engine.detach_staged(t1);
             assert!(d1.is_ready(), "{}", engine.name());
             // A later insert run stages (re-creating the embedding) before
@@ -984,7 +980,6 @@ mod tests {
             // stage time, so the re-insert routes against post-removal views
             // and is truly new; the retraction's report is already final.
             let t2 = engine.stage_batch(&[uy]);
-            assert!(t2.is_immediate(), "{}: insertion deferred", engine.name());
             let r1 = d1.run();
             engine.absorb_answered(&r1);
             assert_eq!(r1.total_retracted(), 1, "{}", engine.name());
@@ -1017,14 +1012,13 @@ mod tests {
             engine.register_query(&q).unwrap();
             let u = f.u("x", "a", "b");
             let token = engine.stage_batch(&[u, u.inverted()]);
-            assert!(token.is_immediate(), "{}", engine.name());
             let report = engine.answer_staged(token);
             assert_eq!(report.total_embeddings(), 1, "{}", engine.name());
             assert_eq!(report.total_retracted(), 1, "{}", engine.name());
             assert_eq!(engine.stats().embeddings, 1, "{}", engine.name());
 
-            // The detached route counts the token exactly once as well:
-            // the report is only absorbed, never counted at stage time.
+            // The detached route counts the token exactly once as well: at
+            // stage time, never again when the report is absorbed.
             let v = f.u("x", "c", "d");
             let token = engine.stage_batch(&[v, v.inverted()]);
             let report = engine.detach_staged(token).run();
@@ -1727,23 +1721,22 @@ mod tests {
     }
 
     #[test]
-    fn registration_with_staged_tokens_outstanding_is_rejected() {
-        use gsm_core::error::Error;
+    fn registration_between_stage_and_answer_keeps_the_staged_report() {
         for num_shards in [1usize, 2] {
             let mut f = Fixture::new();
             let mut sharded = TricEngine::tric_sharded(num_shards);
             let q0 = f.q("?a -e0-> ?b");
-            sharded.register_query(&q0).unwrap();
+            let id0 = sharded.register_query(&q0).unwrap();
             let staged = sharded.stage_batch(&[f.u("e0", "a", "b")]);
+            // The token is the report, so registering mid-window succeeds
+            // and leaves it unchanged; the next batch sees the new query.
             let q1 = f.q("?a -e1-> ?b");
-            match sharded.register_query(&q1) {
-                Err(Error::RegistrationWhileStaged(n)) => assert_eq!(n, 1),
-                other => panic!("expected RegistrationWhileStaged, got {other:?}"),
-            }
+            let id1 = sharded.register_query(&q1).unwrap();
             let report = sharded.answer_staged(staged);
+            assert_eq!(report.satisfied_queries(), vec![id0]);
             assert_eq!(report.total_embeddings(), 1);
-            // The token is consumed, so registration is legal again.
-            sharded.register_query(&q1).unwrap();
+            let next = sharded.apply_batch(&[f.u("e0", "c", "d"), f.u("e1", "a", "b")]);
+            assert_eq!(next.satisfied_queries(), vec![id0, id1]);
         }
     }
 

@@ -1,19 +1,17 @@
 //! The concurrency differential suite: the **threaded** pipelined executor
-//! (stage on the caller thread, covering-path joins on a pool of answer
-//! workers — `PipelineConfig::answer_thread` / `answer_workers`) must
+//! (stage on the caller thread, reports handed back through a pool of
+//! answer workers — `PipelineConfig::answer_thread` / `answer_workers`) must
 //! produce byte-identical reports to sequential per-update execution, for
 //! every engine, on every workload generator, at every answer-worker count,
 //! including composed with the sharded wrapper and its persistent worker
 //! pool.
 //!
 //! This is the proof obligation of the cross-thread executor: detached
-//! answer tasks, the worker pool and the sequence-numbered reorder buffer
-//! may change *where*, *when* and *in what order* the answer passes run,
-//! but never what they report. Of the in-tree engines only the sharded
-//! wrapper leaves work in its detached tasks (the merge of its shards'
-//! reports); TRIC/TRIC+ and the baselines answer at stage time and detach a
-//! ready report. Deletion-heavy and sliding-window workloads ride the same
-//! harness: retraction runs stage like insert runs (joined against the
+//! tasks, the worker pool and the sequence-numbered reorder buffer may
+//! change *where*, *when* and *in what order* reports are handed back, but
+//! never what they report. Every engine answers at stage time and detaches
+//! a ready report. Deletion-heavy and sliding-window workloads ride the
+//! same harness: retraction runs stage like insert runs (joined against the
 //! pre-removal views, then committed, at stage time), so mixed streams
 //! exercise the sign-run splitter and the staged retraction tokens across
 //! every worker count. The
@@ -182,7 +180,7 @@ fn threaded_pipeline_equals_sequential_on_biogrid_workload() {
 #[test]
 fn threaded_pipeline_equals_sequential_with_high_overlap_and_long_queries() {
     // High overlap plus long queries maximises multi-path queries, whose
-    // deferred covering-path joins are exactly what crosses threads here.
+    // covering-path joins produce the largest reports crossing threads.
     let workload = Workload::generate(
         WorkloadConfig::new(Dataset::Snb, 220, 12)
             .with_query_size(7)
@@ -219,7 +217,7 @@ fn threaded_pipeline_equals_sequential_on_sliding_window_workload() {
 #[test]
 fn threaded_pipeline_over_sharded_engine_equals_sequential_on_deletions() {
     // Staged sharded retractions composed with the threaded answer stage:
-    // the routed inner tokens' detached answers cross threads.
+    // the merged reports of the routed runs cross threads.
     let workload = Workload::generate(
         WorkloadConfig::new(Dataset::Snb, 280, 15)
             .with_selectivity(0.4)
@@ -233,9 +231,9 @@ fn threaded_pipeline_over_sharded_engine_equals_sequential_on_deletions() {
 #[test]
 fn threaded_pipeline_over_sharded_engine_equals_sequential() {
     // The full composition: DeadlineBatcher → stage on the caller thread →
-    // routed staging on the persistent per-shard worker pool → detached
-    // inner answers + report merge on the answer thread. Three thread
-    // domains, one report stream.
+    // routed runs on the persistent per-shard worker pool, merged → reports
+    // handed back through the answer workers. Three thread domains, one
+    // report stream.
     let workload =
         Workload::generate(WorkloadConfig::new(Dataset::Snb, 280, 15).with_selectivity(0.4));
     for shards in shard_counts() {
@@ -267,9 +265,6 @@ impl<E: ContinuousEngine> ContinuousEngine for SlowFirstAnswer<E> {
         query: &QueryPattern,
     ) -> graph_stream_matching::core::Result<QueryId> {
         self.inner.register_query(query)
-    }
-    fn apply_update(&mut self, update: Update) -> MatchReport {
-        self.inner.apply_update(update)
     }
     fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
         self.inner.apply_batch(updates)
@@ -411,9 +406,6 @@ impl<E: ContinuousEngine> ContinuousEngine for YieldInjector<E> {
         query: &QueryPattern,
     ) -> graph_stream_matching::core::Result<QueryId> {
         self.inner.register_query(query)
-    }
-    fn apply_update(&mut self, update: Update) -> MatchReport {
-        self.inner.apply_update(update)
     }
     fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
         self.inner.apply_batch(updates)

@@ -158,9 +158,7 @@ mod worker {
         let config = PersistConfig::default()
             .with_group_commit(group_commit)
             .with_wal_stripes(shards)
-            // Auto-checkpoint only on the inline apply path; the pipelined
-            // path checkpoints explicitly at drained boundaries below.
-            .with_checkpoint_every(if answer_workers == 0 { ckpt_every } else { 0 });
+            .with_checkpoint_every(ckpt_every);
         let (mut engine, report) = open_persistent_engine(
             engine_idx,
             shards,
@@ -193,23 +191,14 @@ mod worker {
                 .threaded()
                 .with_answer_workers(answer_workers);
             let mut pipe = PipelinedEngine::new(engine, cfg);
-            let mut batches = 0u64;
             for batch in stream.chunks(BATCH) {
                 for &u in batch {
                     pipe.push(u);
                 }
                 fed += batch.len();
-                batches += 1;
                 if die_at.take_if(|k| fed >= *k).is_some() {
                     tear_wal_tail(&dir, tear);
                     self_sigkill();
-                }
-                if ckpt_every > 0 && batches.is_multiple_of(ckpt_every) {
-                    // Checkpoint barrier: drain the window first, then
-                    // rewrap. `into_inner` answers everything outstanding.
-                    let mut inner = pipe.into_inner();
-                    inner.checkpoint().expect("mid-stream checkpoint");
-                    pipe = PipelinedEngine::new(inner, cfg);
                 }
             }
             pipe.drain();
@@ -496,6 +485,64 @@ fn corruption_sweep(engine_idx: usize) {
             &oracle,
             &format!("{engine_name} corruption run {run}"),
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Auto-checkpoints behind the pipelined executor
+// ---------------------------------------------------------------------------
+
+/// `PipelinedEngine<PersistentEngine<ShardedEngine<TRIC+>>>`, inline and
+/// threaded: batches staged through the pipeline count towards
+/// `checkpoint_every` like applied ones, and a reopen from the resulting
+/// checkpoint reproduces the uninterrupted totals.
+#[test]
+fn pipelined_durable_sharded_engine_auto_checkpoints() {
+    const TRIC_PLUS: usize = 1;
+    const SHARDS: usize = 2;
+    let wl = workload(31);
+    let prefix = &wl.stream.as_slice()[..10 * BATCH];
+    let (mut oracle, _) = open_persistent_engine(
+        TRIC_PLUS,
+        SHARDS,
+        Box::new(MemFactory::new()),
+        PersistConfig::default(),
+    )
+    .expect("oracle open");
+    finish_setup(&mut oracle, &wl);
+    for batch in prefix.chunks(BATCH) {
+        oracle.try_apply_batch(batch).expect("oracle batch");
+    }
+
+    let inline = PipelineConfig::new(BATCH, Duration::from_secs(60));
+    for cfg in [inline, inline.threaded().with_answer_workers(2)] {
+        let disk = MemFactory::new();
+        let config = PersistConfig::default()
+            .with_wal_stripes(SHARDS)
+            .with_checkpoint_every(2);
+        let (mut engine, _) =
+            open_persistent_engine(TRIC_PLUS, SHARDS, Box::new(disk.handle()), config)
+                .expect("open");
+        finish_setup(&mut engine, &wl);
+        let mut pipe = PipelinedEngine::new(engine, cfg);
+        for &u in prefix {
+            pipe.push(u);
+        }
+        pipe.drain();
+        let engine = pipe.into_inner();
+        let context = format!("threaded {}", cfg.answer_thread);
+        assert!(
+            engine.last_checkpoint_seq().is_some(),
+            "{context}: no checkpoint"
+        );
+        assert_totals_match(engine.totals(), oracle.totals(), &context);
+        drop(engine);
+
+        let (recovered, report) =
+            open_persistent_engine(TRIC_PLUS, SHARDS, Box::new(disk.handle()), config)
+                .expect("reopen");
+        assert!(report.checkpoint_seq.is_some(), "{context}: {report:?}");
+        assert_totals_match(recovered.totals(), oracle.totals(), &context);
     }
 }
 

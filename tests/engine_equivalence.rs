@@ -61,8 +61,7 @@ const BATCH_CHUNK_SIZES: [usize; 4] = [1, 3, 17, usize::MAX];
 /// once per engine (recording every per-update report), then replays it with
 /// `apply_batch` at each chunk size on fresh engines of the same kinds,
 /// asserting that every batch report equals the merge of the per-update
-/// reports of exactly that chunk — per engine, including the fold-based
-/// default implementation (GraphDB).
+/// reports of exactly that chunk — per engine.
 fn assert_batch_equals_sequential(workload: &Workload) {
     // Sequential reference: per-engine, per-update reports.
     let mut seq_engines = all_engines();
@@ -257,7 +256,7 @@ fn assert_pipelined_equals_sequential_for(
         .collect();
 
     // `GSM_THREADS>=2` (the CI threads job) re-runs the whole matrix with
-    // the answer phase on the dedicated answer thread — same batches, same
+    // reports handed back through the answer workers — same batches, same
     // reports, different thread.
     let threaded = std::env::var("GSM_THREADS")
         .ok()
@@ -488,7 +487,7 @@ fn pipelined_equals_sequential_on_biogrid_workload() {
 #[test]
 fn pipelined_equals_sequential_with_high_overlap_and_long_queries() {
     // High overlap plus long queries maximises multi-path queries, whose
-    // covering-path joins are exactly what the pipeline defers.
+    // covering-path joins each staged run answers.
     let workload = Workload::generate(
         WorkloadConfig::new(Dataset::Snb, 250, 14)
             .with_query_size(7)
@@ -500,9 +499,9 @@ fn pipelined_equals_sequential_with_high_overlap_and_long_queries() {
 #[test]
 fn pipelined_sharded_equals_sequential_on_snb_workload() {
     // Pipeline × sharding composition: the pipelined executor in front of
-    // the sharded wrapper, so the shards' deferred answers and their merge
-    // run after later batches were staged on worker shards. `GSM_SHARDS=<n>`
-    // (the CI shard job) pins the shard count like the other sharded suites.
+    // the sharded wrapper, whose shards answer each staged run on the
+    // worker pool before the wrapper merges. `GSM_SHARDS=<n>` (the CI shard
+    // job) pins the shard count like the other sharded suites.
     let workload =
         Workload::generate(WorkloadConfig::new(Dataset::Snb, 300, 16).with_selectivity(0.4));
     for shards in shard_counts() {

@@ -335,8 +335,8 @@ proptest! {
     /// batch's report must equal the merged sequential reports of exactly
     /// the updates it covered, and the batches must tile the stream in
     /// order. Exercised on the two ends of the engine spectrum (TRIC+ with
-    /// its deferred join pass, INC with the default immediate staging),
-    /// plus TRIC+ behind the sharded wrapper.
+    /// its cached join builds, INC without), plus TRIC+ behind the sharded
+    /// wrapper.
     #[test]
     fn pipelined_random_flush_bounds_equal_sequential(
         query_specs in proptest::collection::vec(

@@ -11,8 +11,8 @@
 //! clock. The wrappers ride along: the sharded matrix replays the mixed
 //! streams across genuinely partitioned deployments, and the pipelined
 //! matrix covers **staged** retraction runs — answered against the
-//! pre-removal views and committed at stage time, with only the sharded
-//! wrapper's merge deferred — across shard and answer-worker counts.
+//! pre-removal views and committed at stage time, the sharded wrapper's
+//! merge included — across shard and answer-worker counts.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -151,7 +151,7 @@ fn assert_mixed_batches_agree(workload: &Workload) {
 /// The wrapper matrix: sharded and pipelined deployments of every engine
 /// must match the plain per-update reference on mixed streams. Shard
 /// routing must split and re-merge retraction runs; the pipeline stages
-/// them like insert runs (answer deferred over pre-removal snapshots).
+/// them like insert runs (answered against the pre-removal views).
 fn assert_wrappers_agree_on_mixed_stream(workload: &Workload, shards: usize) {
     let mut reference_engines = all_engines();
     for engine in reference_engines.iter_mut() {
@@ -194,7 +194,7 @@ fn assert_wrappers_agree_on_mixed_stream(workload: &Workload, shards: usize) {
     // completed batch corresponds to one update (retraction and insertion
     // runs alike take the staged path).
     // `GSM_THREADS>=2` (the CI threads job) re-runs the pipelined leg with
-    // the answer phase on the dedicated answer thread.
+    // reports handed back through the answer workers.
     let mut config = PipelineConfig::new(1, Duration::from_secs(3600));
     if std::env::var("GSM_THREADS")
         .ok()
