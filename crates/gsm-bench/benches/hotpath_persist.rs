@@ -16,9 +16,11 @@
 //!   fresh temp directory, `group_commit = 1`: every batch record is
 //!   appended to the WAL file **and fsynced** before `apply_batch` returns.
 //!   The full durability guarantee, dominated by fsync latency.
-//! * `<engine>-wal-gc8` — same, `group_commit = 8`: fsync every 8th batch
-//!   record; acked-but-unsynced batches can be lost on a crash (recovery
-//!   reports the resume point). Prices the group-commit amortization.
+//! * `<engine>-wal-gc8` — same, `group_commit = 8`: fsync once 8 updates
+//!   are unsynced. Group commit counts updates, so a 64-update batch
+//!   record reaches the bound alone and this series syncs every batch,
+//!   like `gc1`; a smaller batch would leave an acked-but-unsynced tail
+//!   that a crash can lose (recovery reports the resume point).
 //!
 //! Results land in BENCH_PR9.json. No checkpoints fire inside the timed
 //! region (`checkpoint_every = 0`): checkpoint cost is a background/cadence

@@ -30,8 +30,8 @@
 //! * `--checkpoint-every` — auto-checkpoint cadence in batches for the
 //!   persistence layer (default 0 = WAL only; implies nothing without
 //!   `--persist-dir`).
-//! * `--group-commit` — WAL records per fsync for the persistence layer
-//!   (default 1 = every record).
+//! * `--group-commit` — logged updates per fsync for the persistence
+//!   layer (default 1 = every record; a batch record counts its updates).
 //! * `--out`    — output directory for `<id>.md` / `<id>.csv` (default `results`).
 
 use std::fs;
@@ -175,7 +175,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: experiments [--figure <id,...>|all] [--scale <f>] [--budget <secs>] [--batch <n>] [--shards <n>] [--pipeline] [--flush-ms <ms>] [--threads <n>] [--answer-threads <n>] [--persist-dir <dir>] [--checkpoint-every <n>] [--group-commit <n>] [--out <dir>]\n\nknown figures: {}",
+                    "usage: experiments [--figure <id,...>|all] [--scale <f>] [--budget <secs>] [--batch <n>] [--shards <n>] [--pipeline] [--flush-ms <ms>] [--threads <n>] [--answer-threads <n>] [--persist-dir <dir>] [--checkpoint-every <n>] [--group-commit <updates>] [--out <dir>]\n\nknown figures: {}",
                     all_figure_ids().join(", ")
                 );
                 std::process::exit(0);

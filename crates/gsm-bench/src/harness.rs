@@ -168,7 +168,8 @@ pub struct PersistRun {
     pub dir: &'static str,
     /// Auto-checkpoint cadence in batches (0 = never, WAL only).
     pub checkpoint_every: u64,
-    /// Records per group-commit fsync (1 = every record).
+    /// Logged updates per group-commit fsync (1 = every record; a batch
+    /// record counts its updates).
     pub group_commit: usize,
 }
 
@@ -230,8 +231,8 @@ impl RunLimits {
 
     /// Wraps the run's engine in the durable persistence layer: WAL stripes
     /// (one per shard) and checkpoint files under `dir`, auto-checkpointing
-    /// every `checkpoint_every` batches (0 = never), fsyncing every
-    /// `group_commit` records.
+    /// every `checkpoint_every` batches (0 = never), fsyncing once
+    /// `group_commit` updates are unsynced.
     pub fn with_persistence(
         mut self,
         dir: &'static str,

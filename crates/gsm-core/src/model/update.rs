@@ -75,9 +75,9 @@ impl Update {
 /// Splits a batch into maximal runs of same-signed updates, preserving
 /// order: `[+a, +b, -c, +d]` yields `[+a, +b]`, `[-c]`, `[+d]`.
 ///
-/// The pipelined executor stages each run separately and the engines apply
-/// a batch run by run, so run splitting is the single place where a mixed
-/// batch is decomposed.
+/// The pipelined executor stages a flush whole, mixed signs included; the
+/// engines apply a batch run by run, so run splitting is the single place
+/// where a mixed batch is decomposed.
 pub fn sign_runs(batch: &[Update]) -> impl Iterator<Item = &[Update]> {
     batch.chunk_by(|a, b| a.retract == b.retract)
 }

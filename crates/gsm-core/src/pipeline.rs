@@ -4,15 +4,14 @@
 //!
 //! # One execution path
 //!
-//! Every flushed batch is split into same-sign [`sign_runs`] and each run
-//! is staged ([`ContinuousEngine::stage_batch`], which answers it) and its
-//! report handed back:
+//! Every flushed batch is staged whole ([`ContinuousEngine::stage_batch`],
+//! which answers it) and its report handed back. A flush may mix
+//! insertions and retractions; splitting it into same-sign runs is the
+//! engines' business, inside `apply_batch`, so one flush is one staged
+//! batch and one [`CompletedBatch`]:
 //!
 //! ```text
-//!   push(u) ─▶ DeadlineBatcher ──flush (size │ deadline)──▶ sign_runs
-//!                                                             │ per run
-//!                                                             ▼
-//!                                                        stage_batch
+//!   push(u) ─▶ DeadlineBatcher ──flush (size │ deadline)──▶ stage_batch
 //!                                               inline │        │ threaded
 //!                                                      ▼        ▼
 //!                                          answer_staged      detach_staged ─▶ answer workers
@@ -21,7 +20,7 @@
 //!                                  CompletedBatch reports, arrival order
 //! ```
 //!
-//! **Inline** (the default) is the zero-in-flight case: a run is staged and
+//! **Inline** (the default) is the zero-in-flight case: a batch is staged and
 //! answered in the same call, so the `push` that fills a batch returns that
 //! batch's [`CompletedBatch`]. Reports complete in arrival order, so
 //! concatenating (or merging) them reproduces sequential execution exactly;
@@ -44,17 +43,17 @@
 //!   reorder buffer:  CompletedBatch(N), (N+1), (N+2)          (FIFO)
 //! ```
 //!
-//! Each run is staged on the calling thread, then **detached**
-//! ([`ContinuousEngine::detach_staged`]) before the next run is staged, and
+//! Each batch is staged on the calling thread, then **detached**
+//! ([`ContinuousEngine::detach_staged`]) before the next batch is staged, and
 //! the answer stage (a [`WorkerPool`] of [`PipelineConfig::answer_workers`]
-//! threads) runs the detached task. Every engine answers a run where it
+//! threads) runs the detached task. Every engine answers a batch where it
 //! stages it, so the task only forwards a finished report (see the staging
 //! contract on [`ContinuousEngine::stage_batch`]); wrappers may wrap it to
 //! trace, delay or fail the hand-back. With more than one worker, tasks run
 //! concurrently and may *finish* in any order; every result is tagged with
 //! its submission sequence number and a [`ReorderBuffer`] releases reports
 //! strictly in arrival order, so the FIFO [`CompletedBatch`] contract holds
-//! for any worker count. When more than `answer_workers` runs are in flight
+//! for any worker count. When more than `answer_workers` batches are in flight
 //! the caller blocks on the oldest one, which bounds the window.
 //!
 //! # The latency budget
@@ -77,7 +76,7 @@ use std::time::{Duration, Instant};
 
 use crate::engine::{ContinuousEngine, DetachedAnswer, EngineStats, MatchReport, QueryId};
 use crate::error::{Error, Result};
-use crate::model::update::{sign_runs, Update};
+use crate::model::update::Update;
 use crate::pool::WorkerPool;
 use crate::query::pattern::QueryPattern;
 use crate::relation::fasthash::FxHashMap;
@@ -90,14 +89,14 @@ pub struct PipelineConfig {
     pub max_batch: usize,
     /// Flush when the oldest buffered update has waited this long.
     pub max_delay: Duration,
-    /// Hand reports back through dedicated worker threads: each flushed run
-    /// is staged on the calling thread, detached
+    /// Hand reports back through dedicated worker threads: each flushed
+    /// batch is staged on the calling thread, detached
     /// ([`ContinuousEngine::detach_staged`]) and handed to the answer
-    /// stage, whose task forwards the run's finished report. At most
-    /// `answer_workers` runs are in flight (the caller blocks on the oldest
-    /// when the window is full — bounded-channel backpressure). False (the
-    /// default) completes each run on the calling thread, in the same call
-    /// that staged it.
+    /// stage, whose task forwards the batch's finished report. At most
+    /// `answer_workers` batches are in flight (the caller blocks on the
+    /// oldest when the window is full — bounded-channel backpressure). False
+    /// (the default) completes each batch on the calling thread, in the same
+    /// call that staged it.
     pub answer_thread: bool,
     /// Number of answer workers — and the in-flight window — in threaded
     /// mode (clamped to ≥ 1; ignored inline). With several workers,
@@ -477,11 +476,10 @@ impl<T> ReorderBuffer<T> {
 }
 
 /// A batch whose report completed: the number of updates it covered (in
-/// stream order) and its merged [`MatchReport`]. Batches complete strictly
-/// in arrival order, so concatenating `CompletedBatch`es reconstructs the
-/// stream segmentation the executor chose: the batcher's flush points,
-/// refined by same-sign runs (a mixed-sign flush is staged as one batch
-/// per [`sign_runs`] run, each completing separately).
+/// stream order) and its [`MatchReport`]. Batches complete strictly in
+/// arrival order, so concatenating `CompletedBatch`es reconstructs the
+/// stream segmentation the executor chose: the batcher's flush points, one
+/// batch per flush, whatever signs the flush mixes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompletedBatch {
     /// Number of stream updates this batch covered.
@@ -553,9 +551,9 @@ pub struct PipelinedEngine<E> {
 /// in any order; every result returns over `results` tagged with its
 /// submission sequence number and parks in the [`ReorderBuffer`] until it
 /// is the oldest outstanding one. The caller thread submits
-/// `(detach → execute)` per staged run; blocking on the oldest report when
-/// more than `workers` runs are pending is what bounds the in-flight
-/// tokens.
+/// `(detach → execute)` per staged batch; blocking on the oldest report
+/// when more than `workers` batches are pending is what bounds the
+/// in-flight tokens.
 #[derive(Debug)]
 struct AnswerStage {
     results_tx: Sender<(u64, std::thread::Result<MatchReport>)>,
@@ -691,8 +689,8 @@ impl<E: ContinuousEngine> PipelinedEngine<E> {
         self.engine
     }
 
-    /// Number of staged runs whose answer has not been collected yet
-    /// (always 0 inline: a run is answered in the call that staged it).
+    /// Number of staged batches whose answer has not been collected yet
+    /// (always 0 inline: a batch is answered in the call that staged it).
     pub fn in_flight(&self) -> usize {
         self.answer.as_ref().map_or(0, |a| a.pending.len())
     }
@@ -889,23 +887,13 @@ impl<E: ContinuousEngine> PipelinedEngine<E> {
         }
     }
 
-    /// Stages one flushed batch, split into same-sign [`sign_runs`] so every
-    /// run reaches [`stage_batch`](ContinuousEngine::stage_batch) sign-pure.
-    /// Each run is sequenced separately, so the [`ReorderBuffer`] FIFO
-    /// contract is untouched and a mixed flush simply completes as several
-    /// [`CompletedBatch`]es.
+    /// Stages one flushed batch whole — mixed signs included, the engine
+    /// splits them — and hands its report back: inline, right here;
+    /// threaded, by detaching the token and shipping the task to the answer
+    /// stage while this thread returns to stage the next batch.
     fn stage(&mut self, batch: Vec<Update>) {
-        for run in sign_runs(&batch) {
-            self.stage_run(run);
-        }
-    }
-
-    /// Stages one sign-pure run and hands its report back: inline, right
-    /// here; threaded, by detaching the token and shipping the task to the
-    /// answer stage while this thread returns to stage the next run.
-    fn stage_run(&mut self, run: &[Update]) {
-        let updates = run.len();
-        let token = self.engine.stage_batch(run);
+        let updates = batch.len();
+        let token = self.engine.stage_batch(&batch);
         match self.answer.as_mut() {
             Some(stage) => stage.submit(updates, self.engine.detach_staged(token)),
             None => {
@@ -1018,7 +1006,7 @@ impl<E: ContinuousEngine> ContinuousEngine for PipelinedEngine<E> {
         self.engine.heap_bytes()
     }
 
-    /// The inner engine's counters, which advance when a run is staged:
+    /// The inner engine's counters, which advance when a batch is staged:
     /// after a [`drain`](PipelinedEngine::drain) they are exactly those of
     /// sequential batched execution.
     fn stats(&self) -> EngineStats {
@@ -1121,7 +1109,7 @@ mod tests {
     /// A deterministic engine that records the interleaving of its stage
     /// and answer calls: every update with an even label satisfies query 0
     /// and every later live query. Stage computes the report and numbers
-    /// the run; answer numbers the hand-back, so the log shows FIFO order.
+    /// the batch; answer numbers the hand-back, so the log shows FIFO order.
     #[derive(Default)]
     struct SplitToy {
         stats: EngineStats,
@@ -1827,31 +1815,32 @@ mod tests {
     }
 
     #[test]
-    fn mixed_sign_flushes_stage_one_run_per_sign() {
-        // One flush of [+, +, −, +] must stage as three separately-sequenced
-        // runs whose completions tile the flush in stream order.
+    fn mixed_sign_flushes_stage_whole() {
+        // Two flushes of [+, +, −, +] each stage as one batch: one
+        // completion per flush, covering all of it, whose report is what
+        // `apply_batch` of that flush reports. Splitting the signs is the
+        // engine's business.
         let config = PipelineConfig::new(4, Duration::from_secs(60));
         let mut pipe = PipelinedEngine::new(SplitToy::default(), config);
+        let flush = [u(0, 1, 2), u(2, 2, 3), u(0, 1, 2).inverted(), u(4, 3, 4)];
         let now = t0();
-        assert!(pipe.push_at(u(0, 1, 2), now).is_empty());
-        assert!(pipe.push_at(u(2, 2, 3), now).is_empty());
-        assert!(pipe.push_at(u(0, 1, 2).inverted(), now).is_empty());
-        let done = pipe.push_at(u(4, 3, 4), now);
-        assert_eq!(
-            done.iter().map(|b| b.updates).collect::<Vec<_>>(),
-            vec![2, 1, 1],
-            "runs tile the flush"
-        );
+        let mut done = Vec::new();
+        for _ in 0..2 {
+            for (i, &update) in flush.iter().enumerate() {
+                let completed = pipe.push_at(update, now);
+                assert_eq!(completed.is_empty(), i < 3, "flush point");
+                done.extend(completed);
+            }
+        }
+        let expected = SplitToy::default().apply_batch(&flush);
+        assert_eq!(done.len(), 2, "one completion per flush");
+        for batch in &done {
+            assert_eq!(batch.updates, flush.len(), "the batch tiles its flush");
+            assert_eq!(batch.report, expected);
+        }
         assert_eq!(
             pipe.engine().log,
-            vec![
-                ("stage", 0),
-                ("answer", 0),
-                ("stage", 1),
-                ("answer", 1),
-                ("stage", 2),
-                ("answer", 2),
-            ]
+            vec![("stage", 0), ("answer", 0), ("stage", 1), ("answer", 1)]
         );
     }
 

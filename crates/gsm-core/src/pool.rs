@@ -1,21 +1,15 @@
 //! A persistent pool of worker threads.
 //!
-//! The scaling wrappers used to pay thread spawn/teardown on every batch
-//! ([`crate::shard::ShardedEngine`] spawned scoped workers per
-//! `apply_batch`). This module replaces that with long-lived, channel-fed
-//! workers created once and reused for the engine's whole life:
+//! Long-lived, channel-fed workers created once and reused for the owner's
+//! whole life, so no batch pays thread spawn/teardown:
 //!
-//! * [`ShardedEngine`](crate::shard::ShardedEngine) runs its per-shard
-//!   absorb phase as a [`scatter`](WorkerPool::scatter) over a pool sized to
-//!   `min(shards, available_parallelism)` — each shard's state *moves*
-//!   through the job (and back out with the result), so no `unsafe` scoped
-//!   borrowing is needed.
 //! * [`PipelinedEngine`](crate::pipeline::PipelinedEngine) runs its answer
 //!   stage on a pool of `answer_workers` threads, feeding it the engine's
 //!   detached reports ([`crate::engine::DetachedAnswer`]); completed
 //!   reports are re-sequenced by the pipeline's reorder buffer
 //!   ([`crate::pipeline::ReorderBuffer`]), so the pool itself needs no
 //!   ordering guarantee beyond FIFO dequeue.
+//! * `gsm-server` runs each connection's reader and writer as pool jobs.
 //!
 //! Jobs are plain `FnOnce() + Send` closures pulled from one shared injector
 //! channel; jobs are *dequeued* in submission order, and a single-worker
@@ -30,8 +24,8 @@
 //! shared injector lock for every later batch.
 //! [`scatter`](WorkerPool::scatter) ships each job's `std::thread::Result`
 //! back to the gather side and re-raises the *original* panic payload once,
-//! after all sibling jobs have completed — a panicking shard aborts its own
-//! batch without wedging unrelated shards or subsequent scatters.
+//! after all sibling jobs have completed — a panicking job fails its own
+//! scatter without wedging sibling jobs or subsequent scatters.
 //!
 //! # Core pinning (`GSM_PIN_CORES`)
 //!

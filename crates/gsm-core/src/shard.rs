@@ -10,18 +10,20 @@
 //! never joins anything itself, so a sharded TRIC+ answers every query with
 //! TRIC+, wherever the roots of its other covering paths hash.
 //!
-//! Each shard absorbs its slice of a routed update batch independently — on
-//! the engine's **persistent worker pool** ([`crate::pool::WorkerPool`],
-//! long-lived channel-fed threads sized to
-//! `min(shards, available_parallelism)`, spawned once and reused for every
-//! batch) when `N > 1` and at least two shards have work. A query is
-//! reported by exactly one shard, so folding the per-shard reports into
-//! wrapper ids is a deterministic, order-insensitive merge (see
-//! [`MatchReport::merge`]), done inside the same `apply_batch` call. The
-//! wrapper therefore stages like every other engine, through the trait's
-//! default. Insertion and retraction runs take the same route → apply →
-//! merge shape; the sign only selects which count of the inner reports is
-//! folded.
+//! `apply_batch` routes a whole batch once — mixed signs included — into
+//! per-shard slices that keep stream order, and each shard with work
+//! applies its slice with one inner `apply_batch`, which splits it into
+//! sign runs like any engine. Shards are applied one after another, on the
+//! calling thread: with a pipelined flush of 64 updates both shards have
+//! work in almost every call, and on a 2-core Intel Xeon scattering
+//! them over worker threads measured slower than applying them in place
+//! (`durable_taxi_win500`, 6 alternating pairs: 197 k vs 229 k median
+//! updates/s). A query is reported by exactly one shard, so folding the
+//! per-shard reports into wrapper ids — both counts at once — only
+//! translates and sorts, inside the same `apply_batch` call. The wrapper
+//! therefore stages like every other engine, through the trait's default.
+//! The wrapper-level history store (see "Late registration") is the one
+//! part that follows the batch sign run by sign run.
 //!
 //! An update whose generic-edge shapes are used by queries homed on several
 //! shards is delivered to each of them (and stored by each), so shards
@@ -30,8 +32,8 @@
 //! covering-path roots hash to more than one shard.
 //!
 //! With `num_shards == 1` the wrapper degenerates to a plain delegation to
-//! the single inner engine (no routing, no translation, no threads), so a
-//! 1-core deployment pays no sharding overhead.
+//! the single inner engine (no routing, no translation), so a one-shard
+//! deployment pays no sharding overhead.
 //!
 //! Registration order still assigns [`QueryId`]s sequentially at the
 //! wrapper, so reports are directly comparable with an unsharded engine fed
@@ -67,12 +69,11 @@
 
 use std::hash::BuildHasher;
 
-use crate::engine::{ContinuousEngine, EngineStats, MatchReport, QueryId};
+use crate::engine::{ContinuousEngine, EngineStats, MatchReport, QueryId, QueryMatch};
 use crate::error::{Error, Result};
 use crate::memory::HeapSize;
 use crate::model::generic::GenericEdge;
 use crate::model::update::{sign_runs, Update};
-use crate::pool::WorkerPool;
 use crate::query::paths::covering_paths;
 use crate::query::pattern::QueryPattern;
 use crate::relation::fasthash::{FxBuildHasher, FxHashMap};
@@ -95,7 +96,7 @@ struct Shard<E> {
     engine: E,
     /// Inner query index → wrapper-level query id.
     local_to_global: Vec<QueryId>,
-    /// Slice of the current run routed to this shard (reused buffer).
+    /// Slice of the current batch routed to this shard (reused buffer).
     slice: Vec<Update>,
     /// Total updates routed to this shard (observability).
     routed: u64,
@@ -108,17 +109,6 @@ impl<E: ContinuousEngine> Shard<E> {
             local_to_global: Vec::new(),
             slice: Vec::new(),
             routed: 0,
-        }
-    }
-
-    /// Applies this shard's slice of the current same-sign run on the inner
-    /// engine; empty when nothing was routed here. Runs on a worker thread
-    /// when several shards are active.
-    fn apply_slice(&mut self) -> MatchReport {
-        if self.slice.is_empty() {
-            MatchReport::empty()
-        } else {
-            self.engine.apply_batch(&self.slice)
         }
     }
 }
@@ -135,28 +125,6 @@ struct QueryHome {
     spanning: bool,
 }
 
-/// Folds one run's per-shard inner reports (in shard order) into wrapper
-/// ids, reading the run's sign. Every query is reported by at most one
-/// shard, so the fold only sorts.
-fn merge_run<E>(retract: bool, shards: &[Shard<E>], reports: &[MatchReport]) -> MatchReport {
-    let mut counts: Vec<(QueryId, u64)> = Vec::new();
-    for (shard, report) in shards.iter().zip(reports) {
-        counts.extend(report.matches.iter().map(|m| {
-            let count = if retract {
-                m.retracted_embeddings
-            } else {
-                m.new_embeddings
-            };
-            (shard.local_to_global[m.query.index()], count)
-        }));
-    }
-    if retract {
-        MatchReport::from_retraction_counts(counts)
-    } else {
-        MatchReport::from_counts(counts)
-    }
-}
-
 /// Partitions any [`ContinuousEngine`] into `N` shards by the root generic
 /// edge of each query's first covering path.
 ///
@@ -166,10 +134,6 @@ fn merge_run<E>(retract: bool, shards: &[Shard<E>], reports: &[MatchReport]) -> 
 /// by the shard-count differential matrix in the workspace test suites.
 pub struct ShardedEngine<E> {
     shards: Vec<Shard<E>>,
-    /// Persistent shard workers (lazily spawned on the first genuinely
-    /// parallel batch; never spawned for `shards == 1`). Long-lived and
-    /// channel-fed — shards *move* through jobs and back.
-    pool: Option<WorkerPool>,
     /// Reverse routing index: generic edge → shards observing it (sorted,
     /// deduplicated). Routing an update is then O(shapes) lookups,
     /// independent of the shard count.
@@ -179,7 +143,7 @@ pub struct ShardedEngine<E> {
     /// Shards marked for the current update (reused buffer).
     route_marked: Vec<usize>,
     /// Wrapper-level history: one view per generic edge any query has ever
-    /// routed, fed once per run. Mid-stream registration replays it into
+    /// routed, fed once per sign run. Mid-stream registration replays it into
     /// the home shard for edges new to that shard (see the module docs).
     history: EdgeViewStore,
     /// Number of live (non-tombstoned) queries.
@@ -194,7 +158,7 @@ pub struct ShardedEngine<E> {
     stats: EngineStats,
 }
 
-impl<E: ContinuousEngine + Send + 'static> ShardedEngine<E> {
+impl<E: ContinuousEngine> ShardedEngine<E> {
     /// Builds a sharded engine with `num_shards` shards (clamped to at least
     /// one), each backed by a fresh inner engine from `factory`.
     pub fn new(num_shards: usize, mut factory: impl FnMut() -> E) -> Self {
@@ -203,7 +167,6 @@ impl<E: ContinuousEngine + Send + 'static> ShardedEngine<E> {
         let name = shards[0].engine.name();
         ShardedEngine {
             shards,
-            pool: None,
             route_index: FxHashMap::default(),
             route_marks: vec![false; n],
             route_marked: Vec::new(),
@@ -283,61 +246,23 @@ impl<E: ContinuousEngine + Send + 'static> ShardedEngine<E> {
         }
     }
 
-    /// The core for `num_shards > 1`, one same-sign run at a time: the
-    /// wrapper-level history store absorbs the run (mid-stream registration
-    /// must never replay removed rows), the run is routed into per-shard
-    /// slices, every shard with a non-empty slice applies it on its inner
-    /// engine ([`Shard::apply_slice`]) — in parallel when at least two
-    /// shards are active and the run is a real batch — and [`merge_run`]
-    /// folds the inner reports. `run` is one non-empty [`sign_runs`] run;
-    /// the wrapper's counters are left to the caller.
-    fn apply_run(&mut self, run: &[Update]) -> MatchReport {
-        let retract = run[0].is_retraction();
-        self.stats.updates_processed += run.len() as u64;
-
-        // Only mid-stream registration reads the history store, so the
-        // per-edge insertion deltas are dropped.
-        if retract {
-            let removed = self.history.remove_deltas(run);
-            self.history.retract_deltas(&removed, None);
-        } else {
-            self.history.apply_batch(run);
+    /// Keeps the wrapper-level history store in step with a batch, one
+    /// same-sign run at a time (mid-stream registration must never replay
+    /// removed rows). Only registration reads the store, so the per-edge
+    /// deltas are dropped.
+    fn record_history(&mut self, updates: &[Update]) {
+        for run in sign_runs(updates) {
+            if run[0].is_retraction() {
+                let removed = self.history.remove_deltas(run);
+                self.history.retract_deltas(&removed, None);
+            } else {
+                self.history.apply_batch(run);
+            }
         }
-
-        self.route_into_slices(run);
-
-        // Worker threads only pay off when several shards have real work;
-        // single-update calls and single-active-shard batches take the
-        // in-place sequential path. The parallel path scatters the shards
-        // over the persistent worker pool — each shard (engine and routed
-        // slice) *moves* into its job and comes back with its report, so the
-        // long-lived workers need no scoped borrows. The pool is spawned
-        // once, on the first batch that needs it, and reused for the
-        // engine's whole life.
-        let active = self.shards.iter().filter(|s| !s.slice.is_empty()).count();
-        let reports: Vec<MatchReport> = if active >= 2 && run.len() > 1 {
-            let threads = self.shards.len().min(WorkerPool::default_threads());
-            let pool = self.pool.get_or_insert_with(|| WorkerPool::new(threads));
-            let jobs: Vec<_> = std::mem::take(&mut self.shards)
-                .into_iter()
-                .map(|mut shard| {
-                    move || {
-                        let report = shard.apply_slice();
-                        (shard, report)
-                    }
-                })
-                .collect();
-            let (shards, reports) = pool.scatter(jobs).into_iter().unzip();
-            self.shards = shards;
-            reports
-        } else {
-            self.shards.iter_mut().map(Shard::apply_slice).collect()
-        };
-        merge_run(retract, &self.shards, &reports)
     }
 }
 
-impl<E: ContinuousEngine + Send + 'static> ContinuousEngine for ShardedEngine<E> {
+impl<E: ContinuousEngine> ContinuousEngine for ShardedEngine<E> {
     fn name(&self) -> &'static str {
         self.name
     }
@@ -432,17 +357,29 @@ impl<E: ContinuousEngine + Send + 'static> ContinuousEngine for ShardedEngine<E>
         matches!(self.query_homes.get(query.index()), Some(Some(_)))
     }
 
-    /// Routes, applies and merges every same-sign run (see the module
-    /// docs) and counts the merged report. Staging rides the trait's
-    /// default.
+    /// Routes the batch once, applies each shard's ordered slice — mixed
+    /// signs included — with one inner `apply_batch`, and merges the inner
+    /// reports (see the module docs). Staging rides the trait's default.
     fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
         if self.shards.len() == 1 {
             return self.shards[0].engine.apply_batch(updates);
         }
-        let report = sign_runs(updates)
-            .map(|run| self.apply_run(run))
-            .reduce(|merged, report| merged.merge(&report))
-            .unwrap_or_default();
+        self.stats.updates_processed += updates.len() as u64;
+        self.record_history(updates);
+        self.route_into_slices(updates);
+        // Every query is reported by exactly one shard, so folding the inner
+        // reports into wrapper ids — both counts at once — only translates
+        // and sorts.
+        let mut matches: Vec<QueryMatch> = Vec::new();
+        for shard in self.shards.iter_mut().filter(|s| !s.slice.is_empty()) {
+            let report = shard.engine.apply_batch(&shard.slice);
+            matches.extend(report.matches.into_iter().map(|m| QueryMatch {
+                query: shard.local_to_global[m.query.index()],
+                ..m
+            }));
+        }
+        matches.sort_unstable_by_key(|m| m.query);
+        let report = MatchReport { matches };
         // Inner engines count their own reports (late-registration replays
         // included); in sharded deployments the wrapper's counters are the
         // authoritative ones (see `stats`).

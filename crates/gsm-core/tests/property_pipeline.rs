@@ -1,7 +1,7 @@
 //! Property-based tests for the pipelined executor's ordering machinery:
 //! the [`ReorderBuffer`] in isolation, the multi-worker answer stage end to
-//! end, panic propagation from detached answer tasks, and the sign-run
-//! splitter on mixed insert+retraction flushes.
+//! end, panic propagation from detached answer tasks, and whole-flush
+//! staging of mixed insert+retraction flushes.
 
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver};
@@ -14,7 +14,7 @@ use gsm_core::engine::{
 };
 use gsm_core::error::Result;
 use gsm_core::interner::Sym;
-use gsm_core::model::update::{sign_runs, Update};
+use gsm_core::model::update::Update;
 use gsm_core::pipeline::{PipelineConfig, PipelinedEngine, ReorderBuffer};
 use gsm_core::query::pattern::QueryPattern;
 
@@ -139,13 +139,11 @@ proptest! {
 }
 
 /// A toy z-set engine with the staging shape the real engines use: state
-/// is a multiset of edges; a sign-pure run commits its transitions and
-/// computes its report at stage time — 0→1 transitions are new embeddings,
-/// 1→0 retracted — stamped with the run's stage sequence number, making
-/// FIFO completion directly observable; the detached task sleeps a
-/// strategy-picked delay before handing it back. The toy *panics* if
-/// `stage_batch` ever receives a mixed-sign batch, pinning the executor's
-/// obligation to split flushes with [`sign_runs`] first.
+/// is a multiset of edges; a batch — mixed signs included — commits its
+/// transitions in stream order and computes its report at stage time: 0→1
+/// transitions are new embeddings, 1→0 retracted, stamped with the batch's
+/// sequence number, making FIFO completion directly observable; the
+/// detached task sleeps a strategy-picked delay before handing it back.
 struct ZSetToy {
     state: HashMap<(Sym, Sym, Sym), i64>,
     stats: EngineStats,
@@ -168,9 +166,9 @@ impl ZSetToy {
         }
     }
 
-    /// Commits a run into the z-set, returning the `(0→1, 1→0)` transition
+    /// Commits a batch into the z-set, returning the `(0→1, 1→0)` transition
     /// counts. Retractions of absent edges are no-ops, like the real views.
-    fn commit_run(&mut self, updates: &[Update]) -> (u64, u64) {
+    fn commit(&mut self, updates: &[Update]) -> (u64, u64) {
         let (mut new, mut gone) = (0u64, 0u64);
         for u in updates {
             let e = u.edge();
@@ -191,18 +189,6 @@ impl ZSetToy {
         }
         (new, gone)
     }
-
-    /// A sign-pure run reports either appearing or disappearing embeddings,
-    /// never both, under the query id `qid`.
-    fn run_report(qid: QueryId, new: u64, gone: u64) -> MatchReport {
-        if gone > 0 {
-            MatchReport::from_retraction_counts(vec![(qid, gone)])
-        } else if new > 0 {
-            MatchReport::from_counts(vec![(qid, new)])
-        } else {
-            MatchReport::empty()
-        }
-    }
 }
 
 impl ContinuousEngine for ZSetToy {
@@ -212,39 +198,23 @@ impl ContinuousEngine for ZSetToy {
     fn register_query(&mut self, _q: &QueryPattern) -> Result<QueryId> {
         Ok(QueryId(0))
     }
-    /// The eager path: splits into sign runs itself and merges the run
-    /// reports (under query id 0 — an eager flush has no stage sequence).
+    /// Reports both counts of the batch under its sequence number; staging
+    /// rides the trait's default.
     fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
         self.stats.updates_processed += updates.len() as u64;
-        let mut report = MatchReport::empty();
-        for run in sign_runs(updates) {
-            let (new, gone) = self.commit_run(run);
-            report = report.merge(&Self::run_report(QueryId(0), new, gone));
-        }
+        let (new, gone) = self.commit(updates);
+        let qid = QueryId(self.seq as u32);
+        self.seq += 1;
+        let report = MatchReport::from_counts(vec![(qid, new)])
+            .merge(&MatchReport::from_retraction_counts(vec![(qid, gone)]));
         self.stats.notifications += report.len() as u64;
         self.stats.embeddings += report.total_embeddings();
         self.stats.retracted += report.total_retracted();
         report
     }
-    fn stage_batch(&mut self, updates: &[Update]) -> StagedBatch {
-        assert!(
-            updates
-                .windows(2)
-                .all(|w| w[0].is_retraction() == w[1].is_retraction()),
-            "executor staged a mixed-sign batch instead of splitting it"
-        );
-        self.stats.updates_processed += updates.len() as u64;
-        let (new, gone) = self.commit_run(updates);
-        let report = Self::run_report(QueryId(self.seq as u32), new, gone);
-        self.seq += 1;
-        self.stats.notifications += report.len() as u64;
-        self.stats.embeddings += report.total_embeddings();
-        self.stats.retracted += report.total_retracted();
-        StagedBatch::immediate(report)
-    }
     fn detach_staged(&mut self, staged: StagedBatch) -> DetachedAnswer {
         let report = staged.into_immediate();
-        // Runs are numbered from 0; `self.seq` is already the next one.
+        // Batches are numbered from 0; `self.seq` is already the next one.
         let delay = self.delays_us[(self.seq - 1) as usize % self.delays_us.len()];
         let gate = self.gate.take();
         DetachedAnswer::task(move || {
@@ -352,12 +322,13 @@ proptest! {
         );
     }
 
-    /// Mixed-sign flushes through the threaded pipeline split into
-    /// separately-staged sign-pure runs: completed batches arrive in FIFO
-    /// stage order, tile the stream at sign-run granularity, and report
-    /// exactly what a sequential stage-and-answer of the same runs reports.
+    /// Mixed-sign flushes through the threaded pipeline stage whole: one
+    /// completed batch per flush, in FIFO stage order, tiling the stream
+    /// at flush granularity, each reporting exactly what `apply_batch` of
+    /// the same flush reports — both counts of a flush that gains and
+    /// loses embeddings.
     #[test]
-    fn mixed_sign_flushes_split_into_fifo_sign_runs(
+    fn mixed_sign_flushes_stage_whole_in_fifo_order(
         ops in proptest::collection::vec((any::<bool>(), 0u32..5), 1..40),
         max_batch in 1usize..6,
         workers in 1usize..5,
@@ -373,22 +344,14 @@ proptest! {
             .collect();
 
         // Flush boundaries are deterministic at a fixed clock (the deadline
-        // never fires): chunks of `max_batch`, refined into sign runs.
-        let mut expected_runs: Vec<&[Update]> = Vec::new();
-        for flush in stream.chunks(max_batch) {
-            expected_runs.extend(sign_runs(flush));
-        }
+        // never fires): chunks of `max_batch`, whatever their signs.
+        let flushes: Vec<&[Update]> = stream.chunks(max_batch).collect();
 
-        // Sequential reference: stage + answer each run in order, which
-        // numbers the runs exactly as the pipeline's stage phase will.
+        // Sequential reference: `apply_batch` of each flush in order, which
+        // numbers the flushes exactly as the pipeline's stage phase will.
         let mut reference = ZSetToy::new(vec![0]);
-        let expected: Vec<MatchReport> = expected_runs
-            .iter()
-            .map(|run| {
-                let staged = reference.stage_batch(run);
-                reference.answer_staged(staged)
-            })
-            .collect();
+        let expected: Vec<MatchReport> =
+            flushes.iter().map(|flush| reference.apply_batch(flush)).collect();
 
         let config = PipelineConfig::new(max_batch, Duration::from_secs(60))
             .threaded()
@@ -401,9 +364,9 @@ proptest! {
         }
         completed.extend(pipe.drain());
 
-        prop_assert_eq!(completed.len(), expected_runs.len());
+        prop_assert_eq!(completed.len(), flushes.len());
         for (i, batch) in completed.iter().enumerate() {
-            prop_assert_eq!(batch.updates, expected_runs[i].len(), "tile #{}", i);
+            prop_assert_eq!(batch.updates, flushes[i].len(), "tile #{}", i);
             // Reports are stamped with the stage sequence number, so this
             // equality is simultaneously the FIFO-order check.
             prop_assert_eq!(

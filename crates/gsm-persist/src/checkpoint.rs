@@ -25,6 +25,8 @@
 //! highest *valid* one, so a crash mid-checkpoint-write at worst wastes the
 //! newest file.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use gsm_core::engine::EngineStats;
 use gsm_core::interner::{Sym, SymbolTable};
 use gsm_core::query::pattern::QueryPattern;
@@ -48,9 +50,9 @@ pub struct QueryTotals {
     pub notifications: u64,
 }
 
-/// The full logical snapshot stored in one checkpoint file.
-/// (No `PartialEq`: compare via [`encode`], which is canonical — equal
-/// snapshots encode to identical bytes.)
+/// The full logical snapshot stored in one checkpoint file, as [`decode`]
+/// returns it. (No `PartialEq`: compare via [`encode`], which is canonical
+/// — equal snapshots encode to identical bytes.)
 #[derive(Debug, Clone)]
 pub struct CheckpointData {
     /// Operations with `seq < covered_seq` are captured by this snapshot;
@@ -64,45 +66,52 @@ pub struct CheckpointData {
     /// including tombstoned slots — ids are never reused, so recovery
     /// re-registers every slot in order and then unregisters the dead ones.
     pub queries: Vec<QueryPattern>,
-    /// Ids of unregistered (tombstoned) `queries` slots, strictly
-    /// ascending.
-    pub dead_queries: Vec<u32>,
+    /// Ids of unregistered (tombstoned) `queries` slots.
+    pub dead_queries: BTreeSet<u32>,
     /// Durable per-query totals, indexed like `queries` (dead slots keep
     /// their accumulated totals).
     pub totals: Vec<QueryTotals>,
-    /// Survivor edge store: live `(src, tgt)` relation per edge label,
-    /// sorted by label.
-    pub shadow: Vec<(Sym, Relation)>,
+    /// Survivor edge store: live `(src, tgt)` relation per edge label.
+    pub shadow: BTreeMap<Sym, Relation>,
 }
 
 /// Encodes a checkpoint into its on-disk bytes (magic, version, body,
-/// trailing CRC).
-pub fn encode(data: &CheckpointData) -> Vec<u8> {
+/// trailing CRC), straight from borrowed state: the fields of
+/// [`CheckpointData`], in its order, wherever they live.
+pub fn encode(
+    covered_seq: u64,
+    stats: &EngineStats,
+    symbols: &SymbolTable,
+    queries: &[QueryPattern],
+    dead_queries: &BTreeSet<u32>,
+    totals: &[QueryTotals],
+    shadow: &BTreeMap<Sym, Relation>,
+) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     put_u32(&mut out, VERSION);
-    put_u64(&mut out, data.covered_seq);
-    put_u64(&mut out, data.stats.updates_processed);
-    put_u64(&mut out, data.stats.notifications);
-    put_u64(&mut out, data.stats.embeddings);
-    put_u64(&mut out, data.stats.retracted);
-    codec::put_symbols(&mut out, &data.symbols);
-    put_u32(&mut out, data.queries.len() as u32);
-    for q in &data.queries {
+    put_u64(&mut out, covered_seq);
+    put_u64(&mut out, stats.updates_processed);
+    put_u64(&mut out, stats.notifications);
+    put_u64(&mut out, stats.embeddings);
+    put_u64(&mut out, stats.retracted);
+    codec::put_symbols(&mut out, symbols);
+    put_u32(&mut out, queries.len() as u32);
+    for q in queries {
         codec::put_pattern(&mut out, q);
     }
-    put_u32(&mut out, data.dead_queries.len() as u32);
-    for &qid in &data.dead_queries {
+    put_u32(&mut out, dead_queries.len() as u32);
+    for &qid in dead_queries {
         put_u32(&mut out, qid);
     }
-    put_u32(&mut out, data.totals.len() as u32);
-    for t in &data.totals {
+    put_u32(&mut out, totals.len() as u32);
+    for t in totals {
         put_u64(&mut out, t.embeddings);
         put_u64(&mut out, t.retracted);
         put_u64(&mut out, t.notifications);
     }
-    put_u32(&mut out, data.shadow.len() as u32);
-    for (label, rel) in &data.shadow {
+    put_u32(&mut out, shadow.len() as u32);
+    for (label, rel) in shadow {
         put_u32(&mut out, label.0);
         codec::put_relation(&mut out, rel);
     }
@@ -168,7 +177,7 @@ pub fn decode(bytes: &[u8]) -> CodecResult<CheckpointData> {
             detail: format!("dead count {num_dead} exceeds query count {num_queries}"),
         });
     }
-    let mut dead_queries = Vec::with_capacity(num_dead);
+    let mut dead_queries = BTreeSet::new();
     for _ in 0..num_dead {
         let at = c.pos();
         let qid = c.u32()?;
@@ -178,7 +187,7 @@ pub fn decode(bytes: &[u8]) -> CodecResult<CheckpointData> {
                 detail: format!("dead query id {qid} out of range or out of order"),
             });
         }
-        dead_queries.push(qid);
+        dead_queries.insert(qid);
     }
     let at = c.pos();
     let num_totals = c.u32()? as usize;
@@ -204,19 +213,17 @@ pub fn decode(bytes: &[u8]) -> CodecResult<CheckpointData> {
             detail: format!("shadow count {num_shadow} exceeds remaining bytes"),
         });
     }
-    let mut shadow = Vec::with_capacity(num_shadow);
-    let mut prev_label: Option<u32> = None;
+    let mut shadow = BTreeMap::new();
     for _ in 0..num_shadow {
         let at = c.pos();
-        let label = c.u32()?;
-        if prev_label.is_some_and(|p| p >= label) {
+        let label = Sym(c.u32()?);
+        if shadow.last_key_value().is_some_and(|(&p, _)| p >= label) {
             return Err(CodecError {
                 offset: at as u64,
-                detail: format!("shadow labels out of order at {label}"),
+                detail: format!("shadow labels out of order at {}", label.0),
             });
         }
-        prev_label = Some(label);
-        shadow.push((Sym(label), codec::get_relation(&mut c)?));
+        shadow.insert(label, codec::get_relation(&mut c)?);
     }
     if !c.is_exhausted() {
         return Err(CodecError {
@@ -248,9 +255,10 @@ pub fn parse_file_name(name: &str) -> Option<u64> {
         .ok()
 }
 
-/// Writes `data` to `storage` (a fresh store) and fsyncs it.
-pub fn write(storage: &mut dyn Storage, data: &CheckpointData) -> gsm_core::error::Result<()> {
-    storage.append(&encode(data))?;
+/// Writes encoded checkpoint `bytes` (see [`encode`]) to `storage` (a
+/// fresh store) and fsyncs it.
+pub fn write(storage: &mut dyn Storage, bytes: &[u8]) -> gsm_core::error::Result<()> {
+    storage.append(bytes)?;
     storage.sync()
 }
 
@@ -267,6 +275,18 @@ mod tests {
     use super::*;
     use crate::storage::MemStorage;
 
+    fn encode_data(data: &CheckpointData) -> Vec<u8> {
+        encode(
+            data.covered_seq,
+            &data.stats,
+            &data.symbols,
+            &data.queries,
+            &data.dead_queries,
+            &data.totals,
+            &data.shadow,
+        )
+    }
+
     fn sample() -> CheckpointData {
         let mut symbols = SymbolTable::new();
         let q0 = QueryPattern::parse("?x -knows-> ?y", &mut symbols).unwrap();
@@ -278,8 +298,6 @@ mod tests {
         rel.push(&[Sym(8), Sym(9)]);
         let mut rel2 = Relation::new(2);
         rel2.push(&[Sym(1), Sym(2)]);
-        let mut shadow = vec![(knows, rel), (likes, rel2)];
-        shadow.sort_by_key(|(l, _)| *l);
         CheckpointData {
             covered_seq: 42,
             stats: EngineStats {
@@ -290,7 +308,7 @@ mod tests {
             },
             symbols,
             queries: vec![q0, q1],
-            dead_queries: vec![1],
+            dead_queries: BTreeSet::from([1]),
             totals: vec![
                 QueryTotals {
                     embeddings: 5,
@@ -303,14 +321,14 @@ mod tests {
                     notifications: 1,
                 },
             ],
-            shadow,
+            shadow: BTreeMap::from([(knows, rel), (likes, rel2)]),
         }
     }
 
     #[test]
     fn checkpoint_round_trips_bit_exactly() {
         let data = sample();
-        let bytes = encode(&data);
+        let bytes = encode_data(&data);
         let decoded = decode(&bytes).unwrap();
         assert_eq!(decoded.covered_seq, data.covered_seq);
         assert_eq!(decoded.stats, data.stats);
@@ -327,12 +345,12 @@ mod tests {
             assert_eq!(rows_a, rows_b);
         }
         // Encoding the decoded value reproduces the identical bytes.
-        assert_eq!(encode(&decoded), bytes);
+        assert_eq!(encode_data(&decoded), bytes);
     }
 
     #[test]
     fn corrupt_or_truncated_checkpoints_are_rejected() {
-        let bytes = encode(&sample());
+        let bytes = encode_data(&sample());
         for cut in [0, 5, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode(&bytes[..cut]).is_err(), "cut {cut} accepted");
         }
@@ -349,12 +367,25 @@ mod tests {
     fn malformed_dead_query_lists_are_rejected() {
         // Out of range: a dead id must name an existing slot.
         let mut data = sample();
-        data.dead_queries = vec![2];
-        let err = decode(&encode(&data)).unwrap_err();
+        data.dead_queries = BTreeSet::from([2]);
+        let err = decode(&encode_data(&data)).unwrap_err();
         assert!(err.detail.contains("dead query id"), "{}", err.detail);
-        // Out of order / duplicated ids are rejected too.
-        data.dead_queries = vec![1, 1];
-        let err = decode(&encode(&data)).unwrap_err();
+        // Out of order / duplicated ids are rejected too. A set cannot hold
+        // them, so splice the list `[1, 1]` over the encoded `[1]`: the
+        // count is where the encodings with and without a dead id part.
+        data.dead_queries = BTreeSet::from([1]);
+        let one = encode_data(&data);
+        data.dead_queries.clear();
+        let none = encode_data(&data);
+        let at = one.iter().zip(&none).position(|(a, b)| a != b).unwrap();
+        let mut spliced = one[..at].to_vec();
+        for v in [2, 1, 1] {
+            put_u32(&mut spliced, v);
+        }
+        spliced.extend_from_slice(&one[at + 8..one.len() - 4]);
+        let crc = crc32(&spliced);
+        put_u32(&mut spliced, crc);
+        let err = decode(&spliced).unwrap_err();
         assert!(err.detail.contains("out of range or out of order"));
     }
 
@@ -364,9 +395,9 @@ mod tests {
         let store = MemStorage::new("mem:ckpt");
         let mut handle = store.handle();
         let mut w = store.handle();
-        write(&mut w, &data).unwrap();
+        write(&mut w, &encode_data(&data)).unwrap();
         let back = read(&mut handle).unwrap().expect("valid checkpoint");
-        assert_eq!(encode(&back), encode(&data));
+        assert_eq!(encode_data(&back), encode_data(&data));
         // A torn checkpoint write reads back as None, not an error.
         let torn_len = {
             let raw = store.raw();

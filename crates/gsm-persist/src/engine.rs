@@ -3,24 +3,26 @@
 //!
 //! Every externally visible operation is written ahead to the WAL before
 //! the in-memory engine sees it: symbol interning ([`PersistentEngine::
-//! note_symbols`]), query registration, and signed update batches
-//! ([`PersistentEngine::try_apply_batch`], which the pipelined
-//! [`ContinuousEngine::stage_batch`] path goes through too, so a batch
-//! inside the pipeline window is already durable). Durability is
-//! group-commit: the WAL fsyncs every [`PersistConfig::group_commit`]
-//! records, so with `group_commit > 1` the tail of *acked but unsynced*
-//! batches may be lost by a crash — recovery reports the durable resume
-//! position ([`RecoveryReport::resume_updates`]) and the caller re-feeds
-//! the stream from there.
+//! note_symbols`], one record per call), query registration, and signed
+//! update batches ([`PersistentEngine::try_apply_batch`], which the
+//! pipelined [`ContinuousEngine::stage_batch`] path goes through too, so a
+//! pipelined flush is one record, mixed signs included, and is durable
+//! once staged). Durability is group-commit, counted in updates: a stripe
+//! fsyncs once [`PersistConfig::group_commit`] updates are unsynced, so
+//! with `group_commit > 1` the tail of *acked but unsynced* batches may be
+//! lost by a crash — recovery reports the durable resume position
+//! ([`RecoveryReport::resume_updates`]) and the caller re-feeds the stream
+//! from there.
 //!
 //! Alongside the inner engine the wrapper maintains the durable shadow
 //! state the checkpoint captures: the interner table, registered queries,
 //! per-query totals, cumulative stats, and the survivor edge store (live
 //! edges per label as [`Relation`]s). [`PersistentEngine::
-//! checkpoint`] snapshots all of it to a sequence-stamped file and lets
-//! recovery skip the WAL prefix. A staged batch is already its report, so
-//! a checkpoint may run at any point between calls, automatically
-//! ([`PersistConfig::checkpoint_every`]) or by hand.
+//! checkpoint`] encodes all of it, straight from the live state, to a
+//! sequence-stamped file and lets recovery skip the WAL prefix. A staged
+//! batch is already its report, so a checkpoint may run at any point
+//! between calls, automatically ([`PersistConfig::checkpoint_every`]) or
+//! by hand.
 //!
 //! Recovery ([`PersistentEngine::open`]) = highest valid checkpoint + WAL
 //! suffix replay. With `wal_stripes > 1` record `seq` lives on stripe
@@ -58,12 +60,15 @@ use crate::wal::{self, Wal, WalOp};
 /// Tuning knobs for the persistence layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PersistConfig {
-    /// WAL records per fsync (`1` = sync every record; larger values trade
-    /// the unsynced tail for throughput).
+    /// Unsynced **updates** per stripe that trigger an fsync (`1` = sync
+    /// every record; larger values trade the unsynced tail for
+    /// throughput). A batch record counts its updates, any other record
+    /// one, so after every call each stripe holds fewer than this many
+    /// unsynced updates.
     pub group_commit: usize,
     /// Automatically checkpoint every this many applied batches
     /// (`0` = manual checkpoints only). Batches staged by a pipelined
-    /// executor count too: it stages one batch per sign run.
+    /// executor count too: it stages one batch per flush.
     pub checkpoint_every: u64,
     /// Number of WAL stripes; record `seq` lands on stripe `seq % stripes`.
     /// Pair this with the sharded/pipelined wrappers to keep one log per
@@ -82,9 +87,9 @@ impl Default for PersistConfig {
 }
 
 impl PersistConfig {
-    /// Sets the group-commit interval.
-    pub fn with_group_commit(mut self, records: usize) -> Self {
-        self.group_commit = records.max(1);
+    /// Sets the group-commit bound, in updates.
+    pub fn with_group_commit(mut self, updates: usize) -> Self {
+        self.group_commit = updates.max(1);
         self
     }
 
@@ -129,14 +134,6 @@ fn parse_wal_name(name: &str) -> Option<usize> {
         .strip_suffix(".log")?
         .parse()
         .ok()
-}
-
-fn clone_symbols(table: &SymbolTable) -> SymbolTable {
-    let mut out = SymbolTable::new();
-    for i in 0..table.len() {
-        out.intern(table.resolve(Sym(i as u32)));
-    }
-    out
 }
 
 /// A [`ContinuousEngine`] wrapper adding write-ahead logging, checkpoints
@@ -234,18 +231,14 @@ impl<E: ContinuousEngine> PersistentEngine<E> {
         // Rebuild the engine: checkpoint state, survivor feed, WAL replay.
         let mut inner = make_engine();
         let (symbols, queries, dead, totals, shadow, stats) = match loaded {
-            Some(data) => {
-                let shadow: BTreeMap<Sym, Relation> = data.shadow.into_iter().collect();
-                let dead: BTreeSet<u32> = data.dead_queries.into_iter().collect();
-                (
-                    data.symbols,
-                    data.queries,
-                    dead,
-                    data.totals,
-                    shadow,
-                    data.stats,
-                )
-            }
+            Some(data) => (
+                data.symbols,
+                data.queries,
+                data.dead_queries,
+                data.totals,
+                data.shadow,
+                data.stats,
+            ),
             None => (
                 SymbolTable::new(),
                 Vec::new(),
@@ -296,6 +289,11 @@ impl<E: ContinuousEngine> PersistentEngine<E> {
             match record.op {
                 WalOp::Intern { name } => {
                     engine.symbols.intern(&name);
+                }
+                WalOp::InternBatch { names } => {
+                    for name in &names {
+                        engine.symbols.intern(name);
+                    }
                 }
                 WalOp::Register { pattern } => {
                     engine.inner.register_query(&pattern)?;
@@ -370,14 +368,21 @@ impl<E: ContinuousEngine> PersistentEngine<E> {
     }
 
     /// Logs (and adopts) every symbol of `table` beyond the durable prefix,
-    /// in dense `Sym` order, so persisted `Sym` ids keep their meaning
-    /// across recovery. Call after interning workload symbols and before
-    /// persisting operations that reference them.
+    /// in dense `Sym` order and as one record, so persisted `Sym` ids keep
+    /// their meaning across recovery. Call after interning workload symbols
+    /// and before persisting operations that reference them.
     pub fn note_symbols(&mut self, table: &SymbolTable) -> Result<()> {
-        for i in self.symbols.len()..table.len() {
-            let name = table.resolve(Sym(i as u32)).to_string();
-            self.wal_append(WalOp::Intern { name: name.clone() })?;
-            self.symbols.intern(&name);
+        let new = self.symbols.len()..table.len();
+        if !new.is_empty() {
+            let names = new
+                .clone()
+                .map(|i| table.resolve(Sym(i as u32)).to_string());
+            self.wal_append(WalOp::InternBatch {
+                names: names.collect(),
+            })?;
+            for i in new {
+                self.symbols.intern(table.resolve(Sym(i as u32)));
+            }
         }
         Ok(())
     }
@@ -429,26 +434,23 @@ impl<E: ContinuousEngine> PersistentEngine<E> {
     }
 
     /// Writes a checkpoint covering everything applied so far and returns
-    /// the sequence it covers through. Keeps the current and previous
+    /// the sequence it covers through. The file is encoded straight from
+    /// the live state, nothing copied. Keeps the current and previous
     /// checkpoint files, removing older ones.
     pub fn checkpoint(&mut self) -> Result<u64> {
         self.sync_wals()?;
         let covered_seq = self.next_seq;
-        let data = CheckpointData {
+        let bytes = checkpoint::encode(
             covered_seq,
-            stats: self.stats,
-            symbols: clone_symbols(&self.symbols),
-            queries: self.queries.clone(),
-            dead_queries: self.dead.iter().copied().collect(),
-            totals: self.totals.clone(),
-            shadow: self
-                .shadow
-                .iter()
-                .map(|(label, rel)| (*label, rel.clone()))
-                .collect(),
-        };
+            &self.stats,
+            &self.symbols,
+            &self.queries,
+            &self.dead,
+            &self.totals,
+            &self.shadow,
+        );
         let mut storage = self.factory.open(&checkpoint::file_name(covered_seq))?;
-        checkpoint::write(storage.as_mut(), &data)?;
+        checkpoint::write(storage.as_mut(), &bytes)?;
         // Coordinated marker: one record, merged into every stripe's replay
         // order by seq, tells readers the snapshot boundary.
         self.wal_append(WalOp::Checkpoint {
@@ -576,6 +578,7 @@ impl<E: ContinuousEngine> ContinuousEngine for PersistentEngine<E> {
 mod tests {
     use super::*;
     use crate::storage::{FaultPlan, MemFactory};
+    use gsm_core::pipeline::{PipelineConfig, PipelinedEngine};
     use std::collections::HashSet;
 
     /// Deterministic toy engine whose reports are a pure function of the
@@ -972,12 +975,12 @@ mod tests {
                 engine.try_apply_batch(batch).unwrap();
             }
         }
-        // Chop a record off stripe 1: the seq gap makes every later record
-        // in stripe 0 unreachable too.
+        // Tear the tail of stripe 1's last record: the seq gap makes the
+        // later record in stripe 0 unreachable too.
         let raw1 = disk.raw("wal-01.log").unwrap();
         {
             let mut bytes = raw1.lock().unwrap();
-            let keep = bytes.len() / 2;
+            let keep = bytes.len() - 5;
             bytes.truncate(keep);
         }
         let (recovered, report) = open_mem(&disk, PersistConfig::default().with_wal_stripes(2));
@@ -1128,5 +1131,125 @@ mod tests {
             let sym = Sym(i as u32);
             assert_eq!(restored.resolve(sym), symbols.resolve(sym), "Sym({i})");
         }
+    }
+
+    #[test]
+    fn checkpoint_decodes_to_the_engine_state() {
+        let mut symbols = SymbolTable::new();
+        let queries = two_queries(&mut symbols);
+        let stream = mixed_stream(&mut symbols);
+        let disk = MemFactory::new();
+        let (mut engine, _) = open_mem(&disk, PersistConfig::default());
+        engine.note_symbols(&symbols).unwrap();
+        for q in &queries {
+            engine.try_register_query(q).unwrap();
+        }
+        engine.try_apply_batch(&stream[..9]).unwrap();
+        engine.try_unregister_query(QueryId(0)).unwrap();
+        engine.try_apply_batch(&stream[9..]).unwrap();
+        let seq = engine.checkpoint().unwrap();
+
+        let mut storage = disk.handle().open(&checkpoint::file_name(seq)).unwrap();
+        let data = checkpoint::read(storage.as_mut()).unwrap().expect("valid");
+        assert_eq!(data.covered_seq, seq);
+        assert_eq!(data.stats, engine.stats());
+        assert_eq!(data.symbols.len(), symbols.len());
+        for i in 0..symbols.len() {
+            let sym = Sym(i as u32);
+            assert_eq!(data.symbols.resolve(sym), symbols.resolve(sym), "Sym({i})");
+        }
+        assert_eq!(data.queries, queries);
+        assert_eq!(data.dead_queries, BTreeSet::from([0]));
+        assert_eq!(data.totals, engine.totals());
+        assert!(!data.shadow.is_empty());
+        assert_eq!(data.shadow.len(), engine.shadow.len());
+        for ((la, ra), (lb, rb)) in data.shadow.iter().zip(&engine.shadow) {
+            assert_eq!(la, lb);
+            assert_eq!(ra.generation(), rb.generation());
+            assert_eq!(ra.to_vec(), rb.to_vec(), "label {la:?}");
+        }
+    }
+
+    #[test]
+    fn recovery_replays_both_intern_record_forms() {
+        // A log written before one-record interning holds one kind-1
+        // record per name; later `note_symbols` calls append kind-6
+        // records. Recovery adopts both, in seq order.
+        let mut symbols = SymbolTable::new();
+        let queries = two_queries(&mut symbols);
+        let stream = mixed_stream(&mut symbols);
+        let disk = MemFactory::new();
+        {
+            let storage = disk.handle().open(&wal_name(0)).unwrap();
+            let mut wal = Wal::new(storage, 1);
+            for i in 0..symbols.len() {
+                let name = symbols.resolve(Sym(i as u32)).to_string();
+                wal.append(i as u64, &WalOp::Intern { name }).unwrap();
+            }
+        }
+        let late = symbols.intern("late");
+        let later = symbols.intern("later");
+        {
+            let (mut engine, report) = open_mem(&disk, PersistConfig::default());
+            assert_eq!(report.replayed_records, symbols.len() - 2);
+            let before = engine.next_seq();
+            engine.note_symbols(&symbols).unwrap();
+            assert_eq!(engine.next_seq(), before + 1, "two names, one record");
+            for q in &queries {
+                engine.try_register_query(q).unwrap();
+            }
+            engine.try_apply_batch(&stream).unwrap();
+        }
+        let (recovered, report) = open_mem(&disk, PersistConfig::default());
+        assert_eq!(report.resume_updates, stream.len() as u64);
+        let restored = recovered.symbols();
+        assert_eq!(restored.len(), symbols.len());
+        for i in 0..symbols.len() {
+            let sym = Sym(i as u32);
+            assert_eq!(restored.resolve(sym), symbols.resolve(sym), "Sym({i})");
+        }
+        assert_eq!(restored.resolve(late), "late");
+        assert_eq!(restored.resolve(later), "later");
+    }
+
+    #[test]
+    fn pipelined_mixed_flush_is_one_record() {
+        // Behind a pipeline, a flush of eight updates mixing both signs is
+        // one WAL record, and recovery reproduces both counts per query.
+        let mut symbols = SymbolTable::new();
+        let queries = two_queries(&mut symbols);
+        let stream = mixed_stream(&mut symbols);
+        let flush = &stream[8..];
+        assert_eq!(flush.len(), 8);
+        assert!(flush.iter().any(Update::is_retraction));
+        assert!(flush.iter().any(|u| !u.is_retraction()));
+
+        let disk = MemFactory::new();
+        let totals = {
+            let (mut engine, _) = open_mem(&disk, PersistConfig::default());
+            engine.note_symbols(&symbols).unwrap();
+            for q in &queries {
+                engine.try_register_query(q).unwrap();
+            }
+            engine.try_apply_batch(&stream[..8]).unwrap();
+            let config = PipelineConfig::new(8, std::time::Duration::from_secs(60));
+            let mut pipe = PipelinedEngine::new(engine, config);
+            let before = pipe.engine().next_seq();
+            let now = std::time::Instant::now();
+            let mut done = Vec::new();
+            for &u in flush {
+                done.extend(pipe.push_at(u, now));
+            }
+            assert_eq!(done.len(), 1, "one completed batch per flush");
+            assert_eq!(done[0].updates, 8);
+            assert!(done[0].report.total_embeddings() > 0);
+            assert!(done[0].report.total_retracted() > 0);
+            assert_eq!(pipe.engine().next_seq(), before + 1, "one record");
+            pipe.engine().totals().to_vec()
+        };
+        assert!(totals.iter().any(|t| t.retracted > 0));
+        let (recovered, report) = open_mem(&disk, PersistConfig::default());
+        assert_eq!(report.resume_updates, stream.len() as u64);
+        assert_eq!(recovered.totals(), &totals[..]);
     }
 }

@@ -3,7 +3,8 @@
 //! Every durable operation — symbol interning, query registration, signed
 //! update batches, checkpoint markers — is appended to a WAL stripe as one
 //! checksummed, length-prefixed record **before** the in-memory engine sees
-//! it. The frame is
+//! it: a pipelined flush is one batch record, mixed signs included, and a
+//! run of newly interned symbols is one intern record. The frame is
 //!
 //! ```text
 //! [len: u32 LE][crc32(payload): u32 LE][payload]
@@ -14,10 +15,13 @@
 //! record `seq` lands on stripe `seq % stripes`, and recovery merges the
 //! stripes back into one sequence (see [`merge_stripes`]).
 //!
-//! Durability is group-commit: [`Wal::append`] buffers in the backing
-//! storage and fsyncs once every `group_commit` records (and on
-//! [`Wal::sync`], which the engine calls before reporting a batch applied
-//! when the boundary is reached). Reading ([`read_records`]) is
+//! Durability is group-commit, counted in **updates**, the unit recovery
+//! resumes in ([`crate::RecoveryReport::resume_updates`]): a batch record
+//! weighs the updates it carries, any other record weighs one, and
+//! [`Wal::append`] buffers in the backing storage until the unsynced weight
+//! reaches `group_commit`, then fsyncs before it returns (and on
+//! [`Wal::sync`]). After any append returns, a stripe therefore holds
+//! fewer than `group_commit` unsynced updates. Reading ([`read_records`]) is
 //! prefix-tolerant by construction — a torn tail, a short header, or a
 //! bit-flipped payload fails its length/CRC/decode check and reading stops
 //! cleanly at the last valid record, returning the byte offset of the valid
@@ -34,7 +38,8 @@ use crate::storage::{persistence_error, Storage};
 /// One logical WAL operation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalOp {
-    /// A symbol interned into the table; replaying interns in seq order
+    /// One symbol interned into the table, the form logs written before
+    /// [`WalOp::InternBatch`] hold; replaying interns in seq order
     /// reproduces the identical dense `Sym` assignment.
     Intern {
         /// The interned name.
@@ -63,6 +68,13 @@ pub enum WalOp {
         /// The unregistered query id.
         query: QueryId,
     },
+    /// Symbols interned into the table, in dense `Sym` order: what
+    /// [`PersistentEngine::note_symbols`](crate::PersistentEngine::note_symbols)
+    /// logs, one record however many names it adopts.
+    InternBatch {
+        /// The interned names, in `Sym` order.
+        names: Vec<String>,
+    },
 }
 
 const KIND_INTERN: u8 = 1;
@@ -70,6 +82,7 @@ const KIND_REGISTER: u8 = 2;
 const KIND_BATCH: u8 = 3;
 const KIND_CHECKPOINT: u8 = 4;
 const KIND_UNREGISTER: u8 = 5;
+const KIND_INTERN_BATCH: u8 = 6;
 
 /// A decoded WAL record: the global sequence number plus the operation.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,6 +122,14 @@ pub fn encode_record(seq: u64, op: &WalOp) -> Vec<u8> {
             put_u64(&mut payload, seq);
             put_u32(&mut payload, query.0);
         }
+        WalOp::InternBatch { names } => {
+            payload.push(KIND_INTERN_BATCH);
+            put_u64(&mut payload, seq);
+            put_u32(&mut payload, names.len() as u32);
+            for name in names {
+                put_str(&mut payload, name);
+            }
+        }
     }
     let mut frame = Vec::with_capacity(8 + payload.len());
     put_u32(&mut frame, payload.len() as u32);
@@ -132,6 +153,13 @@ fn decode_payload(payload: &[u8]) -> codec::CodecResult<WalRecord> {
         KIND_CHECKPOINT => WalOp::Checkpoint { ckpt_seq: c.u64()? },
         KIND_UNREGISTER => WalOp::Unregister {
             query: QueryId(c.u32()?),
+        },
+        // Collecting grows the list only as names decode, so a corrupt
+        // count fails at the end of the payload, not in an allocation.
+        KIND_INTERN_BATCH => WalOp::InternBatch {
+            names: (0..c.u32()?)
+                .map(|_| c.str())
+                .collect::<codec::CodecResult<_>>()?,
         },
         other => {
             return Err(codec::CodecError {
@@ -242,12 +270,13 @@ pub fn merge_stripes(
 pub struct Wal {
     storage: Box<dyn Storage>,
     group_commit: usize,
+    /// Weight (updates, see the module docs) appended since the last sync.
     pending: usize,
 }
 
 impl Wal {
-    /// Wraps `storage` as a WAL stripe syncing every `group_commit`
-    /// appended records (`0` is treated as `1`: sync every record).
+    /// Wraps `storage` as a WAL stripe that syncs once `group_commit`
+    /// updates are unsynced (`0` is treated as `1`: sync every record).
     pub fn new(storage: Box<dyn Storage>, group_commit: usize) -> Self {
         Wal {
             storage,
@@ -256,12 +285,17 @@ impl Wal {
         }
     }
 
-    /// Appends one record and fsyncs if the group-commit boundary is
-    /// reached. Returns whether this append synced.
+    /// Appends one record and fsyncs if the unsynced weight — a batch
+    /// record's update count, one for any other record — reaches the
+    /// group-commit bound. Returns whether this append synced.
     pub fn append(&mut self, seq: u64, op: &WalOp) -> Result<bool> {
         let frame = encode_record(seq, op);
         self.storage.append(&frame)?;
-        self.pending += 1;
+        // Every record weighs at least one, so the bound syncs it too.
+        self.pending += match op {
+            WalOp::Batch { updates } => updates.len().max(1),
+            _ => 1,
+        };
         if self.pending >= self.group_commit {
             self.sync()?;
             return Ok(true);
@@ -278,7 +312,8 @@ impl Wal {
         Ok(())
     }
 
-    /// Records appended since the last sync (durability debt).
+    /// Updates appended since the last sync, counting one for every
+    /// non-batch record (durability debt).
     pub fn pending(&self) -> usize {
         self.pending
     }
@@ -336,6 +371,9 @@ mod tests {
             },
             WalOp::Checkpoint { ckpt_seq: 2 },
             WalOp::Unregister { query: QueryId(0) },
+            WalOp::InternBatch {
+                names: vec!["likes".to_string(), String::new(), "ü".to_string()],
+            },
         ]
     }
 
@@ -349,14 +387,15 @@ mod tests {
         }
         wal.sync().unwrap();
         let (records, valid) = read_records(&mut handle).unwrap();
-        assert_eq!(records.len(), 5);
+        assert_eq!(records.len(), 6);
         assert_eq!(valid, handle.len().unwrap());
         assert_eq!(
             records.iter().map(|r| r.seq).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3, 4]
+            vec![0, 1, 2, 3, 4, 5]
         );
         assert_eq!(records[3].op, WalOp::Checkpoint { ckpt_seq: 2 });
         assert_eq!(records[4].op, WalOp::Unregister { query: QueryId(0) });
+        assert_eq!(records[5].op, sample_ops()[5]);
     }
 
     #[test]
@@ -422,6 +461,55 @@ mod tests {
             }
             other => panic!("expected persistence error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn group_commit_counts_updates() {
+        // FailSync makes every fsync fail, so whether an append synced is
+        // observable. The bound is 32 updates: a batch record weighs its
+        // update count, any other record weighs one.
+        let failing = || {
+            Wal::new(
+                Box::new(FaultStorage::new(
+                    MemStorage::new("mem:wal"),
+                    FaultPlan::FailSync,
+                )),
+                32,
+            )
+        };
+        let batch = |n: u32| WalOp::Batch {
+            updates: (0..n)
+                .map(|i| Update::new(Sym(0), Sym(i), Sym(i + 1)))
+                .collect(),
+        };
+        let syncs = |result: Result<bool>| match result {
+            Ok(synced) => synced,
+            Err(gsm_core::error::Error::Persistence { detail, .. }) => {
+                assert!(detail.contains("fsync"), "{detail}");
+                true
+            }
+            Err(other) => panic!("expected persistence error, got {other:?}"),
+        };
+
+        // One 64-update record is past the bound on its own.
+        assert!(syncs(failing().append(0, &batch(64))));
+
+        // 31 one-update records stay below it...
+        let mut wal = failing();
+        for seq in 0..31 {
+            assert!(!syncs(wal.append(seq, &batch(1))), "record {seq}");
+        }
+        assert_eq!(wal.pending(), 31);
+        // ...and an intern record weighs one, so it reaches the bound.
+        let intern = WalOp::InternBatch {
+            names: (0..100).map(|i| format!("n{i}")).collect(),
+        };
+        assert!(syncs(wal.append(31, &intern)));
+
+        // A 31-update record plus one more update reaches it too.
+        let mut wal = failing();
+        assert!(!syncs(wal.append(0, &batch(31))));
+        assert!(syncs(wal.append(1, &batch(1))));
     }
 
     #[test]

@@ -93,7 +93,7 @@ fn op_strategy() -> impl Strategy<Value = WalOp> {
     // One tuple with every payload, discriminated by `kind` (the stand-in
     // has no prop_oneof).
     (
-        0u32..4,
+        0u32..5,
         0u32..200,
         pattern_strategy(),
         batch_strategy(),
@@ -105,6 +105,9 @@ fn op_strategy() -> impl Strategy<Value = WalOp> {
             },
             1 => WalOp::Register { pattern },
             2 => WalOp::Batch { updates },
+            3 => WalOp::InternBatch {
+                names: (0..name % 5).map(|i| format!("sym{name}-{i}")).collect(),
+            },
             _ => WalOp::Checkpoint { ckpt_seq },
         })
 }

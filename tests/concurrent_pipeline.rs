@@ -3,8 +3,7 @@
 //! answer workers — `PipelineConfig::answer_thread` / `answer_workers`) must
 //! produce byte-identical reports to sequential per-update execution, for
 //! every engine, on every workload generator, at every answer-worker count,
-//! including composed with the sharded wrapper and its persistent worker
-//! pool.
+//! including composed with the sharded wrapper.
 //!
 //! This is the proof obligation of the cross-thread executor: detached
 //! tasks, the worker pool and the sequence-numbered reorder buffer may
@@ -13,8 +12,8 @@
 //! a ready report. Deletion-heavy and sliding-window workloads ride the
 //! same harness: retraction runs stage like insert runs (joined against the
 //! pre-removal views, then committed, at stage time), so mixed streams
-//! exercise the sign-run splitter and the staged retraction tokens across
-//! every worker count. The
+//! exercise whole-flush staging, the engines' sign-run split and the
+//! staged retraction tokens across every worker count. The
 //! suite also pins the executor's FIFO completion order under a
 //! deliberately slow answer stage (where multiple workers genuinely finish
 //! out of order), and (behind `slow-tests`) soaks the worker pool with a
@@ -90,9 +89,9 @@ fn assert_threaded_equals_sequential_for(
                 let mut offset = 0usize;
                 for (batch_idx, batch) in completed.iter().enumerate() {
                     assert!(batch.updates > 0, "empty completed batch");
-                    // Full-report merge: a completed batch covers a
-                    // sign-pure run, so merging the per-update reports sums
-                    // its new OR retracted embeddings per query.
+                    // Full-report merge: a completed batch covers a whole
+                    // flush, so merging the per-update reports sums its new
+                    // AND retracted embeddings per query.
                     let expected = per_update[engine_idx][offset..offset + batch.updates]
                         .iter()
                         .fold(MatchReport::empty(), |acc, r| acc.merge(r));
@@ -191,8 +190,8 @@ fn threaded_pipeline_equals_sequential_with_high_overlap_and_long_queries() {
 
 #[test]
 fn threaded_pipeline_equals_sequential_on_deletion_heavy_workload() {
-    // Deletion-heavy streams: every flush straddling a sign boundary splits
-    // into separately-staged runs, each answered and committed in turn.
+    // Deletion-heavy streams: a flush straddling a sign boundary stages
+    // whole, and the engine answers and commits its sign runs in turn.
     let workload = Workload::generate(
         WorkloadConfig::new(Dataset::Snb, 350, 16)
             .with_selectivity(0.4)
@@ -217,7 +216,7 @@ fn threaded_pipeline_equals_sequential_on_sliding_window_workload() {
 #[test]
 fn threaded_pipeline_over_sharded_engine_equals_sequential_on_deletions() {
     // Staged sharded retractions composed with the threaded answer stage:
-    // the merged reports of the routed runs cross threads.
+    // the merged reports of the routed flushes cross threads.
     let workload = Workload::generate(
         WorkloadConfig::new(Dataset::Snb, 280, 15)
             .with_selectivity(0.4)
@@ -230,10 +229,10 @@ fn threaded_pipeline_over_sharded_engine_equals_sequential_on_deletions() {
 
 #[test]
 fn threaded_pipeline_over_sharded_engine_equals_sequential() {
-    // The full composition: DeadlineBatcher → stage on the caller thread →
-    // routed runs on the persistent per-shard worker pool, merged → reports
-    // handed back through the answer workers. Three thread domains, one
-    // report stream.
+    // The full composition: DeadlineBatcher → stage on the caller thread,
+    // where each flush is routed once and every shard applies its slice,
+    // merged → reports handed back through the answer workers. Two thread
+    // domains, one report stream.
     let workload =
         Workload::generate(WorkloadConfig::new(Dataset::Snb, 280, 15).with_selectivity(0.4));
     for shards in shard_counts() {
@@ -372,8 +371,7 @@ fn completed_batches_stay_fifo_under_a_slow_answer_stage() {
 
 /// A wrapper injecting `thread::yield_now` at seeded-random points of the
 /// stage phase and of every detached answer task, shaking out scheduling
-/// assumptions between the batcher thread, the shard workers and the answer
-/// thread.
+/// assumptions between the batcher thread and the answer workers.
 struct YieldInjector<E> {
     inner: E,
     state: u64,

@@ -499,8 +499,8 @@ fn pipelined_equals_sequential_with_high_overlap_and_long_queries() {
 #[test]
 fn pipelined_sharded_equals_sequential_on_snb_workload() {
     // Pipeline × sharding composition: the pipelined executor in front of
-    // the sharded wrapper, whose shards answer each staged run on the
-    // worker pool before the wrapper merges. `GSM_SHARDS=<n>` (the CI shard
+    // the sharded wrapper, whose shards answer each staged flush before the
+    // wrapper merges. `GSM_SHARDS=<n>` (the CI shard
     // job) pins the shard count like the other sharded suites.
     let workload =
         Workload::generate(WorkloadConfig::new(Dataset::Snb, 300, 16).with_selectivity(0.4));

@@ -438,9 +438,9 @@ fn windowed_pipeline_over_sharded_engine_matches_live_edge_replay() {
     );
 }
 
-/// The tentpole acceptance matrix: deletion-heavy and windowed mixed
-/// streams pushed through the pipeline with flush size > 1 — so mixed
-/// flushes genuinely split into separately-staged sign runs — across
+/// The staged-retraction acceptance matrix: deletion-heavy and windowed
+/// mixed streams pushed through the pipeline with flush size > 1 — so
+/// mixed flushes genuinely stage whole and the engines split them — across
 /// sharded × inline/threaded × answer-worker configurations.
 /// Completed batches must tile the stream exactly and the net per-query
 /// totals must equal the from-scratch oracle over the surviving edges.

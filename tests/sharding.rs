@@ -494,3 +494,57 @@ fn spanning_query_registered_mid_stream() {
         assert!(total > 0, "phase 2 produced no embeddings");
     }
 }
+
+/// One mixed-sign batch, routed once: a spanning query that gains and
+/// loses embeddings inside it reports both counts, and so do the
+/// shard-local queries beside it, exactly as the unsharded engine reports
+/// them — at 2, 4 and 8 shards, for every engine.
+#[test]
+fn mixed_sign_batch_reports_both_counts_like_the_unsharded_engine() {
+    for num_shards in [2usize, 4, 8] {
+        let mut symbols = SymbolTable::new();
+        let la = label_on_shard(&mut symbols, "a", 0, num_shards, false);
+        let lb = label_on_shard(&mut symbols, "b", 1, num_shards, false);
+        let queries = [
+            format!("?c -{la}-> ?x; ?c -{lb}-> ?y"),
+            format!("?a -{la}-> ?x"),
+            format!("?a -{lb}-> ?x"),
+        ]
+        .map(|q| QueryPattern::parse(&q, &mut symbols).unwrap());
+        let history = [
+            update(&mut symbols, &la, "h", "x1"),
+            update(&mut symbols, &lb, "h", "y1"),
+        ];
+        // The star gains (x2, y1), loses (x1, y1) and (x2, y1), gains
+        // (x1, y2) and (x2, y2), then loses (x1, y2).
+        let batch = [
+            update(&mut symbols, &la, "h", "x2"),
+            update(&mut symbols, &lb, "h", "y1").inverted(),
+            update(&mut symbols, &lb, "h", "y2"),
+            update(&mut symbols, &la, "h", "x1").inverted(),
+        ];
+
+        let mut plain = all_engines();
+        let mut sharded = all_engines_sharded(num_shards);
+        for (p, s) in plain.iter_mut().zip(sharded.iter_mut()) {
+            let ctx = format!("{} × {num_shards} shards", p.name());
+            for q in &queries {
+                assert_eq!(s.register_query(q).unwrap(), p.register_query(q).unwrap());
+            }
+            assert_eq!(s.apply_batch(&history), p.apply_batch(&history), "{ctx}");
+            let expected = p.apply_batch(&batch);
+            assert_eq!(
+                expected.matches[0],
+                QueryMatch {
+                    query: QueryId(0),
+                    new_embeddings: 3,
+                    retracted_embeddings: 3,
+                },
+                "{ctx}: the star gains and loses"
+            );
+            assert_eq!(expected.len(), 3, "{ctx}: every query changed");
+            assert_eq!(s.apply_batch(&batch), expected, "{ctx}");
+            assert_eq!(s.stats().retracted, p.stats().retracted, "{ctx}");
+        }
+    }
+}
