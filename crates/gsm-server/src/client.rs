@@ -7,13 +7,13 @@
 //! reply, and exposes the buffer through [`Client::take_notifications`]
 //! and [`Client::recv_notification`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::json::Json;
-use crate::protocol::{EdgeOp, Request, ServerFrame};
+use crate::protocol::{encode_push, Request, ServerFrame};
 
 /// Errors a client call can produce.
 #[derive(Debug)]
@@ -59,7 +59,7 @@ pub struct Notification {
 pub struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
-    pending: Vec<Notification>,
+    pending: VecDeque<Notification>,
     /// Partial line carried across a read timeout. `read_until` (unlike
     /// `read_line`) keeps already-consumed bytes in its buffer when the
     /// read errors mid-line, so a timeout never corrupts the framing.
@@ -76,7 +76,7 @@ impl Client {
         let mut client = Client {
             writer: stream,
             reader,
-            pending: Vec::new(),
+            pending: VecDeque::new(),
             partial: Vec::new(),
         };
         client.expect_reply("hello")?;
@@ -101,16 +101,8 @@ impl Client {
 
     /// Pushes signed edges: `(retract?, label, src, tgt)`.
     pub fn push(&mut self, edges: &[(bool, &str, &str, &str)]) -> Result<u64, ClientError> {
-        let edges = edges
-            .iter()
-            .map(|&(retract, label, src, tgt)| EdgeOp {
-                retract,
-                label: label.to_string(),
-                src: src.to_string(),
-                tgt: tgt.to_string(),
-            })
-            .collect();
-        let body = self.call(Request::Push { edges })?;
+        self.send_line(encode_push(edges.iter().copied()))?;
+        let body = self.expect_reply("push")?;
         field(&body, "accepted")
     }
 
@@ -135,7 +127,7 @@ impl Client {
     /// Notifications buffered so far (drains the buffer). Does not read
     /// from the socket.
     pub fn take_notifications(&mut self) -> Vec<Notification> {
-        std::mem::take(&mut self.pending)
+        std::mem::take(&mut self.pending).into()
     }
 
     /// Blocks up to `timeout` for one notification (buffered ones are
@@ -144,8 +136,8 @@ impl Client {
         &mut self,
         timeout: Duration,
     ) -> Result<Option<Notification>, ClientError> {
-        if !self.pending.is_empty() {
-            return Ok(Some(self.pending.remove(0)));
+        if let Some(n) = self.pending.pop_front() {
+            return Ok(Some(n));
         }
         self.reader.get_ref().set_read_timeout(Some(timeout))?;
         let result = match self.read_frame() {
@@ -182,8 +174,13 @@ impl Client {
     /// Sends one raw line (no newline needed); test hook for malformed
     /// input.
     pub fn send_raw(&mut self, line: &str) -> Result<(), ClientError> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
+        self.send_line(line.to_string())
+    }
+
+    /// Sends `line` and its newline with one `write`.
+    fn send_line(&mut self, mut line: String) -> Result<(), ClientError> {
+        line.push('\n');
+        self.writer.write_all(line.as_bytes())?;
         Ok(())
     }
 
@@ -193,7 +190,7 @@ impl Client {
         loop {
             match self.read_frame()? {
                 ServerFrame::Notify { id, new, retracted } => {
-                    self.pending.push(Notification { id, new, retracted });
+                    self.pending.push_back(Notification { id, new, retracted });
                 }
                 ServerFrame::Reply { op, ok, body } => return Ok((op, ok, body)),
             }
@@ -202,7 +199,7 @@ impl Client {
 
     fn call(&mut self, req: Request) -> Result<Json, ClientError> {
         let expect = req.op_name();
-        self.send_raw(&req.encode())?;
+        self.send_line(req.encode())?;
         self.expect_reply(expect)
     }
 
@@ -252,4 +249,51 @@ fn field(body: &Json, key: &str) -> Result<u64, ClientError> {
     body.get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| ClientError::Protocol(format!("reply missing integer `{key}`")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{notify, reply_ok};
+    use std::io::Read;
+    use std::net::TcpListener;
+
+    /// Notifications buffered behind a reply come back in arrival order:
+    /// first one at a time through `recv_notification`, then the rest
+    /// through `take_notifications`.
+    #[test]
+    fn buffered_notifications_are_returned_in_arrival_order() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // A scripted server: the hello, then, once the ping arrives, five
+        // notifications ahead of the ping reply in a single write.
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut frames = reply_ok("hello", vec![]) + "\n";
+            stream.write_all(frames.as_bytes()).unwrap();
+            let mut byte = [0u8];
+            while stream.read(&mut byte).unwrap() == 1 && byte[0] != b'\n' {}
+            frames.clear();
+            for id in 0..5 {
+                frames += &(notify(id, id as u64 + 1, 0) + "\n");
+            }
+            frames += &(reply_ok("ping", vec![]) + "\n");
+            stream.write_all(frames.as_bytes()).unwrap();
+            stream
+        });
+
+        let mut client = Client::connect(addr).unwrap();
+        client.ping().unwrap();
+        for id in 0..3 {
+            let n = client
+                .recv_notification(Duration::from_secs(5))
+                .unwrap()
+                .expect("buffered");
+            assert_eq!((n.id, n.new), (id, id as u64 + 1));
+        }
+        let rest: Vec<u32> = client.take_notifications().iter().map(|n| n.id).collect();
+        assert_eq!(rest, vec![3, 4]);
+        assert!(client.take_notifications().is_empty());
+        drop(server.join().unwrap());
+    }
 }

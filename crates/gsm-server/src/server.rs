@@ -12,11 +12,14 @@
 //!   (sized `2 × max_conns + 2`, so every live connection always has
 //!   both of its jobs running);
 //! - **reader jobs** block on the socket, decode one request per line
-//!   (at most `MAX_LINE_BYTES` long) and forward it to the engine thread
-//!   over an mpsc channel;
+//!   (at most `MAX_LINE_BYTES` long, in one pass — see
+//!   [`crate::protocol`]) and forward it to the engine thread over an mpsc
+//!   channel;
 //! - **writer jobs** drain a *bounded* per-connection outbound queue to
 //!   the socket — the engine thread enqueues with `try_send`, and a full
-//!   queue marks the consumer as too slow (see below);
+//!   queue marks the consumer as too slow (see below). Each wake-up takes
+//!   every frame already queued and sends them, newlines included, with
+//!   one `write`;
 //! - the **engine thread** owns the pipeline, the symbol table and the
 //!   `query id → connection` routing table. It is the only thread that
 //!   touches the engine, so no engine state is ever locked.
@@ -216,8 +219,9 @@ fn accept_loop(
         // released by the reader job on its way out.
         if active.load(Ordering::SeqCst) >= config.max_conns {
             let mut stream = stream;
-            let hello = reply_err("hello", "connection limit reached");
-            let _ = writeln!(stream, "{hello}");
+            let mut hello = reply_err("hello", "connection limit reached");
+            hello.push('\n');
+            let _ = stream.write_all(hello.as_bytes());
             continue;
         }
         active.fetch_add(1, Ordering::SeqCst);
@@ -292,12 +296,22 @@ fn reader_job(stream: TcpStream, conn: u64, cmd_tx: &Sender<Command>) {
     let _ = cmd_tx.send(Command::Disconnect { conn });
 }
 
-/// Drains the bounded outbound queue to the socket. Exits when the
-/// engine drops the queue (disconnect) or the socket dies, and shuts the
-/// socket down so the blocked reader job exits too.
+/// Drains the bounded outbound queue to the socket: blocks for one frame,
+/// takes every frame already queued behind it, and writes them all, in
+/// order and newline-terminated, with one `write_all`.
+/// Exits when the engine drops the queue (disconnect) or the socket dies,
+/// and shuts the socket down so the blocked reader job exits too.
 fn writer_job(mut stream: TcpStream, out_rx: Receiver<String>) {
-    for frame in out_rx.iter() {
-        if writeln!(stream, "{frame}").is_err() || stream.flush().is_err() {
+    let mut buf = Vec::new();
+    while let Ok(frame) = out_rx.recv() {
+        buf.clear();
+        buf.extend_from_slice(frame.as_bytes());
+        buf.push(b'\n');
+        while let Ok(frame) = out_rx.try_recv() {
+            buf.extend_from_slice(frame.as_bytes());
+            buf.push(b'\n');
+        }
+        if stream.write_all(&buf).is_err() {
             break;
         }
     }

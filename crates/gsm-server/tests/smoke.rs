@@ -1,7 +1,8 @@
 //! End-to-end smoke tests: real sockets against an ephemeral-port
 //! server, covering the subscription lifecycle, multi-client routing,
-//! error replies, the connection cap and slow-consumer/disconnect
-//! cancellation.
+//! error replies, the connection cap, slow-consumer/disconnect
+//! cancellation, and the line framing in both directions (a request split
+//! across writes, notifications coalesced into few writes).
 
 use std::time::Duration;
 
@@ -275,4 +276,101 @@ fn an_over_long_request_line_gets_one_error_frame_and_a_disconnect() {
         .unwrap()
         .ping()
         .unwrap();
+}
+
+/// A raw connection with read/write timeouts (a silent server fails the
+/// test instead of hanging it), past its hello frame.
+fn raw_connection(
+    server: &Server,
+) -> (std::net::TcpStream, std::io::BufReader<std::net::TcpStream>) {
+    use std::io::BufRead;
+
+    let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .set_write_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut frames = std::io::BufReader::new(stream.try_clone().unwrap());
+    let mut hello = String::new();
+    frames.read_line(&mut hello).unwrap();
+    assert!(hello.contains("hello"), "got {hello}");
+    (stream, frames)
+}
+
+fn next_line(frames: &mut impl std::io::BufRead) -> String {
+    let mut line = String::new();
+    frames.read_line(&mut line).unwrap();
+    line
+}
+
+#[test]
+fn a_push_line_split_across_three_writes_gets_one_reply() {
+    use std::io::Write;
+
+    let server = start(quick_config());
+    let (mut stream, mut frames) = raw_connection(&server);
+    let line = b"{\"op\":\"push\",\"edges\":[[\"+\",\"likes\",\"u1\",\"p1\"]]}\n";
+    for piece in [&line[..9], &line[9..30], &line[30..]] {
+        stream.write_all(piece).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    assert_eq!(
+        next_line(&mut frames),
+        "{\"reply\":\"push\",\"ok\":true,\"accepted\":1}\n"
+    );
+    // Nothing between the push reply and the ping reply: the pieces were
+    // one request, not three malformed ones.
+    assert_eq!(next_line(&mut frames), "{\"reply\":\"ping\",\"ok\":true}\n");
+}
+
+#[test]
+fn notifications_queued_before_the_subscriber_reads_arrive_in_order() {
+    use std::io::Write;
+
+    // One edge per batch, so every edge is one notification frame; a queue
+    // deep enough that the engine never waits on the writer job.
+    let config = ServerConfig {
+        pipeline: PipelineConfig::new(1, Duration::from_millis(1)),
+        outbound_queue: 1024,
+        ..quick_config()
+    };
+    let server = start(config);
+    let (mut subscriber, mut frames) = raw_connection(&server);
+    subscriber
+        .write_all(b"{\"op\":\"register\",\"query\":\"?u -likes-> ?p\"}\n")
+        .unwrap();
+    assert!(next_line(&mut frames).starts_with("{\"reply\":\"register\",\"ok\":true,\"id\":0,"));
+
+    // Insert then retract the same edge, 100 times: the notifications
+    // alternate between one new and one retracted embedding.
+    let mut pusher = Client::connect(server.local_addr()).unwrap();
+    pusher.flush().unwrap();
+    let users: Vec<String> = (0..100).map(|i| format!("u{i}")).collect();
+    let edges: Vec<(bool, &str, &str, &str)> = users
+        .iter()
+        .flat_map(|u| {
+            [
+                (false, "likes", u.as_str(), "p"),
+                (true, "likes", u.as_str(), "p"),
+            ]
+        })
+        .collect();
+    assert_eq!(pusher.push(&edges).unwrap(), 200);
+    // The flush reply means every notification is already queued.
+    pusher.flush().unwrap();
+
+    subscriber.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    for i in 0..200 {
+        let want = if i % 2 == 0 {
+            "{\"notify\":true,\"id\":0,\"new\":1,\"retracted\":0}\n"
+        } else {
+            "{\"notify\":true,\"id\":0,\"new\":0,\"retracted\":1}\n"
+        };
+        assert_eq!(next_line(&mut frames), want, "frame {i}");
+    }
+    assert_eq!(next_line(&mut frames), "{\"reply\":\"ping\",\"ok\":true}\n");
 }
