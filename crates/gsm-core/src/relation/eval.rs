@@ -10,13 +10,15 @@
 use std::borrow::Cow;
 
 use super::cache::JoinCache;
-use super::fasthash::FxHashMap;
-use super::join::{hash_join_with_build, probe_count, JoinBuild};
+use super::join::{probe_count, probe_join, JoinBuild, Version};
 use super::Relation;
 use crate::engine::QueryId;
+use crate::interner::Sym;
 use crate::query::pattern::QVertexId;
 
-/// A per-path relation together with the query vertex each column binds.
+/// A per-path relation together with the query vertex each column binds,
+/// read at one version: all of its rows, or (inside the covering-path join)
+/// the rows it held before or after a run.
 ///
 /// The relation and vertex sequence are borrowed: bindings are built per
 /// affected path on every update, so they must not copy the path's vertex
@@ -28,18 +30,28 @@ pub struct PathBinding<'a> {
     /// For each column of `rel`, the query vertex it binds. Columns may
     /// repeat a vertex (e.g. a path that traverses a cycle).
     pub vertices: &'a [QVertexId],
+    /// Which rows of `rel` the join reads: all of them for a binding made
+    /// by [`PathBinding::new`]; the covering-path join reads the other
+    /// changed paths of a query at their old or new version
+    /// ([`join_covering_paths`]).
+    pub(crate) version: Version<'a>,
 }
 
 impl<'a> PathBinding<'a> {
-    /// Creates a binding; the number of vertices must match the arity.
+    /// Creates a binding over every row of `rel`; the number of vertices
+    /// must match the arity.
     pub fn new(rel: &'a Relation, vertices: &'a [QVertexId]) -> Self {
         assert_eq!(rel.arity(), vertices.len());
-        PathBinding { rel, vertices }
+        PathBinding {
+            rel,
+            vertices,
+            version: Version::All,
+        }
     }
 
-    /// True if the bound relation has no rows.
+    /// True if the bound version holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.rel.is_empty()
+        self.version.len(self.rel) == 0
     }
 }
 
@@ -65,13 +77,16 @@ impl VertexRelation {
     }
 }
 
-/// A normalised binding: the relation is borrowed straight from the input
-/// when no repeated-vertex work was needed (the common case), and owned only
-/// when a selection/projection actually had to materialise rows.
+/// A normalised binding: the relation and vertices are borrowed straight
+/// from the input when no repeated-vertex work was needed (the common case),
+/// and owned only when a selection/projection actually had to materialise
+/// rows.
 #[derive(Debug, Clone)]
 struct Normalised<'a> {
     rel: Cow<'a, Relation>,
-    vertices: Vec<QVertexId>,
+    /// The rows of `rel` the join reads.
+    version: Version<'a>,
+    vertices: Cow<'a, [QVertexId]>,
     /// True when a build over `rel` may be cached: a long-lived full view
     /// passed through unchanged. Deltas, filtered/projected copies and
     /// intermediate results are transient, and their never-reused ids would
@@ -79,39 +94,55 @@ struct Normalised<'a> {
     cacheable: bool,
 }
 
+impl Normalised<'_> {
+    /// Number of rows the join reads.
+    fn len(&self) -> usize {
+        self.version.len(&self.rel)
+    }
+}
+
 /// Normalises a single path binding: enforce repeated vertices (selection)
 /// and project to one column per distinct vertex (first occurrence order).
-/// Bindings without repeated vertices — the overwhelming majority — are
-/// passed through without copying a single row, and stay cacheable when the
-/// binding is `long_lived`.
+/// Bindings without repeated vertices — the overwhelming majority, told
+/// apart by comparing the binding's few vertices pairwise — are passed
+/// through without copying a single row or vertex, keep their version, and
+/// stay cacheable when the binding is `long_lived`. A filtered copy holds
+/// exactly the rows of the binding's version, so it reads all of itself.
 fn normalise<'a>(binding: &PathBinding<'a>, long_lived: bool) -> Normalised<'a> {
-    // Find repeated vertices and the first-occurrence projection in one scan.
-    let mut groups: FxHashMap<QVertexId, Vec<usize>> = FxHashMap::default();
-    for (col, &v) in binding.vertices.iter().enumerate() {
-        groups.entry(v).or_default().push(col);
-    }
-    if groups.len() == binding.vertices.len() {
-        // All vertices distinct: nothing to enforce, nothing to project away.
+    let vertices = binding.vertices;
+    if (1..vertices.len()).all(|c| !vertices[..c].contains(&vertices[c])) {
         return Normalised {
             rel: Cow::Borrowed(binding.rel),
-            vertices: binding.vertices.to_vec(),
+            version: binding.version,
+            vertices: Cow::Borrowed(vertices),
             cacheable: long_lived,
         };
     }
-    let filter_groups: Vec<Vec<usize>> = groups.values().filter(|g| g.len() > 1).cloned().collect();
-    let filtered = binding.rel.filter_equal_groups(&filter_groups);
-    // Project to the first occurrence of each vertex.
-    let mut seen = Vec::new();
-    let mut cols = Vec::new();
-    for (col, &v) in binding.vertices.iter().enumerate() {
-        if !seen.contains(&v) {
-            seen.push(v);
-            cols.push(col);
+    // A row survives when every column equals its vertex's first column,
+    // and is projected onto the first columns. Equal columns make that
+    // projection injective on the survivors, so the copy is distinct by
+    // construction.
+    let first: Vec<usize> = vertices
+        .iter()
+        .map(|v| vertices.iter().position(|x| x == v).expect("present"))
+        .collect();
+    let cols: Vec<usize> = (0..vertices.len()).filter(|&c| first[c] == c).collect();
+    let mut rel = Relation::new_distinct(cols.len());
+    let mut row_buf = vec![Sym(0); cols.len()];
+    for range in binding.version.ranges(binding.rel.len()) {
+        for row in binding.rel.iter_range(range) {
+            if row.iter().zip(&first).all(|(value, &f)| *value == row[f]) {
+                for (slot, &c) in row_buf.iter_mut().zip(&cols) {
+                    *slot = row[c];
+                }
+                rel.append_distinct(&row_buf);
+            }
         }
     }
     Normalised {
-        rel: Cow::Owned(filtered.project(&cols)),
-        vertices: seen,
+        rel: Cow::Owned(rel),
+        version: Version::All,
+        vertices: cols.iter().map(|&c| vertices[c]).collect(),
         cacheable: false,
     }
 }
@@ -137,10 +168,15 @@ pub fn join_paths(bindings: &[PathBinding<'_>]) -> Option<VertexRelation> {
     }
 }
 
-/// [`join_paths`], probing cached builds where it may, or — with
-/// `count_only` — only the size of its result, without building the last
-/// step's output: a join of sets is a set, so the last step's probe hits
-/// are the distinct embeddings.
+/// [`join_paths`], probing cached builds where it may, or — with `count` —
+/// only the size of its result, without building the last step's output: a
+/// join of sets is a set, so the last step's probe hits are the distinct
+/// embeddings.
+///
+/// Every binding is read at its version: the first join step iterates the
+/// rows of the accumulator's version, and every step keeps only the probe
+/// hits inside the version of the relation it builds over. A cached build
+/// always indexes a whole view, so one build serves every version of it.
 ///
 /// With a `cache`, every binding but the first must be a long-lived
 /// relation — a materialized view whose [`Relation::id`] names it for as
@@ -152,7 +188,7 @@ pub fn join_paths(bindings: &[PathBinding<'_>]) -> Option<VertexRelation> {
 fn join_bindings(
     bindings: &[PathBinding<'_>],
     mut cache: Option<&mut JoinCache>,
-    count_only: bool,
+    count: bool,
 ) -> Option<Joined> {
     if bindings.is_empty() {
         return None;
@@ -162,11 +198,11 @@ fn join_bindings(
         .enumerate()
         .map(|(i, binding)| normalise(binding, i > 0))
         .collect();
-    if normalised.iter().any(|n| n.rel.is_empty()) {
+    if normalised.iter().any(|n| n.len() == 0) {
         return None;
     }
     // Start from the smallest relation.
-    normalised.sort_by_key(|n| n.rel.len());
+    normalised.sort_by_key(Normalised::len);
     let mut acc = normalised.remove(0);
 
     while !normalised.is_empty() {
@@ -181,7 +217,7 @@ fn join_bindings(
                     .iter()
                     .filter(|v| acc.vertices.contains(v))
                     .count();
-                (shared, usize::MAX - n.rel.len())
+                (shared, usize::MAX - n.len())
             })
             .expect("non-empty");
         let next = normalised.remove(idx);
@@ -211,18 +247,19 @@ fn join_bindings(
                 &fresh
             }
         };
-        if count_only && normalised.is_empty() {
-            let hits = probe_count(&acc.rel, &next.rel, &left_keys, &right_keys, build);
+        let (left, right) = ((&*acc.rel, acc.version), (&*next.rel, next.version));
+        if count && normalised.is_empty() {
+            let hits = probe_count(left, right, &left_keys, build);
             return (hits > 0).then_some(Joined::Count(hits));
         }
-        let joined = hash_join_with_build(&acc.rel, &next.rel, &left_keys, &right_keys, build);
+        let joined = probe_join(left, right, &left_keys, build);
         if joined.is_empty() {
             return None;
         }
         // The join output is the left columns then the right columns minus
         // the key columns; normalise() already removed duplicate vertices
         // within a binding, so columns line up with `vertices`.
-        let mut vertices = acc.vertices;
+        let mut vertices = acc.vertices.into_owned();
         vertices.extend(
             next.vertices
                 .iter()
@@ -231,92 +268,142 @@ fn join_bindings(
         );
         acc = Normalised {
             rel: Cow::Owned(joined),
-            vertices,
+            version: Version::All,
+            vertices: Cow::Owned(vertices),
             cacheable: false,
         };
     }
-    Some(if count_only {
-        Joined::Count(acc.rel.len())
+    Some(if count {
+        Joined::Count(acc.len())
     } else {
+        debug_assert_eq!(
+            acc.version,
+            Version::All,
+            "join_paths reads whole relations"
+        );
         Joined::Rows(VertexRelation {
             rel: acc.rel.into_owned(),
-            vertices: acc.vertices,
+            vertices: acc.vertices.into_owned(),
         })
     })
 }
 
+/// One covering path's change in a run: its delta rows, and which rows of
+/// the path's full relation — the live view the delta changes — make up the
+/// view's versions before (`old`) and after (`new`) the run.
+#[derive(Debug, Clone, Copy)]
+pub struct PathDelta<'a> {
+    /// The rows the run adds to, or removes from, the full relation.
+    rows: &'a Relation,
+    /// The full relation's rows before the run.
+    old: Version<'a>,
+    /// The full relation's rows after the run.
+    new: Version<'a>,
+}
+
+impl<'a> PathDelta<'a> {
+    /// An insertion run appended `rows` to `full`, whose tail they are, in
+    /// order: the old version is the prefix below them.
+    pub fn inserted(rows: &'a Relation, full: &Relation) -> Self {
+        let old_len = full.len() - rows.len();
+        debug_assert!(
+            full.iter_from(old_len).eq(rows.iter()),
+            "an insertion delta must be its view's tail"
+        );
+        PathDelta {
+            rows,
+            old: Version::Below(old_len),
+            new: Version::All,
+        }
+    }
+
+    /// A retraction run is about to remove `rows` from the full relation,
+    /// which still holds them at `positions` (ascending): the new version
+    /// is the relation without them.
+    pub fn retracted(rows: &'a Relation, positions: &'a [u32]) -> Self {
+        debug_assert_eq!(rows.len(), positions.len());
+        debug_assert!(positions.windows(2).all(|w| w[0] < w[1]));
+        PathDelta {
+            rows,
+            old: Version::All,
+            new: Version::Without(positions),
+        }
+    }
+}
+
 /// The covering-path delta join (Fig. 8, lines 8–13, restricted to the
-/// embeddings an update batch changes) — the one copy every staged engine
-/// answers with. Per affected query, each covering path that has a delta
-/// (`delta_of`) is bound with the other paths' full relations (`full_of`)
-/// and joined ([`join_paths`]). `None` or an empty relation from `full_of`
-/// means the path holds no tuples and the query cannot match. Returns the
-/// non-zero `(query, distinct embeddings)` counts.
+/// embeddings an update run changes) — the one copy every staged engine
+/// answers with. Returns the non-zero `(query, changed embeddings)` counts.
 ///
-/// Reports are counts, so only what must be deduplicated is materialised:
-/// a query with exactly one changed path counts the probe hits of its last
-/// join step (a join of sets is a set) and builds no output relation; with
-/// two or more, the canonicalized results union across paths, so an
-/// embedding reached through several paths' deltas counts once.
+/// Every answer is a count, by ordered delta terms (the telescoping identity
+/// of Gupta, Mumick & Subrahmanian; the "delta queries" of continuous
+/// subgraph matching). For an affected query whose changed paths (`delta_of`)
+/// are i₁ < i₂ < … in `paths` order, term i joins Δᵢ with
+/// - the **new** version of every changed path before i,
+/// - the **old** version of every changed path after i,
+/// - the full relation (`full_of`) of every unchanged path,
+///
+/// and counts its last probe's hits ([`join_paths`]' order; a join of sets
+/// is a set). The terms are disjoint — an embedding is counted by the term
+/// of the first changed path whose delta it uses — and their sizes sum to
+/// the exact change, so nothing is materialised or deduplicated; a query
+/// with one changed path is the one-term case. `None` or an empty relation
+/// from `full_of` means the path holds no tuples and the query cannot
+/// match.
+///
+/// The sign lives with the caller, in each [`PathDelta`]: inserted rows
+/// against post-insert views count new embeddings
+/// ([`PathDelta::inserted`]), removed rows against pre-removal views
+/// disappearing ones ([`PathDelta::retracted`]).
 ///
 /// With a `cache` (TRIC+), the full relations must be the engine's live
 /// views, maintained through that cache: each join step over one of them
-/// probes a cached, incrementally maintained build, so queries sharing an
-/// end node and a join vertex share one build within a batch and across
-/// batches. Plain TRIC and the baselines pass `None` and build what they
-/// probe afresh.
+/// probes a cached, incrementally maintained build of the whole view (a
+/// version only filters its hits), so queries sharing an end node and a
+/// join vertex share one build within a batch and across batches. Plain
+/// TRIC and the baselines pass `None` and build what they probe afresh.
 ///
-/// The sign lives with the caller: inserted rows joined against the
-/// post-insert views count new embeddings, removed rows joined against the
-/// pre-removal views count disappearing ones. `P` is whatever the engine
-/// keeps per covering path (a trie end node, a shard's path state);
-/// `vertices_of` names the query vertex each of its view's columns binds.
+/// `P` is whatever the engine keeps per covering path (a trie end node, a
+/// shard's path state); `vertices_of` names the query vertex each of its
+/// view's columns binds.
 pub fn join_covering_paths<'a, P: 'a>(
     queries: impl Iterator<Item = (QueryId, &'a [P])>,
     vertices_of: impl Fn(&'a P) -> &'a [QVertexId],
-    delta_of: impl Fn(&'a P) -> Option<&'a Relation>,
+    delta_of: impl Fn(&'a P) -> Option<PathDelta<'a>>,
     full_of: impl Fn(&'a P) -> Option<&'a Relation>,
     mut cache: Option<&mut JoinCache>,
 ) -> Vec<(QueryId, u64)> {
     let mut counts: Vec<(QueryId, u64)> = Vec::new();
+    let mut changed: Vec<Option<PathDelta<'a>>> = Vec::new();
     let mut bindings: Vec<PathBinding<'a>> = Vec::new();
-    for (query, paths) in queries {
-        let count_only = paths.iter().filter(|p| delta_of(p).is_some()).count() == 1;
+    'queries: for (query, paths) in queries {
+        changed.clear();
+        changed.extend(paths.iter().map(&delta_of));
         let mut count = 0;
-        // Distinct changed embeddings, accumulated across affected paths.
-        let mut embeddings: Option<Relation> = None;
         for (i, path) in paths.iter().enumerate() {
-            let Some(delta) = delta_of(path) else {
+            let Some(delta) = changed[i] else {
                 continue; // this covering path did not change
             };
             bindings.clear();
-            bindings.push(PathBinding::new(delta, vertices_of(path)));
-            bindings.extend(paths.iter().enumerate().filter(|(j, _)| *j != i).map_while(
-                |(_, other)| {
-                    full_of(other)
-                        .filter(|full| !full.is_empty())
-                        .map(|full| PathBinding::new(full, vertices_of(other)))
-                },
-            ));
-            if bindings.len() < paths.len() {
-                continue; // some other path has no tuples yet
+            bindings.push(PathBinding::new(delta.rows, vertices_of(path)));
+            for (j, other) in paths.iter().enumerate().filter(|&(j, _)| j != i) {
+                let Some(full) = full_of(other).filter(|full| !full.is_empty()) else {
+                    continue 'queries; // some other path has no tuples yet
+                };
+                let version = match changed[j] {
+                    None => Version::All,
+                    Some(d) if j < i => d.new,
+                    Some(d) => d.old,
+                };
+                bindings.push(PathBinding {
+                    version,
+                    ..PathBinding::new(full, vertices_of(other))
+                });
             }
-            match join_bindings(&bindings, cache.as_deref_mut(), count_only) {
-                Some(Joined::Count(hits)) => count = hits,
-                Some(Joined::Rows(result)) => {
-                    let canon = result.canonicalize().rel;
-                    match &mut embeddings {
-                        None => embeddings = Some(canon),
-                        Some(acc) => {
-                            acc.extend_from(&canon);
-                        }
-                    }
-                }
-                None => {}
+            if let Some(Joined::Count(hits)) = join_bindings(&bindings, cache.as_deref_mut(), true)
+            {
+                count += hits;
             }
-        }
-        if let Some(emb) = embeddings {
-            count = emb.len();
         }
         if count > 0 {
             counts.push((query, count as u64));
@@ -427,10 +514,11 @@ mod tests {
     }
 
     #[test]
-    fn covering_path_join_unions_path_deltas_and_skips_empty_paths() {
+    fn covering_path_join_counts_each_embedding_once_and_skips_empty_paths() {
         // Star query over vertices [0,1] and [0,2]; both paths gained the
         // row that completes embedding (5,10,20), which must count once.
-        let (pa, pb) = (rel(2, &[&[5, 10]]), rel(2, &[&[5, 20], &[6, 21]]));
+        // Each delta is its view's tail, as an insertion run leaves it.
+        let (pa, pb) = (rel(2, &[&[5, 10]]), rel(2, &[&[6, 21], &[5, 20]]));
         let (da, db) = (rel(2, &[&[5, 10]]), rel(2, &[&[5, 20]]));
         // (vertices, delta, full) per covering path.
         type Path<'r> = (Vec<QVertexId>, Option<&'r Relation>, &'r Relation);
@@ -438,7 +526,7 @@ mod tests {
             join_covering_paths(
                 std::iter::once((QueryId(3), paths)),
                 |p| p.0.as_slice(),
-                |p| p.1,
+                |p| p.1.map(|delta| PathDelta::inserted(delta, p.2)),
                 |p| Some(p.2),
                 None,
             )
@@ -452,6 +540,105 @@ mod tests {
         let empty = Relation::new(2);
         let none = [(vec![0, 1], None, &empty), (vec![0, 2], Some(&db), &pb)];
         assert!(count(&none).is_empty());
+    }
+
+    /// The counts [`join_covering_paths`] must produce when every path of
+    /// `queries` binds `view` and changed by `delta`, the long way: per
+    /// query, every path's [`join_paths`] result against the full view,
+    /// canonicalized and unioned.
+    fn union_reference(
+        queries: &[Vec<usize>],
+        vertices: &[Vec<QVertexId>],
+        delta: &Relation,
+        view: &Relation,
+    ) -> Vec<(QueryId, u64)> {
+        let mut counts = Vec::new();
+        for (q, paths) in queries.iter().enumerate() {
+            let mut union: Option<Relation> = None;
+            for &p in paths {
+                let mut bindings = vec![PathBinding::new(delta, &vertices[p])];
+                bindings.extend(
+                    paths
+                        .iter()
+                        .filter(|&&o| o != p)
+                        .map(|&o| PathBinding::new(view, &vertices[o])),
+                );
+                if let Some(result) = join_paths(&bindings) {
+                    let canon = result.canonicalize().rel;
+                    match &mut union {
+                        None => union = Some(canon),
+                        Some(acc) => {
+                            acc.extend_from(&canon);
+                        }
+                    }
+                }
+            }
+            if let Some(n) = union.map(|u| u.len()).filter(|&n| n > 0) {
+                counts.push((QueryId(q as u32), n as u64));
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn ordered_delta_terms_count_what_the_union_counts_for_both_signs() {
+        // Every covering path binds one view, so every run changes all of a
+        // query's paths. Query 0 is a two-path star on the view; queries 1
+        // and 2 pair a self-loop binding [0,0] — filtered and projected —
+        // with an edge [0,1], in both orders, so the loop binding is read
+        // at its old version in one and its new version in the other.
+        let vertices: Vec<Vec<QVertexId>> = vec![vec![0, 1], vec![0, 2], vec![0, 0]];
+        let queries: Vec<Vec<usize>> = vec![vec![0, 1], vec![2, 0], vec![0, 2]];
+        let count = |delta: PathDelta<'_>, view: &Relation, cache: Option<&mut JoinCache>| {
+            join_covering_paths(
+                queries
+                    .iter()
+                    .enumerate()
+                    .map(|(q, paths)| (QueryId(q as u32), paths.as_slice())),
+                |&p| vertices[p].as_slice(),
+                |_| Some(delta),
+                |_| Some(view),
+                cache,
+            )
+        };
+        let mut cache = JoinCache::new();
+        let mut view = rel(2, &[&[1, 1], &[2, 2], &[3, 9], &[1, 5]]);
+        // A warm build on the star's join column, caught up by the insert.
+        cache.get_or_build(&view, &[0]);
+
+        // Insertion: the old version is the first 4 rows, but the loop
+        // binding's filtered copy of the new view has 5 ([1,1] [2,2] [4,4]
+        // [5,5] [6,6]) — a prefix bound applied after the filter would
+        // count (4,4) as old.
+        let inserted = rel(2, &[&[4, 4], &[5, 5], &[1, 6], &[6, 6]]);
+        for row in inserted.iter() {
+            assert!(view.push(row));
+        }
+        let delta = PathDelta::inserted(&inserted, &view);
+        let expected = union_reference(&queries, &vertices, &inserted, &view);
+        // Star: Σ deg² goes 6 → 14; loop pairs: 3 → 7.
+        let by_hand = vec![(QueryId(0), 8), (QueryId(1), 4), (QueryId(2), 4)];
+        assert_eq!(expected, by_hand);
+        assert_eq!(count(delta, &view, Some(&mut cache)), expected);
+        assert_eq!(count(delta, &view, None), expected);
+
+        // Retraction, answered against the pre-removal view: the new
+        // version skips the removed rows' positions.
+        let removed = rel(2, &[&[6, 6], &[1, 1], &[1, 5]]);
+        let mut positions: Vec<u32> = removed
+            .iter()
+            .map(|row| view.position(row).expect("present") as u32)
+            .collect();
+        positions.sort_unstable();
+        let delta = PathDelta::retracted(&removed, &positions);
+        let expected = union_reference(&queries, &vertices, &removed, &view);
+        // Star: 14 → 5; loop pairs: 7 → 3.
+        let by_hand = vec![(QueryId(0), 9), (QueryId(1), 4), (QueryId(2), 4)];
+        assert_eq!(expected, by_hand);
+        assert_eq!(count(delta, &view, Some(&mut cache)), expected);
+        assert_eq!(count(delta, &view, None), expected);
+        assert_eq!(cache.retract_rows(&mut view, &removed), 3);
+        assert_eq!(cache.rebuilds(), 0);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! [`JoinBuild::retract_row`] / [`super::cache::JoinCache::retract_rows`].
 
 use std::borrow::BorrowMut;
+use std::ops::Range;
 
 use super::fasthash::{hash_projected, hash_syms, relink_row, unlink_row, Bucket, FxHashMap};
 use super::Relation;
@@ -134,6 +135,13 @@ impl JoinBuild {
     /// directly (hash collisions are verified row by row).
     #[inline]
     pub fn probe_iter<'a>(&'a self, rel: &'a Relation, key: &'a [Sym]) -> ProbeIter<'a> {
+        self.probe_below(rel, rel.len(), key)
+    }
+
+    /// [`probe_iter`](Self::probe_iter) over the rows of `rel` below
+    /// `limit` only.
+    #[inline]
+    fn probe_below<'a>(&'a self, rel: &'a Relation, limit: usize, key: &'a [Sym]) -> ProbeIter<'a> {
         debug_assert_eq!(key.len(), self.key_cols.len());
         let chain = self
             .buckets
@@ -143,6 +151,7 @@ impl JoinBuild {
         ProbeIter {
             chain,
             rel,
+            limit,
             key_cols: &self.key_cols,
             key,
         }
@@ -164,6 +173,8 @@ impl JoinBuild {
 pub struct ProbeIter<'a> {
     chain: &'a [u32],
     rel: &'a Relation,
+    /// Hits at or past this row index are skipped.
+    limit: usize,
     key_cols: &'a [usize],
     key: &'a [Sym],
 }
@@ -176,9 +187,9 @@ impl<'a> Iterator for ProbeIter<'a> {
         while let Some((&i, rest)) = self.chain.split_first() {
             self.chain = rest;
             let i = i as usize;
-            // Rows past the relation's current length can only appear when a
-            // cached build is probed against a shorter clone; skip them.
-            if i < self.rel.len() {
+            // Rows past the limit are not in the version probed: a prefix
+            // of the relation, or a shorter clone of a cached build's.
+            if i < self.limit {
                 let row = self.rel.row(i);
                 if self
                     .key_cols
@@ -262,53 +273,130 @@ pub fn hash_join(
     hash_join_with_build(left, right, left_keys, right_keys, &build)
 }
 
+/// Which rows of a relation one side of a join reads: the whole relation,
+/// or one version of a relation that a run of updates changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Version<'a> {
+    /// Every row.
+    All,
+    /// The rows below this index: the relation at that
+    /// [`Relation::version`], before an insertion run appended its tail.
+    Below(usize),
+    /// Every row but those at these positions (ascending): the relation
+    /// once a retraction run has removed them.
+    Without(&'a [u32]),
+}
+
+impl<'a> Version<'a> {
+    /// Number of rows of `rel` in this version.
+    pub(crate) fn len(self, rel: &Relation) -> usize {
+        match self {
+            Version::Without(gone) => rel.len() - gone.len(),
+            version => version.end(rel.len()),
+        }
+    }
+
+    /// One past the last row index in this version of a `len`-row relation.
+    fn end(self, len: usize) -> usize {
+        match self {
+            Version::Below(n) => n.min(len),
+            Version::All | Version::Without(_) => len,
+        }
+    }
+
+    /// The row indices of this version of a `len`-row relation, as
+    /// ascending ranges: one for a prefix, one per gap for a `Without`.
+    pub(crate) fn ranges(self, len: usize) -> impl Iterator<Item = Range<usize>> + 'a {
+        let gone: &[u32] = match self {
+            Version::Without(gone) => gone,
+            _ => &[],
+        };
+        let starts = std::iter::once(0).chain(gone.iter().map(|&g| g as usize + 1));
+        let ends = gone
+            .iter()
+            .map(|&g| g as usize)
+            .chain(std::iter::once(self.end(len)));
+        starts.zip(ends).map(|(start, end)| start..end)
+    }
+}
+
 /// The probe loop of every hash join — the single copy of the hot loop:
-/// probes `build` (over `right`, keyed by `right_keys`) with the rows of
-/// `left` and hands each matching `(left row, right row)` pair to `emit`.
-/// Callers choose the build (fresh or cached) and what a match produces.
+/// probes `build` (over the whole of `right`, fresh or cached) with the rows
+/// of `left` and hands each matching `(left row, right row)` pair to `emit`.
+/// Each side reads one [`Version`] of its relation: `left` through the row
+/// ranges it iterates, `right` through the hits it keeps. A hit past a
+/// prefix costs nothing extra (every hit is bound-checked anyway), and the
+/// per-hit position check of a [`Version::Without`] is compiled only into
+/// that case, so reading all of `right` pays for neither.
 #[inline]
 fn probe_pairs(
-    left: &Relation,
-    right: &Relation,
+    left: (&Relation, Version<'_>),
+    (right, right_version): (&Relation, Version<'_>),
     left_keys: &[usize],
-    right_keys: &[usize],
     build: &JoinBuild,
-    mut emit: impl FnMut(&[Sym], &[Sym]),
+    emit: impl FnMut(&[Sym], &[Sym]),
 ) {
-    assert_eq!(left_keys.len(), right_keys.len());
-    debug_assert_eq!(build.key_cols(), right_keys);
+    assert_eq!(left_keys.len(), build.key_cols().len());
     if build.rows_indexed() == 0 {
         return;
     }
-    let mut key = Vec::with_capacity(left_keys.len());
-    for lrow in left.iter() {
-        key_of(lrow, left_keys, &mut key);
-        for ridx in build.probe_iter(right, &key) {
-            emit(lrow, right.row(ridx));
+    let limit = right_version.end(right.len());
+    match right_version {
+        Version::Without(gone) => probe_kept(left, right, limit, left_keys, build, emit, |i| {
+            gone.binary_search(&(i as u32)).is_err()
+        }),
+        Version::All | Version::Below(_) => {
+            probe_kept(left, right, limit, left_keys, build, emit, |_| true)
         }
     }
 }
 
-/// Probes `build` with `left` and assembles the output rows.
+/// The body of [`probe_pairs`]: emits the hits below `limit` that `keep`
+/// accepts.
+#[inline]
+fn probe_kept(
+    (left, left_version): (&Relation, Version<'_>),
+    right: &Relation,
+    limit: usize,
+    left_keys: &[usize],
+    build: &JoinBuild,
+    mut emit: impl FnMut(&[Sym], &[Sym]),
+    keep: impl Fn(usize) -> bool,
+) {
+    let mut key = Vec::with_capacity(left_keys.len());
+    for range in left_version.ranges(left.len()) {
+        for lrow in left.iter_range(range) {
+            key_of(lrow, left_keys, &mut key);
+            for ridx in build.probe_below(right, limit, &key) {
+                if keep(ridx) {
+                    emit(lrow, right.row(ridx));
+                }
+            }
+        }
+    }
+}
+
+/// Probes `build` with `left` and assembles the output rows, each side read
+/// at its [`Version`].
 ///
 /// A join of two sets is a set — an output row determines its left row
 /// (the prefix) and its right row (key columns equal to the left's, the
 /// rest appended) — so the output is a [`Relation::new_distinct`] table and
 /// skips the dedup hashing per row.
-fn probe_join(
-    left: &Relation,
-    right: &Relation,
+pub(crate) fn probe_join(
+    left: (&Relation, Version<'_>),
+    right: (&Relation, Version<'_>),
     left_keys: &[usize],
-    right_keys: &[usize],
     build: &JoinBuild,
 ) -> Relation {
-    let out_arity = join_output_arity(left, right, right_keys);
+    let (left_rel, right_rel) = (left.0, right.0);
+    let out_arity = join_output_arity(left_rel, right_rel, build.key_cols());
     let mut out = Relation::new_distinct(out_arity);
-    let extra_cols: Vec<usize> = (0..right.arity())
-        .filter(|c| !right_keys.contains(c))
+    let extra_cols: Vec<usize> = (0..right_rel.arity())
+        .filter(|c| !build.key_cols().contains(c))
         .collect();
     let mut row_buf = vec![Sym(0); out_arity];
-    probe_pairs(left, right, left_keys, right_keys, build, |lrow, rrow| {
+    probe_pairs(left, right, left_keys, build, |lrow, rrow| {
         row_buf[..lrow.len()].copy_from_slice(lrow);
         for (slot, &c) in row_buf[lrow.len()..].iter_mut().zip(&extra_cols) {
             *slot = rrow[c];
@@ -318,18 +406,16 @@ fn probe_join(
     out
 }
 
-/// The number of rows [`hash_join_with_build`] would return, without
-/// building them: the join is a set (see `probe_join`), so its size is its
-/// number of probe hits.
+/// The number of rows [`probe_join`] would return, without building them:
+/// the join is a set, so its size is its number of probe hits.
 pub(crate) fn probe_count(
-    left: &Relation,
-    right: &Relation,
+    left: (&Relation, Version<'_>),
+    right: (&Relation, Version<'_>),
     left_keys: &[usize],
-    right_keys: &[usize],
     build: &JoinBuild,
 ) -> usize {
     let mut hits = 0;
-    probe_pairs(left, right, left_keys, right_keys, build, |_, _| hits += 1);
+    probe_pairs(left, right, left_keys, build, |_, _| hits += 1);
     hits
 }
 
@@ -342,7 +428,13 @@ pub fn hash_join_with_build(
     right_keys: &[usize],
     build: &JoinBuild,
 ) -> Relation {
-    probe_join(left, right, left_keys, right_keys, build)
+    debug_assert_eq!(build.key_cols(), right_keys);
+    probe_join(
+        (left, Version::All),
+        (right, Version::All),
+        left_keys,
+        build,
+    )
 }
 
 /// Reference nested-loop join used to validate [`hash_join`] in property

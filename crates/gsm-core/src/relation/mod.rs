@@ -19,6 +19,7 @@ pub mod eval;
 pub mod fasthash;
 pub mod join;
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::interner::Sym;
@@ -206,30 +207,39 @@ impl Relation {
         self.rows[from.min(self.len()) * self.arity..].chunks_exact(self.arity)
     }
 
+    /// Iterates over the rows at the indices in `range`.
+    pub(crate) fn iter_range(&self, range: Range<usize>) -> impl Iterator<Item = &[Sym]> {
+        self.rows[range.start * self.arity..range.end * self.arity].chunks_exact(self.arity)
+    }
+
     /// True if an identical row is already present. O(1) via the index for
     /// ordinary relations; a linear scan for distinct-by-construction ones
     /// (only used in assertions and tests there).
     pub fn contains(&self, row: &[Sym]) -> bool {
+        self.position(row).is_some()
+    }
+
+    /// The index of the row equal to `row`, if present: one lookup in the
+    /// dedup index for ordinary relations, a linear scan for
+    /// distinct-by-construction ones.
+    pub fn position(&self, row: &[Sym]) -> Option<usize> {
         debug_assert_eq!(row.len(), self.arity);
         if self.indexed {
-            self.contains_hashed(hash_syms(row), row)
+            self.position_hashed(hash_syms(row), row)
         } else {
-            self.iter().any(|r| r == row)
+            self.iter().position(|r| r == row)
         }
     }
 
-    /// [`contains`](Self::contains) with an externally supplied row hash —
+    /// [`position`](Self::position) with an externally supplied row hash —
     /// the testable core that lets unit tests force bucket collisions.
-    fn contains_hashed(&self, h: u64, row: &[Sym]) -> bool {
-        self.index
-            .get(&h)
-            .map(|bucket| {
-                bucket
-                    .as_slice()
-                    .iter()
-                    .any(|&i| self.row(i as usize) == row)
-            })
-            .unwrap_or(false)
+    fn position_hashed(&self, h: u64, row: &[Sym]) -> Option<usize> {
+        let bucket = self.index.get(&h)?;
+        let found = bucket
+            .as_slice()
+            .iter()
+            .find(|&&i| self.row(i as usize) == row)?;
+        Some(*found as usize)
     }
 
     /// Inserts a row, returning `true` if it was new. Panics on a
@@ -629,10 +639,16 @@ mod tests {
         assert_eq!(r.len(), 4);
 
         // Lookups verify the chain row by row.
-        assert!(r.contains_hashed(H, &[s(3), s(4)]));
-        assert!(r.contains_hashed(H, &[s(5), s(6)]));
-        assert!(!r.contains_hashed(H, &[s(2), s(1)]), "colliding ≠ equal");
-        assert!(!r.contains_hashed(0, &[s(1), s(2)]), "wrong hash, no hit");
+        assert_eq!(r.position_hashed(H, &[s(3), s(4)]), Some(1));
+        assert_eq!(r.position_hashed(H, &[s(5), s(6)]), Some(2));
+        assert!(
+            r.position_hashed(H, &[s(2), s(1)]).is_none(),
+            "colliding ≠ equal"
+        );
+        assert!(
+            r.position_hashed(0, &[s(1), s(2)]).is_none(),
+            "wrong hash, no hit"
+        );
 
         // Row storage is untouched by the collisions.
         assert_eq!(r.row(0), &[s(1), s(2)]);

@@ -9,7 +9,7 @@ use gsm_core::model::term::{PatternEdge, Term};
 use gsm_core::query::paths::{covering_paths, is_valid_cover};
 use gsm_core::query::pattern::QueryPattern;
 use gsm_core::relation::cache::JoinCache;
-use gsm_core::relation::eval::{join_covering_paths, join_paths, PathBinding};
+use gsm_core::relation::eval::{join_covering_paths, join_paths, PathBinding, PathDelta};
 use gsm_core::relation::join::{hash_join, hash_join_with_build, nested_loop_join};
 use gsm_core::relation::Relation;
 
@@ -413,8 +413,8 @@ proptest! {
     /// vertex sequences repeat vertices at random, so some bindings are
     /// filtered and projected (and must never be cached). Query 1 is query
     /// 0's paths in reverse, so the two share views and key columns; query
-    /// 2 is drawn on its own. A run that changes one of a query's paths is
-    /// counted from its last probe, one that changes several is unioned.
+    /// 2 is drawn on its own. Every answer is counted by ordered delta
+    /// terms, whether a run changes one of a query's paths or several.
     #[test]
     fn covering_path_join_with_a_cache_equals_the_union_without(
         arities in proptest::collection::vec(2usize..=4, 3),
@@ -475,8 +475,29 @@ proptest! {
                     .push(&row);
             }
 
-            // Inserted rows are in their views already; removed ones are
-            // still there, and leave after the join.
+            // Inserted rows are in their views already, as their tails;
+            // removed ones are still there, and leave after the join.
+            let positions: Vec<Vec<u32>> = views
+                .iter()
+                .zip(&deltas)
+                .map(|(view, delta)| {
+                    let mut at: Vec<u32> = delta
+                        .iter()
+                        .flat_map(Relation::iter)
+                        .map(|row| view.position(row).unwrap() as u32)
+                        .collect();
+                    at.sort_unstable();
+                    at
+                })
+                .collect();
+            let path_delta = |p: usize| {
+                let (v, delta) = (view_of(p), deltas[view_of(p)].as_ref()?);
+                Some(if retract {
+                    PathDelta::retracted(delta, &positions[v])
+                } else {
+                    PathDelta::inserted(delta, &views[v])
+                })
+            };
             let counts = |cache: Option<&mut JoinCache>| {
                 join_covering_paths(
                     queries
@@ -484,7 +505,7 @@ proptest! {
                         .enumerate()
                         .map(|(q, paths)| (QueryId(q as u32), paths.as_slice())),
                     |&p| vertices[p].as_slice(),
-                    |&p| deltas[view_of(p)].as_ref(),
+                    |&p| path_delta(p),
                     |&p| Some(&views[view_of(p)]),
                     cache,
                 )

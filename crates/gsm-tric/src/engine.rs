@@ -11,7 +11,7 @@ use gsm_core::model::update::{sign_runs, Update};
 use gsm_core::query::paths::covering_paths;
 use gsm_core::query::pattern::{QVertexId, QueryPattern};
 use gsm_core::relation::cache::JoinCache;
-use gsm_core::relation::eval::join_covering_paths;
+use gsm_core::relation::eval::{join_covering_paths, PathDelta};
 use gsm_core::relation::fasthash::{FxHashMap, FxHashSet};
 use gsm_core::relation::join::JoinBuild;
 use gsm_core::relation::Relation;
@@ -172,13 +172,16 @@ impl TricEngine {
 
     /// Extends every row of `delta` (a prefix-path delta whose last column is
     /// the frontier vertex) with the matching tuples of `edge_view`,
-    /// producing the delta of the child node. `row_buf` is caller-provided
-    /// scratch so repeated extensions share one allocation.
+    /// producing the delta of the child node. Tuples in `skip` are left out:
+    /// a retraction run reads the edge view without the rows it removes.
+    /// `row_buf` is caller-provided scratch so repeated extensions share one
+    /// allocation.
     fn extend_delta(
         caching: bool,
         cache: &mut JoinCache,
         delta: &Relation,
         edge_view: &Relation,
+        skip: Option<&Relation>,
         row_buf: &mut Vec<Sym>,
     ) -> Relation {
         let out_arity = delta.arity() + 1;
@@ -200,8 +203,12 @@ impl TricEngine {
         };
         for drow in delta.iter() {
             build.probe_each(edge_view, &[drow[last]], |idx| {
+                let erow = edge_view.row(idx);
+                if skip.is_some_and(|skip| skip.contains(erow)) {
+                    return;
+                }
                 row_buf[..drow.len()].copy_from_slice(drow);
-                row_buf[out_arity - 1] = edge_view.row(idx)[1];
+                row_buf[out_arity - 1] = erow[1];
                 out.append_distinct(row_buf);
             });
         }
@@ -231,6 +238,7 @@ impl TricEngine {
                     &mut self.cache,
                     parent_view,
                     edge_view,
+                    None,
                     &mut self.scratch.row_buf,
                 );
                 let view = &mut self.forest.node_mut(node).mat_view;
@@ -353,13 +361,15 @@ impl TricEngine {
     /// 1. Locate the affected trie nodes (`edgeInd`).
     /// 2. **Seed** each from its parent's *pre-commit* view ⋈ Δe and
     ///    **propagate** Δp ⋈ child edge view down the sub-tries, pruning
-    ///    branches whose delta is empty (Fig. 10). That is the standard
-    ///    incremental-join derivative in both directions:
-    ///    `new(p)⋈new(e) − old(p)⋈old(e) = old(p)⋈Δe ∪ Δp⋈new(e)` and
-    ///    `old(p)⋈old(e) − new(p)⋈new(e) = old(p)⋈Δe ∪ Δp⋈old(e)`. An
-    ///    insertion's propagation reads the already-appended edge views, a
-    ///    retraction's the not-yet-shrunk ones — in both cases simply the
-    ///    current ones.
+    ///    branches whose delta is empty (Fig. 10). That is the ordered
+    ///    delta identity of the answer (step 4) for a two-way join, in both
+    ///    directions: `new(p)⋈new(e) − old(p)⋈old(e) = old(p)⋈Δe ⊎
+    ///    Δp⋈new(e)` and `old(p)⋈old(e) − new(p)⋈new(e) = old(p)⋈Δe ⊎
+    ///    Δp⋈new(e)`. The two terms are disjoint (a seed row's last edge is
+    ///    in Δe, a propagated row's is not), so a node's delta is their
+    ///    plain concatenation. An insertion's propagation reads the
+    ///    already-appended edge views; a retraction's reads the
+    ///    not-yet-shrunk ones and skips the edge rows in Δe.
     /// 3. **Commit** the node deltas: insertions append the truly new rows
     ///    to the node views; retractions swap-remove the delta rows from
     ///    node and edge views, O(|Δ|) per view ([`Relation::retract_rows`],
@@ -369,9 +379,14 @@ impl TricEngine {
     ///    A retraction commits last, after step 4.
     /// 4. **Answer** with the covering-path join ([`answer_tric`]) against
     ///    the live views — an insertion after its commit, a retraction
-    ///    before it, so against the pre-removal views. TRIC+ probes the
-    ///    builds of the end-node views its cache maintains; plain TRIC
-    ///    builds them afresh.
+    ///    before it, so against the pre-removal views. Every affected
+    ///    query is counted by ordered delta terms, which read the other
+    ///    changed paths' end-node views at their old or new version: after
+    ///    an insertion's commit the old version is the prefix below the
+    ///    appended delta, before a retraction's the new version is the view
+    ///    without the delta's rows, whose positions are looked up once per
+    ///    run. TRIC+ probes the builds of the end-node views its cache
+    ///    maintains; plain TRIC builds them afresh.
     ///
     /// A single update is a run of length one.
     fn stage_run(&mut self, run: &[Update]) -> MatchReport {
@@ -473,6 +488,7 @@ impl TricEngine {
                         &mut self.cache,
                         &delta,
                         edge_view,
+                        edge_deltas.get(&child.edge).filter(|_| retract),
                         &mut self.scratch.row_buf,
                     );
                     if child_delta.is_empty() {
@@ -481,16 +497,8 @@ impl TricEngine {
                     by_depth.entry(child.depth).or_default().push(c);
                     match deltas.entry(c) {
                         std::collections::hash_map::Entry::Occupied(mut e) => {
-                            let seed = e.get_mut();
-                            if retract {
-                                // Both terms read pre-removal state, so they
-                                // share Δp⋈Δe: union through a dedup index
-                                // (an insertion's terms are disjoint).
-                                let mut indexed = Relation::new(seed.arity());
-                                indexed.extend_from(seed);
-                                *seed = indexed;
-                            }
-                            seed.extend_from(&child_delta);
+                            // The seed old(p)⋈Δe and Δp⋈new(e) are disjoint.
+                            e.get_mut().extend_from(&child_delta);
                         }
                         std::collections::hash_map::Entry::Vacant(e) => {
                             e.insert(child_delta);
@@ -515,9 +523,11 @@ impl TricEngine {
         affected_queries.dedup();
 
         // Step 4, against the live views (a retraction's are still
-        // pre-removal here).
+        // pre-removal here, and its end-node deltas are located in them).
+        let removed_at = retract.then(|| self.removed_positions(&deltas));
         let counts = answer_tric(
             &deltas,
+            removed_at.as_ref(),
             &affected_queries,
             &self.queries,
             &self.forest,
@@ -537,6 +547,29 @@ impl TricEngine {
         } else {
             MatchReport::from_counts(counts)
         }
+    }
+
+    /// Where each end-node delta of a retraction run sits in its (still
+    /// pre-removal) view: the ascending row positions that the view's new
+    /// version leaves out ([`PathDelta::retracted`]), one dedup-index lookup
+    /// per row.
+    fn removed_positions(
+        &self,
+        deltas: &FxHashMap<NodeId, Relation>,
+    ) -> FxHashMap<NodeId, Vec<u32>> {
+        deltas
+            .iter()
+            .filter(|(n, _)| !self.forest.node(**n).registrations.is_empty())
+            .map(|(n, delta)| {
+                let view = &self.forest.node(*n).mat_view;
+                let mut positions: Vec<u32> = delta
+                    .iter()
+                    .map(|row| view.position(row).expect("a removed row is in its view") as u32)
+                    .collect();
+                positions.sort_unstable();
+                (*n, positions)
+            })
+            .collect()
     }
 
     /// Step 3 of an insertion run: append the deltas to the per-node
@@ -575,13 +608,17 @@ impl TricEngine {
 }
 
 /// Step 4 — the covering-path join pass of a run, for either sign: per
-/// affected query, join the delta of each affected covering path (`deltas`,
-/// keyed by end node) with the other paths' views in `forest`
-/// ([`join_covering_paths`]), probing `cache`'s builds of those views when
-/// given one. Inserted rows against post-insert views count new
-/// embeddings, removed rows against pre-removal views disappearing ones.
+/// affected query, count the ordered delta terms of its changed covering
+/// paths (`deltas`, keyed by end node) against the other paths' views in
+/// `forest` ([`join_covering_paths`]), probing `cache`'s builds of those
+/// views when given one. An insertion run (`removed_at` is `None`) has
+/// appended its deltas to the views, so inserted rows count new
+/// embeddings; a retraction run has not removed its deltas yet, and
+/// `removed_at` says where they sit, so removed rows count disappearing
+/// ones.
 fn answer_tric(
     deltas: &FxHashMap<NodeId, Relation>,
+    removed_at: Option<&FxHashMap<NodeId, Vec<u32>>>,
     affected_queries: &[QueryId],
     queries: &[QueryInfo],
     forest: &TrieForest,
@@ -592,7 +629,13 @@ fn answer_tric(
             .iter()
             .map(|qid| (*qid, queries[qid.index()].paths.as_slice())),
         |path| path.vertices.as_slice(),
-        |path| deltas.get(&path.end_node),
+        |path| {
+            let rows = deltas.get(&path.end_node)?;
+            Some(match removed_at {
+                Some(at) => PathDelta::retracted(rows, &at[&path.end_node]),
+                None => PathDelta::inserted(rows, &forest.node(path.end_node).mat_view),
+            })
+        },
         |path| Some(&forest.node(path.end_node).mat_view),
         cache,
     )

@@ -10,8 +10,10 @@
 
 use std::time::{Duration, Instant};
 
+use graph_stream_matching::baselines::IncEngine;
 use graph_stream_matching::core::prelude::*;
 use graph_stream_matching::datagen::{Dataset, Workload, WorkloadConfig};
+use graph_stream_matching::tric::TricEngine;
 use graph_stream_matching::{all_engines, all_engines_sharded};
 
 /// Replays a workload against every engine, asserting identical reports.
@@ -341,6 +343,43 @@ fn engines_agree_on_taxi_workload() {
     let workload =
         Workload::generate(WorkloadConfig::new(Dataset::Taxi, 900, 40).with_query_size(3));
     assert_engines_agree(&workload);
+}
+
+#[test]
+fn tric_matches_inc_plus_on_dense_taxi_batches() {
+    // The insert-only taxi benchmark's shape — 300 queries of three edges,
+    // 64-update batches — at 2 500 edges per seed. The stream gets dense
+    // enough that many batches change two or more covering paths of one
+    // query, which TRIC and TRIC+ count by ordered delta terms and INC+
+    // through a union, and it is replayed to its (dearest) end.
+    for seed in 1..=4 {
+        let workload = Workload::generate(
+            WorkloadConfig::new(Dataset::Taxi, 2_500, 300)
+                .with_query_size(3)
+                .with_seed(seed),
+        );
+        let mut engines: Vec<Box<dyn ContinuousEngine>> = vec![
+            Box::new(IncEngine::inc_plus()),
+            Box::new(TricEngine::tric()),
+            Box::new(TricEngine::tric_plus()),
+        ];
+        for engine in engines.iter_mut() {
+            for q in &workload.queries {
+                engine.register_query(q).expect("register");
+            }
+        }
+        for (i, batch) in workload.stream.as_slice().chunks(64).enumerate() {
+            let reference = engines[0].apply_batch(batch);
+            for engine in engines.iter_mut().skip(1) {
+                assert_eq!(
+                    engine.apply_batch(batch),
+                    reference,
+                    "{} disagrees with INC+ on batch #{i} of taxi seed {seed}",
+                    engine.name()
+                );
+            }
+        }
+    }
 }
 
 #[test]
