@@ -363,8 +363,9 @@ pub trait ContinuousEngine {
     /// (`retracted_embeddings`). Retracting an absent edge is a no-op;
     /// every engine must accept both signs here.
     ///
-    /// The default is the one-update batch; an engine with a dedicated
-    /// per-update algorithm (the graph-database baseline) overrides it.
+    /// This is the one-update batch: engines implement
+    /// [`apply_batch`](Self::apply_batch), and a single update goes through
+    /// it like any other batch.
     fn apply_update(&mut self, update: Update) -> MatchReport {
         self.apply_batch(std::slice::from_ref(&update))
     }

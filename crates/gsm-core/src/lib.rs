@@ -24,7 +24,7 @@
 //!   pipelined streaming executor built on two-phase (stage → answer)
 //!   engines, with an optional cross-thread answer stage.
 //! * [`pool`] — [`WorkerPool`], the persistent worker threads behind the
-//!   sharded absorb phase and the pipelined answer stage.
+//!   pipelined answer stage and the server's connection jobs.
 //! * [`stats`] / [`memory`] — latency statistics and heap accounting used by
 //!   the benchmark harness.
 //!

@@ -66,7 +66,9 @@
 //! [`PipelinedEngine::poll_at`] calls (there is no timer thread), and every
 //! entry point takes an explicit `Instant` so tests can drive a synthetic
 //! clock — in threaded mode only *where* a report is handed back changes,
-//! never which batches exist or what they report.
+//! never which batches exist or what they report. The batcher forwards
+//! the updates it is given and synthesizes none: a windowed stream carries
+//! its own expiry retractions.
 //!
 //! [`WorkerPool`]: crate::pool::WorkerPool
 
@@ -79,7 +81,6 @@ use crate::error::{Error, Result};
 use crate::model::update::Update;
 use crate::pool::WorkerPool;
 use crate::query::pattern::QueryPattern;
-use crate::relation::fasthash::FxHashMap;
 
 /// Configuration of the pipelined executor: the batcher's flush policy plus
 /// the answer-stage placement.
@@ -87,7 +88,9 @@ use crate::relation::fasthash::FxHashMap;
 pub struct PipelineConfig {
     /// Flush when the buffer reaches this many updates (clamped to ≥ 1).
     pub max_batch: usize,
-    /// Flush when the oldest buffered update has waited this long.
+    /// Flush when the oldest buffered update has waited this long. A delay
+    /// `Instant` cannot represent (`Duration::MAX`) means no time-based
+    /// flush: only size and [`PipelinedEngine::drain`] flush.
     pub max_delay: Duration,
     /// Hand reports back through dedicated worker threads: each flushed
     /// batch is staged on the calling thread, detached
@@ -107,15 +110,6 @@ pub struct PipelineConfig {
     /// Defaults to `GSM_ANSWER_THREADS` (see
     /// [`default_answer_workers`](PipelineConfig::default_answer_workers)).
     pub answer_workers: usize,
-    /// Sliding-window TTL: when set, an edge inserted at time *t* is
-    /// retracted automatically at *t + window* unless re-inserted (which
-    /// refreshes its deadline) or explicitly retracted first. The
-    /// [`DeadlineBatcher`] synthesizes the expiry retractions — it already
-    /// owns the clock — and emits them at the front of the next flushed
-    /// batch, so registered queries see their matches disappear as edges
-    /// age out. `None` (the default) keeps the unbounded, insert-only
-    /// stream semantics.
-    pub window: Option<Duration>,
 }
 
 impl Default for PipelineConfig {
@@ -125,7 +119,6 @@ impl Default for PipelineConfig {
             max_delay: Duration::from_millis(5),
             answer_thread: false,
             answer_workers: Self::default_answer_workers(),
-            window: None,
         }
     }
 }
@@ -154,14 +147,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Enables sliding-window TTL semantics (see
-    /// [`PipelineConfig::window`]): edges expire `window` after their latest
-    /// insertion.
-    pub fn windowed(mut self, window: Duration) -> Self {
-        self.window = Some(window);
-        self
-    }
-
     /// The default answer-worker count: `GSM_ANSWER_THREADS` when set to a
     /// positive integer (mirroring the harness `--answer-threads` flag),
     /// 1 otherwise. One worker reproduces the pre-existing dedicated
@@ -175,62 +160,21 @@ impl PipelineConfig {
     }
 }
 
-/// `inserted_at + window`, saturating instead of overflowing: a window wide
-/// enough to push the sum past the platform's `Instant` range (for example
-/// `Duration::MAX`, the idiomatic "never expire" spelling) yields the
-/// farthest representable deadline rather than `None`. Both expiry readers
-/// — [`DeadlineBatcher::next_deadline`] and the expiry sweep — go through
-/// here, so an unrepresentable deadline means "not yet due", never "drop
-/// the edge" or "drop the wakeup bound".
-fn saturating_deadline(inserted_at: Instant, window: Duration) -> Instant {
-    match inserted_at.checked_add(window) {
-        Some(deadline) => deadline,
-        None => {
-            // Walk the window down until the sum becomes representable; each
-            // halving is a ~292-year step at the `Duration::MAX` end, so the
-            // loop terminates in at most 64 iterations and the result is
-            // still unreachably far in the future.
-            let mut w = window / 2;
-            loop {
-                if let Some(deadline) = inserted_at.checked_add(w) {
-                    return deadline;
-                }
-                w /= 2;
-            }
-        }
-    }
-}
-
 /// The latency-budgeted batcher: accumulates updates and emits a batch when
 /// it reaches the size bound **or** the oldest buffered update exceeds the
 /// delay bound, whichever comes first. Time is always passed in explicitly,
-/// so the flush behaviour is deterministic and testable.
-///
-/// With a sliding window ([`DeadlineBatcher::windowed`]) the batcher also
-/// tracks every live edge it has seen and synthesizes an **expiry
-/// retraction** once an edge's latest insertion is `window` old: the
-/// retraction is buffered like any update (arming the flush deadline), so
-/// it reaches the engine at the front of the next flushed batch.
-/// Re-inserting a live edge refreshes its deadline; an explicit retraction
-/// cancels the pending expiry. Expiries are observed at
-/// [`push`](DeadlineBatcher::push)/[`poll`](DeadlineBatcher::poll) time —
-/// there is no timer thread — so a windowed caller should poll its idle
-/// loops at [`next_deadline`](DeadlineBatcher::next_deadline).
+/// so the flush behaviour is deterministic and testable. A delay too long
+/// for `Instant` to represent (`Duration::MAX`, say) disables the time
+/// bound: such a batcher flushes on size and on
+/// [`flush`](DeadlineBatcher::flush) only.
 #[derive(Debug)]
 pub struct DeadlineBatcher {
     max_batch: usize,
     max_delay: Duration,
     buffer: Vec<Update>,
-    /// Deadline of the oldest buffered update (`None` when empty).
+    /// Deadline of the oldest buffered update (`None` when empty, or when
+    /// that deadline lies beyond `Instant`'s range).
     deadline: Option<Instant>,
-    /// Sliding-window TTL (`None`: insert-only, nothing ever expires).
-    window: Option<Duration>,
-    /// Live edge (sign-normalized) → instant of its latest insertion.
-    live: FxHashMap<Update, Instant>,
-    /// `(inserted_at, edge)` expiry queue in insertion order. Entries whose
-    /// edge was re-inserted or explicitly retracted later are stale and
-    /// skipped; `live` holds the authoritative latest insertion time.
-    expiry: VecDeque<(Instant, Update)>,
 }
 
 impl DeadlineBatcher {
@@ -241,17 +185,7 @@ impl DeadlineBatcher {
             max_delay,
             buffer: Vec::new(),
             deadline: None,
-            window: None,
-            live: FxHashMap::default(),
-            expiry: VecDeque::new(),
         }
-    }
-
-    /// Enables the sliding window: edges expire `window` after their latest
-    /// insertion (see the type docs).
-    pub fn windowed(mut self, window: Duration) -> Self {
-        self.window = Some(window);
-        self
     }
 
     /// Number of buffered updates.
@@ -264,146 +198,28 @@ impl DeadlineBatcher {
         self.buffer.is_empty()
     }
 
-    /// Number of live (unexpired, unretracted) edges the window tracks.
-    /// Always 0 without a window.
-    pub fn live_edges(&self) -> usize {
-        self.live.len()
-    }
-
-    /// The live (unexpired, unretracted) edge set, in arbitrary order. With
-    /// an empty buffer this is exactly the surviving edge set of everything
-    /// flushed so far — the from-scratch state a windowed differential
-    /// oracle replays. Always empty without a window.
-    pub fn live_snapshot(&self) -> Vec<Update> {
-        self.live.keys().copied().collect()
-    }
-
-    /// The next instant something must happen by: the buffered batch's
-    /// flush deadline or the earliest pending edge expiry, whichever comes
-    /// first. Expiry bounds saturate (`saturating_deadline`): a window
-    /// wide enough to overflow `Instant` means "effectively never", not
-    /// "drop the bound" — the edge stays tracked and a poller sleeping on
-    /// this instant is still (eventually) woken. Stale expiry entries (refreshed or retracted edges) are
-    /// pruned from the queue front as they arise, so the expiry bound
-    /// always names a real pending expiry — an idle caller woken at this
-    /// instant never polls for a guaranteed no-op.
-    pub fn next_deadline(&self) -> Option<Instant> {
-        let expiry = self.window.and_then(|w| {
-            self.expiry
-                .front()
-                .map(|&(at, _)| saturating_deadline(at, w))
-        });
-        match (self.deadline, expiry) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Drops expiry-queue entries whose edge was re-inserted (refreshed) or
-    /// explicitly retracted from the **front** of the queue, so the front
-    /// entry — the one [`next_deadline`](DeadlineBatcher::next_deadline)
-    /// reports — is always live. Interior stale entries are skipped lazily
-    /// when they reach the front.
-    fn prune_stale_expiry(&mut self) {
-        while let Some(&(at, edge)) = self.expiry.front() {
-            if self.live.get(&edge) == Some(&at) {
-                break;
-            }
-            self.expiry.pop_front();
-        }
-    }
-
-    /// Records `update` in the live-edge window (no-op without a window):
-    /// an insertion (re-)arms the edge's expiry, a retraction cancels it.
-    fn track(&mut self, update: Update, now: Instant) {
-        if self.window.is_none() {
-            return;
-        }
-        let edge = update.edge();
-        if update.is_retraction() {
-            self.live.remove(&edge);
-        } else {
-            self.live.insert(edge, now);
-            self.expiry.push_back((now, edge));
-        }
-        self.prune_stale_expiry();
-    }
-
-    /// Buffers a synthesized expiry retraction for every live edge whose
-    /// latest insertion is at least `window` old at `now`, appending any
-    /// batch that reaches `max_batch` to `out` along the way — an expiry
-    /// storm emits several full batches instead of one oversized one.
-    /// Stale queue entries (re-inserted or explicitly retracted edges) are
-    /// dropped as they surface at the queue front.
-    fn absorb_expired(&mut self, now: Instant, out: &mut Vec<Vec<Update>>) {
-        let Some(window) = self.window else {
-            return;
-        };
-        while let Some(&(inserted_at, edge)) = self.expiry.front() {
-            if self.live.get(&edge) != Some(&inserted_at) {
-                self.expiry.pop_front();
-                continue; // stale: refreshed or retracted since.
-            }
-            if now < saturating_deadline(inserted_at, window) {
-                break;
-            }
-            self.expiry.pop_front();
-            self.live.remove(&edge);
-            if self.buffer.is_empty() {
-                self.deadline = Some(now + self.max_delay);
-            }
-            self.buffer.push(edge.inverted());
-            if self.buffer.len() >= self.max_batch {
-                self.deadline = None;
-                out.push(std::mem::take(&mut self.buffer));
-            }
-        }
-    }
-
-    /// Flushes the buffer into `out` if it is full or the oldest buffered
-    /// update's deadline has passed at `now`.
-    fn flush_if_due(&mut self, now: Instant, out: &mut Vec<Vec<Update>>) {
-        if self.buffer.len() >= self.max_batch || self.deadline.is_some_and(|d| now >= d) {
-            self.deadline = None;
-            if !self.buffer.is_empty() {
-                out.push(std::mem::take(&mut self.buffer));
-            }
-        }
-    }
-
-    /// Buffers one update at time `now`, returning every batch that became
-    /// due: the buffer when this push filled it or the oldest update's
-    /// deadline has passed, preceded by any full expiry batches. With a
-    /// sliding window, expiry retractions due by `now` are buffered first
-    /// (so a re-inserted expired edge is retracted before its re-insertion
-    /// and stays live). No returned batch ever exceeds `max_batch` updates.
-    pub fn push(&mut self, update: Update, now: Instant) -> Vec<Vec<Update>> {
-        let mut out = Vec::new();
-        self.absorb_expired(now, &mut out);
-        self.track(update, now);
+    /// Buffers one update at time `now`, returning the buffer as a batch
+    /// when this push filled it or the oldest update's deadline has passed.
+    /// No returned batch ever exceeds `max_batch` updates.
+    pub fn push(&mut self, update: Update, now: Instant) -> Option<Vec<Update>> {
         if self.buffer.is_empty() {
-            self.deadline = Some(now + self.max_delay);
+            self.deadline = now.checked_add(self.max_delay);
         }
         self.buffer.push(update);
-        self.flush_if_due(now, &mut out);
-        out
+        self.poll(now)
     }
 
-    /// Deadline check without a new update: buffers any expiry retractions
-    /// due by `now` (flushing every batch that fills up), then flushes the
-    /// buffer if it is full or the oldest buffered update has waited past
-    /// its deadline.
-    pub fn poll(&mut self, now: Instant) -> Vec<Vec<Update>> {
-        let mut out = Vec::new();
-        self.absorb_expired(now, &mut out);
-        self.flush_if_due(now, &mut out);
-        out
+    /// Deadline check without a new update: flushes the buffer if it is
+    /// full or the oldest buffered update has waited past its deadline.
+    pub fn poll(&mut self, now: Instant) -> Option<Vec<Update>> {
+        if self.buffer.len() >= self.max_batch || self.deadline.is_some_and(|d| now >= d) {
+            self.flush()
+        } else {
+            None
+        }
     }
 
-    /// Unconditionally flushes whatever is buffered. Takes no clock, so no
-    /// expiries are synthesized — pending window state survives the flush
-    /// and is observed by the next [`push`](DeadlineBatcher::push) or
-    /// [`poll`](DeadlineBatcher::poll).
+    /// Unconditionally flushes whatever is buffered.
     pub fn flush(&mut self) -> Option<Vec<Update>> {
         self.deadline = None;
         if self.buffer.is_empty() {
@@ -544,11 +360,10 @@ pub struct PipelinedEngine<E> {
 }
 
 /// The cross-thread answer stage: a persistent [`WorkerPool`] of
-/// [`PipelineConfig::answer_workers`] threads (the same primitive the
-/// sharded absorb phase runs on) executing detached answer tasks, plus the
-/// FIFO bookkeeping that keeps [`CompletedBatch`]es in arrival order. Tasks
-/// are dequeued in submission order but, with several workers, may *finish*
-/// in any order; every result returns over `results` tagged with its
+/// [`PipelineConfig::answer_workers`] threads executing detached answer
+/// tasks, plus the FIFO bookkeeping that keeps [`CompletedBatch`]es in
+/// arrival order. Tasks are dequeued in submission order but, with several
+/// workers, may *finish* in any order; every result returns over `results` tagged with its
 /// submission sequence number and parks in the [`ReorderBuffer`] until it
 /// is the oldest outstanding one. The caller thread submits
 /// `(detach → execute)` per staged batch; blocking on the oldest report
@@ -658,13 +473,9 @@ impl Drop for AnswerStage {
 impl<E: ContinuousEngine> PipelinedEngine<E> {
     /// Wraps `engine` behind a pipelined front end.
     pub fn new(engine: E, config: PipelineConfig) -> Self {
-        let mut batcher = DeadlineBatcher::new(config.max_batch, config.max_delay);
-        if let Some(window) = config.window {
-            batcher = batcher.windowed(window);
-        }
         PipelinedEngine {
             engine,
-            batcher,
+            batcher: DeadlineBatcher::new(config.max_batch, config.max_delay),
             pending_ops: Vec::new(),
             queued_registrations: 0,
             epoch: 0,
@@ -703,19 +514,6 @@ impl<E: ContinuousEngine> PipelinedEngine<E> {
     /// Number of updates buffered by the batcher (not yet staged).
     pub fn buffered(&self) -> usize {
         self.batcher.len()
-    }
-
-    /// Number of live edges tracked by the sliding window (always 0 without
-    /// [`PipelineConfig::window`]).
-    pub fn live_edges(&self) -> usize {
-        self.batcher.live_edges()
-    }
-
-    /// The live (unexpired, unretracted) edge set of the sliding window, in
-    /// arbitrary order. After a [`Self::drain`] this is exactly the edge set
-    /// the inner engine's state reflects. Always empty without a window.
-    pub fn live_snapshot(&self) -> Vec<Update> {
-        self.batcher.live_snapshot()
     }
 
     /// Number of epoch boundaries passed so far. Every pipeline barrier —
@@ -810,7 +608,7 @@ impl<E: ContinuousEngine> PipelinedEngine<E> {
     /// Streams one update at an explicit time `now` (deterministic variant
     /// of [`push`](Self::push) for tests and replay harnesses).
     pub fn push_at(&mut self, update: Update, now: Instant) -> Vec<CompletedBatch> {
-        for batch in self.batcher.push(update, now) {
+        if let Some(batch) = self.batcher.push(update, now) {
             self.stage(batch);
         }
         self.advance();
@@ -821,7 +619,7 @@ impl<E: ContinuousEngine> PipelinedEngine<E> {
     /// if its deadline has passed and returns any batches that completed.
     /// Call this from idle loops — the executor has no timer thread.
     pub fn poll_at(&mut self, now: Instant) -> Vec<CompletedBatch> {
-        for batch in self.batcher.poll(now) {
+        if let Some(batch) = self.batcher.poll(now) {
             self.stage(batch);
         }
         self.advance();
@@ -840,40 +638,14 @@ impl<E: ContinuousEngine> PipelinedEngine<E> {
         std::mem::take(&mut self.completed)
     }
 
-    /// Streams a whole slice through the pipeline under the real clock
-    /// (each update is pushed at its own `Instant::now()`, so windowed
-    /// configs synthesize expiries mid-stream as wall time advances),
+    /// Streams a whole slice through the pipeline under the real clock,
     /// drains it, and returns the merge of every report — equal to merging
     /// the sequential per-update reports of the stream (both the appearing
-    /// and the disappearing embeddings). Convenience for benches and tests;
-    /// for a deterministic clock use
-    /// [`run_stream_at`](PipelinedEngine::run_stream_at).
+    /// and the disappearing embeddings). Convenience for benches and tests.
     pub fn run_stream(&mut self, updates: &[Update]) -> MatchReport {
         let mut report = MatchReport::empty();
         for &u in updates {
             let done = self.push_at(u, Instant::now());
-            Self::fold_reports(&mut report, done);
-        }
-        let done = self.drain();
-        Self::fold_reports(&mut report, done);
-        report
-    }
-
-    /// Deterministic [`run_stream`](PipelinedEngine::run_stream): update
-    /// *i* is pushed at `start + i · tick`, then the pipeline drains. A
-    /// zero `tick` freezes the clock (segmentation purely size-driven); a
-    /// nonzero one advances it so windowed configs expire edges mid-stream
-    /// at reproducible points. The final drain synthesizes no expiries —
-    /// pending window state survives for later pushes/polls to observe.
-    pub fn run_stream_at(
-        &mut self,
-        updates: &[Update],
-        start: Instant,
-        tick: Duration,
-    ) -> MatchReport {
-        let mut report = MatchReport::empty();
-        for (i, &u) in updates.iter().enumerate() {
-            let done = self.push_at(u, start + tick * i as u32);
             Self::fold_reports(&mut report, done);
         }
         let done = self.drain();
@@ -1030,80 +802,105 @@ mod tests {
 
     const MS: Duration = Duration::from_millis(1);
 
-    /// Unwraps a push/poll result expected to contain exactly one batch.
-    fn only(batches: Vec<Vec<Update>>) -> Vec<Update> {
-        assert_eq!(batches.len(), 1, "expected exactly one flushed batch");
-        batches.into_iter().next().unwrap()
-    }
-
     #[test]
     fn batcher_flushes_on_size() {
         let mut b = DeadlineBatcher::new(3, Duration::from_secs(60));
         let now = t0();
-        assert!(b.push(u(0, 1, 2), now).is_empty());
-        assert!(b.push(u(0, 2, 3), now).is_empty());
+        assert!(b.push(u(0, 1, 2), now).is_none());
+        assert!(b.push(u(0, 2, 3), now).is_none());
         assert_eq!(b.len(), 2);
-        let batch = only(b.push(u(0, 3, 4), now));
+        let batch = b.push(u(0, 3, 4), now).expect("size flush");
         assert_eq!(batch.len(), 3);
         assert!(b.is_empty());
-        assert!(b.next_deadline().is_none());
+        assert!(b.deadline.is_none());
     }
 
     #[test]
     fn batcher_flushes_on_deadline() {
         let mut b = DeadlineBatcher::new(1000, 5 * MS);
         let now = t0();
-        assert!(b.push(u(0, 1, 2), now).is_empty());
-        let deadline = b.next_deadline().expect("armed");
-        assert_eq!(deadline, now + 5 * MS);
+        assert!(b.push(u(0, 1, 2), now).is_none());
+        assert_eq!(b.deadline, Some(now + 5 * MS), "armed");
         // Deadline is measured from the *oldest* buffered update.
-        assert!(b.push(u(0, 2, 3), now + 3 * MS).is_empty());
-        assert!(b.poll(now + 4 * MS).is_empty(), "before the deadline");
-        let batch = only(b.poll(now + 5 * MS));
+        assert!(b.push(u(0, 2, 3), now + 3 * MS).is_none());
+        assert!(b.poll(now + 4 * MS).is_none(), "before the deadline");
+        let batch = b.poll(now + 5 * MS).expect("deadline flush");
         assert_eq!(batch.len(), 2);
         // A push at/after the deadline flushes too (no poll needed).
-        assert!(b.push(u(0, 3, 4), now + 10 * MS).is_empty());
-        let batch = only(b.push(u(0, 4, 5), now + 16 * MS));
+        assert!(b.push(u(0, 3, 4), now + 10 * MS).is_none());
+        let batch = b.push(u(0, 4, 5), now + 16 * MS).expect("late push");
         assert_eq!(batch.len(), 2);
         // Empty batcher never deadline-flushes.
-        assert!(b.poll(now + 100 * MS).is_empty());
+        assert!(b.poll(now + 100 * MS).is_none());
     }
 
     #[test]
     fn batcher_clamps_degenerate_size() {
         let mut b = DeadlineBatcher::new(0, Duration::from_secs(1));
-        assert_eq!(only(b.push(u(0, 1, 2), t0())).len(), 1);
+        assert_eq!(b.push(u(0, 1, 2), t0()).map(|b| b.len()), Some(1));
     }
 
     #[test]
-    fn batcher_never_exceeds_max_batch_under_expiry_storms() {
-        // 5 live edges all expire at once with max_batch 2: the expiry
-        // storm plus the incoming push must come out as bounded batches
-        // ([2, 2, 2], never one batch of 6) with every update preserved in
-        // order.
-        let mut b = DeadlineBatcher::new(2, Duration::from_secs(60)).windowed(10 * MS);
+    fn batcher_flush_of_an_empty_buffer_is_none() {
+        let mut b = DeadlineBatcher::new(4, MS);
+        assert!(b.flush().is_none());
         let now = t0();
-        let mut flushed: Vec<Vec<Update>> = Vec::new();
-        for i in 0..5u32 {
-            flushed.extend(b.push(u(0, i, i + 1), now));
+        assert!(b.poll(now + 10 * MS).is_none());
+        assert!(b.push(u(0, 1, 2), now).is_none());
+        assert_eq!(b.flush().map(|batch| batch.len()), Some(1));
+        // Flushing disarms the deadline along with emptying the buffer.
+        assert!(b.deadline.is_none());
+        assert!(b.flush().is_none());
+    }
+
+    #[test]
+    fn batcher_rearms_the_deadline_from_the_first_push_after_a_flush() {
+        let mut b = DeadlineBatcher::new(2, 5 * MS);
+        let now = t0();
+        assert!(b.push(u(0, 1, 2), now).is_none());
+        assert_eq!(b.push(u(0, 2, 3), now + MS).map(|v| v.len()), Some(2));
+        // The next batch's clock starts at its own first update, not at
+        // the flushed batch's.
+        assert!(b.push(u(0, 3, 4), now + 4 * MS).is_none());
+        assert_eq!(b.deadline, Some(now + 9 * MS));
+        assert!(b.poll(now + 8 * MS).is_none(), "old deadline is gone");
+        assert_eq!(b.poll(now + 9 * MS).map(|v| v.len()), Some(1));
+    }
+
+    #[test]
+    fn batcher_with_an_unrepresentable_delay_arms_no_deadline() {
+        let mut b = DeadlineBatcher::new(3, Duration::MAX);
+        let now = t0();
+        assert!(b.push(u(0, 1, 2), now).is_none());
+        assert!(b.deadline.is_none(), "now + Duration::MAX does not exist");
+        let later = now + Duration::from_secs(100 * 365 * 24 * 3600);
+        assert!(b.poll(later).is_none());
+        assert!(b.push(u(0, 2, 3), later).is_none());
+        assert_eq!(b.push(u(0, 3, 4), later).map(|v| v.len()), Some(3));
+        assert!(b.is_empty());
+    }
+
+    #[test]
+    fn unrepresentable_delay_flushes_on_size_and_drain_only() {
+        // `now + Duration::MAX` overflows `Instant`: the delay bound is
+        // off, so 9 pushes at max_batch 4 flush twice on size, no poll
+        // ever flushes the ninth update, and `drain` hands it back.
+        let config = PipelineConfig::new(4, Duration::MAX);
+        let mut pipe = PipelinedEngine::new(SplitToy::default(), config);
+        let now = t0();
+        let mut done = Vec::new();
+        for i in 0..9u32 {
+            done.extend(pipe.push_at(u(0, i, i + 1), now + i * MS));
         }
-        assert_eq!(flushed.len(), 2, "5 inserts at size 2 flush twice");
-        assert_eq!(b.len(), 1, "one insert still buffered");
-        assert_eq!(b.live_edges(), 5);
-        let batches = b.push(u(1, 9, 9), now + 10 * MS);
-        let total: usize = batches.iter().map(Vec::len).sum();
-        assert_eq!(total, 1 + 5, "buffered insert + 5 expiries");
-        assert!(
-            batches.iter().all(|batch| batch.len() <= 2),
-            "a batch exceeded max_batch: {batches:?}"
-        );
-        // Order: the buffered insert first, then the expiries; the pushed
-        // insert stays buffered (it did not fill a batch).
-        let flat: Vec<Update> = batches.into_iter().flatten().collect();
-        assert_eq!(flat[0], u(0, 4, 5));
-        assert!(flat[1..6].iter().all(Update::is_retraction));
-        assert_eq!(b.len(), 1, "the pushed insert is buffered");
-        assert_eq!(b.live_edges(), 1);
+        let sizes: Vec<usize> = done.iter().map(|b| b.updates).collect();
+        assert_eq!(sizes, vec![4, 4], "two size flushes");
+        assert_eq!(pipe.buffered(), 1);
+        let later = now + Duration::from_secs(365 * 24 * 3600);
+        assert!(pipe.poll_at(later).is_empty(), "no time-based flush");
+        let rest = pipe.drain();
+        assert_eq!(rest.len(), 1);
+        assert_eq!(rest[0].updates, 1, "the ninth update");
+        assert_eq!(pipe.stats().updates_processed, 9);
     }
 
     /// A deterministic engine that records the interleaving of its stage
@@ -1270,6 +1067,52 @@ mod tests {
         assert_eq!(done[0].updates, 1);
         assert_eq!(done[0].report.total_embeddings(), 1);
         assert_eq!(pipe.buffered(), 0);
+    }
+
+    #[test]
+    fn poll_before_the_deadline_keeps_the_batch_buffered() {
+        let config = PipelineConfig::new(1000, 5 * MS);
+        let mut pipe = PipelinedEngine::new(SplitToy::default(), config);
+        let now = t0();
+        assert!(pipe.push_at(u(0, 1, 2), now).is_empty());
+        assert!(pipe.poll_at(now + 4 * MS).is_empty());
+        assert_eq!(pipe.buffered(), 1);
+        assert!(pipe.engine().log.is_empty(), "nothing was staged");
+        assert_eq!(pipe.stats().updates_processed, 0);
+    }
+
+    #[test]
+    fn drain_of_an_idle_pipeline_completes_nothing_and_closes_the_epoch() {
+        for config in [
+            PipelineConfig::new(4, MS),
+            PipelineConfig::new(4, MS).threaded(),
+        ] {
+            let mut pipe = PipelinedEngine::new(SplitToy::default(), config);
+            assert_eq!(pipe.epoch(), 0);
+            assert!(pipe.drain().is_empty());
+            assert!(pipe.drain().is_empty());
+            assert_eq!(pipe.epoch(), 2, "every drain is a barrier");
+            assert!(pipe.engine().log.is_empty(), "no empty batch staged");
+        }
+    }
+
+    #[test]
+    fn threaded_run_stream_with_an_unrepresentable_delay_equals_sequential() {
+        // `run_stream` pushes under the real clock: with `Duration::MAX` no
+        // deadline is ever armed, and the closing drain hands back the tail.
+        let stream: Vec<Update> = (0..23u32).map(|i| u(i % 4, i % 5, (i + 1) % 5)).collect();
+        let expected = SplitToy::default().apply_batch(&stream);
+        for workers in [1usize, 2] {
+            let config = PipelineConfig::new(4, Duration::MAX)
+                .threaded()
+                .with_answer_workers(workers);
+            let mut pipe = PipelinedEngine::new(SplitToy::default(), config);
+            assert_eq!(pipe.run_stream(&stream), expected, "workers {workers}");
+            assert_eq!(pipe.in_flight(), 0);
+            assert_eq!(pipe.buffered(), 0);
+            // 23 updates at max_batch 4: five size flushes and the drained tail.
+            assert_eq!(pipe.engine().log.len(), 2 * 6);
+        }
     }
 
     #[test]
@@ -1681,140 +1524,6 @@ mod tests {
     }
 
     #[test]
-    fn batcher_sliding_window_expires_edges() {
-        let mut b = DeadlineBatcher::new(100, MS).windowed(10 * MS);
-        let now = t0();
-        // Insert, flush on deadline, then let the edge age out: the poll at
-        // t+10ms synthesizes the retraction, which flushes at t+11ms.
-        assert!(b.push(u(0, 1, 2), now).is_empty());
-        assert_eq!(b.live_edges(), 1);
-        let batch = only(b.poll(now + MS));
-        assert_eq!(batch, vec![u(0, 1, 2)]);
-        assert!(b.poll(now + 9 * MS).is_empty(), "not expired yet");
-        assert!(b.poll(now + 10 * MS).is_empty(), "expiry buffered, not due");
-        assert_eq!(b.live_edges(), 0);
-        let batch = only(b.poll(now + 11 * MS));
-        assert_eq!(batch, vec![u(0, 1, 2).inverted()]);
-        assert!(batch[0].is_retraction());
-        // Nothing left: the window is empty and stays quiet.
-        assert!(b.poll(now + 100 * MS).is_empty());
-    }
-
-    #[test]
-    fn batcher_reinsertion_refreshes_the_window_deadline() {
-        let mut b = DeadlineBatcher::new(1, MS).windowed(10 * MS);
-        let now = t0();
-        assert!(!b.push(u(0, 1, 2), now).is_empty(), "size-1 flush");
-        // Re-insert at t+6ms: the t0 expiry entry goes stale and is pruned,
-        // so the idle deadline moves straight to the refreshed expiry.
-        assert!(!b.push(u(0, 1, 2), now + 6 * MS).is_empty());
-        assert_eq!(
-            b.next_deadline(),
-            Some(now + 16 * MS),
-            "stale front entry must not schedule a no-op wakeup at t+10ms"
-        );
-        assert!(b.poll(now + 10 * MS).is_empty(), "stale entry skipped");
-        assert_eq!(b.live_edges(), 1);
-        // The refreshed deadline (t+16ms) is the one that fires.
-        let batch = only(b.poll(now + 16 * MS));
-        assert_eq!(batch, vec![u(0, 1, 2).inverted()]);
-        assert_eq!(b.live_edges(), 0);
-    }
-
-    #[test]
-    fn batcher_explicit_retraction_cancels_the_pending_expiry() {
-        let mut b = DeadlineBatcher::new(1, MS).windowed(10 * MS);
-        let now = t0();
-        assert!(!b.push(u(0, 1, 2), now).is_empty());
-        assert!(!b.push(u(0, 1, 2).inverted(), now + 2 * MS).is_empty());
-        assert_eq!(b.live_edges(), 0);
-        // The cancelled expiry entry is pruned: no wakeup is scheduled and
-        // no synthesized retraction ever fires for the retracted edge.
-        assert_eq!(b.next_deadline(), None);
-        assert!(b.poll(now + 50 * MS).is_empty());
-    }
-
-    #[test]
-    fn batcher_expired_edge_repushed_in_the_same_call_stays_live() {
-        let mut b = DeadlineBatcher::new(100, MS).windowed(5 * MS);
-        let now = t0();
-        assert!(b.push(u(0, 1, 2), now).is_empty());
-        b.flush();
-        // The re-push observes the expiry first: the flushed batch orders
-        // the synthesized retraction before the re-insertion, so the edge
-        // ends the batch live.
-        assert!(b.push(u(0, 1, 2), now + 7 * MS).is_empty());
-        let batch = only(b.poll(now + 8 * MS));
-        assert_eq!(batch, vec![u(0, 1, 2).inverted(), u(0, 1, 2)]);
-        assert_eq!(b.live_edges(), 1);
-    }
-
-    #[test]
-    fn huge_window_keeps_the_expiry_wakeup_bound() {
-        // Regression: `inserted_at + Duration::MAX` overflows `Instant`, and
-        // the overflow used to drop the expiry bound entirely — an idle
-        // poller sleeping on `next_deadline` was never woken. The bound must
-        // saturate to a far (but representable) deadline instead.
-        let mut b = DeadlineBatcher::new(1, MS).windowed(Duration::MAX);
-        let now = t0();
-        assert!(!b.push(u(0, 1, 2), now).is_empty(), "size-1 flush");
-        assert_eq!(b.live_edges(), 1);
-        let deadline = b
-            .next_deadline()
-            .expect("a pending expiry must always report a wakeup bound");
-        assert!(deadline > now + Duration::from_secs(3600));
-    }
-
-    #[test]
-    fn huge_window_edges_stay_live_instead_of_leaking() {
-        // Regression: the expiry sweep used to *pop* entries whose deadline
-        // overflowed while leaving the edge in the live map — the edge could
-        // then never expire, never be refreshed cheaply, and never wake a
-        // poller. With saturation the entry stays queued and simply is not
-        // due yet.
-        let mut b = DeadlineBatcher::new(1, MS).windowed(Duration::MAX);
-        let now = t0();
-        assert!(!b.push(u(0, 1, 2), now).is_empty());
-        assert!(
-            b.poll(now + Duration::from_secs(86400)).is_empty(),
-            "nowhere near the saturated deadline"
-        );
-        assert_eq!(b.live_edges(), 1, "the edge is still tracked");
-        assert_eq!(
-            b.live_snapshot(),
-            vec![u(0, 1, 2)],
-            "the live set still names the edge"
-        );
-        // An explicit retraction must still cancel it cleanly.
-        assert!(!b
-            .push(u(0, 1, 2).inverted(), now + Duration::from_secs(86400))
-            .is_empty());
-        assert_eq!(b.live_edges(), 0);
-        assert_eq!(b.next_deadline(), None);
-    }
-
-    #[test]
-    fn near_overflow_window_mix_expires_the_representable_edge_only() {
-        // A representable deadline sitting behind a saturated one must still
-        // fire: the queue is insertion-ordered, so the saturated entry only
-        // blocks the sweep until its own (far-future) deadline — which a
-        // realistic `now` never reaches.
-        let mut huge = DeadlineBatcher::new(10, MS).windowed(Duration::MAX / 2);
-        let mut small = DeadlineBatcher::new(10, MS).windowed(10 * MS);
-        let now = t0();
-        assert!(huge.push(u(0, 1, 2), now).is_empty());
-        assert!(small.push(u(0, 1, 2), now).is_empty());
-        huge.flush();
-        small.flush();
-        assert!(huge.poll(now + 20 * MS).is_empty(), "not due");
-        assert_eq!(huge.live_edges(), 1);
-        assert!(small.poll(now + 11 * MS).is_empty(), "expiry buffered");
-        let expired = only(small.poll(now + 12 * MS));
-        assert_eq!(expired, vec![u(0, 1, 2).inverted()]);
-        assert_eq!(small.live_edges(), 0);
-    }
-
-    #[test]
     fn mixed_sign_flushes_stage_whole() {
         // Two flushes of [+, +, −, +] each stage as one batch: one
         // completion per flush, covering all of it, whose report is what
@@ -1842,49 +1551,6 @@ mod tests {
             pipe.engine().log,
             vec![("stage", 0), ("answer", 0), ("stage", 1), ("answer", 1)]
         );
-    }
-
-    #[test]
-    fn windowed_pipeline_completes_expiry_batches() {
-        let config = PipelineConfig::new(100, 2 * MS).windowed(8 * MS);
-        let mut pipe = PipelinedEngine::new(SplitToy::default(), config);
-        let now = t0();
-        assert!(pipe.push_at(u(0, 1, 2), now).is_empty());
-        assert_eq!(pipe.live_edges(), 1);
-        let done = pipe.poll_at(now + 2 * MS);
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].updates, 1, "the insert batch");
-        // At t+8ms the edge expires; the synthesized retraction is buffered
-        // and flushes at t+10ms.
-        assert!(pipe.poll_at(now + 8 * MS).is_empty());
-        assert_eq!(pipe.live_edges(), 0);
-        let done = pipe.poll_at(now + 10 * MS);
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].updates, 1, "the synthesized expiry retraction");
-        assert!(pipe.drain().is_empty());
-    }
-
-    #[test]
-    fn windowed_run_stream_expires_edges_mid_stream() {
-        // run_stream_at with an advancing tick must let the sliding window
-        // synthesize expiries *between* pushes — the frozen-clock bug made
-        // every windowed run_stream behave as if nothing ever aged out.
-        let config = PipelineConfig::new(100, MS).windowed(5 * MS);
-        let mut pipe = PipelinedEngine::new(SplitToy::default(), config);
-        let stream = [u(0, 1, 2), u(2, 2, 3), u(4, 3, 4)];
-        pipe.run_stream_at(&stream, t0(), 10 * MS);
-        // Each push is 10ms after the last, so the previous edge has
-        // expired every time: 3 inserts + 2 synthesized retractions reach
-        // the engine (the third edge is still live at the final drain,
-        // which synthesizes no expiries).
-        assert_eq!(pipe.stats().updates_processed, 5);
-        assert_eq!(pipe.live_edges(), 1);
-        // A zero tick reproduces the frozen clock: no expiries.
-        let config = PipelineConfig::new(100, MS).windowed(5 * MS);
-        let mut pipe = PipelinedEngine::new(SplitToy::default(), config);
-        pipe.run_stream_at(&stream, t0(), Duration::ZERO);
-        assert_eq!(pipe.stats().updates_processed, 3);
-        assert_eq!(pipe.live_edges(), 3);
     }
 
     /// Like [`PanickingDetachToy`], but the detached task sleeps first so

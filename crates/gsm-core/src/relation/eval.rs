@@ -451,6 +451,22 @@ mod tests {
     }
 
     #[test]
+    fn every_repeated_vertex_group_is_enforced() {
+        // Vertices [0, 1, 0, 1]: a row survives only when col0 == col2 and
+        // col1 == col3, and is projected onto the first occurrences.
+        let r = rel(
+            4,
+            &[&[1, 2, 1, 2], &[1, 2, 1, 3], &[1, 2, 3, 2], &[4, 4, 4, 4]],
+        );
+        let b = PathBinding::new(&r, &[0, 1, 0, 1]);
+        let out = join_paths(&[b]).unwrap();
+        assert_eq!(out.vertices, vec![0, 1]);
+        assert_eq!(out.rel.len(), 2);
+        assert!(out.rel.contains(&[s(1), s(2)]));
+        assert!(out.rel.contains(&[s(4), s(4)]));
+    }
+
+    #[test]
     fn two_paths_join_on_shared_vertex() {
         // Path A over vertices [0,1], path B over vertices [1,2].
         let a = rel(2, &[&[1, 2], &[3, 4]]);

@@ -434,24 +434,6 @@ impl Relation {
         out
     }
 
-    /// Keeps only the rows where, within each group of columns, all values
-    /// are equal. Used to enforce repeated query vertices inside a path.
-    pub fn filter_equal_groups(&self, groups: &[Vec<usize>]) -> Relation {
-        let mut out = Relation::new(self.arity);
-        'rows: for row in self.iter() {
-            for group in groups {
-                if group.len() > 1 {
-                    let first = row[group[0]];
-                    if group[1..].iter().any(|&c| row[c] != first) {
-                        continue 'rows;
-                    }
-                }
-            }
-            out.push(row);
-        }
-        out
-    }
-
     /// Keeps only the rows where column `col` equals `value`.
     pub fn filter_col_eq(&self, col: usize, value: Sym) -> Relation {
         let mut out = Relation::new(self.arity);
@@ -533,16 +515,6 @@ mod tests {
         assert_eq!(p.arity(), 2);
         let reordered = r.project(&[2, 0]);
         assert_eq!(reordered.row(0), &[s(3), s(1)]);
-    }
-
-    #[test]
-    fn filter_equal_groups_enforces_repeats() {
-        let mut r = Relation::new(3);
-        r.push(&[s(1), s(2), s(1)]);
-        r.push(&[s(1), s(2), s(3)]);
-        let f = r.filter_equal_groups(&[vec![0, 2]]);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f.row(0), &[s(1), s(2), s(1)]);
     }
 
     #[test]

@@ -55,27 +55,6 @@ impl EdgeViewStore {
         self.views.is_empty()
     }
 
-    /// Routes an update to every registered view it satisfies and appends the
-    /// `(src, tgt)` tuple. Returns the generic edges whose view actually
-    /// gained a new tuple (an exact duplicate of an earlier update leaves all
-    /// views unchanged and therefore cannot produce new embeddings).
-    pub fn apply_update(&mut self, u: &Update) -> Vec<GenericEdge> {
-        debug_assert!(
-            !u.is_retraction(),
-            "retractions route through remove_deltas/retract_deltas"
-        );
-        let row: [Sym; 2] = [u.src, u.tgt];
-        let mut affected = Vec::new();
-        for shape in GenericEdge::shapes_of_update(u) {
-            if let Some(view) = self.views.get_mut(&shape) {
-                if view.push(&row) {
-                    affected.push(shape);
-                }
-            }
-        }
-        affected
-    }
-
     /// Routes a whole batch of updates, returning for every affected generic
     /// edge the **delta relation** of the batch: the `(src, tgt)` tuples that
     /// were actually new for that edge's view (exact duplicates — of earlier
@@ -180,6 +159,17 @@ mod tests {
         GenericEdge::from_pattern(&PatternEdge::new(Sym(label), src, tgt))
     }
 
+    /// Routes one update as a one-update batch and returns the generic
+    /// edges whose view gained its row, sorted.
+    fn route(store: &mut EdgeViewStore, u: Update) -> Vec<GenericEdge> {
+        let mut keys: Vec<GenericEdge> = store
+            .apply_batch(std::slice::from_ref(&u))
+            .into_keys()
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
     #[test]
     fn update_is_routed_to_all_matching_views() {
         let mut store = EdgeViewStore::new();
@@ -190,8 +180,10 @@ mod tests {
         for e in [var_var, var_const, const_const, other_label] {
             store.register(e);
         }
-        let affected = store.apply_update(&Update::new(Sym(0), Sym(50), Sym(100)));
-        assert_eq!(affected.len(), 3);
+        let affected = route(&mut store, Update::new(Sym(0), Sym(50), Sym(100)));
+        let mut expected = vec![var_var, var_const, const_const];
+        expected.sort_unstable();
+        assert_eq!(affected, expected);
         assert!(store.get(&var_var).unwrap().len() == 1);
         assert!(store.get(&var_const).unwrap().len() == 1);
         assert!(store.get(&const_const).unwrap().len() == 1);
@@ -204,8 +196,8 @@ mod tests {
         let var_var = ge(0, Term::Var(0), Term::Var(1));
         store.register(var_var);
         let u = Update::new(Sym(0), Sym(1), Sym(2));
-        assert_eq!(store.apply_update(&u).len(), 1);
-        assert_eq!(store.apply_update(&u).len(), 0);
+        assert_eq!(route(&mut store, u), vec![var_var]);
+        assert!(route(&mut store, u).is_empty());
         assert_eq!(store.get(&var_var).unwrap().len(), 1);
     }
 
@@ -214,9 +206,12 @@ mod tests {
         let mut store = EdgeViewStore::new();
         let loop_edge = ge(0, Term::Var(0), Term::Var(0));
         store.register(loop_edge);
-        store.apply_update(&Update::new(Sym(0), Sym(1), Sym(2)));
+        assert!(route(&mut store, Update::new(Sym(0), Sym(1), Sym(2))).is_empty());
         assert!(store.get(&loop_edge).unwrap().is_empty());
-        store.apply_update(&Update::new(Sym(0), Sym(3), Sym(3)));
+        assert_eq!(
+            route(&mut store, Update::new(Sym(0), Sym(3), Sym(3))),
+            vec![loop_edge]
+        );
         assert_eq!(store.get(&loop_edge).unwrap().len(), 1);
     }
 
@@ -225,7 +220,7 @@ mod tests {
         let mut store = EdgeViewStore::new();
         let e = ge(0, Term::Var(0), Term::Var(1));
         store.register(e);
-        store.apply_update(&Update::new(Sym(0), Sym(1), Sym(2)));
+        route(&mut store, Update::new(Sym(0), Sym(1), Sym(2)));
         store.register(e);
         assert_eq!(
             store.get(&e).unwrap().len(),
@@ -245,7 +240,7 @@ mod tests {
             store.register(e);
         }
         // One pre-batch update: its row must not reappear in the batch delta.
-        store.apply_update(&Update::new(Sym(0), Sym(1), Sym(2)));
+        route(&mut store, Update::new(Sym(0), Sym(1), Sym(2)));
 
         let batch = vec![
             Update::new(Sym(0), Sym(1), Sym(2)), // duplicate of history
@@ -308,18 +303,15 @@ mod tests {
         );
         // A retracted edge can be re-inserted afterwards.
         assert_eq!(
-            store
-                .apply_update(&Update::new(Sym(0), Sym(1), Sym(2)))
-                .len(),
-            1
+            route(&mut store, Update::new(Sym(0), Sym(1), Sym(2))),
+            vec![var_var]
         );
     }
 
     #[test]
     fn unregistered_edges_are_ignored() {
         let mut store = EdgeViewStore::new();
-        let affected = store.apply_update(&Update::new(Sym(0), Sym(1), Sym(2)));
-        assert!(affected.is_empty());
+        assert!(route(&mut store, Update::new(Sym(0), Sym(1), Sym(2))).is_empty());
         assert!(store.is_empty());
     }
 }

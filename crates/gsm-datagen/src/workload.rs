@@ -51,8 +51,7 @@ pub enum StreamVariant {
     InsertOnly,
     /// Count-based sliding window: each edge is retracted `window` inserts
     /// after its latest insertion, so the live graph stays bounded by the
-    /// window size. Matches the TTL semantics of the pipelined front end
-    /// with a count-based clock.
+    /// window size.
     SlidingWindow {
         /// Window width in stream positions (clamped to ≥ 1).
         window: usize,
@@ -146,9 +145,9 @@ impl WorkloadConfig {
 
 /// Interleaves count-based sliding-window retractions into an insert
 /// stream: each edge is retracted `window` positions after its latest
-/// insertion (re-insertion refreshes the deadline, exactly like the
-/// pipelined front end's TTL). Trailing edges still inside the window when
-/// the stream ends stay live — a sustained stream never fully drains.
+/// insertion (re-insertion refreshes the deadline). Trailing edges still
+/// inside the window when the stream ends stay live — a sustained stream
+/// never fully drains.
 pub fn windowed_stream(inserts: &[Update], window: usize) -> GraphStream {
     let window = window.max(1);
     let mut out: Vec<Update> = Vec::with_capacity(inserts.len() * 2);

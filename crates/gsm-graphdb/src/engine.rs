@@ -95,10 +95,10 @@ impl Default for GraphDbEngine {
     }
 }
 
-/// GraphDB rides the trait-default staging (`stage_batch` = `apply_batch`),
-/// like every engine: a retraction run is answered against the pre-removal
-/// store and committed before `stage_batch` returns. It keeps its own
-/// `apply_update`, the per-update algorithm of Section 5.3.
+/// GraphDB rides the trait-default staging (`stage_batch` = `apply_batch`)
+/// and the trait-default `apply_update` (a one-update batch), like every
+/// engine: a retraction run is answered against the pre-removal store and
+/// committed before `stage_batch` returns.
 impl ContinuousEngine for GraphDbEngine {
     fn name(&self) -> &'static str {
         "GraphDB"
@@ -149,67 +149,6 @@ impl ContinuousEngine for GraphDbEngine {
             .is_some_and(|slot| slot.is_some())
     }
 
-    fn apply_update(&mut self, update: Update) -> MatchReport {
-        if update.is_retraction() {
-            return self.retract_batch(&[update]);
-        }
-        self.stats.updates_processed += 1;
-
-        // (1) Apply the update to the database.
-        let is_new = self.store.insert_edge(update);
-        if !is_new {
-            return MatchReport::empty();
-        }
-
-        // (2) Determine the affected (query, pattern-edge) pairs via edgeInd.
-        let mut anchored: HashMap<QueryId, Vec<usize>> = HashMap::new();
-        for shape in GenericEdge::shapes_of_update(&update) {
-            if let Some(entries) = self.edge_index.get(&shape) {
-                for &(qid, edge_idx) in entries {
-                    anchored.entry(qid).or_default().push(edge_idx);
-                }
-            }
-        }
-        if anchored.is_empty() {
-            return MatchReport::empty();
-        }
-
-        // (3) + (4) Execute every affected query against the store, anchored
-        // at the new edge (one execution per anchored pattern edge, distinct
-        // embeddings deduplicated by the collector).
-        let mut counts: Vec<(QueryId, u64)> = Vec::new();
-        let mut sorted: Vec<(QueryId, Vec<usize>)> = anchored.into_iter().collect();
-        sorted.sort_by_key(|(q, _)| *q);
-        for (qid, mut edge_indices) in sorted {
-            edge_indices.sort_unstable();
-            edge_indices.dedup();
-            let query = self.queries[qid.index()]
-                .as_ref()
-                .expect("edgeInd routes only to live queries");
-            let mut collector = MatchCollector::with_limit(self.config.max_embeddings_per_query);
-            for anchor_edge in edge_indices {
-                let plan = self
-                    .plan_cache
-                    .get_or_build(qid, query, &self.store, Some(anchor_edge));
-                execute(
-                    query,
-                    plan,
-                    &self.store,
-                    Some((anchor_edge, update)),
-                    &mut collector,
-                );
-            }
-            if !collector.is_empty() {
-                counts.push((qid, collector.len() as u64));
-            }
-        }
-
-        let report = MatchReport::from_counts(counts);
-        self.stats.notifications += report.len() as u64;
-        self.stats.embeddings += report.total_embeddings();
-        report
-    }
-
     /// Batched answering: the whole batch is applied to the database first,
     /// then every affected query is executed **once**, anchored at each
     /// genuinely new edge of the batch, with a single embedding collector
@@ -218,9 +157,10 @@ impl ContinuousEngine for GraphDbEngine {
     /// batch edge — so the per-query count equals the distinct new
     /// embeddings of the whole batch, exactly the merged sequential total
     /// (each embedding is reported sequentially once, at the update that
-    /// completes it). Unlike folding `apply_update` over the batch, the
+    /// completes it). Unlike answering the updates one at a time, the
     /// store writes batch into fewer transactions and each (query, anchor-edge)
-    /// plan is built at most once per batch.
+    /// plan is built at most once per batch. A single update is the
+    /// one-update batch: Section 5.3's per-update algorithm exactly.
     ///
     /// With a finite `max_embeddings_per_query` the cap applies per batch
     /// rather than per update; the default configuration is unlimited, where
@@ -255,106 +195,15 @@ impl ContinuousEngine for GraphDbEngine {
 }
 
 impl GraphDbEngine {
-    /// The insert-only batch core (steps 1–4 of Section 5.3 amortized over
-    /// the run): apply the run to the database, then execute every affected
-    /// query once, anchored at each genuinely new edge, with a single
-    /// deduplicating collector per query.
-    fn insert_batch(&mut self, updates: &[Update]) -> MatchReport {
-        match updates {
-            [] => return MatchReport::empty(),
-            [u] => return self.apply_update(*u),
-            _ => {}
-        }
-        self.stats.updates_processed += updates.len() as u64;
-
-        // (1) Apply the whole batch to the database, keeping the genuinely
-        // new edges (duplicates of history or of earlier updates in the same
-        // batch are absorbed exactly as they would be one at a time).
-        let new_edges: Vec<Update> = updates
-            .iter()
-            .copied()
-            .filter(|u| self.store.insert_edge(*u))
-            .collect();
-        if new_edges.is_empty() {
-            return MatchReport::empty();
-        }
-
-        // (2) Resolve the affected (query, anchor pattern edge, new update)
-        // triples via edgeInd, once for the whole batch.
+    /// Steps 2–4 of Section 5.3 for a set of anchor edges: resolves the
+    /// affected (query, pattern edge) pairs of every edge via edgeInd, then
+    /// executes each affected query against the store as it stands,
+    /// anchored at every such pair, with one deduplicating collector per
+    /// query. Returns `(query, distinct embeddings)` in query order, for
+    /// the queries with at least one.
+    fn answer_anchored(&mut self, edges: &[Update]) -> Vec<(QueryId, u64)> {
         let mut anchored: HashMap<QueryId, Vec<(usize, Update)>> = HashMap::new();
-        for &u in &new_edges {
-            for shape in GenericEdge::shapes_of_update(&u) {
-                if let Some(entries) = self.edge_index.get(&shape) {
-                    for &(qid, edge_idx) in entries {
-                        anchored.entry(qid).or_default().push((edge_idx, u));
-                    }
-                }
-            }
-        }
-        if anchored.is_empty() {
-            return MatchReport::empty();
-        }
-
-        // (3) + (4) Execute each affected query against the post-batch
-        // store, anchored at every new edge, deduplicating embeddings in one
-        // collector per query.
-        let mut counts: Vec<(QueryId, u64)> = Vec::new();
-        let mut sorted: Vec<(QueryId, Vec<(usize, Update)>)> = anchored.into_iter().collect();
-        sorted.sort_by_key(|(q, _)| *q);
-        for (qid, anchors) in sorted {
-            let query = self.queries[qid.index()]
-                .as_ref()
-                .expect("edgeInd routes only to live queries");
-            let mut collector = MatchCollector::with_limit(self.config.max_embeddings_per_query);
-            for (anchor_edge, u) in anchors {
-                let plan = self
-                    .plan_cache
-                    .get_or_build(qid, query, &self.store, Some(anchor_edge));
-                execute(
-                    query,
-                    plan,
-                    &self.store,
-                    Some((anchor_edge, u)),
-                    &mut collector,
-                );
-            }
-            if !collector.is_empty() {
-                counts.push((qid, collector.len() as u64));
-            }
-        }
-
-        let report = MatchReport::from_counts(counts);
-        self.stats.notifications += report.len() as u64;
-        self.stats.embeddings += report.total_embeddings();
-        report
-    }
-
-    /// The retraction core: the disappearing embeddings are enumerated
-    /// **before** the database changes — every affected query is executed
-    /// against the pre-removal store, anchored at each edge about to go (one
-    /// deduplicating collector per query, exactly like the insert direction:
-    /// an embedding disappears iff it maps some pattern edge onto a removed
-    /// edge) — and only then are the edges deleted from the store, the
-    /// statistics and the per-label probe indexes.
-    fn retract_batch(&mut self, updates: &[Update]) -> MatchReport {
-        self.stats.updates_processed += updates.len() as u64;
-
-        // (1) Resolve which of the named edges actually exist (the batch may
-        // retract the same edge twice; removal is answered and applied once).
-        let mut victims: Vec<Update> = Vec::new();
-        for u in updates {
-            let e = u.edge();
-            if self.store.has_edge(e.label, e.src, e.tgt) && !victims.contains(&e) {
-                victims.push(e);
-            }
-        }
-        if victims.is_empty() {
-            return MatchReport::empty();
-        }
-
-        // (2) Affected (query, anchor pattern edge, doomed edge) triples.
-        let mut anchored: HashMap<QueryId, Vec<(usize, Update)>> = HashMap::new();
-        for &e in &victims {
+        for &e in edges {
             for shape in GenericEdge::shapes_of_update(&e) {
                 if let Some(entries) = self.edge_index.get(&shape) {
                     for &(qid, edge_idx) in entries {
@@ -363,11 +212,9 @@ impl GraphDbEngine {
                 }
             }
         }
-
-        // (3) + (4) Execute against the PRE-removal store.
-        let mut counts: Vec<(QueryId, u64)> = Vec::new();
         let mut sorted: Vec<(QueryId, Vec<(usize, Update)>)> = anchored.into_iter().collect();
         sorted.sort_by_key(|(q, _)| *q);
+        let mut counts = Vec::new();
         for (qid, anchors) in sorted {
             let query = self.queries[qid.index()]
                 .as_ref()
@@ -389,6 +236,52 @@ impl GraphDbEngine {
                 counts.push((qid, collector.len() as u64));
             }
         }
+        counts
+    }
+
+    /// The insert-only batch core (Section 5.3 amortized over the run):
+    /// apply the run to the database, then answer every affected query
+    /// against the post-batch store, anchored at each genuinely new edge.
+    fn insert_batch(&mut self, updates: &[Update]) -> MatchReport {
+        self.stats.updates_processed += updates.len() as u64;
+
+        // (1) Apply the whole batch to the database, keeping the genuinely
+        // new edges (duplicates of history or of earlier updates in the same
+        // batch are absorbed exactly as they would be one at a time).
+        let new_edges: Vec<Update> = updates
+            .iter()
+            .copied()
+            .filter(|u| self.store.insert_edge(*u))
+            .collect();
+
+        // (2)–(4) Answer the affected queries, anchored at the new edges.
+        let report = MatchReport::from_counts(self.answer_anchored(&new_edges));
+        self.stats.notifications += report.len() as u64;
+        self.stats.embeddings += report.total_embeddings();
+        report
+    }
+
+    /// The retraction core: the disappearing embeddings are enumerated
+    /// **before** the database changes — every affected query is answered
+    /// against the pre-removal store, anchored at each edge about to go
+    /// (an embedding disappears iff it maps some pattern edge onto a
+    /// removed edge) — and only then are the edges deleted from the store,
+    /// the statistics and the per-label probe indexes.
+    fn retract_batch(&mut self, updates: &[Update]) -> MatchReport {
+        self.stats.updates_processed += updates.len() as u64;
+
+        // (1) Resolve which of the named edges actually exist (the batch may
+        // retract the same edge twice; removal is answered and applied once).
+        let mut victims: Vec<Update> = Vec::new();
+        for u in updates {
+            let e = u.edge();
+            if self.store.has_edge(e.label, e.src, e.tgt) && !victims.contains(&e) {
+                victims.push(e);
+            }
+        }
+
+        // (2)–(4) Answer against the PRE-removal store.
+        let counts = self.answer_anchored(&victims);
 
         // (5) Commit the removals.
         for &e in &victims {
@@ -631,6 +524,73 @@ mod tests {
         assert_eq!(report.total_embeddings(), 1);
         assert_eq!(report.total_retracted(), 1);
         assert_eq!(engine.store().num_edges(), 1);
+    }
+
+    #[test]
+    fn retracting_every_edge_of_an_embedding_in_one_batch_counts_it_once() {
+        // Both removed edges anchor the same disappearing embedding; the
+        // collector is shared across anchors, so it is reported once.
+        let mut f = Fixture::new();
+        let mut engine = GraphDbEngine::new();
+        let qid = engine
+            .register_query(&f.q("?a -x-> ?b; ?b -y-> ?c"))
+            .unwrap();
+        let ux = f.u("x", "a", "b");
+        let uy = f.u("y", "b", "c");
+        engine.apply_batch(&[ux, uy]);
+        let report = engine.apply_batch(&[ux.inverted(), uy.inverted()]);
+        assert_eq!(report.matches.len(), 1);
+        assert_eq!(report.matches[0].query, qid);
+        assert_eq!(report.matches[0].retracted_embeddings, 1);
+        assert_eq!(engine.store().num_edges(), 0);
+    }
+
+    #[test]
+    fn a_batch_retracting_one_edge_twice_removes_it_once() {
+        let mut f = Fixture::new();
+        let mut engine = GraphDbEngine::new();
+        engine.register_query(&f.q("?a -knows-> ?b")).unwrap();
+        let u = f.u("knows", "a", "b");
+        engine.apply_update(u);
+        let report = engine.apply_batch(&[u.inverted(), u.inverted()]);
+        assert_eq!(report.total_retracted(), 1);
+        assert_eq!(engine.stats().retracted, 1);
+        assert_eq!(engine.stats().updates_processed, 3);
+        assert_eq!(engine.store().num_edges(), 0);
+    }
+
+    #[test]
+    fn embedding_cap_bounds_each_query_per_batch() {
+        let mut f = Fixture::new();
+        let mut engine = GraphDbEngine::with_config(GraphDbConfig {
+            max_embeddings_per_query: 2,
+            ..GraphDbConfig::default()
+        });
+        engine
+            .register_query(&f.q("?a -knows-> ?b; ?b -likes-> ?c"))
+            .unwrap();
+        let knows: Vec<Update> = (0..5)
+            .map(|i| f.u("knows", &format!("a{i}"), "b"))
+            .collect();
+        engine.apply_batch(&knows);
+        // Five embeddings appear, the collector stops at two.
+        let report = engine.apply_update(f.u("likes", "b", "c"));
+        assert_eq!(report.total_embeddings(), 2);
+    }
+
+    #[test]
+    fn edges_no_query_indexes_reach_the_store_only() {
+        let mut f = Fixture::new();
+        let mut engine = GraphDbEngine::new();
+        engine.register_query(&f.q("?a -knows-> ?b")).unwrap();
+        let other = f.u("likes", "a", "b");
+        assert!(engine.apply_batch(&[other]).is_empty());
+        assert_eq!(engine.store().num_edges(), 1);
+        assert_eq!(engine.cached_plans(), 0, "edgeInd routed it nowhere");
+        assert!(engine.apply_batch(&[other.inverted()]).is_empty());
+        assert_eq!(engine.store().num_edges(), 0);
+        assert_eq!(engine.stats().updates_processed, 2);
+        assert_eq!(engine.stats().notifications, 0);
     }
 
     #[test]

@@ -66,13 +66,6 @@ pub struct TrieNode {
     pub registrations: Vec<Registration>,
 }
 
-impl TrieNode {
-    /// Arity of this node's materialized view.
-    pub fn view_arity(&self) -> usize {
-        self.depth + 2
-    }
-}
-
 impl HeapSize for TrieNode {
     fn heap_size(&self) -> usize {
         self.children.heap_size() + self.mat_view.heap_size() + self.registrations.heap_size()

@@ -4,11 +4,9 @@
 //! the surviving edge set — the signed z-set invariant of the PR that
 //! generalized deltas beyond additions.
 //!
-//! Three stream shapes are exercised, all produced by the datagen variants:
-//! random deletions of live edges (`with_delete_ratio`), count-based sliding
-//! windows (`with_sliding_window`), and a time-based sliding window driven
-//! through the windowed [`PipelinedEngine`] front end with a synthetic
-//! clock. The wrappers ride along: the sharded matrix replays the mixed
+//! Two stream shapes are exercised, both produced by the datagen variants:
+//! random deletions of live edges (`with_delete_ratio`) and count-based
+//! sliding windows (`with_sliding_window`). The wrappers ride along: the sharded matrix replays the mixed
 //! streams across genuinely partitioned deployments, and the pipelined
 //! matrix covers **staged** retraction runs — answered against the
 //! pre-removal views and committed at stage time, the sharded wrapper's
@@ -340,105 +338,7 @@ fn sharded_and_pipelined_wrappers_agree_on_window_workload() {
     assert_wrappers_agree_on_mixed_stream(&workload, 2);
 }
 
-/// Time-based sliding window, end to end: an insert-only workload streamed
-/// through a windowed [`PipelinedEngine`] with a synthetic clock. The
-/// batcher synthesizes expiry retractions as the clock advances; after the
-/// final drain, the net per-query totals must equal a from-scratch replay
-/// of the batcher's own live-edge snapshot.
-#[test]
-fn windowed_pipeline_matches_from_scratch_replay_of_live_edges() {
-    let workload =
-        Workload::generate(WorkloadConfig::new(Dataset::Snb, 400, 20).with_selectivity(0.4));
-
-    // One tick per update; a 40-tick window over a 400-update stream forces
-    // hundreds of expiries while keeping ~40 edges live at any instant.
-    let window = Duration::from_millis(40);
-    let tick = Duration::from_millis(1);
-    for threaded in [false, true] {
-        let mut config = PipelineConfig::new(8, Duration::from_millis(3)).windowed(window);
-        if threaded {
-            config = config.threaded();
-        }
-        let inner: Box<dyn ContinuousEngine> =
-            Box::new(graph_stream_matching::tric::TricEngine::tric_plus());
-        let mut pipe = PipelinedEngine::new(inner, config);
-        for q in &workload.queries {
-            pipe.register_query(q).expect("register");
-        }
-
-        let t0 = Instant::now();
-        let mut net = HashMap::new();
-        let mut applied = 0usize;
-        for (i, u) in workload.stream.iter().enumerate() {
-            for batch in pipe.push_at(*u, t0 + tick * (i as u32)) {
-                applied += batch.updates;
-                accumulate_net(&mut net, &batch.report);
-            }
-        }
-        for batch in pipe.drain() {
-            applied += batch.updates;
-            accumulate_net(&mut net, &batch.report);
-        }
-        assert!(
-            applied > workload.stream.len(),
-            "expiry retractions must lengthen the applied stream \
-             ({applied} applied, {} pushed)",
-            workload.stream.len()
-        );
-
-        let live = pipe.live_snapshot();
-        assert!(
-            !live.is_empty() && live.len() < workload.stream.len(),
-            "window neither empty nor the whole stream: {}",
-            live.len()
-        );
-        let oracle = oracle_net(&workload.queries, &live);
-        assert_eq!(
-            net, oracle,
-            "windowed pipeline (threaded: {threaded}) diverged from \
-             from-scratch replay of its live edge set"
-        );
-    }
-}
-
-/// The same synthetic-clock windowed run with the sharded wrapper inside the
-/// pipeline: expiry retractions traverse the routed retract path.
-#[test]
-fn windowed_pipeline_over_sharded_engine_matches_live_edge_replay() {
-    let workload =
-        Workload::generate(WorkloadConfig::new(Dataset::Taxi, 300, 16).with_query_size(3));
-    let window = Duration::from_millis(30);
-    let tick = Duration::from_millis(1);
-    let inner: Box<dyn ContinuousEngine> = Box::new(ShardedEngine::new(2, || {
-        Box::new(graph_stream_matching::tric::TricEngine::tric_plus())
-    }));
-    let mut pipe = PipelinedEngine::new(
-        inner,
-        PipelineConfig::new(8, Duration::from_millis(3)).windowed(window),
-    );
-    for q in &workload.queries {
-        pipe.register_query(q).expect("register");
-    }
-    let t0 = Instant::now();
-    let mut net = HashMap::new();
-    for (i, u) in workload.stream.iter().enumerate() {
-        for batch in pipe.push_at(*u, t0 + tick * (i as u32)) {
-            accumulate_net(&mut net, &batch.report);
-        }
-    }
-    for batch in pipe.drain() {
-        accumulate_net(&mut net, &batch.report);
-    }
-    let live = pipe.live_snapshot();
-    assert!(!live.is_empty());
-    let oracle = oracle_net(&workload.queries, &live);
-    assert_eq!(
-        net, oracle,
-        "windowed pipeline over 2 shards diverged from live-edge replay"
-    );
-}
-
-/// The staged-retraction acceptance matrix: deletion-heavy and windowed
+/// The staged-retraction acceptance matrix: deletion-heavy and count-window
 /// mixed streams pushed through the pipeline with flush size > 1 — so
 /// mixed flushes genuinely stage whole and the engines split them — across
 /// sharded × inline/threaded × answer-worker configurations.
@@ -500,5 +400,49 @@ fn staged_retractions_match_oracle_across_worker_matrix() {
                 );
             }
         }
+    }
+}
+
+/// A pipeline whose delay `Instant` cannot represent flushes on size and
+/// at the drain only, under the real clock too: every completed batch but
+/// the drained tail is exactly `max_batch` updates, and the net totals of
+/// a count-window stream still equal the from-scratch oracle.
+#[test]
+fn unbounded_delay_pipeline_matches_oracle_on_window_stream() {
+    let workload = Workload::generate(
+        WorkloadConfig::new(Dataset::Taxi, 300, 12)
+            .with_query_size(3)
+            .with_sliding_window(50),
+    );
+    let oracle = oracle_net(&workload.queries, workload.stream.as_slice());
+    for threaded in [false, true] {
+        let mut config = PipelineConfig::new(16, Duration::MAX);
+        if threaded {
+            config = config.threaded().with_answer_workers(2);
+        }
+        let mut pipe =
+            PipelinedEngine::new(graph_stream_matching::tric::TricEngine::tric_plus(), config);
+        for q in &workload.queries {
+            pipe.register_query(q).expect("register");
+        }
+        let mut net = HashMap::new();
+        let mut sizes = Vec::new();
+        for u in workload.stream.iter() {
+            for batch in pipe.push(*u) {
+                sizes.push(batch.updates);
+                accumulate_net(&mut net, &batch.report);
+            }
+        }
+        for batch in pipe.drain() {
+            sizes.push(batch.updates);
+            accumulate_net(&mut net, &batch.report);
+        }
+        let len = workload.stream.len();
+        let mut expected = vec![16; len / 16];
+        if !len.is_multiple_of(16) {
+            expected.push(len % 16);
+        }
+        assert_eq!(sizes, expected, "threaded {threaded}: flush points");
+        assert_eq!(net, oracle, "threaded {threaded}: diverged from oracle");
     }
 }
