@@ -6,7 +6,9 @@
 //! available. The *shape* of each experiment — which parameter is swept,
 //! which engines participate, what is measured — follows the paper exactly.
 
-use crate::harness::{run_engines, EngineKind, RunLimits, RunResult};
+use std::time::Duration;
+
+use crate::harness::{run_engines, EngineKind, RunResult};
 use crate::report::{figure_from_runs, FigureResult};
 use gsm_datagen::{Dataset, Workload, WorkloadConfig};
 
@@ -22,8 +24,8 @@ pub struct ExperimentScale {
     pub base_graph_edges: usize,
     /// The stand-in for the paper's 5K-query database.
     pub base_queries: usize,
-    /// Per-run time budget (the paper's 24-hour threshold).
-    pub limits: RunLimits,
+    /// Per-run answering time budget (the paper's 24-hour threshold).
+    pub time_budget: Duration,
 }
 
 impl Default for ExperimentScale {
@@ -31,7 +33,7 @@ impl Default for ExperimentScale {
         ExperimentScale {
             base_graph_edges: 4_000,
             base_queries: 200,
-            limits: RunLimits::seconds(15),
+            time_budget: Duration::from_secs(15),
         }
     }
 }
@@ -42,7 +44,7 @@ impl ExperimentScale {
         ExperimentScale {
             base_graph_edges: 600,
             base_queries: 30,
-            limits: RunLimits::seconds(5),
+            time_budget: Duration::from_secs(5),
         }
     }
 
@@ -87,7 +89,7 @@ pub fn run_figure(id: &str, scale: &ExperimentScale) -> Option<FigureResult> {
 fn sweep<F>(
     engines: &[EngineKind],
     xs: &[f64],
-    limits: RunLimits,
+    time_budget: Duration,
     mut workload_for: F,
 ) -> (Vec<f64>, Vec<Vec<RunResult>>)
 where
@@ -96,7 +98,7 @@ where
     let mut runs = Vec::with_capacity(xs.len());
     for &x in xs {
         let workload = workload_for(x);
-        runs.push(run_engines(engines, &workload, limits));
+        runs.push(run_engines(engines, &workload, time_budget));
     }
     (xs.to_vec(), runs)
 }
@@ -106,7 +108,7 @@ pub fn fig12a(scale: &ExperimentScale) -> FigureResult {
     let xs: Vec<f64> = (1..=5)
         .map(|i| (scale.base_graph_edges as f64 * i as f64 / 5.0).round())
         .collect();
-    let (x_values, runs) = sweep(&EngineKind::all(), &xs, scale.limits, |edges| {
+    let (x_values, runs) = sweep(&EngineKind::all(), &xs, scale.time_budget, |edges| {
         Workload::generate(WorkloadConfig::new(
             Dataset::Snb,
             edges as usize,
@@ -126,7 +128,7 @@ pub fn fig12a(scale: &ExperimentScale) -> FigureResult {
 /// Fig. 12(b): answering time vs selectivity σ, SNB, all engines.
 pub fn fig12b(scale: &ExperimentScale) -> FigureResult {
     let xs = vec![0.10, 0.15, 0.20, 0.25, 0.30];
-    let (x_values, runs) = sweep(&EngineKind::all(), &xs, scale.limits, |sigma| {
+    let (x_values, runs) = sweep(&EngineKind::all(), &xs, scale.time_budget, |sigma| {
         Workload::generate(
             WorkloadConfig::new(Dataset::Snb, scale.base_graph_edges, scale.base_queries)
                 .with_selectivity(sigma),
@@ -148,7 +150,7 @@ pub fn fig12c(scale: &ExperimentScale) -> FigureResult {
         .iter()
         .map(|f| (scale.base_queries as f64 * f).round())
         .collect();
-    let (x_values, runs) = sweep(&EngineKind::all(), &xs, scale.limits, |qdb| {
+    let (x_values, runs) = sweep(&EngineKind::all(), &xs, scale.time_budget, |qdb| {
         Workload::generate(WorkloadConfig::new(
             Dataset::Snb,
             scale.base_graph_edges,
@@ -168,7 +170,7 @@ pub fn fig12c(scale: &ExperimentScale) -> FigureResult {
 /// Fig. 12(d): answering time vs average query size l, SNB, all engines.
 pub fn fig12d(scale: &ExperimentScale) -> FigureResult {
     let xs = vec![3.0, 5.0, 7.0, 9.0];
-    let (x_values, runs) = sweep(&EngineKind::all(), &xs, scale.limits, |l| {
+    let (x_values, runs) = sweep(&EngineKind::all(), &xs, scale.time_budget, |l| {
         Workload::generate(
             WorkloadConfig::new(Dataset::Snb, scale.base_graph_edges, scale.base_queries)
                 .with_query_size(l as usize),
@@ -187,7 +189,7 @@ pub fn fig12d(scale: &ExperimentScale) -> FigureResult {
 /// Fig. 12(e): answering time vs query overlap o, SNB, all engines.
 pub fn fig12e(scale: &ExperimentScale) -> FigureResult {
     let xs = vec![0.25, 0.35, 0.45, 0.55, 0.65];
-    let (x_values, runs) = sweep(&EngineKind::all(), &xs, scale.limits, |o| {
+    let (x_values, runs) = sweep(&EngineKind::all(), &xs, scale.time_budget, |o| {
         Workload::generate(
             WorkloadConfig::new(Dataset::Snb, scale.base_graph_edges, scale.base_queries)
                 .with_overlap(o),
@@ -209,7 +211,7 @@ pub fn fig12f(scale: &ExperimentScale) -> FigureResult {
     let xs: Vec<f64> = (1..=5)
         .map(|i| (scale.base_graph_edges as f64 * 2.0 * i as f64).round())
         .collect();
-    let (x_values, runs) = sweep(&EngineKind::all(), &xs, scale.limits, |edges| {
+    let (x_values, runs) = sweep(&EngineKind::all(), &xs, scale.time_budget, |edges| {
         Workload::generate(WorkloadConfig::new(
             Dataset::Snb,
             edges as usize,
@@ -234,7 +236,7 @@ pub fn fig13a(scale: &ExperimentScale) -> FigureResult {
     let (x_values, runs) = sweep(
         &EngineKind::large_graph_subset(),
         &xs,
-        scale.limits,
+        scale.time_budget,
         |edges| {
             Workload::generate(WorkloadConfig::new(
                 Dataset::Snb,
@@ -269,7 +271,7 @@ pub fn fig13b(scale: &ExperimentScale) -> FigureResult {
         // Indexing time only: replay zero updates by truncating the stream.
         let mut indexing_workload = workload;
         indexing_workload.stream.truncate(0);
-        let mut runs = run_engines(&engines, &indexing_workload, scale.limits);
+        let mut runs = run_engines(&engines, &indexing_workload, scale.time_budget);
         // Re-purpose the plotted value: indexing ms per query.
         for r in &mut runs {
             r.answer_ms_per_update = r.indexing_ms_per_query;
@@ -298,7 +300,7 @@ pub fn tab13c(scale: &ExperimentScale) -> FigureResult {
             config = config.with_query_size(3);
         }
         let workload = Workload::generate(config);
-        let mut runs = run_engines(&engines, &workload, scale.limits);
+        let mut runs = run_engines(&engines, &workload, scale.time_budget);
         // Plotted value: heap megabytes after the run.
         for r in &mut runs {
             r.answer_ms_per_update = r.heap_bytes as f64 / (1024.0 * 1024.0);
@@ -321,7 +323,7 @@ pub fn fig14a(scale: &ExperimentScale) -> FigureResult {
     let xs: Vec<f64> = (1..=5)
         .map(|i| (scale.base_graph_edges as f64 * i as f64 / 5.0 * 2.0).round())
         .collect();
-    let (x_values, runs) = sweep(&EngineKind::all(), &xs, scale.limits, |edges| {
+    let (x_values, runs) = sweep(&EngineKind::all(), &xs, scale.time_budget, |edges| {
         Workload::generate(WorkloadConfig::new(
             Dataset::Taxi,
             edges as usize,
@@ -343,7 +345,7 @@ pub fn fig14b(scale: &ExperimentScale) -> FigureResult {
     let xs: Vec<f64> = (1..=5)
         .map(|i| (scale.base_graph_edges as f64 * i as f64 / 10.0).round())
         .collect();
-    let (x_values, runs) = sweep(&EngineKind::all(), &xs, scale.limits, |edges| {
+    let (x_values, runs) = sweep(&EngineKind::all(), &xs, scale.time_budget, |edges| {
         Workload::generate(
             WorkloadConfig::new(Dataset::BioGrid, edges as usize, scale.base_queries)
                 .with_query_size(3),
@@ -367,7 +369,7 @@ pub fn fig14c(scale: &ExperimentScale) -> FigureResult {
     let (x_values, runs) = sweep(
         &EngineKind::large_graph_subset(),
         &xs,
-        scale.limits,
+        scale.time_budget,
         |edges| {
             Workload::generate(
                 WorkloadConfig::new(Dataset::BioGrid, edges as usize, scale.base_queries)

@@ -1,12 +1,13 @@
 //! # gsm-bench
 //!
 //! The benchmark harness that regenerates the paper's evaluation
-//! (Section 6). It has three layers:
+//! (Section 6). It has four parts:
 //!
-//! * [`harness`] — engine construction, a single-run driver that registers a
-//!   workload's query set, replays its update stream, records per-update
-//!   latency and memory, and honours a per-run time budget (the equivalent of
-//!   the paper's 24-hour timeout);
+//! * [`harness`] — engine construction and the single-run driver: it
+//!   registers a workload's query set, then answers its update stream one
+//!   update at a time (one [`apply_batch`] call per update, as in the
+//!   paper), recording per-update latency and memory, until a per-run time
+//!   budget runs out (the stand-in for the paper's 24-hour timeout);
 //! * [`figures`] — one experiment definition per figure/table of the paper
 //!   (Fig. 12(a)–(f), Fig. 13(a)–(c), Fig. 14(a)–(c)), each producing a
 //!   [`report::FigureResult`] with one series per engine;
@@ -15,10 +16,13 @@
 //!   committed `BENCH_PR*.json` baselines.
 //!
 //! The `experiments` binary (`cargo run -p gsm-bench --release --bin
-//! experiments`) runs any subset of the figures at a configurable scale and
-//! writes the rendered results; the Criterion benches under `benches/` time
-//! the same experiments at a reduced, fixed scale so that `cargo bench`
-//! completes quickly.
+//! experiments`) runs any subset of the figures at a chosen scale and time
+//! budget and writes the rendered results; the Criterion benches under
+//! `benches/` time the same experiments at a reduced, fixed scale so that
+//! `cargo bench` completes quickly. The sharded, pipelined and durable
+//! compositions are timed by the `hotpath_*` benches, not by the figures.
+//!
+//! [`apply_batch`]: gsm_core::engine::ContinuousEngine::apply_batch
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,5 +32,5 @@ pub mod harness;
 pub mod regression;
 pub mod report;
 
-pub use harness::{EngineKind, RunLimits, RunResult};
+pub use harness::{EngineKind, RunResult};
 pub use report::{FigureResult, Series};

@@ -67,7 +67,7 @@ impl FigureResult {
     /// Renders the underlying runs as CSV (one row per engine × x-value).
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
-            "figure,x,engine,batch_size,shards,pipelined,threads,answer_threads,answer_ms_per_update,p95_ms,indexing_ms_per_query,updates_processed,notifications,embeddings,heap_bytes,timed_out\n",
+            "figure,x,engine,answer_ms_per_update,p95_ms,indexing_ms_per_query,updates_processed,notifications,embeddings,heap_bytes,timed_out\n",
         );
         let per_x = self.series.len();
         for (i, run) in self.runs.iter().enumerate() {
@@ -77,15 +77,10 @@ impl FigureResult {
                 .copied()
                 .unwrap_or(f64::NAN);
             out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{:.6},{:.6},{:.6},{},{},{},{},{}\n",
+                "{},{},{},{:.6},{:.6},{:.6},{},{},{},{},{}\n",
                 self.id,
                 x,
                 run.engine,
-                run.batch_size,
-                run.shards,
-                run.pipelined,
-                run.threads,
-                run.answer_threads,
                 run.answer_ms_per_update,
                 run.answer_p95_ms,
                 run.indexing_ms_per_query,
@@ -160,17 +155,10 @@ mod tests {
     fn fake_run(engine: &'static str, ms: f64, timed_out: bool) -> RunResult {
         RunResult {
             engine,
-            workload: "w".into(),
-            batch_size: 1,
-            shards: 1,
-            pipelined: false,
-            threads: 1,
-            answer_threads: 1,
             indexing_total: Duration::from_millis(5),
             indexing_ms_per_query: 0.05,
             answer_ms_per_update: ms,
             answer_p95_ms: ms * 2.0,
-            answering_total: Duration::from_millis(100),
             updates_processed: 100,
             notifications: 10,
             embeddings: 20,

@@ -148,9 +148,9 @@ impl PipelineConfig {
     }
 
     /// The default answer-worker count: `GSM_ANSWER_THREADS` when set to a
-    /// positive integer (mirroring the harness `--answer-threads` flag),
-    /// 1 otherwise. One worker reproduces the pre-existing dedicated
-    /// answer-thread behaviour exactly.
+    /// positive integer, 1 otherwise (CI sets it to run the test suites
+    /// with several answer workers). One worker reproduces the pre-existing
+    /// dedicated answer-thread behaviour exactly.
     pub fn default_answer_workers() -> usize {
         std::env::var("GSM_ANSWER_THREADS")
             .ok()
