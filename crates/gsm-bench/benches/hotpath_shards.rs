@@ -6,12 +6,12 @@
 //! measured suffix on a freshly built engine warmed with the 3600-update
 //! prefix (`iter_batched`, setup untimed), driving `apply_batch` in chunks
 //! of 64 (the PR 2 sweet spot, where routed batches are real work slices).
-//! Shard count 1 is the plain engine behind `EngineKind::build_sharded`'s
-//! zero-overhead path and therefore reproduces the `hotpath_batch` numbers;
-//! the larger counts measure what root-generic-edge partitioning costs (or
-//! buys) on this machine — on the 1-core CI box the parallel absorption is
-//! pure overhead, so these numbers are the *floor* of the design, recorded
-//! in BENCH_PR3.json.
+//! Shard count 1 prices the wrapper itself — routing, id translation and
+//! the history store with nothing to partition — against the
+//! `hotpath_batch` numbers of the bare engine; the larger counts measure
+//! what root-generic-edge partitioning costs (or buys) on this machine —
+//! on the 1-core CI box the parallel absorption is pure overhead, so these
+//! numbers are the *floor* of the design, recorded in BENCH_PR3.json.
 
 mod common;
 

@@ -275,7 +275,6 @@ pub fn fig13b(scale: &ExperimentScale) -> FigureResult {
         // Re-purpose the plotted value: indexing ms per query.
         for r in &mut runs {
             r.answer_ms_per_update = r.indexing_ms_per_query;
-            r.timed_out = false;
         }
         runs_by_x.push(runs);
     }
@@ -301,10 +300,11 @@ pub fn tab13c(scale: &ExperimentScale) -> FigureResult {
         }
         let workload = Workload::generate(config);
         let mut runs = run_engines(&engines, &workload, scale.time_budget);
-        // Plotted value: heap megabytes after the run.
+        // Plotted value: heap megabytes after the run; a run the budget cut
+        // short keeps its timed-out marker, since it measured a partial
+        // stream.
         for r in &mut runs {
             r.answer_ms_per_update = r.heap_bytes as f64 / (1024.0 * 1024.0);
-            r.timed_out = false;
         }
         runs_by_x.push(runs);
     }
@@ -430,14 +430,28 @@ mod tests {
         scale.base_queries = 10;
         let fig = tab13c(&scale);
         assert_eq!(fig.x_values.len(), 3);
-        for series in &fig.series {
-            for v in &series.values {
-                assert!(
-                    v.unwrap_or(0.0) > 0.0,
-                    "{} reported zero memory",
-                    series.engine
-                );
-            }
+        // A run the budget cut short plots as `*` but still reports the
+        // memory of the stream prefix it consumed.
+        assert_eq!(fig.runs.len(), 3 * EngineKind::all().len());
+        for run in &fig.runs {
+            assert!(run.heap_bytes > 0, "{} reported zero memory", run.engine);
+        }
+    }
+
+    #[test]
+    fn tab13c_marks_every_run_the_budget_cuts_short() {
+        let scale = ExperimentScale {
+            time_budget: Duration::ZERO,
+            ..ExperimentScale::tiny()
+        };
+        let csv = tab13c(&scale).to_csv();
+        let mut lines = csv.lines();
+        let header: Vec<&str> = lines.next().unwrap().split(',').collect();
+        let column = header.iter().position(|&c| c == "timed_out").unwrap();
+        let rows: Vec<&str> = lines.collect();
+        assert_eq!(rows.len(), 3 * EngineKind::all().len());
+        for row in rows {
+            assert_eq!(row.split(',').nth(column), Some("true"), "{row}");
         }
     }
 

@@ -76,13 +76,9 @@ impl EngineKind {
     }
 
     /// Builds a fresh engine partitioned across `shards` worker shards by
-    /// root generic edge ([`gsm_core::shard::ShardedEngine`]). `shards <= 1`
-    /// returns the plain engine — no wrapper, no routing, no overhead. The
-    /// figure runs never shard; the `hotpath_shards` bench does.
+    /// root generic edge ([`gsm_core::shard::ShardedEngine`]). The figure
+    /// runs never shard; the `hotpath_shards` bench does.
     pub fn build_sharded(&self, shards: usize) -> Box<dyn ContinuousEngine + Send> {
-        if shards <= 1 {
-            return self.build();
-        }
         let kind = *self;
         Box::new(ShardedEngine::new(shards, move || kind.build()))
     }

@@ -124,7 +124,8 @@ impl MatchReport {
     /// with additive counts — **associative and commutative**, with
     /// [`MatchReport::empty`] as the identity. Shards may therefore be
     /// merged in any order, or any grouping, without changing the result;
-    /// the property tests in `tests/property_engines.rs` pin this down.
+    /// the property tests in `tests/differential/properties.rs` pin this
+    /// down.
     pub fn merge(&self, other: &MatchReport) -> MatchReport {
         let mut matches = Vec::with_capacity(self.matches.len() + other.matches.len());
         let (mut i, mut j) = (0, 0);
@@ -290,13 +291,15 @@ pub struct EngineStats {
 ///   associative, commutative and order-insensitive, so the final report
 ///   is independent of shard scheduling.
 /// * **Observational equivalence.** The sharded engine's reports are
-///   identical to the unsharded engine's at every shard count, in both
-///   per-update and batched replay (pinned by the shard-count differential
-///   matrix in the test suites). That includes queries registered
-///   mid-stream: edges new to the query's home shard replay the history
-///   the unsharded engine's shared views would hold, whichever shard it
-///   streamed to (the "Late registration" note in [`crate::shard`] names
-///   the one same-label corner the replay cannot reach).
+///   identical to the unsharded engine's at every shard count, one shard
+///   included, in both per-update and batched replay (pinned by the sharded
+///   families of the differential harness, `tests/differential`: 1, 2, 3,
+///   4 and 8 shards, and 1, 2, 3 and 8 under the pipeline). That includes
+///   queries registered mid-stream: edges new to the query's home shard
+///   replay the history the unsharded engine's shared views would hold,
+///   whichever shard it streamed to (the "Late registration" note in
+///   [`crate::shard`] names the one same-label corner the replay cannot
+///   reach).
 pub trait ContinuousEngine {
     /// Short, stable engine name (`"TRIC"`, `"INV+"`, …) used in reports.
     fn name(&self) -> &'static str;

@@ -24,9 +24,8 @@
 //! answered in the same call, so the `push` that fills a batch returns that
 //! batch's [`CompletedBatch`]. Reports complete in arrival order, so
 //! concatenating (or merging) them reproduces sequential execution exactly;
-//! the differential suites in `tests/engine_equivalence.rs` and
-//! `tests/concurrent_pipeline.rs` pin this for every engine, workload,
-//! flush size and deadline.
+//! the differential suite in `tests/differential` pins this for every
+//! engine, workload, flush size and deadline.
 //!
 //! # Cross-thread hand-back
 //!
@@ -107,8 +106,7 @@ pub struct PipelineConfig {
     /// order; a sequence-numbered [`ReorderBuffer`] restores arrival order
     /// before any [`CompletedBatch`] is released, so reports are
     /// byte-identical to the single-worker (and sequential) execution.
-    /// Defaults to `GSM_ANSWER_THREADS` (see
-    /// [`default_answer_workers`](PipelineConfig::default_answer_workers)).
+    /// Defaults to 1.
     pub answer_workers: usize,
 }
 
@@ -118,7 +116,7 @@ impl Default for PipelineConfig {
             max_batch: 64,
             max_delay: Duration::from_millis(5),
             answer_thread: false,
-            answer_workers: Self::default_answer_workers(),
+            answer_workers: 1,
         }
     }
 }
@@ -145,18 +143,6 @@ impl PipelineConfig {
     pub fn with_answer_workers(mut self, workers: usize) -> Self {
         self.answer_workers = workers.max(1);
         self
-    }
-
-    /// The default answer-worker count: `GSM_ANSWER_THREADS` when set to a
-    /// positive integer, 1 otherwise (CI sets it to run the test suites
-    /// with several answer workers). One worker reproduces the pre-existing
-    /// dedicated answer-thread behaviour exactly.
-    pub fn default_answer_workers() -> usize {
-        std::env::var("GSM_ANSWER_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|n| n.max(1))
-            .unwrap_or(1)
     }
 }
 
@@ -1085,7 +1071,8 @@ mod tests {
     fn drain_of_an_idle_pipeline_completes_nothing_and_closes_the_epoch() {
         for config in [
             PipelineConfig::new(4, MS),
-            PipelineConfig::new(4, MS).threaded(),
+            PipelineConfig::new(4, MS).threaded().with_answer_workers(1),
+            PipelineConfig::new(4, MS).threaded().with_answer_workers(2),
         ] {
             let mut pipe = PipelinedEngine::new(SplitToy::default(), config);
             assert_eq!(pipe.epoch(), 0);
@@ -1298,20 +1285,40 @@ mod tests {
         }
     }
 
+    /// The message of the panic `outcome` must carry.
+    fn panic_message(outcome: std::thread::Result<()>) -> String {
+        let payload = outcome.expect_err("the answer panic must reach the caller");
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
+
     #[test]
-    #[should_panic(expected = "join pass exploded")]
     fn answer_task_panic_propagates_to_the_caller_instead_of_hanging() {
         // The worker catches the panic and ships it back; collecting the
         // answer re-raises it on this thread. Without that, the drain below
         // would block forever on a channel whose sender died — a CI
         // timeout instead of a test failure.
-        let config = PipelineConfig::new(2, Duration::from_secs(60)).threaded();
-        let mut pipe = PipelinedEngine::new(PanickingDetachToy::default(), config);
-        let now = t0();
-        for i in 0..4u32 {
-            pipe.push_at(u(0, i, i + 1), now);
+        for workers in [1, 2] {
+            let outcome = std::panic::catch_unwind(move || {
+                let config = PipelineConfig::new(2, Duration::from_secs(60))
+                    .threaded()
+                    .with_answer_workers(workers);
+                let mut pipe = PipelinedEngine::new(PanickingDetachToy::default(), config);
+                let now = t0();
+                for i in 0..4u32 {
+                    pipe.push_at(u(0, i, i + 1), now);
+                }
+                pipe.drain();
+            });
+            assert_eq!(
+                panic_message(outcome),
+                "join pass exploded",
+                "{workers} workers"
+            );
         }
-        pipe.drain();
     }
 
     #[test]
@@ -1518,7 +1525,7 @@ mod tests {
 
     #[test]
     fn answer_worker_count_is_clamped_positive() {
-        assert!(PipelineConfig::default_answer_workers() >= 1);
+        assert_eq!(PipelineConfig::default().answer_workers, 1);
         let config = PipelineConfig::new(2, Duration::from_secs(60)).with_answer_workers(0);
         assert_eq!(config.answer_workers, 1);
     }
@@ -1589,15 +1596,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "slow join pass exploded")]
     fn dropping_mid_stream_reraises_outstanding_worker_panics() {
-        let config = PipelineConfig::new(1, Duration::from_secs(60)).threaded();
-        let mut pipe = PipelinedEngine::new(SleepyPanicToy::default(), config);
-        // Stage + detach one batch; the worker is still asleep when the
-        // executor drops, so the panic must surface via drain-on-drop
-        // instead of vanishing with the worker pool.
-        pipe.push_at(u(0, 1, 2), t0());
-        assert_eq!(pipe.in_flight(), 1);
-        drop(pipe);
+        for workers in [1, 2] {
+            let outcome = std::panic::catch_unwind(move || {
+                let config = PipelineConfig::new(1, Duration::from_secs(60))
+                    .threaded()
+                    .with_answer_workers(workers);
+                let mut pipe = PipelinedEngine::new(SleepyPanicToy::default(), config);
+                // Stage + detach one batch; the worker is still asleep when
+                // the executor drops, so the panic must surface via
+                // drain-on-drop instead of vanishing with the worker pool.
+                pipe.push_at(u(0, 1, 2), t0());
+                assert_eq!(pipe.in_flight(), 1);
+                drop(pipe);
+            });
+            assert_eq!(
+                panic_message(outcome),
+                "slow join pass exploded",
+                "{workers} workers"
+            );
+        }
     }
 }

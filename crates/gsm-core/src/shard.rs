@@ -31,10 +31,6 @@
 //! [`ShardedEngine::num_spanning_queries`] counts the queries whose
 //! covering-path roots hash to more than one shard.
 //!
-//! With `num_shards == 1` the wrapper degenerates to a plain delegation to
-//! the single inner engine (no routing, no translation), so a one-shard
-//! deployment pays no sharding overhead.
-//!
 //! Registration order still assigns [`QueryId`]s sequentially at the
 //! wrapper, so reports are directly comparable with an unsharded engine fed
 //! the same query set.
@@ -51,12 +47,14 @@
 //! inner engine's `apply_batch`; the replay's report is dropped (the new
 //! query is the only one on its shard that can observe an edge new to that
 //! shard, and catch-up embeddings are never reported) and the inner
-//! engine's own counters are not the authoritative ones when
-//! `num_shards > 1` (see [`ContinuousEngine::stats`] on the wrapper). Edges
-//! the home shard already observes need no replay: its inner views already
-//! hold exactly the wrapper's history for them. One mechanism covers every
-//! query, so a sharded engine — and a recovered one, which re-registers
-//! before it re-feeds — sees the history the unsharded engine sees.
+//! engine's own counters are not the authoritative ones (see
+//! [`ContinuousEngine::stats`] on the wrapper). Edges the home shard
+//! already observes need no replay: its inner views already hold exactly
+//! the wrapper's history for them, and with one shard no edge is ever
+//! replayed, since an edge new to the only shard is new to the history
+//! store too. One mechanism covers every query, so a sharded engine — and
+//! a recovered one, which re-registers before it re-feeds — sees the
+//! history the unsharded engine sees.
 //!
 //! The replay goes through the inner engine's public update path, which
 //! feeds a row to *every* generic edge it matches: a replayed row therefore
@@ -114,8 +112,7 @@ impl<E: ContinuousEngine> Shard<E> {
 }
 
 /// Where a live wrapper-level query id lives — the unregistration
-/// directory. Maintained only for genuinely sharded deployments
-/// (`num_shards > 1`; single-shard wrappers delegate the whole lifecycle).
+/// directory.
 #[derive(Clone, Copy)]
 struct QueryHome {
     shard: usize,
@@ -152,7 +149,7 @@ pub struct ShardedEngine<E> {
     num_spanning: usize,
     /// Id → home directory, one slot per wrapper-level id ever issued (its
     /// length is the next registration's id). Unregistration empties the
-    /// slot, never reclaims it. Empty when `shards == 1`.
+    /// slot, never reclaims it.
     query_homes: Vec<Option<QueryHome>>,
     name: &'static str,
     stats: EngineStats,
@@ -269,15 +266,6 @@ impl<E: ContinuousEngine> ContinuousEngine for ShardedEngine<E> {
 
     fn register_query(&mut self, query: &QueryPattern) -> Result<QueryId> {
         let n = self.shards.len();
-        if n == 1 {
-            // Degenerate single-shard deployment: plain delegation, local
-            // ids coincide with wrapper ids by construction (the inner
-            // engine tombstones unregistered slots too).
-            let lid = self.shards[0].engine.register_query(query)?;
-            self.num_queries += 1;
-            return Ok(lid);
-        }
-
         // The query lives whole on the shard owning its first covering
         // path's root; the other roots only decide whether it counts as
         // spanning.
@@ -324,13 +312,6 @@ impl<E: ContinuousEngine> ContinuousEngine for ShardedEngine<E> {
     /// output, and a later registration over the same edges reuses the
     /// retained history.
     fn unregister_query(&mut self, query: QueryId) -> Result<()> {
-        if self.shards.len() == 1 {
-            let r = self.shards[0].engine.unregister_query(query);
-            if r.is_ok() {
-                self.num_queries -= 1;
-            }
-            return r;
-        }
         let Some(&Some(home)) = self.query_homes.get(query.index()) else {
             return Err(Error::UnknownQuery(query.0));
         };
@@ -344,16 +325,10 @@ impl<E: ContinuousEngine> ContinuousEngine for ShardedEngine<E> {
     }
 
     fn next_query_id(&self) -> QueryId {
-        if self.shards.len() == 1 {
-            return self.shards[0].engine.next_query_id();
-        }
         QueryId(self.query_homes.len() as u32)
     }
 
     fn is_registered(&self, query: QueryId) -> bool {
-        if self.shards.len() == 1 {
-            return self.shards[0].engine.is_registered(query);
-        }
         matches!(self.query_homes.get(query.index()), Some(Some(_)))
     }
 
@@ -361,9 +336,6 @@ impl<E: ContinuousEngine> ContinuousEngine for ShardedEngine<E> {
     /// signs included — with one inner `apply_batch`, and merges the inner
     /// reports (see the module docs). Staging rides the trait's default.
     fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
-        if self.shards.len() == 1 {
-            return self.shards[0].engine.apply_batch(updates);
-        }
         self.stats.updates_processed += updates.len() as u64;
         self.record_history(updates);
         self.route_into_slices(updates);
@@ -381,8 +353,7 @@ impl<E: ContinuousEngine> ContinuousEngine for ShardedEngine<E> {
         matches.sort_unstable_by_key(|m| m.query);
         let report = MatchReport { matches };
         // Inner engines count their own reports (late-registration replays
-        // included); in sharded deployments the wrapper's counters are the
-        // authoritative ones (see `stats`).
+        // included); the wrapper's counters are the authoritative ones.
         self.stats.notifications += report.len() as u64;
         self.stats.embeddings += report.total_embeddings();
         self.stats.retracted += report.total_retracted();
@@ -409,11 +380,7 @@ impl<E: ContinuousEngine> ContinuousEngine for ShardedEngine<E> {
     }
 
     fn stats(&self) -> EngineStats {
-        if self.shards.len() == 1 {
-            self.shards[0].engine.stats()
-        } else {
-            self.stats
-        }
+        self.stats
     }
 }
 

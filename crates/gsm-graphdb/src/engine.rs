@@ -22,29 +22,9 @@ use crate::matcher::{execute, MatchCollector};
 use crate::plan::PlanCache;
 use crate::store::GraphStore;
 
-/// Configuration of the graph-database baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GraphDbConfig {
-    /// Number of writes batched into one transaction.
-    pub writes_per_tx: usize,
-    /// Upper bound on embeddings enumerated per (query, update); the paper's
-    /// baseline has no such bound, so the default is unlimited.
-    pub max_embeddings_per_query: usize,
-}
-
-impl Default for GraphDbConfig {
-    fn default() -> Self {
-        GraphDbConfig {
-            writes_per_tx: GraphStore::DEFAULT_WRITES_PER_TX,
-            max_embeddings_per_query: usize::MAX,
-        }
-    }
-}
-
 /// The graph-database baseline engine.
 #[derive(Debug)]
 pub struct GraphDbEngine {
-    config: GraphDbConfig,
     store: GraphStore,
     /// queryInd: the registered query patterns. Unregistration tombstones a
     /// slot with `None` — ids are never reused, so later slots keep their
@@ -60,16 +40,10 @@ pub struct GraphDbEngine {
 }
 
 impl GraphDbEngine {
-    /// Creates an engine with the default configuration.
+    /// Creates an engine over an empty store.
     pub fn new() -> Self {
-        Self::with_config(GraphDbConfig::default())
-    }
-
-    /// Creates an engine with an explicit configuration.
-    pub fn with_config(config: GraphDbConfig) -> Self {
         GraphDbEngine {
-            config,
-            store: GraphStore::with_writes_per_tx(config.writes_per_tx),
+            store: GraphStore::new(),
             queries: Vec::new(),
             live: 0,
             edge_index: HashMap::new(),
@@ -157,14 +131,10 @@ impl ContinuousEngine for GraphDbEngine {
     /// batch edge — so the per-query count equals the distinct new
     /// embeddings of the whole batch, exactly the merged sequential total
     /// (each embedding is reported sequentially once, at the update that
-    /// completes it). Unlike answering the updates one at a time, the
-    /// store writes batch into fewer transactions and each (query, anchor-edge)
-    /// plan is built at most once per batch. A single update is the
-    /// one-update batch: Section 5.3's per-update algorithm exactly.
-    ///
-    /// With a finite `max_embeddings_per_query` the cap applies per batch
-    /// rather than per update; the default configuration is unlimited, where
-    /// batched and sequential reports coincide.
+    /// completes it). Unlike answering the updates one at a time, each
+    /// (query, anchor-edge) plan is built at most once per batch. A single
+    /// update is the one-update batch: Section 5.3's per-update algorithm
+    /// exactly.
     fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
         let mut report = MatchReport::empty();
         for run in gsm_core::model::update::sign_runs(updates) {
@@ -219,7 +189,7 @@ impl GraphDbEngine {
             let query = self.queries[qid.index()]
                 .as_ref()
                 .expect("edgeInd routes only to live queries");
-            let mut collector = MatchCollector::with_limit(self.config.max_embeddings_per_query);
+            let mut collector = MatchCollector::new();
             for (anchor_edge, e) in anchors {
                 let plan = self
                     .plan_cache
@@ -445,49 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_report_equals_merged_sequential_reports() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        for chunk in [2usize, 7, 50, 300] {
-            let mut rng = StdRng::seed_from_u64(91);
-            let mut f = Fixture::new();
-            let queries = vec![
-                f.q("?a -e0-> ?b; ?b -e1-> ?c"),
-                f.q("?a -e1-> ?b; ?b -e2-> ?c; ?c -e0-> ?a"),
-                f.q("?h -e0-> ?x; ?h -e2-> ?y"),
-                f.q("?a -e0-> v3"),
-                f.q("?a -e2-> ?a"),
-            ];
-            let mut seq = GraphDbEngine::new();
-            let mut bat = GraphDbEngine::new();
-            for q in &queries {
-                seq.register_query(q).unwrap();
-                bat.register_query(q).unwrap();
-            }
-            let stream: Vec<Update> = (0..300)
-                .map(|_| {
-                    let label = format!("e{}", rng.gen_range(0..3));
-                    let src = format!("v{}", rng.gen_range(0..7));
-                    let tgt = format!("v{}", rng.gen_range(0..7));
-                    f.u(&label, &src, &tgt)
-                })
-                .collect();
-            for batch in stream.chunks(chunk) {
-                let mut counts = Vec::new();
-                for &u in batch {
-                    let r = seq.apply_update(u);
-                    counts.extend(r.matches.iter().map(|m| (m.query, m.new_embeddings)));
-                }
-                let expected = MatchReport::from_counts(counts);
-                let got = bat.apply_batch(batch);
-                assert_eq!(got, expected, "GraphDB chunk {chunk} diverged");
-            }
-            assert_eq!(seq.stats().updates_processed, bat.stats().updates_processed);
-            assert_eq!(seq.stats().embeddings, bat.stats().embeddings);
-        }
-    }
-
-    #[test]
     fn retraction_reports_disappearing_matches() {
         let mut f = Fixture::new();
         let mut engine = GraphDbEngine::new();
@@ -560,25 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn embedding_cap_bounds_each_query_per_batch() {
-        let mut f = Fixture::new();
-        let mut engine = GraphDbEngine::with_config(GraphDbConfig {
-            max_embeddings_per_query: 2,
-            ..GraphDbConfig::default()
-        });
-        engine
-            .register_query(&f.q("?a -knows-> ?b; ?b -likes-> ?c"))
-            .unwrap();
-        let knows: Vec<Update> = (0..5)
-            .map(|i| f.u("knows", &format!("a{i}"), "b"))
-            .collect();
-        engine.apply_batch(&knows);
-        // Five embeddings appear, the collector stops at two.
-        let report = engine.apply_update(f.u("likes", "b", "c"));
-        assert_eq!(report.total_embeddings(), 2);
-    }
-
-    #[test]
     fn edges_no_query_indexes_reach_the_store_only() {
         let mut f = Fixture::new();
         let mut engine = GraphDbEngine::new();
@@ -591,83 +499,5 @@ mod tests {
         assert_eq!(engine.store().num_edges(), 0);
         assert_eq!(engine.stats().updates_processed, 2);
         assert_eq!(engine.stats().notifications, 0);
-    }
-
-    #[test]
-    fn agrees_with_tric_on_random_mixed_streams() {
-        use gsm_tric::TricEngine;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        let mut rng = StdRng::seed_from_u64(321);
-        let mut f = Fixture::new();
-        let queries = vec![
-            f.q("?a -e0-> ?b; ?b -e1-> ?c"),
-            f.q("?a -e1-> ?b; ?b -e2-> ?c; ?c -e0-> ?a"),
-            f.q("?h -e0-> ?x; ?h -e2-> ?y"),
-            f.q("?a -e0-> v3"),
-            f.q("?a -e2-> ?a"),
-            f.q("?x -e1-> ?y; ?z -e1-> ?y"),
-        ];
-        let mut tric = TricEngine::tric_plus();
-        let mut db = GraphDbEngine::new();
-        for q in &queries {
-            tric.register_query(q).unwrap();
-            db.register_query(q).unwrap();
-        }
-        let mut live: Vec<Update> = Vec::new();
-        for step in 0..400 {
-            let u = if !live.is_empty() && rng.gen_bool(0.4) {
-                live.swap_remove(rng.gen_range(0..live.len())).inverted()
-            } else {
-                let label = format!("e{}", rng.gen_range(0..3));
-                let src = format!("v{}", rng.gen_range(0..7));
-                let tgt = format!("v{}", rng.gen_range(0..7));
-                let u = f.u(&label, &src, &tgt);
-                if !live.contains(&u) {
-                    live.push(u);
-                }
-                u
-            };
-            let expected = tric.apply_update(u);
-            let got = db.apply_update(u);
-            assert_eq!(
-                got, expected,
-                "GraphDB diverged from TRIC+ at #{step} on {u:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn agrees_with_tric_on_random_streams() {
-        use gsm_tric::TricEngine;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        let mut rng = StdRng::seed_from_u64(123);
-        let mut f = Fixture::new();
-        let queries = vec![
-            f.q("?a -e0-> ?b; ?b -e1-> ?c"),
-            f.q("?a -e1-> ?b; ?b -e2-> ?c; ?c -e0-> ?a"),
-            f.q("?h -e0-> ?x; ?h -e2-> ?y"),
-            f.q("?a -e0-> v3"),
-            f.q("?a -e2-> ?a"),
-            f.q("?x -e1-> ?y; ?z -e1-> ?y"),
-        ];
-        let mut tric = TricEngine::tric_plus();
-        let mut db = GraphDbEngine::new();
-        for q in &queries {
-            tric.register_query(q).unwrap();
-            db.register_query(q).unwrap();
-        }
-        for _ in 0..300 {
-            let label = format!("e{}", rng.gen_range(0..3));
-            let src = format!("v{}", rng.gen_range(0..7));
-            let tgt = format!("v{}", rng.gen_range(0..7));
-            let u = f.u(&label, &src, &tgt);
-            let expected = tric.apply_update(u);
-            let got = db.apply_update(u);
-            assert_eq!(got, expected, "GraphDB diverged from TRIC+ on {u:?}");
-        }
     }
 }

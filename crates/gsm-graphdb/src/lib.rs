@@ -10,8 +10,8 @@
 //! the pieces of an embedded property-graph database the baseline actually
 //! relies on:
 //!
-//! * [`store`] — an in-memory graph store with per-label indexes, adjacency
-//!   lists in both directions and batched write transactions;
+//! * [`store`] — an in-memory graph store with per-label indexes and
+//!   adjacency lists in both directions;
 //! * [`plan`] — a per-query execution plan (pattern-edge ordering chosen by a
 //!   selectivity heuristic) with a plan cache, mirroring Neo4j's parameterised
 //!   query-plan caching;
@@ -34,7 +34,7 @@ pub mod matcher;
 pub mod plan;
 pub mod store;
 
-pub use engine::{GraphDbConfig, GraphDbEngine};
+pub use engine::GraphDbEngine;
 pub use matcher::MatchCollector;
 pub use plan::{PlanCache, QueryPlan};
 pub use store::GraphStore;

@@ -17,31 +17,17 @@ use gsm_core::query::pattern::QueryPattern;
 use crate::plan::QueryPlan;
 use crate::store::GraphStore;
 
-/// Collects distinct embeddings (assignments of all query vertices), with an
-/// optional limit to guard against pathological blow-ups in interactive use.
-#[derive(Debug)]
+/// Collects distinct embeddings (assignments of all query vertices).
+#[derive(Debug, Default)]
 pub struct MatchCollector {
     /// Distinct embeddings found so far (vertex assignments in vertex-id order).
     pub embeddings: HashSet<Vec<Sym>>,
-    /// Stop after this many embeddings (`usize::MAX` = unlimited).
-    pub limit: usize,
 }
 
 impl MatchCollector {
-    /// Creates an unlimited collector.
-    pub fn unlimited() -> Self {
-        MatchCollector {
-            embeddings: HashSet::new(),
-            limit: usize::MAX,
-        }
-    }
-
-    /// Creates a collector that stops after `limit` embeddings.
-    pub fn with_limit(limit: usize) -> Self {
-        MatchCollector {
-            embeddings: HashSet::new(),
-            limit,
-        }
+    /// Creates an empty collector.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of distinct embeddings collected.
@@ -52,10 +38,6 @@ impl MatchCollector {
     /// True if no embedding was collected.
     pub fn is_empty(&self) -> bool {
         self.embeddings.is_empty()
-    }
-
-    fn full(&self) -> bool {
-        self.embeddings.len() >= self.limit
     }
 }
 
@@ -121,9 +103,6 @@ fn backtrack(
     bindings: &mut Vec<Option<Sym>>,
     collector: &mut MatchCollector,
 ) {
-    if collector.full() {
-        return;
-    }
     if depth == order.len() {
         let embedding: Vec<Sym> = bindings.iter().map(|b| b.expect("complete")).collect();
         collector.embeddings.insert(embedding);
@@ -158,9 +137,6 @@ fn backtrack(
                 bindings[tv] = Some(t);
                 backtrack(query, store, order, depth + 1, bindings, collector);
                 bindings[tv] = None;
-                if collector.full() {
-                    return;
-                }
             }
         }
         (None, Some(t)) => {
@@ -177,9 +153,6 @@ fn backtrack(
                 bindings[sv] = Some(s);
                 backtrack(query, store, order, depth + 1, bindings, collector);
                 bindings[sv] = None;
-                if collector.full() {
-                    return;
-                }
             }
         }
         (None, None) => {
@@ -198,9 +171,6 @@ fn backtrack(
                 backtrack(query, store, order, depth + 1, bindings, collector);
                 bindings[sv] = None;
                 bindings[tv] = None;
-                if collector.full() {
-                    return;
-                }
             }
         }
     }
@@ -210,7 +180,7 @@ fn backtrack(
 /// (un-anchored, fresh greedy plan). Used by tests as a reference oracle.
 pub fn count_embeddings(query: &QueryPattern, store: &GraphStore) -> usize {
     let plan = QueryPlan::build(query, store, None);
-    let mut collector = MatchCollector::unlimited();
+    let mut collector = MatchCollector::new();
     execute(query, &plan, store, None, &mut collector);
     collector.len()
 }
@@ -219,7 +189,7 @@ pub fn count_embeddings(query: &QueryPattern, store: &GraphStore) -> usize {
 /// vectors ordered by query-vertex id — a reference oracle for tests.
 pub fn all_embeddings(query: &QueryPattern, store: &GraphStore) -> HashSet<Vec<Sym>> {
     let plan = QueryPlan::build(query, store, None);
-    let mut collector = MatchCollector::unlimited();
+    let mut collector = MatchCollector::new();
     execute(query, &plan, store, None, &mut collector);
     collector.embeddings
 }
@@ -327,7 +297,7 @@ mod tests {
         let x = f.symbols.intern("x");
         let anchor = Update::new(x, f.symbols.intern("1"), f.symbols.intern("2"));
         let plan = QueryPlan::build(&q, &f.store, Some(0));
-        let mut collector = MatchCollector::unlimited();
+        let mut collector = MatchCollector::new();
         execute(&q, &plan, &f.store, Some((0, anchor)), &mut collector);
         assert_eq!(collector.len(), 1);
     }
@@ -340,22 +310,9 @@ mod tests {
         let checks_in = f.symbols.intern("checksIn");
         let anchor = Update::new(checks_in, f.symbols.intern("ann"), f.symbols.intern("oslo"));
         let plan = QueryPlan::build(&q, &f.store, Some(0));
-        let mut collector = MatchCollector::unlimited();
+        let mut collector = MatchCollector::new();
         execute(&q, &plan, &f.store, Some((0, anchor)), &mut collector);
         assert!(collector.is_empty());
-    }
-
-    #[test]
-    fn collector_limit_stops_enumeration() {
-        let mut f = Fixture::new();
-        let q = f.q("?a -x-> ?b");
-        for i in 0..100 {
-            f.edge("x", &format!("s{i}"), &format!("t{i}"));
-        }
-        let plan = QueryPlan::build(&q, &f.store, None);
-        let mut collector = MatchCollector::with_limit(10);
-        execute(&q, &plan, &f.store, None, &mut collector);
-        assert_eq!(collector.len(), 10);
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! The embedded graph store.
 //!
 //! A thin property-graph layer: adjacency in both directions, a per-label
-//! edge index (the equivalent of Neo4j's schema indexes the paper enables),
-//! per-label cardinality statistics used by the query planner, and batched
-//! write transactions mirroring the "writes per transaction" tuning knob of
-//! the paper's Neo4j setup.
+//! edge index (the equivalent of Neo4j's schema indexes the paper enables)
+//! and per-label cardinality statistics used by the query planner.
 //!
 //! Candidate enumeration for the backtracking matcher goes through
 //! [`LabelProbeIndex`]: each label's edges are kept as a two-column
@@ -89,33 +87,15 @@ pub struct GraphStore {
     label_counts: HashMap<Sym, usize>,
     /// Per-label probe indexes for the matcher's candidate enumeration.
     label_probes: HashMap<Sym, LabelProbeIndex>,
-    /// Writes applied since the last commit.
-    pending_writes: usize,
-    /// Writes allowed per transaction before an implicit commit.
-    writes_per_tx: usize,
-    /// Number of committed transactions.
-    committed_txs: u64,
 }
 
 impl GraphStore {
-    /// Default number of writes per transaction (the paper found 20K writes
-    /// per transaction optimal for its Neo4j deployment).
-    pub const DEFAULT_WRITES_PER_TX: usize = 20_000;
-
-    /// Creates an empty store with the default transaction batch size.
+    /// Creates an empty store.
     pub fn new() -> Self {
-        Self::with_writes_per_tx(Self::DEFAULT_WRITES_PER_TX)
-    }
-
-    /// Creates an empty store with an explicit transaction batch size.
-    pub fn with_writes_per_tx(writes_per_tx: usize) -> Self {
         GraphStore {
             graph: AttributeGraph::new(),
             label_counts: HashMap::new(),
             label_probes: HashMap::new(),
-            pending_writes: 0,
-            writes_per_tx: writes_per_tx.max(1),
-            committed_txs: 0,
         }
     }
 
@@ -128,10 +108,6 @@ impl GraphStore {
                 .entry(u.label)
                 .or_insert_with(LabelProbeIndex::new)
                 .insert(u.src, u.tgt);
-        }
-        self.pending_writes += 1;
-        if self.pending_writes >= self.writes_per_tx {
-            self.commit();
         }
         added
     }
@@ -150,10 +126,6 @@ impl GraphStore {
                 probe.remove(e.src, e.tgt);
             }
         }
-        self.pending_writes += 1;
-        if self.pending_writes >= self.writes_per_tx {
-            self.commit();
-        }
         removed
     }
 
@@ -162,19 +134,6 @@ impl GraphStore {
     /// adjacency lists.
     pub fn label_probe(&self, label: Sym) -> Option<&LabelProbeIndex> {
         self.label_probes.get(&label)
-    }
-
-    /// Commits the current write transaction.
-    pub fn commit(&mut self) {
-        if self.pending_writes > 0 {
-            self.pending_writes = 0;
-            self.committed_txs += 1;
-        }
-    }
-
-    /// Number of committed write transactions so far.
-    pub fn committed_transactions(&self) -> u64 {
-        self.committed_txs
     }
 
     /// The underlying attribute graph.
@@ -257,20 +216,6 @@ mod tests {
         assert!(store.insert_edge(u(0, 1, 2)));
         assert!(!store.insert_edge(u(0, 1, 2)));
         assert_eq!(store.label_count(Sym(0)), 1);
-    }
-
-    #[test]
-    fn transactions_commit_in_batches() {
-        let mut store = GraphStore::with_writes_per_tx(10);
-        for i in 0..25 {
-            store.insert_edge(u(0, i, i + 1));
-        }
-        assert_eq!(store.committed_transactions(), 2);
-        store.commit();
-        assert_eq!(store.committed_transactions(), 3);
-        // Committing with nothing pending is a no-op.
-        store.commit();
-        assert_eq!(store.committed_transactions(), 3);
     }
 
     #[test]

@@ -124,8 +124,7 @@ impl TricEngine {
     /// The query database is split by the root generic edge of each query's
     /// first covering path: the shard [`gsm_core::shard::shard_of`] assigns
     /// to it holds the whole query — every trie its covering paths extend
-    /// and the edge views they reach. With `num_shards <= 1` this is an
-    /// unsharded [`TricEngine::tric`] behind a zero-overhead delegation.
+    /// and the edge views they reach.
     pub fn tric_sharded(num_shards: usize) -> ShardedEngine<TricEngine> {
         ShardedEngine::new(num_shards, TricEngine::tric)
     }
@@ -1182,46 +1181,6 @@ mod tests {
     }
 
     #[test]
-    fn tric_and_tric_plus_agree_on_random_mixed_streams() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut f = Fixture::new();
-        let queries = vec![
-            f.q("?a -e0-> ?b; ?b -e1-> ?c"),
-            f.q("?a -e1-> ?b; ?b -e2-> ?c; ?c -e0-> ?a"),
-            f.q("?h -e0-> ?x; ?h -e2-> ?y"),
-            f.q("?a -e0-> v3"),
-            f.q("?a -e2-> ?a"),
-        ];
-        let mut tric = TricEngine::tric();
-        let mut plus = TricEngine::tric_plus();
-        for q in &queries {
-            tric.register_query(q).unwrap();
-            plus.register_query(q).unwrap();
-        }
-        let mut live: Vec<Update> = Vec::new();
-        for step in 0..500 {
-            let u = if !live.is_empty() && rng.gen_bool(0.4) {
-                live.swap_remove(rng.gen_range(0..live.len())).inverted()
-            } else {
-                let label = format!("e{}", rng.gen_range(0..3));
-                let src = format!("v{}", rng.gen_range(0..8));
-                let tgt = format!("v{}", rng.gen_range(0..8));
-                let u = f.u(&label, &src, &tgt);
-                if !live.contains(&u) {
-                    live.push(u);
-                }
-                u
-            };
-            let a = tric.apply_update(u);
-            let b = plus.apply_update(u);
-            assert_eq!(a, b, "TRIC and TRIC+ diverged at #{step} on {u:?}");
-        }
-        assert_eq!(tric.stats(), plus.stats());
-    }
-
-    #[test]
     fn tric_plus_keeps_its_builds_across_a_sliding_window() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -1414,87 +1373,6 @@ mod tests {
     }
 
     #[test]
-    fn tric_and_tric_plus_agree_on_random_streams() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut f = Fixture::new();
-        let queries = vec![
-            f.q("?a -e0-> ?b; ?b -e1-> ?c"),
-            f.q("?a -e1-> ?b; ?b -e2-> ?c; ?c -e0-> ?a"),
-            f.q("?h -e0-> ?x; ?h -e2-> ?y"),
-            f.q("?a -e0-> v3"),
-            f.q("?a -e2-> ?a"),
-        ];
-        let mut tric = TricEngine::tric();
-        let mut plus = TricEngine::tric_plus();
-        for q in &queries {
-            tric.register_query(q).unwrap();
-            plus.register_query(q).unwrap();
-        }
-        for _ in 0..400 {
-            let label = format!("e{}", rng.gen_range(0..3));
-            let src = format!("v{}", rng.gen_range(0..8));
-            let tgt = format!("v{}", rng.gen_range(0..8));
-            let u = f.u(&label, &src, &tgt);
-            let a = tric.apply_update(u);
-            let b = plus.apply_update(u);
-            assert_eq!(a, b, "TRIC and TRIC+ diverged on {u:?}");
-        }
-        assert!(plus.cache_hits() > 0);
-        assert_eq!(tric.cache_hits(), 0);
-    }
-
-    #[test]
-    fn batch_report_equals_merged_sequential_reports() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        for chunk in [2usize, 5, 32, 400] {
-            for caching in [false, true] {
-                let mut rng = StdRng::seed_from_u64(11);
-                let mut f = Fixture::new();
-                let queries = vec![
-                    f.q("?a -e0-> ?b; ?b -e1-> ?c"),
-                    f.q("?a -e1-> ?b; ?b -e2-> ?c; ?c -e0-> ?a"),
-                    f.q("?h -e0-> ?x; ?h -e2-> ?y"),
-                    f.q("?a -e0-> v3"),
-                    f.q("?a -e2-> ?a"),
-                ];
-                let config = TricConfig { caching };
-                let mut seq = TricEngine::with_config(config);
-                let mut bat = TricEngine::with_config(config);
-                for q in &queries {
-                    seq.register_query(q).unwrap();
-                    bat.register_query(q).unwrap();
-                }
-                let stream: Vec<Update> = (0..400)
-                    .map(|_| {
-                        let label = format!("e{}", rng.gen_range(0..3));
-                        let src = format!("v{}", rng.gen_range(0..8));
-                        let tgt = format!("v{}", rng.gen_range(0..8));
-                        f.u(&label, &src, &tgt)
-                    })
-                    .collect();
-                for batch in stream.chunks(chunk) {
-                    let mut counts = Vec::new();
-                    for &u in batch {
-                        let r = seq.apply_update(u);
-                        counts.extend(r.matches.iter().map(|m| (m.query, m.new_embeddings)));
-                    }
-                    let expected = MatchReport::from_counts(counts);
-                    let got = bat.apply_batch(batch);
-                    assert_eq!(
-                        got, expected,
-                        "chunk {chunk} caching {caching} diverged on {batch:?}"
-                    );
-                }
-                assert_eq!(seq.stats().updates_processed, bat.stats().updates_processed);
-                assert_eq!(seq.stats().embeddings, bat.stats().embeddings);
-            }
-        }
-    }
-
-    #[test]
     fn detached_answers_survive_later_stages() {
         // The staging contract: a token is answered or detached before the
         // next batch is staged, and a detached answer must still report
@@ -1666,100 +1544,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn sharded_tric_agrees_with_plain_on_random_streams() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        for num_shards in [1usize, 2, 3, 8] {
-            let mut rng = StdRng::seed_from_u64(77);
-            let mut f = Fixture::new();
-            let queries = vec![
-                f.q("?a -e0-> ?b; ?b -e1-> ?c"),
-                f.q("?a -e1-> ?b; ?b -e2-> ?c; ?c -e0-> ?a"),
-                f.q("?h -e0-> ?x; ?h -e2-> ?y"),
-                f.q("?a -e0-> v3"),
-                f.q("?a -e2-> ?a"),
-            ];
-            let mut plain = TricEngine::tric_plus();
-            let mut sharded = TricEngine::tric_plus_sharded(num_shards);
-            for q in &queries {
-                let a = plain.register_query(q).unwrap();
-                let b = sharded.register_query(q).unwrap();
-                assert_eq!(a, b, "query ids must line up");
-            }
-            for step in 0..400 {
-                let label = format!("e{}", rng.gen_range(0..3));
-                let src = format!("v{}", rng.gen_range(0..8));
-                let tgt = format!("v{}", rng.gen_range(0..8));
-                let u = f.u(&label, &src, &tgt);
-                let a = plain.apply_update(u);
-                let b = sharded.apply_update(u);
-                assert_eq!(a, b, "{num_shards} shards diverged at #{step} on {u:?}");
-            }
-            let (ps, ss) = (plain.stats(), sharded.stats());
-            assert_eq!(ps.updates_processed, ss.updates_processed);
-            assert_eq!(ps.notifications, ss.notifications);
-            assert_eq!(ps.embeddings, ss.embeddings);
-            assert!(sharded.heap_bytes() > 0);
-        }
-    }
-
-    #[test]
-    fn sharded_tric_agrees_with_plain_on_random_mixed_streams() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        for num_shards in [2usize, 3, 8] {
-            let mut rng = StdRng::seed_from_u64(99);
-            let mut f = Fixture::new();
-            let queries = vec![
-                f.q("?a -e0-> ?b; ?b -e1-> ?c"),
-                f.q("?a -e1-> ?b; ?b -e2-> ?c; ?c -e0-> ?a"),
-                f.q("?h -e0-> ?x; ?h -e2-> ?y"),
-                f.q("?a -e0-> v3"),
-                f.q("?a -e2-> ?a"),
-            ];
-            let mut plain = TricEngine::tric_plus();
-            let mut sharded = TricEngine::tric_plus_sharded(num_shards);
-            for q in &queries {
-                let a = plain.register_query(q).unwrap();
-                let b = sharded.register_query(q).unwrap();
-                assert_eq!(a, b, "query ids must line up");
-            }
-            // Multi-update batches mixing signs, so the sharded wrapper's
-            // sign-run split and the multi-root queries' retraction joins
-            // on their home shards get exercised against the unsharded
-            // engine.
-            let mut live: Vec<Update> = Vec::new();
-            let mut batch: Vec<Update> = Vec::new();
-            for step in 0..250 {
-                batch.clear();
-                for _ in 0..rng.gen_range(1..4) {
-                    let u = if !live.is_empty() && rng.gen_bool(0.4) {
-                        live.swap_remove(rng.gen_range(0..live.len())).inverted()
-                    } else {
-                        let label = format!("e{}", rng.gen_range(0..3));
-                        let src = format!("v{}", rng.gen_range(0..8));
-                        let tgt = format!("v{}", rng.gen_range(0..8));
-                        let u = f.u(&label, &src, &tgt);
-                        if !live.contains(&u) {
-                            live.push(u);
-                        }
-                        u
-                    };
-                    batch.push(u);
-                }
-                let a = plain.apply_batch(&batch);
-                let b = sharded.apply_batch(&batch);
-                assert_eq!(a, b, "{num_shards} shards diverged at #{step} on {batch:?}");
-            }
-            let (ps, ss) = (plain.stats(), sharded.stats());
-            assert_eq!(ps.updates_processed, ss.updates_processed);
-            assert_eq!(ps.notifications, ss.notifications);
-            assert_eq!(ps.embeddings, ss.embeddings);
-            assert_eq!(ps.retracted, ss.retracted);
         }
     }
 

@@ -1,7 +1,8 @@
-//! Property tests for TRIC's incremental maintenance: whatever the stream,
-//! the materialized view of every trie node must equal what a from-scratch
-//! evaluation of its prefix path would produce, and TRIC must agree with
-//! TRIC+ update for update.
+//! Property tests for TRIC's notifications on random streams: adding
+//! queries never changes what an existing query is told, and a query is
+//! only ever reported for an update whose label it uses. Agreement with the
+//! other engines, batched and per update, is the differential harness's
+//! (`tests/differential` at the workspace root).
 
 use proptest::prelude::*;
 
@@ -26,208 +27,8 @@ fn fixed_queries(symbols: &mut SymbolTable) -> Vec<QueryPattern> {
     .collect()
 }
 
-fn intern_updates(symbols: &mut SymbolTable, specs: &[(&str, &str, &str)]) -> Vec<Update> {
-    specs
-        .iter()
-        .map(|(l, s, t)| Update::new(symbols.intern(l), symbols.intern(s), symbols.intern(t)))
-        .collect()
-}
-
-/// Applies `batch` to a fresh pair of engines — one sequentially, one as a
-/// single batch — and asserts the batch report equals the merged sequential
-/// reports. `history` is replayed on both first.
-fn assert_batch_edge_case(
-    queries: &[&str],
-    history: &[(&str, &str, &str)],
-    batch: &[(&str, &str, &str)],
-    expected_embeddings: u64,
-) {
-    for caching in [false, true] {
-        let mut symbols = SymbolTable::new();
-        let queries: Vec<QueryPattern> = queries
-            .iter()
-            .map(|q| QueryPattern::parse(q, &mut symbols).unwrap())
-            .collect();
-        let history = intern_updates(&mut symbols, history);
-        let batch = intern_updates(&mut symbols, batch);
-
-        let config = gsm_tric::TricConfig { caching };
-        let mut seq = TricEngine::with_config(config);
-        let mut bat = TricEngine::with_config(config);
-        for q in &queries {
-            seq.register_query(q).unwrap();
-            bat.register_query(q).unwrap();
-        }
-        for &u in &history {
-            seq.apply_update(u);
-            bat.apply_update(u);
-        }
-        let merged = gsm_core::engine::MatchReport::from_counts(
-            batch
-                .iter()
-                .flat_map(|&u| seq.apply_update(u).matches)
-                .map(|m| (m.query, m.new_embeddings))
-                .collect(),
-        );
-        let got = bat.apply_batch(&batch);
-        assert_eq!(got, merged, "caching={caching}: batch != merged sequential");
-        assert_eq!(
-            got.total_embeddings(),
-            expected_embeddings,
-            "caching={caching}: unexpected embedding count"
-        );
-    }
-}
-
-#[test]
-fn duplicate_edges_inside_one_batch_count_once() {
-    // The same edge three times in one batch, plus a duplicate of history:
-    // exactly one new embedding (from the one genuinely new edge).
-    assert_batch_edge_case(
-        &["?a -e0-> ?b"],
-        &[("e0", "x", "y")],
-        &[
-            ("e0", "x", "y"), // duplicate of history
-            ("e0", "u", "v"), // new
-            ("e0", "u", "v"), // duplicate inside the batch
-            ("e0", "u", "v"),
-        ],
-        1,
-    );
-}
-
-#[test]
-fn self_loops_inside_a_batch() {
-    // A self-loop query plus a chain through the loop vertex; the batch
-    // mixes loop and non-loop edges on the same label.
-    assert_batch_edge_case(
-        &["?a -e0-> ?a", "?a -e0-> ?b; ?b -e1-> ?c"],
-        &[],
-        &[
-            ("e0", "x", "x"), // satisfies the loop, starts the chain (a=x, b=x)
-            ("e0", "x", "y"), // starts the chain only
-            ("e1", "x", "z"), // completes chain x -e0-> x -e1-> z
-            ("e0", "w", "v"), // unrelated chain prefix, no e1 edge from v
-        ],
-        // Loop: 1 embedding. Chain: x->x->z completes once the e1 edge lands.
-        2,
-    );
-}
-
-#[test]
-fn batch_that_completes_and_extends_the_same_query() {
-    // History holds one chain prefix; the batch both completes that chain
-    // (via the y edge) and adds a second prefix that the same y edge extends
-    // — the same query gains embeddings from two different updates of one
-    // batch, which the batched path must merge into a single report entry.
-    assert_batch_edge_case(
-        &["?a -x-> ?b; ?b -y-> ?c"],
-        &[("x", "a1", "b")],
-        &[
-            ("y", "b", "c"),  // completes a1 -x-> b -y-> c
-            ("x", "a2", "b"), // extends: a2 -x-> b -y-> c
-        ],
-        2,
-    );
-}
-
-#[test]
-fn batch_completing_and_extending_multiple_covering_paths() {
-    // A star query with two covering paths: the batch completes the query
-    // (first b edge) and simultaneously extends both paths with more leaves.
-    assert_batch_edge_case(
-        &["?c -a-> ?x; ?c -b-> ?y"],
-        &[("a", "hub", "x1")],
-        &[
-            ("b", "hub", "y1"), // completes (x1, y1)
-            ("a", "hub", "x2"), // extends path a: (x2, y1)
-            ("b", "hub", "y2"), // extends path b: (x1, y2) and (x2, y2)
-        ],
-        4,
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// TRIC and TRIC+ report the same matches on arbitrary streams, and the
-    /// caching engine actually exercises its cache.
-    #[test]
-    fn tric_and_tric_plus_agree(
-        stream in proptest::collection::vec((0u8..3, 0u8..6, 0u8..6), 1..150),
-    ) {
-        let mut symbols = SymbolTable::new();
-        let queries = fixed_queries(&mut symbols);
-        let labels: Vec<Sym> = (0..3).map(|i| symbols.intern(&format!("e{i}"))).collect();
-        let vertices: Vec<Sym> = (0..6).map(|i| symbols.intern(&format!("v{i}"))).collect();
-
-        let mut tric = TricEngine::tric();
-        let mut plus = TricEngine::tric_plus();
-        for q in &queries {
-            tric.register_query(q).unwrap();
-            plus.register_query(q).unwrap();
-        }
-        for &(l, s, t) in &stream {
-            let u = Update::new(labels[l as usize], vertices[s as usize], vertices[t as usize]);
-            prop_assert_eq!(tric.apply_update(u), plus.apply_update(u));
-        }
-    }
-
-    /// Batched answering equals merged sequential answering under random
-    /// batch partitions of random streams, for both TRIC and TRIC+ — the
-    /// engine-level differential guarantee behind `apply_batch`.
-    #[test]
-    fn batched_tric_equals_sequential_under_random_partitions(
-        stream in proptest::collection::vec((0u8..3, 0u8..6, 0u8..6), 1..120),
-        chunk_lens in proptest::collection::vec(1usize..12, 1..10),
-    ) {
-        for caching in [false, true] {
-            let mut symbols = SymbolTable::new();
-            let queries = fixed_queries(&mut symbols);
-            let labels: Vec<Sym> = (0..3).map(|i| symbols.intern(&format!("e{i}"))).collect();
-            let vertices: Vec<Sym> = (0..6).map(|i| symbols.intern(&format!("v{i}"))).collect();
-            let updates: Vec<Update> = stream
-                .iter()
-                .map(|&(l, s, t)| {
-                    Update::new(labels[l as usize], vertices[s as usize], vertices[t as usize])
-                })
-                .collect();
-
-            let config = gsm_tric::TricConfig { caching };
-            let mut seq = TricEngine::with_config(config);
-            let mut bat = TricEngine::with_config(config);
-            for q in &queries {
-                seq.register_query(q).unwrap();
-                bat.register_query(q).unwrap();
-            }
-
-            let mut offset = 0usize;
-            let mut chunk_idx = 0usize;
-            while offset < updates.len() {
-                let len = chunk_lens[chunk_idx % chunk_lens.len()].min(updates.len() - offset);
-                let batch = &updates[offset..offset + len];
-                let merged = gsm_core::engine::MatchReport::from_counts(
-                    batch
-                        .iter()
-                        .flat_map(|&u| seq.apply_update(u).matches)
-                        .map(|m| (m.query, m.new_embeddings))
-                        .collect(),
-                );
-                let got = bat.apply_batch(batch);
-                prop_assert_eq!(
-                    got,
-                    merged,
-                    "caching={} diverged at offset {} (len {})",
-                    caching,
-                    offset,
-                    len
-                );
-                offset += len;
-                chunk_idx += 1;
-            }
-            prop_assert_eq!(seq.stats().embeddings, bat.stats().embeddings);
-        }
-    }
 
     /// Notifications are monotone in the query set: registering additional
     /// queries never removes notifications for the originally registered one.

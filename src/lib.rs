@@ -58,10 +58,8 @@ pub fn all_engine_factories() -> Vec<fn() -> Box<dyn gsm_core::ContinuousEngine 
 }
 
 /// Returns every engine wrapped in a [`gsm_core::ShardedEngine`] with
-/// `num_shards` shards, in the same order as [`all_engines`]. With
-/// `num_shards <= 1` the wrapper delegates to the single inner engine, so
-/// the result is observationally identical to [`all_engines`] either way —
-/// the shard-count differential tests replay both and assert exactly that.
+/// `num_shards` shards, in the same order as [`all_engines`]. The result is
+/// observationally identical to [`all_engines`] at every shard count.
 pub fn all_engines_sharded(num_shards: usize) -> Vec<Box<dyn gsm_core::ContinuousEngine>> {
     all_engine_factories()
         .into_iter()

@@ -4,7 +4,7 @@
 //! mid-stream registration over history that streamed to another shard.
 //!
 //! The generic guarantee (sharded ≡ unsharded on every workload) is pinned
-//! by the differential matrix in `engine_equivalence.rs`; the tests here
+//! by the sharded families of the workload matrix; the tests here
 //! construct the specific topologies by probing [`shard_of`] so the
 //! interesting placement is *guaranteed*, not left to workload chance, and
 //! they additionally assert the wrapper-internal facts (spanning
@@ -15,7 +15,9 @@ use graph_stream_matching::core::model::generic::{GenTerm, GenericEdge};
 use graph_stream_matching::core::prelude::*;
 use graph_stream_matching::persist::{MemFactory, PersistConfig, PersistentEngine, QueryTotals};
 use graph_stream_matching::tric::TricEngine;
-use graph_stream_matching::{all_engines, all_engines_sharded};
+use graph_stream_matching::{all_engine_factories, all_engines, all_engines_sharded};
+
+use crate::harness::Case;
 
 /// Finds a label (from an open-ended candidate pool) whose variable-variable
 /// generic edge lands on `target_shard` out of `num_shards`, interning it in
@@ -51,31 +53,18 @@ fn update(symbols: &mut SymbolTable, label: &str, src: &str, tgt: &str) -> Updat
     )
 }
 
-/// Replays `stream` against every unsharded engine and its sharded twin at
-/// the given shard count, asserting identical per-update reports.
+/// The per-update reference of `stream`, then every engine behind a
+/// `num_shards`-shard wrapper checked against it one update at a time.
 fn assert_all_engines_agree_sharded(
     queries: &[QueryPattern],
     stream: &[Update],
     num_shards: usize,
 ) {
-    let mut plain = all_engines();
-    let mut sharded = all_engines_sharded(num_shards);
-    for engine in plain.iter_mut().chain(sharded.iter_mut()) {
-        for q in queries {
-            engine.register_query(q).expect("register");
-        }
-    }
-    for (i, &u) in stream.iter().enumerate() {
-        for (p, s) in plain.iter_mut().zip(sharded.iter_mut()) {
-            let expected = p.apply_update(u);
-            let got = s.apply_update(u);
-            assert_eq!(
-                got,
-                expected,
-                "{} × {num_shards} shards diverged at update #{i} ({u:?})",
-                p.name()
-            );
-        }
+    let case = Case::replay("a hand-built topology", queries.to_vec(), stream.to_vec());
+    for factory in all_engine_factories() {
+        let engine = ShardedEngine::new(num_shards, factory);
+        let label = format!("{} × {num_shards} shards", engine.name());
+        case.check_batches(&label, engine, &[1]);
     }
 }
 
