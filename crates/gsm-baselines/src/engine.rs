@@ -304,7 +304,7 @@ impl ContinuousEngine for BaselineEngine {
     /// Strips the query from every inverted index and tombstones its
     /// `queryInd` slot (ids are never reused). Edge views stay registered —
     /// routing consults edgeInd, so an unmatched view is dead weight only,
-    /// and a later registration over the same edge reuses its history.
+    /// and a later registration over the same edge reuses it.
     fn unregister_query(&mut self, query: QueryId) -> Result<()> {
         if !self.indexes.remove(query) {
             return Err(Error::UnknownQuery(query.0));

@@ -296,15 +296,20 @@ pub struct EngineStats {
 ///   families of the differential harness, `tests/differential`: 1, 2, 3,
 ///   4 and 8 shards, and 1, 2, 3 and 8 under the pipeline). That includes
 ///   queries registered mid-stream: edges new to the query's home shard
-///   replay the history the unsharded engine's shared views would hold,
-///   whichever shard it streamed to (the "Late registration" note in
-///   [`crate::shard`] names the one same-label corner the replay cannot
-///   reach).
+///   replay the live edges they admit, whichever shard they streamed to.
 pub trait ContinuousEngine {
     /// Short, stable engine name (`"TRIC"`, `"INV+"`, …) used in reports.
     fn name(&self) -> &'static str;
 
     /// Registers a continuous query and returns its identifier.
+    ///
+    /// A query registered at time *t* matches against the live graph at
+    /// *t*: every edge inserted and not retracted before the call, whether
+    /// or not another query used its label. The embeddings the query
+    /// already has at *t* are never reported; the next update reports
+    /// exactly the embeddings it creates or destroys, as if the query had
+    /// been registered before the stream began. Every engine and wrapper in
+    /// this workspace keeps this contract, bare or composed.
     fn register_query(&mut self, query: &QueryPattern) -> Result<QueryId>;
 
     /// Unregisters a previously registered query: its routing entries are

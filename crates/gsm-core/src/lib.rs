@@ -15,7 +15,8 @@
 //!   decomposition of Section 4.1 of the paper.
 //! * [`relation`] — binding tables (materialized views), hash joins, delta
 //!   joins, and the join-build cache that powers the `+` engine variants.
-//! * [`views`] — the shared per-edge materialized-view store.
+//! * [`views`] — the live graph (one edge relation per label) and the
+//!   per-edge materialized views over it.
 //! * [`engine`] — the [`ContinuousEngine`] trait implemented by every engine,
 //!   plus match reports.
 //! * [`shard`] — [`ShardedEngine`], the root-generic-edge partitioning of

@@ -88,48 +88,29 @@ impl GenericEdge {
         true
     }
 
-    /// Enumerates every generic-edge shape an update can match.
+    /// Enumerates every generic-edge shape an update can match, without
+    /// allocating.
     ///
     /// An update `l = (s, t)` can be indexed under at most five shapes:
     /// `(s, t)`, `(s, ?var)`, `(?var, t)`, `(?var, ?var)` and — only when
     /// `s == t` — the self-loop shape. Index lookups therefore cost O(1)
     /// hash probes per update, independent of the query database size.
-    pub fn shapes_of_update(u: &Update) -> Vec<GenericEdge> {
-        let mut shapes = vec![
-            GenericEdge {
-                label: u.label,
-                src: GenTerm::Const(u.src),
-                tgt: GenTerm::Const(u.tgt),
-                same_var: false,
-            },
-            GenericEdge {
-                label: u.label,
-                src: GenTerm::Const(u.src),
-                tgt: GenTerm::Any,
-                same_var: false,
-            },
-            GenericEdge {
-                label: u.label,
-                src: GenTerm::Any,
-                tgt: GenTerm::Const(u.tgt),
-                same_var: false,
-            },
-            GenericEdge {
-                label: u.label,
-                src: GenTerm::Any,
-                tgt: GenTerm::Any,
-                same_var: false,
-            },
+    pub fn shapes_of_update(u: &Update) -> impl Iterator<Item = GenericEdge> {
+        let shape = |src, tgt, same_var| GenericEdge {
+            label: u.label,
+            src,
+            tgt,
+            same_var,
+        };
+        let (s, t) = (GenTerm::Const(u.src), GenTerm::Const(u.tgt));
+        let shapes = [
+            shape(s, t, false),
+            shape(s, GenTerm::Any, false),
+            shape(GenTerm::Any, t, false),
+            shape(GenTerm::Any, GenTerm::Any, false),
+            shape(GenTerm::Any, GenTerm::Any, true),
         ];
-        if u.src == u.tgt {
-            shapes.push(GenericEdge {
-                label: u.label,
-                src: GenTerm::Any,
-                tgt: GenTerm::Any,
-                same_var: true,
-            });
-        }
-        shapes
+        shapes.into_iter().take(if u.src == u.tgt { 5 } else { 4 })
     }
 }
 
@@ -188,14 +169,14 @@ mod tests {
     #[test]
     fn shapes_enumeration_covers_all_matching_shapes() {
         let u = Update::new(Sym(1), Sym(10), Sym(11));
-        let shapes = GenericEdge::shapes_of_update(&u);
+        let shapes: Vec<GenericEdge> = GenericEdge::shapes_of_update(&u).collect();
         assert_eq!(shapes.len(), 4);
         for s in &shapes {
             assert!(s.matches(&u), "{s:?} should match its own update");
         }
 
         let loop_u = Update::new(Sym(1), Sym(10), Sym(10));
-        let shapes = GenericEdge::shapes_of_update(&loop_u);
+        let shapes: Vec<GenericEdge> = GenericEdge::shapes_of_update(&loop_u).collect();
         assert_eq!(shapes.len(), 5);
         assert!(shapes.iter().any(|s| s.same_var));
     }
@@ -210,7 +191,7 @@ mod tests {
             Term::Const(Sym(1)),
             Term::Const(Sym(2)),
         ];
-        let shapes = GenericEdge::shapes_of_update(&u);
+        let shapes: Vec<GenericEdge> = GenericEdge::shapes_of_update(&u).collect();
         for &s in &terms {
             for &t in &terms {
                 let ge = GenericEdge::from_pattern(&pe(0, s, t));

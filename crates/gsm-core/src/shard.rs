@@ -22,8 +22,6 @@
 //! per-shard reports into wrapper ids — both counts at once — only
 //! translates and sorts, inside the same `apply_batch` call. The wrapper
 //! therefore stages like every other engine, through the trait's default.
-//! The wrapper-level history store (see "Late registration") is the one
-//! part that follows the batch sign run by sign run.
 //!
 //! An update whose generic-edge shapes are used by queries homed on several
 //! shards is delivered to each of them (and stored by each), so shards
@@ -35,35 +33,14 @@
 //! wrapper, so reports are directly comparable with an unsharded engine fed
 //! the same query set.
 //!
-//! # Late registration
-//!
-//! Queries may be added mid-stream, and an unsharded engine then catches
-//! the new query up through its shared edge views — including history that
-//! *other* queries' edges accumulated. The wrapper keeps the same history
-//! once, in a wrapper-level [`EdgeViewStore`] mirroring every generic edge
-//! any query has routed (fed once per run on the routing pass). After the
-//! inner `register_query`, every generic edge that became **newly routed**
-//! to the home shard replays its live rows from that store through the
-//! inner engine's `apply_batch`; the replay's report is dropped (the new
-//! query is the only one on its shard that can observe an edge new to that
-//! shard, and catch-up embeddings are never reported) and the inner
-//! engine's own counters are not the authoritative ones (see
-//! [`ContinuousEngine::stats`] on the wrapper). Edges the home shard
-//! already observes need no replay: its inner views already hold exactly
-//! the wrapper's history for them, and with one shard no edge is ever
-//! replayed, since an edge new to the only shard is new to the history
-//! store too. One mechanism covers every query, so a sharded engine — and
-//! a recovered one, which re-registers before it re-feeds — sees the
-//! history the unsharded engine sees.
-//!
-//! The replay goes through the inner engine's public update path, which
-//! feeds a row to *every* generic edge it matches: a replayed row therefore
-//! also lands in the view of a **more (or less) specific generic edge of
-//! the same label** on the home shard (`c -l-> ?x` next to `?a -l-> ?x`).
-//! That is absorbed as a duplicate whenever that edge's own history holds
-//! the row; it is not when the edge was first registered — anywhere — after
-//! the row arrived, the one late-registration case where the home shard
-//! ends up holding a row the unsharded view does not.
+//! A shard only holds the live edges that match a generic edge routed to
+//! it. The wrapper keeps the whole live graph in an [`EdgeViewStore`] with
+//! no views, and when registration first routes a generic edge to the
+//! home shard it replays the live edges that edge admits into the shard
+//! — *before* the inner `register_query`, so the rows only enter the inner
+//! engine's live graph (no query there observes them, and the replay
+//! reports nothing) and the inner engine seeds the new query's views from
+//! it, as every engine does (see [`ContinuousEngine::register_query`]).
 
 use std::hash::BuildHasher;
 
@@ -71,7 +48,7 @@ use crate::engine::{ContinuousEngine, EngineStats, MatchReport, QueryId, QueryMa
 use crate::error::{Error, Result};
 use crate::memory::HeapSize;
 use crate::model::generic::GenericEdge;
-use crate::model::update::{sign_runs, Update};
+use crate::model::update::Update;
 use crate::query::paths::covering_paths;
 use crate::query::pattern::QueryPattern;
 use crate::relation::fasthash::{FxBuildHasher, FxHashMap};
@@ -139,10 +116,10 @@ pub struct ShardedEngine<E> {
     route_marks: Vec<bool>,
     /// Shards marked for the current update (reused buffer).
     route_marked: Vec<usize>,
-    /// Wrapper-level history: one view per generic edge any query has ever
-    /// routed, fed once per sign run. Mid-stream registration replays it into
-    /// the home shard for edges new to that shard (see the module docs).
-    history: EdgeViewStore,
+    /// The live graph, every edge of every label, with no views.
+    /// Registration replays from it into the home shard for edges new to
+    /// that shard (see the module docs).
+    live: EdgeViewStore,
     /// Number of live (non-tombstoned) queries.
     num_queries: usize,
     /// Live queries whose covering-path roots hash to more than one shard.
@@ -167,7 +144,7 @@ impl<E: ContinuousEngine> ShardedEngine<E> {
             route_index: FxHashMap::default(),
             route_marks: vec![false; n],
             route_marked: Vec::new(),
-            history: EdgeViewStore::new(),
+            live: EdgeViewStore::new(),
             num_queries: 0,
             num_spanning: 0,
             query_homes: Vec::new(),
@@ -176,11 +153,9 @@ impl<E: ContinuousEngine> ShardedEngine<E> {
         }
     }
 
-    /// Records that `shard` observes `edge` in the reverse routing index,
-    /// and starts mirroring the edge in the wrapper-level history store.
+    /// Records that `shard` observes `edge` in the reverse routing index.
     /// Returns true when the edge is new to the shard.
     fn route_edge_to(&mut self, edge: GenericEdge, shard: usize) -> bool {
-        self.history.register(edge);
         let shards = self.route_index.entry(edge).or_default();
         match shards.binary_search(&shard) {
             Ok(_) => false,
@@ -242,21 +217,6 @@ impl<E: ContinuousEngine> ShardedEngine<E> {
             }
         }
     }
-
-    /// Keeps the wrapper-level history store in step with a batch, one
-    /// same-sign run at a time (mid-stream registration must never replay
-    /// removed rows). Only registration reads the store, so the per-edge
-    /// deltas are dropped.
-    fn record_history(&mut self, updates: &[Update]) {
-        for run in sign_runs(updates) {
-            if run[0].is_retraction() {
-                let removed = self.history.remove_deltas(run);
-                self.history.retract_deltas(&removed, None);
-            } else {
-                self.history.apply_batch(run);
-            }
-        }
-    }
 }
 
 impl<E: ContinuousEngine> ContinuousEngine for ShardedEngine<E> {
@@ -275,25 +235,35 @@ impl<E: ContinuousEngine> ContinuousEngine for ShardedEngine<E> {
         let home = roots.next().expect("patterns are non-empty");
         let spanning = roots.any(|s| s != home);
 
-        let gqid = QueryId(self.query_homes.len() as u32);
-        let shard = &mut self.shards[home];
-        let local = shard.engine.register_query(query)?;
-        debug_assert_eq!(local.index(), shard.local_to_global.len());
-        shard.local_to_global.push(gqid);
-
-        // Late registration: edges new to the home shard replay their live
-        // history into it (see the module docs). Nothing has streamed yet
-        // in the common case and the replay is empty.
+        // Edges new to the home shard first replay the live edges they
+        // admit into it (see the module docs). Nothing has streamed yet in
+        // the common case and the replay is empty.
         let mut replay: Vec<Update> = Vec::new();
         for e in query.edges().iter().map(GenericEdge::from_pattern) {
             if self.route_edge_to(e, home) {
-                let rows = self.history.get(&e).expect("just registered");
-                replay.extend(rows.iter().map(|r| Update::new(e.label, r[0], r[1])));
+                if let Some(edges) = self.live.edges(e.label) {
+                    replay.extend(
+                        edges
+                            .iter()
+                            .map(|r| Update::new(e.label, r[0], r[1]))
+                            .filter(|u| e.matches(u)),
+                    );
+                }
             }
         }
+        let shard = &mut self.shards[home];
         if !replay.is_empty() {
-            self.shards[home].engine.apply_batch(&replay);
+            let report = shard.engine.apply_batch(&replay);
+            debug_assert!(
+                report.is_empty(),
+                "no query on the shard observes a replayed edge"
+            );
         }
+
+        let gqid = QueryId(self.query_homes.len() as u32);
+        let local = shard.engine.register_query(query)?;
+        debug_assert_eq!(local.index(), shard.local_to_global.len());
+        shard.local_to_global.push(gqid);
 
         self.query_homes.push(Some(QueryHome {
             shard: home,
@@ -307,10 +277,10 @@ impl<E: ContinuousEngine> ContinuousEngine for ShardedEngine<E> {
 
     /// Unregisters via the id → home directory: the query leaves its home
     /// shard's inner engine (whose tombstoning keeps the `local_to_global`
-    /// map aligned). Routing-index and history entries stay — an update
-    /// routed to a shard with no interested query is absorbed without
-    /// output, and a later registration over the same edges reuses the
-    /// retained history.
+    /// map aligned). Routing-index entries stay — an update routed to a
+    /// shard with no interested query is absorbed without output, and a
+    /// later registration over the same edges finds the shard's live edges
+    /// already there.
     fn unregister_query(&mut self, query: QueryId) -> Result<()> {
         let Some(&Some(home)) = self.query_homes.get(query.index()) else {
             return Err(Error::UnknownQuery(query.0));
@@ -337,7 +307,7 @@ impl<E: ContinuousEngine> ContinuousEngine for ShardedEngine<E> {
     /// reports (see the module docs). Staging rides the trait's default.
     fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
         self.stats.updates_processed += updates.len() as u64;
-        self.record_history(updates);
+        self.live.apply(updates);
         self.route_into_slices(updates);
         // Every query is reported by exactly one shard, so folding the inner
         // reports into wrapper ids — both counts at once — only translates
@@ -352,7 +322,7 @@ impl<E: ContinuousEngine> ContinuousEngine for ShardedEngine<E> {
         }
         matches.sort_unstable_by_key(|m| m.query);
         let report = MatchReport { matches };
-        // Inner engines count their own reports (late-registration replays
+        // Inner engines count their own updates (registration replays
         // included); the wrapper's counters are the authoritative ones.
         self.stats.notifications += report.len() as u64;
         self.stats.embeddings += report.total_embeddings();
@@ -368,7 +338,7 @@ impl<E: ContinuousEngine> ContinuousEngine for ShardedEngine<E> {
         self.route_index.heap_size()
             + self.route_marks.heap_size()
             + self.route_marked.heap_size()
-            + self.history.heap_size()
+            + self.live.heap_size()
             + self.query_homes.capacity() * std::mem::size_of::<Option<QueryHome>>()
             + self
                 .shards

@@ -1,8 +1,9 @@
 //! The embedded graph store.
 //!
-//! A thin property-graph layer: adjacency in both directions, a per-label
-//! edge index (the equivalent of Neo4j's schema indexes the paper enables)
-//! and per-label cardinality statistics used by the query planner.
+//! A thin property-graph layer: adjacency in both directions and a
+//! per-label edge index (the equivalent of Neo4j's schema indexes the paper
+//! enables), whose sizes are the cardinality statistics the query planner
+//! reads.
 //!
 //! Candidate enumeration for the backtracking matcher goes through
 //! [`LabelProbeIndex`]: each label's edges are kept as a two-column
@@ -83,9 +84,8 @@ impl HeapSize for LabelProbeIndex {
 #[derive(Debug)]
 pub struct GraphStore {
     graph: AttributeGraph,
-    /// Number of edges per label — the planner's selectivity statistics.
-    label_counts: HashMap<Sym, usize>,
-    /// Per-label probe indexes for the matcher's candidate enumeration.
+    /// Per-label probe indexes for the matcher's candidate enumeration;
+    /// their sizes are the planner's selectivity statistics.
     label_probes: HashMap<Sym, LabelProbeIndex>,
 }
 
@@ -94,7 +94,6 @@ impl GraphStore {
     pub fn new() -> Self {
         GraphStore {
             graph: AttributeGraph::new(),
-            label_counts: HashMap::new(),
             label_probes: HashMap::new(),
         }
     }
@@ -103,7 +102,6 @@ impl GraphStore {
     pub fn insert_edge(&mut self, u: Update) -> bool {
         let added = self.graph.apply(u);
         if added {
-            *self.label_counts.entry(u.label).or_insert(0) += 1;
             self.label_probes
                 .entry(u.label)
                 .or_insert_with(LabelProbeIndex::new)
@@ -113,15 +111,12 @@ impl GraphStore {
     }
 
     /// Applies an edge retraction (either sign — the lookup is
-    /// sign-normalized). Returns `true` if the edge existed; statistics,
-    /// adjacency and the label's probe index all shrink together.
+    /// sign-normalized). Returns `true` if the edge existed; adjacency and
+    /// the label's probe index shrink together.
     pub fn remove_edge(&mut self, u: Update) -> bool {
         let e = u.edge();
         let removed = self.graph.remove(e);
         if removed {
-            if let Some(c) = self.label_counts.get_mut(&e.label) {
-                *c = c.saturating_sub(1);
-            }
             if let Some(probe) = self.label_probes.get_mut(&e.label) {
                 probe.remove(e.src, e.tgt);
             }
@@ -143,7 +138,9 @@ impl GraphStore {
 
     /// Number of edges carrying `label` (0 if unseen).
     pub fn label_count(&self, label: Sym) -> usize {
-        self.label_counts.get(&label).copied().unwrap_or(0)
+        self.label_probes
+            .get(&label)
+            .map_or(0, |probe| probe.edges.len())
     }
 
     /// Number of distinct edges stored.
@@ -185,7 +182,7 @@ impl Default for GraphStore {
 
 impl HeapSize for GraphStore {
     fn heap_size(&self) -> usize {
-        self.graph.heap_size() + self.label_counts.heap_size() + self.label_probes.heap_size()
+        self.graph.heap_size() + self.label_probes.heap_size()
     }
 }
 

@@ -6,18 +6,19 @@
 //! registration order re-interning the same ids), the registered queries in
 //! registration order, the per-query notification totals accumulated so
 //! far, the engine's cumulative [`EngineStats`], and the **survivor edge
-//! store** — one [`Relation`] per edge label holding exactly the edges
-//! alive at the checkpoint, with its retraction generation. Each relation
-//! spills to disk as its row-major rows (see [`crate::codec::put_relation`]),
-//! so the `(generation, version)` watermark pair survives the round trip.
+//! store** — the live graph, an [`EdgeViewStore`] with one [`Relation`]
+//! per edge label holding exactly the edges alive at the checkpoint, with
+//! its retraction generation. Each relation spills to disk as its
+//! row-major rows (see [`crate::codec::put_relation`]), labels in
+//! increasing order, so the `(generation, version)` watermark pair
+//! survives the round trip.
 //!
-//! Why survivor edges suffice: the retraction differential suites pin that
-//! every engine's future reports are a function of (registered queries,
-//! current live edge set) — state after a mixed insert/retract history is
-//! observationally equivalent to a fresh engine fed only the surviving
-//! edges. Recovery therefore feeds the survivor store to a factory-fresh
-//! engine (discarding the reports, which are already folded into the
-//! checkpointed totals) and replays only the WAL suffix.
+//! Why survivor edges suffice: every engine's future reports are a
+//! function of (registered queries, current live edge set), because a
+//! query registered at time *t* matches against the live graph at *t*
+//! ([`gsm_core::ContinuousEngine::register_query`]). Recovery therefore
+//! feeds the survivor store to a factory-fresh engine, registers the
+//! queries — which seed from it — and replays only the WAL suffix.
 //!
 //! The file format is `magic ∥ version ∥ body ∥ crc32(magic ∥ version ∥
 //! body)`. Checkpoint files are written once under a sequence-stamped name
@@ -25,12 +26,13 @@
 //! highest *valid* one, so a crash mid-checkpoint-write at worst wastes the
 //! newest file.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use gsm_core::engine::EngineStats;
 use gsm_core::interner::{Sym, SymbolTable};
 use gsm_core::query::pattern::QueryPattern;
 use gsm_core::relation::Relation;
+use gsm_core::views::EdgeViewStore;
 
 use crate::codec::{self, crc32, put_u32, put_u64, CodecError, CodecResult, Cursor};
 use crate::storage::Storage;
@@ -53,7 +55,7 @@ pub struct QueryTotals {
 /// The full logical snapshot stored in one checkpoint file, as [`decode`]
 /// returns it. (No `PartialEq`: compare via [`encode`], which is canonical
 /// — equal snapshots encode to identical bytes.)
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CheckpointData {
     /// Operations with `seq < covered_seq` are captured by this snapshot;
     /// WAL replay resumes at `covered_seq`.
@@ -71,8 +73,9 @@ pub struct CheckpointData {
     /// Durable per-query totals, indexed like `queries` (dead slots keep
     /// their accumulated totals).
     pub totals: Vec<QueryTotals>,
-    /// Survivor edge store: live `(src, tgt)` relation per edge label.
-    pub shadow: BTreeMap<Sym, Relation>,
+    /// Survivor edge store: the live graph, one `(src, tgt)` relation per
+    /// edge label.
+    pub shadow: EdgeViewStore,
 }
 
 /// Encodes a checkpoint into its on-disk bytes (magic, version, body,
@@ -85,7 +88,7 @@ pub fn encode(
     queries: &[QueryPattern],
     dead_queries: &BTreeSet<u32>,
     totals: &[QueryTotals],
-    shadow: &BTreeMap<Sym, Relation>,
+    shadow: &EdgeViewStore,
 ) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
@@ -110,8 +113,9 @@ pub fn encode(
         put_u64(&mut out, t.retracted);
         put_u64(&mut out, t.notifications);
     }
-    put_u32(&mut out, shadow.len() as u32);
-    for (label, rel) in shadow {
+    let labels = shadow.labels();
+    put_u32(&mut out, labels.len() as u32);
+    for (label, rel) in labels {
         put_u32(&mut out, label.0);
         codec::put_relation(&mut out, rel);
     }
@@ -213,17 +217,29 @@ pub fn decode(bytes: &[u8]) -> CodecResult<CheckpointData> {
             detail: format!("shadow count {num_shadow} exceeds remaining bytes"),
         });
     }
-    let mut shadow = BTreeMap::new();
+    let mut shadow: Vec<(Sym, Relation)> = Vec::new();
     for _ in 0..num_shadow {
         let at = c.pos();
         let label = Sym(c.u32()?);
-        if shadow.last_key_value().is_some_and(|(&p, _)| p >= label) {
+        if shadow.last().is_some_and(|&(p, _)| p >= label) {
             return Err(CodecError {
                 offset: at as u64,
                 detail: format!("shadow labels out of order at {}", label.0),
             });
         }
-        shadow.insert(label, codec::get_relation(&mut c)?);
+        let at = c.pos();
+        let rel = codec::get_relation(&mut c)?;
+        if rel.arity() != 2 {
+            return Err(CodecError {
+                offset: at as u64,
+                detail: format!(
+                    "shadow relation of label {} has arity {}",
+                    label.0,
+                    rel.arity()
+                ),
+            });
+        }
+        shadow.push((label, rel));
     }
     if !c.is_exhausted() {
         return Err(CodecError {
@@ -238,7 +254,7 @@ pub fn decode(bytes: &[u8]) -> CodecResult<CheckpointData> {
         queries,
         dead_queries,
         totals,
-        shadow,
+        shadow: shadow.into_iter().collect(),
     })
 }
 
@@ -321,7 +337,7 @@ mod tests {
                     notifications: 1,
                 },
             ],
-            shadow: BTreeMap::from([(knows, rel), (likes, rel2)]),
+            shadow: [(knows, rel), (likes, rel2)].into_iter().collect(),
         }
     }
 
@@ -336,8 +352,13 @@ mod tests {
         assert_eq!(decoded.dead_queries, data.dead_queries);
         assert_eq!(decoded.totals, data.totals);
         assert_eq!(decoded.symbols.len(), data.symbols.len());
-        assert_eq!(decoded.shadow.len(), data.shadow.len());
-        for ((la, ra), (lb, rb)) in decoded.shadow.iter().zip(&data.shadow) {
+        assert_eq!(decoded.shadow.labels().len(), data.shadow.labels().len());
+        for ((la, ra), (lb, rb)) in decoded
+            .shadow
+            .labels()
+            .into_iter()
+            .zip(data.shadow.labels())
+        {
             assert_eq!(la, lb);
             assert_eq!(ra.generation(), rb.generation());
             let rows_a: Vec<Vec<Sym>> = ra.iter().map(|r| r.to_vec()).collect();
@@ -387,6 +408,18 @@ mod tests {
         put_u32(&mut spliced, crc);
         let err = decode(&spliced).unwrap_err();
         assert!(err.detail.contains("out of range or out of order"));
+    }
+
+    #[test]
+    fn shadow_relations_without_two_columns_are_rejected() {
+        // Recovery reads every shadow row as `(src, tgt)`.
+        let mut data = sample();
+        let knows = data.symbols.get("knows").unwrap();
+        data.shadow = [(knows, Relation::singleton(&[Sym(1), Sym(2), Sym(3)]))]
+            .into_iter()
+            .collect();
+        let err = decode(&encode_data(&data)).unwrap_err();
+        assert!(err.detail.contains("arity 3"), "{}", err.detail);
     }
 
     #[test]

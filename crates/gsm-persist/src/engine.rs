@@ -16,8 +16,8 @@
 //!
 //! Alongside the inner engine the wrapper maintains the durable shadow
 //! state the checkpoint captures: the interner table, registered queries,
-//! per-query totals, cumulative stats, and the survivor edge store (live
-//! edges per label as [`Relation`]s). [`PersistentEngine::
+//! per-query totals, cumulative stats, and the survivor edge store (the
+//! live graph, an [`EdgeViewStore`]). [`PersistentEngine::
 //! checkpoint`] encodes all of it, straight from the live state, to a
 //! sequence-stamped file and lets recovery skip the WAL prefix. A staged
 //! batch is already its report, so a checkpoint may run at any point
@@ -43,7 +43,7 @@
 //! on storage failure (documented on the impl); fallibility-aware callers
 //! use the `try_*` API directly.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use gsm_core::engine::{ContinuousEngine, EngineStats, MatchReport, QueryId};
 use gsm_core::error::Result;
@@ -51,7 +51,7 @@ use gsm_core::interner::{Sym, SymbolTable};
 use gsm_core::memory::HeapSize;
 use gsm_core::model::update::Update;
 use gsm_core::query::pattern::QueryPattern;
-use gsm_core::relation::Relation;
+use gsm_core::views::EdgeViewStore;
 
 use crate::checkpoint::{self, CheckpointData, QueryTotals};
 use crate::storage::StorageFactory;
@@ -153,7 +153,8 @@ pub struct PersistentEngine<E> {
     /// Ids of tombstoned `queries` slots.
     dead: BTreeSet<u32>,
     totals: Vec<QueryTotals>,
-    shadow: BTreeMap<Sym, Relation>,
+    /// The live graph: every edge inserted and not retracted, per label.
+    shadow: EdgeViewStore,
     stats: EngineStats,
     batches_since_checkpoint: u64,
     last_checkpoint_seq: Option<u64>,
@@ -164,9 +165,9 @@ impl<E: ContinuousEngine> PersistentEngine<E> {
     ///
     /// On an empty namespace this is a fresh engine wrapping
     /// `make_engine()`. Otherwise it recovers: loads the highest valid
-    /// checkpoint, rebuilds a fresh inner engine (re-registering the
-    /// checkpointed queries in order and feeding the survivor edge store,
-    /// discarding those reports), then replays the WAL suffix — merged
+    /// checkpoint, rebuilds a fresh inner engine (feeding it the survivor
+    /// edge store, then re-registering the checkpointed queries in order,
+    /// which seed from it), then replays the WAL suffix — merged
     /// across stripes by sequence number, cut at the first gap — and
     /// truncates away torn tails and unreachable post-gap records.
     pub fn open(
@@ -244,27 +245,28 @@ impl<E: ContinuousEngine> PersistentEngine<E> {
                 Vec::new(),
                 BTreeSet::new(),
                 Vec::new(),
-                BTreeMap::new(),
+                EdgeViewStore::new(),
                 EngineStats::default(),
             ),
         };
-        // Every slot registers in id order (ids are positional), then the
-        // tombstoned ones unregister — before the survivor feed, so dead
-        // queries never match.
+        // The survivors go in first, to an engine with no query, so the
+        // feed answers nothing. Then every slot registers in id order (ids
+        // are positional) and matches against that live graph, as it did
+        // when it was first registered; the tombstoned ones unregister.
+        let survivors: Vec<Update> = shadow
+            .labels()
+            .into_iter()
+            .flat_map(|(label, rel)| {
+                rel.iter()
+                    .map(move |row| Update::new(label, row[0], row[1]))
+            })
+            .collect();
+        inner.apply_batch(&survivors);
         for query in &queries {
             inner.register_query(query)?;
         }
         for &qid in &dead {
             inner.unregister_query(QueryId(qid))?;
-        }
-        for (label, rel) in &shadow {
-            let survivors: Vec<Update> = rel
-                .iter()
-                .map(|row| Update::new(*label, row[0], row[1]))
-                .collect();
-            // Reports discarded: these embeddings are already folded into
-            // the checkpointed totals.
-            inner.apply_batch(&survivors);
         }
 
         let mut engine = PersistentEngine {
@@ -305,7 +307,7 @@ impl<E: ContinuousEngine> PersistentEngine<E> {
                     let batch_report = engine.inner.apply_batch(&updates);
                     engine.absorb_report(&batch_report);
                     engine.stats.updates_processed += updates.len() as u64;
-                    engine.apply_shadow(&updates);
+                    engine.shadow.apply(&updates);
                 }
                 WalOp::Checkpoint { ckpt_seq } => {
                     // Marker only: the checkpoint file itself was already
@@ -348,21 +350,6 @@ impl<E: ContinuousEngine> PersistentEngine<E> {
                 t.embeddings += m.new_embeddings;
                 t.retracted += m.retracted_embeddings;
                 t.notifications += 1;
-            }
-        }
-    }
-
-    fn apply_shadow(&mut self, updates: &[Update]) {
-        for u in updates {
-            let rel = self
-                .shadow
-                .entry(u.label)
-                .or_insert_with(|| Relation::new(2));
-            let row = [u.src, u.tgt];
-            if u.retract {
-                rel.retract_row(&row);
-            } else {
-                rel.push(&row);
             }
         }
     }
@@ -421,7 +408,7 @@ impl<E: ContinuousEngine> PersistentEngine<E> {
         let report = self.inner.apply_batch(updates);
         self.stats.updates_processed += updates.len() as u64;
         self.absorb_report(&report);
-        self.apply_shadow(updates);
+        self.shadow.apply(updates);
         self.batches_since_checkpoint += 1;
         self.maybe_auto_checkpoint()?;
         Ok(report)
@@ -1161,9 +1148,9 @@ mod tests {
         assert_eq!(data.queries, queries);
         assert_eq!(data.dead_queries, BTreeSet::from([0]));
         assert_eq!(data.totals, engine.totals());
-        assert!(!data.shadow.is_empty());
-        assert_eq!(data.shadow.len(), engine.shadow.len());
-        for ((la, ra), (lb, rb)) in data.shadow.iter().zip(&engine.shadow) {
+        assert!(!data.shadow.labels().is_empty());
+        assert_eq!(data.shadow.labels().len(), engine.shadow.labels().len());
+        for ((la, ra), (lb, rb)) in data.shadow.labels().into_iter().zip(engine.shadow.labels()) {
             assert_eq!(la, lb);
             assert_eq!(ra.generation(), rb.generation());
             assert_eq!(ra.to_vec(), rb.to_vec(), "label {la:?}");

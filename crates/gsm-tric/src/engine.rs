@@ -355,8 +355,8 @@ impl TricEngine {
     ///
     /// 0. **Route** the run to the per-edge views, collecting the delta
     ///    relation Δe of every affected generic edge. Insertions append now
-    ///    ([`EdgeViewStore::apply_batch`]); retractions only read
-    ///    ([`EdgeViewStore::remove_deltas`]) and commit in step 3.
+    ///    ([`EdgeViewStore::apply_batch`]); retractions leave the views as
+    ///    they are ([`EdgeViewStore::remove_deltas`]) and commit in step 3.
     /// 1. Locate the affected trie nodes (`edgeInd`).
     /// 2. **Seed** each from its parent's *pre-commit* view ⋈ Δe and
     ///    **propagate** Δp ⋈ child edge view down the sub-tries, pruning

@@ -1,8 +1,8 @@
 //! Property-based tests: on random query sets (and one fixed set) over
 //! random update streams in a small label/vertex universe — insert-only,
 //! and mixed on the fixed set — all seven engines agree one update at a
-//! time, and random batch partitions, shard counts and pipeline flush
-//! bounds reproduce that reference; the report
+//! time, and random batch partitions, shard counts, pipeline flush
+//! bounds and registration points reproduce that reference; the report
 //! merge is a commutative monoid, and no engine panics on an arbitrary
 //! stream.
 
@@ -345,6 +345,72 @@ proptest! {
             let engine = ShardedEngine::new(num_shards, factory);
             let label = format!("{label} × {num_shards} shards");
             case.check_batches(&label, engine, &chunk_lens);
+        }
+    }
+
+    /// The late-registration contract on random mixed streams: each fixed
+    /// query registers at its own random point of the stream, and from
+    /// there on every engine, bare and behind the sharded wrapper at a
+    /// random shard count, reports for it, one update at a time, exactly
+    /// what the reference — which registered it before the stream —
+    /// reports.
+    #[test]
+    fn late_registrations_report_what_early_ones_do(
+        stream_specs in proptest::collection::vec(
+            (0u8..3, 0u8..8, 0u8..8, 0u8..5, any::<usize>()),
+            1..150,
+        ),
+        register_at in proptest::collection::vec(any::<usize>(), 7),
+        num_shards in 1usize..9,
+    ) {
+        let mut symbols = SymbolTable::new();
+        let queries = fixed_queries(&mut symbols);
+        let stream = mixed_stream(&mut symbols, &stream_specs);
+        let case = Case::replay("the fixed query set, mixed", queries, stream);
+        let len = case.stream().len();
+        let at: Vec<usize> = register_at.iter().map(|r| r % (len + 1)).collect();
+        for factory in all_engine_factories() {
+            for shards in [None, Some(num_shards)] {
+                let mut engine: Box<dyn ContinuousEngine> = match shards {
+                    None => factory(),
+                    Some(n) => Box::new(ShardedEngine::new(n, factory)),
+                };
+                // The engine's id of each registered query → its reference id.
+                let mut reference_id: Vec<usize> = Vec::new();
+                for (i, &u) in case.stream().iter().enumerate() {
+                    for (q, query) in case.queries().iter().enumerate() {
+                        if at[q] == i {
+                            let id = engine.register_query(query).expect("register");
+                            prop_assert_eq!(id.index(), reference_id.len());
+                            reference_id.push(q);
+                        }
+                    }
+                    let mut got: Vec<(usize, u64, u64)> = engine
+                        .apply_update(u)
+                        .matches
+                        .iter()
+                        .map(|m| (reference_id[m.query.index()], m.new_embeddings, m.retracted_embeddings))
+                        .collect();
+                    got.sort_unstable();
+                    let expected: Vec<(usize, u64, u64)> = case
+                        .expected(i..i + 1)
+                        .matches
+                        .iter()
+                        .filter(|m| at[m.query.index()] <= i)
+                        .map(|m| (m.query.index(), m.new_embeddings, m.retracted_embeddings))
+                        .collect();
+                    prop_assert_eq!(
+                        got,
+                        expected,
+                        "{} at {:?} shards, update #{} ({:?}), registrations at {:?}",
+                        engine.name(),
+                        shards,
+                        i,
+                        u,
+                        &at
+                    );
+                }
+            }
         }
     }
 }

@@ -6,12 +6,13 @@
 
 use std::time::{Duration, Instant};
 
-use graph_stream_matching::all_engine_factories;
 use graph_stream_matching::baselines::IncEngine;
 use graph_stream_matching::core::prelude::*;
 use graph_stream_matching::core::{DetachedAnswer, EngineStats, StagedBatch};
 use graph_stream_matching::datagen::{Dataset, Workload, WorkloadConfig};
+use graph_stream_matching::persist::{MemFactory, PersistConfig};
 use graph_stream_matching::tric::TricEngine;
+use graph_stream_matching::{all_engine_factories, open_persistent_engine};
 
 use crate::harness::{tiles, Case};
 
@@ -210,6 +211,224 @@ fn engines_agree_with_high_overlap_and_long_queries_large() {
             .with_query_size(7)
             .with_overlap(0.8),
     );
+}
+
+/// Per-query `(new, retracted)` embedding totals of `reports`, indexed by
+/// query id over `num_queries` queries.
+fn query_totals(
+    reports: impl IntoIterator<Item = MatchReport>,
+    num_queries: usize,
+) -> Vec<(u64, u64)> {
+    let mut totals = vec![(0, 0); num_queries];
+    for report in reports {
+        for m in &report.matches {
+            totals[m.query.index()].0 += m.new_embeddings;
+            totals[m.query.index()].1 += m.retracted_embeddings;
+        }
+    }
+    totals
+}
+
+/// Per-query `(new, retracted)` totals of the history and of the updates
+/// after the late registrations.
+type PhaseTotals = [Vec<(u64, u64)>; 2];
+
+/// The late-registration scenario: one query before the stream, a history,
+/// three queries registered mid-stream, and the updates after them.
+struct LateRegistration {
+    symbols: SymbolTable,
+    early: QueryPattern,
+    history: Vec<Update>,
+    late: Vec<QueryPattern>,
+    after: Vec<Update>,
+}
+
+impl LateRegistration {
+    fn new() -> Self {
+        let mut symbols = SymbolTable::new();
+        let mut parse = |q: &str| QueryPattern::parse(q, &mut symbols).unwrap();
+        let early = parse("?a -e-> ?b");
+        let late = vec![
+            // A label with history but no earlier query.
+            parse("?a -h-> ?x; ?x -k-> ?y"),
+            // A constant-endpoint shape next to the earlier `?a -e-> ?b`.
+            parse("c -e-> ?x; ?x -k-> ?y"),
+            // A self-loop shape of the same label.
+            parse("?x -e-> ?x; ?x -k-> ?y"),
+        ];
+        let mut edge = |sign: char, l: &str, s: &str, t: &str| {
+            let (l, s, t) = (symbols.intern(l), symbols.intern(s), symbols.intern(t));
+            match sign {
+                '+' => Update::new(l, s, t),
+                _ => Update::retraction(l, s, t),
+            }
+        };
+        let history = vec![
+            edge('+', "h", "a1", "x1"),
+            edge('+', "h", "a2", "x1"),
+            edge('+', "e", "c", "v1"),
+            edge('+', "e", "c", "v2"),
+            edge('+', "e", "d", "v1"),
+            edge('+', "e", "c", "c"),
+            edge('+', "e", "v2", "v2"),
+            // Retracted before the registration: the late queries never
+            // see it.
+            edge('+', "h", "a3", "x2"),
+            edge('-', "h", "a3", "x2"),
+        ];
+        let after = vec![
+            edge('+', "k", "x1", "y1"), // a1 and a2 -h-> x1
+            edge('+', "k", "x2", "y9"), // a3 -h-> x2 is gone
+            edge('+', "k", "v1", "y2"), // c -e-> v1
+            edge('+', "k", "c", "y3"),  // c -e-> c, and the loop at c
+            edge('+', "k", "v2", "y4"), // c -e-> v2, and the loop at v2
+            edge('-', "e", "c", "v1"),  // a pre-registration edge goes
+            edge('-', "h", "a1", "x1"), // and another
+            edge('+', "e", "c", "v3"),
+        ];
+        LateRegistration {
+            symbols,
+            early,
+            history,
+            late,
+            after,
+        }
+    }
+
+    fn num_queries(&self) -> usize {
+        1 + self.late.len()
+    }
+
+    /// Registers the early query, applies the history as one batch,
+    /// registers the late queries and applies the rest one update at a
+    /// time; returns the per-query totals of the history and of the rest.
+    fn drive(&self, engine: &mut dyn ContinuousEngine) -> PhaseTotals {
+        engine.register_query(&self.early).expect("register");
+        let history = engine.apply_batch(&self.history);
+        for q in &self.late {
+            engine.register_query(q).expect("register");
+        }
+        let after: Vec<MatchReport> = self.after.iter().map(|&u| engine.apply_update(u)).collect();
+        [
+            query_totals([history], self.num_queries()),
+            query_totals(after, self.num_queries()),
+        ]
+    }
+
+    /// [`drive`](Self::drive) through a pipeline flushing every three
+    /// updates; the late queries register at a barrier.
+    fn drive_pipelined(
+        &self,
+        engine: Box<dyn ContinuousEngine + Send>,
+        config: PipelineConfig,
+    ) -> PhaseTotals {
+        let mut pipe = PipelinedEngine::new(engine, config);
+        pipe.register_query(&self.early).expect("register");
+        let mut history: Vec<CompletedBatch> = Vec::new();
+        for &u in &self.history {
+            history.extend(pipe.push(u));
+        }
+        history.extend(pipe.drain());
+        for q in &self.late {
+            pipe.register_query(q).expect("register");
+        }
+        let mut after: Vec<CompletedBatch> = Vec::new();
+        for &u in &self.after {
+            after.extend(pipe.push(u));
+        }
+        after.extend(pipe.drain());
+        [
+            query_totals(history.into_iter().map(|b| b.report), self.num_queries()),
+            query_totals(after.into_iter().map(|b| b.report), self.num_queries()),
+        ]
+    }
+
+    /// [`drive`](Self::drive) through engine `index` behind the durable
+    /// wrapper, with a checkpoint right after the late registrations and,
+    /// when `recover`, a crash and a recovery right after the checkpoint.
+    fn drive_durable(&self, index: usize, recover: bool) -> PhaseTotals {
+        let disk = MemFactory::new();
+        let open = || {
+            open_persistent_engine(index, 1, Box::new(disk.handle()), PersistConfig::default())
+                .expect("open")
+                .0
+        };
+        let mut engine = open();
+        engine.note_symbols(&self.symbols).unwrap();
+        engine.try_register_query(&self.early).unwrap();
+        let history = engine.try_apply_batch(&self.history).unwrap();
+        for q in &self.late {
+            engine.try_register_query(q).unwrap();
+        }
+        engine.checkpoint().unwrap();
+        if recover {
+            drop(engine);
+            engine = open();
+        }
+        let after: Vec<MatchReport> = self
+            .after
+            .iter()
+            .map(|&u| engine.try_apply_batch(&[u]).unwrap())
+            .collect();
+        [
+            query_totals([history], self.num_queries()),
+            query_totals(after, self.num_queries()),
+        ]
+    }
+}
+
+/// A query registered at *t* matches against the live graph at *t* on every
+/// engine and every composition: three queries register mid-stream — over
+/// a label with history that no earlier query used, as a constant-endpoint
+/// shape next to an earlier variable–variable shape of the same label, and
+/// as a self-loop shape — and then the stream completes embeddings through
+/// pre-registration edges and retracts two of them. Every run reports the
+/// same hand-pinned totals: all seven engines bare, behind the sharded
+/// wrapper at 2, 4 and 8 shards, behind the pipeline inline and threaded,
+/// and behind the durable wrapper with a checkpoint after the registration,
+/// uninterrupted and recovered.
+#[test]
+fn late_registration_matches_the_live_graph() {
+    let scenario = LateRegistration::new();
+    // `?a -e-> ?b` gains the five pre-registration `e` edges; the history
+    // reports nothing else.
+    let history = vec![(5, 0), (0, 0), (0, 0), (0, 0)];
+    let after = vec![
+        // `?a -e-> ?b`: c -e-> v3 new, c -e-> v1 retracted.
+        (1, 1),
+        // `?a -h-> ?x; ?x -k-> ?y`: a1 and a2 through x1 to y1; a1 retracted.
+        (2, 1),
+        // `c -e-> ?x; ?x -k-> ?y`: through v1, c and v2; v1 retracted.
+        (3, 1),
+        // `?x -e-> ?x; ?x -k-> ?y`: the loops at c and v2.
+        (2, 0),
+    ];
+    let expected = [history, after];
+
+    for (index, factory) in all_engine_factories().into_iter().enumerate() {
+        let name = factory().name();
+        let mut runs: Vec<(String, PhaseTotals)> = Vec::new();
+        runs.push(("bare".into(), scenario.drive(factory().as_mut())));
+        for shards in [2, 4, 8] {
+            let mut engine = ShardedEngine::new(shards, factory);
+            runs.push((format!("{shards} shards"), scenario.drive(&mut engine)));
+        }
+        for workers in [0, 2] {
+            let mut config = PipelineConfig::new(3, Duration::MAX);
+            if workers > 0 {
+                config = config.threaded().with_answer_workers(workers);
+            }
+            let totals = scenario.drive_pipelined(factory(), config);
+            runs.push((format!("pipelined, {workers} answer workers"), totals));
+        }
+        for recover in [false, true] {
+            let totals = scenario.drive_durable(index, recover);
+            runs.push((format!("durable, recovered: {recover}"), totals));
+        }
+        for (composition, totals) in runs {
+            assert_eq!(totals, expected, "{name}, {composition}");
+        }
+    }
 }
 
 /// A pipeline whose delay `Instant` cannot represent flushes on size and

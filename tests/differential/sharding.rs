@@ -288,7 +288,6 @@ fn mid_stream_spanning_registration_catches_up_with_cross_shard_history() {
 /// wrapper's `la` history at registration, so the completing `lb` edge and
 /// a later retraction of a pre-registration `la` edge report exactly what
 /// the unsharded engine reports.
-/// GraphDB is excluded, as in `spanning_query_registered_mid_stream`.
 #[test]
 fn shard_local_mid_stream_registration_replays_cross_shard_history() {
     for num_shards in [2usize, 4, 8] {
@@ -308,9 +307,7 @@ fn shard_local_mid_stream_registration_replays_cross_shard_history() {
 
         let mut plain: Vec<Box<dyn ContinuousEngine>> = all_engines();
         let mut sharded: Vec<Box<dyn ContinuousEngine>> = all_engines_sharded(num_shards);
-        plain.retain(|e| e.name() != "GraphDB");
-        sharded.retain(|e| e.name() != "GraphDB");
-        assert_eq!(plain.len(), 6, "TRIC, TRIC+, INV, INV+, INC, INC+");
+        assert_eq!(plain.len(), 7, "TRIC, TRIC+, INV, INV+, INC, INC+, GraphDB");
 
         for (p, s) in plain.iter_mut().zip(sharded.iter_mut()) {
             let ctx = format!("{} × {num_shards} shards", p.name());
@@ -349,12 +346,28 @@ fn shard_local_mid_stream_registration_replays_cross_shard_history() {
     }
 }
 
+/// What the durable run of one topology does: the queries registered
+/// before the stream, the history, the query registered after it (with a
+/// checkpoint right after the registration), the batch after the
+/// checkpoint (where the crash happens), the batch after that, and the
+/// late query's pinned embedding total.
+struct DurableRun {
+    early: Vec<QueryPattern>,
+    history: Vec<Update>,
+    late: QueryPattern,
+    after_checkpoint: Vec<Update>,
+    next: Vec<Update>,
+    late_embeddings: u64,
+}
+
 /// A recovered sharded engine must not diverge from its own uninterrupted
-/// run: recovery re-registers every query *before* it re-feeds the
-/// surviving edges, so a query registered mid-stream sees all of them —
-/// which is only what the live run showed it if late registration on the
-/// sharded engine is exact (same topology as
-/// `shard_local_mid_stream_registration_replays_cross_shard_history`).
+/// run: recovery feeds the surviving edges to a fresh engine and then
+/// re-registers every query, so a query registered mid-stream matches the
+/// live graph at its registration — which is only what the live run showed
+/// it if late registration on the sharded engine keeps that contract. Two
+/// topologies: the one of
+/// `shard_local_mid_stream_registration_replays_cross_shard_history`, and a
+/// late query over a label with history that no earlier query used.
 #[test]
 fn recovered_sharded_engine_matches_its_uninterrupted_run() {
     let num_shards = 2;
@@ -363,56 +376,92 @@ fn recovered_sharded_engine_matches_its_uninterrupted_run() {
     let lb = label_on_shard(&mut symbols, "b", 1, num_shards, false);
     let q1 = QueryPattern::parse(&format!("?a -{la}-> ?x"), &mut symbols).unwrap();
     let q2 = QueryPattern::parse(&format!("?c -{lb}-> ?x; ?x -{la}-> ?y"), &mut symbols).unwrap();
-    let history = [
+    let chain = QueryPattern::parse(&format!("?a -{la}-> ?x; ?x -lc-> ?y"), &mut symbols).unwrap();
+    let hub_history = vec![
         update(&mut symbols, &la, "hub", "y1"),
         update(&mut symbols, &la, "hub", "y2"),
     ];
-    let after_checkpoint = [
-        update(&mut symbols, &lb, "c1", "hub"),
-        update(&mut symbols, &la, "hub", "y3"),
+    let chain_history = vec![
+        update(&mut symbols, &la, "a1", "x1"),
+        update(&mut symbols, &la, "a2", "x2"),
     ];
-    let next = [
-        update(&mut symbols, &lb, "c2", "hub"),
-        history[0].inverted(),
+    let runs = [
+        // q2 caught up with q1's two pre-registration la edges on both lb
+        // edges.
+        DurableRun {
+            early: vec![q1],
+            history: hub_history.clone(),
+            late: q2,
+            after_checkpoint: vec![
+                update(&mut symbols, &lb, "c1", "hub"),
+                update(&mut symbols, &la, "hub", "y3"),
+            ],
+            next: vec![
+                update(&mut symbols, &lb, "c2", "hub"),
+                hub_history[0].inverted(),
+            ],
+            late_embeddings: 6,
+        },
+        // No query uses la before the chain registers: a1 -la-> x1 -lc-> y1,
+        // then a3 -la-> x1 -lc-> y1, then a2 -la-> x2 -lc-> y2.
+        DurableRun {
+            early: Vec::new(),
+            history: chain_history.clone(),
+            late: chain,
+            after_checkpoint: vec![
+                update(&mut symbols, "lc", "x1", "y1"),
+                update(&mut symbols, &la, "a3", "x1"),
+            ],
+            next: vec![
+                update(&mut symbols, "lc", "x2", "y2"),
+                chain_history[0].inverted(),
+            ],
+            late_embeddings: 3,
+        },
     ];
 
-    let run = |crash: bool| -> (Vec<QueryTotals>, MatchReport) {
-        let disk = MemFactory::new();
-        let open = || {
-            PersistentEngine::open(Box::new(disk.handle()), PersistConfig::default(), || {
-                TricEngine::tric_sharded(num_shards)
-            })
-            .expect("open")
-            .0
+    for durable in &runs {
+        let run = |crash: bool| -> (Vec<QueryTotals>, MatchReport) {
+            let disk = MemFactory::new();
+            let open = || {
+                PersistentEngine::open(Box::new(disk.handle()), PersistConfig::default(), || {
+                    TricEngine::tric_sharded(num_shards)
+                })
+                .expect("open")
+                .0
+            };
+            let mut engine = open();
+            engine.note_symbols(&symbols).unwrap();
+            for q in &durable.early {
+                engine.try_register_query(q).unwrap();
+            }
+            engine.try_apply_batch(&durable.history).unwrap();
+            engine.try_register_query(&durable.late).unwrap();
+            engine.checkpoint().unwrap();
+            engine.try_apply_batch(&durable.after_checkpoint).unwrap();
+            if crash {
+                drop(engine);
+                engine = open();
+            }
+            let report = engine.try_apply_batch(&durable.next).unwrap();
+            (engine.totals().to_vec(), report)
         };
-        let mut engine = open();
-        engine.note_symbols(&symbols).unwrap();
-        engine.try_register_query(&q1).unwrap();
-        engine.try_apply_batch(&history).unwrap();
-        engine.try_register_query(&q2).unwrap();
-        engine.checkpoint().unwrap();
-        engine.try_apply_batch(&after_checkpoint).unwrap();
-        if crash {
-            drop(engine);
-            engine = open();
-        }
-        let report = engine.try_apply_batch(&next).unwrap();
-        (engine.totals().to_vec(), report)
-    };
 
-    let (totals, report) = run(false);
-    // q2 caught up with q1's two pre-registration la edges on both lb edges.
-    assert_eq!(totals[1].embeddings, 6, "uninterrupted q2 totals");
-    assert_eq!(run(true), (totals, report));
+        let (totals, report) = run(false);
+        let late = durable.early.len();
+        assert_eq!(
+            totals[late].embeddings, durable.late_embeddings,
+            "uninterrupted late-query totals"
+        );
+        assert_eq!(run(true), (totals, report));
+    }
 }
 
 /// A spanning query registered mid-stream, over labels the stream has not
-/// used yet (fresh edges carry no history, so nothing is replayed — see the
-/// catch-up note in `gsm_core::shard`). Registration must grow the
+/// used yet (fresh labels have no live edges, so nothing is replayed — see
+/// the module docs of `gsm_core::shard`). Registration must grow the
 /// routing sets and query-id mapping without disturbing the already-running
 /// query.
-/// GraphDB is excluded: it replays history from its store and has its own
-/// late-registration semantics, covered in its crate.
 #[test]
 fn spanning_query_registered_mid_stream() {
     for num_shards in [2usize, 4, 8] {
@@ -426,8 +475,6 @@ fn spanning_query_registered_mid_stream() {
 
         let mut plain: Vec<Box<dyn ContinuousEngine>> = all_engines();
         let mut sharded: Vec<Box<dyn ContinuousEngine>> = all_engines_sharded(num_shards);
-        plain.retain(|e| e.name() != "GraphDB");
-        sharded.retain(|e| e.name() != "GraphDB");
         for engine in plain.iter_mut().chain(sharded.iter_mut()) {
             engine.register_query(&q1).unwrap();
         }
