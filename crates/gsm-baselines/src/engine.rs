@@ -1,14 +1,13 @@
 //! The INV / INV+ / INC / INC+ answering engines (Sections 5.1 and 5.2).
 
-use gsm_core::engine::{ContinuousEngine, EngineStats, MatchReport, QueryId};
-use gsm_core::error::{Error, Result};
+use gsm_core::engine::{ContinuousEngine, EngineStats, MatchReport, QueryId, QueryTable};
+use gsm_core::error::Result;
 use gsm_core::interner::Sym;
 use gsm_core::memory::HeapSize;
 use gsm_core::model::generic::GenericEdge;
 use gsm_core::model::update::Update;
 use gsm_core::query::paths::covering_paths;
-use gsm_core::query::pattern::QueryPattern;
-use std::sync::Arc;
+use gsm_core::query::pattern::{QVertexId, QueryPattern};
 
 use gsm_core::relation::cache::JoinCache;
 use gsm_core::relation::eval::{join_paths, PathBinding};
@@ -17,7 +16,6 @@ use gsm_core::relation::Relation;
 use gsm_core::shard::ShardedEngine;
 use gsm_core::views::EdgeViewStore;
 
-use crate::index::{InvertedIndexes, PathRecord, QueryRecord};
 use crate::paths;
 
 /// Which baseline algorithm the engine runs.
@@ -31,6 +29,37 @@ pub enum BaselineMode {
     Inc,
 }
 
+/// One covering path of a registered query, kept verbatim in `queryInd`.
+#[derive(Debug)]
+struct PathRecord {
+    /// Generic edges of the path, in walk order.
+    edges: Vec<GenericEdge>,
+    /// Query vertex bound by each path position (`edges.len() + 1` entries).
+    vertices: Vec<QVertexId>,
+}
+
+impl HeapSize for PathRecord {
+    fn heap_size(&self) -> usize {
+        self.edges.heap_size() + self.vertices.heap_size()
+    }
+}
+
+/// Everything `queryInd` stores about one query.
+#[derive(Debug)]
+struct QueryRecord {
+    /// The query's covering paths.
+    paths: Vec<PathRecord>,
+    /// Every distinct generic edge of the query: its `edgeInd` keys, and
+    /// the "all views non-empty" quick check of the answering phase.
+    edges: Vec<GenericEdge>,
+}
+
+impl HeapSize for QueryRecord {
+    fn heap_size(&self) -> usize {
+        self.paths.heap_size() + self.edges.heap_size()
+    }
+}
+
 /// The shared INV/INC engine; the mode and the caching flag select between
 /// the four baselines of the paper.
 #[derive(Debug)]
@@ -38,7 +67,10 @@ pub struct BaselineEngine {
     mode: BaselineMode,
     caching: bool,
     views: EdgeViewStore,
-    indexes: InvertedIndexes,
+    /// edgeInd: generic edge → the live queries using it.
+    edge_index: FxHashMap<GenericEdge, Vec<QueryId>>,
+    /// queryInd: each query's covering paths.
+    queries: QueryTable<QueryRecord>,
     cache: JoinCache,
     /// Row assembly scratch shared by the per-update path extensions.
     row_buf: Vec<Sym>,
@@ -52,7 +84,8 @@ impl BaselineEngine {
             mode,
             caching,
             views: EdgeViewStore::new(),
-            indexes: InvertedIndexes::new(),
+            edge_index: FxHashMap::default(),
+            queries: QueryTable::new(),
             cache: JoinCache::new(),
             row_buf: Vec::new(),
             stats: EngineStats::default(),
@@ -101,20 +134,18 @@ impl BaselineEngine {
         self.cache.hits()
     }
 
-    /// Resolves the queries affected by a routed batch via edgeInd and takes
-    /// shared handles to their records — the per-batch working set the
-    /// answer pass iterates. Records are immutable after registration, so
-    /// the handles are `Arc` bumps, not deep copies.
-    fn affected_records(
-        &self,
-        edge_deltas: &FxHashMap<GenericEdge, Relation>,
-    ) -> Vec<(QueryId, Arc<QueryRecord>)> {
-        let affected_edges: Vec<GenericEdge> = edge_deltas.keys().copied().collect();
-        self.indexes
-            .affected_queries(&affected_edges)
-            .into_iter()
-            .map(|qid| (qid, self.indexes.record_shared(qid)))
-            .collect()
+    /// Step 1: the queries a routed batch affects, via edgeInd,
+    /// deduplicated and sorted.
+    fn affected_queries(&self, edge_deltas: &FxHashMap<GenericEdge, Relation>) -> Vec<QueryId> {
+        let mut out: Vec<QueryId> = edge_deltas
+            .keys()
+            .filter_map(|e| self.edge_index.get(e))
+            .flatten()
+            .copied()
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 }
 
@@ -125,14 +156,18 @@ impl BaselineEngine {
 fn answer_affected(
     mode: BaselineMode,
     views: &EdgeViewStore,
+    queries: &QueryTable<QueryRecord>,
     mut cache: Option<&mut JoinCache>,
     row_buf: &mut Vec<Sym>,
     edge_deltas: &FxHashMap<GenericEdge, Relation>,
-    affected: &[(QueryId, Arc<QueryRecord>)],
+    affected: &[QueryId],
 ) -> Vec<(QueryId, u64)> {
     let mut counts: Vec<(QueryId, u64)> = Vec::new();
 
-    'queries: for (qid, record) in affected {
+    'queries: for &qid in affected {
+        let record = queries
+            .get(qid)
+            .expect("edgeInd routes only to live queries");
         for edge in &record.edges {
             match views.get(edge) {
                 Some(view) if !view.is_empty() => {}
@@ -251,7 +286,7 @@ fn answer_affected(
         }
         if let Some(emb) = embeddings {
             if !emb.is_empty() {
-                counts.push((*qid, emb.len() as u64));
+                counts.push((qid, emb.len() as u64));
             }
         }
     }
@@ -270,7 +305,6 @@ impl ContinuousEngine for BaselineEngine {
     }
 
     fn register_query(&mut self, query: &QueryPattern) -> Result<QueryId> {
-        let qid = QueryId(self.indexes.num_queries() as u32);
         let paths = covering_paths(query);
         let mut records = Vec::with_capacity(paths.len());
         let mut edges: Vec<GenericEdge> = Vec::new();
@@ -291,33 +325,40 @@ impl ContinuousEngine for BaselineEngine {
                 vertices: path.vertex_sequence(query),
             });
         }
-        self.indexes.insert(
-            qid,
-            QueryRecord {
-                paths: records,
-                edges,
-            },
-        );
-        Ok(qid)
+        let qid = self.queries.next_id();
+        for &ge in &edges {
+            self.edge_index.entry(ge).or_default().push(qid);
+        }
+        Ok(self.queries.insert(QueryRecord {
+            paths: records,
+            edges,
+        }))
     }
 
-    /// Strips the query from every inverted index and tombstones its
-    /// `queryInd` slot (ids are never reused). Edge views stay registered —
-    /// routing consults edgeInd, so an unmatched view is dead weight only,
-    /// and a later registration over the same edge reuses it.
+    /// Strips the query from edgeInd, dropping the edges no live query
+    /// uses, and tombstones its `queryInd` slot (ids are never reused).
+    /// Edge views stay registered — routing consults edgeInd, so an
+    /// unmatched view is dead weight only, and a later registration over
+    /// the same edge reuses it.
     fn unregister_query(&mut self, query: QueryId) -> Result<()> {
-        if !self.indexes.remove(query) {
-            return Err(Error::UnknownQuery(query.0));
+        let record = self.queries.remove(query)?;
+        for edge in &record.edges {
+            if let Some(queries) = self.edge_index.get_mut(edge) {
+                queries.retain(|q| *q != query);
+                if queries.is_empty() {
+                    self.edge_index.remove(edge);
+                }
+            }
         }
         Ok(())
     }
 
     fn next_query_id(&self) -> QueryId {
-        QueryId(self.indexes.num_queries() as u32)
+        self.queries.next_id()
     }
 
     fn is_registered(&self, query: QueryId) -> bool {
-        self.indexes.is_live(query)
+        self.queries.is_live(query)
     }
 
     fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
@@ -334,11 +375,14 @@ impl ContinuousEngine for BaselineEngine {
     }
 
     fn num_queries(&self) -> usize {
-        self.indexes.num_live()
+        self.queries.num_live()
     }
 
     fn heap_bytes(&self) -> usize {
-        self.views.heap_size() + self.indexes.heap_size() + self.cache.heap_size()
+        self.views.heap_size()
+            + self.edge_index.heap_size()
+            + self.queries.heap_size()
+            + self.cache.heap_size()
     }
 
     fn stats(&self) -> EngineStats {
@@ -367,10 +411,11 @@ impl BaselineEngine {
         // Step 1: locate the affected queries via edgeInd once per batch,
         // then run the shared answer pass against the live views (wiring in
         // the join cache when caching is enabled).
-        let affected = self.affected_records(&edge_deltas);
+        let affected = self.affected_queries(&edge_deltas);
         let counts = answer_affected(
             self.mode,
             &self.views,
+            &self.queries,
             self.caching.then_some(&mut self.cache),
             &mut self.row_buf,
             &edge_deltas,
@@ -399,10 +444,11 @@ impl BaselineEngine {
             return MatchReport::empty();
         }
 
-        let affected = self.affected_records(&removed);
+        let affected = self.affected_queries(&removed);
         let counts = answer_affected(
             self.mode,
             &self.views,
+            &self.queries,
             self.caching.then_some(&mut self.cache),
             &mut self.row_buf,
             &removed,
@@ -421,6 +467,7 @@ impl BaselineEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsm_core::error::Error;
     use gsm_core::interner::SymbolTable;
 
     struct Fixture {
@@ -494,6 +541,42 @@ mod tests {
             let r = engine.apply_update(f.u("worksAt", "eve", "acme"));
             assert_eq!(r.satisfied_queries(), vec![id3], "{}", engine.name());
         }
+    }
+
+    /// edgeInd maps each generic edge to the live queries using it, once
+    /// per query and in id order, whatever the shapes of a batch; unregistering
+    /// strips the query and drops the edges no live query uses.
+    #[test]
+    fn edge_index_tracks_which_queries_use_each_edge() {
+        let mut f = Fixture::new();
+        let mut engine = BaselineEngine::inc();
+        let q0 = engine
+            .register_query(&f.q("?a -knows-> ?b; ?b -worksAt-> acme"))
+            .unwrap();
+        let q1 = engine.register_query(&f.q("?a -knows-> ?b")).unwrap();
+        // Both edges of this chain are the one generic edge `? -knows-> ?`.
+        let q2 = engine
+            .register_query(&f.q("?a -knows-> ?b; ?b -knows-> ?c"))
+            .unwrap();
+        let shared = GenericEdge::from_pattern(&f.q("?a -knows-> ?b").edges()[0]);
+        let private = GenericEdge::from_pattern(&f.q("?b -worksAt-> acme").edges()[0]);
+        assert_eq!(engine.edge_index[&shared], vec![q0, q1, q2]);
+        assert_eq!(engine.edge_index[&private], vec![q0]);
+
+        let deltas: FxHashMap<GenericEdge, Relation> = [shared, private]
+            .into_iter()
+            .map(|e| (e, Relation::new(2)))
+            .collect();
+        assert_eq!(engine.affected_queries(&deltas), vec![q0, q1, q2]);
+
+        engine.unregister_query(q0).unwrap();
+        assert_eq!(engine.edge_index[&shared], vec![q1, q2]);
+        assert!(!engine.edge_index.contains_key(&private));
+        assert_eq!(engine.affected_queries(&deltas), vec![q1, q2]);
+        engine.unregister_query(q1).unwrap();
+        engine.unregister_query(q2).unwrap();
+        assert!(engine.edge_index.is_empty());
+        assert!(engine.affected_queries(&deltas).is_empty());
     }
 
     #[test]

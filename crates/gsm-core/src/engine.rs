@@ -27,6 +27,84 @@ impl HeapSize for QueryId {
     }
 }
 
+/// The query table every engine and wrapper keeps (the paper's `queryInd`):
+/// one slot per [`QueryId`] ever issued, holding what the engine needs to
+/// answer and unregister that query.
+///
+/// This is the one tombstone policy of the workspace. Ids are issued
+/// sequentially and **never reused**: [`remove`](QueryTable::remove)
+/// empties the slot and keeps it, so the slot count is the next id and a
+/// report row names one registration for the table's whole life (see
+/// [`ContinuousEngine::unregister_query`]).
+#[derive(Debug)]
+pub struct QueryTable<T> {
+    slots: Vec<Option<T>>,
+    live: usize,
+}
+
+impl<T> Default for QueryTable<T> {
+    fn default() -> Self {
+        QueryTable {
+            slots: Vec::new(),
+            live: 0,
+        }
+    }
+}
+
+impl<T> QueryTable<T> {
+    /// An empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Stores `value` in a fresh slot and returns its id.
+    pub fn insert(&mut self, value: T) -> QueryId {
+        let id = self.next_id();
+        self.slots.push(Some(value));
+        self.live += 1;
+        id
+    }
+
+    /// Tombstones `id`'s slot and returns what it held, or
+    /// [`Error::UnknownQuery`] for an id never issued or already removed.
+    pub fn remove(&mut self, id: QueryId) -> Result<T> {
+        let value = self
+            .slots
+            .get_mut(id.index())
+            .and_then(Option::take)
+            .ok_or(Error::UnknownQuery(id.0))?;
+        self.live -= 1;
+        Ok(value)
+    }
+
+    /// The value of a live id.
+    pub fn get(&self, id: QueryId) -> Option<&T> {
+        self.slots.get(id.index()).and_then(Option::as_ref)
+    }
+
+    /// The id the next [`insert`](QueryTable::insert) returns: the number
+    /// of slots, live and tombstoned.
+    pub fn next_id(&self) -> QueryId {
+        QueryId(self.slots.len() as u32)
+    }
+
+    /// True when `id` was issued and not removed.
+    pub fn is_live(&self, id: QueryId) -> bool {
+        self.get(id).is_some()
+    }
+
+    /// Number of live (not tombstoned) slots.
+    pub fn num_live(&self) -> usize {
+        self.live
+    }
+}
+
+impl<T: HeapSize> HeapSize for QueryTable<T> {
+    fn heap_size(&self) -> usize {
+        self.slots.heap_size()
+    }
+}
+
 /// A query affected by an update, together with how many embeddings the
 /// update created — and, for retraction updates, how many previously
 /// reported embeddings disappeared.
@@ -327,6 +405,13 @@ pub trait ContinuousEngine {
     /// and the persistence WAL replay rely on.
     /// [`num_queries`](Self::num_queries) counts **live** queries only and
     /// no longer tracks the id space once a query has been unregistered.
+    /// Every engine and the sharded wrapper keep their slots in a
+    /// [`QueryTable`], which is where this policy is written: the
+    /// `UnknownQuery` check, `next_query_id`, `is_registered` and
+    /// `num_queries` are calls into it. `gsm-persist`'s durable log is the
+    /// one other record of slots: it keeps a dead slot's pattern, so that
+    /// recovery can re-register every slot in order and tombstone the dead
+    /// ones again.
     ///
     /// Like [`register_query`](Self::register_query), this may be called
     /// between a [`stage_batch`](Self::stage_batch) and its answer: the
@@ -517,6 +602,45 @@ impl<T: ContinuousEngine + ?Sized> ContinuousEngine for Box<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn query_table_tombstones_and_never_reuses_ids() {
+        let mut table: QueryTable<&str> = QueryTable::new();
+        assert_eq!(table.next_id(), QueryId(0));
+        let a = table.insert("a");
+        let b = table.insert("b");
+        assert_eq!((a, b), (QueryId(0), QueryId(1)));
+        assert_eq!(table.num_live(), 2);
+
+        assert_eq!(table.remove(a), Ok("a"));
+        assert_eq!(table.num_live(), 1);
+        assert!(!table.is_live(a));
+        assert!(table.is_live(b));
+        assert_eq!(table.get(a), None);
+        assert_eq!(table.get(b), Some(&"b"));
+        assert_eq!(table.next_id(), QueryId(2), "the slot stays");
+
+        // A dead id and an id never issued are both unknown.
+        assert_eq!(table.remove(a), Err(Error::UnknownQuery(0)));
+        assert_eq!(table.remove(QueryId(7)), Err(Error::UnknownQuery(7)));
+        assert!(!table.is_live(QueryId(7)));
+        assert_eq!(table.num_live(), 1);
+
+        assert_eq!(table.insert("c"), QueryId(2), "a fresh id, not slot 0");
+        assert_eq!(table.num_live(), 2);
+    }
+
+    #[test]
+    fn query_table_heap_counts_every_slot() {
+        let mut table: QueryTable<Vec<u64>> = QueryTable::new();
+        let empty = table.heap_size();
+        let id = table.insert(vec![1; 16]);
+        let one = table.heap_size();
+        assert!(one >= empty + 16 * 8);
+        table.remove(id).unwrap();
+        assert!(table.heap_size() < one, "a tombstone drops its value");
+        assert!(table.heap_size() > 0, "but keeps its slot");
+    }
 
     #[test]
     fn report_from_counts_merges_and_sorts() {

@@ -58,7 +58,8 @@ pub mod stats;
 pub mod views;
 
 pub use engine::{
-    ContinuousEngine, DetachedAnswer, EngineStats, MatchReport, QueryId, QueryMatch, StagedBatch,
+    ContinuousEngine, DetachedAnswer, EngineStats, MatchReport, QueryId, QueryMatch, QueryTable,
+    StagedBatch,
 };
 pub use error::{Error, Result};
 pub use interner::{Sym, SymbolTable};

@@ -6,7 +6,7 @@
 //! bytes owned by a value (excluding the size of the value itself, which is
 //! accounted for by the parent container).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Estimates the number of heap bytes transitively owned by a value.
 pub trait HeapSize {
@@ -143,6 +143,13 @@ impl<K: HeapSize, V: HeapSize> HeapSize for BTreeMap<K, V> {
     }
 }
 
+impl<K: HeapSize> HeapSize for BTreeSet<K> {
+    fn heap_size(&self) -> usize {
+        self.len() * (std::mem::size_of::<K>() + 16)
+            + self.iter().map(HeapSize::heap_size).sum::<usize>()
+    }
+}
+
 impl<T: HeapSize + ?Sized> HeapSize for &T {
     fn heap_size(&self) -> usize {
         0
@@ -202,6 +209,14 @@ mod tests {
             m.insert(i, vec![i; 10]);
         }
         assert!(m.heap_size() > empty + 100 * 10 * 4);
+    }
+
+    #[test]
+    fn btree_set_heap_grows_per_key() {
+        let mut set: BTreeSet<u32> = BTreeSet::new();
+        assert_eq!(set.heap_size(), 0);
+        set.extend(0..10);
+        assert!(set.heap_size() >= 10 * 4);
     }
 
     #[test]

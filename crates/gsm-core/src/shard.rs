@@ -44,7 +44,7 @@
 
 use std::hash::BuildHasher;
 
-use crate::engine::{ContinuousEngine, EngineStats, MatchReport, QueryId, QueryMatch};
+use crate::engine::{ContinuousEngine, EngineStats, MatchReport, QueryId, QueryMatch, QueryTable};
 use crate::error::{Error, Result};
 use crate::memory::HeapSize;
 use crate::model::generic::GenericEdge;
@@ -99,6 +99,12 @@ struct QueryHome {
     spanning: bool,
 }
 
+impl HeapSize for QueryHome {
+    fn heap_size(&self) -> usize {
+        0
+    }
+}
+
 /// Partitions any [`ContinuousEngine`] into `N` shards by the root generic
 /// edge of each query's first covering path.
 ///
@@ -120,14 +126,10 @@ pub struct ShardedEngine<E> {
     /// Registration replays from it into the home shard for edges new to
     /// that shard (see the module docs).
     live: EdgeViewStore,
-    /// Number of live (non-tombstoned) queries.
-    num_queries: usize,
     /// Live queries whose covering-path roots hash to more than one shard.
     num_spanning: usize,
-    /// Id → home directory, one slot per wrapper-level id ever issued (its
-    /// length is the next registration's id). Unregistration empties the
-    /// slot, never reclaims it.
-    query_homes: Vec<Option<QueryHome>>,
+    /// Wrapper-level id → home directory.
+    query_homes: QueryTable<QueryHome>,
     name: &'static str,
     stats: EngineStats,
 }
@@ -145,9 +147,8 @@ impl<E: ContinuousEngine> ShardedEngine<E> {
             route_marks: vec![false; n],
             route_marked: Vec::new(),
             live: EdgeViewStore::new(),
-            num_queries: 0,
             num_spanning: 0,
-            query_homes: Vec::new(),
+            query_homes: QueryTable::new(),
             name,
             stats: EngineStats::default(),
         }
@@ -260,18 +261,15 @@ impl<E: ContinuousEngine> ContinuousEngine for ShardedEngine<E> {
             );
         }
 
-        let gqid = QueryId(self.query_homes.len() as u32);
         let local = shard.engine.register_query(query)?;
         debug_assert_eq!(local.index(), shard.local_to_global.len());
-        shard.local_to_global.push(gqid);
-
-        self.query_homes.push(Some(QueryHome {
+        let gqid = self.query_homes.insert(QueryHome {
             shard: home,
             local,
             spanning,
-        }));
+        });
+        shard.local_to_global.push(gqid);
         self.num_spanning += spanning as usize;
-        self.num_queries += 1;
         Ok(gqid)
     }
 
@@ -282,24 +280,24 @@ impl<E: ContinuousEngine> ContinuousEngine for ShardedEngine<E> {
     /// later registration over the same edges finds the shard's live edges
     /// already there.
     fn unregister_query(&mut self, query: QueryId) -> Result<()> {
-        let Some(&Some(home)) = self.query_homes.get(query.index()) else {
-            return Err(Error::UnknownQuery(query.0));
-        };
+        let home = *self
+            .query_homes
+            .get(query)
+            .ok_or(Error::UnknownQuery(query.0))?;
         self.shards[home.shard]
             .engine
             .unregister_query(home.local)?;
-        self.query_homes[query.index()] = None;
+        self.query_homes.remove(query)?;
         self.num_spanning -= home.spanning as usize;
-        self.num_queries -= 1;
         Ok(())
     }
 
     fn next_query_id(&self) -> QueryId {
-        QueryId(self.query_homes.len() as u32)
+        self.query_homes.next_id()
     }
 
     fn is_registered(&self, query: QueryId) -> bool {
-        matches!(self.query_homes.get(query.index()), Some(Some(_)))
+        self.query_homes.is_live(query)
     }
 
     /// Routes the batch once, applies each shard's ordered slice — mixed
@@ -331,7 +329,7 @@ impl<E: ContinuousEngine> ContinuousEngine for ShardedEngine<E> {
     }
 
     fn num_queries(&self) -> usize {
-        self.num_queries
+        self.query_homes.num_live()
     }
 
     fn heap_bytes(&self) -> usize {
@@ -339,7 +337,7 @@ impl<E: ContinuousEngine> ContinuousEngine for ShardedEngine<E> {
             + self.route_marks.heap_size()
             + self.route_marked.heap_size()
             + self.live.heap_size()
-            + self.query_homes.capacity() * std::mem::size_of::<Option<QueryHome>>()
+            + self.query_homes.heap_size()
             + self
                 .shards
                 .iter()

@@ -11,12 +11,13 @@
 
 use std::collections::HashMap;
 
-use gsm_core::engine::{ContinuousEngine, EngineStats, MatchReport, QueryId};
-use gsm_core::error::{Error, Result};
+use gsm_core::engine::{ContinuousEngine, EngineStats, MatchReport, QueryId, QueryTable};
+use gsm_core::error::Result;
 use gsm_core::memory::HeapSize;
 use gsm_core::model::generic::GenericEdge;
 use gsm_core::model::update::Update;
 use gsm_core::query::pattern::QueryPattern;
+use gsm_core::relation::fasthash::FxHashMap;
 
 use crate::matcher::{execute, MatchCollector};
 use crate::plan::PlanCache;
@@ -26,15 +27,11 @@ use crate::store::GraphStore;
 #[derive(Debug)]
 pub struct GraphDbEngine {
     store: GraphStore,
-    /// queryInd: the registered query patterns. Unregistration tombstones a
-    /// slot with `None` — ids are never reused, so later slots keep their
-    /// positions.
-    queries: Vec<Option<QueryPattern>>,
-    /// Number of non-tombstoned `queries` slots.
-    live: usize,
+    /// queryInd: the registered query patterns.
+    queries: QueryTable<QueryPattern>,
     /// edgeInd: generic edge → queries containing a pattern edge with that shape,
     /// along with the indices of those pattern edges.
-    edge_index: HashMap<GenericEdge, Vec<(QueryId, usize)>>,
+    edge_index: FxHashMap<GenericEdge, Vec<(QueryId, usize)>>,
     plan_cache: PlanCache,
     stats: EngineStats,
 }
@@ -44,9 +41,8 @@ impl GraphDbEngine {
     pub fn new() -> Self {
         GraphDbEngine {
             store: GraphStore::new(),
-            queries: Vec::new(),
-            live: 0,
-            edge_index: HashMap::new(),
+            queries: QueryTable::new(),
+            edge_index: FxHashMap::default(),
             plan_cache: PlanCache::new(),
             stats: EngineStats::default(),
         }
@@ -79,13 +75,11 @@ impl ContinuousEngine for GraphDbEngine {
     }
 
     fn register_query(&mut self, query: &QueryPattern) -> Result<QueryId> {
-        let qid = QueryId(self.queries.len() as u32);
+        let qid = self.queries.insert(query.clone());
         for (edge_idx, edge) in query.edges().iter().enumerate() {
             let ge = GenericEdge::from_pattern(edge);
             self.edge_index.entry(ge).or_default().push((qid, edge_idx));
         }
-        self.queries.push(Some(query.clone()));
-        self.live += 1;
         Ok(qid)
     }
 
@@ -93,12 +87,7 @@ impl ContinuousEngine for GraphDbEngine {
     /// evicts its cached plans. The database itself is untouched — edges
     /// belong to the stream, not to any query.
     fn unregister_query(&mut self, query: QueryId) -> Result<()> {
-        let Some(slot) = self.queries.get_mut(query.index()) else {
-            return Err(Error::UnknownQuery(query.0));
-        };
-        let Some(pattern) = slot.take() else {
-            return Err(Error::UnknownQuery(query.0));
-        };
+        let pattern = self.queries.remove(query)?;
         for edge in pattern.edges() {
             let ge = GenericEdge::from_pattern(edge);
             if let Some(entries) = self.edge_index.get_mut(&ge) {
@@ -109,18 +98,15 @@ impl ContinuousEngine for GraphDbEngine {
             }
         }
         self.plan_cache.evict_query(query);
-        self.live -= 1;
         Ok(())
     }
 
     fn next_query_id(&self) -> QueryId {
-        QueryId(self.queries.len() as u32)
+        self.queries.next_id()
     }
 
     fn is_registered(&self, query: QueryId) -> bool {
-        self.queries
-            .get(query.index())
-            .is_some_and(|slot| slot.is_some())
+        self.queries.is_live(query)
     }
 
     /// Batched answering: the whole batch is applied to the database first,
@@ -149,7 +135,7 @@ impl ContinuousEngine for GraphDbEngine {
     }
 
     fn num_queries(&self) -> usize {
-        self.live
+        self.queries.num_live()
     }
 
     fn heap_bytes(&self) -> usize {
@@ -186,8 +172,9 @@ impl GraphDbEngine {
         sorted.sort_by_key(|(q, _)| *q);
         let mut counts = Vec::new();
         for (qid, anchors) in sorted {
-            let query = self.queries[qid.index()]
-                .as_ref()
+            let query = self
+                .queries
+                .get(qid)
                 .expect("edgeInd routes only to live queries");
             let mut collector = MatchCollector::new();
             for (anchor_edge, e) in anchors {
@@ -268,6 +255,7 @@ impl GraphDbEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsm_core::error::Error;
     use gsm_core::interner::SymbolTable;
 
     struct Fixture {

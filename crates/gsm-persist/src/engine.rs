@@ -546,12 +546,13 @@ impl<E: ContinuousEngine> ContinuousEngine for PersistentEngine<E> {
     }
 
     /// The inner engine plus the durable shadow state the wrapper keeps
-    /// beside it: the live-edge store, the query slots, the per-query
-    /// totals and the interner table.
+    /// beside it: the live-edge store, the query slots and their dead set,
+    /// the per-query totals and the interner table.
     fn heap_bytes(&self) -> usize {
         self.inner.heap_bytes()
             + self.shadow.heap_size()
             + self.queries.heap_size()
+            + self.dead.heap_size()
             + self.totals.capacity() * std::mem::size_of::<QueryTotals>()
             + self.symbols.heap_size()
     }
@@ -565,6 +566,7 @@ impl<E: ContinuousEngine> ContinuousEngine for PersistentEngine<E> {
 mod tests {
     use super::*;
     use crate::storage::{FaultPlan, MemFactory};
+    use gsm_core::engine::QueryTable;
     use gsm_core::pipeline::{PipelineConfig, PipelinedEngine};
     use std::collections::HashSet;
 
@@ -577,16 +579,15 @@ mod tests {
     #[derive(Default)]
     struct CountEngine {
         edges: HashSet<(u32, u32, u32)>,
-        queries: u32,
-        dead: HashSet<u32>,
+        queries: QueryTable<()>,
         stats: EngineStats,
     }
 
     impl CountEngine {
-        fn live_queries(&self) -> Vec<QueryId> {
-            (0..self.queries)
-                .filter(|q| !self.dead.contains(q))
+        fn live_ids(&self) -> Vec<QueryId> {
+            (0..self.queries.next_id().0)
                 .map(QueryId)
+                .filter(|&q| self.queries.is_live(q))
                 .collect()
         }
 
@@ -599,14 +600,14 @@ mod tests {
                 if self.edges.remove(&key) {
                     let n = label_count(&self.edges) + 1;
                     MatchReport::from_retraction_counts(
-                        self.live_queries().into_iter().map(|q| (q, n)).collect(),
+                        self.live_ids().into_iter().map(|q| (q, n)).collect(),
                     )
                 } else {
                     MatchReport::empty()
                 }
             } else if self.edges.insert(key) {
                 let n = label_count(&self.edges);
-                MatchReport::from_counts(self.live_queries().into_iter().map(|q| (q, n)).collect())
+                MatchReport::from_counts(self.live_ids().into_iter().map(|q| (q, n)).collect())
             } else {
                 MatchReport::empty()
             }
@@ -618,21 +619,16 @@ mod tests {
             "COUNT"
         }
         fn register_query(&mut self, _query: &QueryPattern) -> Result<QueryId> {
-            let id = QueryId(self.queries);
-            self.queries += 1;
-            Ok(id)
+            Ok(self.queries.insert(()))
         }
         fn unregister_query(&mut self, query: QueryId) -> Result<()> {
-            if query.0 >= self.queries || !self.dead.insert(query.0) {
-                return Err(gsm_core::error::Error::UnknownQuery(query.0));
-            }
-            Ok(())
+            self.queries.remove(query)
         }
         fn next_query_id(&self) -> QueryId {
-            QueryId(self.queries)
+            self.queries.next_id()
         }
         fn is_registered(&self, query: QueryId) -> bool {
-            query.0 < self.queries && !self.dead.contains(&query.0)
+            self.queries.is_live(query)
         }
         fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
             self.stats.updates_processed += updates.len() as u64;
@@ -645,7 +641,7 @@ mod tests {
             report
         }
         fn num_queries(&self) -> usize {
-            (self.queries as usize) - self.dead.len()
+            self.queries.num_live()
         }
         fn heap_bytes(&self) -> usize {
             0
@@ -1064,6 +1060,12 @@ mod tests {
         assert!(engine.heap_bytes() > before, "{before} did not grow");
         assert!(engine.shadow.heap_size() > 0);
         assert!(engine.heap_bytes() >= engine.shadow.heap_size());
+
+        // Unregistering leaves the slot's pattern in place and adds its id
+        // to the dead set, which never shrinks: the footprint grows.
+        let before = engine.heap_bytes();
+        engine.try_unregister_query(QueryId(0)).unwrap();
+        assert!(engine.heap_bytes() > before, "{before} did not grow");
     }
 
     #[test]

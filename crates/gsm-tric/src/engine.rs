@@ -2,8 +2,8 @@
 
 use std::collections::BTreeMap;
 
-use gsm_core::engine::{ContinuousEngine, EngineStats, MatchReport, QueryId};
-use gsm_core::error::{Error, Result};
+use gsm_core::engine::{ContinuousEngine, EngineStats, MatchReport, QueryId, QueryTable};
+use gsm_core::error::Result;
 use gsm_core::interner::Sym;
 use gsm_core::memory::HeapSize;
 use gsm_core::model::generic::GenericEdge;
@@ -49,18 +49,6 @@ impl HeapSize for PathInfo {
     }
 }
 
-/// Per-query bookkeeping (the paper's `queryInd`).
-#[derive(Debug, Clone)]
-struct QueryInfo {
-    paths: Vec<PathInfo>,
-}
-
-impl HeapSize for QueryInfo {
-    fn heap_size(&self) -> usize {
-        self.paths.heap_size()
-    }
-}
-
 /// Update-scoped scratch buffers, reused across `apply_update` calls so the
 /// per-update hot path performs no bookkeeping allocations once the buffers
 /// have grown to the working-set size.
@@ -89,13 +77,8 @@ pub struct TricEngine {
     forest: TrieForest,
     views: EdgeViewStore,
     cache: JoinCache,
-    /// Per-query path descriptors, indexed by query id.
-    queries: Vec<QueryInfo>,
-    /// Number of currently registered (non-tombstoned) queries. `queries`
-    /// keeps a slot per id ever issued — unregistration empties the slot's
-    /// path list instead of shifting later ids — so the live count is
-    /// tracked separately.
-    live_queries: usize,
+    /// queryInd: each query's covering-path descriptors.
+    queries: QueryTable<Vec<PathInfo>>,
     scratch: UpdateScratch,
     stats: EngineStats,
 }
@@ -257,7 +240,7 @@ impl ContinuousEngine for TricEngine {
     }
 
     fn register_query(&mut self, query: &QueryPattern) -> Result<QueryId> {
-        let qid = QueryId(self.queries.len() as u32);
+        let qid = self.queries.next_id();
         let paths = covering_paths(query);
         let mut infos = Vec::with_capacity(paths.len());
         for (path_idx, path) in paths.iter().enumerate() {
@@ -280,9 +263,7 @@ impl ContinuousEngine for TricEngine {
                 vertices: path.vertex_sequence(query),
             });
         }
-        self.queries.push(QueryInfo { paths: infos });
-        self.live_queries += 1;
-        Ok(qid)
+        Ok(self.queries.insert(infos))
     }
 
     /// Removes the query's registrations from every covering-path end node,
@@ -290,11 +271,7 @@ impl ContinuousEngine for TricEngine {
     /// longer serve any query. The query's id slot is tombstoned — emptied,
     /// never reused — so later ids stay valid.
     fn unregister_query(&mut self, query: QueryId) -> Result<()> {
-        let idx = query.index();
-        if idx >= self.queries.len() || self.queries[idx].paths.is_empty() {
-            return Err(Error::UnknownQuery(query.0));
-        }
-        let infos = std::mem::take(&mut self.queries[idx].paths);
+        let infos = self.queries.remove(query)?;
         for (path_idx, info) in infos.iter().enumerate() {
             let released = self
                 .forest
@@ -304,16 +281,15 @@ impl ContinuousEngine for TricEngine {
                 self.cache.evict_relation(rel_id);
             }
         }
-        self.live_queries -= 1;
         Ok(())
     }
 
     fn next_query_id(&self) -> QueryId {
-        QueryId(self.queries.len() as u32)
+        self.queries.next_id()
     }
 
     fn is_registered(&self, query: QueryId) -> bool {
-        query.index() < self.queries.len() && !self.queries[query.index()].paths.is_empty()
+        self.queries.is_live(query)
     }
 
     /// Batched answering (the scaling step of the ROADMAP): every same-sign
@@ -333,7 +309,7 @@ impl ContinuousEngine for TricEngine {
     }
 
     fn num_queries(&self) -> usize {
-        self.live_queries
+        self.queries.num_live()
     }
 
     fn heap_bytes(&self) -> usize {
@@ -619,14 +595,15 @@ fn answer_tric(
     deltas: &FxHashMap<NodeId, Relation>,
     removed_at: Option<&FxHashMap<NodeId, Vec<u32>>>,
     affected_queries: &[QueryId],
-    queries: &[QueryInfo],
+    queries: &QueryTable<Vec<PathInfo>>,
     forest: &TrieForest,
     cache: Option<&mut JoinCache>,
 ) -> Vec<(QueryId, u64)> {
     join_covering_paths(
-        affected_queries
-            .iter()
-            .map(|qid| (*qid, queries[qid.index()].paths.as_slice())),
+        affected_queries.iter().map(|qid| {
+            let paths = queries.get(*qid).expect("trie registrations are live");
+            (*qid, paths.as_slice())
+        }),
         |path| path.vertices.as_slice(),
         |path| {
             let rows = deltas.get(&path.end_node)?;
@@ -643,6 +620,7 @@ fn answer_tric(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsm_core::error::Error;
     use gsm_core::interner::SymbolTable;
 
     struct Fixture {

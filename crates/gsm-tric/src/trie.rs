@@ -7,11 +7,10 @@
 //! exactly there. Nodes shared by several queries are stored once, which is
 //! where the clustering gains of TRIC come from.
 
-use std::collections::HashMap;
-
 use gsm_core::engine::QueryId;
 use gsm_core::memory::HeapSize;
 use gsm_core::model::generic::GenericEdge;
+use gsm_core::relation::fasthash::FxHashMap;
 use gsm_core::relation::Relation;
 
 /// Index of a node inside the forest's arena.
@@ -81,9 +80,9 @@ impl HeapSize for TrieNode {
 pub struct TrieForest {
     nodes: Vec<TrieNode>,
     /// rootInd: first generic edge of a path → root node of the trie.
-    roots: HashMap<GenericEdge, NodeId>,
+    roots: FxHashMap<GenericEdge, NodeId>,
     /// edgeInd: generic edge → every node (across all tries) indexing it.
-    nodes_by_edge: HashMap<GenericEdge, Vec<NodeId>>,
+    nodes_by_edge: FxHashMap<GenericEdge, Vec<NodeId>>,
     /// Arena slots pruned by unregistration: unlinked from every index and
     /// emptied, but never reused — [`NodeId`]s stay stable for the forest's
     /// whole life (staged answer tokens and query records hold them).

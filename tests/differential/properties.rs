@@ -2,9 +2,12 @@
 //! random update streams in a small label/vertex universe — insert-only,
 //! and mixed on the fixed set — all seven engines agree one update at a
 //! time, and random batch partitions, shard counts, pipeline flush
-//! bounds and registration points reproduce that reference; the report
-//! merge is a commutative monoid, and no engine panics on an arbitrary
-//! stream.
+//! bounds, registration points and lifecycle churn reproduce that
+//! reference; the report merge is a commutative monoid, and no engine
+//! panics on an arbitrary stream.
+
+use std::ops::Range;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
@@ -14,7 +17,7 @@ use graph_stream_matching::core::ShardedEngine;
 use graph_stream_matching::tric::TricEngine;
 use graph_stream_matching::{all_engine_factories, all_engines};
 
-use crate::harness::Case;
+use crate::harness::{tiles, Case};
 
 /// A compact description of a random pattern edge: (label, src, tgt, src-kind,
 /// tgt-kind) over small universes.
@@ -111,6 +114,160 @@ fn random_case(query_specs: &[Vec<EdgeSpec>], stream_specs: &[(u8, u8, u8)]) -> 
         .map(|&spec| edge(&mut symbols, spec))
         .collect();
     Some(Case::replay("a random workload", queries, stream))
+}
+
+/// One step of a lifecycle-churn schedule.
+#[derive(Debug)]
+enum Step {
+    /// One batch over these stream positions.
+    Batch(Range<usize>),
+    /// Register the fixed query at this index.
+    Register(usize),
+    /// Unregister this id: a live one, a dead one or one never issued.
+    Unregister(QueryId),
+}
+
+/// What a step returned.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Report(MatchReport),
+    Registered(Result<QueryId>),
+    Unregistered(Result<()>),
+}
+
+/// A step's outcome and the lifecycle surface right after it.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    outcome: Outcome,
+    next_id: QueryId,
+    num_queries: usize,
+    /// `is_registered` of every id below `next_id + 3`, so that the three
+    /// ids past the last issued one are asked too.
+    registered: Vec<bool>,
+}
+
+/// Runs one step on `engine`, answering a batch with `batch`.
+fn run_step<E: ContinuousEngine>(
+    engine: &mut E,
+    step: &Step,
+    queries: &[QueryPattern],
+    stream: &[Update],
+    batch: &mut impl FnMut(&mut E, &[Update]) -> MatchReport,
+) -> Observed {
+    let outcome = match step {
+        Step::Batch(range) => Outcome::Report(batch(engine, &stream[range.clone()])),
+        Step::Register(q) => Outcome::Registered(engine.register_query(&queries[*q])),
+        Step::Unregister(id) => Outcome::Unregistered(engine.unregister_query(*id)),
+    };
+    let next_id = engine.next_query_id();
+    Observed {
+        outcome,
+        next_id,
+        num_queries: engine.num_queries(),
+        registered: (0..next_id.0 + 3)
+            .map(|q| engine.is_registered(QueryId(q)))
+            .collect(),
+    }
+}
+
+/// Bare TRIC under a churn schedule: the steps run so far and what TRIC
+/// returned at each.
+struct ChurnReference<'a> {
+    queries: &'a [QueryPattern],
+    stream: &'a [Update],
+    engine: TricEngine,
+    steps: Vec<Step>,
+    observed: Vec<Observed>,
+}
+
+impl ChurnReference<'_> {
+    /// Runs `step` and checks TRIC against the trait's id contract:
+    /// registrations draw sequential, never reused ids, unknown ids fail
+    /// typed, and `num_queries` counts exactly the registered ids.
+    fn record(&mut self, step: Step) {
+        let seen = run_step(
+            &mut self.engine,
+            &step,
+            self.queries,
+            self.stream,
+            &mut |e, b| e.apply_batch(b),
+        );
+        let mut issued = self
+            .steps
+            .iter()
+            .filter(|s| matches!(s, Step::Register(_)))
+            .count() as u32;
+        match (&step, &seen.outcome) {
+            (Step::Register(_), outcome) => {
+                assert_eq!(*outcome, Outcome::Registered(Ok(QueryId(issued))));
+                issued += 1;
+            }
+            (Step::Unregister(id), Outcome::Unregistered(Err(e))) => {
+                assert_eq!(*e, Error::UnknownQuery(id.0));
+            }
+            _ => {}
+        }
+        assert_eq!(seen.next_id, QueryId(issued), "ids are never reused");
+        let live = seen.registered.iter().filter(|&&r| r).count();
+        assert_eq!(seen.num_queries, live, "num_queries counts the live ids");
+        assert!(!seen.registered[issued as usize..].contains(&true));
+        self.steps.push(step);
+        self.observed.push(seen);
+    }
+}
+
+/// The churn reference: registers every fixed query, then streams in
+/// batches whose lengths cycle through `chunk_lens`, and at each `ops`
+/// point `(position, kind, pick)` registers a fixed query (kind 0),
+/// unregisters a live id (1) or a dead id (2), or unregisters an id never
+/// issued (3). Picks resolve against bare TRIC as it runs. Returns the
+/// resolved schedule and what TRIC returned at each step.
+fn churn_reference(
+    queries: &[QueryPattern],
+    stream: &[Update],
+    ops: &[(usize, u8, usize)],
+    chunk_lens: &[usize],
+) -> (Vec<Step>, Vec<Observed>) {
+    let mut ops: Vec<(usize, u8, usize)> = ops
+        .iter()
+        .map(|&(at, kind, pick)| (at % (stream.len() + 1), kind, pick))
+        .collect();
+    ops.sort_by_key(|op| op.0);
+    let mut reference = ChurnReference {
+        queries,
+        stream,
+        engine: TricEngine::tric(),
+        steps: Vec::new(),
+        observed: Vec::new(),
+    };
+    for q in 0..queries.len() {
+        reference.record(Step::Register(q));
+    }
+    let mut chunks = chunk_lens.iter().cycle();
+    let mut pos = 0;
+    // A last op of no kind streams the rest.
+    let end = (stream.len(), u8::MAX, 0);
+    for &(at, kind, pick) in ops.iter().chain([&end]) {
+        while pos < at {
+            let len = (*chunks.next().expect("chunk lengths")).min(at - pos);
+            reference.record(Step::Batch(pos..pos + len));
+            pos += len;
+        }
+        let next = reference.engine.next_query_id().0;
+        let pool: Vec<QueryId> = (0..next)
+            .map(QueryId)
+            .filter(|&q| reference.engine.is_registered(q) == (kind == 1))
+            .collect();
+        let step = match kind {
+            0 => Step::Register(pick % queries.len()),
+            1 | 2 if pool.is_empty() => continue,
+            1 | 2 => Step::Unregister(pool[pick % pool.len()]),
+            3 => Step::Unregister(QueryId(next + (pick % 3) as u32)),
+            _ => break,
+        };
+        reference.record(step);
+    }
+    (reference.steps, reference.observed)
 }
 
 proptest! {
@@ -408,6 +565,70 @@ proptest! {
                         i,
                         u,
                         &at
+                    );
+                }
+            }
+        }
+    }
+
+    /// Lifecycle churn: at random points of a random mixed stream, a fixed
+    /// query registers, or a live id, a dead id or an id never issued is
+    /// unregistered. Every engine — bare, behind the sharded wrapper at a
+    /// random shard count and behind an inline pipeline — must return what
+    /// bare TRIC returns at every step (ids, `UnknownQuery` errors and
+    /// batch reports) and agree with it on `next_query_id`,
+    /// `is_registered` and `num_queries` after every step.
+    #[test]
+    fn lifecycle_churn_matches_the_reference(
+        stream_specs in proptest::collection::vec(
+            (0u8..3, 0u8..8, 0u8..8, 0u8..5, any::<usize>()),
+            1..150,
+        ),
+        ops in proptest::collection::vec((any::<usize>(), 0u8..4, any::<usize>()), 0..24),
+        chunk_lens in proptest::collection::vec(1usize..12, 1..10),
+        num_shards in 1usize..9,
+        max_batch in 1usize..12,
+    ) {
+        let mut symbols = SymbolTable::new();
+        let queries = fixed_queries(&mut symbols);
+        let stream = mixed_stream(&mut symbols, &stream_specs);
+        let (steps, expected) = churn_reference(&queries, &stream, &ops, &chunk_lens);
+        let apply = &mut |e: &mut Box<dyn ContinuousEngine + Send>, b: &[Update]| e.apply_batch(b);
+        for factory in all_engine_factories() {
+            let mut bare = factory();
+            let mut sharded: Box<dyn ContinuousEngine + Send> =
+                Box::new(ShardedEngine::new(num_shards, factory));
+            let mut pipelined = PipelinedEngine::new(
+                factory(),
+                PipelineConfig::new(max_batch, Duration::MAX),
+            );
+            let t0 = Instant::now();
+            let pipe = &mut |p: &mut PipelinedEngine<Box<dyn ContinuousEngine + Send>>,
+                             b: &[Update]| {
+                let mut done: Vec<CompletedBatch> =
+                    b.iter().flat_map(|&u| p.push_at(u, t0)).collect();
+                done.extend(p.drain());
+                tiles(done)
+                    .iter()
+                    .fold(MatchReport::empty(), |acc, (_, report)| acc.merge(report))
+            };
+            let name = bare.name();
+            for (i, (step, want)) in steps.iter().zip(&expected).enumerate() {
+                let compositions = [
+                    ("bare", run_step(&mut bare, step, &queries, &stream, apply)),
+                    ("sharded", run_step(&mut sharded, step, &queries, &stream, apply)),
+                    ("pipelined", run_step(&mut pipelined, step, &queries, &stream, pipe)),
+                ];
+                for (composition, got) in compositions {
+                    prop_assert_eq!(
+                        &got,
+                        want,
+                        "{} {} ({} shards) at step #{} {:?}",
+                        name,
+                        composition,
+                        num_shards,
+                        i,
+                        step
                     );
                 }
             }
