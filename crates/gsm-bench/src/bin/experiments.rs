@@ -13,7 +13,9 @@
 //! * `--out`    — output directory for `<id>.md` / `<id>.csv` (default `results`).
 //!
 //! Every run follows the paper's protocol: register the query set, then
-//! answer the stream one update at a time until the budget runs out.
+//! answer the stream one update at a time until the budget runs out or the
+//! engine's heap passes the fixed memory budget
+//! (`gsm_bench::harness::MEMORY_BUDGET_BYTES`).
 
 use std::fs;
 use std::path::PathBuf;

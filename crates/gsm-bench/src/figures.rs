@@ -300,9 +300,8 @@ pub fn tab13c(scale: &ExperimentScale) -> FigureResult {
         }
         let workload = Workload::generate(config);
         let mut runs = run_engines(&engines, &workload, scale.time_budget);
-        // Plotted value: heap megabytes after the run; a run the budget cut
-        // short keeps its timed-out marker, since it measured a partial
-        // stream.
+        // Plotted value: heap megabytes after the run; a run a budget cut
+        // short keeps its marker, since it measured a partial stream.
         for r in &mut runs {
             r.answer_ms_per_update = r.heap_bytes as f64 / (1024.0 * 1024.0);
         }

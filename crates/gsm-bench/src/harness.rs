@@ -4,8 +4,6 @@ use std::time::{Duration, Instant};
 
 use gsm_baselines::BaselineEngine;
 use gsm_core::engine::ContinuousEngine;
-use gsm_core::shard::ShardedEngine;
-use gsm_core::stats::LatencyRecorder;
 use gsm_datagen::Workload;
 use gsm_graphdb::GraphDbEngine;
 use gsm_tric::TricEngine;
@@ -74,19 +72,57 @@ impl EngineKind {
             EngineKind::GraphDb => Box::new(GraphDbEngine::new()),
         }
     }
-
-    /// Builds a fresh engine partitioned across `shards` worker shards by
-    /// root generic edge ([`gsm_core::shard::ShardedEngine`]). The figure
-    /// runs never shard; the `hotpath_shards` bench does.
-    pub fn build_sharded(&self, shards: usize) -> Box<dyn ContinuousEngine + Send> {
-        let kind = *self;
-        Box::new(ShardedEngine::new(shards, move || kind.build()))
-    }
 }
 
 impl std::fmt::Display for EngineKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.name())
+    }
+}
+
+/// Engine heap above which a run is cut and reported as not finished, like
+/// a run over its time budget: the paper's 24-hour threshold also means "did
+/// not finish", and one BioGRID run must not take several GB of the machine.
+pub const MEMORY_BUDGET_BYTES: usize = 1 << 30;
+
+/// Updates between two reads of the engine's heap footprint. A read walks
+/// the engine's structures (tens of ms on a 1 GB TRIC engine), so it is
+/// taken outside the per-update timer and the time budget.
+pub const HEAP_READ_EVERY: usize = 64;
+
+/// Per-update answering latencies of one run.
+#[derive(Debug, Default)]
+struct LatencyRecorder {
+    samples: Vec<Duration>,
+    total: Duration,
+}
+
+impl LatencyRecorder {
+    fn with_capacity(n: usize) -> Self {
+        Self {
+            samples: Vec::with_capacity(n),
+            total: Duration::ZERO,
+        }
+    }
+
+    fn record(&mut self, d: Duration) {
+        self.samples.push(d);
+        self.total += d;
+    }
+
+    fn total(&self) -> Duration {
+        self.total
+    }
+
+    /// The 95th-percentile latency in milliseconds (0.0 when empty).
+    fn p95_ms(&self) -> f64 {
+        if self.samples.is_empty() {
+            return 0.0;
+        }
+        let mut sorted = self.samples.clone();
+        sorted.sort_unstable();
+        let rank = ((sorted.len() as f64 - 1.0) * 0.95).round() as usize;
+        sorted[rank].as_secs_f64() * 1e3
     }
 }
 
@@ -103,7 +139,7 @@ pub struct RunResult {
     pub answer_ms_per_update: f64,
     /// 95th-percentile answering time per update in milliseconds.
     pub answer_p95_ms: f64,
-    /// Updates processed before the budget expired.
+    /// Updates processed before a budget cut the run.
     pub updates_processed: usize,
     /// Number of (query, update) notifications produced.
     pub notifications: u64,
@@ -113,13 +149,16 @@ pub struct RunResult {
     pub heap_bytes: usize,
     /// True if the run hit the time budget before consuming the stream.
     pub timed_out: bool,
+    /// True if the engine's heap passed [`MEMORY_BUDGET_BYTES`] before the
+    /// run consumed the stream.
+    pub over_memory: bool,
 }
 
 impl RunResult {
     /// The value the paper plots: mean answering time per update (ms), or
-    /// `None` if the engine timed out (plotted as an asterisk in the paper).
+    /// `None` if a budget cut the run (plotted as an asterisk in the paper).
     pub fn plotted_value(&self) -> Option<f64> {
-        if self.timed_out {
+        if self.timed_out || self.over_memory {
             None
         } else {
             Some(self.answer_ms_per_update)
@@ -130,10 +169,20 @@ impl RunResult {
 /// Registers the workload's queries and replays its stream against a fresh
 /// engine of the given kind, one update at a time as in the paper: each
 /// update is one timed [`ContinuousEngine::apply_batch`] call on a
-/// one-update slice. The run stops once answering has taken longer than
-/// `time_budget` (the stand-in for the paper's 24-hour threshold) and is
-/// then reported as timed out.
+/// one-update slice. The run stops once the timed calls add up to more than
+/// `time_budget` (the stand-in for the paper's 24-hour threshold), or once
+/// the engine's heap, read every [`HEAP_READ_EVERY`] updates, passes
+/// [`MEMORY_BUDGET_BYTES`]; either cut reports the run as not finished.
 pub fn run_engine(kind: EngineKind, workload: &Workload, time_budget: Duration) -> RunResult {
+    run_within(kind, workload, time_budget, MEMORY_BUDGET_BYTES)
+}
+
+fn run_within(
+    kind: EngineKind,
+    workload: &Workload,
+    time_budget: Duration,
+    memory_budget: usize,
+) -> RunResult {
     let mut engine = kind.build();
 
     // Query indexing phase.
@@ -151,7 +200,7 @@ pub fn run_engine(kind: EngineKind, workload: &Workload, time_budget: Duration) 
     let mut embeddings = 0u64;
     let mut processed = 0usize;
     let mut timed_out = false;
-    let answering_start = Instant::now();
+    let mut over_memory = false;
     for update in workload.stream.as_slice() {
         let t = Instant::now();
         let report = engine.apply_batch(std::slice::from_ref(update));
@@ -159,8 +208,13 @@ pub fn run_engine(kind: EngineKind, workload: &Workload, time_budget: Duration) 
         notifications += report.len() as u64;
         embeddings += report.total_embeddings();
         processed += 1;
-        if answering_start.elapsed() > time_budget {
-            timed_out = processed < workload.stream.len();
+        let unfinished = processed < workload.stream.len();
+        if latencies.total() > time_budget {
+            timed_out = unfinished;
+            break;
+        }
+        if processed.is_multiple_of(HEAP_READ_EVERY) && engine.heap_bytes() > memory_budget {
+            over_memory = unfinished;
             break;
         }
     }
@@ -184,6 +238,7 @@ pub fn run_engine(kind: EngineKind, workload: &Workload, time_budget: Duration) 
         embeddings,
         heap_bytes: engine.heap_bytes(),
         timed_out,
+        over_memory,
     }
 }
 
@@ -221,6 +276,7 @@ mod tests {
         let result = run_engine(EngineKind::TricPlus, &w, Duration::from_secs(30));
         assert_eq!(result.updates_processed, w.num_updates());
         assert!(!result.timed_out);
+        assert!(!result.over_memory);
         assert!(result.heap_bytes > 0);
         assert!(result.answer_ms_per_update >= 0.0);
         assert!(result.plotted_value().is_some());
@@ -247,7 +303,45 @@ mod tests {
         let w = tiny_workload();
         let result = run_engine(EngineKind::Inv, &w, Duration::ZERO);
         assert!(result.timed_out);
+        assert!(!result.over_memory);
         assert!(result.updates_processed < w.num_updates());
         assert!(result.plotted_value().is_none());
+    }
+
+    #[test]
+    fn one_byte_memory_budget_cuts_at_the_first_heap_read() {
+        let w = tiny_workload();
+        for kind in EngineKind::all() {
+            let result = run_within(kind, &w, Duration::from_secs(60), 1);
+            assert!(result.over_memory, "{kind}");
+            assert!(!result.timed_out, "{kind}");
+            assert_eq!(result.updates_processed, HEAP_READ_EVERY, "{kind}");
+            assert!(result.heap_bytes > 1, "{kind}");
+            assert!(result.plotted_value().is_none(), "{kind}");
+        }
+    }
+
+    #[test]
+    fn a_stream_that_ends_by_the_first_heap_read_finishes_within_a_one_byte_budget() {
+        for len in [HEAP_READ_EVERY - 1, HEAP_READ_EVERY] {
+            let mut w = tiny_workload();
+            w.stream.truncate(len);
+            let result = run_within(EngineKind::TricPlus, &w, Duration::from_secs(60), 1);
+            assert_eq!(result.updates_processed, len);
+            assert!(!result.over_memory, "{len} updates");
+            assert!(!result.timed_out, "{len} updates");
+            assert!(result.plotted_value().is_some(), "{len} updates");
+        }
+    }
+
+    #[test]
+    fn latency_recorder_sums_and_ranks_its_samples() {
+        assert_eq!(LatencyRecorder::default().p95_ms(), 0.0);
+        let mut r = LatencyRecorder::with_capacity(100);
+        for v in (1..=100).rev() {
+            r.record(Duration::from_millis(v));
+        }
+        assert_eq!(r.total(), Duration::from_millis(5050));
+        assert!((r.p95_ms() - 95.0).abs() < 1e-9);
     }
 }

@@ -7,8 +7,8 @@ use crate::harness::RunResult;
 pub struct Series {
     /// Engine name.
     pub engine: &'static str,
-    /// One y-value per x-value; `None` marks a timed-out run (the asterisks
-    /// in the paper's plots).
+    /// One y-value per x-value; `None` marks a run the time or memory budget
+    /// cut (the asterisks in the paper's plots).
     pub values: Vec<Option<f64>>,
 }
 
@@ -37,7 +37,7 @@ impl FigureResult {
         let mut out = String::new();
         out.push_str(&format!("### {} — {}\n\n", self.id, self.title));
         out.push_str(&format!(
-            "{} vs. {} (timed-out runs shown as `*`).\n\n",
+            "{} vs. {} (runs cut by the time or memory budget shown as `*`).\n\n",
             self.y_label, self.x_label
         ));
         out.push_str(&format!("| {} |", self.x_label));
@@ -67,7 +67,7 @@ impl FigureResult {
     /// Renders the underlying runs as CSV (one row per engine × x-value).
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
-            "figure,x,engine,answer_ms_per_update,p95_ms,indexing_ms_per_query,updates_processed,notifications,embeddings,heap_bytes,timed_out\n",
+            "figure,x,engine,answer_ms_per_update,p95_ms,indexing_ms_per_query,updates_processed,notifications,embeddings,heap_bytes,timed_out,over_memory\n",
         );
         let per_x = self.series.len();
         for (i, run) in self.runs.iter().enumerate() {
@@ -77,7 +77,7 @@ impl FigureResult {
                 .copied()
                 .unwrap_or(f64::NAN);
             out.push_str(&format!(
-                "{},{},{},{:.6},{:.6},{:.6},{},{},{},{},{}\n",
+                "{},{},{},{:.6},{:.6},{:.6},{},{},{},{},{},{}\n",
                 self.id,
                 x,
                 run.engine,
@@ -88,7 +88,8 @@ impl FigureResult {
                 run.notifications,
                 run.embeddings,
                 run.heap_bytes,
-                run.timed_out
+                run.timed_out,
+                run.over_memory
             ));
         }
         out
@@ -164,6 +165,7 @@ mod tests {
             embeddings: 20,
             heap_bytes: 1024,
             timed_out,
+            over_memory: false,
         }
     }
 
@@ -194,6 +196,28 @@ mod tests {
         let csv = fake_figure().to_csv();
         assert_eq!(csv.lines().count(), 1 + 4);
         assert!(csv.lines().last().unwrap().contains("true"));
+    }
+
+    #[test]
+    fn a_memory_cut_plots_as_a_star_and_has_its_own_csv_column() {
+        let mut cut = fake_run("TRIC+", 0.3, false);
+        cut.over_memory = true;
+        let fig = figure_from_runs(
+            "figY",
+            "memory cut".into(),
+            "graph size",
+            "ms/update",
+            vec![1000.0],
+            vec![vec![fake_run("TRIC", 0.1, false), cut]],
+        );
+        assert_eq!(fig.series_for("TRIC+").unwrap().values, vec![None]);
+        assert!(fig.to_markdown().contains("| 1000 | 0.100 | * |"));
+        let csv = fig.to_csv();
+        let mut lines = csv.lines();
+        assert!(lines.next().unwrap().ends_with(",timed_out,over_memory"));
+        assert!(lines.next().unwrap().ends_with(",false,false"));
+        assert!(lines.next().unwrap().ends_with(",false,true"));
+        assert_eq!(lines.next(), None);
     }
 
     #[test]

@@ -26,8 +26,7 @@
 //!   engines, with an optional cross-thread answer stage.
 //! * [`pool`] — [`WorkerPool`], the persistent worker threads behind the
 //!   pipelined answer stage and the server's connection jobs.
-//! * [`stats`] / [`memory`] — latency statistics and heap accounting used by
-//!   the benchmark harness.
+//! * [`memory`] — heap accounting behind every engine's `heap_bytes`.
 //!
 //! ## Quick example
 //!
@@ -54,7 +53,6 @@ pub mod pool;
 pub mod query;
 pub mod relation;
 pub mod shard;
-pub mod stats;
 pub mod views;
 
 pub use engine::{

@@ -434,17 +434,6 @@ impl Relation {
         out
     }
 
-    /// Keeps only the rows where column `col` equals `value`.
-    pub fn filter_col_eq(&self, col: usize, value: Sym) -> Relation {
-        let mut out = Relation::new(self.arity);
-        for row in self.iter() {
-            if row[col] == value {
-                out.push(row);
-            }
-        }
-        out
-    }
-
     /// Collects all rows into owned vectors — convenient in tests.
     pub fn to_vec(&self) -> Vec<Vec<Sym>> {
         self.iter().map(|r| r.to_vec()).collect()
@@ -515,17 +504,6 @@ mod tests {
         assert_eq!(p.arity(), 2);
         let reordered = r.project(&[2, 0]);
         assert_eq!(reordered.row(0), &[s(3), s(1)]);
-    }
-
-    #[test]
-    fn filter_col_eq() {
-        let mut r = Relation::new(2);
-        r.push(&[s(1), s(2)]);
-        r.push(&[s(3), s(2)]);
-        r.push(&[s(1), s(4)]);
-        assert_eq!(r.filter_col_eq(0, s(1)).len(), 2);
-        assert_eq!(r.filter_col_eq(1, s(2)).len(), 2);
-        assert_eq!(r.filter_col_eq(1, s(9)).len(), 0);
     }
 
     #[test]

@@ -13,12 +13,19 @@
 //! are segmentation-invariant, while lifecycle placement is pinned by
 //! the explicit boundaries in the schedule.
 //!
+//! A fan-out test gives each of 16 subscriber connections one query of a
+//! generated windowed SNB workload while a separate pusher streams it: each
+//! subscriber must receive exactly its query's library-mode totals, on its
+//! own connection, without being dropped as a slow consumer.
+//!
 //! A proptest at the end checks the epoch contract directly on the
 //! pipeline: a registration queued mid-stream observes exactly the edge
 //! history pushed after the boundary that activated it, never a prefix
 //! that predates it.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -26,6 +33,7 @@ use proptest::prelude::*;
 use graph_stream_matching::all_engine_factories;
 use graph_stream_matching::core::prelude::*;
 use graph_stream_matching::core::ShardedEngine;
+use graph_stream_matching::datagen::{Dataset, Workload, WorkloadConfig};
 use gsm_server::{Client, Server, ServerConfig};
 
 /// One step of the shared schedule. Lifecycle steps are always followed
@@ -228,6 +236,158 @@ fn server_matches_library_inline_answers() {
 #[test]
 fn server_matches_library_threaded_answers() {
     assert_equivalent("threaded", "2 answer workers", &churn_schedule());
+}
+
+fn render_term(term: &Term, symbols: &SymbolTable) -> String {
+    match term {
+        Term::Var(v) => format!("?x{v}"),
+        Term::Const(s) => symbols.resolve(*s).to_string(),
+    }
+}
+
+/// The pattern in the syntax `QueryPattern::parse` reads.
+fn render_query(query: &QueryPattern, symbols: &SymbolTable) -> String {
+    query
+        .edges()
+        .iter()
+        .map(|e| {
+            format!(
+                "{} -{}-> {}",
+                render_term(&e.src, symbols),
+                symbols.resolve(e.label),
+                render_term(&e.tgt, symbols)
+            )
+        })
+        .collect::<Vec<_>>()
+        .join("; ")
+}
+
+#[test]
+fn every_subscriber_receives_exactly_its_query_totals() {
+    const SUBSCRIBERS: usize = 16;
+    let workload = Workload::generate(
+        WorkloadConfig::new(Dataset::Snb, 1_500, SUBSCRIBERS)
+            .with_selectivity(1.0)
+            .with_sliding_window(300),
+    );
+    assert_eq!(workload.queries.len(), SUBSCRIBERS);
+    let symbols = &workload.symbols;
+    let config = ServerConfig::default();
+    assert!(
+        SUBSCRIBERS < config.max_conns,
+        "the pusher needs a connection too"
+    );
+
+    // Library mode: register everything, one boundary, stream, drain.
+    let mut pipe = PipelinedEngine::new(gsm_tric::TricEngine::tric_plus(), config.pipeline);
+    for query in &workload.queries {
+        pipe.queue_register(query);
+    }
+    let mut done = pipe.drain();
+    let now = Instant::now();
+    for update in workload.stream.as_slice() {
+        done.extend(pipe.push_at(*update, now));
+    }
+    done.extend(pipe.drain());
+    let mut expected: Totals = BTreeMap::new();
+    for batch in done {
+        for m in batch.report.matches {
+            let entry = expected.entry(m.query.0).or_default();
+            entry.0 += m.new_embeddings;
+            entry.1 += m.retracted_embeddings;
+        }
+    }
+    assert!(expected.len() >= SUBSCRIBERS / 2, "too few queries match");
+    assert!(
+        expected.values().any(|t| t.1 > 0),
+        "no match was ever retracted"
+    );
+
+    // Server mode: one connection per query, registered in order, then one
+    // pusher that pins the activation boundary and streams the workload.
+    let server = Server::bind(
+        "127.0.0.1:0",
+        Box::new(gsm_tric::TricEngine::tric_plus()),
+        config,
+    )
+    .unwrap();
+    let mut subscribers = Vec::with_capacity(SUBSCRIBERS);
+    for query in &workload.queries {
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let (id, _) = client.register(&render_query(query, symbols)).unwrap();
+        subscribers.push((id, client));
+    }
+    let mut pusher = Client::connect(server.local_addr()).unwrap();
+    pusher.flush().unwrap();
+
+    let streamed = Arc::new(AtomicBool::new(false));
+    let drains: Vec<_> = subscribers
+        .into_iter()
+        .map(|(id, mut client)| {
+            let streamed = Arc::clone(&streamed);
+            std::thread::spawn(move || {
+                let mut received = Vec::new();
+                loop {
+                    match client.recv_notification(Duration::from_millis(20)).unwrap() {
+                        Some(n) => received.push(n),
+                        None if streamed.load(Ordering::Acquire) => break,
+                        None => {}
+                    }
+                }
+                // Every notification for this connection was queued before
+                // the pusher's final flush replied, and the queue is FIFO,
+                // so all of them arrive before this reply. A subscriber
+                // dropped as a slow consumer fails here.
+                client.ping().unwrap();
+                received.extend(client.take_notifications());
+                let mut totals = (0, 0);
+                for n in received {
+                    assert_eq!(n.id, id, "a notification reached the wrong subscriber");
+                    totals.0 += n.new;
+                    totals.1 += n.retracted;
+                }
+                (id, totals)
+            })
+        })
+        .collect();
+
+    let edges: Vec<(bool, String, String, String)> = workload
+        .stream
+        .as_slice()
+        .iter()
+        .map(|u| {
+            (
+                u.is_retraction(),
+                symbols.resolve(u.label).to_string(),
+                symbols.resolve(u.src).to_string(),
+                symbols.resolve(u.tgt).to_string(),
+            )
+        })
+        .collect();
+    for chunk in edges.chunks(64) {
+        let frame: Vec<(bool, &str, &str, &str)> = chunk
+            .iter()
+            .map(|(r, l, s, t)| (*r, l.as_str(), s.as_str(), t.as_str()))
+            .collect();
+        pusher.push(&frame).unwrap();
+    }
+    pusher.flush().unwrap();
+    streamed.store(true, Ordering::Release);
+
+    let mut served: Totals = BTreeMap::new();
+    for drain in drains {
+        let (id, totals) = drain.join().unwrap();
+        served.insert(id, totals);
+    }
+    assert_eq!(served.len(), SUBSCRIBERS);
+    for (id, totals) in &served {
+        assert_eq!(
+            *totals,
+            expected.get(id).copied().unwrap_or_default(),
+            "subscriber of query {id}"
+        );
+    }
+    assert!(pusher.take_notifications().is_empty());
 }
 
 /// The epoch contract, on the pipeline directly: a registration queued
