@@ -2,9 +2,9 @@
 //!
 //! Engines do **not** need the whole graph (the paper stresses that only the
 //! materialized views relevant to the query database are retained); this
-//! structure exists for workload generation, for the graph-database baseline's
-//! reference semantics, and for examples/tests that want to inspect the
-//! evolving graph.
+//! structure exists for workload generation (random walks over the generated
+//! graph pick the query patterns) and for tests that want to inspect the
+//! evolving graph. The graph-database baseline keeps its own store.
 
 use std::collections::{HashMap, HashSet};
 
@@ -19,8 +19,6 @@ pub struct AttributeGraph {
     out: HashMap<Sym, Vec<(Sym, Sym)>>,
     /// Incoming adjacency: target → (label, source), duplicates removed.
     inc: HashMap<Sym, Vec<(Sym, Sym)>>,
-    /// All edges grouped by label.
-    by_label: HashMap<Sym, Vec<(Sym, Sym)>>,
     /// Set of distinct edges, used to de-duplicate repeated updates.
     edges: HashSet<Update>,
     /// Set of vertices.
@@ -35,8 +33,7 @@ impl AttributeGraph {
 
     /// Builds a graph by replaying every update of a stream, sign-aware:
     /// insertions apply, retractions remove. The result is the from-scratch
-    /// state of the surviving edge set — the oracle the retraction
-    /// differential suites compare engines against.
+    /// state of the surviving edge set.
     pub fn from_updates<'a, I: IntoIterator<Item = &'a Update>>(updates: I) -> Self {
         let mut g = Self::new();
         for u in updates {
@@ -61,10 +58,6 @@ impl AttributeGraph {
         self.vertices.insert(u.tgt);
         self.out.entry(u.src).or_default().push((u.label, u.tgt));
         self.inc.entry(u.tgt).or_default().push((u.label, u.src));
-        self.by_label
-            .entry(u.label)
-            .or_default()
-            .push((u.src, u.tgt));
         true
     }
 
@@ -81,9 +74,6 @@ impl AttributeGraph {
         }
         if let Some(v) = self.inc.get_mut(&e.tgt) {
             v.retain(|&(l, s)| !(l == e.label && s == e.src));
-        }
-        if let Some(v) = self.by_label.get_mut(&e.label) {
-            v.retain(|&(s, t)| !(s == e.src && t == e.tgt));
         }
         true
     }
@@ -123,11 +113,6 @@ impl AttributeGraph {
         self.inc.get(&v).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// All `(source, target)` pairs carrying a given label.
-    pub fn edges_with_label(&self, label: Sym) -> &[(Sym, Sym)] {
-        self.by_label.get(&label).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// Out-degree of a vertex.
     pub fn out_degree(&self, v: Sym) -> usize {
         self.out_edges(v).len()
@@ -143,7 +128,6 @@ impl HeapSize for AttributeGraph {
     fn heap_size(&self) -> usize {
         self.out.heap_size()
             + self.inc.heap_size()
-            + self.by_label.heap_size()
             + self.edges.heap_size()
             + self.vertices.heap_size()
     }
@@ -167,7 +151,6 @@ mod tests {
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.out_degree(Sym(1)), 2);
         assert_eq!(g.in_degree(Sym(3)), 2);
-        assert_eq!(g.edges_with_label(Sym(0)).len(), 2);
     }
 
     #[test]
@@ -213,7 +196,6 @@ mod tests {
         assert_eq!(g.num_vertices(), 2, "vertices persist");
         assert_eq!(g.out_degree(Sym(1)), 1);
         assert_eq!(g.in_degree(Sym(2)), 1);
-        assert!(g.edges_with_label(Sym(0)).is_empty());
         // Re-adding after removal works as if it never existed.
         assert!(g.apply(u(0, 1, 2)));
         assert_eq!(g.num_edges(), 2);
@@ -224,6 +206,5 @@ mod tests {
         let g = AttributeGraph::new();
         assert!(g.out_edges(Sym(99)).is_empty());
         assert!(g.in_edges(Sym(99)).is_empty());
-        assert_eq!(g.edges_with_label(Sym(99)).len(), 0);
     }
 }

@@ -252,6 +252,44 @@ mod tests {
     }
 
     #[test]
+    fn retract_rows_keeps_every_build_over_the_relation_valid() {
+        // Two builds over one relation: the removed row leaves through
+        // both, neither starts over, and the next append reuses the
+        // vacated index in both.
+        let mut cache = JoinCache::new();
+        let mut r = Relation::new(2);
+        for [a, b] in [[1, 10], [2, 20], [1, 30], [3, 10]] {
+            r.push(&[s(a), s(b)]);
+        }
+        cache.get_or_build(&r, &[0]);
+        cache.get_or_build(&r, &[1]);
+        r.push(&[s(2), s(40)]); // neither build has seen this row yet
+        let gone = Relation::singleton(&[s(2), s(20)]);
+        assert_eq!(cache.retract_rows(&mut r, &gone), 1);
+        assert_eq!(cache.retract_rows(&mut r, &gone), 0);
+        assert_eq!(r.row(1), &[s(2), s(40)], "the last row filled the hole");
+        for build in &cache.builds[&r.id()] {
+            assert_eq!(build.generation(), r.generation());
+            assert_eq!(build.rows_indexed(), 4);
+        }
+        assert_eq!(cache.get_or_build(&r, &[0]).probe(&r, &[s(2)]), vec![1]);
+        let by_second = cache.get_or_build(&r, &[1]);
+        assert_eq!(by_second.probe(&r, &[s(20)]), Vec::<usize>::new());
+        assert_eq!(by_second.probe(&r, &[s(40)]), vec![1]);
+        r.push(&[s(2), s(50)]);
+        let mut hits = cache.get_or_build(&r, &[0]).probe(&r, &[s(2)]);
+        assert_eq!(cache.rebuilds(), 0, "restamped, so no rebuild");
+        hits.sort_unstable();
+        assert_eq!(hits, vec![1, 4]);
+        // A build outside the cache still answers correctly: it rebuilds.
+        let mut left_out = JoinBuild::build(&r, &[0]);
+        let gone = Relation::singleton(&[s(1), s(10)]);
+        assert_eq!(cache.retract_rows(&mut r, &gone), 1);
+        assert!(left_out.update(&r), "missed the move, starts over");
+        assert_eq!(left_out.probe(&r, &[s(1)]).len(), 1);
+    }
+
+    #[test]
     fn clear_empties_cache() {
         let mut cache = JoinCache::new();
         let r = Relation::new(1);

@@ -6,7 +6,7 @@
 //! so that the `+` engine variants can cache it across updates and maintain
 //! it incrementally as relations grow **and shrink**: appended rows are
 //! indexed by [`JoinBuild::update`], retracted rows leave through
-//! [`JoinBuild::retract_row`] / [`super::cache::JoinCache::retract_rows`].
+//! [`super::cache::JoinCache::retract_rows`].
 
 use std::borrow::BorrowMut;
 use std::ops::Range;
@@ -85,18 +85,6 @@ impl JoinBuild {
         }
         self.rows_indexed = self.rows_indexed.max(rel.len());
         rebuilt
-    }
-
-    /// Removes `row` from `rel` ([`Relation::retract_row`]) **through**
-    /// `builds` — each one a build over `rel` — so none of them has to
-    /// start over: they are first brought up to date, then follow the
-    /// swap-remove (the removed row's entry goes, the moved row's entry is
-    /// renumbered) and are restamped with the relation's new generation.
-    /// Returns whether the row was present. A build over `rel` that is left
-    /// out stays correct — it rebuilds on its next
-    /// [`update`](JoinBuild::update).
-    pub fn retract_row(rel: &mut Relation, row: &[Sym], builds: &mut [&mut JoinBuild]) -> bool {
-        retract_through(rel, std::iter::once(row), builds).0 == 1
     }
 
     /// Replays on this (up-to-date) build one swap-remove `rel` has just
@@ -217,8 +205,10 @@ impl HeapSize for JoinBuild {
 }
 
 /// Retracts `rows` from `rel` through `builds` (all of them builds over
-/// `rel`), the shared core of [`JoinBuild::retract_row`] and
-/// [`super::cache::JoinCache::retract_rows`]. Returns how many rows were
+/// `rel`), the core of [`super::cache::JoinCache::retract_rows`]: the
+/// builds are first brought up to date, then follow each swap-remove (the
+/// removed row's entry goes, the moved row's entry is renumbered) and are
+/// restamped with the relation's new generation. Returns how many rows were
 /// removed and how many builds were behind on generation and had to start
 /// over before they could follow.
 pub(super) fn retract_through<'r, B: BorrowMut<JoinBuild>>(
@@ -627,45 +617,6 @@ mod tests {
         assert_eq!(build.probe(&r, &[s(2)]).len(), 0);
         assert_eq!(build.probe(&r, &[s(3)]).len(), 1, "moved row found");
         assert_eq!(build.rows_indexed(), 2);
-    }
-
-    #[test]
-    fn retract_row_keeps_every_listed_build_valid() {
-        // The hand-maintained form (one relation, two builds): the removed
-        // row leaves through both, neither starts over, and the next
-        // append reuses the vacated index in both.
-        let mut r = rel(2, &[&[1, 10], &[2, 20], &[1, 30], &[3, 10]]);
-        let mut by_first = JoinBuild::build(&r, &[0]);
-        let mut by_second = JoinBuild::build(&r, &[1]);
-        r.push(&[s(2), s(40)]); // neither build has seen this row yet
-        assert!(JoinBuild::retract_row(
-            &mut r,
-            &[s(2), s(20)],
-            &mut [&mut by_first, &mut by_second]
-        ));
-        assert!(!JoinBuild::retract_row(
-            &mut r,
-            &[s(2), s(20)],
-            &mut [&mut by_first, &mut by_second]
-        ));
-        assert_eq!(r.row(1), &[s(2), s(40)], "the last row filled the hole");
-        for build in [&by_first, &by_second] {
-            assert_eq!(build.generation(), r.generation());
-            assert_eq!(build.rows_indexed(), 4);
-        }
-        assert_eq!(by_first.probe(&r, &[s(2)]), vec![1]);
-        assert_eq!(by_second.probe(&r, &[s(20)]), Vec::<usize>::new());
-        assert_eq!(by_second.probe(&r, &[s(40)]), vec![1]);
-        r.push(&[s(2), s(50)]);
-        assert!(!by_first.update(&r), "restamped, so no rebuild");
-        let mut hits = by_first.probe(&r, &[s(2)]);
-        hits.sort_unstable();
-        assert_eq!(hits, vec![1, 4]);
-        // A build that was left out still answers correctly: it rebuilds.
-        let mut left_out = JoinBuild::build(&r, &[0]);
-        assert!(JoinBuild::retract_row(&mut r, &[s(1), s(10)], &mut []));
-        assert!(left_out.update(&r), "missed the move, starts over");
-        assert_eq!(left_out.probe(&r, &[s(1)]).len(), 1);
     }
 
     #[test]

@@ -222,8 +222,8 @@ impl GraphDbEngine {
     /// **before** the database changes — every affected query is answered
     /// against the pre-removal store, anchored at each edge about to go
     /// (an embedding disappears iff it maps some pattern edge onto a
-    /// removed edge) — and only then are the edges deleted from the store
-    /// and its per-label probe indexes.
+    /// removed edge) — and only then are the edges deleted from the
+    /// store's edge set and adjacency.
     fn retract_batch(&mut self, updates: &[Update]) -> MatchReport {
         self.stats.updates_processed += updates.len() as u64;
 

@@ -10,8 +10,8 @@
 //! the pieces of an embedded property-graph database the baseline actually
 //! relies on:
 //!
-//! * [`store`] — an in-memory graph store with per-label indexes and
-//!   adjacency lists in both directions;
+//! * [`store`] — an in-memory graph store on std collections: the edge set
+//!   and per-label adjacency in both directions, held once;
 //! * [`plan`] — a per-query execution plan (pattern-edge ordering chosen by a
 //!   selectivity heuristic) with a plan cache, mirroring Neo4j's parameterised
 //!   query-plan caching;
@@ -24,7 +24,14 @@
 //! The role of the baseline is preserved exactly: the whole graph is stored,
 //! and every affected query is re-evaluated from scratch against the store on
 //! every update, which is why it loses to TRIC by a growing margin as the
-//! graph grows.
+//! graph grows. It is an in-process matcher, though, with no transaction,
+//! Cypher parsing or plan-compilation cost, so it is a stronger baseline than
+//! the paper's Neo4j deployment.
+//!
+//! Because the crate shares no code with the relational engines — no
+//! relations, join builds, join cache or materialized views — it is also the
+//! independent reference the differential suites check every other engine
+//! against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -119,59 +119,37 @@ fn backtrack(
             }
         }
         (Some(s), None) => {
-            // Candidate targets via a zero-allocation hash probe of the
-            // label's (src, tgt) relation keyed on src — the same
-            // probe_iter substrate the relational engines use, replacing
-            // the former label-filtered scan of the vertex's adjacency
-            // list. The iterator borrows the store immutably, so recursing
-            // while it is live is fine.
-            let Some(probe) = store.label_probe(label) else {
-                return; // no edge carries this label yet
-            };
-            let key = [s];
-            for idx in probe.by_src.probe_iter(&probe.edges, &key) {
-                let t = probe.edges.row(idx)[1];
-                if sv == tv && t != s {
-                    continue;
-                }
+            // Candidate targets: `s`'s out-adjacency under the label. The
+            // slice borrows the store immutably, so recursing over it is
+            // fine.
+            for &t in store.targets(label, s) {
                 bindings[tv] = Some(t);
                 backtrack(query, store, order, depth + 1, bindings, collector);
-                bindings[tv] = None;
             }
+            bindings[tv] = None;
         }
         (None, Some(t)) => {
-            // Symmetric probe keyed on tgt.
-            let Some(probe) = store.label_probe(label) else {
-                return;
-            };
-            let key = [t];
-            for idx in probe.by_tgt.probe_iter(&probe.edges, &key) {
-                let s = probe.edges.row(idx)[0];
-                if sv == tv && s != t {
-                    continue;
-                }
+            // Symmetric: `t`'s in-adjacency under the label.
+            for &s in store.sources(label, t) {
                 bindings[sv] = Some(s);
                 backtrack(query, store, order, depth + 1, bindings, collector);
-                bindings[sv] = None;
             }
+            bindings[sv] = None;
         }
         (None, None) => {
             // Disconnected start (only possible for the very first edge of an
-            // un-anchored plan): scan the label's edge relation.
-            let Some(probe) = store.label_probe(label) else {
-                return;
-            };
-            for row in probe.edges.iter() {
-                let (s, t) = (row[0], row[1]);
+            // un-anchored plan): scan the label's edges. A self-loop pattern
+            // edge binds one vertex, so it matches loops only.
+            for (s, t) in store.label_edges(label) {
                 if sv == tv && s != t {
                     continue;
                 }
                 bindings[sv] = Some(s);
                 bindings[tv] = Some(t);
                 backtrack(query, store, order, depth + 1, bindings, collector);
-                bindings[sv] = None;
-                bindings[tv] = None;
             }
+            bindings[sv] = None;
+            bindings[tv] = None;
         }
     }
 }
@@ -183,15 +161,6 @@ pub fn count_embeddings(query: &QueryPattern, store: &GraphStore) -> usize {
     let mut collector = MatchCollector::new();
     execute(query, &plan, store, None, &mut collector);
     collector.len()
-}
-
-/// Returns the distinct query-vertex assignments (embeddings) as a set of
-/// vectors ordered by query-vertex id — a reference oracle for tests.
-pub fn all_embeddings(query: &QueryPattern, store: &GraphStore) -> HashSet<Vec<Sym>> {
-    let plan = QueryPlan::build(query, store, None);
-    let mut collector = MatchCollector::new();
-    execute(query, &plan, store, None, &mut collector);
-    collector.embeddings
 }
 
 #[cfg(test)]

@@ -1,188 +1,148 @@
 //! The embedded graph store.
 //!
-//! A thin property-graph layer: adjacency in both directions and a
-//! per-label edge index (the equivalent of Neo4j's schema indexes the paper
-//! enables), whose sizes are the cardinality statistics the query planner
-//! reads.
+//! A thin property-graph layer on std collections (hashed with the
+//! workspace's Fx hasher, as the other engines' symbol-keyed maps are),
+//! holding the graph once: the set of distinct edges (the O(1) duplicate
+//! and existence check) and, per label, adjacency in both directions
+//! (`label → vertex → neighbours`) — the equivalent of Neo4j's
+//! relationship-type-filtered expansion. The backtracking matcher expands a bound vertex through
+//! that label's adjacency, and the per-label edge counts are the
+//! cardinality statistics the query planner reads.
 //!
-//! Candidate enumeration for the backtracking matcher goes through
-//! [`LabelProbeIndex`]: each label's edges are kept as a two-column
-//! [`Relation`] with incrementally maintained hash builds keyed on source
-//! and on target — the same zero-allocation `probe_iter`/`probe_each`
-//! substrate the relational engines use — so the baseline's per-candidate
-//! cost is a verified hash probe instead of a label-filtered scan of a
-//! vertex's whole adjacency list.
-//!
-//! The [`AttributeGraph`] adjacency lists and per-label edge index remain
-//! maintained alongside the probe indexes even though the matcher no
-//! longer reads them: the graph provides the O(1) duplicate check on
-//! insert and the paper-faithful property-graph surface
-//! (`out_edges`/`in_edges`/`edges_with_label`), mirroring a real database
-//! that keeps adjacency *and* schema indexes. The cost is deliberate and
-//! visible in `heap_size` — the memory-comparison experiment (Tab. 13c)
-//! reports the baseline including both structures, as the paper's Neo4j
-//! deployment would.
-
-use std::collections::HashMap;
+//! The store shares no code with the relational engines (no relations,
+//! join builds or views), so the graph-database baseline is an
+//! independent reference the differential suites check every other
+//! engine against.
 
 use gsm_core::interner::Sym;
 use gsm_core::memory::HeapSize;
-use gsm_core::model::graph::AttributeGraph;
 use gsm_core::model::update::Update;
-use gsm_core::relation::join::JoinBuild;
-use gsm_core::relation::Relation;
+use gsm_core::relation::fasthash::{FxHashMap, FxHashSet};
 
-/// One label's edges on the relational probe substrate: a `(src, tgt)`
-/// relation plus hash builds over both columns, maintained incrementally on
-/// every insert and every removal (the builds never start over: a removed
-/// edge leaves the relation through them).
-#[derive(Debug)]
-pub struct LabelProbeIndex {
-    /// The label's edges as `(src, tgt)` rows. Distinct by construction:
-    /// the attribute graph deduplicates edges before they reach here.
-    pub edges: Relation,
-    /// Hash build keyed on the source column.
-    pub by_src: JoinBuild,
-    /// Hash build keyed on the target column.
-    pub by_tgt: JoinBuild,
+/// One label's edges as adjacency in both directions. A vertex is a key
+/// only while it has at least one edge of the label in that direction.
+#[derive(Debug, Default)]
+struct LabelAdjacency {
+    /// Source → targets.
+    out: FxHashMap<Sym, Vec<Sym>>,
+    /// Target → sources.
+    inc: FxHashMap<Sym, Vec<Sym>>,
+    /// Number of edges carrying the label.
+    len: usize,
 }
 
-impl LabelProbeIndex {
-    fn new() -> Self {
-        let edges = Relation::new_distinct(2);
-        let by_src = JoinBuild::build(&edges, &[0]);
-        let by_tgt = JoinBuild::build(&edges, &[1]);
-        LabelProbeIndex {
-            edges,
-            by_src,
-            by_tgt,
-        }
-    }
-
-    fn insert(&mut self, src: Sym, tgt: Sym) {
-        self.edges.append_distinct(&[src, tgt]);
-        self.by_src.update(&self.edges);
-        self.by_tgt.update(&self.edges);
-    }
-
-    fn remove(&mut self, src: Sym, tgt: Sym) {
-        JoinBuild::retract_row(
-            &mut self.edges,
-            &[src, tgt],
-            &mut [&mut self.by_src, &mut self.by_tgt],
-        );
-    }
-}
-
-impl HeapSize for LabelProbeIndex {
+impl HeapSize for LabelAdjacency {
     fn heap_size(&self) -> usize {
-        self.edges.heap_size() + self.by_src.heap_size() + self.by_tgt.heap_size()
+        self.out.heap_size() + self.inc.heap_size()
+    }
+}
+
+/// Removes `v` from the neighbour list of `key`, dropping the entry once
+/// the list is empty so that a vertex's last edge takes its heap with it.
+fn unlink(adjacency: &mut FxHashMap<Sym, Vec<Sym>>, key: Sym, v: Sym) {
+    let Some(neighbours) = adjacency.get_mut(&key) else {
+        return;
+    };
+    if let Some(i) = neighbours.iter().position(|&n| n == v) {
+        neighbours.swap_remove(i);
+    }
+    if neighbours.is_empty() {
+        adjacency.remove(&key);
     }
 }
 
 /// An in-memory property-graph store.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct GraphStore {
-    graph: AttributeGraph,
-    /// Per-label probe indexes for the matcher's candidate enumeration;
-    /// their sizes are the planner's selectivity statistics.
-    label_probes: HashMap<Sym, LabelProbeIndex>,
+    /// Every stored edge, in the sign-normalized [`Update::edge`] form.
+    edges: FxHashSet<Update>,
+    /// Per-label adjacency; a label is a key only while it has edges.
+    labels: FxHashMap<Sym, LabelAdjacency>,
 }
 
 impl GraphStore {
     /// Creates an empty store.
     pub fn new() -> Self {
-        GraphStore {
-            graph: AttributeGraph::new(),
-            label_probes: HashMap::new(),
-        }
+        Self::default()
     }
 
     /// Applies an edge addition. Returns `true` if the edge was new.
     pub fn insert_edge(&mut self, u: Update) -> bool {
-        let added = self.graph.apply(u);
-        if added {
-            self.label_probes
-                .entry(u.label)
-                .or_insert_with(LabelProbeIndex::new)
-                .insert(u.src, u.tgt);
+        let e = u.edge();
+        if !self.edges.insert(e) {
+            return false;
         }
-        added
+        let adjacency = self.labels.entry(e.label).or_default();
+        adjacency.out.entry(e.src).or_default().push(e.tgt);
+        adjacency.inc.entry(e.tgt).or_default().push(e.src);
+        adjacency.len += 1;
+        true
     }
 
     /// Applies an edge retraction (either sign — the lookup is
-    /// sign-normalized). Returns `true` if the edge existed; adjacency and
-    /// the label's probe index shrink together.
+    /// sign-normalized). Returns `true` if the edge existed.
     pub fn remove_edge(&mut self, u: Update) -> bool {
         let e = u.edge();
-        let removed = self.graph.remove(e);
-        if removed {
-            if let Some(probe) = self.label_probes.get_mut(&e.label) {
-                probe.remove(e.src, e.tgt);
-            }
+        if !self.edges.remove(&e) {
+            return false;
         }
-        removed
-    }
-
-    /// The probe index of `label`, if any edge with that label exists.
-    /// The matcher's candidate enumeration probes this instead of scanning
-    /// adjacency lists.
-    pub fn label_probe(&self, label: Sym) -> Option<&LabelProbeIndex> {
-        self.label_probes.get(&label)
-    }
-
-    /// The underlying attribute graph.
-    pub fn graph(&self) -> &AttributeGraph {
-        &self.graph
+        let adjacency = self
+            .labels
+            .get_mut(&e.label)
+            .expect("a stored edge's label has adjacency");
+        unlink(&mut adjacency.out, e.src, e.tgt);
+        unlink(&mut adjacency.inc, e.tgt, e.src);
+        adjacency.len -= 1;
+        if adjacency.len == 0 {
+            self.labels.remove(&e.label);
+        }
+        true
     }
 
     /// Number of edges carrying `label` (0 if unseen).
     pub fn label_count(&self, label: Sym) -> usize {
-        self.label_probes
-            .get(&label)
-            .map_or(0, |probe| probe.edges.len())
+        self.labels.get(&label).map_or(0, |a| a.len)
     }
 
     /// Number of distinct edges stored.
     pub fn num_edges(&self) -> usize {
-        self.graph.num_edges()
-    }
-
-    /// Number of distinct vertices stored.
-    pub fn num_vertices(&self) -> usize {
-        self.graph.num_vertices()
+        self.edges.len()
     }
 
     /// True if the exact edge is stored.
     pub fn has_edge(&self, label: Sym, src: Sym, tgt: Sym) -> bool {
-        self.graph.contains(&Update::new(label, src, tgt))
+        self.edges.contains(&Update::new(label, src, tgt))
     }
 
-    /// Outgoing `(label, target)` pairs of `v`.
-    pub fn out_edges(&self, v: Sym) -> &[(Sym, Sym)] {
-        self.graph.out_edges(v)
+    /// The targets of `src`'s edges carrying `label`.
+    pub(crate) fn targets(&self, label: Sym, src: Sym) -> &[Sym] {
+        self.labels
+            .get(&label)
+            .and_then(|a| a.out.get(&src))
+            .map_or(&[], Vec::as_slice)
     }
 
-    /// Incoming `(label, source)` pairs of `v`.
-    pub fn in_edges(&self, v: Sym) -> &[(Sym, Sym)] {
-        self.graph.in_edges(v)
+    /// The sources of `tgt`'s edges carrying `label`.
+    pub(crate) fn sources(&self, label: Sym, tgt: Sym) -> &[Sym] {
+        self.labels
+            .get(&label)
+            .and_then(|a| a.inc.get(&tgt))
+            .map_or(&[], Vec::as_slice)
     }
 
-    /// All `(source, target)` pairs with `label`.
-    pub fn edges_with_label(&self, label: Sym) -> &[(Sym, Sym)] {
-        self.graph.edges_with_label(label)
-    }
-}
-
-impl Default for GraphStore {
-    fn default() -> Self {
-        Self::new()
+    /// Every `(source, target)` pair carrying `label`.
+    pub(crate) fn label_edges(&self, label: Sym) -> impl Iterator<Item = (Sym, Sym)> + '_ {
+        self.labels
+            .get(&label)
+            .into_iter()
+            .flat_map(|a| a.out.iter())
+            .flat_map(|(&s, targets)| targets.iter().map(move |&t| (s, t)))
     }
 }
 
 impl HeapSize for GraphStore {
     fn heap_size(&self) -> usize {
-        self.graph.heap_size() + self.label_probes.heap_size()
+        self.edges.heap_size() + self.labels.heap_size()
     }
 }
 
@@ -194,104 +154,125 @@ mod tests {
         Update::new(Sym(l), Sym(s), Sym(t))
     }
 
-    #[test]
-    fn insert_updates_label_statistics() {
-        let mut store = GraphStore::new();
-        store.insert_edge(u(0, 1, 2));
-        store.insert_edge(u(0, 2, 3));
-        store.insert_edge(u(1, 1, 3));
-        assert_eq!(store.label_count(Sym(0)), 2);
-        assert_eq!(store.label_count(Sym(1)), 1);
-        assert_eq!(store.label_count(Sym(9)), 0);
-        assert_eq!(store.num_edges(), 3);
-        assert_eq!(store.num_vertices(), 3);
+    fn sorted(syms: &[Sym]) -> Vec<Sym> {
+        let mut v = syms.to_vec();
+        v.sort_unstable();
+        v
     }
 
     #[test]
-    fn duplicate_edges_do_not_inflate_statistics() {
+    fn insert_fills_the_edge_set_and_both_adjacencies() {
+        let mut store = GraphStore::new();
+        assert!(store.insert_edge(u(0, 1, 2)));
+        assert!(store.insert_edge(u(0, 1, 3)));
+        assert!(store.insert_edge(u(0, 4, 2)));
+        assert!(store.insert_edge(u(1, 1, 2)));
+        assert_eq!(store.num_edges(), 4);
+        assert_eq!(store.label_count(Sym(0)), 3);
+        assert_eq!(store.label_count(Sym(1)), 1);
+        assert_eq!(store.label_count(Sym(9)), 0);
+        assert!(store.has_edge(Sym(0), Sym(1), Sym(2)));
+        assert!(!store.has_edge(Sym(0), Sym(2), Sym(1)));
+        assert_eq!(sorted(store.targets(Sym(0), Sym(1))), vec![Sym(2), Sym(3)]);
+        assert_eq!(sorted(store.sources(Sym(0), Sym(2))), vec![Sym(1), Sym(4)]);
+        assert_eq!(store.targets(Sym(1), Sym(1)), &[Sym(2)]);
+        assert!(store.targets(Sym(0), Sym(9)).is_empty());
+        assert!(store.sources(Sym(7), Sym(2)).is_empty(), "unseen label");
+        let mut edges: Vec<(Sym, Sym)> = store.label_edges(Sym(0)).collect();
+        edges.sort_unstable();
+        assert_eq!(
+            edges,
+            vec![(Sym(1), Sym(2)), (Sym(1), Sym(3)), (Sym(4), Sym(2))]
+        );
+        assert_eq!(store.label_edges(Sym(7)).count(), 0);
+    }
+
+    #[test]
+    fn duplicate_inserts_are_absorbed() {
         let mut store = GraphStore::new();
         assert!(store.insert_edge(u(0, 1, 2)));
         assert!(!store.insert_edge(u(0, 1, 2)));
+        assert_eq!(store.num_edges(), 1);
         assert_eq!(store.label_count(Sym(0)), 1);
+        assert_eq!(store.targets(Sym(0), Sym(1)), &[Sym(2)]);
+        assert_eq!(store.sources(Sym(0), Sym(2)), &[Sym(1)]);
     }
 
     #[test]
-    fn label_probe_index_agrees_with_adjacency() {
-        let mut store = GraphStore::new();
-        let edges = [
-            u(0, 1, 2),
-            u(0, 1, 3),
-            u(0, 4, 2),
-            u(1, 1, 2),
-            u(0, 1, 2), // duplicate: absorbed everywhere
-        ];
-        for e in edges {
-            store.insert_edge(e);
-        }
-        let probe = store.label_probe(Sym(0)).expect("label 0 indexed");
-        assert_eq!(probe.edges.len(), 3, "duplicates never reach the index");
-
-        // Probe by source == label-filtered out-edges.
-        let key = [Sym(1)];
-        let mut targets: Vec<Sym> = probe
-            .by_src
-            .probe_iter(&probe.edges, &key)
-            .map(|i| probe.edges.row(i)[1])
-            .collect();
-        targets.sort();
-        assert_eq!(targets, vec![Sym(2), Sym(3)]);
-
-        // Probe by target == label-filtered in-edges.
-        let key = [Sym(2)];
-        let mut sources: Vec<Sym> = probe
-            .by_tgt
-            .probe_iter(&probe.edges, &key)
-            .map(|i| probe.edges.row(i)[0])
-            .collect();
-        sources.sort();
-        assert_eq!(sources, vec![Sym(1), Sym(4)]);
-
-        // Misses and unseen labels.
-        let key = [Sym(9)];
-        assert_eq!(probe.by_src.probe_iter(&probe.edges, &key).count(), 0);
-        assert!(store.label_probe(Sym(7)).is_none());
-    }
-
-    #[test]
-    fn remove_edge_shrinks_statistics_and_probe_indexes() {
+    fn removal_by_either_sign() {
         let mut store = GraphStore::new();
         store.insert_edge(u(0, 1, 2));
         store.insert_edge(u(0, 1, 3));
         store.insert_edge(u(1, 1, 2));
-        assert!(store.remove_edge(u(0, 1, 2).inverted()));
+        assert!(store.remove_edge(u(0, 1, 2).inverted()), "retraction sign");
         assert!(!store.remove_edge(u(0, 1, 2)), "already gone");
-        assert_eq!(store.label_count(Sym(0)), 1);
-        assert_eq!(store.num_edges(), 2);
+        assert!(store.remove_edge(u(0, 1, 3)), "insertion sign");
+        assert!(!store.remove_edge(u(0, 7, 8)), "never there");
+        assert_eq!(store.num_edges(), 1);
+        assert_eq!(store.label_count(Sym(0)), 0);
         assert!(!store.has_edge(Sym(0), Sym(1), Sym(2)));
-
-        // The probe index lost the row and both builds followed the removal.
-        let probe = store.label_probe(Sym(0)).expect("label 0 indexed");
-        assert_eq!(probe.edges.len(), 1);
-        let key = [Sym(1)];
-        let targets: Vec<Sym> = probe
-            .by_src
-            .probe_iter(&probe.edges, &key)
-            .map(|i| probe.edges.row(i)[1])
-            .collect();
-        assert_eq!(targets, vec![Sym(3)]);
-        let key = [Sym(2)];
-        assert_eq!(probe.by_tgt.probe_iter(&probe.edges, &key).count(), 0);
+        assert!(store.targets(Sym(0), Sym(1)).is_empty());
+        assert!(store.sources(Sym(0), Sym(2)).is_empty());
+        assert!(
+            store.has_edge(Sym(1), Sym(1), Sym(2)),
+            "parallel label kept"
+        );
+        assert_eq!(store.sources(Sym(1), Sym(2)), &[Sym(1)]);
+        // A removed edge comes back as if it had never been stored.
+        assert!(store.insert_edge(u(0, 1, 2)));
+        assert_eq!(store.label_count(Sym(0)), 1);
     }
 
     #[test]
-    fn adjacency_lookups() {
+    fn a_self_loop_is_its_own_source_and_target() {
+        let mut store = GraphStore::new();
+        assert!(store.insert_edge(u(0, 5, 5)));
+        assert!(!store.insert_edge(u(0, 5, 5)));
+        assert_eq!(store.targets(Sym(0), Sym(5)), &[Sym(5)]);
+        assert_eq!(store.sources(Sym(0), Sym(5)), &[Sym(5)]);
+        assert_eq!(
+            store.label_edges(Sym(0)).collect::<Vec<_>>(),
+            [(Sym(5), Sym(5))]
+        );
+        assert!(store.remove_edge(u(0, 5, 5).inverted()));
+        assert!(store.targets(Sym(0), Sym(5)).is_empty());
+        assert!(store.sources(Sym(0), Sym(5)).is_empty());
+        assert_eq!(store.num_edges(), 0);
+    }
+
+    #[test]
+    fn label_count_follows_churn() {
+        let mut store = GraphStore::new();
+        let mut live = 0;
+        for round in 0..5u32 {
+            for i in 0..10 {
+                live += usize::from(store.insert_edge(u(0, i, (i + round) % 10)));
+            }
+            for i in (0..10).step_by(3) {
+                live -= usize::from(store.remove_edge(u(0, i, (i + round) % 10).inverted()));
+            }
+            assert_eq!(store.label_count(Sym(0)), live, "round {round}");
+            assert_eq!(store.label_edges(Sym(0)).count(), live);
+            assert_eq!(store.num_edges(), live);
+        }
+    }
+
+    #[test]
+    fn a_vertex_loses_its_adjacency_entry_with_its_last_edge_of_the_label() {
         let mut store = GraphStore::new();
         store.insert_edge(u(0, 1, 2));
-        store.insert_edge(u(1, 1, 3));
-        assert_eq!(store.out_edges(Sym(1)).len(), 2);
-        assert_eq!(store.in_edges(Sym(2)).len(), 1);
-        assert!(store.has_edge(Sym(0), Sym(1), Sym(2)));
-        assert!(!store.has_edge(Sym(0), Sym(2), Sym(1)));
-        assert_eq!(store.edges_with_label(Sym(1)).len(), 1);
+        let before = store.heap_size();
+        store.insert_edge(u(0, 5, 6));
+        store.insert_edge(u(0, 1, 6));
+        assert!(store.heap_size() > before);
+        store.remove_edge(u(0, 5, 6));
+        store.remove_edge(u(0, 1, 6));
+        let adjacency = &store.labels[&Sym(0)];
+        assert!(!adjacency.out.contains_key(&Sym(5)));
+        assert!(!adjacency.inc.contains_key(&Sym(6)));
+        assert_eq!(store.heap_size(), before, "the heap shrinks back");
+        // The label's last edge takes the label's entry with it.
+        store.remove_edge(u(0, 1, 2));
+        assert!(store.labels.is_empty());
     }
 }

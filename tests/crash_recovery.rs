@@ -1,7 +1,8 @@
 //! Crash-injection differential recovery suite — the headline contract of
 //! the persistence layer: **a crashed-and-recovered engine finishes the
-//! stream with per-query totals byte-identical to an uninterrupted
-//! from-scratch run.**
+//! stream with per-query totals identical to the oracle's**: one bare,
+//! uninterrupted graph-database baseline run over the same workload (the
+//! independent reference of the differential suites).
 //!
 //! Two fault surfaces are exercised, swept across every engine × {1, 2}
 //! shards × {inline, 2 threaded answer workers}:
@@ -36,6 +37,7 @@ use std::time::Duration;
 
 use graph_stream_matching::core::prelude::*;
 use graph_stream_matching::datagen::{Dataset, Workload, WorkloadConfig};
+use graph_stream_matching::graphdb::GraphDbEngine;
 use graph_stream_matching::persist::{
     DirFactory, FaultPlan, MemFactory, PersistConfig, PersistentEngine, QueryTotals,
 };
@@ -60,24 +62,26 @@ fn workload(seed: u64) -> Workload {
     )
 }
 
-/// From-scratch uninterrupted oracle: same engine/shard composition, fresh
-/// in-memory namespace, whole stream in one sitting.
-fn oracle_totals(engine_idx: usize, shards: usize, wl: &Workload) -> Vec<QueryTotals> {
-    let (mut engine, _) = open_persistent_engine(
-        engine_idx,
-        shards,
-        Box::new(MemFactory::new()),
-        PersistConfig::default(),
-    )
-    .expect("oracle open");
-    engine.note_symbols(&wl.symbols).expect("oracle symbols");
+/// The oracle: per-query totals of one bare GraphDB run over the whole
+/// workload, in chunks of [`BATCH`]. `embeddings`/`retracted` totals do not
+/// depend on the engine, the shard count or the batch cuts (pinned by the
+/// differential suites), so one run serves every composition of the
+/// workload.
+fn oracle_totals(wl: &Workload) -> Vec<QueryTotals> {
+    let mut engine = GraphDbEngine::new();
     for q in &wl.queries {
-        engine.try_register_query(q).expect("oracle register");
+        engine.register_query(q).expect("oracle register");
     }
+    let mut totals = vec![QueryTotals::default(); wl.queries.len()];
     for batch in wl.stream.as_slice().chunks(BATCH) {
-        engine.try_apply_batch(batch).expect("oracle batch");
+        for m in engine.apply_batch(batch).matches {
+            let t = &mut totals[m.query.index()];
+            t.embeddings += m.new_embeddings;
+            t.retracted += m.retracted_embeddings;
+            t.notifications += 1;
+        }
     }
-    engine.totals().to_vec()
+    totals
 }
 
 fn assert_totals_match(got: &[QueryTotals], oracle: &[QueryTotals], context: &str) {
@@ -318,7 +322,7 @@ fn read_totals(out: &std::path::Path, expected_updates: u64) -> Vec<QueryTotals>
 
 /// SIGKILLs the worker at `kills.len()` randomized boundaries (respawning
 /// over the same directory each time), lets the final respawn finish, and
-/// compares its totals to the uninterrupted oracle.
+/// compares its totals to the oracle.
 fn sigkill_sweep(engine_idx: usize) {
     let engine_name = all_engine_factories()[engine_idx]().name();
     let base = std::env::temp_dir().join(format!(
@@ -327,11 +331,11 @@ fn sigkill_sweep(engine_idx: usize) {
         engine_name
     ));
     let mut rng = StdRng::seed_from_u64(0xC4A5 + engine_idx as u64);
+    let seed = 900 + engine_idx as u64;
+    let wl = workload(seed);
+    let total = wl.stream.len();
+    let oracle = oracle_totals(&wl);
     for (scenario_idx, scenario) in SCENARIOS.iter().enumerate() {
-        let seed = 900 + engine_idx as u64;
-        let wl = workload(seed);
-        let total = wl.stream.len();
-        let oracle = oracle_totals(engine_idx, scenario.shards, &wl);
         let dir = base.join(format!("s{scenario_idx}"));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
@@ -472,9 +476,7 @@ fn corruption_sweep(engine_idx: usize) {
     let engine_name = all_engine_factories()[engine_idx]().name();
     let seed = 7_000 + engine_idx as u64;
     let wl = workload(seed);
-    // Totals are shard-count invariant (pinned by the shard differential
-    // suites), so one oracle serves both shard counts.
-    let oracle = oracle_totals(engine_idx, 1, &wl);
+    let oracle = oracle_totals(&wl);
     let mut rng = StdRng::seed_from_u64(seed);
     // 16 randomized corruption recoveries here + 8 respawn recoveries in the
     // SIGKILL sweep = 24 recovery runs per engine.

@@ -1,17 +1,21 @@
 //! The differential suite: every engine and every composition we ship must
-//! report exactly what the bare engines report one update at a time.
+//! report exactly what the graph-database baseline reports one update at a
+//! time.
 //!
-//! TRIC and TRIC+ (the paper's contribution), the four inverted-index
-//! baselines and the graph-database baseline are independent
-//! implementations that share only the covering-path decomposition and the
-//! relational kernel, so agreement across all seven is strong evidence
-//! each one is right; the sharded, pipelined and threaded wrappers must
-//! then change nothing but how the stream is cut. See [`harness`] for the
-//! reference and the check, and the `workloads!` invocation below for the
-//! cases. Each case is replayed once per run of this binary and shared by
-//! its tests; there is one `#[test]` per (family, case), named
-//! `<family>::<case>`. The other modules drive the same check from
-//! hand-built scenarios, sharding topologies and random workloads.
+//! The reference, GraphDB, stores the graph on std collections and
+//! backtracks over it for each update, so it shares no routing,
+//! propagation, relation or join code with TRIC and TRIC+ (the paper's
+//! contribution) or the four inverted-index baselines; those six share the
+//! covering-path decomposition and the relational kernel with each other,
+//! but not with it. Its own net totals are checked against a from-scratch
+//! count of each query's embeddings. The sharded, pipelined and threaded
+//! wrappers must then change nothing but how the stream is cut. See
+//! [`harness`] for the reference and the check, and the `workloads!`
+//! invocation below for the cases. Each case is replayed once per run of
+//! this binary and shared by its tests; there is one `#[test]` per
+//! (family, case), named `<family>::<case>`. The other modules drive the
+//! same check from hand-built scenarios, sharding topologies and random
+//! workloads.
 
 mod harness;
 mod properties;

@@ -14,6 +14,7 @@ use proptest::prelude::*;
 use graph_stream_matching::baselines::{BaselineEngine, BaselineMode};
 use graph_stream_matching::core::prelude::*;
 use graph_stream_matching::core::ShardedEngine;
+use graph_stream_matching::graphdb::GraphDbEngine;
 use graph_stream_matching::tric::TricEngine;
 use graph_stream_matching::{all_engine_factories, all_engines};
 
@@ -170,18 +171,18 @@ fn run_step<E: ContinuousEngine>(
     }
 }
 
-/// Bare TRIC under a churn schedule: the steps run so far and what TRIC
-/// returned at each.
+/// Bare GraphDB under a churn schedule: the steps run so far and what
+/// GraphDB returned at each.
 struct ChurnReference<'a> {
     queries: &'a [QueryPattern],
     stream: &'a [Update],
-    engine: TricEngine,
+    engine: GraphDbEngine,
     steps: Vec<Step>,
     observed: Vec<Observed>,
 }
 
 impl ChurnReference<'_> {
-    /// Runs `step` and checks TRIC against the trait's id contract:
+    /// Runs `step` and checks GraphDB against the trait's id contract:
     /// registrations draw sequential, never reused ids, unknown ids fail
     /// typed, and `num_queries` counts exactly the registered ids.
     fn record(&mut self, step: Step) {
@@ -220,8 +221,8 @@ impl ChurnReference<'_> {
 /// batches whose lengths cycle through `chunk_lens`, and at each `ops`
 /// point `(position, kind, pick)` registers a fixed query (kind 0),
 /// unregisters a live id (1) or a dead id (2), or unregisters an id never
-/// issued (3). Picks resolve against bare TRIC as it runs. Returns the
-/// resolved schedule and what TRIC returned at each step.
+/// issued (3). Picks resolve against bare GraphDB as it runs. Returns the
+/// resolved schedule and what GraphDB returned at each step.
 fn churn_reference(
     queries: &[QueryPattern],
     stream: &[Update],
@@ -236,7 +237,7 @@ fn churn_reference(
     let mut reference = ChurnReference {
         queries,
         stream,
-        engine: TricEngine::tric(),
+        engine: GraphDbEngine::new(),
         steps: Vec::new(),
         observed: Vec::new(),
     };
@@ -275,8 +276,8 @@ proptest! {
     // moderate so the whole file stays fast.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The reference replay alone: every engine reports what TRIC reports,
-    /// update by update, stats included.
+    /// The reference replay alone: every engine reports what GraphDB
+    /// reports, update by update, stats included.
     #[test]
     fn all_engines_agree_on_random_workloads(
         query_specs in proptest::collection::vec(
@@ -575,7 +576,7 @@ proptest! {
     /// query registers, or a live id, a dead id or an id never issued is
     /// unregistered. Every engine — bare, behind the sharded wrapper at a
     /// random shard count and behind an inline pipeline — must return what
-    /// bare TRIC returns at every step (ids, `UnknownQuery` errors and
+    /// bare GraphDB returns at every step (ids, `UnknownQuery` errors and
     /// batch reports) and agree with it on `next_query_id`,
     /// `is_registered` and `num_queries` after every step.
     #[test]
@@ -623,7 +624,7 @@ proptest! {
                     prop_assert_eq!(
                         &got,
                         want,
-                        "{} {} ({} shards) at step #{} {:?}",
+                        "{} {} ({} shards) disagrees with GraphDB at step #{} {:?}",
                         name,
                         composition,
                         num_shards,
