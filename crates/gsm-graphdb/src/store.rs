@@ -40,12 +40,10 @@ impl HeapSize for LabelAdjacency {
 /// Removes `v` from the neighbour list of `key`, dropping the entry once
 /// the list is empty so that a vertex's last edge takes its heap with it.
 fn unlink(adjacency: &mut FxHashMap<Sym, Vec<Sym>>, key: Sym, v: Sym) {
-    let Some(neighbours) = adjacency.get_mut(&key) else {
-        return;
-    };
-    if let Some(i) = neighbours.iter().position(|&n| n == v) {
-        neighbours.swap_remove(i);
-    }
+    const STORED: &str = "a stored edge is in both adjacencies";
+    let neighbours = adjacency.get_mut(&key).expect(STORED);
+    let i = neighbours.iter().position(|&n| n == v).expect(STORED);
+    neighbours.swap_remove(i);
     if neighbours.is_empty() {
         adjacency.remove(&key);
     }
