@@ -1,11 +1,13 @@
 //! The INV / INV+ / INC / INC+ answering engines (Sections 5.1 and 5.2).
 
-use gsm_core::engine::{ContinuousEngine, EngineStats, MatchReport, QueryId, QueryTable};
+use gsm_core::engine::{
+    ContinuousEngine, EngineStats, FlushCounts, MatchReport, QueryId, QueryTable,
+};
 use gsm_core::error::Result;
 use gsm_core::interner::Sym;
 use gsm_core::memory::HeapSize;
 use gsm_core::model::generic::GenericEdge;
-use gsm_core::model::update::Update;
+use gsm_core::model::update::{sign_runs, Update};
 use gsm_core::query::paths::covering_paths;
 use gsm_core::query::pattern::{QVertexId, QueryPattern};
 
@@ -14,7 +16,7 @@ use gsm_core::relation::eval::{join_paths, PathBinding};
 use gsm_core::relation::fasthash::FxHashMap;
 use gsm_core::relation::Relation;
 use gsm_core::shard::ShardedEngine;
-use gsm_core::views::EdgeViewStore;
+use gsm_core::views::{EdgeDeltas, EdgeViewStore};
 
 use crate::paths;
 
@@ -74,6 +76,10 @@ pub struct BaselineEngine {
     cache: JoinCache,
     /// Row assembly scratch shared by the per-update path extensions.
     row_buf: Vec<Sym>,
+    /// The routed run's per-edge deltas, reused from run to run.
+    deltas: EdgeDeltas,
+    /// Every run's signed counts, assembled into the batch's report once.
+    counts: FlushCounts,
     stats: EngineStats,
 }
 
@@ -88,6 +94,8 @@ impl BaselineEngine {
             queries: QueryTable::new(),
             cache: JoinCache::new(),
             row_buf: Vec::new(),
+            deltas: EdgeDeltas::default(),
+            counts: FlushCounts::default(),
             stats: EngineStats::default(),
         }
     }
@@ -136,10 +144,10 @@ impl BaselineEngine {
 
     /// Step 1: the queries a routed batch affects, via edgeInd,
     /// deduplicated and sorted.
-    fn affected_queries(&self, edge_deltas: &FxHashMap<GenericEdge, Relation>) -> Vec<QueryId> {
-        let mut out: Vec<QueryId> = edge_deltas
-            .keys()
-            .filter_map(|e| self.edge_index.get(e))
+    fn affected_queries(&self, deltas: &EdgeDeltas) -> Vec<QueryId> {
+        let mut out: Vec<QueryId> = deltas
+            .iter()
+            .filter_map(|(e, _)| self.edge_index.get(&e))
             .flatten()
             .copied()
             .collect();
@@ -159,7 +167,7 @@ fn answer_affected(
     queries: &QueryTable<QueryRecord>,
     mut cache: Option<&mut JoinCache>,
     row_buf: &mut Vec<Sym>,
-    edge_deltas: &FxHashMap<GenericEdge, Relation>,
+    edge_deltas: &EdgeDeltas,
     affected: &[QueryId],
 ) -> Vec<(QueryId, u64)> {
     let mut counts: Vec<(QueryId, u64)> = Vec::new();
@@ -186,7 +194,7 @@ fn answer_affected(
         let path_affected: Vec<bool> = record
             .paths
             .iter()
-            .map(|p| p.edges.iter().any(|e| edge_deltas.contains_key(e)))
+            .map(|p| p.edges.iter().any(|e| edge_deltas.get(e).is_some()))
             .collect();
 
         let mut full_relations: Vec<Option<Relation>> = vec![None; record.paths.len()];
@@ -361,16 +369,20 @@ impl ContinuousEngine for BaselineEngine {
         self.queries.is_live(query)
     }
 
+    /// Answers every same-sign run of the batch in turn, each appending
+    /// its counts to one buffer, and builds the batch's report once.
     fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
-        let mut report = MatchReport::empty();
-        for run in gsm_core::model::update::sign_runs(updates) {
-            let run_report = if run[0].is_retraction() {
-                self.retract_batch_core(run)
+        for run in sign_runs(updates) {
+            if run[0].is_retraction() {
+                self.retract_batch_core(run);
             } else {
-                self.apply_batch_core(run)
-            };
-            report = report.merge(&run_report);
+                self.apply_batch_core(run);
+            }
         }
+        let report = self.counts.take_report();
+        self.stats.notifications += report.len() as u64;
+        self.stats.embeddings += report.total_embeddings();
+        self.stats.retracted += report.total_retracted();
         report
     }
 
@@ -383,6 +395,8 @@ impl ContinuousEngine for BaselineEngine {
             + self.edge_index.heap_size()
             + self.queries.heap_size()
             + self.cache.heap_size()
+            + self.deltas.heap_size()
+            + self.counts.heap_size()
     }
 
     fn stats(&self) -> EngineStats {
@@ -398,34 +412,30 @@ impl BaselineEngine {
     /// the unaffected covering paths once, and seeds the affected paths with
     /// the merged per-edge deltas — the batched index maintenance the
     /// ROADMAP's batch-updates item asks for.
-    fn apply_batch_core(&mut self, updates: &[Update]) -> MatchReport {
+    fn apply_batch_core(&mut self, updates: &[Update]) {
         self.stats.updates_processed += updates.len() as u64;
 
         // Route the whole batch to the edge-level materialized views,
         // collecting the merged per-edge delta relations.
-        let edge_deltas = self.views.apply_batch(updates);
-        if edge_deltas.is_empty() {
-            return MatchReport::empty();
+        self.views.apply_batch(updates, &mut self.deltas);
+        if self.deltas.is_empty() {
+            return;
         }
 
         // Step 1: locate the affected queries via edgeInd once per batch,
         // then run the shared answer pass against the live views (wiring in
         // the join cache when caching is enabled).
-        let affected = self.affected_queries(&edge_deltas);
+        let affected = self.affected_queries(&self.deltas);
         let counts = answer_affected(
             self.mode,
             &self.views,
             &self.queries,
             self.caching.then_some(&mut self.cache),
             &mut self.row_buf,
-            &edge_deltas,
+            &self.deltas,
             &affected,
         );
-
-        let report = MatchReport::from_counts(counts);
-        self.stats.notifications += report.len() as u64;
-        self.stats.embeddings += report.total_embeddings();
-        report
+        self.counts.of_sign(false).extend(counts);
     }
 
     /// The retraction mirror of [`apply_batch_core`](Self::apply_batch_core):
@@ -436,31 +446,27 @@ impl BaselineEngine {
     /// [`paths::delta_path_relation`] yields exactly
     /// `full_before − full_after` per covering path — and only then commit
     /// the removal ([`EdgeViewStore::retract_deltas`]).
-    fn retract_batch_core(&mut self, updates: &[Update]) -> MatchReport {
+    fn retract_batch_core(&mut self, updates: &[Update]) {
         self.stats.updates_processed += updates.len() as u64;
 
-        let removed = self.views.remove_deltas(updates);
-        if removed.is_empty() {
-            return MatchReport::empty();
+        self.views.remove_deltas(updates, &mut self.deltas);
+        if self.deltas.is_empty() {
+            return;
         }
 
-        let affected = self.affected_queries(&removed);
+        let affected = self.affected_queries(&self.deltas);
         let counts = answer_affected(
             self.mode,
             &self.views,
             &self.queries,
             self.caching.then_some(&mut self.cache),
             &mut self.row_buf,
-            &removed,
+            &self.deltas,
             &affected,
         );
+        self.counts.of_sign(true).extend(counts);
         self.views
-            .retract_deltas(&removed, self.caching.then_some(&mut self.cache));
-
-        let report = MatchReport::from_retraction_counts(counts);
-        self.stats.notifications += report.len() as u64;
-        self.stats.retracted += report.total_retracted();
-        report
+            .retract_deltas(&self.deltas, self.caching.then_some(&mut self.cache));
     }
 }
 
@@ -563,10 +569,13 @@ mod tests {
         assert_eq!(engine.edge_index[&shared], vec![q0, q1, q2]);
         assert_eq!(engine.edge_index[&private], vec![q0]);
 
-        let deltas: FxHashMap<GenericEdge, Relation> = [shared, private]
-            .into_iter()
-            .map(|e| (e, Relation::new(2)))
-            .collect();
+        let mut store = EdgeViewStore::new();
+        store.register(shared);
+        store.register(private);
+        let mut deltas = EdgeDeltas::default();
+        let batch = [f.u("knows", "a", "b"), f.u("worksAt", "b", "acme")];
+        store.apply_batch(&batch, &mut deltas);
+        assert_eq!(deltas.len(), 2);
         assert_eq!(engine.affected_queries(&deltas), vec![q0, q1, q2]);
 
         engine.unregister_query(q0).unwrap();

@@ -5,10 +5,9 @@
 use gsm_core::interner::Sym;
 use gsm_core::model::generic::GenericEdge;
 use gsm_core::relation::cache::JoinCache;
-use gsm_core::relation::fasthash::FxHashMap;
 use gsm_core::relation::join::JoinBuild;
 use gsm_core::relation::Relation;
-use gsm_core::views::EdgeViewStore;
+use gsm_core::views::{EdgeDeltas, EdgeViewStore};
 
 /// Extends every row of `rel` (last column = frontier vertex) to the right
 /// with the matching tuples of `view` (joined on the view's source column).
@@ -129,7 +128,7 @@ pub(crate) fn full_path_relation(
 pub(crate) fn delta_path_relation(
     views: &EdgeViewStore,
     edges: &[GenericEdge],
-    edge_deltas: &FxHashMap<GenericEdge, Relation>,
+    edge_deltas: &EdgeDeltas,
     mut cache: Option<&mut JoinCache>,
     buf: &mut Vec<Sym>,
 ) -> Relation {
@@ -213,9 +212,10 @@ mod tests {
             ],
         ];
         let mut buf = Vec::new();
+        let mut deltas = EdgeDeltas::default();
         for batch in batches {
             let before = full.to_sorted_vec();
-            let deltas = views.apply_batch(&batch);
+            views.apply_batch(&batch, &mut deltas);
             let delta = delta_path_relation(&views, &edges, &deltas, None, &mut buf);
             full.extend_from(&delta);
             let after_expected = full_path_relation(&views, &edges, None, &mut buf).to_sorted_vec();
@@ -238,18 +238,22 @@ mod tests {
         let b = ge(1, Term::Var(1), Term::Var(2));
         store.register(a);
         store.register(b);
-        store.apply_batch(&[
-            Update::new(Sym(0), Sym(1), Sym(2)),
-            Update::new(Sym(0), Sym(5), Sym(2)),
-            Update::new(Sym(1), Sym(2), Sym(3)),
-            Update::new(Sym(1), Sym(2), Sym(4)),
-        ]);
+        let mut removed = EdgeDeltas::default();
+        store.apply_batch(
+            &[
+                Update::new(Sym(0), Sym(1), Sym(2)),
+                Update::new(Sym(0), Sym(5), Sym(2)),
+                Update::new(Sym(1), Sym(2), Sym(3)),
+                Update::new(Sym(1), Sym(2), Sym(4)),
+            ],
+            &mut removed,
+        );
         let edges = [a, b];
         let mut buf = Vec::new();
         let full_before = full_path_relation(&store, &edges, None, &mut buf).to_sorted_vec();
 
         let batch = vec![Update::retraction(Sym(1), Sym(2), Sym(3))];
-        let removed = store.remove_deltas(&batch);
+        store.remove_deltas(&batch, &mut removed);
         let deletion_delta = delta_path_relation(&store, &edges, &removed, None, &mut buf);
 
         store.retract_deltas(&removed, None);

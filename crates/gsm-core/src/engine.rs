@@ -154,41 +154,26 @@ impl MatchReport {
     }
 
     /// Builds a report from (query, count) pairs, merging duplicates and
-    /// sorting by query id.
-    ///
-    /// Implemented as sort-then-fold **by key**: every pair — zero counts
-    /// included — folds into its query's accumulated count, and zero-total
-    /// queries are dropped in one pass at the end. Folding by key keeps the
-    /// merge manifestly independent of where zero-count pairs land in the
-    /// sort order, instead of relying on the interplay between an early
-    /// zero-skip and `last_mut()` adjacency.
-    pub fn from_counts(mut pairs: Vec<(QueryId, u64)>) -> Self {
-        pairs.sort_by_key(|(q, _)| *q);
-        let mut matches: Vec<QueryMatch> = Vec::new();
-        for (query, count) in pairs {
-            match matches.last_mut() {
-                Some(last) if last.query == query => last.new_embeddings += count,
-                _ => matches.push(QueryMatch::new(query, count)),
-            }
+    /// sorting by query id: the insertion-only case of
+    /// [`FlushCounts::take_report`]. Zero-count pairs fold into their
+    /// query's total like any other, and zero-total queries are dropped.
+    pub fn from_counts(pairs: Vec<(QueryId, u64)>) -> Self {
+        FlushCounts {
+            inserted: pairs,
+            retracted: Vec::new(),
         }
-        matches.retain(|m| m.new_embeddings > 0);
-        MatchReport { matches }
+        .take_report()
     }
 
     /// Builds a report from pure-**retraction** (query, destroyed count)
     /// pairs — [`from_counts`](MatchReport::from_counts) with the counts
     /// landing on `retracted_embeddings`.
-    pub fn from_retraction_counts(mut pairs: Vec<(QueryId, u64)>) -> Self {
-        pairs.sort_by_key(|(q, _)| *q);
-        let mut matches: Vec<QueryMatch> = Vec::new();
-        for (query, count) in pairs {
-            match matches.last_mut() {
-                Some(last) if last.query == query => last.retracted_embeddings += count,
-                _ => matches.push(QueryMatch::retracted(query, count)),
-            }
+    pub fn from_retraction_counts(pairs: Vec<(QueryId, u64)>) -> Self {
+        FlushCounts {
+            inserted: Vec::new(),
+            retracted: pairs,
         }
-        matches.retain(|m| m.retracted_embeddings > 0);
-        MatchReport { matches }
+        .take_report()
     }
 
     /// Merges two reports: per-query embedding counts add, and the result is
@@ -257,6 +242,63 @@ impl MatchReport {
     /// Total number of retracted embeddings across all affected queries.
     pub fn total_retracted(&self) -> u64 {
         self.matches.iter().map(|m| m.retracted_embeddings).sum()
+    }
+}
+
+/// The signed `(query, count)` pairs of one flush, gathered from every sign
+/// run of the flush in one engine-owned buffer and assembled into the
+/// flush's [`MatchReport`] once, instead of one report per run merged
+/// pairwise. Reused across flushes, it allocates nothing once grown.
+#[derive(Debug, Default)]
+pub struct FlushCounts {
+    /// Counts of new embeddings, from the flush's insertion runs.
+    inserted: Vec<(QueryId, u64)>,
+    /// Counts of disappearing embeddings, from its retraction runs.
+    retracted: Vec<(QueryId, u64)>,
+}
+
+impl FlushCounts {
+    /// The buffer a run appends its counts to: new embeddings for an
+    /// insertion run, disappearing ones for a retraction run. A query may
+    /// appear more than once and with a zero count.
+    pub fn of_sign(&mut self, retract: bool) -> &mut Vec<(QueryId, u64)> {
+        if retract {
+            &mut self.retracted
+        } else {
+            &mut self.inserted
+        }
+    }
+
+    /// The flush's report — per query, its counts of each sign summed,
+    /// sorted by query id, queries whose totals are both zero dropped — and
+    /// both buffers emptied, keeping their capacity. Equal to the
+    /// [`MatchReport::merge`] of the runs' reports: insertions and
+    /// retractions of one query do not cancel.
+    pub fn take_report(&mut self) -> MatchReport {
+        let mut matches = Vec::with_capacity(self.inserted.len() + self.retracted.len());
+        matches.extend(self.inserted.drain(..).map(|(q, n)| QueryMatch::new(q, n)));
+        matches.extend(
+            self.retracted
+                .drain(..)
+                .map(|(q, n)| QueryMatch::retracted(q, n)),
+        );
+        matches.sort_unstable_by_key(|m: &QueryMatch| m.query);
+        matches.dedup_by(|later, kept| {
+            let same = later.query == kept.query;
+            if same {
+                kept.new_embeddings += later.new_embeddings;
+                kept.retracted_embeddings += later.retracted_embeddings;
+            }
+            same
+        });
+        matches.retain(|m| m.new_embeddings > 0 || m.retracted_embeddings > 0);
+        MatchReport { matches }
+    }
+}
+
+impl HeapSize for FlushCounts {
+    fn heap_size(&self) -> usize {
+        self.inserted.heap_size() + self.retracted.heap_size()
     }
 }
 
@@ -832,6 +874,47 @@ mod tests {
 
         // Zero-count retraction pairs are dropped like their insert twins.
         assert!(MatchReport::from_retraction_counts(vec![(QueryId(0), 0)]).is_empty());
+    }
+
+    #[test]
+    fn flush_counts_report_what_merging_the_run_reports_does() {
+        // Four runs of alternating sign, as a sliding window flushes them:
+        // one report over every run's counts equals the pairwise merge of
+        // the per-run reports, and the buffers come back empty.
+        let runs: [(bool, Vec<(QueryId, u64)>); 4] = [
+            (false, vec![(QueryId(2), 1), (QueryId(0), 4)]),
+            (true, vec![(QueryId(2), 1), (QueryId(7), 0)]),
+            (
+                false,
+                vec![(QueryId(7), 0), (QueryId(2), 2), (QueryId(0), 1)],
+            ),
+            (true, vec![(QueryId(5), 3)]),
+        ];
+        let mut flush = FlushCounts::default();
+        let mut merged = MatchReport::empty();
+        for (retract, counts) in &runs {
+            flush.of_sign(*retract).extend_from_slice(counts);
+            let run = if *retract {
+                MatchReport::from_retraction_counts(counts.clone())
+            } else {
+                MatchReport::from_counts(counts.clone())
+            };
+            merged = merged.merge(&run);
+        }
+        let report = flush.take_report();
+        assert_eq!(report, merged);
+        assert_eq!(
+            report.matches[1],
+            QueryMatch {
+                query: QueryId(2),
+                new_embeddings: 3,
+                retracted_embeddings: 1,
+            }
+        );
+        assert!(report.satisfied_queries() == vec![QueryId(0), QueryId(2), QueryId(5)]);
+        assert!(flush.of_sign(false).is_empty() && flush.of_sign(true).is_empty());
+        assert!(flush.of_sign(false).capacity() >= 3, "the buffer is kept");
+        assert!(flush.take_report().is_empty());
     }
 
     #[test]

@@ -56,8 +56,8 @@ pub mod shard;
 pub mod views;
 
 pub use engine::{
-    ContinuousEngine, DetachedAnswer, EngineStats, MatchReport, QueryId, QueryMatch, QueryTable,
-    StagedBatch,
+    ContinuousEngine, DetachedAnswer, EngineStats, FlushCounts, MatchReport, QueryId, QueryMatch,
+    QueryTable, StagedBatch,
 };
 pub use error::{Error, Result};
 pub use interner::{Sym, SymbolTable};
@@ -74,7 +74,7 @@ pub use relation::cache::JoinCache;
 pub use relation::eval::{join_paths, PathBinding};
 pub use relation::Relation;
 pub use shard::{shard_of, ShardedEngine};
-pub use views::EdgeViewStore;
+pub use views::{EdgeDeltas, EdgeViewStore};
 
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {

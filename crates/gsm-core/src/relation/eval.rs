@@ -162,7 +162,7 @@ enum Joined {
 /// with the accumulated result (falling back to a cross product only for
 /// degenerate inputs, which validated query patterns never produce).
 pub fn join_paths(bindings: &[PathBinding<'_>]) -> Option<VertexRelation> {
-    match join_bindings(bindings, None, false)? {
+    match join_bindings(bindings.iter().copied(), None, false)? {
         Joined::Rows(result) => Some(result),
         Joined::Count(_) => unreachable!("join_bindings counts only when asked to"),
     }
@@ -185,20 +185,17 @@ pub fn join_paths(bindings: &[PathBinding<'_>]) -> Option<VertexRelation> {
 /// ([`JoinCache::get_or_build`]) instead of hashing the whole view again.
 /// The first binding (the delta) and bindings filtered/projected for a
 /// repeated vertex are transient and always get a fresh build.
-fn join_bindings(
-    bindings: &[PathBinding<'_>],
+fn join_bindings<'b>(
+    bindings: impl IntoIterator<Item = PathBinding<'b>>,
     mut cache: Option<&mut JoinCache>,
     count: bool,
 ) -> Option<Joined> {
-    if bindings.is_empty() {
-        return None;
-    }
-    let mut normalised: Vec<Normalised<'_>> = bindings
-        .iter()
+    let mut normalised: Vec<Normalised<'b>> = bindings
+        .into_iter()
         .enumerate()
-        .map(|(i, binding)| normalise(binding, i > 0))
+        .map(|(i, binding)| normalise(&binding, i > 0))
         .collect();
-    if normalised.iter().any(|n| n.len() == 0) {
+    if normalised.is_empty() || normalised.iter().any(|n| n.len() == 0) {
         return None;
     }
     // Start from the smallest relation.
@@ -333,7 +330,9 @@ impl<'a> PathDelta<'a> {
 
 /// The covering-path delta join (Fig. 8, lines 8–13, restricted to the
 /// embeddings an update run changes) — the one copy every staged engine
-/// answers with. Returns the non-zero `(query, changed embeddings)` counts.
+/// answers with. Appends the non-zero `(query, changed embeddings)` counts
+/// to `counts`, a buffer the caller owns (see
+/// [`FlushCounts`](crate::engine::FlushCounts)).
 ///
 /// Every answer is a count, by ordered delta terms (the telescoping identity
 /// of Gupta, Mumick & Subrahmanian; the "delta queries" of continuous
@@ -372,36 +371,41 @@ pub fn join_covering_paths<'a, P: 'a>(
     delta_of: impl Fn(&'a P) -> Option<PathDelta<'a>>,
     full_of: impl Fn(&'a P) -> Option<&'a Relation>,
     mut cache: Option<&mut JoinCache>,
-) -> Vec<(QueryId, u64)> {
-    let mut counts: Vec<(QueryId, u64)> = Vec::new();
-    let mut changed: Vec<Option<PathDelta<'a>>> = Vec::new();
-    let mut bindings: Vec<PathBinding<'a>> = Vec::new();
-    'queries: for (query, paths) in queries {
-        changed.clear();
-        changed.extend(paths.iter().map(&delta_of));
+    counts: &mut Vec<(QueryId, u64)>,
+) {
+    for (query, paths) in queries {
+        // Some path has no tuples yet, so the query cannot match. (A
+        // changed path's full relation holds its delta, so this is an
+        // unchanged one.)
+        if paths
+            .iter()
+            .any(|path| full_of(path).is_none_or(Relation::is_empty))
+        {
+            continue;
+        }
         let mut count = 0;
         for (i, path) in paths.iter().enumerate() {
-            let Some(delta) = changed[i] else {
+            let Some(delta) = delta_of(path) else {
                 continue; // this covering path did not change
             };
-            bindings.clear();
-            bindings.push(PathBinding::new(delta.rows, vertices_of(path)));
-            for (j, other) in paths.iter().enumerate().filter(|&(j, _)| j != i) {
-                let Some(full) = full_of(other).filter(|full| !full.is_empty()) else {
-                    continue 'queries; // some other path has no tuples yet
-                };
-                let version = match changed[j] {
-                    None => Version::All,
-                    Some(d) if j < i => d.new,
-                    Some(d) => d.old,
-                };
-                bindings.push(PathBinding {
-                    version,
-                    ..PathBinding::new(full, vertices_of(other))
-                });
-            }
-            if let Some(Joined::Count(hits)) = join_bindings(&bindings, cache.as_deref_mut(), true)
-            {
+            // Term i: Δᵢ, then every other path at its version; the
+            // bindings stream straight into the join, nothing is collected.
+            let others = paths.iter().enumerate().filter(|&(j, _)| j != i);
+            let bindings = std::iter::once(PathBinding::new(delta.rows, vertices_of(path))).chain(
+                others.map(|(j, other)| {
+                    let full = full_of(other).expect("checked above");
+                    let version = match delta_of(other) {
+                        None => Version::All,
+                        Some(d) if j < i => d.new,
+                        Some(d) => d.old,
+                    };
+                    PathBinding {
+                        version,
+                        ..PathBinding::new(full, vertices_of(other))
+                    }
+                }),
+            );
+            if let Some(Joined::Count(hits)) = join_bindings(bindings, cache.as_deref_mut(), true) {
                 count += hits;
             }
         }
@@ -409,7 +413,6 @@ pub fn join_covering_paths<'a, P: 'a>(
             counts.push((query, count as u64));
         }
     }
-    counts
 }
 
 #[cfg(test)]
@@ -539,13 +542,16 @@ mod tests {
         // (vertices, delta, full) per covering path.
         type Path<'r> = (Vec<QVertexId>, Option<&'r Relation>, &'r Relation);
         let count = |paths: &[Path<'_>]| {
+            let mut counts = Vec::new();
             join_covering_paths(
                 std::iter::once((QueryId(3), paths)),
                 |p| p.0.as_slice(),
                 |p| p.1.map(|delta| PathDelta::inserted(delta, p.2)),
                 |p| Some(p.2),
                 None,
-            )
+                &mut counts,
+            );
+            counts
         };
         let both = [(vec![0, 1], Some(&da), &pa), (vec![0, 2], Some(&db), &pb)];
         assert_eq!(count(&both), vec![(QueryId(3), 1)]);
@@ -606,6 +612,7 @@ mod tests {
         let vertices: Vec<Vec<QVertexId>> = vec![vec![0, 1], vec![0, 2], vec![0, 0]];
         let queries: Vec<Vec<usize>> = vec![vec![0, 1], vec![2, 0], vec![0, 2]];
         let count = |delta: PathDelta<'_>, view: &Relation, cache: Option<&mut JoinCache>| {
+            let mut counts = Vec::new();
             join_covering_paths(
                 queries
                     .iter()
@@ -615,7 +622,9 @@ mod tests {
                 |_| Some(delta),
                 |_| Some(view),
                 cache,
-            )
+                &mut counts,
+            );
+            counts
         };
         let mut cache = JoinCache::new();
         let mut view = rel(2, &[&[1, 1], &[2, 2], &[3, 9], &[1, 5]]);

@@ -8,7 +8,6 @@
 //! indexed by [`JoinBuild::update`], retracted rows leave through
 //! [`super::cache::JoinCache::retract_rows`].
 
-use std::borrow::BorrowMut;
 use std::ops::Range;
 
 use super::fasthash::{hash_projected, hash_syms, relink_row, unlink_row, Bucket, FxHashMap};
@@ -211,24 +210,23 @@ impl HeapSize for JoinBuild {
 /// restamped with the relation's new generation. Returns how many rows were
 /// removed and how many builds were behind on generation and had to start
 /// over before they could follow.
-pub(super) fn retract_through<'r, B: BorrowMut<JoinBuild>>(
+pub(super) fn retract_through<'r>(
     rel: &mut Relation,
     rows: impl IntoIterator<Item = &'r [Sym]>,
-    builds: &mut [B],
+    builds: &mut [JoinBuild],
 ) -> (usize, u64) {
     // Row indices are about to shift, so appends the builds have not seen
     // yet must be indexed now, under the numbering they were made in.
     let mut rebuilt = 0;
     for build in builds.iter_mut() {
-        rebuilt += u64::from(build.borrow_mut().update(rel));
+        rebuilt += u64::from(build.update(rel));
     }
     let dropped = rel.retract_each(rows, |rel, hole, row| {
         for build in builds.iter_mut() {
-            build.borrow_mut().follow_swap_remove(rel, hole, row);
+            build.follow_swap_remove(rel, hole, row);
         }
     });
     for build in builds.iter_mut() {
-        let build = build.borrow_mut();
         build.generation = rel.generation();
         // Set, not `max`: the relation shrank, and the next appended rows
         // reuse the indices just vacated.

@@ -398,6 +398,44 @@ impl Relation {
         true
     }
 
+    /// Removes every row, keeping the row storage's and the dedup index's
+    /// capacity and the relation's [`id`](Relation::id) — how a run's
+    /// scratch relation is emptied for the next run without allocating.
+    /// Opens a new generation if anything was removed.
+    pub fn clear(&mut self) {
+        if self.is_empty() {
+            return;
+        }
+        self.rows.clear();
+        self.index.clear();
+        self.generation += 1;
+    }
+
+    /// Keeps exactly the rows for which `keep` returns `true`, in their
+    /// order, compacting in place. Only for distinct-by-construction
+    /// relations ([`Relation::new_distinct`]), which have no index to
+    /// follow the moves. Opens a new generation if anything was removed.
+    pub fn retain(&mut self, mut keep: impl FnMut(&[Sym]) -> bool) {
+        assert!(
+            !self.indexed,
+            "retain on an indexed relation; use retract_rows"
+        );
+        let arity = self.arity;
+        let mut kept = 0;
+        for at in (0..self.rows.len()).step_by(arity) {
+            if keep(&self.rows[at..at + arity]) {
+                if kept != at {
+                    self.rows.copy_within(at..at + arity, kept);
+                }
+                kept += arity;
+            }
+        }
+        if kept < self.rows.len() {
+            self.rows.truncate(kept);
+            self.generation += 1;
+        }
+    }
+
     /// Unions `other` into `self` (arity must match); returns the number of
     /// rows actually added. On an ordinary relation duplicates are dropped;
     /// on a distinct-by-construction relation the caller guarantees the two
@@ -839,6 +877,39 @@ mod tests {
         }
         assert_eq!(r.len(), 1000);
         assert_eq!((r.rows.as_ptr(), r.rows.capacity()), (ptr, cap));
+    }
+
+    #[test]
+    fn clear_keeps_the_id_and_the_storage() {
+        let mut r = counted(100);
+        let (id, ptr, cap) = (r.id(), r.rows.as_ptr(), r.rows.capacity());
+        r.clear();
+        assert!(r.is_empty() && r.index.is_empty());
+        assert_eq!(r.generation(), 1);
+        assert_eq!((r.id(), r.rows.as_ptr(), r.rows.capacity()), (id, ptr, cap));
+        assert!(r.push(&[s(5)]), "the index forgot every row");
+        assert!(!r.push(&[s(5)]));
+        r.clear();
+        r.clear();
+        assert_eq!(r.generation(), 2, "clearing an empty relation opens none");
+    }
+
+    #[test]
+    fn retain_keeps_the_chosen_rows_in_order() {
+        let mut r = Relation::new_distinct(2);
+        for i in 0..6 {
+            r.append_distinct(&[s(i), s(i + 10)]);
+        }
+        r.retain(|row| row[0].0 % 2 == 1);
+        assert_eq!(
+            r.to_vec(),
+            vec![vec![s(1), s(11)], vec![s(3), s(13)], vec![s(5), s(15)]]
+        );
+        assert_eq!(r.generation(), 1);
+        r.retain(|_| true);
+        assert_eq!(r.generation(), 1, "keeping every row opens no generation");
+        r.retain(|_| false);
+        assert!(r.is_empty());
     }
 
     #[test]

@@ -88,6 +88,127 @@ impl HeapSize for LabelViews {
     }
 }
 
+/// The per-generic-edge delta relations of one routed run, in a buffer the
+/// engine owns and reuses across runs: [`EdgeViewStore::apply_batch`] and
+/// [`EdgeViewStore::remove_deltas`] fill it, the engine reads it while it
+/// propagates and answers the run, and [`EdgeViewStore::retract_deltas`]
+/// commits a retraction run from it. Every generic edge the buffer has
+/// routed keeps its slot, and a new run empties the slots without freeing
+/// them, so routing allocates nothing once each edge has held its largest
+/// delta.
+#[derive(Debug, Default)]
+pub struct EdgeDeltas {
+    /// The slot of every generic edge this buffer has routed.
+    slot_of: FxHashMap<GenericEdge, usize>,
+    slots: Vec<EdgeDelta>,
+    /// The slots the current run touched, in first-touch order.
+    live: Vec<usize>,
+    /// True while the buffer holds a retraction run.
+    retract: bool,
+}
+
+/// One generic edge's delta slot.
+#[derive(Debug)]
+struct EdgeDelta {
+    edge: GenericEdge,
+    /// An insertion run's rows: new to the view, so distinct by
+    /// construction and unindexed.
+    inserted: Relation,
+    /// A retraction run's rows, indexed so that a doubly retracted edge
+    /// counts once.
+    removed: Relation,
+    /// True if the current run touched the slot.
+    live: bool,
+}
+
+impl EdgeDelta {
+    fn rows(&self, retract: bool) -> &Relation {
+        if retract {
+            &self.removed
+        } else {
+            &self.inserted
+        }
+    }
+}
+
+impl EdgeDeltas {
+    /// Empties every slot the previous run touched and starts a run of the
+    /// given sign.
+    fn begin(&mut self, retract: bool) {
+        for &slot in &self.live {
+            let slot = &mut self.slots[slot];
+            slot.live = false;
+            slot.inserted.clear();
+            slot.removed.clear();
+        }
+        self.live.clear();
+        self.retract = retract;
+    }
+
+    /// The current run's delta of `edge`, touched: created empty on the
+    /// edge's first run.
+    fn rows_mut(&mut self, edge: GenericEdge) -> &mut Relation {
+        let slots = &mut self.slots;
+        let at = *self.slot_of.entry(edge).or_insert_with(|| {
+            slots.push(EdgeDelta {
+                edge,
+                inserted: Relation::new_distinct(2),
+                removed: Relation::new(2),
+                live: false,
+            });
+            slots.len() - 1
+        });
+        let slot = &mut self.slots[at];
+        if !slot.live {
+            slot.live = true;
+            self.live.push(at);
+        }
+        if self.retract {
+            &mut slot.removed
+        } else {
+            &mut slot.inserted
+        }
+    }
+
+    /// The current run's delta of `edge`: the `(src, tgt)` rows its view
+    /// gained or will lose; `None` if the run did not touch the edge.
+    pub fn get(&self, edge: &GenericEdge) -> Option<&Relation> {
+        let slot = &self.slots[*self.slot_of.get(edge)?];
+        slot.live.then(|| slot.rows(self.retract))
+    }
+
+    /// Every generic edge the current run touched, with its delta, in the
+    /// order the run first touched them.
+    pub fn iter(&self) -> impl Iterator<Item = (GenericEdge, &Relation)> {
+        self.live.iter().map(|&at| {
+            let slot = &self.slots[at];
+            (slot.edge, slot.rows(self.retract))
+        })
+    }
+
+    /// Number of generic edges the current run touched.
+    pub fn len(&self) -> usize {
+        self.live.len()
+    }
+
+    /// True if the current run touched no view.
+    pub fn is_empty(&self) -> bool {
+        self.live.is_empty()
+    }
+}
+
+impl HeapSize for EdgeDeltas {
+    fn heap_size(&self) -> usize {
+        self.slot_of.heap_size() + self.slots.heap_size() + self.live.heap_size()
+    }
+}
+
+impl HeapSize for EdgeDelta {
+    fn heap_size(&self) -> usize {
+        self.inserted.heap_size() + self.removed.heap_size()
+    }
+}
+
 /// The live graph, one relation per label, and the per-generic-edge views
 /// over it.
 #[derive(Debug, Default)]
@@ -165,14 +286,15 @@ impl EdgeViewStore {
         self.num_views == 0
     }
 
-    /// Routes a whole run of insertions, returning for every affected
-    /// generic edge the **delta relation** of the run: the `(src, tgt)`
-    /// tuples that were actually new for that edge's view (exact duplicates
-    /// — of earlier stream history or of an earlier update in the same run
-    /// — are absorbed exactly as they would be one at a time). Every row
-    /// enters the live graph, whether or not a view admits it.
-    pub fn apply_batch(&mut self, updates: &[Update]) -> FxHashMap<GenericEdge, Relation> {
-        let mut deltas: FxHashMap<GenericEdge, Relation> = FxHashMap::default();
+    /// Routes a whole run of insertions, filling `deltas` with the **delta
+    /// relation** of the run for every affected generic edge: the
+    /// `(src, tgt)` tuples that were actually new for that edge's view
+    /// (exact duplicates — of earlier stream history or of an earlier
+    /// update in the same run — are absorbed exactly as they would be one
+    /// at a time). Every row enters the live graph, whether or not a view
+    /// admits it. Whatever `deltas` held before is discarded.
+    pub fn apply_batch(&mut self, updates: &[Update], deltas: &mut EdgeDeltas) {
+        deltas.begin(false);
         for u in updates {
             debug_assert!(
                 !u.is_retraction(),
@@ -187,35 +309,29 @@ impl EdgeViewStore {
             if !entry.edges.push(&row) {
                 continue;
             }
-            let mut add = |shape: GenericEdge| {
-                deltas
-                    .entry(shape)
-                    .or_insert_with(|| Relation::new_distinct(2))
-                    .append_distinct(&row)
-            };
             if entry.open {
-                add(open_edge(u.label));
+                deltas.rows_mut(open_edge(u.label)).append_distinct(&row);
             }
             entry.for_each_shape(u, |shape, view| {
                 view.append_distinct(&row);
-                add(shape);
+                deltas.rows_mut(shape).append_distinct(&row);
             });
         }
-        deltas
     }
 
     /// Routes a run of **retractions** against the *pre-removal* views,
-    /// returning for every affected generic edge the rows its view will
-    /// lose: the `(src, tgt)` tuples of retracted updates that are actually
-    /// live (retracting an absent edge is a no-op; duplicate retractions
-    /// within the run are absorbed). The views are **not** modified —
-    /// engines answer their deletion joins against the pre-removal views
-    /// first and then commit with
+    /// filling `deltas` with the rows every affected generic edge's view
+    /// will lose: the `(src, tgt)` tuples of retracted updates that are
+    /// actually live (retracting an absent edge is a no-op; duplicate
+    /// retractions within the run are absorbed). The views are **not**
+    /// modified — engines answer their deletion joins against the
+    /// pre-removal views first and then commit with
     /// [`retract_deltas`](EdgeViewStore::retract_deltas). A row of a label
     /// whose relation is no registered view leaves the live graph here
-    /// already: nothing reads it.
-    pub fn remove_deltas(&mut self, updates: &[Update]) -> FxHashMap<GenericEdge, Relation> {
-        let mut deltas: FxHashMap<GenericEdge, Relation> = FxHashMap::default();
+    /// already: nothing reads it. Whatever `deltas` held before is
+    /// discarded.
+    pub fn remove_deltas(&mut self, updates: &[Update], deltas: &mut EdgeDeltas) {
+        deltas.begin(true);
         for u in updates {
             debug_assert!(u.is_retraction(), "remove_deltas takes retractions");
             let row: [Sym; 2] = [u.src, u.tgt];
@@ -232,38 +348,30 @@ impl EdgeViewStore {
             }
             // The per-edge delta is indexed so a doubly-retracted edge
             // contributes one removed row, not two.
-            let mut add = |shape: GenericEdge| {
-                deltas
-                    .entry(shape)
-                    .or_insert_with(|| Relation::new(2))
-                    .push(&row);
-            };
             if entry.open {
-                add(open_edge(u.label));
+                deltas.rows_mut(open_edge(u.label)).push(&row);
             }
-            entry.for_each_shape(u, |shape, _| add(shape));
+            entry.for_each_shape(u, |shape, _| {
+                deltas.rows_mut(shape).push(&row);
+            });
         }
-        deltas
     }
 
     /// Commits a retraction run: removes every delta row from its view
-    /// (see [`Relation::retract_rows`]). Pass the map produced by
-    /// [`remove_deltas`](EdgeViewStore::remove_deltas) after all
+    /// (see [`Relation::retract_rows`]). Pass the deltas
+    /// [`remove_deltas`](EdgeViewStore::remove_deltas) filled, after all
     /// pre-removal answering is done. An engine that caches join builds
     /// over these views passes its `cache`, so the rows leave *through* it
     /// ([`JoinCache::retract_rows`]) and the builds survive the deletion.
-    pub fn retract_deltas(
-        &mut self,
-        deltas: &FxHashMap<GenericEdge, Relation>,
-        mut cache: Option<&mut JoinCache>,
-    ) {
-        for (edge, removed) in deltas {
+    pub fn retract_deltas(&mut self, deltas: &EdgeDeltas, mut cache: Option<&mut JoinCache>) {
+        debug_assert!(deltas.retract, "retract_deltas commits a retraction run");
+        for (edge, removed) in deltas.iter() {
             let Some(entry) = self.labels.get_mut(&edge.label) else {
                 continue;
             };
-            let view = if *edge == open_edge(edge.label) {
+            let view = if edge == open_edge(edge.label) {
                 &mut entry.edges
-            } else if let Some(view) = entry.shapes.get_mut(edge) {
+            } else if let Some(view) = entry.shapes.get_mut(&edge) {
                 view
             } else {
                 continue;
@@ -324,10 +432,9 @@ mod tests {
     /// Routes one update as a one-update batch and returns the generic
     /// edges whose view gained its row, sorted.
     fn route(store: &mut EdgeViewStore, u: Update) -> Vec<GenericEdge> {
-        let mut keys: Vec<GenericEdge> = store
-            .apply_batch(std::slice::from_ref(&u))
-            .into_keys()
-            .collect();
+        let mut deltas = EdgeDeltas::default();
+        store.apply_batch(std::slice::from_ref(&u), &mut deltas);
+        let mut keys: Vec<GenericEdge> = deltas.iter().map(|(edge, _)| edge).collect();
         keys.sort_unstable();
         keys
     }
@@ -410,7 +517,8 @@ mod tests {
             Update::new(Sym(0), Sym(3), Sym(4)), // duplicate inside the batch
             Update::new(Sym(0), Sym(5), Sym(5)), // self loop
         ];
-        let deltas = store.apply_batch(&batch);
+        let mut deltas = EdgeDeltas::default();
+        store.apply_batch(&batch, &mut deltas);
 
         let vv = deltas.get(&var_var).expect("var-var affected");
         assert_eq!(
@@ -419,7 +527,7 @@ mod tests {
         );
         let lp = deltas.get(&loop_edge).expect("loop affected");
         assert_eq!(lp.to_sorted_vec(), vec![vec![Sym(5), Sym(5)]]);
-        assert!(!deltas.contains_key(&other_label), "label 1 never updated");
+        assert!(deltas.get(&other_label).is_none(), "label 1 never updated");
 
         // The views themselves advanced exactly as sequential routing would.
         assert_eq!(store.get(&var_var).unwrap().len(), 3);
@@ -430,7 +538,9 @@ mod tests {
     fn batch_routing_on_empty_batch_is_empty() {
         let mut store = EdgeViewStore::new();
         store.register(ge(0, Term::Var(0), Term::Var(1)));
-        assert!(store.apply_batch(&[]).is_empty());
+        let mut deltas = EdgeDeltas::default();
+        store.apply_batch(&[], &mut deltas);
+        assert!(deltas.is_empty());
     }
 
     #[test]
@@ -440,10 +550,14 @@ mod tests {
         let other_label = ge(1, Term::Var(0), Term::Var(1));
         store.register(var_var);
         store.register(other_label);
-        store.apply_batch(&[
-            Update::new(Sym(0), Sym(1), Sym(2)),
-            Update::new(Sym(0), Sym(3), Sym(4)),
-        ]);
+        let mut deltas = EdgeDeltas::default();
+        store.apply_batch(
+            &[
+                Update::new(Sym(0), Sym(1), Sym(2)),
+                Update::new(Sym(0), Sym(3), Sym(4)),
+            ],
+            &mut deltas,
+        );
 
         let batch = vec![
             Update::retraction(Sym(0), Sym(1), Sym(2)),
@@ -451,7 +565,7 @@ mod tests {
             Update::retraction(Sym(0), Sym(9), Sym(9)), // absent edge: no-op
             Update::retraction(Sym(1), Sym(5), Sym(6)), // view empty: no-op
         ];
-        let deltas = store.remove_deltas(&batch);
+        store.remove_deltas(&batch, &mut deltas);
         assert_eq!(deltas.len(), 1);
         let d = deltas.get(&var_var).expect("affected");
         assert_eq!(d.to_sorted_vec(), vec![vec![Sym(1), Sym(2)]]);
@@ -480,12 +594,15 @@ mod tests {
     #[test]
     fn registration_seeds_views_from_the_live_graph() {
         let mut store = EdgeViewStore::new();
-        store.apply_batch(&[
-            Update::new(Sym(0), Sym(1), Sym(2)),
-            Update::new(Sym(0), Sym(3), Sym(3)),
-            Update::new(Sym(0), Sym(50), Sym(100)),
-            Update::new(Sym(1), Sym(50), Sym(7)),
-        ]);
+        store.apply_batch(
+            &[
+                Update::new(Sym(0), Sym(1), Sym(2)),
+                Update::new(Sym(0), Sym(3), Sym(3)),
+                Update::new(Sym(0), Sym(50), Sym(100)),
+                Update::new(Sym(1), Sym(50), Sym(7)),
+            ],
+            &mut EdgeDeltas::default(),
+        );
         assert!(store.is_empty(), "no view registered yet");
         assert_eq!(store.edges(Sym(0)).unwrap().len(), 3);
 
@@ -521,17 +638,24 @@ mod tests {
         let from_5 = ge(1, Term::Const(Sym(5)), Term::Var(1));
         store.register(var_var);
         store.register(from_5);
-        store.apply_batch(&[
-            Update::new(Sym(0), Sym(1), Sym(2)),
-            Update::new(Sym(1), Sym(5), Sym(6)),
-            Update::new(Sym(2), Sym(8), Sym(9)),
-        ]);
-        let deltas = store.remove_deltas(&[
-            Update::retraction(Sym(0), Sym(1), Sym(2)),
-            Update::retraction(Sym(1), Sym(5), Sym(6)),
-            Update::retraction(Sym(2), Sym(8), Sym(9)),
-        ]);
-        let mut affected: Vec<GenericEdge> = deltas.keys().copied().collect();
+        let mut deltas = EdgeDeltas::default();
+        store.apply_batch(
+            &[
+                Update::new(Sym(0), Sym(1), Sym(2)),
+                Update::new(Sym(1), Sym(5), Sym(6)),
+                Update::new(Sym(2), Sym(8), Sym(9)),
+            ],
+            &mut deltas,
+        );
+        store.remove_deltas(
+            &[
+                Update::retraction(Sym(0), Sym(1), Sym(2)),
+                Update::retraction(Sym(1), Sym(5), Sym(6)),
+                Update::retraction(Sym(2), Sym(8), Sym(9)),
+            ],
+            &mut deltas,
+        );
+        let mut affected: Vec<GenericEdge> = deltas.iter().map(|(edge, _)| edge).collect();
         affected.sort_unstable();
         let mut expected = vec![var_var, from_5];
         expected.sort_unstable();
@@ -597,5 +721,35 @@ mod tests {
             store.edges(Sym(4)).unwrap().to_sorted_vec()
         );
         assert!(restored.is_empty());
+    }
+
+    #[test]
+    fn one_delta_buffer_serves_runs_of_both_signs() {
+        // A sliding window routes alternating runs through one buffer: each
+        // run reads only its own rows, an edge the run did not touch reads
+        // as untouched, and a retracted edge routed again is new again.
+        let mut store = EdgeViewStore::new();
+        let var_var = ge(0, Term::Var(0), Term::Var(1));
+        let from_1 = ge(0, Term::Const(Sym(1)), Term::Var(1));
+        store.register(var_var);
+        store.register(from_1);
+        let mut deltas = EdgeDeltas::default();
+        let a = Update::new(Sym(0), Sym(1), Sym(2));
+        let b = Update::new(Sym(0), Sym(3), Sym(4));
+        store.apply_batch(&[a, b], &mut deltas);
+        assert_eq!(deltas.len(), 2);
+        assert_eq!(deltas.get(&var_var).unwrap().len(), 2);
+
+        store.remove_deltas(&[a.inverted(), a.inverted()], &mut deltas);
+        let only_a = vec![vec![Sym(1), Sym(2)]];
+        assert_eq!(deltas.get(&var_var).unwrap().to_vec(), only_a);
+        assert_eq!(deltas.get(&from_1).unwrap().to_vec(), only_a);
+        store.retract_deltas(&deltas, None);
+
+        store.apply_batch(&[b, a], &mut deltas);
+        assert_eq!(deltas.get(&var_var).unwrap().to_vec(), only_a);
+        store.apply_batch(&[Update::new(Sym(0), Sym(5), Sym(6))], &mut deltas);
+        assert!(deltas.get(&from_1).is_none(), "the run did not touch it");
+        assert_eq!(deltas.len(), 1);
     }
 }

@@ -499,6 +499,7 @@ proptest! {
                 })
             };
             let counts = |cache: Option<&mut JoinCache>| {
+                let mut counts = Vec::new();
                 join_covering_paths(
                     queries
                         .iter()
@@ -508,7 +509,9 @@ proptest! {
                     |&p| path_delta(p),
                     |&p| Some(&views[view_of(p)]),
                     cache,
-                )
+                    &mut counts,
+                );
+                counts
             };
             let cached = counts(Some(&mut cache));
             let fresh = counts(None);

@@ -11,11 +11,13 @@
 
 use std::collections::HashMap;
 
-use gsm_core::engine::{ContinuousEngine, EngineStats, MatchReport, QueryId, QueryTable};
+use gsm_core::engine::{
+    ContinuousEngine, EngineStats, FlushCounts, MatchReport, QueryId, QueryTable,
+};
 use gsm_core::error::Result;
 use gsm_core::memory::HeapSize;
 use gsm_core::model::generic::GenericEdge;
-use gsm_core::model::update::Update;
+use gsm_core::model::update::{sign_runs, Update};
 use gsm_core::query::pattern::QueryPattern;
 use gsm_core::relation::fasthash::FxHashMap;
 
@@ -33,6 +35,8 @@ pub struct GraphDbEngine {
     /// along with the indices of those pattern edges.
     edge_index: FxHashMap<GenericEdge, Vec<(QueryId, usize)>>,
     plan_cache: PlanCache,
+    /// Every run's signed counts, assembled into the batch's report once.
+    counts: FlushCounts,
     stats: EngineStats,
 }
 
@@ -44,6 +48,7 @@ impl GraphDbEngine {
             queries: QueryTable::new(),
             edge_index: FxHashMap::default(),
             plan_cache: PlanCache::new(),
+            counts: FlushCounts::default(),
             stats: EngineStats::default(),
         }
     }
@@ -120,17 +125,20 @@ impl ContinuousEngine for GraphDbEngine {
     /// completes it). Unlike answering the updates one at a time, each
     /// (query, anchor-edge) plan is built at most once per batch. A single
     /// update is the one-update batch: Section 5.3's per-update algorithm
-    /// exactly.
+    /// exactly. A batch of both signs answers each same-sign run in turn,
+    /// and every run's counts go into one report.
     fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
-        let mut report = MatchReport::empty();
-        for run in gsm_core::model::update::sign_runs(updates) {
-            let run_report = if run[0].is_retraction() {
-                self.retract_batch(run)
+        for run in sign_runs(updates) {
+            if run[0].is_retraction() {
+                self.retract_batch(run);
             } else {
-                self.insert_batch(run)
-            };
-            report = report.merge(&run_report);
+                self.insert_batch(run);
+            }
         }
+        let report = self.counts.take_report();
+        self.stats.notifications += report.len() as u64;
+        self.stats.embeddings += report.total_embeddings();
+        self.stats.retracted += report.total_retracted();
         report
     }
 
@@ -155,9 +163,9 @@ impl GraphDbEngine {
     /// affected (query, pattern edge) pairs of every edge via edgeInd, then
     /// executes each affected query against the store as it stands,
     /// anchored at every such pair, with one deduplicating collector per
-    /// query. Returns `(query, distinct embeddings)` in query order, for
-    /// the queries with at least one.
-    fn answer_anchored(&mut self, edges: &[Update]) -> Vec<(QueryId, u64)> {
+    /// query. Appends `(query, distinct embeddings)` to the counts of the
+    /// run's sign, in query order, for the queries with at least one.
+    fn answer_anchored(&mut self, edges: &[Update], retract: bool) {
         let mut anchored: HashMap<QueryId, Vec<(usize, Update)>> = HashMap::new();
         for &e in edges {
             for shape in GenericEdge::shapes_of_update(&e) {
@@ -170,7 +178,7 @@ impl GraphDbEngine {
         }
         let mut sorted: Vec<(QueryId, Vec<(usize, Update)>)> = anchored.into_iter().collect();
         sorted.sort_by_key(|(q, _)| *q);
-        let mut counts = Vec::new();
+        let counts = self.counts.of_sign(retract);
         for (qid, anchors) in sorted {
             let query = self
                 .queries
@@ -193,13 +201,12 @@ impl GraphDbEngine {
                 counts.push((qid, collector.len() as u64));
             }
         }
-        counts
     }
 
     /// The insert-only batch core (Section 5.3 amortized over the run):
     /// apply the run to the database, then answer every affected query
     /// against the post-batch store, anchored at each genuinely new edge.
-    fn insert_batch(&mut self, updates: &[Update]) -> MatchReport {
+    fn insert_batch(&mut self, updates: &[Update]) {
         self.stats.updates_processed += updates.len() as u64;
 
         // (1) Apply the whole batch to the database, keeping the genuinely
@@ -212,10 +219,7 @@ impl GraphDbEngine {
             .collect();
 
         // (2)–(4) Answer the affected queries, anchored at the new edges.
-        let report = MatchReport::from_counts(self.answer_anchored(&new_edges));
-        self.stats.notifications += report.len() as u64;
-        self.stats.embeddings += report.total_embeddings();
-        report
+        self.answer_anchored(&new_edges, false);
     }
 
     /// The retraction core: the disappearing embeddings are enumerated
@@ -224,7 +228,7 @@ impl GraphDbEngine {
     /// (an embedding disappears iff it maps some pattern edge onto a
     /// removed edge) — and only then are the edges deleted from the
     /// store's edge set and adjacency.
-    fn retract_batch(&mut self, updates: &[Update]) -> MatchReport {
+    fn retract_batch(&mut self, updates: &[Update]) {
         self.stats.updates_processed += updates.len() as u64;
 
         // (1) Resolve which of the named edges actually exist (the batch may
@@ -238,17 +242,12 @@ impl GraphDbEngine {
         }
 
         // (2)–(4) Answer against the PRE-removal store.
-        let counts = self.answer_anchored(&victims);
+        self.answer_anchored(&victims, true);
 
         // (5) Commit the removals.
         for &e in &victims {
             self.store.remove_edge(e);
         }
-
-        let report = MatchReport::from_retraction_counts(counts);
-        self.stats.notifications += report.len() as u64;
-        self.stats.retracted += report.total_retracted();
-        report
     }
 }
 

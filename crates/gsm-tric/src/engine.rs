@@ -1,8 +1,8 @@
 //! The TRIC / TRIC+ continuous-query engine (Sections 4.1 and 4.2).
 
-use std::collections::BTreeMap;
-
-use gsm_core::engine::{ContinuousEngine, EngineStats, MatchReport, QueryId, QueryTable};
+use gsm_core::engine::{
+    ContinuousEngine, EngineStats, FlushCounts, MatchReport, QueryId, QueryTable,
+};
 use gsm_core::error::Result;
 use gsm_core::interner::Sym;
 use gsm_core::memory::HeapSize;
@@ -12,11 +12,10 @@ use gsm_core::query::paths::covering_paths;
 use gsm_core::query::pattern::{QVertexId, QueryPattern};
 use gsm_core::relation::cache::JoinCache;
 use gsm_core::relation::eval::{join_covering_paths, PathDelta};
-use gsm_core::relation::fasthash::{FxHashMap, FxHashSet};
 use gsm_core::relation::join::JoinBuild;
 use gsm_core::relation::Relation;
 use gsm_core::shard::ShardedEngine;
-use gsm_core::views::EdgeViewStore;
+use gsm_core::views::{EdgeDeltas, EdgeViewStore};
 
 use crate::trie::{NodeId, TrieForest};
 
@@ -49,24 +48,117 @@ impl HeapSize for PathInfo {
     }
 }
 
-/// Update-scoped scratch buffers, reused across `apply_update` calls so the
-/// per-update hot path performs no bookkeeping allocations once the buffers
-/// have grown to the working-set size.
+/// One trie node's slot of the run scratch.
+#[derive(Debug)]
+struct NodeDelta {
+    /// The node's delta in the run stamped in `epoch`: `depth + 2` columns,
+    /// distinct by construction. Emptied, never freed, between runs.
+    rows: Relation,
+    /// In a retraction run, the ascending positions of `rows` in the node's
+    /// still pre-removal view ([`PathDelta::retracted`]); end nodes only.
+    removed_at: Vec<u32>,
+    /// The run whose delta `rows` holds; any other value means the node did
+    /// not change in the current run.
+    epoch: u64,
+}
+
+impl NodeDelta {
+    fn new(arity: usize) -> Self {
+        NodeDelta {
+            rows: Relation::new_distinct(arity),
+            removed_at: Vec::new(),
+            epoch: 0,
+        }
+    }
+
+    /// Claims the slot for run `epoch` with an empty delta, unless the run
+    /// already holds it; says whether it did.
+    fn claim(&mut self, epoch: u64) -> bool {
+        if self.epoch == epoch {
+            return false;
+        }
+        self.epoch = epoch;
+        self.rows.clear();
+        self.removed_at.clear();
+        true
+    }
+
+    /// The node's delta in run `epoch`, if it changed.
+    fn delta(&self, epoch: u64) -> Option<&Relation> {
+        (self.epoch == epoch && !self.rows.is_empty()).then_some(&self.rows)
+    }
+}
+
+impl HeapSize for NodeDelta {
+    fn heap_size(&self) -> usize {
+        self.rows.heap_size() + self.removed_at.heap_size()
+    }
+}
+
+/// The engine's run scratch: every buffer a same-sign run
+/// ([`TricEngine::stage_run`]) works in, owned by the engine and reused
+/// from run to run, so that a run allocates nothing once the buffers have
+/// grown to the working set. Each
+/// node slot keeps the capacity of the largest delta its node ever had and
+/// is counted in [`ContinuousEngine::heap_bytes`].
+///
+/// The delta slots are indexed by [`NodeId`], which is sound because ids
+/// are never reused, a node's arity is fixed at `depth + 2`, and a child's
+/// id is always larger than its parent's — so a parent's delta is read
+/// while its child's slot is appended to, in one split of the slot vector.
+/// A slot holds the current run's delta only when it is stamped with the
+/// current `epoch`, so a new run starts without clearing every slot.
 #[derive(Debug, Default)]
 struct UpdateScratch {
-    /// Trie nodes touched by the current update (sorted, deduped).
+    /// The current run; bumped once per run that routed any row.
+    epoch: u64,
+    /// One delta slot per trie arena slot.
+    nodes: Vec<NodeDelta>,
+    /// The nodes whose delta is non-empty in the current run, one `Vec` per
+    /// depth: the propagation queue, walked in depth order, and afterwards
+    /// the run's changed nodes.
+    by_depth: Vec<Vec<NodeId>>,
+    /// The routed run's per-edge deltas.
+    edges: EdgeDeltas,
+    /// Trie nodes indexing an edge the run changed (sorted, deduped).
     affected_nodes: Vec<NodeId>,
-    /// Nodes already expanded during delta propagation (replaces the former
-    /// O(n²) `Vec::contains` scan).
-    processed: FxHashSet<NodeId>,
+    /// Queries with a changed covering path (sorted, deduped).
+    affected_queries: Vec<QueryId>,
     /// Row assembly buffer shared by seed construction and delta extension.
     row_buf: Vec<Sym>,
 }
 
 impl UpdateScratch {
-    fn reset(&mut self) {
-        self.affected_nodes.clear();
-        self.processed.clear();
+    /// Starts a run: a fresh epoch, a slot for every node the forest has
+    /// created since the last run, and an empty depth queue.
+    fn begin(&mut self, forest: &TrieForest) {
+        self.epoch += 1;
+        for id in self.nodes.len()..forest.num_slots() {
+            let depth = forest.node(NodeId(id as u32)).depth;
+            self.nodes.push(NodeDelta::new(depth + 2));
+        }
+        for level in &mut self.by_depth {
+            level.clear();
+        }
+    }
+
+    /// Queues `node`, at `depth`, as changed in this run.
+    fn queue(&mut self, node: NodeId, depth: usize) {
+        if self.by_depth.len() <= depth {
+            self.by_depth.resize_with(depth + 1, Vec::new);
+        }
+        self.by_depth[depth].push(node);
+    }
+}
+
+impl HeapSize for UpdateScratch {
+    fn heap_size(&self) -> usize {
+        self.nodes.heap_size()
+            + self.by_depth.heap_size()
+            + self.edges.heap_size()
+            + self.affected_nodes.heap_size()
+            + self.affected_queries.heap_size()
+            + self.row_buf.heap_size()
     }
 }
 
@@ -80,6 +172,8 @@ pub struct TricEngine {
     /// queryInd: each query's covering-path descriptors.
     queries: QueryTable<Vec<PathInfo>>,
     scratch: UpdateScratch,
+    /// Every run's signed counts, assembled into the flush's report once.
+    counts: FlushCounts,
     stats: EngineStats,
 }
 
@@ -152,10 +246,10 @@ impl TricEngine {
         self.cache.rebuilds()
     }
 
-    /// Extends every row of `delta` (a prefix-path delta whose last column is
-    /// the frontier vertex) with the matching tuples of `edge_view`,
-    /// producing the delta of the child node. Tuples in `skip` are left out:
-    /// a retraction run reads the edge view without the rows it removes.
+    /// Appends to `out` every row of `delta` (a prefix-path delta whose last
+    /// column is the frontier vertex) extended with the matching tuples of
+    /// `edge_view`: the child node's delta. Tuples in `skip` are left out: a
+    /// retraction run reads the edge view without the rows it removes.
     /// `row_buf` is caller-provided scratch so repeated extensions share one
     /// allocation.
     fn extend_delta(
@@ -165,14 +259,12 @@ impl TricEngine {
         edge_view: &Relation,
         skip: Option<&Relation>,
         row_buf: &mut Vec<Sym>,
-    ) -> Relation {
-        let out_arity = delta.arity() + 1;
-        // Distinct inputs extended with distinct edge matches yield distinct
-        // rows, so the child delta skips the dedup index entirely.
-        let mut out = Relation::new_distinct(out_arity);
+        out: &mut Relation,
+    ) {
         if delta.is_empty() || edge_view.is_empty() {
-            return out;
+            return;
         }
+        let out_arity = delta.arity() + 1;
         let last = delta.arity() - 1;
         row_buf.clear();
         row_buf.resize(out_arity, Sym(0));
@@ -183,6 +275,8 @@ impl TricEngine {
             build_storage = JoinBuild::build(edge_view, &[0]);
             &build_storage
         };
+        // Distinct inputs extended with distinct edge matches yield distinct
+        // rows, so the child delta skips the dedup index entirely.
         for drow in delta.iter() {
             build.probe_each(edge_view, &[drow[last]], |idx| {
                 let erow = edge_view.row(idx);
@@ -194,16 +288,51 @@ impl TricEngine {
                 out.append_distinct(row_buf);
             });
         }
-        out
+    }
+
+    /// Appends to `out` the seed of a non-root node: every row of
+    /// `parent_view` extended with the matching tuples of the edge delta
+    /// `delta_e`, one hash-join build over the parent view.
+    fn seed_delta(
+        caching: bool,
+        cache: &mut JoinCache,
+        parent_view: &Relation,
+        delta_e: &Relation,
+        row_buf: &mut Vec<Sym>,
+        out: &mut Relation,
+    ) {
+        if parent_view.is_empty() {
+            return;
+        }
+        let last = parent_view.arity() - 1;
+        row_buf.clear();
+        row_buf.resize(parent_view.arity() + 1, Sym(0));
+        let build_storage;
+        let build = if caching {
+            cache.get_or_build(parent_view, &[last])
+        } else {
+            build_storage = JoinBuild::build(parent_view, &[last]);
+            &build_storage
+        };
+        // Distinct parent rows x distinct edge-delta tuples give distinct
+        // seed rows; skip the dedup index.
+        for drow in delta_e.iter() {
+            build.probe_each(parent_view, &[drow[0]], |idx| {
+                let prow = parent_view.row(idx);
+                row_buf[..prow.len()].copy_from_slice(prow);
+                row_buf[prow.len()] = drow[1];
+                out.append_distinct(row_buf);
+            });
+        }
     }
 
     /// Initialises the materialized view of a freshly created trie node from
     /// its parent's view and the (already registered) edge view, so that
     /// queries may be added after updates have already streamed in.
     fn initialise_node_view(&mut self, node: NodeId) {
-        let (parent, edge) = {
+        let (parent, edge, depth) = {
             let n = self.forest.node(node);
-            (n.parent, n.edge)
+            (n.parent, n.edge, n.depth)
         };
         let Some(edge_view) = self.views.get(&edge) else {
             return;
@@ -214,14 +343,15 @@ impl TricEngine {
                 self.forest.node_mut(node).mat_view.extend_from(edge_view);
             }
             Some(p) => {
-                let parent_view = &self.forest.node(p).mat_view;
-                let extended = Self::extend_delta(
+                let mut extended = Relation::new_distinct(depth + 2);
+                Self::extend_delta(
                     self.config.caching,
                     &mut self.cache,
-                    parent_view,
+                    &self.forest.node(p).mat_view,
                     edge_view,
                     None,
                     &mut self.scratch.row_buf,
+                    &mut extended,
                 );
                 let view = &mut self.forest.node_mut(node).mat_view;
                 view.extend_from(&extended);
@@ -267,18 +397,24 @@ impl ContinuousEngine for TricEngine {
     }
 
     /// Removes the query's registrations from every covering-path end node,
-    /// pruning trie nodes (and evicting their cached join builds) that no
-    /// longer serve any query. The query's id slot is tombstoned — emptied,
-    /// never reused — so later ids stay valid.
+    /// pruning trie nodes (evicting their cached join builds and freeing
+    /// their run-scratch slots) that no longer serve any query. The query's
+    /// id slot is tombstoned — emptied, never reused — so later ids stay
+    /// valid.
     fn unregister_query(&mut self, query: QueryId) -> Result<()> {
         let infos = self.queries.remove(query)?;
         for (path_idx, info) in infos.iter().enumerate() {
-            let released = self
+            let pruned = self
                 .forest
                 .remove_registration(info.end_node, query, path_idx)
                 .expect("query table and forest registrations agree");
-            for rel_id in released {
+            for (node, rel_id) in pruned {
                 self.cache.evict_relation(rel_id);
+                // A pruned id is never issued again, so its slot is never
+                // read again either.
+                if let Some(slot) = self.scratch.nodes.get_mut(node.index()) {
+                    *slot = NodeDelta::new(slot.rows.arity());
+                }
             }
         }
         Ok(())
@@ -295,13 +431,14 @@ impl ContinuousEngine for TricEngine {
     /// Batched answering (the scaling step of the ROADMAP): every same-sign
     /// run of the batch takes one `TricEngine::stage_run` pass — routing,
     /// join builds, propagation and the answer are paid once per run, not
-    /// once per update. Staging rides the trait's default: the batch is
-    /// answered here and its report is the token.
+    /// once per update — and appends its counts to one buffer, from which
+    /// the batch's report is built once. Staging rides the trait's default:
+    /// the batch is answered here and its report is the token.
     fn apply_batch(&mut self, updates: &[Update]) -> MatchReport {
-        let report = sign_runs(updates)
-            .map(|run| self.stage_run(run))
-            .reduce(|merged, report| merged.merge(&report))
-            .unwrap_or_default();
+        for run in sign_runs(updates) {
+            self.stage_run(run);
+        }
+        let report = self.counts.take_report();
         self.stats.notifications += report.len() as u64;
         self.stats.embeddings += report.total_embeddings();
         self.stats.retracted += report.total_retracted();
@@ -317,6 +454,8 @@ impl ContinuousEngine for TricEngine {
             + self.views.heap_size()
             + self.cache.heap_size()
             + self.queries.heap_size()
+            + self.scratch.heap_size()
+            + self.counts.heap_size()
     }
 
     fn stats(&self) -> EngineStats {
@@ -325,29 +464,36 @@ impl ContinuousEngine for TricEngine {
 }
 
 impl TricEngine {
-    /// The answering algorithm (Fig. 8–10) for one same-sign run, returning
-    /// its uncounted report — a deletion is the insertion pass with the
-    /// sign flipped:
+    /// The answering algorithm (Fig. 8–10) for one same-sign run, appending
+    /// its counts to the flush's [`FlushCounts`] — a deletion is the
+    /// insertion pass with the sign flipped. Every buffer it works in is
+    /// run scratch the engine keeps ([`UpdateScratch`]), so a warm run
+    /// allocates nothing of its own:
     ///
     /// 0. **Route** the run to the per-edge views, collecting the delta
-    ///    relation Δe of every affected generic edge. Insertions append now
+    ///    relation Δe of every affected generic edge into the scratch's
+    ///    [`EdgeDeltas`]. Insertions append now
     ///    ([`EdgeViewStore::apply_batch`]); retractions leave the views as
     ///    they are ([`EdgeViewStore::remove_deltas`]) and commit in step 3.
-    /// 1. Locate the affected trie nodes (`edgeInd`).
-    /// 2. **Seed** each from its parent's *pre-commit* view ⋈ Δe and
-    ///    **propagate** Δp ⋈ child edge view down the sub-tries, pruning
-    ///    branches whose delta is empty (Fig. 10). That is the ordered
-    ///    delta identity of the answer (step 4) for a two-way join, in both
-    ///    directions: `new(p)⋈new(e) − old(p)⋈old(e) = old(p)⋈Δe ⊎
-    ///    Δp⋈new(e)` and `old(p)⋈old(e) − new(p)⋈new(e) = old(p)⋈Δe ⊎
-    ///    Δp⋈new(e)`. The two terms are disjoint (a seed row's last edge is
-    ///    in Δe, a propagated row's is not), so a node's delta is their
-    ///    plain concatenation. An insertion's propagation reads the
+    ///    A run that changes no view ends here.
+    /// 1. Start the run's epoch and locate the affected trie nodes
+    ///    (`edgeInd`).
+    /// 2. **Seed** each, in its own delta slot, from its parent's
+    ///    *pre-commit* view ⋈ Δe, and **propagate** Δp ⋈ child edge view
+    ///    down the sub-tries depth by depth, appending straight into each
+    ///    child's slot and pruning branches whose delta is empty (Fig. 10).
+    ///    That is the ordered delta identity of the answer (step 4) for a
+    ///    two-way join, in both directions: `new(p)⋈new(e) − old(p)⋈old(e)
+    ///    = old(p)⋈Δe ⊎ Δp⋈new(e)` and `old(p)⋈old(e) − new(p)⋈new(e) =
+    ///    old(p)⋈Δe ⊎ Δp⋈new(e)`. The two terms are disjoint (a seed row's
+    ///    last edge is in Δe, a propagated row's is not), so a node's delta
+    ///    is their plain concatenation. An insertion's propagation reads the
     ///    already-appended edge views; a retraction's reads the
     ///    not-yet-shrunk ones and skips the edge rows in Δe.
     /// 3. **Commit** the node deltas: insertions append the truly new rows
-    ///    to the node views; retractions swap-remove the delta rows from
-    ///    node and edge views, O(|Δ|) per view ([`Relation::retract_rows`],
+    ///    to the node views, keeping only those in the slot; retractions
+    ///    swap-remove the delta rows from node and edge views, O(|Δ|) per
+    ///    view ([`Relation::retract_rows`],
     ///    [`EdgeViewStore::retract_deltas`]). TRIC+ retracts *through* its
     ///    cache ([`JoinCache::retract_rows`]), so the cached join builds
     ///    follow the moved rows and no build starts over after a deletion.
@@ -364,257 +510,207 @@ impl TricEngine {
     ///    maintains; plain TRIC builds them afresh.
     ///
     /// A single update is a run of length one.
-    fn stage_run(&mut self, run: &[Update]) -> MatchReport {
+    fn stage_run(&mut self, run: &[Update]) {
         let Some(first) = run.first() else {
-            return MatchReport::empty();
+            return;
         };
         let retract = first.is_retraction();
         self.stats.updates_processed += run.len() as u64;
-
-        let edge_deltas = if retract {
-            self.views.remove_deltas(run)
-        } else {
-            self.views.apply_batch(run)
-        };
-        if edge_deltas.is_empty() {
-            return MatchReport::empty();
-        }
-
-        // Step 1. The node list, the processed set and the row buffer are
-        // run-scoped scratch reused across calls.
-        self.scratch.reset();
-        for ge in edge_deltas.keys() {
-            self.scratch
-                .affected_nodes
-                .extend_from_slice(self.forest.nodes_for_edge(ge));
-        }
-        self.scratch.affected_nodes.sort_unstable();
-        self.scratch.affected_nodes.dedup();
-
         let caching = self.config.caching;
+        let s = &mut self.scratch;
+
+        if retract {
+            self.views.remove_deltas(run, &mut s.edges);
+        } else {
+            self.views.apply_batch(run, &mut s.edges);
+        }
+        if s.edges.is_empty() {
+            return;
+        }
+
+        // Step 1.
+        s.begin(&self.forest);
+        let epoch = s.epoch;
+        s.affected_nodes.clear();
+        for (edge, _) in s.edges.iter() {
+            s.affected_nodes
+                .extend_from_slice(self.forest.nodes_for_edge(&edge));
+        }
+        s.affected_nodes.sort_unstable();
+        s.affected_nodes.dedup();
 
         // Step 2a: seed a delta at every affected node (one hash-join build
-        // per node per run).
-        let mut deltas: FxHashMap<NodeId, Relation> = FxHashMap::default();
-        let mut by_depth: BTreeMap<usize, Vec<NodeId>> = BTreeMap::new();
-        for i in 0..self.scratch.affected_nodes.len() {
-            let n = self.scratch.affected_nodes[i];
+        // per node per run). Affected nodes are deduped, so each is seeded
+        // once; deltas only merge during propagation.
+        for i in 0..s.affected_nodes.len() {
+            let n = s.affected_nodes[i];
             let node = self.forest.node(n);
-            let delta_e = &edge_deltas[&node.edge];
-            let seed = match node.parent {
+            let delta_e = s
+                .edges
+                .get(&node.edge)
+                .expect("an affected node indexes a routed edge");
+            let slot = &mut s.nodes[n.index()];
+            slot.claim(epoch);
+            match node.parent {
                 // Root node: the seed is exactly the edge's delta.
-                None => delta_e.clone(),
-                Some(p) => {
-                    let parent_view = &self.forest.node(p).mat_view;
-                    // Distinct parent rows x distinct edge-delta tuples give
-                    // distinct seed rows; skip the dedup index.
-                    let mut seed = Relation::new_distinct(parent_view.arity() + 1);
-                    if !parent_view.is_empty() {
-                        let last = parent_view.arity() - 1;
-                        let row_buf = &mut self.scratch.row_buf;
-                        row_buf.clear();
-                        row_buf.resize(parent_view.arity() + 1, Sym(0));
-                        let build_storage;
-                        let build = if caching {
-                            self.cache.get_or_build(parent_view, &[last])
-                        } else {
-                            build_storage = JoinBuild::build(parent_view, &[last]);
-                            &build_storage
-                        };
-                        for drow in delta_e.iter() {
-                            build.probe_each(parent_view, &[drow[0]], |idx| {
-                                let prow = parent_view.row(idx);
-                                row_buf[..prow.len()].copy_from_slice(prow);
-                                row_buf[prow.len()] = drow[1];
-                                seed.append_distinct(row_buf);
-                            });
-                        }
-                    }
-                    seed
+                None => {
+                    slot.rows.extend_from(delta_e);
                 }
-            };
-            if !seed.is_empty() {
-                by_depth.entry(node.depth).or_default().push(n);
-                // Affected nodes are deduped, so each node is seeded exactly
-                // once; merging only happens during propagation.
-                deltas.insert(n, seed);
+                Some(p) => Self::seed_delta(
+                    caching,
+                    &mut self.cache,
+                    &self.forest.node(p).mat_view,
+                    delta_e,
+                    &mut s.row_buf,
+                    &mut slot.rows,
+                ),
+            }
+            if slot.rows.is_empty() {
+                slot.epoch = 0;
+            } else {
+                s.queue(n, node.depth);
             }
         }
 
-        // Step 2b: propagate in depth order. Each node's delta is taken out
-        // of the map while its children are extended (and put back
-        // afterwards for step 3), so nothing is cloned.
-        while let Some((_, level)) = by_depth.pop_first() {
-            for n in level {
-                if !self.scratch.processed.insert(n) {
-                    continue;
-                }
-                let Some(delta) = deltas.remove(&n) else {
-                    continue;
-                };
-                for ci in 0..self.forest.node(n).children.len() {
-                    let c = self.forest.node(n).children[ci];
+        // Step 2b: propagate in depth order. A child's id is larger than its
+        // parent's, so the parent's slot is read while the child's is
+        // appended to; every parent of depth d is done before depth d + 1
+        // is walked.
+        let mut depth = 0;
+        while depth < s.by_depth.len() {
+            for i in 0..s.by_depth[depth].len() {
+                let n = s.by_depth[depth][i];
+                for &c in &self.forest.node(n).children {
                     let child = self.forest.node(c);
                     let Some(edge_view) = self.views.get(&child.edge) else {
                         continue;
                     };
-                    let child_delta = Self::extend_delta(
+                    debug_assert!(c > n, "a child's id is larger than its parent's");
+                    let (parents, children) = s.nodes.split_at_mut(c.index());
+                    let slot = &mut children[0];
+                    let fresh = slot.claim(epoch);
+                    Self::extend_delta(
                         caching,
                         &mut self.cache,
-                        &delta,
+                        &parents[n.index()].rows,
                         edge_view,
-                        edge_deltas.get(&child.edge).filter(|_| retract),
-                        &mut self.scratch.row_buf,
+                        s.edges.get(&child.edge).filter(|_| retract),
+                        &mut s.row_buf,
+                        &mut slot.rows,
                     );
-                    if child_delta.is_empty() {
-                        continue; // prune this sub-trie
-                    }
-                    by_depth.entry(child.depth).or_default().push(c);
-                    match deltas.entry(c) {
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            // The seed old(p)⋈Δe and Δp⋈new(e) are disjoint.
-                            e.get_mut().extend_from(&child_delta);
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(child_delta);
-                        }
+                    if slot.rows.is_empty() {
+                        slot.epoch = 0; // prune this sub-trie
+                    } else if fresh {
+                        s.queue(c, child.depth);
                     }
                 }
-                deltas.insert(n, delta);
             }
+            depth += 1;
         }
 
         if !retract {
-            self.append_deltas(&mut deltas);
+            // Step 3 of an insertion run. Node views keep `matV[n] =
+            // prefix-path join`, so a delta row derived from at least one
+            // new edge row is almost never already present; the rare
+            // duplicate leaves the delta, which stays the view's tail.
+            for n in s.by_depth.iter().flatten() {
+                let view = &mut self.forest.node_mut(*n).mat_view;
+                s.nodes[n.index()].rows.retain(|row| view.push(row));
+            }
         }
 
         // A query is affected iff some covering path's end node changed.
-        let mut affected_queries: Vec<QueryId> = deltas
-            .keys()
-            .flat_map(|n| &self.forest.node(*n).registrations)
-            .map(|reg| reg.query)
-            .collect();
-        affected_queries.sort_unstable();
-        affected_queries.dedup();
+        s.affected_queries.clear();
+        for n in s.by_depth.iter().flatten() {
+            if s.nodes[n.index()].delta(epoch).is_some() {
+                let registrations = &self.forest.node(*n).registrations;
+                s.affected_queries
+                    .extend(registrations.iter().map(|reg| reg.query));
+            }
+        }
+        s.affected_queries.sort_unstable();
+        s.affected_queries.dedup();
 
         // Step 4, against the live views (a retraction's are still
-        // pre-removal here, and its end-node deltas are located in them).
-        let removed_at = retract.then(|| self.removed_positions(&deltas));
-        let counts = answer_tric(
-            &deltas,
-            removed_at.as_ref(),
-            &affected_queries,
+        // pre-removal here, and its end-node deltas are located in them
+        // once per run).
+        if retract {
+            for n in s.by_depth.iter().flatten() {
+                let node = self.forest.node(*n);
+                if node.registrations.is_empty() {
+                    continue;
+                }
+                let slot = &mut s.nodes[n.index()];
+                let view = &node.mat_view;
+                slot.removed_at.extend(
+                    slot.rows.iter().map(|row| {
+                        view.position(row).expect("a removed row is in its view") as u32
+                    }),
+                );
+                slot.removed_at.sort_unstable();
+            }
+        }
+        answer_tric(
+            s,
+            retract,
             &self.queries,
             &self.forest,
             caching.then_some(&mut self.cache),
+            self.counts.of_sign(retract),
         );
         if retract {
             let mut cache = caching.then_some(&mut self.cache);
-            for (n, d) in &deltas {
+            for n in s.by_depth.iter().flatten() {
                 let view = &mut self.forest.node_mut(*n).mat_view;
+                let rows = &s.nodes[n.index()].rows;
                 match cache.as_deref_mut() {
-                    Some(cache) => cache.retract_rows(view, d),
-                    None => view.retract_rows(d),
+                    Some(cache) => cache.retract_rows(view, rows),
+                    None => view.retract_rows(rows),
                 };
             }
-            self.views.retract_deltas(&edge_deltas, cache);
-            MatchReport::from_retraction_counts(counts)
-        } else {
-            MatchReport::from_counts(counts)
+            self.views.retract_deltas(&s.edges, cache);
         }
-    }
-
-    /// Where each end-node delta of a retraction run sits in its (still
-    /// pre-removal) view: the ascending row positions that the view's new
-    /// version leaves out ([`PathDelta::retracted`]), one dedup-index lookup
-    /// per row.
-    fn removed_positions(
-        &self,
-        deltas: &FxHashMap<NodeId, Relation>,
-    ) -> FxHashMap<NodeId, Vec<u32>> {
-        deltas
-            .iter()
-            .filter(|(n, _)| !self.forest.node(**n).registrations.is_empty())
-            .map(|(n, delta)| {
-                let view = &self.forest.node(*n).mat_view;
-                let mut positions: Vec<u32> = delta
-                    .iter()
-                    .map(|row| view.position(row).expect("a removed row is in its view") as u32)
-                    .collect();
-                positions.sort_unstable();
-                (*n, positions)
-            })
-            .collect()
-    }
-
-    /// Step 3 of an insertion run: append the deltas to the per-node
-    /// materialized views, shrinking each to its truly new rows. (Done after
-    /// propagation so seeds are computed against pre-update views.) Because
-    /// node views maintain the invariant `matV[n] = prefix-path join`, a
-    /// delta row derived from at least one new edge row is almost never
-    /// already present, so the common case keeps the whole delta without
-    /// re-hashing a single row; only when a duplicate does appear is a
-    /// filtered copy built.
-    fn append_deltas(&mut self, deltas: &mut FxHashMap<NodeId, Relation>) {
-        deltas.retain(|n, delta| {
-            let view = &mut self.forest.node_mut(*n).mat_view;
-            // Lazily switch to a duplicate mask on the first rejected row.
-            let mut dup_mask: Option<Vec<bool>> = None;
-            for (i, row) in delta.iter().enumerate() {
-                let fresh = view.push(row);
-                if !fresh && dup_mask.is_none() {
-                    // Rows before `i` were all fresh.
-                    dup_mask = Some(vec![false; delta.len()]);
-                }
-                if let Some(mask) = &mut dup_mask {
-                    mask[i] = !fresh;
-                }
-            }
-            if let Some(mask) = dup_mask {
-                let mut new_rows = Relation::new(delta.arity());
-                for (row, _) in delta.iter().zip(&mask).filter(|(_, dup)| !**dup) {
-                    new_rows.push(row);
-                }
-                *delta = new_rows;
-            }
-            !delta.is_empty()
-        });
     }
 }
 
 /// Step 4 — the covering-path join pass of a run, for either sign: per
-/// affected query, count the ordered delta terms of its changed covering
-/// paths (`deltas`, keyed by end node) against the other paths' views in
-/// `forest` ([`join_covering_paths`]), probing `cache`'s builds of those
-/// views when given one. An insertion run (`removed_at` is `None`) has
+/// affected query of `scratch`, count the ordered delta terms of its
+/// changed covering paths (the end nodes' slots stamped with the run's
+/// epoch) against the other paths' views in `forest`
+/// ([`join_covering_paths`]), probing `cache`'s builds of those views when
+/// given one, and append the counts to `counts`. An insertion run has
 /// appended its deltas to the views, so inserted rows count new
-/// embeddings; a retraction run has not removed its deltas yet, and
-/// `removed_at` says where they sit, so removed rows count disappearing
-/// ones.
+/// embeddings; a `retract` run has not removed its deltas yet, and each
+/// end node's `removed_at` says where they sit, so removed rows count
+/// disappearing ones.
 fn answer_tric(
-    deltas: &FxHashMap<NodeId, Relation>,
-    removed_at: Option<&FxHashMap<NodeId, Vec<u32>>>,
-    affected_queries: &[QueryId],
+    scratch: &UpdateScratch,
+    retract: bool,
     queries: &QueryTable<Vec<PathInfo>>,
     forest: &TrieForest,
     cache: Option<&mut JoinCache>,
-) -> Vec<(QueryId, u64)> {
+    counts: &mut Vec<(QueryId, u64)>,
+) {
+    let (nodes, epoch) = (&scratch.nodes, scratch.epoch);
     join_covering_paths(
-        affected_queries.iter().map(|qid| {
+        scratch.affected_queries.iter().map(|qid| {
             let paths = queries.get(*qid).expect("trie registrations are live");
             (*qid, paths.as_slice())
         }),
         |path| path.vertices.as_slice(),
         |path| {
-            let rows = deltas.get(&path.end_node)?;
-            Some(match removed_at {
-                Some(at) => PathDelta::retracted(rows, &at[&path.end_node]),
-                None => PathDelta::inserted(rows, &forest.node(path.end_node).mat_view),
+            let slot = &nodes[path.end_node.index()];
+            let rows = slot.delta(epoch)?;
+            Some(if retract {
+                PathDelta::retracted(rows, &slot.removed_at)
+            } else {
+                PathDelta::inserted(rows, &forest.node(path.end_node).mat_view)
             })
         },
         |path| Some(&forest.node(path.end_node).mat_view),
         cache,
-    )
+        counts,
+    );
 }
 
 #[cfg(test)]
@@ -622,6 +718,7 @@ mod tests {
     use super::*;
     use gsm_core::error::Error;
     use gsm_core::interner::SymbolTable;
+    use gsm_core::relation::fasthash::FxHashMap;
 
     struct Fixture {
         symbols: SymbolTable,

@@ -222,9 +222,10 @@ impl TrieForest {
     /// [`insert_path`](Self::insert_path). Arena slots are retained (ids
     /// stay stable) but emptied.
     ///
-    /// Returns `None` when the registration does not exist, otherwise the
-    /// [`Relation::id`]s of the materialized views the pruning released —
-    /// the caller evicts any cached join builds over them. Pruning never
+    /// Returns `None` when the registration does not exist, otherwise every
+    /// pruned node with the [`Relation::id`] of the materialized view it
+    /// released — the caller evicts any cached join builds over those
+    /// views and frees whatever it keeps per node. Pruning never
     /// touches nodes still serving other queries: shared prefixes survive
     /// as long as any registration lives at or below them.
     pub fn remove_registration(
@@ -232,7 +233,7 @@ impl TrieForest {
         end_node: NodeId,
         query: QueryId,
         path_idx: usize,
-    ) -> Option<Vec<u64>> {
+    ) -> Option<Vec<(NodeId, u64)>> {
         let regs = &mut self.nodes[end_node.index()].registrations;
         let before = regs.len();
         regs.retain(|r| !(r.query == query && r.path_idx == path_idx));
@@ -244,8 +245,8 @@ impl TrieForest {
 
     /// Unlinks `node` and every newly dead ancestor (no registrations, no
     /// children) from the forest's indexes, emptying their arena slots;
-    /// returns the released views' relation ids.
-    fn prune_upward(&mut self, mut node: NodeId) -> Vec<u64> {
+    /// returns the pruned nodes with their released views' relation ids.
+    fn prune_upward(&mut self, mut node: NodeId) -> Vec<(NodeId, u64)> {
         let mut released = Vec::new();
         loop {
             let n = &self.nodes[node.index()];
@@ -269,7 +270,7 @@ impl TrieForest {
                 }
             }
             let slot = &mut self.nodes[node.index()];
-            released.push(slot.mat_view.id());
+            released.push((node, slot.mat_view.id()));
             slot.mat_view = Relation::new(slot.depth + 2);
             slot.parent = None;
             self.pruned += 1;

@@ -1,6 +1,7 @@
 //! Cases the workload matrix cannot express: a hand-written query set,
 //! hand-built batches with a known embedding count, the dense insert-only
-//! taxi shape the benchmark runs, the full-size stress workloads, and
+//! taxi shape the benchmark runs, the full-size stress workloads, the reuse
+//! of TRIC's run scratch across runs, flushes and query lifecycle, and
 //! pipelines under a slowed, yield-injected or real-clock answer stage —
 //! each checked against the same per-update reference.
 
@@ -10,6 +11,7 @@ use graph_stream_matching::baselines::IncEngine;
 use graph_stream_matching::core::prelude::*;
 use graph_stream_matching::core::{DetachedAnswer, EngineStats, StagedBatch};
 use graph_stream_matching::datagen::{Dataset, Workload, WorkloadConfig};
+use graph_stream_matching::graphdb::GraphDbEngine;
 use graph_stream_matching::persist::{MemFactory, PersistConfig};
 use graph_stream_matching::tric::TricEngine;
 use graph_stream_matching::{all_engine_factories, open_persistent_engine};
@@ -427,6 +429,201 @@ fn late_registration_matches_the_live_graph() {
         }
         for (composition, totals) in runs {
             assert_eq!(totals, expected, "{name}, {composition}");
+        }
+    }
+}
+
+/// One step of a lifecycle script: a registration, an unregistration, or a
+/// flush of updates answered as one batch.
+enum Step {
+    Register(QueryPattern),
+    Unregister(QueryId),
+    Flush(Vec<Update>),
+}
+
+/// The hazards of TRIC's engine-owned run scratch, in one script. Label `e`
+/// has an open view (`?a -e-> ?b`) and a constant-endpoint view
+/// (`c -e-> ?x`). One flush inserts, retracts and re-inserts `c -e-> v2`,
+/// re-inserts the already live `d -e-> v1`, and retracts and re-inserts the
+/// live `c -e-> v1`: five sign runs that reuse the same edge-delta and
+/// trie-node slots. Between flushes, unregistering query 2 prunes its
+/// private `e → g` node, whose slot the flush before had filled, and query
+/// 3 registers a deeper chain, whose new node lies past the slots the
+/// scratch was sized for. The next flush slides through both.
+fn scratch_reuse_script() -> (SymbolTable, Vec<Step>) {
+    let mut symbols = SymbolTable::new();
+    let mut parse = |q: &str| QueryPattern::parse(q, &mut symbols).unwrap();
+    let queries = [
+        parse("?a -e-> ?b; ?b -f-> ?c"),
+        parse("c -e-> ?x; ?x -f-> ?y"),
+        parse("?a -e-> ?b; ?b -g-> ?c"),
+    ];
+    let late = parse("c -e-> ?x; ?x -f-> ?y; ?y -g-> ?z");
+    let mut flush = |edges: &[(char, &str, &str, &str)]| {
+        let updates = edges
+            .iter()
+            .map(|&(sign, l, s, t)| {
+                let (l, s, t) = (symbols.intern(l), symbols.intern(s), symbols.intern(t));
+                match sign {
+                    '+' => Update::new(l, s, t),
+                    _ => Update::retraction(l, s, t),
+                }
+            })
+            .collect();
+        Step::Flush(updates)
+    };
+    let history = flush(&[
+        ('+', "e", "c", "v1"),
+        ('+', "e", "d", "v1"),
+        ('+', "f", "v1", "w1"),
+        ('+', "g", "v1", "z1"),
+        ('+', "g", "w1", "z2"),
+    ]);
+    let churn = flush(&[
+        ('+', "e", "c", "v2"),
+        ('+', "e", "d", "v1"), // already live: absorbed
+        ('+', "f", "v2", "w2"),
+        ('-', "e", "c", "v2"),
+        ('+', "e", "c", "v2"),
+        ('-', "e", "c", "v1"),
+        ('+', "e", "c", "v1"),
+        ('+', "f", "v1", "w3"),
+    ]);
+    let slide = flush(&[
+        ('+', "g", "w2", "z3"),
+        ('-', "e", "c", "v1"),
+        ('+', "e", "c", "v1"),
+        ('-', "g", "w2", "z3"),
+        ('-', "f", "v2", "w2"),
+        ('+', "g", "w1", "z4"),
+    ]);
+    let mut steps: Vec<Step> = queries.into_iter().map(Step::Register).collect();
+    steps.extend([
+        history,
+        churn,
+        Step::Unregister(QueryId(2)),
+        Step::Register(late),
+        slide,
+    ]);
+    (symbols, steps)
+}
+
+/// Runs `steps` on `engine`; one report per flush.
+fn drive_steps(engine: &mut dyn ContinuousEngine, steps: &[Step]) -> Vec<MatchReport> {
+    let mut reports = Vec::new();
+    for step in steps {
+        match step {
+            Step::Register(q) => {
+                engine.register_query(q).expect("register");
+            }
+            Step::Unregister(id) => engine.unregister_query(*id).expect("unregister"),
+            Step::Flush(updates) => reports.push(engine.apply_batch(updates)),
+        }
+    }
+    reports
+}
+
+/// [`drive_steps`] through a pipeline that flushes at the drain only, so
+/// that each flush of the script is one staged batch.
+fn drive_steps_pipelined(
+    engine: Box<dyn ContinuousEngine + Send>,
+    config: PipelineConfig,
+    steps: &[Step],
+) -> Vec<MatchReport> {
+    let mut pipe = PipelinedEngine::new(engine, config);
+    let mut reports = Vec::new();
+    for step in steps {
+        match step {
+            Step::Register(q) => {
+                pipe.register_query(q).expect("register");
+            }
+            Step::Unregister(id) => pipe.unregister_query(*id).expect("unregister"),
+            Step::Flush(updates) => {
+                let mut completed = Vec::new();
+                for &u in updates {
+                    completed.extend(pipe.push(u));
+                }
+                completed.extend(pipe.drain());
+                assert_eq!(completed.len(), 1, "a flush is one batch");
+                reports.push(completed.remove(0).report);
+            }
+        }
+    }
+    reports
+}
+
+/// [`drive_steps`] through engine `index` behind the durable wrapper.
+fn drive_steps_durable(index: usize, symbols: &SymbolTable, steps: &[Step]) -> Vec<MatchReport> {
+    let disk = MemFactory::new();
+    let (mut engine, _) =
+        open_persistent_engine(index, 1, Box::new(disk.handle()), PersistConfig::default())
+            .expect("open");
+    engine.note_symbols(symbols).unwrap();
+    let mut reports = Vec::new();
+    for step in steps {
+        match step {
+            Step::Register(q) => {
+                engine.try_register_query(q).unwrap();
+            }
+            Step::Unregister(id) => engine.try_unregister_query(*id).unwrap(),
+            Step::Flush(updates) => reports.push(engine.try_apply_batch(updates).unwrap()),
+        }
+    }
+    reports
+}
+
+/// TRIC and TRIC+ keep every buffer of a run — edge deltas, one delta slot
+/// per trie node, the depth queue, the flush's counts — from run to run.
+/// [`scratch_reuse_script`] replays the ways a reused slot could leak one
+/// run's rows into the next, or miss a node created or pruned between
+/// flushes, and each flush must report what GraphDB reports: bare,
+/// pipelined inline and threaded, and durable. GraphDB's own reports are
+/// pinned by hand.
+#[test]
+fn tric_run_scratch_is_reused_safely_across_runs_flushes_and_lifecycle() {
+    let (symbols, steps) = scratch_reuse_script();
+    let reference = drive_steps(&mut GraphDbEngine::new(), &steps);
+    let report = |counts: &[(u32, u64, u64)]| MatchReport {
+        matches: counts
+            .iter()
+            .map(|&(q, new_embeddings, retracted_embeddings)| QueryMatch {
+                query: QueryId(q),
+                new_embeddings,
+                retracted_embeddings,
+            })
+            .collect(),
+    };
+    assert_eq!(
+        reference,
+        vec![
+            // `e` into `f` from c and d, `c -e->` into `f`, `e` into `g`.
+            report(&[(0, 2, 0), (1, 1, 0), (2, 2, 0)]),
+            // Per sign run: +1 +1 0 (v2 and w2); -1 -1 0; +1 +1 0; -1 -1 -1
+            // (c, v1); +3 +2 +1 (c -e-> v1 back, and w3).
+            report(&[(0, 5, 2), (1, 4, 2), (2, 1, 1)]),
+            // 0 0 +1 (z3); -2 -2 -1; +2 +2 +1; -1 -1 -1 (w2 and z3); 0 0 +1.
+            report(&[(0, 2, 3), (1, 2, 3), (3, 3, 2)]),
+        ],
+        "GraphDB's reference reports"
+    );
+    // TRIC and TRIC+ lead the factory list.
+    for (index, factory) in all_engine_factories().into_iter().enumerate().take(2) {
+        let name = factory().name();
+        assert!(name.starts_with("TRIC"), "{name}");
+        let mut runs = vec![("bare", drive_steps(factory().as_mut(), &steps))];
+        for (composition, workers) in [("pipelined inline", 0), ("pipelined, 2 workers", 2)] {
+            let mut config = PipelineConfig::new(1_024, Duration::MAX);
+            if workers > 0 {
+                config = config.threaded().with_answer_workers(workers);
+            }
+            runs.push((
+                composition,
+                drive_steps_pipelined(factory(), config, &steps),
+            ));
+        }
+        runs.push(("durable", drive_steps_durable(index, &symbols, &steps)));
+        for (composition, reports) in runs {
+            assert_eq!(reports, reference, "{name}, {composition}");
         }
     }
 }
